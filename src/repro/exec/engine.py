@@ -23,17 +23,13 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
 from repro.errors import ConfigurationError
+from repro.exec.block import Group, block_range
 from repro.memory.base import TriangleSink, TriangulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.protocols import Executor, Kernel, Source, SourceHandle
 
 __all__ = ["Engine", "EngineOutcome", "compose", "run_range", "split_ranges"]
-
-#: One emitted triangle group ``(u, v, (w, ...))`` — same shape as the
-#: process-parallel engine's merge unit.
-Group = tuple[int, int, tuple[int, ...]]
-
 
 @dataclass
 class EngineOutcome:
@@ -88,7 +84,17 @@ def run_range(
     ``min(|n_succ(u)|, |n_succ(v)|)`` — the probed side, the quantity
     Eq. 3 charges — so the attribution table's per-bucket sums conserve
     the returned ``ops`` exactly.
+
+    The ``hash`` binding over a handle that exposes its CSR does not
+    loop per pair: :func:`repro.exec.block.block_range` returns the
+    same triple and charges the same cells a block of edges at a time.
+    The per-pair loop below serves the paged-disk handle and the
+    kernels whose charge is measured, not analytic.
     """
+    graph = handle.csr_graph() if binding.name == "hash" else None
+    if graph is not None:
+        return block_range(graph.indptr, graph.indices, graph.succ_start,
+                           lo, hi, collect, scope)
     triangles = 0
     ops = 0
     groups: list[Group] = []
@@ -175,7 +181,7 @@ class Engine:
                               source=self.source.name).charge_time(elapsed)
         if sink is not None:
             for u, v, ws in outcome.groups:
-                sink.emit(u, v, list(ws))
+                sink.emit(u, v, ws)
         source_name, kernel_name, executor_name = self.cell
         extra = {
             "cell": self.describe(),

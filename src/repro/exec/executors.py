@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 from repro.errors import ConfigurationError
 from repro.exec.engine import EngineOutcome, run_range, split_ranges
 from repro.exec.protocols import Kernel, Source
+from repro.exec.sources import _GraphHandle
 
 __all__ = ["OVERSUBSCRIPTION", "ProcessExecutor", "SerialExecutor",
            "ThreadedExecutor"]
@@ -160,7 +161,7 @@ def _process_job(args) -> tuple[int, int, list, dict | None, dict]:
         scope = (table.scope(phase="exec", kernel=kernel_name,
                              source=attr_source)
                  if table is not None else None)
-        triangles, ops, groups = run_range(_AttachedHandle(graph), binding,
+        triangles, ops, groups = run_range(_GraphHandle(graph), binding,
                                            lo, hi, collect, scope=scope)
         snapshot = table.snapshot() if table is not None else None
         return triangles, ops, groups, snapshot, binding.stats()
@@ -168,20 +169,6 @@ def _process_job(args) -> tuple[int, int, list, dict | None, dict]:
         # Views into the shared buffers must die before close().
         graph = None
         shared.close()
-
-
-class _AttachedHandle:
-    """Minimal handle over a worker-side attached Graph."""
-
-    def __init__(self, graph):
-        self._graph = graph
-
-    @property
-    def num_vertices(self) -> int:
-        return self._graph.num_vertices
-
-    def succ(self, u: int):
-        return self._graph.n_succ(u)
 
 
 class ProcessExecutor:

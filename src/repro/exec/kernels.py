@@ -7,7 +7,10 @@ all returning ``(common, ops)``:
   with the analytic hash-probe charge ``min(|a|, |b|)``.  This is
   byte-for-byte the accounting of the historical
   :func:`repro.memory.edge_iterator.edge_iterator` numpy path, which is
-  now a façade over this kernel.
+  now a façade over this kernel.  Over a CSR-backed handle the engine
+  does not call it pair by pair: :mod:`repro.exec.block` resolves whole
+  blocks of edges with the same charge; the per-pair form serves the
+  paged-disk source.
 * ``merge`` — two-pointer merge; charges measured element comparisons.
 * ``gallop`` — exponential search; efficient under degree skew, the
   AOT-style alternative for ``|a| ≪ |b|``.

@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.graph.graph import Graph
     from repro.parallel.shm import CSRHandle
 
 __all__ = ["Executor", "IntersectFn", "Kernel", "Source", "SourceHandle"]
@@ -44,6 +45,16 @@ class SourceHandle(Protocol):
         Sources whose read path is thread-safe (immutable numpy views)
         return ``self``; the paged-disk source returns a fresh reader
         with its own buffer over the same immutable page sequence.
+        """
+        ...
+
+    def csr_graph(self) -> "Graph | None":
+        """The in-process CSR the reads come from, or ``None``.
+
+        Handles backed by one (heap or attached shared memory) let
+        :func:`repro.exec.engine.run_range` take whole blocks of edges
+        off the arrays; the paged-disk handle returns ``None`` — its
+        reads must go through the buffer one list at a time.
         """
         ...
 

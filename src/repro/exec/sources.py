@@ -57,6 +57,9 @@ class _GraphHandle:
     def fork_local(self) -> "_GraphHandle":
         return self  # immutable numpy views: thread-safe as-is
 
+    def csr_graph(self) -> Graph:
+        return self._graph
+
     def csr_handle(self) -> "CSRHandle | None":
         return None
 
@@ -147,6 +150,9 @@ class _DiskHandle:
         # The page images are immutable bytes; only the buffer is
         # stateful, so each worker thread gets its own.
         return _DiskHandle(self._store, self._buffer_pages)
+
+    def csr_graph(self) -> None:
+        return None
 
     def csr_handle(self) -> None:
         return None

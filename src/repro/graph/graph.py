@@ -33,7 +33,7 @@ class Graph:
         Pass ``False`` only for arrays produced by trusted code paths.
     """
 
-    __slots__ = ("indptr", "indices", "_num_edges")
+    __slots__ = ("indptr", "indices", "_num_edges", "_succ_start")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, *, validate: bool = True):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -41,6 +41,7 @@ class Graph:
         if validate:
             self._validate()
         self._num_edges = int(len(self.indices)) // 2
+        self._succ_start: np.ndarray | None = None
 
     def _validate(self) -> None:
         indptr, indices = self.indptr, self.indices
@@ -95,11 +96,29 @@ class Graph:
         """Sorted adjacency list ``n(v)`` (a read-only view)."""
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
+    @property
+    def succ_start(self) -> np.ndarray:
+        """Offset into ``indices`` where each vertex's ``n_succ`` begins.
+
+        ``succ_start[v] = indptr[v] + #{w in n(v): w <= v}``, for all
+        vertices in one ``bincount``; built on first use and cached (the
+        graph is immutable), so ``n_succ`` is a plain slice and the
+        block-batched kernel can gather successor lists without a
+        per-vertex search.
+        """
+        start = self._succ_start
+        if start is None:
+            n = self.num_vertices
+            sources = np.repeat(np.arange(n, dtype=np.int64),
+                                np.diff(self.indptr))
+            start = self.indptr[:-1] + np.bincount(
+                sources[self.indices <= sources], minlength=n)
+            self._succ_start = start
+        return start
+
     def n_succ(self, v: int) -> np.ndarray:
         """``n_succ(v)``: neighbors with id greater than *v* (sorted view)."""
-        row = self.neighbors(v)
-        cut = int(np.searchsorted(row, v, side="right"))
-        return row[cut:]
+        return self.indices[self.succ_start[v]:self.indptr[v + 1]]
 
     def n_prec(self, v: int) -> np.ndarray:
         """``n_prec(v)``: neighbors with id smaller than *v* (sorted view)."""

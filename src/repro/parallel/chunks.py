@@ -47,10 +47,7 @@ def plan_chunks(graph: Graph, chunks: int) -> list[tuple[int, int]]:
     if chunks < 1:
         raise ConfigurationError("chunks must be >= 1")
     num_vertices = graph.num_vertices
-    succ_mass = np.array(
-        [len(graph.n_succ(u)) for u in range(num_vertices)],
-        dtype=np.float64,
-    )
+    succ_mass = (graph.indptr[1:] - graph.succ_start).astype(np.float64)
     total = succ_mass.sum()
     if total == 0 or chunks == 1:
         return [(0, num_vertices)]

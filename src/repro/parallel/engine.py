@@ -37,6 +37,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
+from repro.exec.block import Group, block_range
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs.registry import MetricsRegistry
@@ -46,7 +47,6 @@ from repro.obs.trace import EventTracer, TraceEvent
 from repro.parallel.chunks import default_chunk_count, plan_chunks
 from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor, StragglerPolicy
 from repro.parallel.shm import SharedCSR
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = [
     "ParallelResult",
@@ -54,10 +54,6 @@ __all__ = [
     "count_chunk",
     "triangulate_parallel",
 ]
-
-#: One emitted triangle group: ``(u, v, (w, ...))``.
-Group = tuple[int, int, tuple[int, ...]]
-
 
 def count_chunk(
     indptr: np.ndarray,
@@ -83,38 +79,8 @@ def count_chunk(
     integer summation, over any chunk partition.
     """
     graph = Graph(indptr, indices, validate=False)
-    triangles = 0
-    ops = 0
-    groups: list[Group] = []
-    # bit_length -> [pairs, ops, triangles]; bulk-charged once per chunk
-    # so attribution adds dict updates, not a method call, per pair.
-    counts: dict[int, list[int]] = {}
-    for u in range(lo, hi):
-        succ_u = graph.n_succ(u)
-        if len(succ_u) == 0:
-            continue
-        for v in succ_u:
-            v = int(v)
-            succ_v = graph.n_succ(v)
-            pair_ops = intersect_count_ops(len(succ_u), len(succ_v))
-            ops += pair_ops
-            common = intersect_sorted(succ_u, succ_v)
-            found = len(common)
-            if scope is not None:
-                length = min(len(succ_u), len(succ_v)).bit_length()
-                cell = counts.get(length)
-                if cell is None:
-                    cell = counts[length] = [0, 0, 0]
-                cell[0] += 1
-                cell[1] += pair_ops
-                cell[2] += found
-            if found:
-                triangles += found
-                if collect:
-                    groups.append((u, v, tuple(int(w) for w in common)))
-    if scope is not None and counts:
-        scope.charge_lengths(counts)
-    return triangles, ops, groups
+    return block_range(graph.indptr, graph.indices, graph.succ_start,
+                       lo, hi, collect, scope)
 
 
 @dataclass

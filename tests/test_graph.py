@@ -79,6 +79,41 @@ class TestGraphAccessors:
             assert all(u > v for u in succ)
             assert all(u < v for u in prec)
 
+    def test_n_succ_offsets_equal_the_searchsorted_slice(self, graph_zoo):
+        from tests import zoo
+
+        for name in zoo.zoo_names():
+            graph = graph_zoo(name)
+            for v in range(graph.num_vertices):
+                row = graph.neighbors(v)
+                expected = row[np.searchsorted(row, v, side="right"):]
+                assert graph.n_succ(v).tolist() == expected.tolist(), (name, v)
+
+    def test_offset_cache_survives_pickle_and_shared_memory(self, graph_zoo):
+        """The cached offsets are heap data: a pickled copy and a
+        shared-memory attachment both answer ``n_succ`` identically, and
+        the attachment still closes (no view into the segment is kept)."""
+        import pickle
+
+        from repro.parallel.shm import SharedCSR
+
+        def successor_lists(g):
+            return [g.n_succ(v).tolist() for v in range(g.num_vertices)]
+
+        graph = graph_zoo("rmat-small")
+        cold = pickle.loads(pickle.dumps(graph))
+        expected = successor_lists(graph)
+        warm = pickle.loads(pickle.dumps(graph))
+        for copy in (cold, warm):
+            assert copy == graph
+            assert successor_lists(copy) == expected
+        with SharedCSR.publish(graph) as shared:
+            attached = SharedCSR.attach(shared.handle)
+            try:
+                assert successor_lists(attached.graph()) == expected
+            finally:
+                attached.close()
+
     def test_has_edge(self, figure1):
         assert figure1.has_edge(0, 1)
         assert figure1.has_edge(1, 0)

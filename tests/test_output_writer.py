@@ -54,6 +54,19 @@ class TestWriter:
         u, v, k = struct.unpack_from("<IIH", data, 0)
         assert (u, v, k) == (1, 2, 2)
 
+    def test_group_bytes_are_the_same_at_every_size(self):
+        """Small groups pack vertex by vertex, larger ones in one call;
+        the stream must not show where the switch is."""
+        stream = io.BytesIO()
+        expected = b""
+        with NestedOutputWriter(stream, page_size=128) as writer:
+            for k in list(range(1, 12)) + [300]:
+                ws = tuple(range(7, 7 + k))
+                writer.emit(k, k + 1, ws)
+                expected += struct.pack("<IIH", k, k + 1, k)
+                expected += b"".join(struct.pack("<I", w) for w in ws)
+        assert stream.getvalue() == expected
+
     def test_writes_to_path(self, tmp_path):
         path = tmp_path / "triangles.bin"
         with NestedOutputWriter(path) as writer:
