@@ -12,27 +12,27 @@ conservation checks pin down.
   reads) rather than CPU, mirroring the paper's threaded OPT; each task
   reads through ``fork_local()`` so stateful read paths stay
   single-threaded internally.
-* :class:`ProcessExecutor` — a forked pool attaching the source's
-  shared-memory CSR per task.  Requires a shareable source; the
-  registry marks other combinations invalid rather than pickling whole
-  graphs across the boundary.
+* :class:`ProcessExecutor` — the forked worker pool of
+  :func:`repro.parallel.engine.run_chunks`: each worker attaches the
+  source's published CSR and binds the kernel once, then pulls ranges
+  from a shared queue.  Requires a shareable source; the registry marks
+  other combinations invalid rather than pickling whole graphs across
+  the boundary.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError
+from repro.exec.block import Group
 from repro.exec.engine import EngineOutcome, run_range, split_ranges
 from repro.exec.protocols import Kernel, Source
-from repro.exec.sources import _GraphHandle
+from repro.parallel.chunks import OVERSUBSCRIPTION
 
 __all__ = ["OVERSUBSCRIPTION", "ProcessExecutor", "SerialExecutor",
            "ThreadedExecutor"]
-
-#: Chunks per worker — same 4x morphing sweet spot as
-#: :mod:`repro.parallel.chunks`.
-OVERSUBSCRIPTION = 4
 
 
 def _merge_io(totals: dict[str, int], stats: dict[str, int]) -> None:
@@ -54,6 +54,14 @@ def _merge_branches(totals: dict[str, list[int]],
         else:
             cell[0] += int(pairs)
             cell[1] += int(ops)
+
+
+def _add_chunk(outcome: EngineOutcome, triangles: int, ops: int,
+               groups: list[Group]) -> None:
+    """Fold one range's result into *outcome*; callers go in range order."""
+    outcome.triangles += triangles
+    outcome.cpu_ops += ops
+    outcome.groups.extend(groups)
 
 
 def _scope_for(attribution, source: Source, kernel: Kernel):
@@ -128,9 +136,7 @@ class ThreadedExecutor:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 for (triangles, ops, groups, stats, table,
                      branches) in pool.map(job, ranges):
-                    outcome.triangles += triangles
-                    outcome.cpu_ops += ops
-                    outcome.groups.extend(groups)
+                    _add_chunk(outcome, triangles, ops, groups)
                     _merge_io(outcome.io, stats)
                     _merge_branches(outcome.branches, branches)
                     if table is not None:
@@ -138,41 +144,8 @@ class ThreadedExecutor:
             return outcome
 
 
-def _process_job(args) -> tuple[int, int, list, dict | None, dict]:
-    """Forked worker body: attach, run one range, detach.
-
-    *attr_source* is the source name to attribute under, or ``None``
-    when the parent did not ask for attribution; the worker's table
-    crosses the process boundary as a plain-dict snapshot, and the
-    binding's per-branch tally as a plain dict.
-    """
-    csr_handle, kernel_name, lo, hi, collect, attr_source = args
-    from repro.exec import registry
-    from repro.obs.attribution import Attribution
-    from repro.parallel.shm import SharedCSR
-
-    shared = SharedCSR.attach(csr_handle)
-    graph = None
-    try:
-        graph = shared.graph()
-        kernel = registry.make_kernel(kernel_name)
-        binding = kernel.bind(graph.num_vertices)
-        table = Attribution() if attr_source is not None else None
-        scope = (table.scope(phase="exec", kernel=kernel_name,
-                             source=attr_source)
-                 if table is not None else None)
-        triangles, ops, groups = run_range(_GraphHandle(graph), binding,
-                                           lo, hi, collect, scope=scope)
-        snapshot = table.snapshot() if table is not None else None
-        return triangles, ops, groups, snapshot, binding.stats()
-    finally:
-        # Views into the shared buffers must die before close().
-        graph = None
-        shared.close()
-
-
 class ProcessExecutor:
-    """A forked process pool over a shareable (shared-memory) source."""
+    """The forked worker pool over a shareable (shared-memory) source."""
 
     name = "process"
     requires_shareable = True
@@ -184,32 +157,31 @@ class ProcessExecutor:
 
     def execute(self, source: Source, kernel: Kernel, *,
                 collect: bool, attribution=None) -> EngineOutcome:
-        import multiprocessing as mp
+        # Deferred: repro.parallel.engine imports this package.
+        from repro.parallel.engine import run_chunks
 
         with source.open() as handle:
-            csr_handle = handle.csr_handle()
-            if csr_handle is None:
+            if handle.csr_handle() is None:
                 raise ConfigurationError(
                     f"source {source.name!r} is not attachable across "
                     "processes; use the shared-memory source"
                 )
             ranges = split_ranges(handle.num_vertices,
                                   self.workers * OVERSUBSCRIPTION)
-            if not ranges:
-                return EngineOutcome(io=dict(handle.io_stats()))
-            attr_source = source.name if attribution is not None else None
-            jobs = [(csr_handle, kernel.name, lo, hi, collect, attr_source)
-                    for lo, hi in ranges]
-            ctx = mp.get_context("fork")
-            outcome = EngineOutcome(chunks=len(ranges))
-            with ctx.Pool(processes=min(self.workers, len(jobs))) as pool:
-                for (triangles, ops, groups, snapshot,
-                     branches) in pool.map(_process_job, jobs):
-                    outcome.triangles += triangles
-                    outcome.cpu_ops += ops
-                    outcome.groups.extend(groups)
-                    _merge_branches(outcome.branches, branches)
-                    if snapshot is not None:
-                        attribution.merge_snapshot(snapshot)
-            outcome.io = dict(handle.io_stats())
+            # Workers ship plain-dict table snapshots and branch tallies;
+            # integer cells, so the fold is scheduling-independent.
+            reports, rows = run_chunks(
+                handle, kernel, ranges, self.workers, collect,
+                time.perf_counter(),
+                ("exec", kernel.name, source.name)
+                if attribution is not None else None,
+            )
+            outcome = EngineOutcome(chunks=len(ranges),
+                                    io=dict(handle.io_stats()))
+            for _, _, _, triangles, ops, groups in rows:
+                _add_chunk(outcome, triangles, ops, groups)
+            for report in reports:
+                _merge_branches(outcome.branches, report.branches)
+                if report.attribution is not None:
+                    attribution.merge_snapshot(report.attribution)
             return outcome

@@ -25,9 +25,9 @@ all returning ``(common, ops)``:
   to the merge / gallop / bitmap data path by pruned skew ratio.  See
   ``docs/kernels.md`` for the selection rule and thresholds.
 
-Kernels are stateless and picklable by *name* (the process executor
-re-resolves them in workers via :mod:`repro.exec.registry`); per-graph
-scratch state lives in the binding returned by ``bind()``.
+Kernels are stateless (forked pool workers inherit the instance and
+bind it once each); per-graph scratch state lives in the binding
+returned by ``bind()``.
 """
 
 from __future__ import annotations

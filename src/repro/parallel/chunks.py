@@ -21,9 +21,10 @@ from repro.graph.graph import Graph
 
 __all__ = ["default_chunk_count", "plan_chunks"]
 
-# Chunks per worker.  4x oversubscription is the classic work-stealing
-# sweet spot: fine enough that a straggler chunk can't serialize the run,
-# coarse enough that queue traffic stays negligible.
+#: Chunks per worker, for every pool in the repo (the thread and process
+#: executors import it).  4x oversubscription is the classic
+#: work-stealing sweet spot: fine enough that a straggler chunk can't
+#: serialize the run, coarse enough that queue traffic stays negligible.
 OVERSUBSCRIPTION = 4
 
 
@@ -38,10 +39,9 @@ def plan_chunks(graph: Graph, chunks: int) -> list[tuple[int, int]]:
     """Split ``[0, num_vertices)`` into ≤ *chunks* half-open ranges of
     approximately equal successor mass.
 
-    Mirrors :func:`repro.memory.parallel.stripe_bounds` (same cumsum +
-    searchsorted split) but is pure planning: the chunk list is computed
-    once in the parent and pushed onto the work queue, so the split is
-    identical for every worker count — the root of the engine's
+    A cumsum + searchsorted split, and pure planning: the chunk list is
+    computed once in the parent and pushed onto the work queue, so the
+    split is identical for every worker count — the root of the engine's
     determinism guarantee.
     """
     if chunks < 1:

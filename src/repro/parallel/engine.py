@@ -12,13 +12,21 @@ Section 3.4 of the paper):
    round-robin "fair share" of chunk ``i`` is worker ``i % workers`` — a
    worker executing someone else's chunk is the *steal* that morphing
    performs with threads;
-3. each worker runs the EdgeIterator≻ kernel (:func:`count_chunk`) per
-   chunk and accumulates its own :class:`MetricsRegistry` counters and
-   :class:`EventTracer` slices on a private ``parallel/w<id>`` track;
+3. each worker binds the kernel once and runs
+   :func:`repro.exec.engine.run_range` per chunk, accumulating its own
+   :class:`MetricsRegistry` counters and :class:`EventTracer` slices on
+   a private ``parallel/w<id>`` track;
 4. the parent merges: triangle groups re-emitted to the caller's sink in
    chunk order (so output is identical for every worker count), worker
    metric snapshots folded into the run report's registry, worker trace
    events translated onto the caller's tracer timeline.
+
+Steps 2–3 are :func:`run_chunks`, the only place in ``src/`` that forks:
+:func:`triangulate_parallel` and
+:class:`repro.exec.executors.ProcessExecutor` both hand it a chunk plan
+and fold the rows it returns.  A worker that dies without reporting
+(SIGKILL, OOM-kill) is noticed on the next empty poll of the result
+queue and raises :class:`ParallelError` naming it.
 
 Determinism contract: the chunk plan, per-chunk triangle groups, and all
 op counts depend only on the graph — never on scheduling.  Only
@@ -32,12 +40,15 @@ import multiprocessing as mp
 import queue as queue_mod
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
 from repro.exec.block import Group, block_range
+from repro.exec.engine import run_range
+from repro.exec.kernels import HashKernel, Kernel
+from repro.exec.sources import MemorySource, SharedMemorySource, _GraphHandle
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs.registry import MetricsRegistry
@@ -52,8 +63,13 @@ __all__ = [
     "ParallelResult",
     "WorkerReport",
     "count_chunk",
+    "run_chunks",
     "triangulate_parallel",
 ]
+
+#: ``(chunk_index, lo, hi, triangles, ops, groups)`` for one executed chunk.
+ChunkRow = tuple[int, int, int, int, int, list[Group]]
+
 
 def count_chunk(
     indptr: np.ndarray,
@@ -91,15 +107,14 @@ class WorkerReport:
     """
 
     worker_id: int
-    #: ``(chunk_index, lo, hi, triangles, ops, groups)`` per executed chunk.
-    results: list[tuple[int, int, int, int, int, list[Group]]] = field(
-        default_factory=list
-    )
+    results: list[ChunkRow] = field(default_factory=list)
     snapshot: dict = field(default_factory=dict)
     events: list[TraceEvent] = field(default_factory=list)
     #: Serialized :class:`~repro.obs.attribution.Attribution` snapshot
     #: (deterministic form), or ``None`` when attribution was off.
     attribution: dict | None = None
+    #: The worker's kernel binding ``stats()``: ``{branch: [pairs, ops]}``.
+    branches: dict[str, list[int]] = field(default_factory=dict)
     error: str | None = None
 
 
@@ -117,16 +132,20 @@ class ParallelResult:
 
 def _execute_chunks(
     graph: Graph,
+    kernel: Kernel,
     tasks: Iterable[tuple[int, int, int]],
     worker_id: int,
     num_workers: int,
     collect: bool,
     anchor: float,
+    coordinate: tuple[str, str, str] | None = None,
     hb_queue=None,
     chunk_delay: float = 0.0,
-    attribute: bool = False,
 ) -> WorkerReport:
     """Run *tasks* (``(index, lo, hi)``) and record obs locally.
+
+    Binds *kernel* once, then calls :func:`repro.exec.engine.run_range`
+    per chunk.
 
     Shared by the in-process ``workers=1`` path and the forked worker
     loop; timestamps are seconds since *anchor* (a parent-side
@@ -142,10 +161,10 @@ def _execute_chunks(
     once before the first task fetch and again inside every chunk (the
     up-front sleep makes the stall deterministic even when the other
     workers drain the queue first; see :class:`StragglerPolicy`).
-    With *attribute*, the worker charges a private attribution table
-    under the constant coordinate ``(parallel, hash, shm)`` and ships
-    its deterministic snapshot on the report — cells merge by summation,
-    so the folded table is independent of worker count and scheduling.
+    With a *coordinate* ``(phase, kernel, source)``, the worker charges
+    a private attribution table under it and ships its deterministic
+    snapshot on the report — cells merge by summation, so the folded
+    table is independent of worker count and scheduling.
     """
     from repro.obs.attribution import Attribution
 
@@ -158,10 +177,14 @@ def _execute_chunks(
     chunk_elapsed = registry.histogram("parallel.chunk.elapsed")
     track = f"parallel/w{worker_id}"
     report = WorkerReport(worker_id=worker_id)
-    attr_table = Attribution() if attribute else None
-    attr_scope = (attr_table.scope(phase="parallel", kernel="hash",
-                                   source="shm")
-                  if attr_table is not None else None)
+    attr_table = attr_scope = None
+    if coordinate is not None:
+        phase, kernel_name, source = coordinate
+        attr_table = Attribution()
+        attr_scope = attr_table.scope(phase=phase, kernel=kernel_name,
+                                      source=source)
+    handle = _GraphHandle(graph)
+    binding = kernel.bind(graph.num_vertices)
     done_chunks = total_ops = total_steals = 0
 
     def beat(done: bool = False) -> None:
@@ -183,9 +206,8 @@ def _execute_chunks(
         start = time.perf_counter() - anchor
         if chunk_delay > 0.0:
             time.sleep(chunk_delay)
-        triangles, ops, groups = count_chunk(
-            graph.indptr, graph.indices, lo, hi, collect, scope=attr_scope
-        )
+        triangles, ops, groups = run_range(handle, binding, lo, hi,
+                                           collect, scope=attr_scope)
         end = time.perf_counter() - anchor
         chunks_counter.inc()
         ops_counter.inc(ops)
@@ -207,36 +229,30 @@ def _execute_chunks(
     beat(done=True)
     report.snapshot = registry.snapshot(histogram_samples=True)
     report.events = tracer.events()
+    report.branches = binding.stats()
     if attr_table is not None:
         report.attribution = attr_table.snapshot()
     return report
 
 
-def _drain_queue(task_queue) -> Iterator[tuple[int, int, int]]:
-    """Yield tasks from *task_queue* until the ``None`` sentinel."""
-    while True:
-        item = task_queue.get()
-        if item is None:
-            return
-        yield item
-
-
-def _worker_main(handle, num_workers: int, worker_id: int, collect: bool,
-                 anchor: float, task_queue, result_queue,
-                 hb_queue=None, chunk_delay: float = 0.0,
-                 attribute: bool = False) -> None:
-    """Forked worker entry: attach, drain the queue, ship one report."""
-    shared = SharedCSR.attach(handle)
+def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
+                 worker_id: int, collect: bool, anchor: float,
+                 coordinate: tuple[str, str, str] | None,
+                 task_queue, result_queue, hb_queue,
+                 chunk_delay: float) -> None:
+    """Forked worker entry: attach, pull tasks up to the ``None``
+    sentinel, ship one report."""
+    shared = SharedCSR.attach(csr_handle)
     graph = None
     try:
         graph = shared.graph()
         report = _execute_chunks(
-            graph, _drain_queue(task_queue), worker_id, num_workers,
-            collect, anchor, hb_queue, chunk_delay, attribute,
+            graph, kernel, iter(task_queue.get, None), worker_id,
+            num_workers, collect, anchor, coordinate, hb_queue, chunk_delay,
         )
     # Worker boundary: ANY failure (including KeyboardInterrupt /
-    # SystemExit) must reach the parent as an error report, or the
-    # parent's result_queue.get() blocks forever.
+    # SystemExit) must reach the parent as an error report; a death this
+    # cannot catch (SIGKILL) is the parent's _monitored_drain to notice.
     # lint: ignore[error-types] worker-to-parent error funnel
     except BaseException as exc:
         report = WorkerReport(worker_id=worker_id,
@@ -269,41 +285,157 @@ def _close_queue(q, *, discard: bool = False) -> None:
 def _monitored_drain(
     processes: Sequence,
     result_queue,
-    hb_queue,
-    monitor: HeartbeatMonitor,
-    policy: StragglerPolicy,
-    telemetry: TelemetrySampler | None,
+    poll_interval: float,
     start_wall: float,
+    hb_queue=None,
+    monitor: HeartbeatMonitor | None = None,
+    telemetry: TelemetrySampler | None = None,
 ) -> list[WorkerReport]:
-    """Collect worker reports while folding heartbeats + detections.
+    """Collect one report per worker, never blocking past *poll_interval*.
 
-    The replacement for the blocking ``result_queue.get()`` loop: each
-    pass waits at most ``policy.poll_interval`` for a report, drains
-    every pending heartbeat, runs the straggler/silence detections (a
-    silent worker raises :class:`ParallelError` out of here), and lets a
-    wall-clock telemetry sampler take a rate-limited tick.
+    Each pass waits at most *poll_interval* for a report.  A worker that
+    exited before the wait began has already flushed its report into the
+    pipe, so if the wait still comes up empty the worker died without
+    one (SIGKILL, OOM-kill — nothing its own error funnel can catch) and
+    :class:`ParallelError` names it instead of the parent waiting
+    forever.  With a *monitor*, every pass also drains the pending
+    heartbeats, runs the straggler/silence detections (a silent worker
+    raises :class:`ParallelError` out of here), and lets a wall-clock
+    telemetry sampler take a rate-limited tick.
     """
-    reports: list[WorkerReport] = []
-    pending = len(processes)
-    while pending:
+    reports: dict[int, WorkerReport] = {}
+    while len(reports) < len(processes):
+        exited = [(worker_id, process.exitcode)
+                  for worker_id, process in enumerate(processes)
+                  if worker_id not in reports
+                  and process.exitcode is not None]
         try:
-            report = result_queue.get(timeout=policy.poll_interval)
+            report = result_queue.get(timeout=poll_interval)
         except queue_mod.Empty:
-            report = None
-        if report is not None:
-            reports.append(report)
-            monitor.mark_done(report.worker_id)
-            pending -= 1
-        monitor.drain(hb_queue)
-        monitor.check(time.perf_counter() - start_wall)
+            if exited:
+                raise ParallelError(
+                    f"{len(exited)} worker(s) died without reporting: "
+                    + "; ".join(f"w{worker_id}: exit code {code}"
+                                for worker_id, code in exited)
+                ) from None
+        else:
+            reports[report.worker_id] = report
+            if monitor is not None:
+                monitor.mark_done(report.worker_id)
+        if monitor is not None:
+            monitor.drain(hb_queue)
+            monitor.check(time.perf_counter() - start_wall)
         if telemetry is not None:
             telemetry.maybe_sample()
-    monitor.drain(hb_queue)
-    return reports
+    if monitor is not None:
+        monitor.drain(hb_queue)
+    return [reports[worker_id] for worker_id in range(len(processes))]
+
+
+def run_chunks(
+    handle,
+    kernel: Kernel,
+    chunk_bounds: Sequence[tuple[int, int]],
+    workers: int,
+    collect: bool,
+    anchor: float,
+    coordinate: tuple[str, str, str] | None = None,
+    monitor: HeartbeatMonitor | None = None,
+    telemetry: TelemetrySampler | None = None,
+) -> tuple[list[WorkerReport], list[ChunkRow]]:
+    """Run *kernel* over every chunk with a pool of queue-pulling workers.
+
+    The one process pool: *handle* is an open CSR-backed
+    :class:`~repro.exec.protocols.SourceHandle`; with one worker or one
+    chunk the chunks run in-process over ``handle.csr_graph()`` (no
+    fork), otherwise ``min(workers, chunks)`` forked workers attach
+    ``handle.csr_handle()`` and pull ``(index, lo, hi)`` tasks from one
+    queue until its sentinel.  *anchor* is the caller's
+    ``perf_counter`` epoch for worker timestamps; *coordinate*, *monitor*
+    and *telemetry* are as in :func:`_execute_chunks` and
+    :func:`_monitored_drain` (a monitor also opens the heartbeat queue).
+
+    Returns the worker reports in worker order and every chunk's row in
+    chunk order — vertex order, so the concatenated groups are a pure
+    function of the graph, whatever the workers did.  Raises
+    :class:`ParallelError` when a worker failed, died, or the rows do
+    not account for every planned chunk; queues and workers are released
+    on every path.
+    """
+    tasks = [(index, lo, hi) for index, (lo, hi) in enumerate(chunk_bounds)]
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        reports = [_execute_chunks(handle.csr_graph(), kernel, tasks, 0, 1,
+                                   collect, anchor, coordinate)]
+    else:
+        policy = monitor.policy if monitor is not None else StragglerPolicy()
+        ctx = mp.get_context("fork")
+        task_queue = ctx.Queue()
+        result_queue = ctx.Queue()
+        hb_queue = ctx.Queue() if monitor is not None else None
+        processes: list = []
+        failed = False
+        try:
+            for task in tasks:
+                task_queue.put(task)
+            for _ in range(workers):
+                task_queue.put(None)
+            processes = [
+                ctx.Process(
+                    target=_worker_main,
+                    args=(handle.csr_handle(), kernel, workers, worker_id,
+                          collect, anchor, coordinate, task_queue,
+                          result_queue, hb_queue,
+                          policy.inject_chunk_delay
+                          if policy.inject_worker == worker_id else 0.0),
+                    name=f"parallel-w{worker_id}",
+                )
+                for worker_id in range(workers)
+            ]
+            for process in processes:
+                process.start()
+            # Drain results *before* join: a worker blocks in put() until
+            # the parent reads, so the reverse order deadlocks on big
+            # payloads.
+            reports = _monitored_drain(
+                processes, result_queue, policy.poll_interval, anchor,
+                hb_queue, monitor, telemetry,
+            )
+            for process in processes:
+                process.join()
+        # Cleanup-and-reraise: even KeyboardInterrupt must terminate the
+        # workers and discard the queues, or the interpreter hangs at
+        # exit on the feeder threads.  # lint: ignore[error-types]
+        except BaseException:
+            failed = True
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+            for process in processes:
+                process.join()
+            raise
+        finally:
+            _close_queue(task_queue, discard=failed)
+            _close_queue(result_queue, discard=failed)
+            _close_queue(hb_queue, discard=failed)
+
+    failures = [(report.worker_id, report.error)
+                for report in reports if report.error]
+    if failures:
+        detail = "; ".join(f"w{wid}: {err}" for wid, err in failures)
+        raise ParallelError(f"{len(failures)} worker(s) failed: {detail}")
+    rows = sorted((row for report in reports for row in report.results),
+                  key=lambda row: row[0])
+    if len(rows) != len(tasks):
+        raise ParallelError(
+            f"chunk accounting mismatch: planned {len(tasks)}, "
+            f"executed {len(rows)}"
+        )
+    return reports, rows
 
 
 def _replay_sample(
-    rows: Sequence[tuple[int, int, int, int, int, list[Group]]],
+    rows: Sequence[ChunkRow],
     telemetry: TelemetrySampler,
 ) -> None:
     """Sim-clock telemetry for a parallel run: replay the merged chunks.
@@ -334,7 +466,7 @@ def _replay_sample(
 
 def _merge(
     reports: Sequence[WorkerReport],
-    chunk_bounds: Sequence[tuple[int, int]],
+    rows: Sequence[ChunkRow],
     workers: int,
     sink: TriangleSink,
     collect: bool,
@@ -344,28 +476,14 @@ def _merge(
     telemetry: TelemetrySampler | None = None,
     attribution=None,
 ) -> tuple[int, int, ParallelResult]:
-    """Fold worker reports into (triangles, ops) + obs, deterministically."""
-    failures = sorted(
-        (report.worker_id, report.error)
-        for report in reports if report.error
-    )
-    if failures:
-        detail = "; ".join(f"w{wid}: {err}" for wid, err in failures)
-        raise ParallelError(f"{len(failures)} worker(s) failed: {detail}")
+    """Fold :func:`run_chunks`' reports and rows into (triangles, ops) + obs.
 
+    *reports* arrive in worker order and *rows* in chunk order, so every
+    fold below is deterministic.
+    """
     merge_started = trace.now() if trace is not None else 0.0
-    executed_by: dict[int, int] = {}
-    rows: list[tuple[int, int, int, int, int, list[Group]]] = []
-    for report in sorted(reports, key=lambda r: r.worker_id):
-        for row in report.results:
-            executed_by[row[0]] = report.worker_id
-            rows.append(row)
-    rows.sort(key=lambda row: row[0])
-    if len(rows) != len(chunk_bounds):
-        raise ParallelError(
-            f"chunk accounting mismatch: planned {len(chunk_bounds)}, "
-            f"executed {len(rows)}"
-        )
+    executed_by = {row[0]: report.worker_id
+                   for report in reports for row in report.results}
     triangles = sum(row[3] for row in rows)
     ops = sum(row[4] for row in rows)
     if telemetry is not None and telemetry.clock == "sim":
@@ -378,7 +496,7 @@ def _merge(
                 sink.emit(u, v, ws)
 
     steals = 0
-    for report in sorted(reports, key=lambda r: r.worker_id):
+    for report in reports:
         steals += int(report.snapshot.get("counters", {})
                       .get("parallel.steals", 0))
         if attribution is not None and report.attribution is not None:
@@ -397,15 +515,13 @@ def _merge(
     if trace is not None:
         trace.complete("parallel.merge", merge_started,
                        trace.now() - merge_started,
-                       workers=workers, chunks=len(chunk_bounds))
+                       workers=workers, chunks=len(rows))
     parallel_result = ParallelResult(
         workers=workers,
-        chunk_bounds=tuple(chunk_bounds),
-        executed_by=tuple(
-            executed_by[index] for index in range(len(chunk_bounds))
-        ),
+        chunk_bounds=tuple((lo, hi) for _, lo, hi, _, _, _ in rows),
+        executed_by=tuple(executed_by[row[0]] for row in rows),
         steals=steals,
-        worker_reports=tuple(sorted(reports, key=lambda r: r.worker_id)),
+        worker_reports=tuple(reports),
     )
     return triangles, ops, parallel_result
 
@@ -516,35 +632,27 @@ def triangulate_parallel(
     if chunks is None:
         chunks = default_chunk_count(graph, workers)
     chunk_bounds = plan_chunks(graph, chunks)
-    tasks = [(index, lo, hi)
-             for index, (lo, hi) in enumerate(chunk_bounds)]
+    effective_workers = min(workers, len(chunk_bounds))
 
     start_wall = time.perf_counter()
     anchor_rel = trace.now() if trace is not None else 0.0
 
-    attribute = attribution is not None
-    if workers == 1 or len(tasks) == 1:
-        effective_workers = 1
-        worker_reports = [
-            _execute_chunks(graph, tasks, 0, 1, collect, start_wall,
-                            attribute=attribute)
-        ]
-    else:
-        effective_workers = min(workers, len(tasks))
-        # Heartbeat monitoring is opt-in: an explicit policy, or
-        # implicitly a live (wall-clock) telemetry sampler.  Plain runs
-        # keep the exact pre-heartbeat code path.
+    # Heartbeat monitoring is opt-in: an explicit policy, or implicitly
+    # a live (wall-clock) telemetry sampler — and only where there are
+    # forked workers to watch.  Plain runs open no heartbeat channel.
+    monitor: HeartbeatMonitor | None = None
+    live_telemetry: TelemetrySampler | None = None
+    if effective_workers > 1:
         policy = straggler
-        live_telemetry = (telemetry if telemetry is not None
-                          and telemetry.clock == "wall" else None)
-        if policy is None and live_telemetry is not None:
-            policy = StragglerPolicy()
-        monitor: HeartbeatMonitor | None = None
+        if telemetry is not None and telemetry.clock == "wall":
+            live_telemetry = telemetry
+            if policy is None:
+                policy = StragglerPolicy()
         if policy is not None:
             monitor = HeartbeatMonitor(
                 policy,
                 workers=effective_workers,
-                total_chunks=len(tasks),
+                total_chunks=len(chunk_bounds),
                 registry=(report.registry if report is not None
                           else live_telemetry.registry
                           if live_telemetry is not None else None),
@@ -552,66 +660,19 @@ def triangulate_parallel(
             )
             if live_telemetry is not None:
                 live_telemetry.add_provider("workers", monitor.provider)
-        shared = SharedCSR.publish(graph)
-        ctx = mp.get_context("fork")
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        hb_queue = ctx.Queue() if monitor is not None else None
-        processes: list = []
-        failed = False
-        try:
-            for task in tasks:
-                task_queue.put(task)
-            for _ in range(effective_workers):
-                task_queue.put(None)
-            processes = [
-                ctx.Process(
-                    target=_worker_main,
-                    args=(shared.handle, effective_workers, worker_id,
-                          collect, start_wall, task_queue, result_queue,
-                          hb_queue,
-                          policy.inject_chunk_delay
-                          if policy is not None
-                          and policy.inject_worker == worker_id else 0.0,
-                          attribute),
-                    name=f"parallel-w{worker_id}",
-                )
-                for worker_id in range(effective_workers)
-            ]
-            for process in processes:
-                process.start()
-            # Drain results *before* join: a worker blocks in put() until
-            # the parent reads, so the reverse order deadlocks on big
-            # payloads.
-            if monitor is None:
-                worker_reports = [result_queue.get() for _ in processes]
-            else:
-                worker_reports = _monitored_drain(
-                    processes, result_queue, hb_queue, monitor, policy,
-                    live_telemetry, start_wall,
-                )
-            for process in processes:
-                process.join()
-        # Cleanup-and-reraise: even KeyboardInterrupt must terminate the
-        # workers and discard the queues, or the interpreter hangs at
-        # exit on the feeder threads.  # lint: ignore[error-types]
-        except BaseException:
-            failed = True
-            for process in processes:
-                if process.is_alive():
-                    process.terminate()
-            for process in processes:
-                process.join()
-            raise
-        finally:
-            shared.close()
-            shared.unlink()
-            _close_queue(task_queue, discard=failed)
-            _close_queue(result_queue, discard=failed)
-            _close_queue(hb_queue, discard=failed)
+    coordinate = (("parallel", "hash", "shm") if attribution is not None
+                  else None)
+    # One worker runs in-process and needs no segment.
+    source = (SharedMemorySource(graph) if effective_workers > 1
+              else MemorySource(graph))
+    with source.open() as handle:
+        worker_reports, rows = run_chunks(
+            handle, HashKernel(), chunk_bounds, effective_workers, collect,
+            start_wall, coordinate, monitor, live_telemetry,
+        )
 
     triangles, ops, parallel_result = _merge(
-        worker_reports, chunk_bounds, effective_workers, sink, collect,
+        worker_reports, rows, effective_workers, sink, collect,
         report, trace, anchor_rel, telemetry, attribution,
     )
     elapsed = time.perf_counter() - start_wall

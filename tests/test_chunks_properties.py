@@ -18,8 +18,10 @@ handful of graphs the unit tests use:
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import ConfigurationError
 from repro.graph.builder import from_edges
 from repro.parallel.chunks import (
     OVERSUBSCRIPTION,
@@ -95,3 +97,18 @@ def test_default_chunk_count_oversubscription_bound(spec, workers):
 def test_plan_is_deterministic(spec, chunks):
     graph = _build(spec)
     assert plan_chunks(graph, chunks) == plan_chunks(graph, chunks)
+
+
+@settings(max_examples=20, deadline=None)
+@given(num_vertices=st.integers(min_value=1, max_value=60),
+       chunks=st.integers(min_value=1, max_value=24))
+def test_zero_edge_graph_is_one_full_range_chunk(num_vertices, chunks):
+    """No successor mass to balance: one chunk, not *chunks* empty ones."""
+    graph = from_edges([], num_vertices=num_vertices)
+    assert plan_chunks(graph, chunks) == [(0, num_vertices)]
+
+
+@pytest.mark.parametrize("chunks", [0, -3])
+def test_chunk_count_below_one_is_rejected(chunks):
+    with pytest.raises(ConfigurationError):
+        plan_chunks(from_edges([(0, 1)], num_vertices=2), chunks)

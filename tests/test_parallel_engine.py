@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import triangulate_disk
 from repro.errors import ConfigurationError, ParallelError
+from repro.exec import KERNELS, compose
 from repro.graph.builder import from_edges
 from repro.graph.generators import complete_graph, star_graph
 from repro.graph.graph import Graph
@@ -273,7 +274,7 @@ class TestFailurePropagation:
 
         # Fork inherits the patched module, so the failure happens on the
         # worker side of the queue protocol.
-        monkeypatch.setattr(engine_mod, "count_chunk", boom)
+        monkeypatch.setattr(engine_mod, "run_range", boom)
         before = set(os.listdir("/dev/shm"))
         with pytest.raises(ParallelError, match="injected chunk failure"):
             triangulate_parallel(zoo["figure1"], workers=2)
@@ -285,6 +286,118 @@ class TestFailurePropagation:
         def boom(*args, **kwargs):
             raise ValueError("injected")
 
-        monkeypatch.setattr(engine_mod, "count_chunk", boom)
+        monkeypatch.setattr(engine_mod, "run_range", boom)
         with pytest.raises(ParallelError, match=r"w\d+: ValueError"):
             triangulate_parallel(zoo["figure1"], workers=2)
+
+
+# ---------------------------------------------------------------------------
+# one pool, two callers
+# ---------------------------------------------------------------------------
+
+
+def run_parallel(graph, sink=None):
+    return triangulate_parallel(graph, workers=2, sink=sink)
+
+
+def run_composed(graph, sink=None):
+    return compose("shm", "hash", "process", graph=graph, workers=2).run(sink)
+
+
+ENTRY_POINTS = pytest.mark.parametrize(
+    "entry", [run_parallel, run_composed], ids=["parallel", "compose"])
+
+
+class TestOnePool:
+    """``compose(shm, k, process)`` and ``triangulate_parallel`` run the
+    same forked pool; only the chunk plan and the result shape differ."""
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_process_cell_equals_serial_cell(self, zoo, kernel):
+        graph = zoo["clustered"]
+        serial_sink, process_sink = CollectSink(), CollectSink()
+        serial = compose("memory", kernel, "serial",
+                         graph=graph).run(serial_sink)
+        process = compose("shm", kernel, "process", graph=graph,
+                          workers=2).run(process_sink)
+        assert process.extra["chunks"] > 2
+        # Emission order, not just the set: chunk order is vertex order.
+        assert process_sink.triangles == serial_sink.triangles
+        assert process.cpu_ops == serial.cpu_ops
+        assert process.extra.get("branches") == serial.extra.get("branches")
+        if kernel == "hash":
+            parallel_sink = CollectSink()
+            run_parallel(graph, parallel_sink)
+            assert process_sink.triangles == parallel_sink.triangles
+
+
+@pytest.fixture
+def deadline():
+    """Fail, rather than hang the suite, if the body outlives 10 s."""
+    import signal
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("parent still waiting on a dead worker")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+class TestWorkerDeath:
+    @ENTRY_POINTS
+    def test_worker_exception_is_a_typed_error(self, zoo, monkeypatch, entry):
+        import os
+
+        import repro.parallel.engine as engine_mod
+
+        def boom(*args, **kwargs):
+            raise ValueError("injected")
+
+        monkeypatch.setattr(engine_mod, "run_range", boom)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(ParallelError, match=r"w\d+: ValueError"):
+            entry(zoo["clustered"])
+        assert set(os.listdir("/dev/shm")) <= before
+
+    @ENTRY_POINTS
+    def test_killed_worker_raises_and_leaks_nothing(self, zoo, monkeypatch,
+                                                    deadline, entry):
+        """SIGKILL mid-chunk: no error report can be sent, so the parent
+        must notice the exit itself — promptly, with every queue fd and
+        segment released."""
+        import gc
+        import multiprocessing as mp
+        import os
+        import signal
+        import time
+
+        import repro.parallel.engine as engine_mod
+
+        real_run_range = engine_mod.run_range
+
+        def die_in_w1(*args, **kwargs):
+            # Never in the pytest process: only the forked worker w1.
+            if mp.current_process().name == "parallel-w1":
+                os.kill(os.getpid(), signal.SIGKILL)
+            # Slow the survivor so w1 is up in time to pull a chunk.
+            time.sleep(0.05)
+            return real_run_range(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_range", die_in_w1)
+
+        def attempt():
+            with pytest.raises(ParallelError, match=r"w1: exit code -9"):
+                entry(zoo["clustered"])
+
+        attempt()  # warm-up
+        gc.collect()
+        shm_before = set(os.listdir("/dev/shm"))
+        fds_before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            attempt()
+        gc.collect()
+        assert set(os.listdir("/dev/shm")) <= shm_before
+        assert len(os.listdir("/proc/self/fd")) <= fds_before

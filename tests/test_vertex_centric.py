@@ -13,6 +13,7 @@ from repro.baselines.vertex_centric import (
 from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.memory import edge_iterator
+from repro.parallel import plan_chunks, triangulate_parallel
 
 
 class TestTriangleProgram:
@@ -73,51 +74,46 @@ class TestPageRank:
 
 
 class TestParallelEdgeIterator:
-    def test_matches_serial(self, small_rmat_ordered):
-        from repro.memory.parallel import parallel_edge_iterator
+    """The historical ``memory.parallel`` facade's contract, held by what
+    it wrapped: ``plan_chunks`` (one stripe per worker) and
+    ``triangulate_parallel``."""
 
+    def test_matches_serial(self, small_rmat_ordered):
         serial = edge_iterator(small_rmat_ordered)
-        parallel = parallel_edge_iterator(small_rmat_ordered, workers=2)
+        parallel = triangulate_parallel(small_rmat_ordered, workers=2)
         assert parallel.triangles == serial.triangles
         assert parallel.cpu_ops == serial.cpu_ops
 
     def test_single_worker(self, figure1):
-        from repro.memory.parallel import parallel_edge_iterator
-
-        assert parallel_edge_iterator(figure1, workers=1).triangles == 5
+        assert triangulate_parallel(figure1, workers=1).triangles == 5
 
     def test_stripes_partition_vertices(self, small_rmat_ordered):
-        from repro.memory.parallel import stripe_bounds
-
-        stripes = stripe_bounds(small_rmat_ordered, 4)
+        stripes = plan_chunks(small_rmat_ordered, 4)
         covered = [v for lo, hi in stripes for v in range(lo, hi)]
         assert covered == list(range(small_rmat_ordered.num_vertices))
 
     def test_worker_validation(self, figure1):
-        from repro.errors import ConfigurationError
-        from repro.memory.parallel import stripe_bounds
-
         with pytest.raises(ConfigurationError):
-            stripe_bounds(figure1, 0)
+            triangulate_parallel(figure1, workers=2, chunks=0)
 
     def test_zero_edge_graph_single_stripe(self):
         from repro.graph.graph import Graph
-        from repro.memory.parallel import parallel_edge_iterator, stripe_bounds
 
         empty = Graph(np.zeros(6, dtype=np.int64),
                       np.array([], dtype=np.int32))
-        # No successor mass to balance: one full-range stripe, not five
-        # empty ones.
-        assert stripe_bounds(empty, 4) == [(0, empty.num_vertices)]
-        assert parallel_edge_iterator(empty, workers=4).triangles == 0
+        # No successor mass to balance: one full-range chunk, not five
+        # empty ones — so the run stays in-process.
+        result = triangulate_parallel(empty, workers=4)
+        assert result.extra["chunks"] == [(0, empty.num_vertices)]
+        assert result.extra["workers"] == 1
+        assert result.triangles == 0
 
     def test_more_workers_than_vertices(self, figure1):
-        from repro.memory.parallel import parallel_edge_iterator, stripe_bounds
-
-        stripes = stripe_bounds(figure1, figure1.num_vertices + 10)
+        stripes = plan_chunks(figure1, figure1.num_vertices + 10)
         covered = [v for lo, hi in stripes for v in range(lo, hi)]
         assert covered == list(range(figure1.num_vertices))
         assert all(hi > lo for lo, hi in stripes)
-        result = parallel_edge_iterator(figure1,
-                                        workers=figure1.num_vertices + 10)
+        result = triangulate_parallel(figure1,
+                                      workers=figure1.num_vertices + 10)
         assert result.triangles == 5
+        assert result.extra["workers"] == len(result.extra["chunks"])
