@@ -24,7 +24,7 @@ from repro.graph.graph import Graph
 from repro.graph.ordering import apply_ordering
 from repro.memory import edge_iterator
 from repro.memory.base import TriangulationResult
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.sim import CostModel
 from repro.storage.layout import GraphStore
 
@@ -84,7 +84,7 @@ def run_report(
         "page_size": PAGE_SIZE,
     })
     triangulate_disk(store, buffer_ratio=buffer_ratio, cost=COST,
-                     cores=cores, report=report,
+                     cores=cores, ctx=RunContext(report=report),
                      ideal_cpu_ops=reference.cpu_ops)
     return report
 

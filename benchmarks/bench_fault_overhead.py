@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from _helpers import COST, emit_bench_report, once, prepared, report
 from repro.core import triangulate_disk
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.util.tables import format_table
 
@@ -46,9 +46,10 @@ def sweep():
         })
         plan = FaultPlan(specs, seed=20140623) if specs else None
         result = triangulate_disk(
-            store, buffer_ratio=0.15, cost=COST, report=run_report,
-            ideal_cpu_ops=reference.cpu_ops, fault_plan=plan,
-            retry_policy=POLICY if plan else None,
+            store, buffer_ratio=0.15, cost=COST,
+            ideal_cpu_ops=reference.cpu_ops,
+            ctx=RunContext(report=run_report, fault_plan=plan,
+                           retry_policy=POLICY if plan else None),
         )
         injected = sum(
             count for key, count in (plan.log.counts() if plan else {}).items()

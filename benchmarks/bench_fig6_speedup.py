@@ -17,7 +17,7 @@ import time
 
 from _helpers import emit_bench_report, once, prepared, report
 from repro.experiments import run_experiment
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.parallel import triangulate_parallel
 
 WORKER_COUNTS = (1, 2, 4)
@@ -41,7 +41,8 @@ def test_fig6_table5_speedup(benchmark):
         # hence the run.elapsed_wall headline compare_reports.py diffs).
         run = triangulate_parallel(
             graph, workers=workers,
-            report=obs if workers == max(WORKER_COUNTS) else None,
+            ctx=RunContext(
+                report=obs if workers == max(WORKER_COUNTS) else None),
         )
         obs.derive(f"wall_w{workers}", time.perf_counter() - started)
         assert run.triangles == reference.triangles

@@ -36,6 +36,7 @@ import time
 from _helpers import RESULTS_DIR, emit_bench_report, once, prepared, report
 from repro.exec import compose
 from repro.obs import (
+    RunContext,
     RunReport,
     StackSampler,
     to_speedscope,
@@ -85,7 +86,8 @@ def sweep():
             if sampler is not None:
                 sampler.start()
             start = time.perf_counter()
-            result = engine.run(report=mode_report, attribution=attribution)
+            result = engine.run(ctx=RunContext(report=mode_report,
+                                               attribution=attribution))
             wall = time.perf_counter() - start
             if sampler is not None:
                 sampler.stop()

@@ -16,7 +16,7 @@ import time
 
 from _helpers import emit_bench_report, once, prepared, report
 from repro.experiments import run_experiment
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.parallel import triangulate_parallel
 
 
@@ -33,8 +33,9 @@ def test_table4_cpu_cores(benchmark):
     })
     for workers in (1, 4):
         started = time.perf_counter()
-        run = triangulate_parallel(graph, workers=workers,
-                                   report=obs if workers == 1 else None)
+        run = triangulate_parallel(
+            graph, workers=workers,
+            ctx=RunContext(report=obs if workers == 1 else None))
         obs.derive(f"wall_w{workers}", time.perf_counter() - started)
         assert run.triangles == reference.triangles
     emit_bench_report("table4_cores", obs)

@@ -30,7 +30,7 @@ import time
 
 from _helpers import COST, emit_bench_report, once, prepared, report
 from repro.core import triangulate_disk
-from repro.obs import RunReport, TelemetrySampler, fold_telemetry
+from repro.obs import RunContext, RunReport, TelemetrySampler, fold_telemetry
 from repro.util.tables import format_table
 
 REPEATS = 5
@@ -69,8 +69,8 @@ def sweep():
             start = time.perf_counter()
             result = triangulate_disk(
                 store, buffer_ratio=BUFFER_RATIO, cost=COST,
-                report=mode_report, ideal_cpu_ops=reference.cpu_ops,
-                telemetry=sampler,
+                ideal_cpu_ops=reference.cpu_ops,
+                ctx=RunContext(report=mode_report, telemetry=sampler),
             )
             wall = time.perf_counter() - start
             if wall < best[mode][0]:

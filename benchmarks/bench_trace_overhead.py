@@ -25,7 +25,7 @@ import time
 
 from _helpers import COST, emit_bench_report, once, prepared, report
 from repro.core import triangulate_disk
-from repro.obs import EventTracer, RunReport
+from repro.obs import EventTracer, RunContext, RunReport
 from repro.util.tables import format_table
 
 REPEATS = 3
@@ -60,8 +60,8 @@ def sweep():
             start = time.perf_counter()
             result = triangulate_disk(
                 store, buffer_ratio=BUFFER_RATIO, cost=COST,
-                report=mode_report, ideal_cpu_ops=reference.cpu_ops,
-                trace=tracer,
+                ideal_cpu_ops=reference.cpu_ops,
+                ctx=RunContext(report=mode_report, trace=tracer),
             )
             wall = time.perf_counter() - start
             if wall < best:

@@ -37,7 +37,9 @@ injects a seeded :class:`~repro.storage.faults.FaultPlan` into the
 disk-based methods (recovery per ``--max-retries``), and
 ``--checkpoint ckpt.json`` commits each completed iteration so an
 interrupted run resumes without re-listing triangles — see
-``docs/robustness.md``.
+``docs/robustness.md``.  These flags fill one
+:class:`~repro.obs.RunContext`; a method whose engine does not consume
+a field refuses it (``error: --flag applies only to ...``, exit 1).
 
 Static analysis: ``lint`` runs the project-specific AST rules (lockset
 checker, sim-purity, obs-vocabulary conformance, ...) over the tree —
@@ -62,7 +64,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from repro.errors import ReproError
+from repro.errors import ConfigurationError, ReproError
 from repro.obs import configure_logging
 from repro.graph import datasets, generators
 from repro.graph.io import (
@@ -130,71 +132,142 @@ def _build_fault_plan(args):
     return plan, policy
 
 
-def _cmd_triangulate(args) -> int:
-    from repro.baselines import cc_ds, cc_seq, graphchi_tri, mgt
-    from repro.core import RunCheckpoint, make_store, triangulate_disk
-    from repro.memory import edge_iterator, forward, matrix_count, vertex_iterator
-    from repro.obs import EventTracer, RunReport, write_chrome_trace
+#: ``--method`` → OPT plugin for the simulated-disk engine.
+_DISK_PLUGINS = {"opt": "edge-iterator", "opt-vi": "vertex-iterator",
+                 "mgt": "mgt"}
+
+#: Methods whose timeline (elapsed, tracer, telemetry) is real time; the
+#: rest report simulated seconds.
+_WALL_METHODS = ("opt-threaded", "opt-parallel", "compose")
+
+#: ``RunContext`` field → the ``triangulate`` flag that fills it.
+_CONTEXT_FLAGS = {"trace": "--trace", "telemetry": "--telemetry",
+                  "fault_plan": "--fault-kind", "checkpoint": "--checkpoint"}
+
+
+class _LazyTextFile:
+    """Text sink that creates its file (and parent directories) on the
+    first write, so a run refused before its first telemetry tick leaves
+    the path — and any earlier run's file there — untouched."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        self._file = None
+
+    def write(self, text: str) -> int:
+        if self._file is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._file = self.path.open("w", encoding="utf-8")
+        return self._file.write(text)
+
+    def flush(self) -> None:
+        if self._file is not None:
+            self._file.flush()
+
+    def close(self) -> None:
+        if self._file is not None:
+            self._file.close()
+
+
+def _run_method(args, graph, ctx):
+    """Run ``args.method`` over *graph* under *ctx*: ``(result, label)``.
+
+    The one method → engine dispatch, shared by ``triangulate`` and
+    ``profile``.  Every engine checks *ctx* against its own
+    ``RunContext.accept`` declaration, so a flag the method cannot
+    honour surfaces as that engine's ``ConfigurationError`` (reported
+    as ``error: ...`` with exit code 1).
+    """
+    from repro.core import buffer_pages_for_ratio, make_store
     from repro.sim import CostModel
 
-    graph = _load_graph(args)
-    cost = CostModel()
     method = args.method
+    cost = CostModel()
+    if method in _DISK_PLUGINS:
+        from repro.core import triangulate_disk
+        from repro.memory import edge_iterator
+
+        store = make_store(graph, args.page_size)
+        # The paper's ideal cost uses the in-memory EdgeIterator≻ op
+        # count (Fig. 3a's reference), so the report's overhead_vs_ideal
+        # is computed against the same baseline.
+        ideal_cpu_ops = (edge_iterator(graph).cpu_ops
+                         if ctx.report is not None else None)
+        return triangulate_disk(store, plugin=_DISK_PLUGINS[method],
+                                buffer_ratio=args.buffer_ratio, cost=cost,
+                                cores=getattr(args, "cores", 1),
+                                ideal_cpu_ops=ideal_cpu_ops, ctx=ctx), method
+    if method == "opt-threaded":
+        import tempfile
+
+        from repro.core import triangulate_threaded
+
+        store = make_store(graph, args.page_size)
+        pages = buffer_pages_for_ratio(store, args.buffer_ratio)
+        with tempfile.TemporaryDirectory(prefix="opt-threaded-") as tmp:
+            return triangulate_threaded(store, tmp, buffer_pages=pages,
+                                        page_size=args.page_size,
+                                        ctx=ctx), method
+    if method == "opt-parallel":
+        from repro.parallel import triangulate_parallel
+
+        return triangulate_parallel(graph, workers=args.workers,
+                                    ctx=ctx), method
+    if method == "compose":
+        from repro.exec import compose
+
+        engine = compose(args.source, args.kernel, args.executor,
+                         graph=graph, workers=args.workers,
+                         page_size=args.page_size)
+        return engine.run(ctx=ctx), f"compose:{engine.describe()}"
+    # Baselines and in-memory iterators record nothing themselves; the
+    # caller exports their result counters into a --report afterwards.
+    ctx.accept(method, "report")
+    if method in ("cc-seq", "cc-ds", "graphchi"):
+        from repro.baselines import cc_ds, cc_seq, graphchi_tri
+
+        pages = buffer_pages_for_ratio(make_store(graph, args.page_size),
+                                       args.buffer_ratio)
+        if method == "graphchi":
+            return graphchi_tri(graph, buffer_pages=pages,
+                                page_size=args.page_size, cost=cost,
+                                cores=args.cores), method
+        baseline = cc_seq if method == "cc-seq" else cc_ds
+        return baseline(graph, buffer_pages=pages, page_size=args.page_size,
+                        cost=cost), method
+    from repro.memory import edge_iterator, forward, matrix_count, vertex_iterator
+
+    runner = {"edge-iterator": edge_iterator,
+              "vertex-iterator": vertex_iterator,
+              "forward": forward,
+              "matrix": matrix_count}[method]
+    return runner(graph), method
+
+
+def _cmd_triangulate(args) -> int:
+    from repro.core import RunCheckpoint
+    from repro.obs import (
+        EventTracer,
+        RunContext,
+        RunReport,
+        TelemetrySampler,
+        write_chrome_trace,
+    )
+
+    graph = _load_graph(args)
+    # Disk methods replay on the deterministic simulated clock (a
+    # byte-stable trace / tick stream per seed); the threaded and
+    # process-parallel engines record real timelines in wall time.
+    clock = "wall" if args.method in _WALL_METHODS else "sim"
     report = None
     if args.report:
-        report = RunReport(method, meta={
+        report = RunReport(args.method, meta={
             "source": args.dataset or args.input,
-            "method": method,
+            "method": args.method,
             "ordering": getattr(args, "ordering", "degree"),
         })
-    traced_methods = ("opt", "opt-vi", "mgt", "opt-threaded", "opt-parallel")
-    fault_methods = ("opt", "opt-vi", "mgt", "opt-threaded")
-    tracer = None
-    if args.trace:
-        if method not in traced_methods:
-            print("error: --trace applies to the disk-based and parallel "
-                  "methods (opt, opt-vi, mgt, opt-threaded, opt-parallel) "
-                  "only", file=sys.stderr)
-            return 1
-        # Disk methods replay on the deterministic simulated clock; the
-        # threaded and process-parallel engines record real timelines in
-        # wall time.
-        tracer = (EventTracer.wall()
-                  if method in ("opt-threaded", "opt-parallel")
-                  else EventTracer.sim())
-    telemetry = None
-    telemetry_stream = None
-    if args.telemetry:
-        if method not in traced_methods:
-            print("error: --telemetry applies to the disk-based and parallel "
-                  "methods (opt, opt-vi, mgt, opt-threaded, opt-parallel) "
-                  "only", file=sys.stderr)
-            return 1
-        from repro.obs import TelemetrySampler
-
-        telemetry_path = Path(args.telemetry)
-        if str(telemetry_path.parent) not in ("", "."):
-            telemetry_path.parent.mkdir(parents=True, exist_ok=True)
-        # Stream ticks live (one flushed JSON line each) so a concurrent
-        # `opt-repro top out.jsonl` can follow the run as it goes.  The
-        # disk-based methods sample on the simulated clock at iteration
-        # boundaries (byte-deterministic stream); the threaded and
-        # process-parallel engines sample in wall time.
-        telemetry_stream = telemetry_path.open("w", encoding="utf-8")
-        telemetry = TelemetrySampler(
-            clock=("wall" if method in ("opt-threaded", "opt-parallel")
-                   else "sim"),
-            stream=telemetry_stream,
-        )
+    tracer = EventTracer(clock=clock) if args.trace else None
     fault_plan, retry_policy = _build_fault_plan(args)
-    if fault_plan and method not in fault_methods:
-        print("error: --fault-kind applies to the disk-based methods "
-              "(opt, opt-vi, mgt, opt-threaded) only", file=sys.stderr)
-        return 1
-    if args.checkpoint and method not in ("opt", "opt-vi", "mgt"):
-        print("error: --checkpoint applies to the disk-based "
-              "methods (opt, opt-vi, mgt) only", file=sys.stderr)
-        return 1
     checkpoint = None
     if args.checkpoint:
         ckpt_path = Path(args.checkpoint)
@@ -204,88 +277,36 @@ def _cmd_triangulate(args) -> int:
                   f"({len(checkpoint.committed())} committed iterations)")
         else:
             checkpoint = RunCheckpoint()
-    if method in ("opt", "opt-vi", "mgt"):
-        plugin = {"opt": "edge-iterator", "opt-vi": "vertex-iterator",
-                  "mgt": "mgt"}[method]
-        store = make_store(graph, args.page_size)
-        ideal_cpu_ops = None
-        if report is not None:
-            # The paper's ideal cost uses the in-memory EdgeIterator≻ op
-            # count (Fig. 3a's reference), so the report's
-            # overhead_vs_ideal is computed against the same baseline.
-            ideal_cpu_ops = edge_iterator(graph).cpu_ops
-        result = triangulate_disk(store, plugin=plugin,
-                                  buffer_ratio=args.buffer_ratio,
-                                  cost=cost, cores=args.cores,
-                                  report=report, ideal_cpu_ops=ideal_cpu_ops,
-                                  fault_plan=fault_plan,
-                                  retry_policy=retry_policy,
-                                  checkpoint=checkpoint,
-                                  trace=tracer, telemetry=telemetry)
-        if checkpoint is not None:
-            path = checkpoint.save(args.checkpoint)
-            print(f"wrote checkpoint to {path}")
-    elif method == "opt-threaded":
-        import tempfile
+    telemetry = telemetry_stream = None
+    if args.telemetry:
+        # Stream ticks live (one flushed JSON line each) so a concurrent
+        # `opt-repro top out.jsonl` can follow the run as it goes.
+        telemetry_stream = _LazyTextFile(args.telemetry)
+        telemetry = TelemetrySampler(clock=clock, stream=telemetry_stream)
+    try:
+        result, method = _run_method(args, graph, RunContext(
+            report=report, trace=tracer, telemetry=telemetry,
+            fault_plan=fault_plan, retry_policy=retry_policy,
+            checkpoint=checkpoint))
+        if telemetry is not None:
+            telemetry.finish()
+    except ConfigurationError as exc:
+        flags = [flag for name, flag in _CONTEXT_FLAGS.items()
+                 if name in exc.refused]
+        if not flags:
+            raise
+        print(f"error: {', '.join(flags)} "
+              f"{'applies' if len(flags) == 1 else 'apply'} only to methods "
+              f"whose engine consumes it: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if telemetry_stream is not None:
+            telemetry_stream.close()
+    if checkpoint is not None:
+        path = checkpoint.save(args.checkpoint)
+        print(f"wrote checkpoint to {path}")
 
-        from repro.core import triangulate_threaded
-
-        store = make_store(graph, args.page_size)
-        buffer_pages = max(2, int(round(store.num_pages * args.buffer_ratio)))
-        with tempfile.TemporaryDirectory(prefix="opt-threaded-") as tmp:
-            result = triangulate_threaded(store, tmp,
-                                          buffer_pages=buffer_pages,
-                                          page_size=args.page_size,
-                                          report=report,
-                                          fault_plan=fault_plan,
-                                          retry_policy=retry_policy,
-                                          trace=tracer,
-                                          telemetry=telemetry)
-    elif method == "opt-parallel":
-        from repro.parallel import triangulate_parallel
-
-        result = triangulate_parallel(graph, workers=args.workers,
-                                      report=report, trace=tracer,
-                                      telemetry=telemetry)
-    elif method in ("cc-seq", "cc-ds", "graphchi"):
-        from repro.core import buffer_pages_for_ratio, make_store as _ms
-
-        store = _ms(graph, args.page_size)
-        pages = buffer_pages_for_ratio(store, args.buffer_ratio)
-        if method == "cc-seq":
-            result = cc_seq(graph, buffer_pages=pages, page_size=args.page_size,
-                            cost=cost)
-        elif method == "cc-ds":
-            result = cc_ds(graph, buffer_pages=pages, page_size=args.page_size,
-                           cost=cost)
-        else:
-            result = graphchi_tri(graph, buffer_pages=pages,
-                                  page_size=args.page_size, cost=cost,
-                                  cores=args.cores)
-    elif method == "compose":
-        from repro.errors import ConfigurationError
-        from repro.exec import compose
-
-        try:
-            engine = compose(args.source, args.kernel, args.executor,
-                             graph=graph, workers=args.workers,
-                             page_size=args.page_size)
-        except ConfigurationError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        result = engine.run(report=report)
-        method = f"compose:{engine.describe()}"
-    else:
-        runner = {"edge-iterator": edge_iterator,
-                  "vertex-iterator": vertex_iterator,
-                  "forward": forward,
-                  "matrix": matrix_count}[method]
-        result = runner(graph)
-
-    elapsed_label = ("elapsed (wall s)"
-                     if method in ("opt-threaded", "opt-parallel")
-                     or method.startswith("compose:")
-                     else "elapsed (simulated s)")
+    elapsed_label = f"elapsed ({'wall' if clock == 'wall' else 'simulated'} s)"
     rows = [
         ("triangles", result.triangles),
         ("cpu ops", result.cpu_ops),
@@ -297,8 +318,6 @@ def _cmd_triangulate(args) -> int:
     print(format_table(["measure", "value"], rows,
                        title=f"{method} on {args.dataset or args.input}"))
     if telemetry is not None:
-        telemetry.finish()
-        telemetry_stream.close()
         print(f"wrote {len(telemetry)} telemetry samples to {args.telemetry}")
     if tracer is not None:
         path = write_chrome_trace(args.trace, tracer)
@@ -608,6 +627,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_profile(args) -> int:
     from repro.obs import (
         Attribution,
+        RunContext,
         StackSampler,
         collapsed_text,
         render_attribution,
@@ -617,39 +637,13 @@ def _cmd_profile(args) -> int:
 
     graph = _load_graph(args)
     attribution = Attribution()
-    method = args.method
     sampler = None
     if args.sample:
         sampler = StackSampler(interval=args.sample_interval)
         sampler.start()
     try:
-        if method in ("opt", "opt-vi", "mgt"):
-            from repro.core import make_store, triangulate_disk
-
-            plugin = {"opt": "edge-iterator", "opt-vi": "vertex-iterator",
-                      "mgt": "mgt"}[method]
-            store = make_store(graph, args.page_size)
-            result = triangulate_disk(store, plugin=plugin,
-                                      buffer_ratio=args.buffer_ratio,
-                                      attribution=attribution)
-        elif method == "opt-parallel":
-            from repro.parallel import triangulate_parallel
-
-            result = triangulate_parallel(graph, workers=args.workers,
-                                          attribution=attribution)
-        else:  # compose
-            from repro.errors import ConfigurationError
-            from repro.exec import compose
-
-            try:
-                engine = compose(args.source, args.kernel, args.executor,
-                                 graph=graph, workers=args.workers,
-                                 page_size=args.page_size)
-            except ConfigurationError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            result = engine.run(attribution=attribution)
-            method = f"compose:{engine.describe()}"
+        result, method = _run_method(args, graph,
+                                     RunContext(attribution=attribution))
     finally:
         if sampler is not None:
             sampler.stop()

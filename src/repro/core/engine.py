@@ -14,7 +14,6 @@ relative overhead is measured.
 from __future__ import annotations
 
 from repro.core.framework import OPTConfig, run_opt
-from repro.core.result_store import RunCheckpoint
 from repro.core.plugins import (
     EdgeIteratorPlugin,
     IteratorPlugin,
@@ -25,16 +24,10 @@ from repro.analysis.costs import cost_conformance
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult
-from repro.obs import (
-    EventTracer,
-    RunReport,
-    TelemetrySampler,
-    fold_trace_analytics,
-)
+from repro.obs import NO_CONTEXT, RunContext, fold_trace_analytics
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.schedule import simulate
 from repro.sim.trace import RunTrace
-from repro.storage.faults import FaultPlan, RetryPolicy
 from repro.storage.layout import GraphStore
 from repro.storage.page import DEFAULT_PAGE_SIZE
 
@@ -93,14 +86,8 @@ def triangulate_disk(
     morphing: bool = True,
     serial: bool | None = None,
     sink: TriangleSink | None = None,
-    report: RunReport | None = None,
     ideal_cpu_ops: int | None = None,
-    fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: RunCheckpoint | None = None,
-    trace: EventTracer | None = None,
-    telemetry: TelemetrySampler | None = None,
-    attribution=None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> TriangulationResult:
     """Run disk-based OPT triangulation end to end.
 
@@ -119,56 +106,29 @@ def triangulate_disk(
     cores / morphing / serial:
         Simulated execution configuration.  ``serial=None`` auto-selects
         OPT_serial when ``cores == 1``.
-    report / ideal_cpu_ops:
-        With a :class:`~repro.obs.RunReport`, the run records phase spans
-        (pack → run-opt → replay), SSD/buffer counters, and the derived
-        ``overhead_vs_ideal`` figure (Fig. 3a).  The ideal cost uses
-        *ideal_cpu_ops* — the in-memory EdgeIterator≻ op count of the
-        same graph — when given, else the trace's own intersection ops
-        (identical for the edge-iterator plugin).
-    fault_plan / retry_policy / checkpoint:
-        Fault-injection and recovery knobs, forwarded to
-        :func:`~repro.core.framework.run_opt`: page loads go through a
-        :class:`~repro.storage.faults.RecoveringLoader` driven by the
-        plan (injected latency lands in the simulated timeline), and a
-        :class:`~repro.core.result_store.RunCheckpoint` commits each
-        completed iteration so a failed run can be resumed.
-
-    trace:
-        An :class:`~repro.obs.EventTracer` recording the run's event
-        timeline.  Use ``EventTracer.sim()``: the replay emits every
-        fill / internal / external / read / morph event on simulated
-        time, deterministically per seed, ready for
-        :func:`~repro.obs.write_chrome_trace`.  With a ``report``, the
-        trace's overlap analytics and the ``Cost_OPTserial`` conformance
-        verdict are folded into ``report.derived``.
-
-    telemetry:
-        A :class:`~repro.obs.TelemetrySampler`, forwarded to
-        :func:`~repro.core.framework.run_opt`, which ticks it at every
-        iteration boundary.  A sim-clock sampler produces a
-        byte-deterministic JSONL tick stream (``repro triangulate
-        --telemetry``); see :mod:`repro.obs.telemetry`.
-
-    attribution:
-        An :class:`~repro.obs.attribution.Attribution`, forwarded to
-        :func:`~repro.core.framework.run_opt`: candidate / external /
-        internal op charges land in degree-bucketed cells under the
-        plugin's name and source ``disk`` (``repro profile``).
+    ideal_cpu_ops:
+        The in-memory EdgeIterator≻ op count of the same graph, the
+        basis of the report's ``overhead_vs_ideal`` (Fig. 3a); defaults
+        to the trace's own intersection ops (identical for the
+        edge-iterator plugin).
+    ctx:
+        The run's :class:`~repro.obs.RunContext`; this engine consumes
+        every field (``run_opt`` takes them all, the replay takes the
+        report and the tracer).
 
     Returns a :class:`TriangulationResult` whose ``elapsed`` is the
     simulated wall time and whose ``extra`` carries the trace and the
     scheduler result for deeper analysis.
     """
-    tracer = trace if trace is not None and trace.enabled else None
+    ctx.accept("triangulate_disk", "report", "trace", "telemetry",
+               "attribution", "fault_plan", "retry_policy", "checkpoint")
+    report = ctx.report
     plugin = resolve_plugin(plugin)
     if isinstance(source, GraphStore):
         store = source
-    elif report is not None:
-        with report.span("pack", page_size=page_size):
-            store = make_store(source, page_size)
     else:
-        store = make_store(source, page_size)
+        with ctx.span("pack", page_size=page_size):
+            store = make_store(source, page_size)
     total = buffer_pages if buffer_pages is not None else buffer_pages_for_ratio(
         store, buffer_ratio
     )
@@ -187,42 +147,36 @@ def triangulate_disk(
             m_in=config.m_in, m_ex=config.m_ex, page_size=store.page_size,
             cores=cores, morphing=morphing, serial=serial,
         )
-    trace = run_opt(store, config, sink=sink, report=report,
-                    fault_plan=fault_plan, retry_policy=retry_policy,
-                    checkpoint=checkpoint, tracer=tracer,
-                    telemetry=telemetry, attribution=attribution)
+    run_trace = run_opt(store, config, sink=sink, ctx=ctx)
+    with ctx.span("replay", cores=cores):
+        sim = simulate(run_trace, cost, cores=cores, morphing=morphing,
+                       serial=serial, ctx=ctx.only("report", "trace"))
+    extra = {"trace": run_trace, "sim": sim, "config": config, "store": store}
+    if ctx.trace is not None:
+        extra["tracer"] = ctx.trace
     if report is not None:
-        with report.span("replay", cores=cores):
-            sim = simulate(trace, cost, cores=cores, morphing=morphing,
-                           serial=serial, report=report, tracer=tracer)
-        ideal_ops = ideal_cpu_ops if ideal_cpu_ops is not None else trace.total_ops
+        ideal_ops = (ideal_cpu_ops if ideal_cpu_ops is not None
+                     else run_trace.total_ops)
         ideal = ideal_elapsed(store, ideal_ops, cost)
         report.derive("ideal_elapsed", ideal)
         report.derive("elapsed_simulated", sim.elapsed)
         if ideal > 0:
             report.derive("overhead_vs_ideal", sim.elapsed / ideal)
         report.gauge("run.elapsed_simulated").set(sim.elapsed)
-        report.counter("triangles", phase="total").inc(trace.triangles)
+        report.counter("triangles", phase="total").inc(run_trace.triangles)
         report.derive("cost_conformance",
-                      cost_conformance(trace, sim.elapsed, cost,
+                      cost_conformance(run_trace, sim.elapsed, cost,
                                        basis="simulated"))
-        if tracer is not None:
-            fold_trace_analytics(report, tracer)
-    else:
-        sim = simulate(trace, cost, cores=cores, morphing=morphing,
-                       serial=serial, tracer=tracer)
-    extra = {"trace": trace, "sim": sim, "config": config, "store": store}
-    if tracer is not None:
-        extra["tracer"] = tracer
-    if report is not None:
+        if ctx.trace is not None:
+            fold_trace_analytics(report, ctx.trace)
         extra["report"] = report
     return TriangulationResult(
-        triangles=trace.triangles,
-        cpu_ops=trace.total_ops + trace.total_candidate_ops,
-        pages_read=trace.total_device_reads,
-        pages_buffered=trace.total_fill_buffered,
+        triangles=run_trace.triangles,
+        cpu_ops=run_trace.total_ops + run_trace.total_candidate_ops,
+        pages_read=run_trace.total_device_reads,
+        pages_buffered=run_trace.total_fill_buffered,
         elapsed=sim.elapsed,
-        iterations=len(trace.iterations),
+        iterations=len(run_trace.iterations),
         extra=extra,
     )
 
@@ -241,19 +195,19 @@ def ideal_elapsed(
     return cost.read_io(store.num_pages) / cost.channels + cost.cpu(cpu_ops)
 
 
-def replay(trace: RunTrace, cost: CostModel, **kwargs) -> TriangulationResult:
+def replay(run_trace: RunTrace, cost: CostModel, **kwargs) -> TriangulationResult:
     """Re-schedule an existing trace under a new configuration.
 
     Accepts the same keyword arguments as :func:`~repro.sim.schedule.simulate`,
-    including ``report=`` to map the replayed timeline into a run report.
+    including ``ctx=`` to map the replayed timeline into a run report.
     """
-    sim = simulate(trace, cost, **kwargs)
+    sim = simulate(run_trace, cost, **kwargs)
     return TriangulationResult(
-        triangles=trace.triangles,
-        cpu_ops=trace.total_ops + trace.total_candidate_ops,
-        pages_read=trace.total_device_reads,
-        pages_buffered=trace.total_fill_buffered,
+        triangles=run_trace.triangles,
+        cpu_ops=run_trace.total_ops + run_trace.total_candidate_ops,
+        pages_read=run_trace.total_device_reads,
+        pages_buffered=run_trace.total_fill_buffered,
         elapsed=sim.elapsed,
-        iterations=len(trace.iterations),
-        extra={"trace": trace, "sim": sim},
+        iterations=len(run_trace.iterations),
+        extra={"trace": run_trace, "sim": sim},
     )

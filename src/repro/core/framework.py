@@ -17,25 +17,24 @@ separation is what makes a single execution serve a whole speed-up curve.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.core.context import ChunkContext
 from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
-from repro.core.result_store import GroupCaptureSink, RunCheckpoint
+from repro.core.result_store import GroupCaptureSink
 from repro.errors import ConfigurationError
 from repro.memory.base import CountSink, TriangleSink
 from repro.obs import (
-    EventTracer,
-    MetricsRegistry,
+    NO_CONTEXT,
+    RunContext,
     RunReport,
     TelemetrySampler,
     get_logger,
 )
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 from repro.storage.buffer import BufferManager
-from repro.storage.faults import FaultPlan, RecoveringLoader, RetryPolicy
+from repro.storage.faults import FaultPlan, RecoveringLoader
 from repro.storage.layout import GraphStore
 
 __all__ = ["OPTConfig", "run_opt"]
@@ -57,13 +56,6 @@ class _PhaseSink:
 
     def __getattr__(self, name):  # pages_written, count, ...
         return getattr(self._inner, name)
-
-
-def _span(report: RunReport | None, name: str, **attrs):
-    """A report span, or a no-op when observability is off."""
-    if report is None:
-        return nullcontext()
-    return report.span(name, **attrs)
 
 
 @dataclass
@@ -98,14 +90,8 @@ def run_opt(
     store: GraphStore,
     config: OPTConfig,
     sink: TriangleSink | None = None,
-    report: RunReport | None = None,
     *,
-    fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: RunCheckpoint | None = None,
-    tracer: EventTracer | None = None,
-    telemetry: TelemetrySampler | None = None,
-    attribution=None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> RunTrace:
     """Run OPT over *store* and return the trace (with real triangles).
 
@@ -114,63 +100,31 @@ def run_opt(
     remaining frames under LRU — which is how the saved I/O ``Δin``
     arises rather than being assumed.
 
-    With a :class:`~repro.obs.RunReport` *report*, every phase emits a
-    wall-clock span (``fill`` → ``identify-candidates`` →
+    *ctx* is the run's :class:`~repro.obs.RunContext` (the fields are
+    documented there); the driver consumes every one.  Specific to this
+    hop: the report's spans are ``fill`` → ``identify-candidates`` →
     ``external-triangulation`` → ``internal-triangulation`` per
-    iteration), the buffer manager counts hits/misses/evictions into the
-    report's registry, and triangles are attributed to the phase that
-    found them (``triangles{phase=internal}`` / ``{phase=external}``).
-
-    With an :class:`~repro.obs.EventTracer` *tracer*, the buffer manager
-    and the fault layer mark hits / evictions / injections on the event
-    timeline as they happen.  A wall-clock tracer timestamps them in real
-    time; a sim-clock tracer silently drops them (the deterministic sim
-    timeline comes from replaying the returned trace through
-    :func:`repro.sim.schedule.simulate` with the same tracer).
-
-    With a :class:`~repro.storage.faults.FaultPlan`, every page load goes
-    through a :class:`~repro.storage.faults.RecoveringLoader`: the plan's
-    seeded faults fire in *virtual* time, recoverable ones are retried
-    per *retry_policy* (``recovery.retries``), and the injected latency
-    plus backoff is charged to the trace (``fill_delay`` /
-    ``ExternalRead.delay``) so the discrete-event replay shows the same
-    dual-timeline report a clean run would — just slower.  A fault that
-    outlasts the retry budget raises the typed
-    :class:`~repro.errors.FaultExhaustedError`.
-
-    With a :class:`~repro.core.result_store.RunCheckpoint`, each
-    completed iteration commits its emitted groups and measured trace;
-    on resume, committed iterations are *replayed* from the checkpoint
-    (``recovery.checkpoint.replayed``) and execution restarts at the
-    first uncommitted chunk — no already-emitted triangle is listed
-    twice.
-
-    With a :class:`~repro.obs.TelemetrySampler` *telemetry*, the driver
-    samples at iteration boundaries: one tick before the first chunk and
-    one after each completed iteration.  A sim-clock sampler ticks at
-    the iteration *ordinal* (``t = 0, 1, 2, ...``) so its JSONL stream
-    is byte-deterministic; a wall-clock sampler ticks rate-limited by
-    its interval.
-
-    With an :class:`~repro.obs.attribution.Attribution` *attribution*,
-    every plugin op charge lands in a ``(phase, plugin, disk,
-    degree-bucket)`` cell — phases ``candidate`` / ``external`` /
-    ``internal`` (Algorithms 7 / 9 / 5), degree bucketed by the record's
-    neighbor-fragment length — and each phase's wall time is attributed
-    at phase granularity.  Per-bucket op sums conserve the trace's
-    ``candidate_ops`` / ``external_ops`` / ``internal_ops`` exactly.
+    ``iteration``, and triangles are counted under the phase that found
+    them; buffer and fault events are wall-stamped, so a sim-clock
+    tracer drops them here and gets its timeline from replaying the
+    returned trace through :func:`repro.sim.schedule.simulate`; injected
+    fault latency is charged to the trace (``fill_delay`` /
+    ``ExternalRead.delay``), so that replay shows it; and attribution
+    buckets by the record's neighbor-fragment length, conserving the
+    trace's ``candidate_ops`` / ``external_ops`` / ``internal_ops``
+    exactly.
     """
+    ctx.accept("run_opt", "report", "trace", "telemetry", "attribution",
+               "fault_plan", "retry_policy", "checkpoint")
+    report = ctx.report
+    attribution = ctx.attribution
+    fault_plan = ctx.fault_plan
+    checkpoint = ctx.checkpoint
+    telemetry = ctx.bound_telemetry()
     if sink is None:
         sink = CountSink()
     if report is not None:
         sink = _PhaseSink(sink, report)
-    if tracer is not None and not tracer.enabled:
-        tracer = None
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    if telemetry is not None:
-        telemetry.bind(report.registry if report is not None
-                       else MetricsRegistry())
     plugin = config.plugin
     if attribution is not None:
         attr_candidate = attribution.scope(
@@ -185,19 +139,18 @@ def run_opt(
     loader = store.decode_page
     if fault_plan is not None:
         reader = RecoveringLoader(
-            store.decode_page, fault_plan, retry_policy,
-            registry=report.registry if report is not None else None,
-            tracer=tracer,
+            store.decode_page, fault_plan, ctx.retry_policy,
+            registry=ctx.registry, tracer=ctx.trace,
         )
         loader = reader
     if checkpoint is not None:
         checkpoint.bind(num_pages=store.num_pages, plugin=plugin.name,
                         m_in=config.m_in)
-    trace = RunTrace(num_pages=store.num_pages, m_in=config.m_in,
-                     m_ex=1 if plugin.sync_external else config.m_ex,
-                     sync_external=plugin.sync_external)
+    run_trace = RunTrace(num_pages=store.num_pages, m_in=config.m_in,
+                         m_ex=1 if plugin.sync_external else config.m_ex,
+                         sync_external=plugin.sync_external)
     if store.num_pages == 0:
-        return trace
+        return run_trace
 
     # Pre-compute the chunk boundaries: a chunk may exceed m_in when a
     # single adjacency list spans more pages (DESIGN.md §2), in which case
@@ -212,22 +165,21 @@ def run_opt(
     max_chunk = max(end - start + 1 for start, end in chunks)
     capacity = max(config.m_in, max_chunk) + config.m_ex
     buffer = BufferManager(capacity, loader=loader,
-                           registry=report.registry if report else None,
-                           tracer=tracer)
+                           registry=ctx.registry, tracer=ctx.trace)
 
     output_pages_before = getattr(sink, "pages_written", 0)
     if telemetry is not None:
         # The opening tick: t=0 in sim mode, "now" on the wall clock.
         telemetry.sample(0.0 if telemetry.clock == "sim" else None)
-    with _span(report, "run-opt", plugin=plugin.name, m_in=config.m_in,
-               m_ex=config.m_ex):
+    with ctx.span("run-opt", plugin=plugin.name, m_in=config.m_in,
+              m_ex=config.m_ex):
         for index, (pid, end) in enumerate(chunks):
             if checkpoint is not None and checkpoint.has(index):
                 # Committed by an earlier (failed) run: replay the stored
                 # output instead of re-listing the chunk's triangles.
                 replayed = checkpoint.replay_into(index, sink)
                 stored = checkpoint.trace_of(index)
-                trace.iterations.append(
+                run_trace.iterations.append(
                     IterationTrace.from_dict(stored) if stored
                     else IterationTrace()
                 )
@@ -243,11 +195,11 @@ def run_opt(
                               else sink)
             logger.debug("iteration %d: internal pages %d..%d", index, pid, end)
 
-            with _span(report, "iteration", index=index):
+            with ctx.span("iteration", index=index):
                 # -- fill the internal area (Algorithm 3 lines 6-8) ----------
                 chunk_pages = list(range(pid, end + 1))
                 chunk_records = []
-                with _span(report, "fill"):
+                with ctx.span("fill"):
                     for page_id in chunk_pages:
                         hit = page_id in buffer
                         frame = buffer.get(page_id, pin=True)
@@ -261,21 +213,22 @@ def run_opt(
 
                 v_lo, v_hi = store.chunk_vertex_range(pid, end)
                 adjacency = _assemble_adjacency(chunk_records)
-                ctx = ChunkContext(v_lo, v_hi, adjacency, iteration_sink)
+                chunk_ctx = ChunkContext(v_lo, v_hi, adjacency, iteration_sink)
 
                 # -- candidate identification (Algorithm 7 per record) -------
-                with _span(report, "identify-candidates"):
+                with ctx.span("identify-candidates"):
                     phase_started = time.perf_counter()
                     for records in chunk_records:
                         for record in records:
                             candidates, ops = plugin.candidates_for_record(
-                                ctx, record)
+                                chunk_ctx, record)
                             iteration.candidate_ops += ops
                             if attr_candidate is not None:
                                 attr_candidate.charge(
                                     len(record.neighbors), ops)
                             for candidate in candidates:
-                                ctx.add_request(int(candidate), record.vertex)
+                                chunk_ctx.add_request(int(candidate),
+                                                      record.vertex)
                     if attr_candidate is not None:
                         attr_candidate.charge_time(
                             time.perf_counter() - phase_started)
@@ -288,7 +241,7 @@ def run_opt(
                         ordered = list(range(store.num_pages))
                     else:
                         pages_needed: set[int] = set()
-                        for candidate in ctx.requesters:
+                        for candidate in chunk_ctx.requesters:
                             pages_needed.update(
                                 store.pages_of_candidate(candidate))
                         # Descending page ids: the next chunk's pages are
@@ -300,7 +253,7 @@ def run_opt(
                 # -- external triangulation (Algorithm 9 per page) -----------
                 if report is not None:
                     sink.phase = "external"
-                with _span(report, "external-triangulation"):
+                with ctx.span("external-triangulation"):
                     phase_started = time.perf_counter()
                     for page_id in ordered:
                         hit = page_id in buffer
@@ -308,9 +261,9 @@ def run_opt(
                         delay = reader.take_delay() if reader is not None else 0.0
                         ops = 0
                         for record in frame.records:
-                            if record.vertex in ctx.requesters:
+                            if record.vertex in chunk_ctx.requesters:
                                 record_ops = plugin.external_ops_for_record(
-                                    ctx, record)
+                                    chunk_ctx, record)
                                 ops += record_ops
                                 if attr_external is not None:
                                     attr_external.charge(
@@ -328,12 +281,12 @@ def run_opt(
                 # -- internal triangulation (Algorithm 5, per page) ----------
                 if report is not None:
                     sink.phase = "internal"
-                with _span(report, "internal-triangulation"):
+                with ctx.span("internal-triangulation"):
                     phase_started = time.perf_counter()
                     for records in chunk_records:
                         if attr_internal is None:
                             page_ops = plugin.internal_ops_for_page(
-                                ctx, records)
+                                chunk_ctx, records)
                         else:
                             # Every plugin processes records independently,
                             # so per-record calls sum to the page call —
@@ -341,7 +294,7 @@ def run_opt(
                             page_ops = 0
                             for record in records:
                                 record_ops = plugin.internal_ops_for_page(
-                                    ctx, [record])
+                                    chunk_ctx, [record])
                                 attr_internal.charge(
                                     len(record.neighbors), record_ops)
                                 page_ops += record_ops
@@ -370,21 +323,21 @@ def run_opt(
                     iteration.external_buffered)
                 report.counter("opt.iterations").inc()
 
-            trace.iterations.append(iteration)
+            run_trace.iterations.append(iteration)
             _sample_iteration(telemetry, index)
 
             if checkpoint is not None:
                 checkpoint.record(index, pid, end, iteration_sink.groups,
-                                  trace=iteration.to_dict())
+                                  iteration_trace=iteration.to_dict())
                 if report is not None:
                     report.counter("recovery.checkpoint.saved").inc()
 
-    trace.triangles = getattr(sink, "count", 0)
+    run_trace.triangles = getattr(sink, "count", 0)
     if report is not None:
-        report.counter("opt.pages_read").inc(trace.total_device_reads)
+        report.counter("opt.pages_read").inc(run_trace.total_device_reads)
         if fault_plan is not None:
             _fold_fault_log(fault_plan, report)
-    return trace
+    return run_trace
 
 
 def _sample_iteration(telemetry: TelemetrySampler | None, index: int) -> None:

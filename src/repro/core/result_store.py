@@ -133,7 +133,7 @@ class RunCheckpoint:
         start_pid: int,
         end_pid: int,
         groups: Sequence[tuple[int, int, list[int]]],
-        trace: dict | None = None,
+        iteration_trace: dict | None = None,
     ) -> None:
         """Commit iteration *index* (bounds, emitted groups, trace)."""
         if index in self._iterations:
@@ -143,7 +143,7 @@ class RunCheckpoint:
             "end": int(end_pid),
             "groups": [(int(u), int(v), [int(w) for w in ws])
                        for u, v, ws in groups],
-            "trace": trace,
+            "trace": iteration_trace,
         }
 
     # -- replay ---------------------------------------------------------------

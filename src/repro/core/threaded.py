@@ -29,21 +29,19 @@ from repro.core.context import ChunkContext
 from repro.core.engine import resolve_plugin
 from repro.core.framework import _fold_fault_log
 from repro.core.plugins import IteratorPlugin
-from repro.core.result_store import GroupCaptureSink, RunCheckpoint
+from repro.core.result_store import GroupCaptureSink
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs import (
-    EventTracer,
-    MetricsRegistry,
-    RunReport,
-    TelemetrySampler,
+    NO_CONTEXT,
+    RunContext,
     fold_trace_analytics,
     get_logger,
 )
 from repro.sim.costmodel import DEFAULT_COST_MODEL
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
-from repro.storage.faults import FaultPlan, FaultyPageFile, RetryPolicy
+from repro.storage.faults import FaultyPageFile
 from repro.storage.layout import GraphStore
 from repro.storage.page import DEFAULT_PAGE_SIZE, PageRecord
 from repro.storage.ssd import ThreadedSSD
@@ -77,12 +75,7 @@ def triangulate_threaded(
     io_workers: int = 4,
     window: int = 4,
     sink: TriangleSink | None = None,
-    report: RunReport | None = None,
-    fault_plan: FaultPlan | None = None,
-    retry_policy: RetryPolicy | None = None,
-    checkpoint: RunCheckpoint | None = None,
-    trace: EventTracer | None = None,
-    telemetry: TelemetrySampler | None = None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> TriangulationResult:
     """Run OPT with real threads and real file I/O.
 
@@ -91,39 +84,24 @@ def triangulate_threaded(
     ``window`` bounds the outstanding external read requests (the
     external area's frame count in flight).
 
-    With a :class:`~repro.obs.RunReport` *report*, the SSD counts device
-    reads, async-read queue depth, and callback latency into the report's
-    registry, and each iteration emits a wall-clock span.
-
-    With a :class:`~repro.storage.faults.FaultPlan`, the page file is
-    wrapped in a :class:`~repro.storage.faults.FaultyPageFile` that
-    injects the plan's faults *for real* (sleeps, raised errors,
-    corrupted bytes), and the SSD recovers per *retry_policy*: failing
-    reads retry with backoff, and reads whose completion is lost
-    (``dropped_callback`` / ``stall`` faults, which *require* a
+    *ctx* is the run's :class:`~repro.obs.RunContext` (the fields are
+    documented there); this engine consumes all but ``attribution``, and
+    — its timeline being real time — refuses a sim-clock tracer or
+    sampler.  Specific to this engine: the fault plan is injected *for
+    real* through a :class:`~repro.storage.faults.FaultyPageFile`
+    (sleeps, raised errors, corrupted bytes), reads whose completion is
+    lost (``dropped_callback`` / ``stall`` faults, which *require* a
     ``retry_policy.timeout``) are reclaimed at the iteration barrier and
-    degraded to a synchronous re-read.  A fault that outlasts the policy
-    surfaces as :class:`~repro.errors.FaultExhaustedError` from
-    ``wait_idle`` — never a silently wrong triangle listing.
-
-    With a :class:`~repro.core.result_store.RunCheckpoint`, each
-    completed iteration commits its emitted groups; committed iterations
-    are replayed on resume instead of being re-triangulated.
-
-    With a :class:`~repro.obs.TelemetrySampler` *telemetry* (wall clock
-    only — this engine's timeline is real time), the run ticks at every
-    iteration barrier, rate-limited by the sampler's interval, so
-    ``repro top`` can follow buffer hit rates and SSD queue depth live.
-
-    With an :class:`~repro.obs.EventTracer` *trace* (wall clock), both
-    timelines land on the event stream: the main thread's ``fill`` /
-    ``internal`` / ``iteration`` slices, and the SSD's ``read.submit`` /
-    ``read.service`` / ``read.callback`` events on the reader and
-    callback threads — one Perfetto track per thread.  With a *report*
-    too, the trace's overlap analytics (macro/micro overlap ratios,
-    per-thread utilization) and the measured-vs-``Cost_OPTserial``
-    conformance check are folded into ``report.derived``.
+    degraded to a synchronous re-read, and an exhausted policy surfaces
+    from ``wait_idle``; the tracer gets the main thread's ``fill`` /
+    ``internal`` / ``iteration`` slices plus the SSD's ``read.submit`` /
+    ``read.service`` / ``read.callback`` events, one Perfetto track per
+    thread; and the report's ``cost_conformance`` compares measured wall
+    time with ``Cost_OPTserial``.
     """
+    ctx.accept("triangulate_threaded", "report", "trace", "telemetry",
+               "fault_plan", "retry_policy", "checkpoint",
+               wall_clock=("trace", "telemetry"))
     if buffer_pages < 2:
         raise ConfigurationError("buffer must hold at least two pages")
     plugin = resolve_plugin(plugin)
@@ -133,25 +111,16 @@ def triangulate_threaded(
             "full-rescan plugins (MGT) use synchronous streaming — run them "
             "through triangulate_disk instead"
         )
+    report = ctx.report
+    fault_plan = ctx.fault_plan
+    checkpoint = ctx.checkpoint
+    telemetry = ctx.bound_telemetry()
     if isinstance(source, GraphStore):
         store = source
-    elif report is not None:
-        with report.span("pack", page_size=page_size):
-            store = GraphStore.from_graph(source, page_size)
     else:
-        store = GraphStore.from_graph(source, page_size)
+        with ctx.span("pack", page_size=page_size):
+            store = GraphStore.from_graph(source, page_size)
     m_in = buffer_pages // 2
-    tracer = trace if trace is not None and trace.enabled else None
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    if telemetry is not None:
-        if telemetry.clock != "wall":
-            raise ConfigurationError(
-                "triangulate_threaded runs on real time; pass a "
-                "clock='wall' telemetry sampler"
-            )
-        telemetry.bind(report.registry if report is not None
-                       else MetricsRegistry())
     base_sink = sink if sink is not None else CountSink()
     locked_sink = _LockedSink(base_sink)
     if checkpoint is not None:
@@ -170,12 +139,12 @@ def triangulate_threaded(
     iterations = 0
     page_file = store.open_page_file(directory)
     try:
-        device = (FaultyPageFile(page_file, fault_plan, tracer=tracer)
+        device = (FaultyPageFile(page_file, fault_plan, tracer=ctx.trace)
                   if fault_plan is not None else page_file)
-        registry = report.registry if report is not None else None
         with ThreadedSSD(device, io_workers=io_workers,
-                         registry=registry, retry_policy=retry_policy,
-                         tracer=tracer) as ssd:
+                         registry=ctx.registry,
+                         retry_policy=ctx.retry_policy,
+                         tracer=ctx.trace) as ssd:
             pid = 0
             while pid < store.num_pages:
                 end = store.align_chunk_end(pid, m_in)
@@ -194,15 +163,10 @@ def triangulate_threaded(
                                   if checkpoint is not None else locked_sink)
                 logger.debug("threaded iteration %d: pages %d..%d",
                              iterations, pid, end)
-                if report is not None:
-                    with report.span("iteration", index=iterations):
-                        itrace = _run_iteration(store, ssd, plugin,
-                                                iteration_sink, pid, end,
-                                                window, tracer, iterations)
-                else:
+                with ctx.span("iteration", index=iterations):
                     itrace = _run_iteration(store, ssd, plugin,
                                             iteration_sink, pid, end,
-                                            window, tracer, iterations)
+                                            window, ctx, iterations)
                 run_trace.iterations.append(itrace)
                 if checkpoint is not None:
                     checkpoint.record(iterations, pid, end,
@@ -218,6 +182,9 @@ def triangulate_threaded(
         page_file.close()
     elapsed = time.perf_counter() - start
     run_trace.triangles = locked_sink.count
+    extra = {"engine": "threaded", "store": store, "trace": run_trace}
+    if ctx.trace is not None:
+        extra["tracer"] = ctx.trace
     if report is not None:
         report.gauge("run.elapsed_wall").set(elapsed)
         report.counter("triangles", phase="total").inc(locked_sink.count)
@@ -227,12 +194,8 @@ def triangulate_threaded(
         report.derive("cost_conformance",
                       cost_conformance(run_trace, elapsed, DEFAULT_COST_MODEL,
                                        basis="wall"))
-        if tracer is not None:
-            fold_trace_analytics(report, tracer)
-    extra = {"engine": "threaded", "store": store, "trace": run_trace}
-    if tracer is not None:
-        extra["tracer"] = tracer
-    if report is not None:
+        if ctx.trace is not None:
+            fold_trace_analytics(report, ctx.trace)
         extra["report"] = report
     return TriangulationResult(
         triangles=locked_sink.count,
@@ -251,9 +214,10 @@ def _run_iteration(
     pid: int,
     end: int,
     window: int,
-    tracer: EventTracer | None = None,
-    index: int = 0,
+    ctx: RunContext,
+    index: int,
 ) -> IterationTrace:
+    tracer = ctx.trace
     # -- fill the internal area (Algorithm 3 lines 6-8) --------------------
     # Candidate identification runs on the callback thread while later
     # fill reads are still in flight (the paper's Algorithm 7 placement).
@@ -261,7 +225,7 @@ def _run_iteration(
     iteration_start = tracer.now() if tracer is not None else 0.0
     chunk_records: dict[int, list[PageRecord]] = {}
     v_lo, v_hi = store.chunk_vertex_range(pid, end)
-    ctx = ChunkContext(v_lo, v_hi, {}, sink)
+    chunk_ctx = ChunkContext(v_lo, v_hi, {}, sink)
 
     def identify_candidates(records, page_id):
         # Distinct page_id per callback, and the single callback thread
@@ -269,11 +233,11 @@ def _run_iteration(
         # after wait_idle().  # lint: ignore[lockset]
         chunk_records[page_id] = records
         for record in records:
-            candidates, ops = plugin.candidates_for_record(ctx, record)
+            candidates, ops = plugin.candidates_for_record(chunk_ctx, record)
             # Callback-thread-only until wait_idle().  # lint: ignore[lockset]
             itrace.candidate_ops += ops
             for candidate in candidates:
-                ctx.add_request(int(candidate), record.vertex)
+                chunk_ctx.add_request(int(candidate), record.vertex)
 
     for page_id in range(pid, end + 1):
         ssd.async_read(page_id, identify_candidates, (page_id,))
@@ -289,7 +253,7 @@ def _run_iteration(
     for page_id in range(pid, end + 1):
         for record in chunk_records[page_id]:
             partial.setdefault(record.vertex, []).append(record.neighbors)
-    ctx.extend_adjacency(
+    chunk_ctx.extend_adjacency(
         {
             vertex: (parts[0] if len(parts) == 1 else np.concatenate(parts))
             for vertex, parts in partial.items()
@@ -298,7 +262,7 @@ def _run_iteration(
 
     # -- delegate the external triangulation (Algorithm 4) ------------------
     pages_needed: set[int] = set()
-    for candidate in ctx.requesters:
+    for candidate in chunk_ctx.requesters:
         pages_needed.update(store.pages_of_candidate(candidate))
     pending = deque(sorted(pages_needed - set(range(pid, end + 1)), reverse=True))
     issue_lock = threading.Lock()
@@ -309,8 +273,8 @@ def _run_iteration(
         # single callback thread serializes these, so the append is safe.
         ops = 0
         for record in records:
-            if record.vertex in ctx.requesters:
-                ops += plugin.external_ops_for_record(ctx, record)
+            if record.vertex in chunk_ctx.requesters:
+                ops += plugin.external_ops_for_record(chunk_ctx, record)
         # Serialized by the single callback thread; the main thread reads
         # external_reads only after wait_idle().  # lint: ignore[lockset]
         itrace.external_reads.append(ExternalRead(pid=page_id, cpu_ops=ops))
@@ -328,7 +292,7 @@ def _run_iteration(
     internal_start = tracer.now() if tracer is not None else 0.0
     for page_id in range(pid, end + 1):
         itrace.internal_page_ops.append(
-            plugin.internal_ops_for_page(ctx, chunk_records[page_id]))
+            plugin.internal_ops_for_page(chunk_ctx, chunk_records[page_id]))
     if tracer is not None:
         tracer.complete("internal", internal_start,
                         tracer.now() - internal_start, index=index)

@@ -70,7 +70,17 @@ class SimulationError(ReproError):
 
 
 class ConfigurationError(ReproError):
-    """Raised for invalid framework configuration (buffer sizes, cores...)."""
+    """Raised for invalid framework configuration (buffer sizes, cores...).
+
+    ``refused`` names the :class:`~repro.obs.RunContext` fields an
+    engine's ``accept`` declaration turned away (empty for every other
+    misconfiguration), so a front end can say which of its own options
+    the engine does not honour.
+    """
+
+    def __init__(self, message: str, *, refused: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.refused = refused
 
 
 class TriangulationError(ReproError):

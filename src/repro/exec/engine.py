@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING, Sequence
 from repro.errors import ConfigurationError
 from repro.exec.block import Group, block_range
 from repro.memory.base import TriangleSink, TriangulationResult
+from repro.obs.context import NO_CONTEXT, RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.exec.protocols import Executor, Kernel, Source, SourceHandle
@@ -159,22 +160,25 @@ class Engine:
         return "+".join(self.cell)
 
     def run(self, sink: TriangleSink | None = None, *,
-            report=None, attribution=None) -> TriangulationResult:
+            ctx: RunContext = NO_CONTEXT) -> TriangulationResult:
         """Execute the composition; list to *sink* when given.
 
-        With a :class:`~repro.obs.RunReport`, per-axis labelled counters
-        (``exec.triangles`` / ``exec.ops`` / ``exec.chunks``) land in its
-        registry so cross-cell comparisons can slice by any axis.  With
-        an :class:`~repro.obs.attribution.Attribution`, every pair's op
-        charge lands in its ``(exec, kernel, source, degree-bucket)``
-        cell and the engine's wall time is attributed to the same
-        coordinate — per-bucket ops sum exactly to ``exec.ops``.
+        *ctx* is the run's :class:`~repro.obs.RunContext`; a composed
+        engine consumes its report and attribution.  Per-axis labelled
+        counters (``exec.triangles`` / ``exec.ops`` / ``exec.chunks``)
+        land in the report's registry so cross-cell comparisons can
+        slice by any axis; every pair's op charge lands in its ``(exec,
+        kernel, source, degree-bucket)`` attribution cell and the
+        engine's wall time is attributed to the same coordinate —
+        per-bucket ops sum exactly to ``exec.ops``.
         """
+        ctx.accept("exec.compose", "report", "attribution")
+        report = ctx.report
+        attribution = ctx.attribution
         collect = sink is not None
         started = time.perf_counter()
         outcome = self.executor.execute(self.source, self.kernel,
-                                        collect=collect,
-                                        attribution=attribution)
+                                        collect=collect, ctx=ctx)
         elapsed = time.perf_counter() - started
         if attribution is not None:
             attribution.scope(phase="exec", kernel=self.kernel.name,

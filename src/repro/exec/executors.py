@@ -29,6 +29,7 @@ from repro.errors import ConfigurationError
 from repro.exec.block import Group
 from repro.exec.engine import EngineOutcome, run_range, split_ranges
 from repro.exec.protocols import Kernel, Source
+from repro.obs.context import NO_CONTEXT, RunContext
 from repro.parallel.chunks import OVERSUBSCRIPTION
 
 __all__ = ["OVERSUBSCRIPTION", "ProcessExecutor", "SerialExecutor",
@@ -84,12 +85,12 @@ class SerialExecutor:
     requires_shareable = False
 
     def execute(self, source: Source, kernel: Kernel, *,
-                collect: bool, attribution=None) -> EngineOutcome:
+                collect: bool, ctx: RunContext = NO_CONTEXT) -> EngineOutcome:
         with source.open() as handle:
             binding = kernel.bind(handle.num_vertices)
             triangles, ops, groups = run_range(
                 handle, binding, 0, handle.num_vertices, collect,
-                scope=_scope_for(attribution, source, kernel))
+                scope=_scope_for(ctx.attribution, source, kernel))
             return EngineOutcome(triangles=triangles, cpu_ops=ops,
                                  groups=groups, chunks=1,
                                  io=dict(handle.io_stats()),
@@ -108,9 +109,10 @@ class ThreadedExecutor:
         self.workers = workers
 
     def execute(self, source: Source, kernel: Kernel, *,
-                collect: bool, attribution=None) -> EngineOutcome:
+                collect: bool, ctx: RunContext = NO_CONTEXT) -> EngineOutcome:
         from repro.obs.attribution import Attribution
 
+        attribution = ctx.attribution
         with source.open() as handle:
             ranges = split_ranges(handle.num_vertices,
                                   self.workers * OVERSUBSCRIPTION)
@@ -156,10 +158,11 @@ class ProcessExecutor:
         self.workers = workers
 
     def execute(self, source: Source, kernel: Kernel, *,
-                collect: bool, attribution=None) -> EngineOutcome:
+                collect: bool, ctx: RunContext = NO_CONTEXT) -> EngineOutcome:
         # Deferred: repro.parallel.engine imports this package.
         from repro.parallel.engine import run_chunks
 
+        attribution = ctx.attribution
         with source.open() as handle:
             if handle.csr_handle() is None:
                 raise ConfigurationError(
@@ -175,6 +178,7 @@ class ProcessExecutor:
                 time.perf_counter(),
                 ("exec", kernel.name, source.name)
                 if attribution is not None else None,
+                ctx=ctx,
             )
             outcome = EngineOutcome(chunks=len(ranges),
                                     io=dict(handle.io_stats()))

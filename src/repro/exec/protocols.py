@@ -14,6 +14,8 @@ from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
+from repro.obs.context import NO_CONTEXT, RunContext
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
     from repro.parallel.shm import CSRHandle
@@ -130,5 +132,5 @@ class Executor(Protocol):
     requires_shareable: bool
 
     def execute(self, source: Source, kernel: Kernel, *, collect: bool,
-                attribution: object | None = None) -> "EngineOutcome":  # noqa: F821
+                ctx: RunContext = NO_CONTEXT) -> "EngineOutcome":  # noqa: F821
         ...

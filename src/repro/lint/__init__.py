@@ -5,8 +5,8 @@ invariants this codebase depends on but cannot unit-test reliably:
 lock discipline across the main/reader/callback threads, simulation
 determinism (no wall clocks or unseeded randomness in ``sim/`` and
 ``analysis/``), observability-vocabulary conformance, a non-blocking
-SSD callback path, the :mod:`repro.errors` exception taxonomy,
-observability kwargs threading, and order-stable artifact emission.
+SSD callback path, the :mod:`repro.errors` exception taxonomy, and
+order-stable artifact emission.
 
 Run it as ``python -m repro.lint [paths...]`` or through the umbrella
 CLI as ``python -m repro.cli lint``.  See ``docs/static-analysis.md``

@@ -1,11 +1,10 @@
 """Project-wide symbol table and call graph for interprocedural rules.
 
 Per-file AST rules see one module at a time; the invariants the
-``ProjectRule`` tier protects — observability kwargs threaded through
-every engine call chain, typed exceptions at every registered entry
-point, shared-memory segments released on every path — span function
-and module boundaries.  This module builds the shared substrate those
-rules reason over:
+``ProjectRule`` tier protects — typed exceptions at every registered
+entry point, shared-memory segments released on every path — span
+function and module boundaries.  This module builds the shared
+substrate those rules reason over:
 
 * a **symbol table** mapping dotted names (``repro.core.engine.
   triangulate_disk``, ``repro.parallel.shm.SharedCSR.publish``) to
@@ -81,7 +80,6 @@ class FunctionSymbol:
     class_name: str | None        # enclosing class, None for module level
     params: tuple[str, ...]       # posonly + positional-or-keyword, in order
     kwonly: tuple[str, ...]
-    has_vararg: bool
     has_varkw: bool
     decorators: tuple[str, ...]   # canonical dotted decorator names
     is_public: bool
@@ -89,10 +87,6 @@ class FunctionSymbol:
     @property
     def all_params(self) -> tuple[str, ...]:
         return self.params + self.kwonly
-
-    def accepts(self, kwarg: str) -> bool:
-        """Can *kwarg* be passed by name (ignoring ``**kwargs``)?"""
-        return kwarg in self.params or kwarg in self.kwonly
 
     @property
     def entry_key(self) -> str:
@@ -123,13 +117,9 @@ class CallSite:
     col: int
     #: Keyword names explicitly passed at the call.
     keywords: tuple[str, ...]
-    nargs: int           # positional argument count
-    has_star_args: bool
-    has_star_kwargs: bool
     #: True when the edge came from a dynamic table (``TABLE[k](...)``),
     #: a ``functools.partial`` or a bound-method alias rather than a
-    #: direct syntactic call — kwarg-threading rules treat these as
-    #: opaque (the missing kwargs may be bound elsewhere).
+    #: direct syntactic call.
     indirect: bool = False
 
 
@@ -147,9 +137,6 @@ class _RawCall:
     lineno: int
     col: int
     keywords: tuple[str, ...]
-    nargs: int
-    has_star_args: bool
-    has_star_kwargs: bool
     #: For ``functools.partial(f, ...)`` calls: the dotted name of ``f``.
     partial_of: str | None = None
     #: For ``TABLE[key](...)`` calls: the table's dotted name.
@@ -165,7 +152,6 @@ class _RawFunction:
     class_name: str | None
     params: tuple[str, ...]
     kwonly: tuple[str, ...]
-    has_vararg: bool
     has_varkw: bool
     decorators: tuple[str, ...]
 
@@ -258,7 +244,6 @@ class _Extractor(ast.NodeVisitor):
                 qualname=qualname, name=node.name, lineno=node.lineno,
                 col=node.col_offset, class_name=self._class[-1]
                 if self._class else None, params=params, kwonly=kwonly,
-                has_vararg=node.args.vararg is not None,
                 has_varkw=node.args.kwarg is not None,
                 decorators=decorators,
             ))
@@ -345,14 +330,9 @@ class _Extractor(ast.NodeVisitor):
 
     def visit_Call(self, node: ast.Call):
         keywords = tuple(k.arg for k in node.keywords if k.arg is not None)
-        has_star_kwargs = any(k.arg is None for k in node.keywords)
-        has_star_args = any(isinstance(a, ast.Starred) for a in node.args)
-        nargs = sum(1 for a in node.args if not isinstance(a, ast.Starred))
         raw = _RawCall(
             scope=self.scope, target=dotted_name(node.func),
             lineno=node.lineno, col=node.col_offset, keywords=keywords,
-            nargs=nargs, has_star_args=has_star_args,
-            has_star_kwargs=has_star_kwargs,
         )
         canonical = self.imports.canonical(raw.target)
         if canonical in _PARTIAL_NAMES and node.args:
@@ -415,7 +395,6 @@ class CallGraph:
         #: module relpath -> dotted module path
         self._dotted: dict[str, str] = {}
         self._out: dict[str, list[CallSite]] = {}
-        self._in: dict[str, list[CallSite]] = {}
         self._build()
 
     # -- construction --------------------------------------------------------
@@ -435,7 +414,7 @@ class CallGraph:
                     lineno=raw.lineno, col=raw.col,
                     class_name=raw.class_name,
                     params=raw.params, kwonly=raw.kwonly,
-                    has_vararg=raw.has_vararg, has_varkw=raw.has_varkw,
+                    has_varkw=raw.has_varkw,
                     decorators=raw.decorators,
                     is_public=not raw.name.startswith("_"),
                 )
@@ -456,7 +435,6 @@ class CallGraph:
         self.calls.sort(key=lambda c: (c.relpath, c.lineno, c.col, c.callee))
         for call in self.calls:
             self._out.setdefault(call.caller, []).append(call)
-            self._in.setdefault(call.callee, []).append(call)
 
     def _link_module(self, module: ModuleInfo) -> None:
         summary = self._summaries[module.relpath]
@@ -479,8 +457,7 @@ class CallGraph:
                 self.calls.append(CallSite(
                     caller=caller, callee=callee, relpath=module.relpath,
                     lineno=raw.lineno, col=raw.col, keywords=raw.keywords,
-                    nargs=raw.nargs, has_star_args=raw.has_star_args,
-                    has_star_kwargs=raw.has_star_kwargs, indirect=indirect,
+                    indirect=indirect,
                 ))
 
     def _resolve(self, module: ModuleInfo, summary: _ModuleSummary,
@@ -649,15 +626,6 @@ class CallGraph:
     def callees(self, function_id: str) -> list[CallSite]:
         return self._out.get(function_id, [])
 
-    def callers(self, function_id: str) -> list[CallSite]:
-        return self._in.get(function_id, [])
-
-    def module_for(self, relpath: str) -> ModuleInfo | None:
-        for module in self.modules:
-            if module.relpath == relpath:
-                return module
-        return None
-
     def resolve_entry(self, key: str) -> FunctionSymbol | None:
         """Resolve a ``<package path>::<name>`` entry-point key."""
         for symbol in self.functions.values():
@@ -671,42 +639,6 @@ class CallGraph:
                  for symbol in (self.resolve_entry(key),)
                  if symbol is not None]
         return sorted(found, key=lambda s: s.id)
-
-    def reachable(self, roots: Iterable[str]) -> set[str]:
-        """Function ids reachable from *roots* along call edges."""
-        seen: set[str] = set()
-        queue = sorted(set(roots))
-        while queue:
-            node = queue.pop(0)
-            if node in seen:
-                continue
-            seen.add(node)
-            for call in self.callees(node):
-                if call.callee not in seen:
-                    queue.append(call.callee)
-        return seen
-
-    def shortest_path(self, source: str, target: str) -> list[str]:
-        """Deterministic BFS path of function ids, ``[]`` if unreachable."""
-        if source == target:
-            return [source]
-        parents: dict[str, str] = {}
-        queue = [source]
-        seen = {source}
-        while queue:
-            node = queue.pop(0)
-            for call in self.callees(node):
-                if call.callee in seen:
-                    continue
-                seen.add(call.callee)
-                parents[call.callee] = node
-                if call.callee == target:
-                    path = [target]
-                    while path[-1] != source:
-                        path.append(parents[path[-1]])
-                    return list(reversed(path))
-                queue.append(call.callee)
-        return []
 
     # -- export --------------------------------------------------------------
 

@@ -16,8 +16,8 @@ Two dispatch tiers share that contract:
 * **project rules** (:class:`ProjectRule`) run after every file has
   parsed and receive a :class:`ProjectContext` carrying the whole-tree
   call graph (:mod:`repro.lint.callgraph`) alongside the modules, so a
-  rule can follow a dropped ``report=`` kwarg or a leaked ``SharedCSR``
-  across function and module boundaries.
+  rule can follow an untyped exception or a leaked ``SharedCSR`` across
+  function and module boundaries.
 
 Parsing can fan out over ``jobs`` worker threads; modules are collected
 back in the original sorted order, so output is byte-identical for any

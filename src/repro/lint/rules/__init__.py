@@ -24,8 +24,6 @@ from repro.lint.rules.callback_io import CallbackIoRule
 from repro.lint.rules.engine_composition import EngineCompositionRule
 from repro.lint.rules.error_types import ErrorTypesRule
 from repro.lint.rules.exception_flow import ExceptionFlowRule
-from repro.lint.rules.instrumentation_plumbing import InstrumentationPlumbingRule
-from repro.lint.rules.kwargs_threading import KwargsThreadingRule
 from repro.lint.rules.lockset import LocksetRule
 from repro.lint.rules.mutable_default import MutableDefaultRule
 from repro.lint.rules.obs_vocab import ObsVocabRule
@@ -44,12 +42,10 @@ ALL_RULES: tuple[type[Rule], ...] = (
     CallbackIoRule,
     EngineCompositionRule,
     ErrorTypesRule,
-    KwargsThreadingRule,
     MutableDefaultRule,
     SetIterationRule,
     ShmLifecycleRule,
     # Project rules (interprocedural; run after all per-file rules).
-    InstrumentationPlumbingRule,
     ExceptionFlowRule,
     ResourceLifecycleRule,
 )

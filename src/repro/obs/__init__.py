@@ -18,7 +18,8 @@ through this package so that one run produces one comparable artifact:
   vocabulary every emitter must draw from (statically enforced by the
   ``obs-vocab`` rule of :mod:`repro.lint`).
 
-The engines accept ``report=`` and record into it; nothing here imports
+The engines take one ``ctx=`` (:class:`RunContext`, the bundle of a
+run's instruments) and record into what it carries; nothing here imports
 anything outside the standard library, so storage/sim/core modules can
 depend on it freely.
 """
@@ -30,6 +31,7 @@ from repro.obs.attribution import (
     render_attribution,
     validate_attribution_dict,
 )
+from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.expose import expose_text, read_telemetry_jsonl, render_top
 from repro.obs.history import (
     PerfHistory,
@@ -81,6 +83,7 @@ from repro.obs.vocab import (
 __all__ = [
     "EXTERNAL_CPU_EVENTS",
     "METRIC_NAMES",
+    "NO_CONTEXT",
     "TRACE_EVENT_NAMES",
     "WORK_EVENTS",
     "is_metric_name",
@@ -94,6 +97,7 @@ __all__ = [
     "MetricsRegistry",
     "PerfHistory",
     "PerfRecord",
+    "RunContext",
     "RunReport",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",

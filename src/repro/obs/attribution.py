@@ -1,9 +1,9 @@
 """Cost attribution: *where* the Eq. 3 operations actually go.
 
 The metrics registry answers "how many ops did the run charge"; the
-tracer answers "when"; neither answers the question the kernel-speed and
-ordering arcs in ROADMAP.md hinge on: *which kernel, phase, source, and
-degree regime the operations land in*.  This module is that missing
+tracer answers "when"; neither answers the question kernel and ordering
+choices hinge on: *which kernel, phase, source, and degree regime the
+operations land in*.  This module is that missing
 axis — a deterministic cost-attribution table.
 
 An :class:`Attribution` accumulates integer charges into cells keyed by

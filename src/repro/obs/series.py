@@ -11,7 +11,7 @@ instruments, so every sampler tick lands its readings on stable keys
 Ring buffers keep live telemetry bounded by construction: a sampler
 ticking once a second for a week still holds ``capacity`` points per
 series, which is what lets the pipeline stay on for arbitrarily long
-runs (the query-server/streaming arc in ROADMAP.md) without growing.
+runs without growing.
 
 Like the rest of :mod:`repro.obs`, nothing here imports anything outside
 the standard library, and nothing here reads a clock — callers supply

@@ -8,8 +8,7 @@ and folds each reading into bounded ring-buffer time series
 (:mod:`repro.obs.series`) — counter cumulative values *and* rates, gauge
 values, histogram count/p50/p99 — plus one JSONL *tick record* per
 sample, streamable to disk while the run is still going.  ``repro top``
-renders those ticks live; admission control and backpressure (the
-query-server arc in ROADMAP.md) will read the same series in-process.
+renders those ticks live.
 
 Two clock modes, mirroring :class:`~repro.obs.trace.EventTracer`:
 
@@ -27,8 +26,8 @@ Two clock modes, mirroring :class:`~repro.obs.trace.EventTracer`:
 Overhead contract (pinned by ``benchmarks/bench_telemetry_overhead.py``):
 an enabled per-iteration sampler costs <10% wall clock on the Fig. 3a
 workload, and ``enabled=False`` costs nothing beyond the ``is not None``
-guard — engines normalize a disabled sampler to ``None`` on entry, the
-same idiom the tracer uses.
+guard — :class:`~repro.obs.RunContext` turns a disabled sampler into
+``None`` when it is built, as it does a disabled tracer.
 
 Like the rest of :mod:`repro.obs`, nothing here imports anything outside
 the standard library.
@@ -75,8 +74,8 @@ class TelemetrySampler:
         as one JSON line and flushed, so a concurrent ``repro top`` can
         follow the run live.
     enabled:
-        ``False`` constructs an inert sampler; engines normalize it to
-        ``None`` so the hot path pays only the ``is not None`` guard.
+        ``False`` constructs an inert sampler; ``RunContext`` drops it,
+        so the hot path pays only the ``is not None`` guard.
     """
 
     def __init__(
@@ -115,9 +114,11 @@ class TelemetrySampler:
     def bind(self, registry: MetricsRegistry) -> MetricsRegistry:
         """Attach *registry* if none is bound yet; returns the bound one.
 
-        Engines call this on entry: a sampler constructed without a
-        registry (the CLI path) adopts the run's report registry, while
-        an explicitly bound sampler keeps sampling what its caller chose.
+        Engines call this on entry (through
+        :meth:`RunContext.bound_telemetry`): a sampler constructed
+        without a registry (the CLI path) adopts the run's report
+        registry, while an explicitly bound sampler keeps sampling what
+        its caller chose.
         """
         if self.registry is None:
             self.registry = registry

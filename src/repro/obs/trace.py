@@ -120,10 +120,10 @@ class EventTracer:
     (buffer hits during the measuring pass, real fault sleeps) silently
     no-op instead of injecting nondeterministic timestamps.
 
-    A tracer constructed with ``enabled=False`` records nothing; engines
-    normalize such a tracer to ``None`` on entry so the hot path keeps
-    its plain ``tracer is not None`` guard and pays nothing when tracing
-    is off.
+    A tracer constructed with ``enabled=False`` records nothing;
+    :class:`~repro.obs.RunContext` turns such a tracer into ``None``
+    when it is built, so the hot path keeps its plain ``is not None``
+    guard and pays nothing when tracing is off.
     """
 
     def __init__(self, *, clock: str = "wall", enabled: bool = True,

@@ -148,7 +148,6 @@ TRACE_EVENT_NAMES = frozenset({
     "parallel.merge",
     "parallel.heartbeat",
     "parallel.straggler",
-    "telemetry.sample",
 })
 
 #: Event names that represent actual work for utilization purposes

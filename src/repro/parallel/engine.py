@@ -51,8 +51,8 @@ from repro.exec.kernels import HashKernel, Kernel
 from repro.exec.sources import MemorySource, SharedMemorySource, _GraphHandle
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
+from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.registry import MetricsRegistry
-from repro.obs.report import RunReport
 from repro.obs.telemetry import TelemetrySampler
 from repro.obs.trace import EventTracer, TraceEvent
 from repro.parallel.chunks import default_chunk_count, plan_chunks
@@ -289,7 +289,7 @@ def _monitored_drain(
     start_wall: float,
     hb_queue=None,
     monitor: HeartbeatMonitor | None = None,
-    telemetry: TelemetrySampler | None = None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> list[WorkerReport]:
     """Collect one report per worker, never blocking past *poll_interval*.
 
@@ -299,10 +299,13 @@ def _monitored_drain(
     one (SIGKILL, OOM-kill — nothing its own error funnel can catch) and
     :class:`ParallelError` names it instead of the parent waiting
     forever.  With a *monitor*, every pass also drains the pending
-    heartbeats, runs the straggler/silence detections (a silent worker
-    raises :class:`ParallelError` out of here), and lets a wall-clock
-    telemetry sampler take a rate-limited tick.
+    heartbeats and runs the straggler/silence detections (a silent
+    worker raises :class:`ParallelError` out of here); the context's
+    telemetry sampler, if any, takes a rate-limited tick per pass — the
+    caller hands down only a live (wall-clock) one, sim-clock ticks come
+    from the merge replay.
     """
+    telemetry = ctx.telemetry
     reports: dict[int, WorkerReport] = {}
     while len(reports) < len(processes):
         exited = [(worker_id, process.exitcode)
@@ -341,7 +344,7 @@ def run_chunks(
     anchor: float,
     coordinate: tuple[str, str, str] | None = None,
     monitor: HeartbeatMonitor | None = None,
-    telemetry: TelemetrySampler | None = None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> tuple[list[WorkerReport], list[ChunkRow]]:
     """Run *kernel* over every chunk with a pool of queue-pulling workers.
 
@@ -352,7 +355,7 @@ def run_chunks(
     ``handle.csr_handle()`` and pull ``(index, lo, hi)`` tasks from one
     queue until its sentinel.  *anchor* is the caller's
     ``perf_counter`` epoch for worker timestamps; *coordinate*, *monitor*
-    and *telemetry* are as in :func:`_execute_chunks` and
+    and *ctx* are as in :func:`_execute_chunks` and
     :func:`_monitored_drain` (a monitor also opens the heartbeat queue).
 
     Returns the worker reports in worker order and every chunk's row in
@@ -369,10 +372,10 @@ def run_chunks(
                                    collect, anchor, coordinate)]
     else:
         policy = monitor.policy if monitor is not None else StragglerPolicy()
-        ctx = mp.get_context("fork")
-        task_queue = ctx.Queue()
-        result_queue = ctx.Queue()
-        hb_queue = ctx.Queue() if monitor is not None else None
+        mp_fork = mp.get_context("fork")
+        task_queue = mp_fork.Queue()
+        result_queue = mp_fork.Queue()
+        hb_queue = mp_fork.Queue() if monitor is not None else None
         processes: list = []
         failed = False
         try:
@@ -381,7 +384,7 @@ def run_chunks(
             for _ in range(workers):
                 task_queue.put(None)
             processes = [
-                ctx.Process(
+                mp_fork.Process(
                     target=_worker_main,
                     args=(handle.csr_handle(), kernel, workers, worker_id,
                           collect, anchor, coordinate, task_queue,
@@ -399,7 +402,7 @@ def run_chunks(
             # payloads.
             reports = _monitored_drain(
                 processes, result_queue, policy.poll_interval, anchor,
-                hb_queue, monitor, telemetry,
+                hb_queue, monitor, ctx,
             )
             for process in processes:
                 process.join()
@@ -470,17 +473,18 @@ def _merge(
     workers: int,
     sink: TriangleSink,
     collect: bool,
-    run_report: RunReport | None,
-    trace: EventTracer | None,
     anchor_rel: float,
-    telemetry: TelemetrySampler | None = None,
-    attribution=None,
+    ctx: RunContext,
 ) -> tuple[int, int, ParallelResult]:
     """Fold :func:`run_chunks`' reports and rows into (triangles, ops) + obs.
 
     *reports* arrive in worker order and *rows* in chunk order, so every
     fold below is deterministic.
     """
+    run_report = ctx.report
+    trace = ctx.trace
+    telemetry = ctx.telemetry
+    attribution = ctx.attribution
     merge_started = trace.now() if trace is not None else 0.0
     executed_by = {row[0]: report.worker_id
                    for report in reports for row in report.results}
@@ -533,11 +537,8 @@ def triangulate_parallel(
     chunks: int | None = None,
     ordering: str | None = None,
     sink: TriangleSink | None = None,
-    report: RunReport | None = None,
-    trace: EventTracer | None = None,
-    telemetry: TelemetrySampler | None = None,
     straggler: StragglerPolicy | None = None,
-    attribution=None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> TriangulationResult:
     """List all triangles of *graph* with *workers* processes.
 
@@ -566,42 +567,35 @@ def triangulate_parallel(
     sink:
         Optional receiver of nested ``<u, v, {w...}>`` groups, emitted
         in deterministic chunk order; defaults to a counting sink.
-    report:
-        Optional :class:`RunReport`; worker metric snapshots are folded
-        into its registry (``parallel.*`` counters, per-phase
-        ``triangles``) plus the parent-side ``parallel.workers`` and
-        ``run.elapsed_wall`` gauges.
-    trace:
-        Optional wall-clock :class:`EventTracer`; worker slices land on
-        one ``parallel/w<id>`` track per worker.
-    telemetry:
-        Optional :class:`TelemetrySampler`.  A wall-clock sampler is
-        fed live from the parent's heartbeat monitor loop (per-worker
-        progress in each tick's ``workers`` section).  A sim-clock
-        sampler instead gets a deterministic post-merge replay of the
-        chunk stream — byte-identical ticks across runs and worker
-        counts — and is rebound to a private replay registry.
     straggler:
         Optional :class:`StragglerPolicy` enabling heartbeat monitoring
-        (it also switches on implicitly when a wall-clock *telemetry*
-        sampler is passed): workers publish progress beats, laggards are
-        flagged via ``parallel.straggler``, and with a ``deadline`` set
-        a silent worker raises :class:`ParallelError` promptly instead
-        of hanging the join.  Monitoring is fully off by default — the
-        determinism contract of plain runs is untouched.
-    attribution:
-        Optional :class:`~repro.obs.attribution.Attribution`.  Workers
-        charge private tables under the constant coordinate
-        ``(parallel, hash, shm)`` with per-pair degree buckets and ship
-        deterministic snapshots; the parent folds them in worker order.
-        Because cells are integer sums, the merged table is byte-identical
-        across worker counts, and its ``total_ops`` equals the run's
-        Eq. 3 op count.  The parent's wall time is attributed separately
-        (excluded from the deterministic snapshot).
+        (it also switches on implicitly when the context carries a
+        wall-clock telemetry sampler): workers publish progress beats,
+        laggards are flagged via ``parallel.straggler``, and with a
+        ``deadline`` set a silent worker raises :class:`ParallelError`
+        promptly instead of hanging the join.  Monitoring is fully off
+        by default — the determinism contract of plain runs is untouched.
+    ctx:
+        The run's :class:`~repro.obs.RunContext` (the fields are
+        documented there); this engine consumes ``report``, ``trace``
+        (wall clock only), ``telemetry`` and ``attribution``.  Worker
+        metric snapshots are folded into the report's registry
+        (``parallel.*`` counters, per-phase ``triangles``) next to the
+        parent-side ``parallel.workers`` / ``run.elapsed_wall`` gauges;
+        worker slices land on one ``parallel/w<id>`` tracer track each;
+        a wall-clock sampler is fed live from the heartbeat loop
+        (per-worker progress in each tick's ``workers`` section) while a
+        sim-clock sampler is rebound to a private registry replaying the
+        merged chunk stream; and workers charge private attribution
+        tables under ``(parallel, hash, shm)`` that the parent folds in
+        worker order, the parent's own wall time being attributed
+        separately (excluded from the deterministic snapshot).
 
     Returns the usual :class:`TriangulationResult`; ``extra["parallel"]``
     carries the merged :class:`ParallelResult`.
     """
+    ctx.accept("triangulate_parallel", "report", "trace", "telemetry",
+               "attribution", wall_clock=("trace",))
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     resolved_ordering: str | None = None
@@ -613,19 +607,11 @@ def triangulate_parallel(
             resolved = choose_ordering(graph)
         graph, _ = apply_ordering(graph, resolved)
         resolved_ordering = resolved.value
-    if trace is not None and not trace.enabled:
-        trace = None
-    if trace is not None and trace.clock != "wall":
-        raise ConfigurationError(
-            "triangulate_parallel records wall-clock events; pass a "
-            "clock='wall' tracer"
-        )
-    if telemetry is not None and not telemetry.enabled:
-        telemetry = None
-    if telemetry is not None and telemetry.clock == "wall":
-        # Sim-clock samplers are (re)bound by the merge replay instead.
-        telemetry.bind(report.registry if report is not None
-                       else MetricsRegistry())
+    report = ctx.report
+    trace = ctx.trace
+    attribution = ctx.attribution
+    # A sim-clock sampler is rebound by the merge replay.
+    telemetry = ctx.bound_telemetry()
     collect = sink is not None
     if sink is None:
         sink = CountSink()
@@ -641,39 +627,39 @@ def triangulate_parallel(
     # a live (wall-clock) telemetry sampler — and only where there are
     # forked workers to watch.  Plain runs open no heartbeat channel.
     monitor: HeartbeatMonitor | None = None
-    live_telemetry: TelemetrySampler | None = None
+    live = telemetry is not None and telemetry.clock == "wall"
     if effective_workers > 1:
         policy = straggler
-        if telemetry is not None and telemetry.clock == "wall":
-            live_telemetry = telemetry
-            if policy is None:
-                policy = StragglerPolicy()
+        if live and policy is None:
+            policy = StragglerPolicy()
         if policy is not None:
             monitor = HeartbeatMonitor(
                 policy,
                 workers=effective_workers,
                 total_chunks=len(chunk_bounds),
                 registry=(report.registry if report is not None
-                          else live_telemetry.registry
-                          if live_telemetry is not None else None),
+                          else telemetry.registry if live else None),
                 tracer=trace,
             )
-            if live_telemetry is not None:
-                live_telemetry.add_provider("workers", monitor.provider)
+            if live:
+                telemetry.add_provider("workers", monitor.provider)
     coordinate = (("parallel", "hash", "shm") if attribution is not None
                   else None)
     # One worker runs in-process and needs no segment.
     source = (SharedMemorySource(graph) if effective_workers > 1
               else MemorySource(graph))
     with source.open() as handle:
+        # The drain loop ticks whatever sampler it is handed: only a live
+        # one goes down (a sim-clock sampler waits for _merge's replay).
         worker_reports, rows = run_chunks(
             handle, HashKernel(), chunk_bounds, effective_workers, collect,
-            start_wall, coordinate, monitor, live_telemetry,
+            start_wall, coordinate, monitor,
+            ctx if live else ctx.only("report", "trace", "attribution"),
         )
 
     triangles, ops, parallel_result = _merge(
         worker_reports, rows, effective_workers, sink, collect,
-        report, trace, anchor_rel, telemetry, attribution,
+        anchor_rel, ctx,
     )
     elapsed = time.perf_counter() - start_wall
     if attribution is not None:

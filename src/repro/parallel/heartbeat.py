@@ -65,7 +65,9 @@ class StragglerPolicy:
     ``fraction`` and ``min_chunks`` tune the imbalance detector: a
     worker is a straggler when the median worker has finished at least
     ``min_chunks`` chunks and this worker has finished fewer than
-    ``fraction * median``.  ``grace`` suppresses that detector for the
+    ``fraction * median`` — the median over workers that ran a chunk or
+    are still running (one that drained an empty queue is left out).
+    ``grace`` suppresses that detector for the
     first seconds of a run — at startup the fastest worker can lap the
     others before they even fetch a task, which is scheduling noise, not
     imbalance.  ``deadline`` (seconds of heartbeat silence) arms the
@@ -171,7 +173,11 @@ class HeartbeatMonitor:
         with self._lock:
             beats = dict(self._latest)
             seen = dict(self._seen)
-        progress = [beat.chunks_done for beat in beats.values()]
+        # A worker that found the queue already empty (done, zero chunks)
+        # says nothing about pace: counting it lets one fast worker that
+        # drained every chunk pull the median to 0 and hide a stalled peer.
+        progress = [beat.chunks_done for beat in beats.values()
+                    if beat.chunks_done or not beat.done]
         typical = median(progress) if progress else 0
         newly: list[int] = []
         hung: tuple[int, float] | None = None

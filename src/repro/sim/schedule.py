@@ -28,6 +28,8 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import SimulationError
+from repro.obs.context import NO_CONTEXT, RunContext
+from repro.obs.trace import EventTracer
 from repro.sim.costmodel import CostModel
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 
@@ -87,7 +89,7 @@ def _stream_time(pages: int, cost: CostModel) -> float:
 
 def _simulate_sync_iteration(
     iteration: IterationTrace, cost: CostModel, cores: int,
-    tracer=None, t0: float = 0.0, index: int = 0,
+    tracer: EventTracer | None = None, t0: float = 0.0, index: int = 0,
 ) -> IterationTiming:
     """Synchronous external I/O: streamed reads, then CPU, no overlap."""
     fill_io = _stream_time(iteration.fill_reads, cost) + iteration.fill_delay
@@ -134,7 +136,7 @@ def _simulate_iteration(
     morphing: bool,
     serial: bool,
     stats: dict | None = None,
-    tracer=None,
+    tracer: EventTracer | None = None,
     t0: float = 0.0,
     index: int = 0,
 ) -> IterationTiming:
@@ -312,51 +314,49 @@ def _simulate_iteration(
 
 
 def simulate(
-    trace: RunTrace,
+    run_trace: RunTrace,
     cost: CostModel,
     *,
     cores: int = 1,
     morphing: bool = True,
     serial: bool = False,
-    report=None,
-    tracer=None,
+    ctx: RunContext = NO_CONTEXT,
 ) -> SimResult:
-    """Replay *trace* under the given configuration.
+    """Replay *run_trace* under the given configuration.
 
     ``serial=True`` forces one core and disables macro overlap, yielding
     the paper's ``OPT_serial``.  Returns elapsed simulated seconds plus
     per-iteration timings (Figure 4's raw data).
 
-    With a :class:`~repro.obs.RunReport` *report*, the simulated timeline
-    is mapped into the report's span tree (one ``simulate`` span with
+    *ctx* is the run's :class:`~repro.obs.RunContext`; the replay
+    consumes its report and tracer.  The simulated timeline is mapped
+    into the report's span tree (one ``simulate`` span with
     per-iteration ``fill`` / ``internal`` / ``external`` children, all in
     simulated seconds) and the scheduler's counters — device reads and
-    thread-morphing events — land in its registry.
-
-    With an :class:`~repro.obs.EventTracer` *tracer* (use ``clock="sim"``),
-    every scheduling decision lands on the event timeline: per-worker
+    thread-morphing events — land in its registry.  On the tracer (use
+    ``clock="sim"``) every scheduling decision is an event: per-worker
     ``internal`` / ``external`` slices on ``sim/coreN`` tracks, device
     service on ``sim/flashN`` tracks, ``read.submit`` / ``buffer.hit`` /
     ``morph`` / ``fault.delay`` instants, and one ``iteration`` slice per
     barrier on ``sim/run``.  The event stream is a pure function of the
     trace and configuration — byte-identical across runs per seed.
     """
+    ctx.accept("simulate", "report", "trace")
     if cores < 1:
         raise SimulationError("cores must be >= 1")
     if serial:
         cores = 1
-    if tracer is not None and not tracer.enabled:
-        tracer = None
+    tracer = ctx.trace
     stats: dict = {}
     timings = []
     offset = 0.0
-    for index, iteration in enumerate(trace.iterations):
-        if trace.sync_external:
+    for index, iteration in enumerate(run_trace.iterations):
+        if run_trace.sync_external:
             timing = _simulate_sync_iteration(iteration, cost, cores,
                                               tracer, offset, index)
         else:
-            timing = _simulate_iteration(iteration, trace.m_ex, cost, cores,
-                                         morphing, serial, stats,
+            timing = _simulate_iteration(iteration, run_trace.m_ex, cost,
+                                         cores, morphing, serial, stats,
                                          tracer, offset, index)
         timings.append(timing)
         offset += timing.elapsed
@@ -366,12 +366,12 @@ def simulate(
         morphing=morphing,
         serial=serial,
         iterations=timings,
-        cpu_time=cost.cpu(trace.total_ops),
-        read_io_time=cost.read_io(trace.total_device_reads),
+        cpu_time=cost.cpu(run_trace.total_ops),
+        read_io_time=cost.read_io(run_trace.total_device_reads),
     )
-    if report is not None:
-        _record(result, timings, stats, report)
-        report.gauge("sim.fault_delay").set(trace.total_fault_delay)
+    if ctx.report is not None:
+        _record(result, timings, stats, ctx.report)
+        ctx.report.gauge("sim.fault_delay").set(run_trace.total_fault_delay)
     return result
 
 

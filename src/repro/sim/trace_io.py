@@ -22,15 +22,15 @@ __all__ = ["load_trace", "save_trace", "trace_to_dict", "trace_from_dict"]
 _FORMAT_VERSION = 1
 
 
-def trace_to_dict(trace: RunTrace) -> dict:
-    """Encode *trace* as JSON-serializable primitives."""
+def trace_to_dict(run_trace: RunTrace) -> dict:
+    """Encode *run_trace* as JSON-serializable primitives."""
     return {
         "version": _FORMAT_VERSION,
-        "num_pages": trace.num_pages,
-        "m_in": trace.m_in,
-        "m_ex": trace.m_ex,
-        "sync_external": trace.sync_external,
-        "triangles": trace.triangles,
+        "num_pages": run_trace.num_pages,
+        "m_in": run_trace.m_in,
+        "m_ex": run_trace.m_ex,
+        "sync_external": run_trace.sync_external,
+        "triangles": run_trace.triangles,
         "iterations": [
             {
                 "fill_reads": it.fill_reads,
@@ -43,7 +43,7 @@ def trace_to_dict(trace: RunTrace) -> dict:
                 ],
                 "output_pages": it.output_pages,
             }
-            for it in trace.iterations
+            for it in run_trace.iterations
         ],
     }
 
@@ -80,9 +80,9 @@ def trace_from_dict(payload: dict) -> RunTrace:
         raise SimulationError(f"malformed trace payload: {exc}") from exc
 
 
-def save_trace(trace: RunTrace, path: str | Path) -> None:
-    """Write *trace* as JSON."""
-    Path(path).write_text(json.dumps(trace_to_dict(trace)), encoding="utf-8")
+def save_trace(run_trace: RunTrace, path: str | Path) -> None:
+    """Write *run_trace* as JSON."""
+    Path(path).write_text(json.dumps(trace_to_dict(run_trace)), encoding="utf-8")
 
 
 def load_trace(path: str | Path) -> RunTrace:

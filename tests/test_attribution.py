@@ -20,6 +20,7 @@ import pytest
 
 from repro.exec import compose
 from repro.obs import (
+    RunContext,
     collapsed_text,
     degree_bucket,
     render_attribution,
@@ -181,7 +182,7 @@ class TestExecConservation:
                                                           executor):
         engine = compose("memory", "hash", executor, graph=rmat, workers=3)
         table = Attribution()
-        result = engine.run(attribution=table)
+        result = engine.run(ctx=RunContext(attribution=table))
         assert table.total_ops == result.cpu_ops
         assert table.total_triangles == result.triangles
         plain = engine.run()
@@ -191,7 +192,7 @@ class TestExecConservation:
     def test_process_executor_conserves(self, rmat):
         engine = compose("shm", "hash", "process", graph=rmat, workers=2)
         table = Attribution()
-        result = engine.run(attribution=table)
+        result = engine.run(ctx=RunContext(attribution=table))
         assert table.total_ops == result.cpu_ops
         assert table.total_triangles == result.triangles
 
@@ -202,7 +203,7 @@ class TestExecConservation:
             engine = compose("memory", "hash", executor, graph=rmat,
                              workers=workers)
             table = Attribution()
-            engine.run(attribution=table)
+            engine.run(ctx=RunContext(attribution=table))
             snapshots.append(_snapshot_bytes(table))
         assert len(set(snapshots)) == 1
 
@@ -210,7 +211,7 @@ class TestExecConservation:
     def test_every_kernel_conserves(self, rmat, kernel):
         engine = compose("memory", kernel, "serial", graph=rmat)
         table = Attribution()
-        result = engine.run(attribution=table)
+        result = engine.run(ctx=RunContext(attribution=table))
         assert table.total_ops == result.cpu_ops
         cells = table.cells()
         assert all(cell["kernel"] == kernel for cell in cells)
@@ -226,7 +227,8 @@ class TestParallelDeterminism:
         for workers in (1, 2, 4):
             table = Attribution()
             results[workers] = triangulate_parallel(
-                clustered_graph, workers=workers, attribution=table)
+                clustered_graph, workers=workers,
+                ctx=RunContext(attribution=table))
             assert table.total_ops == results[workers].cpu_ops
             assert table.total_triangles == results[workers].triangles
             snapshots[workers] = _snapshot_bytes(table)
@@ -240,7 +242,7 @@ class TestParallelDeterminism:
         for _ in range(2):
             table = Attribution()
             triangulate_parallel(clustered_graph, workers=2,
-                                 attribution=table)
+                                 ctx=RunContext(attribution=table))
             runs.append(_snapshot_bytes(table))
         assert runs[0] == runs[1]
 
@@ -251,7 +253,7 @@ class TestDiskDriver:
 
         store = make_store(rmat, 1024)
         table = Attribution()
-        result = triangulate_disk(store, attribution=table)
+        result = triangulate_disk(store, ctx=RunContext(attribution=table))
         # The disk driver charges candidate/external/internal ops; its
         # cpu_ops is exactly their sum (triangles are counted by the
         # output writer, not attributed per bucket).
@@ -270,6 +272,6 @@ class TestDiskDriver:
         runs = []
         for _ in range(2):
             table = Attribution()
-            triangulate_disk(store, attribution=table)
+            triangulate_disk(store, ctx=RunContext(attribution=table))
             runs.append(_snapshot_bytes(table))
         assert runs[0] == runs[1]

@@ -83,6 +83,55 @@ class TestTriangulate:
         assert code == 1
         assert "--trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, accepted, refused", [
+        ("--trace", "t.json", "opt-parallel", "compose"),
+        ("--telemetry", "t.jsonl", "opt-threaded", "cc-seq"),
+        ("--fault-kind", "latency", "opt", "opt-parallel"),
+        ("--checkpoint", "ckpt.json", "opt-threaded", "opt-parallel"),
+    ])
+    def test_instrument_flag_is_gated_by_the_engine(self, graph_file,
+                                                    tmp_path, capsys, flag,
+                                                    value, accepted, refused):
+        if flag != "--fault-kind":
+            value = str(tmp_path / value)
+        base = ["triangulate", "--input", str(graph_file),
+                "--page-size", "128", flag, value, "--method"]
+        assert main(base + [accepted]) == 0
+        capsys.readouterr()
+        assert main(base + [refused]) == 1
+        err = capsys.readouterr().err
+        # The refusal is the engine's own ConfigurationError, named by
+        # the flag that filled the refused RunContext field.
+        assert err.startswith(f"error: {flag} applies only")
+        assert "does not consume ctx." in err
+
+    def test_refused_telemetry_leaves_the_path_untouched(self, graph_file,
+                                                         tmp_path, capsys):
+        earlier = tmp_path / "t.jsonl"
+        base = ["triangulate", "--input", str(graph_file),
+                "--page-size", "128", "--method"]
+        assert main(base + ["opt", "--telemetry", str(earlier)]) == 0
+        ticks = earlier.read_text(encoding="utf-8")
+        assert ticks
+        fresh = tmp_path / "new" / "t.jsonl"
+        for path in (earlier, fresh):
+            assert main(base + ["forward", "--telemetry", str(path)]) == 1
+        assert "error: --telemetry" in capsys.readouterr().err
+        assert earlier.read_text(encoding="utf-8") == ticks
+        assert not fresh.parent.exists()
+
+    def test_opt_threaded_checkpoint_saves_and_resumes(self, graph_file,
+                                                       tmp_path, capsys):
+        ckpt = tmp_path / "ckpt.json"
+        argv = ["triangulate", "--input", str(graph_file), "--method",
+                "opt-threaded", "--page-size", "128",
+                "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        assert "wrote checkpoint" in capsys.readouterr().out
+        assert ckpt.exists()
+        assert main(argv) == 0
+        assert "resuming from checkpoint" in capsys.readouterr().out
+
     def test_opt_threaded_method_runs(self, graph_file, tmp_path, capsys):
         trace_path = tmp_path / "threaded.trace.json"
         code = main(["triangulate", "--input", str(graph_file),

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro.core import make_store, triangulate_disk
 from repro.core.threaded import triangulate_threaded
 from repro.memory.base import CollectSink, canonical_triangles
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 
 SPECS = [
@@ -38,8 +38,9 @@ def _run_sim(graph):
     sink = CollectSink()
     store = make_store(graph, 512)
     result = triangulate_disk(store, buffer_pages=6, sink=sink,
-                              fault_plan=plan, retry_policy=POLICY,
-                              report=report)
+                              ctx=RunContext(fault_plan=plan,
+                                             retry_policy=POLICY,
+                                             report=report))
     return {
         "triangles": canonical_triangles(sink),
         "trace": plan.log.trace(),
@@ -65,16 +66,17 @@ class TestSimulatedDeterminism:
         traces = []
         for seed in (1, 2):
             plan = FaultPlan(SPECS, seed=seed)
-            triangulate_disk(store, buffer_pages=6, fault_plan=plan,
-                             retry_policy=POLICY)
+            triangulate_disk(store, buffer_pages=6,
+                             ctx=RunContext(fault_plan=plan,
+                                            retry_policy=POLICY))
             traces.append(plan.log.trace())
         assert traces[0] != traces[1]
 
     def test_trace_is_canonically_sorted(self, small_rmat_ordered):
         plan = FaultPlan(SPECS, seed=99)
         store = make_store(small_rmat_ordered, 512)
-        triangulate_disk(store, buffer_pages=6, fault_plan=plan,
-                         retry_policy=POLICY)
+        triangulate_disk(store, buffer_pages=6,
+                         ctx=RunContext(fault_plan=plan, retry_policy=POLICY))
         trace = plan.log.trace()
         assert list(trace) == sorted(trace)
 
@@ -96,8 +98,10 @@ class TestThreadedDeterminism:
         report = RunReport("threaded-determinism")
         sink = CollectSink()
         triangulate_threaded(graph, directory, buffer_pages=6, page_size=512,
-                             sink=sink, fault_plan=plan,
-                             retry_policy=self.DROP_POLICY, report=report)
+                             sink=sink,
+                             ctx=RunContext(fault_plan=plan,
+                                            retry_policy=self.DROP_POLICY,
+                                            report=report))
         return {
             "triangles": canonical_triangles(sink),
             "trace": plan.log.trace(),

@@ -18,6 +18,7 @@ from repro.core.threaded import triangulate_threaded
 from repro.errors import ConfigurationError, FaultExhaustedError
 from repro.memory.base import CollectSink, canonical_triangles
 from repro.memory.forward import forward
+from repro.obs import RunContext
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 
 pytestmark = pytest.mark.fault_matrix
@@ -64,7 +65,7 @@ class TestSimulatedEngineMatrix:
         assert affected, "fault rate too low to exercise anything"
         sink = CollectSink()
         triangulate_disk(store, plugin=plugin, buffer_pages=6, sink=sink,
-                         fault_plan=plan, retry_policy=POLICY)
+                         ctx=RunContext(fault_plan=plan, retry_policy=POLICY))
         assert set(canonical_triangles(sink)) == expected
 
         # The log must account for exactly what the plan injected: each
@@ -86,8 +87,9 @@ class TestSimulatedEngineMatrix:
         )
         with pytest.raises(FaultExhaustedError) as excinfo:
             triangulate_disk(store, plugin=plugin, buffer_pages=6,
-                             fault_plan=plan,
-                             retry_policy=RetryPolicy(max_retries=2))
+                             ctx=RunContext(
+                                 fault_plan=plan,
+                                 retry_policy=RetryPolicy(max_retries=2)))
         assert excinfo.value.pid == 0
         assert plan.log.counts()["giveup"] == 1
 
@@ -96,8 +98,8 @@ class TestSimulatedEngineMatrix:
         store = make_store(matrix_graph, PAGE_SIZE)
         plan = FaultPlan(list(RECOVERABLE_SPECS.values()), seed=9)
         sink = CollectSink()
-        triangulate_disk(store, buffer_pages=6, sink=sink, fault_plan=plan,
-                         retry_policy=POLICY)
+        triangulate_disk(store, buffer_pages=6, sink=sink,
+                         ctx=RunContext(fault_plan=plan, retry_policy=POLICY))
         assert set(canonical_triangles(sink)) == expected
 
 
@@ -119,7 +121,8 @@ class TestThreadedEngineMatrix:
         sink = CollectSink()
         triangulate_threaded(matrix_graph, tmp_path, buffer_pages=6,
                              page_size=PAGE_SIZE, sink=sink,
-                             fault_plan=plan, retry_policy=POLICY)
+                             ctx=RunContext(fault_plan=plan,
+                                            retry_policy=POLICY))
         assert set(canonical_triangles(sink)) == expected
         assert "giveup" not in plan.log.counts()
 
@@ -135,8 +138,8 @@ class TestThreadedEngineMatrix:
         sink = CollectSink()
         triangulate_threaded(matrix_graph, tmp_path, buffer_pages=6,
                              page_size=PAGE_SIZE, sink=sink,
-                             fault_plan=plan,
-                             retry_policy=self.TIMEOUT_POLICY)
+                             ctx=RunContext(fault_plan=plan,
+                                            retry_policy=self.TIMEOUT_POLICY))
         assert set(canonical_triangles(sink)) == expected
         counts = plan.log.counts()
         # Every lost completion must have been reclaimed via the timeout
@@ -148,8 +151,10 @@ class TestThreadedEngineMatrix:
         plan = FaultPlan([FaultSpec("dropped_callback", rate=0.5)], seed=1)
         with pytest.raises(ConfigurationError):
             triangulate_threaded(matrix_graph, tmp_path, buffer_pages=6,
-                                 page_size=PAGE_SIZE, fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_retries=2))
+                                 page_size=PAGE_SIZE,
+                                 ctx=RunContext(
+                                     fault_plan=plan,
+                                     retry_policy=RetryPolicy(max_retries=2)))
 
     def test_terminal_fault_raises_typed_error(self, matrix_graph, tmp_path):
         plan = FaultPlan(
@@ -157,5 +162,7 @@ class TestThreadedEngineMatrix:
         )
         with pytest.raises(FaultExhaustedError):
             triangulate_threaded(matrix_graph, tmp_path, buffer_pages=6,
-                                 page_size=PAGE_SIZE, fault_plan=plan,
-                                 retry_policy=RetryPolicy(max_retries=2))
+                                 page_size=PAGE_SIZE,
+                                 ctx=RunContext(
+                                     fault_plan=plan,
+                                     retry_policy=RetryPolicy(max_retries=2)))

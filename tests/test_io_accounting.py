@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.graph.generators import rmat
-from repro.obs import MetricsRegistry, RunReport
+from repro.obs import MetricsRegistry, RunContext, RunReport
 from repro.storage.buffer import BufferManager
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from repro.storage.layout import GraphStore
@@ -79,10 +79,10 @@ def test_run_opt_pages_read_matches_buffer_misses():
     graph = rmat(256, 1024, seed=5)
     report = RunReport("audit")
     plan = FaultPlan([FaultSpec(kind="transient", rate=0.3, times=2)], seed=9)
-    triangulate_disk(graph, buffer_ratio=0.2, page_size=256, report=report,
-                     fault_plan=plan,
-                     retry_policy=RetryPolicy(max_retries=8,
-                                              backoff_base=1e-6))
+    triangulate_disk(graph, buffer_ratio=0.2, page_size=256,
+                     ctx=RunContext(report=report, fault_plan=plan,
+                                    retry_policy=RetryPolicy(
+                                        max_retries=8, backoff_base=1e-6)))
     registry = report.registry
     assert registry.counter("buffer.misses").value == \
         registry.counter("opt.pages_read").value

@@ -419,6 +419,28 @@ class TestVocabClosure:
         assert record is not None
         assert registry.counter("perf.ingested").value == 1
 
+    def test_every_vocabulary_name_has_an_emitter(self):
+        """The direction the ``obs-vocab`` lint rule does not cover: a
+        name nothing emits is dead vocabulary.  Every member must appear
+        as a string literal in some module under ``src/repro`` or
+        ``benchmarks/`` (``lint.*`` live in ``bench_lint.py``)."""
+        import ast
+        from pathlib import Path
+
+        from repro.obs import METRIC_NAMES, TRACE_EVENT_NAMES
+
+        root = Path(__file__).resolve().parents[1]
+        literals: set[str] = set()
+        for tree in ("src/repro", "benchmarks"):
+            for path in sorted((root / tree).rglob("*.py")):
+                if path.name == "vocab.py":
+                    continue
+                for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+                    if isinstance(node, ast.Constant) \
+                            and isinstance(node.value, str):
+                        literals.add(node.value)
+        assert sorted((METRIC_NAMES | TRACE_EVENT_NAMES) - literals) == []
+
 
 class TestStackSampler:
     def test_sample_once_records_this_thread(self):

@@ -15,7 +15,7 @@ import pytest
 from repro.cli import main
 from repro.core import make_store, triangulate_disk, triangulate_threaded
 from repro.memory import edge_iterator
-from repro.obs import RunReport, validate_report_dict
+from repro.obs import RunContext, RunReport, validate_report_dict
 from repro.sim import CostModel
 from repro.verify import verify_methods
 
@@ -28,7 +28,7 @@ def instrumented_run(small_rmat_ordered):
     reference = edge_iterator(small_rmat_ordered)
     report = RunReport("e2e", meta={"dataset": "small_rmat"})
     result = triangulate_disk(store, buffer_ratio=0.15, cost=CostModel(),
-                              cores=2, report=report,
+                              cores=2, ctx=RunContext(report=report),
                               ideal_cpu_ops=reference.cpu_ops)
     return report, result
 
@@ -87,7 +87,8 @@ class TestDiskEngineReport:
         store = make_store(small_rmat_ordered, 256)
         report = RunReport("morph")
         triangulate_disk(store, buffer_ratio=0.10, cost=CostModel(),
-                         cores=4, morphing=True, serial=False, report=report)
+                         cores=4, morphing=True, serial=False,
+                         ctx=RunContext(report=report))
         counters = report.metrics_snapshot()["counters"]
         assert counters["sim.morph.events"] > 0
 
@@ -100,7 +101,8 @@ class TestFig3aFromReportAlone:
         _graph, store, reference = prepared("LJ")
         report = RunReport("fig3a")
         triangulate_disk(store, buffer_ratio=0.15, cost=CostModel(), cores=1,
-                         report=report, ideal_cpu_ops=reference.cpu_ops)
+                         ideal_cpu_ops=reference.cpu_ops,
+                         ctx=RunContext(report=report))
         assert report.derived["overhead_vs_ideal"] <= 1.07
 
 
@@ -109,7 +111,7 @@ class TestThreadedEngineReport:
         store = make_store(small_rmat_ordered, PAGE_SIZE)
         report = RunReport("threaded")
         result = triangulate_threaded(store, tmp_path, buffer_pages=8,
-                                      report=report)
+                                      ctx=RunContext(report=report))
         counters = report.metrics_snapshot()["counters"]
         assert counters["ssd.pages_read"] == result.pages_read
         assert counters["ssd.async_reads"] == result.pages_read

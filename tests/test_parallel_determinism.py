@@ -24,7 +24,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.memory.base import CollectSink
-from repro.obs import RunReport
+from repro.obs import RunContext, RunReport
 from repro.parallel import CSRHandle, SharedCSR, triangulate_parallel
 
 pytestmark = pytest.mark.parallel
@@ -55,7 +55,7 @@ def run_once(graph, workers, chunks=None):
     sink = CollectSink()
     report = RunReport("determinism")
     result = triangulate_parallel(graph, workers=workers, chunks=chunks,
-                                  sink=sink, report=report)
+                                  sink=sink, ctx=RunContext(report=report))
     return result, sink, report
 
 

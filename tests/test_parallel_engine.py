@@ -29,6 +29,7 @@ from repro.graph.generators import complete_graph, star_graph
 from repro.graph.graph import Graph
 from repro.memory import compact_forward, edge_iterator, forward
 from repro.memory.base import CollectSink, canonical_triangles
+from repro.obs import RunContext
 from repro.parallel import (
     default_chunk_count,
     plan_chunks,
@@ -185,7 +186,20 @@ class TestEdgeCases:
         from repro.obs.trace import EventTracer
 
         with pytest.raises(ConfigurationError):
-            triangulate_parallel(figure1, trace=EventTracer.sim())
+            triangulate_parallel(figure1,
+                                 ctx=RunContext(trace=EventTracer.sim()))
+
+    def test_sim_clock_tracer_rejected_by_threaded_engine(self, figure1,
+                                                          tmp_path):
+        """A sim tracer would get wall stamps (explicit ``ts`` bypasses
+        its drop rule), so the real-time engines refuse it up front."""
+        from repro.core import triangulate_threaded
+        from repro.obs.trace import EventTracer
+
+        with pytest.raises(ConfigurationError, match="clock='wall' tracer"):
+            triangulate_threaded(figure1, tmp_path, page_size=128,
+                                 ctx=RunContext(trace=EventTracer.sim()))
+        assert not list(tmp_path.iterdir())  # before the page file exists
 
 
 class TestWorkQueue:
@@ -226,7 +240,7 @@ class TestObsMerge:
         graph = zoo["clustered"]
         serial = edge_iterator(graph)
         report = RunReport("parallel")
-        triangulate_parallel(graph, workers=2, report=report)
+        triangulate_parallel(graph, workers=2, ctx=RunContext(report=report))
         snapshot = report.registry.snapshot()
         assert snapshot["counters"]["parallel.ops"] == serial.cpu_ops
         assert (snapshot["counters"]["triangles{phase=parallel}"]
@@ -241,7 +255,7 @@ class TestObsMerge:
 
         tracer = EventTracer.wall()
         result = triangulate_parallel(zoo["clustered"], workers=4,
-                                      trace=tracer)
+                                      ctx=RunContext(trace=tracer))
         events = tracer.events()
         chunk_events = [e for e in events if e.name == "parallel.chunk"]
         tracks = {e.track for e in chunk_events}
@@ -257,7 +271,8 @@ class TestObsMerge:
             validate_chrome_trace
 
         tracer = EventTracer.wall()
-        triangulate_parallel(zoo["figure1"], workers=2, trace=tracer)
+        triangulate_parallel(zoo["figure1"], workers=2,
+                             ctx=RunContext(trace=tracer))
         payload = to_chrome_trace(tracer)
         assert validate_chrome_trace(payload, known_names_only=True) == []
 

@@ -11,6 +11,7 @@ from repro.core.result_store import TriangleStore, read_nested_groups
 from repro.errors import GraphFormatError
 from repro.graph.metrics import per_vertex_triangles, trigonal_connectivity
 from repro.memory import edge_iterator
+from repro.obs import RunContext
 
 
 class TestReader:
@@ -107,7 +108,7 @@ class TestRunCheckpoint:
 
         sink = CollectSink()
         triangulate_disk(graph, page_size=256, buffer_pages=4, sink=sink,
-                         checkpoint=checkpoint)
+                         ctx=RunContext(checkpoint=checkpoint))
         return sorted(sink.triangles)
 
     def test_resume_replays_exact_output(self, small_rmat_ordered, tmp_path):
@@ -175,12 +176,13 @@ class TestRunCheckpoint:
         sink = CollectSink()
         triangulate_threaded(small_rmat_ordered, tmp_path / "a",
                              buffer_pages=4, page_size=256, sink=sink,
-                             checkpoint=first)
+                             ctx=RunContext(checkpoint=first))
         expected = sorted(sink.triangles)
         resumed = RunCheckpoint.from_dict(first.to_dict())
         sink2 = CollectSink()
         result = triangulate_threaded(small_rmat_ordered, tmp_path / "b",
                                       buffer_pages=4, page_size=256,
-                                      sink=sink2, checkpoint=resumed)
+                                      sink=sink2,
+                                      ctx=RunContext(checkpoint=resumed))
         assert sorted(sink2.triangles) == expected
         assert result.pages_read == 0  # everything replayed, nothing read

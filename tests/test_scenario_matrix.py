@@ -179,14 +179,14 @@ def test_skew_members_cover_every_adaptive_branch():
     """The skew zoo members drive the adaptive selector down every
     branch, observable through the labelled ``exec.branch.*`` counters,
     and the per-branch op split conserves the cell's ``exec.ops``."""
-    from repro.obs import RunReport
+    from repro.obs import RunContext, RunReport
 
     covered: set[str] = set()
     for member in zoo.SKEW_MEMBERS:
         graph = _graph(member, 0)
         report = RunReport(member)
         result = compose("memory", "adaptive", "serial", graph=graph).run(
-            report=report)
+            ctx=RunContext(report=report))
         counters = report.registry.snapshot()["counters"]
         pairs_by_branch = {}
         ops_by_branch = {}

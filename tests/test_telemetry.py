@@ -30,6 +30,7 @@ from repro.analysis.ascii_chart import sparkline
 from repro.errors import ConfigurationError, ParallelError
 from repro.obs import (
     MetricsRegistry,
+    RunContext,
     RunReport,
     TelemetrySampler,
     expose_text,
@@ -143,7 +144,7 @@ class TestSimDeterminism:
 
         sampler = TelemetrySampler(clock="sim")
         triangulate_disk(make_store(graph, 1024), buffer_ratio=0.2,
-                         telemetry=sampler)
+                         ctx=RunContext(telemetry=sampler))
         sampler.finish()
         return sampler.to_jsonl()
 
@@ -160,7 +161,7 @@ class TestSimDeterminism:
     def _parallel_jsonl(graph, workers: int) -> str:
         sampler = TelemetrySampler(clock="sim")
         triangulate_parallel(graph, workers=workers, chunks=8,
-                             telemetry=sampler)
+                             ctx=RunContext(telemetry=sampler))
         sampler.finish()
         return sampler.to_jsonl()
 
@@ -183,7 +184,7 @@ class TestHeartbeats:
         report = RunReport("heartbeat-live")
         sampler = TelemetrySampler(clock="wall", interval=0.01)
         triangulate_parallel(clustered_graph, workers=2, chunks=8,
-                             report=report, telemetry=sampler)
+                             ctx=RunContext(report=report, telemetry=sampler))
         sampler.finish()
         ticks = sampler.ticks()
         assert ticks, "wall sampler recorded nothing"
@@ -200,7 +201,8 @@ class TestHeartbeats:
         """Without telemetry or a straggler policy the heartbeat channel
         stays out of the run entirely (the determinism-critical path)."""
         report = RunReport("heartbeat-off")
-        triangulate_parallel(clustered_graph, workers=2, report=report)
+        triangulate_parallel(clustered_graph, workers=2,
+                             ctx=RunContext(report=report))
         assert report.registry.value("parallel.heartbeats") == 0
 
     @pytest.mark.parametrize("workers", (1, 4))
@@ -209,13 +211,15 @@ class TestHeartbeats:
         policy = StragglerPolicy(poll_interval=0.01)
         sampler = TelemetrySampler(clock="wall", interval=0.01)
         triangulate_parallel(clustered_graph, workers=workers, chunks=8,
-                             telemetry=sampler, straggler=policy)  # warm-up
+                             straggler=policy,  # warm-up
+                             ctx=RunContext(telemetry=sampler))
         gc.collect()
         before = len(os.listdir("/proc/self/fd"))
         for _ in range(3):
             sampler = TelemetrySampler(clock="wall", interval=0.01)
             triangulate_parallel(clustered_graph, workers=workers, chunks=8,
-                                 telemetry=sampler, straggler=policy)
+                                 straggler=policy,
+                                 ctx=RunContext(telemetry=sampler))
         gc.collect()
         assert len(os.listdir("/proc/self/fd")) <= before
 
@@ -237,10 +241,31 @@ class TestFaultMatrix:
                                  inject_worker=1, inject_chunk_delay=0.05)
         report = RunReport("fault-slow")
         result = triangulate_parallel(clustered_graph, workers=3, chunks=12,
-                                      straggler=policy, report=report)
+                                      straggler=policy,
+                                      ctx=RunContext(report=report))
         reference = triangulate_parallel(clustered_graph, workers=3, chunks=12)
         assert result.triangles == reference.triangles
         assert report.registry.value("parallel.straggler") >= 1
+
+    def test_idle_finished_worker_does_not_mask_a_straggler(self):
+        """One worker drained every chunk, one found the queue empty and
+        left, one is stalled: the idle finisher's 0 must not pull the
+        median to 0 and hide the stalled worker."""
+        from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor
+
+        policy = StragglerPolicy(fraction=0.6, min_chunks=1, grace=0.0)
+        registry = MetricsRegistry()
+        monitor = HeartbeatMonitor(policy, workers=3, total_chunks=12,
+                                   registry=registry)
+        monitor.observe(Heartbeat(0, chunks_done=12, ts=0.01, done=True))
+        monitor.observe(Heartbeat(1, ts=0.001))
+        monitor.observe(Heartbeat(2, ts=0.002))
+        # Worker 2 may still be about to fetch: two of three at 0, no flag.
+        assert monitor.check(0.02) == []
+        monitor.mark_done(2)
+        assert monitor.check(0.03) == [1]
+        assert monitor.flagged == frozenset({1})
+        assert registry.value("parallel.straggler") == 1
 
     def test_stalled_worker_raises_before_join(self, clustered_graph):
         """A worker stalled far past the deadline surfaces a timely
@@ -253,7 +278,8 @@ class TestFaultMatrix:
         start = time.perf_counter()
         with pytest.raises(ParallelError, match="no heartbeat"):
             triangulate_parallel(clustered_graph, workers=3, chunks=12,
-                                 straggler=policy, report=report)
+                                 straggler=policy,
+                                 ctx=RunContext(report=report))
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"detection took {elapsed:.1f}s"
         assert report.registry.value("parallel.straggler") >= 1
@@ -275,7 +301,7 @@ class TestThreadedTelemetry:
         store = make_store(small_rmat_ordered, 1024)
         sampler = TelemetrySampler(clock="wall", interval=0.0001)
         triangulate_threaded(store, tmp_path / "pages", buffer_pages=8,
-                             page_size=1024, telemetry=sampler)
+                             page_size=1024, ctx=RunContext(telemetry=sampler))
         sampler.finish()
         assert len(sampler) >= 2
         assert sampler.ticks()[-1]["final"] is True
@@ -286,8 +312,8 @@ class TestThreadedTelemetry:
         store = make_store(small_rmat_ordered, 1024)
         with pytest.raises(ConfigurationError, match="wall"):
             triangulate_threaded(store, tmp_path / "pages", buffer_pages=8,
-                                 page_size=1024,
-                                 telemetry=TelemetrySampler(clock="sim"))
+                                 page_size=1024, ctx=RunContext(
+                                     telemetry=TelemetrySampler(clock="sim")))
 
 
 class TestExposition:

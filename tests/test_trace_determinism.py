@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.engine import triangulate_disk
 from repro.graph.generators import rmat
-from repro.obs import EventTracer, write_chrome_trace
+from repro.obs import EventTracer, RunContext, write_chrome_trace
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 
 pytestmark = pytest.mark.trace
@@ -31,7 +31,7 @@ def _trace_bytes(tmp_path, tag: str, *, fault_seed: int | None = None) -> bytes:
         kwargs["retry_policy"] = RetryPolicy(max_retries=6,
                                              backoff_base=1e-6)
     triangulate_disk(graph, buffer_ratio=0.2, page_size=512,
-                     trace=tracer, **kwargs)
+                     ctx=RunContext(trace=tracer, **kwargs))
     path = write_chrome_trace(tmp_path / f"{tag}.json", tracer)
     return path.read_bytes()
 
@@ -63,7 +63,8 @@ def test_sim_trace_ignores_wall_clock_noise(tmp_path):
     recording nondeterministic timestamps."""
     graph = rmat(256, 1024, seed=7)
     tracer = EventTracer.sim()
-    triangulate_disk(graph, buffer_ratio=0.2, page_size=512, trace=tracer)
+    triangulate_disk(graph, buffer_ratio=0.2, page_size=512,
+                     ctx=RunContext(trace=tracer))
     for event in tracer.events():
         assert event.track.startswith("sim/"), (
             f"wall-clocked event leaked into a sim trace: {event}"

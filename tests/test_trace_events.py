@@ -21,6 +21,7 @@ from repro.core.threaded import triangulate_threaded
 from repro.graph.generators import rmat
 from repro.obs import (
     EventTracer,
+    RunContext,
     RunReport,
     TraceEvent,
     ascii_gantt,
@@ -255,7 +256,7 @@ class TestDiskEngineTracing:
         tracer = EventTracer.sim()
         report = RunReport("traced")
         result = triangulate_disk(graph, buffer_ratio=0.2, page_size=1024,
-                                  report=report, trace=tracer)
+                                  ctx=RunContext(report=report, trace=tracer))
         assert result.triangles > 0
         payload = to_chrome_trace(tracer)
         assert validate_chrome_trace(payload) == []
@@ -279,14 +280,14 @@ class TestDiskEngineTracing:
     def test_disabled_tracer_is_ignored(self, graph):
         tracer = EventTracer(enabled=False)
         result = triangulate_disk(graph, buffer_ratio=0.2, page_size=1024,
-                                  trace=tracer)
+                                  ctx=RunContext(trace=tracer))
         assert len(tracer) == 0
         assert "tracer" not in result.extra
 
     def test_sim_events_cover_every_iteration(self, graph):
         tracer = EventTracer.sim()
         result = triangulate_disk(graph, buffer_ratio=0.2, page_size=1024,
-                                  trace=tracer)
+                                  ctx=RunContext(trace=tracer))
         iterations = [e for e in tracer.events() if e.name == "iteration"]
         assert len(iterations) == result.iterations
         # Iterations tile the simulated timeline back to back.
@@ -301,8 +302,9 @@ class TestThreadedEngineTracing:
         tracer = EventTracer.wall()
         report = RunReport("threaded-traced")
         result = triangulate_threaded(graph, tmp_path, buffer_pages=8,
-                                      page_size=1024, report=report,
-                                      trace=tracer)
+                                      page_size=1024,
+                                      ctx=RunContext(report=report,
+                                                     trace=tracer))
         assert result.triangles > 0
         payload = to_chrome_trace(tracer)
         assert validate_chrome_trace(payload) == []
@@ -321,7 +323,8 @@ class TestThreadedEngineTracing:
     def test_threaded_run_trace_accounts_all_reads(self, graph, tmp_path):
         tracer = EventTracer.wall()
         result = triangulate_threaded(graph, tmp_path, buffer_pages=8,
-                                      page_size=1024, trace=tracer)
+                                      page_size=1024,
+                                      ctx=RunContext(trace=tracer))
         run_trace = result.extra["trace"]
         assert isinstance(run_trace, RunTrace)
         assert run_trace.total_device_reads == result.pages_read
@@ -331,7 +334,7 @@ class TestThreadedEngineTracing:
     def test_threaded_trace_json_loads(self, graph, tmp_path):
         tracer = EventTracer.wall()
         triangulate_threaded(graph, tmp_path / "run", buffer_pages=8,
-                             page_size=1024, trace=tracer)
+                             page_size=1024, ctx=RunContext(trace=tracer))
         path = write_chrome_trace(tmp_path / "out.json", tracer)
         payload = json.loads(path.read_text(encoding="utf-8"))
         assert validate_chrome_trace(payload) == []
