@@ -9,6 +9,7 @@ consumed by the external triangulation (Algorithm 9).
 
 from __future__ import annotations
 
+import copy
 from collections import defaultdict
 
 import numpy as np
@@ -54,15 +55,12 @@ class ChunkContext:
             self._succ_cache[v] = cached
         return cached
 
-    def extend_adjacency(self, mapping: dict[int, np.ndarray]) -> None:
-        """Install assembled adjacency lists (used by the threaded engine)."""
-        self._adjacency.update(mapping)
+    def emitting_to(self, sink: TriangleSink) -> "ChunkContext":
+        """This chunk (same adjacency, ``V_req`` and cache) with its own sink."""
+        view = copy.copy(self)
+        view.sink = sink
+        return view
 
     def add_request(self, candidate: int, requester: int) -> None:
         """Record that internal *requester* needs external *candidate*."""
         self.requesters[candidate].append(requester)
-
-    @property
-    def candidate_vertices(self) -> list[int]:
-        """All external candidate vertices recorded so far (``V_ex``)."""
-        return list(self.requesters)

@@ -151,9 +151,6 @@ def triangulate_disk(
     with ctx.span("replay", cores=cores):
         sim = simulate(run_trace, cost, cores=cores, morphing=morphing,
                        serial=serial, ctx=ctx.only("report", "trace"))
-    extra = {"trace": run_trace, "sim": sim, "config": config, "store": store}
-    if ctx.trace is not None:
-        extra["tracer"] = ctx.trace
     if report is not None:
         ideal_ops = (ideal_cpu_ops if ideal_cpu_ops is not None
                      else run_trace.total_ops)
@@ -163,19 +160,46 @@ def triangulate_disk(
         if ideal > 0:
             report.derive("overhead_vs_ideal", sim.elapsed / ideal)
         report.gauge("run.elapsed_simulated").set(sim.elapsed)
+    return _result(
+        run_trace, sim.elapsed,
+        {"trace": run_trace, "sim": sim, "config": config, "store": store},
+        ctx=ctx, cost=cost)
+
+
+def _result(
+    run_trace: RunTrace,
+    elapsed: float,
+    extra: dict,
+    *,
+    ctx: RunContext = NO_CONTEXT,
+    cost: CostModel = DEFAULT_COST_MODEL,
+    basis: str = "simulated",
+    pages_read: int | None = None,
+) -> TriangulationResult:
+    """The result of a run that produced *run_trace* in *elapsed* seconds.
+
+    The tail every OPT engine shares: the Eq. 3 bill and the I/O counts
+    come from the trace (*pages_read* overrides the trace's count with a
+    device's own), and a report gets the total, the ``cost_conformance``
+    of *elapsed* on the given *basis* and the tracer's overlap analytics.
+    """
+    report = ctx.report
+    if ctx.trace is not None:
+        extra["tracer"] = ctx.trace
+    if report is not None:
         report.counter("triangles", phase="total").inc(run_trace.triangles)
         report.derive("cost_conformance",
-                      cost_conformance(run_trace, sim.elapsed, cost,
-                                       basis="simulated"))
+                      cost_conformance(run_trace, elapsed, cost, basis=basis))
         if ctx.trace is not None:
             fold_trace_analytics(report, ctx.trace)
         extra["report"] = report
     return TriangulationResult(
         triangles=run_trace.triangles,
         cpu_ops=run_trace.total_ops + run_trace.total_candidate_ops,
-        pages_read=run_trace.total_device_reads,
+        pages_read=(run_trace.total_device_reads if pages_read is None
+                    else pages_read),
         pages_buffered=run_trace.total_fill_buffered,
-        elapsed=sim.elapsed,
+        elapsed=elapsed,
         iterations=len(run_trace.iterations),
         extra=extra,
     )
@@ -202,12 +226,4 @@ def replay(run_trace: RunTrace, cost: CostModel, **kwargs) -> TriangulationResul
     including ``ctx=`` to map the replayed timeline into a run report.
     """
     sim = simulate(run_trace, cost, **kwargs)
-    return TriangulationResult(
-        triangles=run_trace.triangles,
-        cpu_ops=run_trace.total_ops + run_trace.total_candidate_ops,
-        pages_read=run_trace.total_device_reads,
-        pages_buffered=run_trace.total_fill_buffered,
-        elapsed=sim.elapsed,
-        iterations=len(run_trace.iterations),
-        extra={"trace": run_trace, "sim": sim},
-    )
+    return _result(run_trace, sim.elapsed, {"trace": run_trace, "sim": sim})

@@ -8,6 +8,13 @@ the external area and stay buffered, the paper's ``Δin`` saving), finds
 internal triangles per page (Algorithm 5) and external triangles per
 arrived candidate chunk (Algorithm 9).
 
+There is one iteration body, :func:`_iterate`, and it never reads a page
+itself: pages *arrive* through a page feed (``fill(pids, on_page)``,
+``request(ordered_pids, on_page)``, ``finish(chunk_pids)``).  The
+:class:`_BufferedFeed` here delivers them synchronously through the
+buffer manager; :mod:`repro.core.threaded` supplies the asynchronous one,
+and with it the same body *is* the paper's macro/micro overlap.
+
 The driver produces exact triangles plus a :class:`~repro.sim.trace.RunTrace`
 describing every iteration's I/O and per-page CPU cost; the discrete-event
 scheduler replays the trace under any core/morphing configuration.  This
@@ -18,7 +25,9 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
+
+import numpy as np
 
 from repro.core.context import ChunkContext
 from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
@@ -36,26 +45,32 @@ from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 from repro.storage.buffer import BufferManager
 from repro.storage.faults import FaultPlan, RecoveringLoader
 from repro.storage.layout import GraphStore
+from repro.storage.page import PageRecord
 
 __all__ = ["OPTConfig", "run_opt"]
 
 logger = get_logger(__name__)
 
+#: ``on_page(records, pid, buffered, delay)``: what a feed hands the
+#: iteration body per arrived page — the records plus what only the feed
+#: knows (was the read absorbed by a buffer; injected device seconds).
+OnPage = Callable[[list[PageRecord], int, bool, float], None]
 
-class _PhaseSink:
-    """Wraps a sink to attribute emitted triangles to the current phase."""
 
-    def __init__(self, inner: TriangleSink, report: RunReport):
+class _TallySink:
+    """Counts the triangles one phase emits on their way to the sink.
+
+    One per phase and iteration, so each is written by one thread only
+    even when external and internal emissions overlap.
+    """
+
+    def __init__(self, inner: TriangleSink):
         self._inner = inner
-        self._report = report
-        self.phase = "internal"
+        self.count = 0
 
     def emit(self, u: int, v: int, ws: Sequence[int]) -> None:
-        self._report.counter("triangles", phase=self.phase).inc(len(ws))
+        self.count += len(ws)
         self._inner.emit(u, v, ws)
-
-    def __getattr__(self, name):  # pages_written, count, ...
-        return getattr(self._inner, name)
 
 
 @dataclass
@@ -86,6 +101,53 @@ class OPTConfig:
                    plugin=plugin or EdgeIteratorPlugin())
 
 
+class _BufferedFeed:
+    """Synchronous page arrival through the buffer manager.
+
+    Holds ``max(m_in, largest chunk) + m_ex`` frames: fill pages stay
+    pinned until :meth:`finish`, requested pages cycle through the rest
+    under LRU — which is how the saved I/O ``Δin`` arises rather than
+    being assumed.  Every ``on_page`` runs on the calling thread before
+    the method returns, so :meth:`request` has delivered the whole list,
+    in order, when it comes back.
+    """
+
+    def __init__(self, store: GraphStore, config: OPTConfig,
+                 internal_frames: int, ctx: RunContext):
+        # MGT streams the whole input file once per iteration (its I/O
+        # cost bound, Eq. 7): no buffering credit for re-read pages.
+        self._credit_hits = not config.plugin.rescan_all
+        self._reader: RecoveringLoader | None = None
+        loader = store.decode_page
+        if ctx.fault_plan is not None:
+            loader = self._reader = RecoveringLoader(
+                store.decode_page, ctx.fault_plan, ctx.retry_policy,
+                registry=ctx.registry, tracer=ctx.trace,
+            )
+        self._buffer = BufferManager(
+            max(config.m_in, internal_frames) + config.m_ex, loader=loader,
+            registry=ctx.registry, tracer=ctx.trace)
+
+    def _deliver(self, pid: int, on_page: OnPage) -> None:
+        hit = pid in self._buffer
+        frame = self._buffer.get(pid, pin=True)
+        delay = self._reader.take_delay() if self._reader is not None else 0.0
+        on_page(frame.records, pid, hit and self._credit_hits, delay)
+
+    def fill(self, pids: Sequence[int], on_page: OnPage) -> None:
+        for pid in pids:
+            self._deliver(pid, on_page)
+
+    def request(self, pids: Sequence[int], on_page: OnPage) -> None:
+        for pid in pids:
+            self._deliver(pid, on_page)
+            self._buffer.unpin(pid)
+
+    def finish(self, chunk_pids: Sequence[int]) -> None:
+        for pid in chunk_pids:  # Algorithm 3 lines 12-13
+            self._buffer.unpin(pid)
+
+
 def run_opt(
     store: GraphStore,
     config: OPTConfig,
@@ -95,18 +157,21 @@ def run_opt(
 ) -> RunTrace:
     """Run OPT over *store* and return the trace (with real triangles).
 
-    The buffer manager holds ``m_in + m_ex`` frames; internal-chunk pages
-    are pinned for their iteration, external pages cycle through the
-    remaining frames under LRU — which is how the saved I/O ``Δin``
-    arises rather than being assumed.
+    Pages arrive through a :class:`_BufferedFeed` of ``m_in + m_ex``
+    frames, on the calling thread: candidate identification runs as each
+    fill page is delivered, and the request list is served to completion
+    before internal triangulation starts.
 
     *ctx* is the run's :class:`~repro.obs.RunContext` (the fields are
     documented there); the driver consumes every one.  Specific to this
-    hop: the report's spans are ``fill`` → ``identify-candidates`` →
-    ``external-triangulation`` → ``internal-triangulation`` per
+    hop: the report's spans are ``fill`` (reads, with Algorithm 7 run per
+    delivered page) → ``identify-candidates`` (Algorithm 4's request
+    list) → ``external-triangulation`` (issue the list; the buffered
+    feed also serves it here) → ``internal-triangulation`` per
     ``iteration``, and triangles are counted under the phase that found
-    them; buffer and fault events are wall-stamped, so a sim-clock
-    tracer drops them here and gets its timeline from replaying the
+    them; the main thread's wall-clock ``fill`` / ``internal`` /
+    ``iteration`` slices, like the buffer and fault events, are dropped
+    by a sim-clock tracer, which gets its timeline from replaying the
     returned trace through :func:`repro.sim.schedule.simulate`; injected
     fault latency is charged to the trace (``fill_delay`` /
     ``ExternalRead.delay``), so that replay shows it; and attribution
@@ -116,33 +181,30 @@ def run_opt(
     """
     ctx.accept("run_opt", "report", "trace", "telemetry", "attribution",
                "fault_plan", "retry_policy", "checkpoint")
+    return _drive(store, config, sink, ctx,
+                  lambda frames: _BufferedFeed(store, config, frames, ctx))
+
+
+def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
+           ctx: RunContext, open_feed: Callable) -> RunTrace:
+    """Algorithm 3's outer loop over a page feed: the only OPT driver.
+
+    ``open_feed(internal_frames)`` is called once, after chunk planning,
+    with the page count of the largest chunk.  The caller has already
+    declared what its engine consumes (``ctx.accept``).
+    """
     report = ctx.report
-    attribution = ctx.attribution
-    fault_plan = ctx.fault_plan
     checkpoint = ctx.checkpoint
     telemetry = ctx.bound_telemetry()
     if sink is None:
         sink = CountSink()
-    if report is not None:
-        sink = _PhaseSink(sink, report)
     plugin = config.plugin
-    if attribution is not None:
-        attr_candidate = attribution.scope(
-            phase="candidate", kernel=plugin.name, source="disk")
-        attr_external = attribution.scope(
-            phase="external", kernel=plugin.name, source="disk")
-        attr_internal = attribution.scope(
-            phase="internal", kernel=plugin.name, source="disk")
-    else:
-        attr_candidate = attr_external = attr_internal = None
-    reader: RecoveringLoader | None = None
-    loader = store.decode_page
-    if fault_plan is not None:
-        reader = RecoveringLoader(
-            store.decode_page, fault_plan, ctx.retry_policy,
-            registry=ctx.registry, tracer=ctx.trace,
-        )
-        loader = reader
+    scopes = (None, None, None)
+    if ctx.attribution is not None:
+        scopes = tuple(
+            ctx.attribution.scope(phase=phase, kernel=plugin.name,
+                                  source="disk")
+            for phase in ("candidate", "external", "internal"))
     if checkpoint is not None:
         checkpoint.bind(num_pages=store.num_pages, plugin=plugin.name,
                         m_in=config.m_in)
@@ -162,17 +224,14 @@ def run_opt(
         end = store.align_chunk_end(pid, config.m_in)
         chunks.append((pid, end))
         pid = end + 1
-    max_chunk = max(end - start + 1 for start, end in chunks)
-    capacity = max(config.m_in, max_chunk) + config.m_ex
-    buffer = BufferManager(capacity, loader=loader,
-                           registry=ctx.registry, tracer=ctx.trace)
+    feed = open_feed(max(end - start + 1 for start, end in chunks))
 
     output_pages_before = getattr(sink, "pages_written", 0)
     if telemetry is not None:
         # The opening tick: t=0 in sim mode, "now" on the wall clock.
         telemetry.sample(0.0 if telemetry.clock == "sim" else None)
     with ctx.span("run-opt", plugin=plugin.name, m_in=config.m_in,
-              m_ex=config.m_ex):
+                  m_ex=config.m_ex):
         for index, (pid, end) in enumerate(chunks):
             if checkpoint is not None and checkpoint.has(index):
                 # Committed by an earlier (failed) run: replay the stored
@@ -186,126 +245,20 @@ def run_opt(
                 logger.debug("iteration %d: replayed %d triangles from "
                              "checkpoint", index, replayed)
                 if report is not None:
+                    # The checkpoint does not keep the phase split; filed
+                    # as internal so the phases still sum to the total.
+                    report.counter("triangles", phase="internal").inc(replayed)
                     report.counter("recovery.checkpoint.replayed").inc()
                     report.counter("opt.iterations").inc()
                 _sample_iteration(telemetry, index)
                 continue
-            iteration = IterationTrace()
             iteration_sink = (GroupCaptureSink(sink) if checkpoint is not None
                               else sink)
             logger.debug("iteration %d: internal pages %d..%d", index, pid, end)
-
-            with ctx.span("iteration", index=index):
-                # -- fill the internal area (Algorithm 3 lines 6-8) ----------
-                chunk_pages = list(range(pid, end + 1))
-                chunk_records = []
-                with ctx.span("fill"):
-                    for page_id in chunk_pages:
-                        hit = page_id in buffer
-                        frame = buffer.get(page_id, pin=True)
-                        if hit and not plugin.rescan_all:
-                            iteration.fill_buffered += 1
-                        else:
-                            iteration.fill_reads += 1
-                        if reader is not None:
-                            iteration.fill_delay += reader.take_delay()
-                        chunk_records.append(frame.records)
-
-                v_lo, v_hi = store.chunk_vertex_range(pid, end)
-                adjacency = _assemble_adjacency(chunk_records)
-                chunk_ctx = ChunkContext(v_lo, v_hi, adjacency, iteration_sink)
-
-                # -- candidate identification (Algorithm 7 per record) -------
-                with ctx.span("identify-candidates"):
-                    phase_started = time.perf_counter()
-                    for records in chunk_records:
-                        for record in records:
-                            candidates, ops = plugin.candidates_for_record(
-                                chunk_ctx, record)
-                            iteration.candidate_ops += ops
-                            if attr_candidate is not None:
-                                attr_candidate.charge(
-                                    len(record.neighbors), ops)
-                            for candidate in candidates:
-                                chunk_ctx.add_request(int(candidate),
-                                                      record.vertex)
-                    if attr_candidate is not None:
-                        attr_candidate.charge_time(
-                            time.perf_counter() - phase_started)
-
-                    # -- build the request list (Algorithm 4) ----------------
-                    if plugin.rescan_all:
-                        # MGT streams the whole input file once per iteration
-                        # (its I/O cost bound, Eq. 7); no buffering credit for
-                        # re-read pages.
-                        ordered = list(range(store.num_pages))
-                    else:
-                        pages_needed: set[int] = set()
-                        for candidate in chunk_ctx.requesters:
-                            pages_needed.update(
-                                store.pages_of_candidate(candidate))
-                        # Descending page ids: the next chunk's pages are
-                        # loaded last and survive in the external area (the
-                        # paper's Δin trick).
-                        ordered = sorted(pages_needed - set(chunk_pages),
-                                         reverse=True)
-
-                # -- external triangulation (Algorithm 9 per page) -----------
-                if report is not None:
-                    sink.phase = "external"
-                with ctx.span("external-triangulation"):
-                    phase_started = time.perf_counter()
-                    for page_id in ordered:
-                        hit = page_id in buffer
-                        frame = buffer.get(page_id, pin=True)
-                        delay = reader.take_delay() if reader is not None else 0.0
-                        ops = 0
-                        for record in frame.records:
-                            if record.vertex in chunk_ctx.requesters:
-                                record_ops = plugin.external_ops_for_record(
-                                    chunk_ctx, record)
-                                ops += record_ops
-                                if attr_external is not None:
-                                    attr_external.charge(
-                                        len(record.neighbors), record_ops)
-                        buffer.unpin(page_id)
-                        buffered = hit and not plugin.rescan_all
-                        iteration.external_reads.append(
-                            ExternalRead(pid=page_id, cpu_ops=ops,
-                                         buffered=buffered, delay=delay)
-                        )
-                    if attr_external is not None:
-                        attr_external.charge_time(
-                            time.perf_counter() - phase_started)
-
-                # -- internal triangulation (Algorithm 5, per page) ----------
-                if report is not None:
-                    sink.phase = "internal"
-                with ctx.span("internal-triangulation"):
-                    phase_started = time.perf_counter()
-                    for records in chunk_records:
-                        if attr_internal is None:
-                            page_ops = plugin.internal_ops_for_page(
-                                chunk_ctx, records)
-                        else:
-                            # Every plugin processes records independently,
-                            # so per-record calls sum to the page call —
-                            # same trace, but degree-bucketed attribution.
-                            page_ops = 0
-                            for record in records:
-                                record_ops = plugin.internal_ops_for_page(
-                                    chunk_ctx, [record])
-                                attr_internal.charge(
-                                    len(record.neighbors), record_ops)
-                                page_ops += record_ops
-                        iteration.internal_page_ops.append(page_ops)
-                    if attr_internal is not None:
-                        attr_internal.charge_time(
-                            time.perf_counter() - phase_started)
-
-                # -- unpin the chunk (Algorithm 3 lines 12-13) ---------------
-                for page_id in chunk_pages:
-                    buffer.unpin(page_id)
+            with ctx.span("iteration", index=index), \
+                    ctx.slice("iteration", index=index):
+                iteration = _iterate(store, plugin, feed, pid, end,
+                                     iteration_sink, scopes, ctx, index)
 
             output_pages_now = getattr(sink, "pages_written", 0)
             iteration.output_pages = output_pages_now - output_pages_before
@@ -335,9 +288,129 @@ def run_opt(
     run_trace.triangles = getattr(sink, "count", 0)
     if report is not None:
         report.counter("opt.pages_read").inc(run_trace.total_device_reads)
-        if fault_plan is not None:
-            _fold_fault_log(fault_plan, report)
+        if ctx.fault_plan is not None:
+            _fold_fault_log(ctx.fault_plan, report)
     return run_trace
+
+
+def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
+             end: int, sink: TriangleSink, scopes: tuple, ctx: RunContext,
+             index: int) -> IterationTrace:
+    """One OPT iteration over internal pages ``pid..end``.
+
+    The two callbacks run wherever the feed delivers pages — the calling
+    thread (buffered feed) or the SSD's callback thread (async feed),
+    where ``external_triangles`` overlaps the internal triangulation
+    below; a feed serializes its deliveries, and ``fill`` / ``finish``
+    return only once every page handed to them has been delivered.
+    """
+    attr_candidate, attr_external, attr_internal = scopes
+    report = ctx.report
+    iteration = IterationTrace()
+    chunk_pages = range(pid, end + 1)
+    internal_sink = external_sink = sink
+    if report is not None:
+        internal_sink, external_sink = _TallySink(sink), _TallySink(sink)
+    v_lo, v_hi = store.chunk_vertex_range(pid, end)
+    adjacency: dict[int, np.ndarray] = {}
+    chunk_ctx = ChunkContext(v_lo, v_hi, adjacency, internal_sink)
+    external_ctx = chunk_ctx.emitting_to(external_sink)
+    arrived: dict[int, tuple[list[PageRecord], bool, float]] = {}
+
+    def identify_candidates(records, page_id, buffered, delay):
+        # Algorithm 7, per delivered fill page: on the async feed this
+        # runs while later fill reads are still in flight.
+        started = time.perf_counter()
+        # Distinct page_id per delivery, deliveries are serialized, and
+        # the main path reads only after fill().  # lint: ignore[lockset]
+        arrived[page_id] = (records, buffered, delay)
+        for record in records:
+            candidates, ops = plugin.candidates_for_record(chunk_ctx, record)
+            # Delivery-side only until fill() returns.  # lint: ignore[lockset]
+            iteration.candidate_ops += ops
+            if attr_candidate is not None:
+                attr_candidate.charge(len(record.neighbors), ops)
+            for candidate in candidates:
+                chunk_ctx.add_request(int(candidate), record.vertex)
+        if attr_candidate is not None:
+            attr_candidate.charge_time(time.perf_counter() - started)
+
+    # -- fill the internal area (Algorithm 3 lines 6-8) ----------------------
+    with ctx.span("fill"), \
+            ctx.slice("fill", reads=len(chunk_pages), index=index):
+        feed.fill(chunk_pages, identify_candidates)
+    chunk_records = []
+    for page_id in chunk_pages:
+        records, buffered, delay = arrived[page_id]
+        chunk_records.append(records)
+        if buffered:
+            iteration.fill_buffered += 1
+        else:
+            iteration.fill_reads += 1
+        iteration.fill_delay += delay
+    # Read-only from here on: both phases below share it.
+    adjacency.update(_assemble_adjacency(chunk_records))
+
+    # -- build the request list (Algorithm 4) --------------------------------
+    with ctx.span("identify-candidates"):
+        if plugin.rescan_all:
+            ordered = list(range(store.num_pages))
+        else:
+            pages_needed: set[int] = set()
+            for candidate in chunk_ctx.requesters:
+                pages_needed.update(store.pages_of_candidate(candidate))
+            # Descending page ids: the next chunk's pages are loaded last
+            # and survive in the external area (the paper's Δin trick).
+            ordered = sorted(pages_needed - set(chunk_pages), reverse=True)
+
+    def external_triangles(records, page_id, buffered, delay):
+        # Algorithm 9, per arrived candidate page.
+        ops = 0
+        for record in records:
+            if record.vertex in chunk_ctx.requesters:
+                record_ops = plugin.external_ops_for_record(external_ctx,
+                                                            record)
+                ops += record_ops
+                if attr_external is not None:
+                    attr_external.charge(len(record.neighbors), record_ops)
+        # Deliveries are serialized; the main path reads external_reads
+        # only after finish().  # lint: ignore[lockset]
+        iteration.external_reads.append(ExternalRead(
+            pid=page_id, cpu_ops=ops, buffered=buffered, delay=delay))
+
+    # -- delegate the external triangulation ---------------------------------
+    with ctx.span("external-triangulation"):
+        phase_started = time.perf_counter()
+        feed.request(ordered, external_triangles)
+        if attr_external is not None:
+            attr_external.charge_time(time.perf_counter() - phase_started)
+
+    # -- internal triangulation (Algorithm 5, per page) ----------------------
+    with ctx.span("internal-triangulation"), ctx.slice("internal", index=index):
+        phase_started = time.perf_counter()
+        for records in chunk_records:
+            # Every plugin processes records independently, so attribution
+            # bills a page record by record: per-record calls sum to the
+            # page call — same trace, but degree-bucketed.
+            page_ops = 0
+            for batch in ([records] if attr_internal is None
+                          else [[record] for record in records]):
+                batch_ops = plugin.internal_ops_for_page(chunk_ctx, batch)
+                if attr_internal is not None:
+                    attr_internal.charge(len(batch[0].neighbors), batch_ops)
+                page_ops += batch_ops
+            iteration.internal_page_ops.append(page_ops)
+        if attr_internal is not None:
+            attr_internal.charge_time(time.perf_counter() - phase_started)
+
+    # -- iteration barrier (Algorithm 3 lines 11-13) -------------------------
+    feed.finish(chunk_pages)
+    if report is not None:
+        for phase, tally in (("internal", internal_sink),
+                             ("external", external_sink)):
+            if tally.count:
+                report.counter("triangles", phase=phase).inc(tally.count)
+    return iteration
 
 
 def _sample_iteration(telemetry: TelemetrySampler | None, index: int) -> None:
@@ -374,8 +447,6 @@ def _fold_fault_log(fault_plan: FaultPlan, report: RunReport) -> None:
 
 def _assemble_adjacency(chunk_records) -> dict:
     """Concatenate record chunks into full adjacency lists per vertex."""
-    import numpy as np
-
     partial: dict[int, list] = {}
     for records in chunk_records:
         for record in records:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import ast
 
 __all__ = [
+    "CALLBACK_SUBMITTERS",
     "ImportTable",
     "MUTATING_METHODS",
     "const_str",
@@ -31,6 +32,11 @@ MUTATING_METHODS = frozenset({
     "sort", "reverse",
     "inc", "observe", "set",  # repro.obs instruments (internally locked)
 })
+
+#: Method names whose function arguments are completion callbacks that
+#: may run on the SSD callback thread: the device's own ``async_read``
+#: and the page feed's ``fill`` / ``request`` that end in it.
+CALLBACK_SUBMITTERS = frozenset({"async_read", "fill", "request"})
 
 #: Callables that produce a lock-like object whose ``with`` block
 #: constitutes a critical section.

@@ -8,7 +8,8 @@ stalls every queued completion behind it, silently re-serializing the
 engine — correctness tests still pass, the overlap the paper claims is
 gone.  This rule statically identifies the callback side:
 
-* functions passed as completion callbacks to ``*.async_read(...)``;
+* functions passed as completion callbacks to ``*.async_read(...)`` or
+  to a page feed's ``fill`` / ``request``;
 * the callback/reader loop methods of classes that spawn
   ``threading.Thread`` workers (``_callback_loop`` and friends);
 
@@ -22,7 +23,11 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.astutil import ImportTable, resolve_call_name
+from repro.lint.astutil import (
+    CALLBACK_SUBMITTERS,
+    ImportTable,
+    resolve_call_name,
+)
 from repro.lint.engine import ModuleInfo, Rule
 from repro.lint.findings import Finding
 
@@ -42,10 +47,6 @@ _BLOCKING_METHODS = frozenset({
     "write_json", "append_jsonl",
 })
 
-#: Method names that mark their function as a completion callback when
-#: the function is passed to them as an argument.
-_ASYNC_SUBMITTERS = frozenset({"async_read"})
-
 #: Thread-loop method naming convention for the callback side.
 _CALLBACK_LOOP_NAMES = ("_callback_loop", "callback_loop")
 
@@ -54,7 +55,7 @@ def _callback_functions(tree: ast.Module) -> list[ast.FunctionDef]:
     """Function defs that run on the SSD callback thread.
 
     Two sources: nested functions whose *name* is passed as an argument
-    to an ``async_read`` call within the same module, and methods named
+    to a callback submitter within the same module, and methods named
     like callback loops in thread-spawning classes.
     """
     defs: dict[str, list[ast.FunctionDef]] = {}
@@ -65,7 +66,7 @@ def _callback_functions(tree: ast.Module) -> list[ast.FunctionDef]:
     seen: set[int] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
-                and node.func.attr in _ASYNC_SUBMITTERS:
+                and node.func.attr in CALLBACK_SUBMITTERS:
             for arg in list(node.args) + [kw.value for kw in node.keywords]:
                 if isinstance(arg, ast.Name):
                     for func in defs.get(arg.id, []):

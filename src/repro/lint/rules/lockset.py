@@ -23,8 +23,8 @@ intersection needs alias analysis; this is the documented
 approximation).
 
 **Closure analysis** — for functions that pass nested functions as
-completion callbacks (``ssd.async_read(pid, callback, args)``) or
-thread targets: a closure variable the callback writes (``nonlocal``
+completion callbacks (``ssd.async_read(pid, callback, args)``, or a
+page feed's ``fill`` / ``request``) or thread targets: a closure variable the callback writes (``nonlocal``
 stores, subscript/attribute stores, known mutating method calls) while
 the enclosing main path also uses it must be written under a ``with``
 on a local lock.  Writes that are safe *by barrier ordering* (the main
@@ -43,6 +43,7 @@ import ast
 from typing import Iterator
 
 from repro.lint.astutil import (
+    CALLBACK_SUBMITTERS,
     MUTATING_METHODS,
     ImportTable,
     dotted_name,
@@ -360,7 +361,7 @@ class LocksetRule(Rule):
                 continue
             candidate_args: list[ast.AST] = []
             if isinstance(node.func, ast.Attribute) \
-                    and node.func.attr == "async_read":
+                    and node.func.attr in CALLBACK_SUBMITTERS:
                 candidate_args = list(node.args) \
                     + [kw.value for kw in node.keywords]
             elif _is_worker_spawn(node, imports):

@@ -6,7 +6,8 @@ Every instrumented entry point — ``triangulate_disk``, ``run_opt``,
 hop below it, so an instrument cannot be dropped between two frames.
 What the engines used to copy lives here once: a disabled tracer or
 sampler becomes ``None`` at construction, :attr:`RunContext.registry` /
-:meth:`RunContext.span` replace the ``if report is not None`` twins,
+:meth:`RunContext.span` / :meth:`RunContext.slice` replace the
+``if report is not None`` / ``if tracer is not None`` twins,
 :meth:`RunContext.bound_telemetry` is the one telemetry-bind site, and
 each entry point opens with one :meth:`RunContext.accept` declaration
 that turns a field it does not consume — or a clock it cannot honour —
@@ -111,6 +112,16 @@ class RunContext:
         if self.report is None:
             return nullcontext()
         return self.report.span(name, **attrs)
+
+    def slice(self, name: str,
+              **args: object) -> AbstractContextManager[object]:
+        """A wall-clock trace slice around a ``with`` body.
+
+        A no-op without a tracer, and on a sim-clock one.
+        """
+        if self.trace is None:
+            return nullcontext()
+        return self.trace.slice(name, **args)
 
     def bound_telemetry(self) -> TelemetrySampler | None:
         """The sampler, bound to the run's registry if it had none.

@@ -16,8 +16,8 @@ Five layers of coverage:
   justified inline ignore, and every ignore still earns its keep);
 * **the race demo** — a synthetic unguarded shared write injected into
   a copy of ``core/threaded.py`` is caught by the lockset rule, and
-  stripping the justified ignores resurfaces the real barrier-safe
-  writes they document.
+  stripping the justified ignores from ``core/framework.py`` resurfaces
+  the real barrier-safe writes they document.
 """
 
 from __future__ import annotations
@@ -440,15 +440,15 @@ def test_lockset_accepts_guarded_closure_write(tmp_path):
 def test_lockset_catches_injected_race_in_threaded_copy(tmp_path):
     """A synthetic unguarded shared write in core/threaded.py is caught."""
     source = (ROOT / "src/repro/core/threaded.py").read_text(encoding="utf-8")
-    anchor_decl = "    issue_lock = threading.Lock()"
-    anchor_write = ("        with issue_lock:  "
+    anchor_decl = "        issue_lock = threading.Lock()"
+    anchor_write = ("            with issue_lock:  "
                     "# Algorithm 9's atomic issue of the next request")
     assert anchor_decl in source and anchor_write in source
     injected = source.replace(
-        anchor_decl, anchor_decl + "\n    completed_pages = []"
+        anchor_decl, anchor_decl + "\n        completed_pages = []"
     ).replace(
         anchor_write,
-        "        completed_pages.append(page_id)\n" + anchor_write,
+        "            completed_pages.append(page_id)\n" + anchor_write,
     )
     result = lint_source(tmp_path, "repro/core/threaded.py", injected,
                          rules=[LocksetRule()])
@@ -458,10 +458,14 @@ def test_lockset_catches_injected_race_in_threaded_copy(tmp_path):
 
 
 def test_lockset_ignores_in_threaded_are_load_bearing(tmp_path):
-    """Stripping the justified ignores resurfaces the documented writes."""
-    source = (ROOT / "src/repro/core/threaded.py").read_text(encoding="utf-8")
+    """Stripping the justified ignores resurfaces the documented writes.
+
+    They sit on the driver's two page callbacks in core/framework.py,
+    which the threaded engine's feed runs on the SSD callback thread.
+    """
+    source = (ROOT / "src/repro/core/framework.py").read_text(encoding="utf-8")
     stripped = source.replace("# lint: ignore[lockset]", "#")
-    result = lint_source(tmp_path, "repro/core/threaded.py", stripped,
+    result = lint_source(tmp_path, "repro/core/framework.py", stripped,
                          rules=[LocksetRule()])
     assert len([f for f in result.findings if f.rule_id == "lockset"]) == 3
 

@@ -121,6 +121,17 @@ class TestThreadedEngineReport:
         assert report.spans.find("iteration") is not None
         exact = edge_iterator(small_rmat_ordered).triangles
         assert result.triangles == exact
+        # Same driver as the disk engine: its per-iteration bill and the
+        # per-phase triangle split reach a threaded report too.
+        disk = triangulate_disk(store, buffer_pages=8)
+        assert result.cpu_ops == disk.cpu_ops > 0
+        assert (counters["opt.candidate.ops"] + counters["opt.internal.ops"]
+                + counters["opt.external.ops"]) == result.cpu_ops
+        assert counters["opt.iterations"] == result.iterations
+        assert counters["opt.pages_read"] == result.pages_read
+        assert (counters["triangles{phase=internal}"]
+                + counters["triangles{phase=external}"]
+                == counters["triangles{phase=total}"] == exact)
 
 
 class TestCliReportFlow:

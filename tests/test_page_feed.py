@@ -1,0 +1,113 @@
+"""The page-feed seam of the OPT driver (``core/framework.py::_drive``).
+
+One iteration body serves every engine; a feed decides only *how pages
+arrive*.  So whatever the feed — the buffer manager on the calling
+thread, ``ThreadedSSD`` callbacks, or a scripted shuffle — every
+iteration must bill the same candidate ops, the same per-page internal
+ops, the same external ``(pid, cpu_ops)`` reads, and list the same
+triangles.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.core import make_store, triangulate_disk, triangulate_threaded
+from repro.core.framework import _drive
+from repro.graph import generators
+from repro.memory import CollectSink, canonical_triangles
+from repro.obs import NO_CONTEXT
+from tests import zoo
+
+PAGE_SIZE = 64
+GRAPHS = [*zoo.zoo_names(), "spanning-hub"]
+
+
+@pytest.fixture(scope="module")
+def serial(graph_zoo):
+    """``(store, disk result, canonical triangles)`` of the serial engine.
+
+    Cached per ``(graph, plugin, buffer_pages)``: every arrival order
+    below is compared against the same run.
+    """
+    cache: dict[tuple, tuple] = {}
+
+    def run(name: str, plugin: str, buffer_pages: int):
+        if name not in cache:
+            graph = (generators.complete_graph(40) if name == "spanning-hub"
+                     else graph_zoo(name))
+            cache[name] = make_store(graph, PAGE_SIZE)
+        key = (name, plugin, buffer_pages)
+        if key not in cache:
+            sink = CollectSink()
+            result = triangulate_disk(cache[name], plugin=plugin,
+                                      buffer_pages=buffer_pages, sink=sink)
+            cache[key] = (cache[name], result, canonical_triangles(sink))
+        return cache[key]
+
+    return run
+
+
+def _bill(run_trace):
+    """Per iteration: what the body computed, free of arrival order."""
+    return [
+        (it.candidate_ops, it.internal_page_ops,
+         sorted((read.pid, read.cpu_ops) for read in it.external_reads))
+        for it in run_trace.iterations
+    ]
+
+
+@pytest.mark.parametrize("window", [1, 4])
+@pytest.mark.parametrize("buffer_pages", [2, 4, 6])
+@pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator"])
+@pytest.mark.parametrize("name", GRAPHS)
+def test_threaded_and_serial_agree_per_iteration(serial, tmp_path, name,
+                                                 plugin, buffer_pages, window):
+    store, disk, triangles = serial(name, plugin, buffer_pages)
+    sink = CollectSink()
+    result = triangulate_threaded(store, tmp_path, plugin=plugin,
+                                  buffer_pages=buffer_pages,
+                                  page_size=PAGE_SIZE, window=window,
+                                  sink=sink)
+    assert _bill(result.extra["trace"]) == _bill(disk.extra["trace"])
+    assert canonical_triangles(sink) == triangles
+    # Eq. 3 conservation reaches the thread cell.
+    assert result.cpu_ops == disk.cpu_ops
+    assert result.triangles == disk.triangles == len(triangles)
+    assert result.iterations == disk.iterations
+
+
+class _ShuffledFeed:
+    """Pages straight from the store, fill and request lists shuffled.
+
+    No buffer, no threads: arrival order is the one thing a feed may
+    vary, so it is the only thing this one does.
+    """
+
+    def __init__(self, store, seed: int):
+        self._store = store
+        self._rng = random.Random(seed)
+
+    def _deliver(self, pids, on_page):
+        pids = list(pids)
+        self._rng.shuffle(pids)
+        for pid in pids:
+            on_page(self._store.decode_page(pid), pid, False, 0.0)
+
+    fill = request = _deliver
+
+    def finish(self, chunk_pids):
+        pass
+
+
+@pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator", "mgt"])
+@pytest.mark.parametrize("name", GRAPHS)
+def test_counts_and_ops_do_not_depend_on_arrival_order(serial, name, plugin):
+    store, disk, triangles = serial(name, plugin, 4)
+    sink = CollectSink()
+    shuffled = _drive(store, disk.extra["config"], sink, NO_CONTEXT,
+                      lambda _frames: _ShuffledFeed(store, seed=7))
+    assert _bill(shuffled) == _bill(disk.extra["trace"])
+    assert canonical_triangles(sink) == triangles

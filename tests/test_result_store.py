@@ -6,12 +6,13 @@ import io
 
 import pytest
 
+from repro.analysis.costs import cost_conformance
 from repro.core import NestedOutputWriter, triangulate_disk
 from repro.core.result_store import TriangleStore, read_nested_groups
 from repro.errors import GraphFormatError
 from repro.graph.metrics import per_vertex_triangles, trigonal_connectivity
 from repro.memory import edge_iterator
-from repro.obs import RunContext
+from repro.obs import RunContext, RunReport
 
 
 class TestReader:
@@ -174,15 +175,27 @@ class TestRunCheckpoint:
 
         first = RunCheckpoint()
         sink = CollectSink()
-        triangulate_threaded(small_rmat_ordered, tmp_path / "a",
-                             buffer_pages=4, page_size=256, sink=sink,
-                             ctx=RunContext(checkpoint=first))
+        whole = triangulate_threaded(small_rmat_ordered, tmp_path / "a",
+                                     buffer_pages=4, page_size=256, sink=sink,
+                                     ctx=RunContext(checkpoint=first))
         expected = sorted(sink.triangles)
         resumed = RunCheckpoint.from_dict(first.to_dict())
         sink2 = CollectSink()
+        report = RunReport("resumed")
         result = triangulate_threaded(small_rmat_ordered, tmp_path / "b",
                                       buffer_pages=4, page_size=256,
                                       sink=sink2,
-                                      ctx=RunContext(checkpoint=resumed))
+                                      ctx=RunContext(checkpoint=resumed,
+                                                     report=report))
         assert sorted(sink2.triangles) == expected
         assert result.pages_read == 0  # everything replayed, nothing read
+        # The checkpoint carries each iteration's trace, as run_opt's does,
+        # so the resumed run bills (and prices) the uninterrupted run's ops.
+        bill, resumed_bill = whole.extra["trace"], result.extra["trace"]
+        assert bill.total_ops > 0 and bill.total_candidate_ops > 0
+        assert [it.candidate_ops for it in resumed_bill.iterations] == \
+            [it.candidate_ops for it in bill.iterations]
+        assert resumed_bill.total_ops == bill.total_ops
+        assert result.cpu_ops == whole.cpu_ops > 0
+        assert report.derived["cost_conformance"]["predicted_elapsed"] == \
+            cost_conformance(bill, 1.0)["predicted_elapsed"]
