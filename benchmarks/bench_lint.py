@@ -36,13 +36,11 @@ TARGET = ROOT / "src" / "repro"
 def lint_tree():
     runner = LintRunner(default_rules(), root=ROOT)
     start = time.perf_counter()
-    result = runner.run([TARGET], build_graph=True)
+    result = runner.run([TARGET])  # project rules build the call graph
     elapsed = time.perf_counter() - start
 
     # Isolate the call-graph phase: a second build over freshly parsed
-    # modules measures summary + linking work on its own (per-file
-    # summaries hit the content-hash cache, exactly as a warm CI run
-    # with an unchanged tree would).
+    # modules measures per-file extraction + linking work on its own.
     from repro.lint.callgraph import build_call_graph
     from repro.lint.engine import _collect_files, parse_module
 

@@ -26,11 +26,8 @@ ASCII Gantt chart.  ``triangulate --telemetry out.jsonl`` streams live
 tick records (counter rates, gauges, histogram percentiles, per-worker
 heartbeats) to a JSONL file while the run is going — simulated clock for
 the disk-based methods (byte-deterministic), wall clock for
-``opt-threaded`` / ``opt-parallel`` — and ``top out.jsonl`` renders that
-stream as a live ASCII dashboard (``--once`` for a single frame,
-``--format prom`` for Prometheus text exposition).  The global
-``--verbose`` / ``--quiet`` flags configure the ``repro.*`` logger
-hierarchy.
+``opt-threaded`` / ``opt-parallel``.  The global ``--verbose`` /
+``--quiet`` flags configure the ``repro.*`` logger hierarchy.
 
 Robustness: ``triangulate --fault-kind transient --fault-rate 0.2``
 injects a seeded :class:`~repro.storage.faults.FaultPlan` into the
@@ -279,8 +276,8 @@ def _cmd_triangulate(args) -> int:
             checkpoint = RunCheckpoint()
     telemetry = telemetry_stream = None
     if args.telemetry:
-        # Stream ticks live (one flushed JSON line each) so a concurrent
-        # `opt-repro top out.jsonl` can follow the run as it goes.
+        # Stream ticks live (one flushed JSON line each) so the file can
+        # be followed while the run is still going.
         telemetry_stream = _LazyTextFile(args.telemetry)
         telemetry = TelemetrySampler(clock=clock, stream=telemetry_stream)
     try:
@@ -318,7 +315,8 @@ def _cmd_triangulate(args) -> int:
     print(format_table(["measure", "value"], rows,
                        title=f"{method} on {args.dataset or args.input}"))
     if telemetry is not None:
-        print(f"wrote {len(telemetry)} telemetry samples to {args.telemetry}")
+        print(f"wrote {telemetry.samples} telemetry samples to "
+              f"{args.telemetry}")
     if tracer is not None:
         path = write_chrome_trace(args.trace, tracer)
         print(f"wrote {len(tracer)} trace events to {path} "
@@ -521,74 +519,10 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_top(args) -> int:
-    import time
-
-    from repro.obs import expose_text, read_telemetry_jsonl, render_top
-
-    path = Path(args.telemetry_file)
-
-    def frame(ticks: list[dict]) -> str:
-        if args.format == "prom":
-            return expose_text(ticks[-1]) if ticks else ""
-        return render_top(ticks, width=args.width)
-
-    if args.once:
-        try:
-            ticks = read_telemetry_jsonl(path)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(frame(ticks))
-        return 0
-    # Follow mode: re-read the stream, redraw when a new tick lands, and
-    # exit when the producer writes its final tick (or on Ctrl-C).  The
-    # file may not exist yet — the run could still be starting up.
-    last_seq = None
-    try:
-        while True:
-            try:
-                ticks = read_telemetry_jsonl(path)
-            except OSError:
-                ticks = []
-            if ticks:
-                seq = ticks[-1].get("seq")
-                if seq != last_seq:
-                    last_seq = seq
-                    print("\x1b[2J\x1b[H", end="")
-                    print(frame(ticks))
-                if ticks[-1].get("final"):
-                    return 0
-            time.sleep(args.interval)
-    except KeyboardInterrupt:
-        print()
-        return 0
-
-
 def _cmd_lint(args) -> int:
     from repro.lint.cli import run_lint
 
-    argv = list(args.paths)
-    argv += ["--format", args.format]
-    if args.baseline:
-        argv += ["--baseline", args.baseline]
-    if args.write_baseline:
-        argv.append("--write-baseline")
-    if args.rules:
-        argv += ["--rules", args.rules]
-    if args.root:
-        argv += ["--root", args.root]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.jobs != 1:
-        argv += ["--jobs", str(args.jobs)]
-    if args.graph:
-        argv += ["--graph", args.graph]
-    if args.strict_ignores:
-        argv.append("--strict-ignores")
-    if args.expire_baselines:
-        argv.append("--expire-baselines")
-    return run_lint(argv)
+    return run_lint(args.lint_argv)
 
 
 def _cmd_datasets(args) -> int:
@@ -687,7 +621,7 @@ def _cmd_perf(args) -> int:
     import json as _json
     import subprocess
 
-    from repro.obs import MetricsRegistry, PerfHistory, render_trend
+    from repro.obs import PerfHistory, render_trend
     from repro.obs.history import bench_name_of
 
     history = PerfHistory(args.index)
@@ -702,15 +636,13 @@ def _cmd_perf(args) -> int:
             except (OSError, subprocess.TimeoutExpired):
                 rev = ""
             rev = rev or "unknown"
-        registry = MetricsRegistry()
         ingested = skipped = 0
         for report in args.reports:
             path = Path(report)
             if not path.exists():
                 print(f"error: {path}: does not exist", file=sys.stderr)
                 return 1
-            record = history.ingest_file(path, git_rev=rev,
-                                         registry=registry)
+            record = history.ingest_file(path, git_rev=rev)
             if record is None:
                 skipped += 1
                 print(f"skipped   {path.name}")
@@ -829,10 +761,9 @@ def build_parser() -> argparse.ArgumentParser:
     tri.add_argument("--telemetry", default=None, metavar="OUT.jsonl",
                      help="stream live telemetry tick records (counter "
                           "rates, gauges, histogram percentiles, worker "
-                          "heartbeats) to this JSONL file; follow it with "
-                          "'top OUT.jsonl'.  Simulated clock for opt/opt-vi/"
-                          "mgt (byte-deterministic), wall clock for "
-                          "opt-threaded and opt-parallel")
+                          "heartbeats) to this JSONL file.  Simulated clock "
+                          "for opt/opt-vi/mgt (byte-deterministic), wall "
+                          "clock for opt-threaded and opt-parallel")
     tri.add_argument("--fault-kind", action="append", default=[],
                      choices=["latency", "transient", "torn"],
                      help="inject seeded storage faults of this kind into the "
@@ -903,40 +834,11 @@ def build_parser() -> argparse.ArgumentParser:
                      help="Gantt chart width in columns")
     trc.set_defaults(func=_cmd_trace)
 
-    top = sub.add_parser("top",
-                         help="live ASCII dashboard over a --telemetry "
-                              "JSONL stream (worker progress bars, ETA, "
-                              "hit-rate sparkline, hottest counter rates)")
-    top.add_argument("telemetry_file", metavar="TELEMETRY.jsonl",
-                     help="tick stream written by triangulate --telemetry "
-                          "(may still be growing)")
-    top.add_argument("--once", action="store_true",
-                     help="render a single frame from the current ticks "
-                          "and exit (no follow loop)")
-    top.add_argument("--format", choices=["live", "prom"], default="live",
-                     help="'live' ASCII dashboard or 'prom' Prometheus "
-                          "text exposition of the latest tick")
-    top.add_argument("--interval", type=float, default=0.5,
-                     help="follow-mode poll interval in seconds")
-    top.add_argument("--width", type=int, default=72,
-                     help="dashboard width in columns")
-    top.set_defaults(func=_cmd_top)
-
-    lnt = sub.add_parser("lint",
+    # No arguments declared here: main() hands everything after `lint`
+    # to repro.lint.cli's parser (so `lint --help` prints that one's).
+    lnt = sub.add_parser("lint", add_help=False,
                          help="project-specific static analysis (lockset, "
                               "sim-purity, obs-vocabulary, ...)")
-    lnt.add_argument("paths", nargs="*", default=["src/repro"],
-                     help="files or directories to lint (default: src/repro)")
-    lnt.add_argument("--format", choices=["text", "json"], default="text")
-    lnt.add_argument("--baseline", default=None, metavar="FILE")
-    lnt.add_argument("--write-baseline", action="store_true")
-    lnt.add_argument("--rules", default=None, metavar="ID[,ID...]")
-    lnt.add_argument("--root", default=None, metavar="DIR")
-    lnt.add_argument("--list-rules", action="store_true")
-    lnt.add_argument("--jobs", type=int, default=1, metavar="N")
-    lnt.add_argument("--graph", choices=["json", "dot"], default=None)
-    lnt.add_argument("--strict-ignores", action="store_true")
-    lnt.add_argument("--expire-baselines", action="store_true")
     lnt.set_defaults(func=_cmd_lint)
 
     ds = sub.add_parser("datasets", help="list dataset stand-ins")
@@ -1016,7 +918,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.func is _cmd_lint:
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     configure_logging(args.verbose - args.quiet)
     try:
         return args.func(args)

@@ -10,20 +10,17 @@ order-stable artifact emission.
 
 Run it as ``python -m repro.lint [paths...]`` or through the umbrella
 CLI as ``python -m repro.cli lint``.  See ``docs/static-analysis.md``
-for the rule catalogue and the suppression / baseline policy.
+for the rule catalogue and the suppression policy.
 """
 
 from __future__ import annotations
 
-from repro.lint.baseline import BASELINE_SCHEMA, Baseline
 from repro.lint.engine import LintResult, LintRunner, ModuleInfo, Rule, parse_module
 from repro.lint.findings import SEVERITIES, Finding
 from repro.lint.rules import ALL_RULES, default_rules
 
 __all__ = [
     "ALL_RULES",
-    "BASELINE_SCHEMA",
-    "Baseline",
     "Finding",
     "LintResult",
     "LintRunner",

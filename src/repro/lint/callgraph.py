@@ -26,21 +26,14 @@ Everything is a *static approximation* in the spirit of
 rules over the graph can only under-report, never hallucinate a path.
 
 Determinism is a contract here exactly as in the engine: symbols are
-indexed in sorted module order, call sites are ordered by source
-position, and both export formats (:meth:`CallGraph.to_json_dict`,
-:meth:`CallGraph.to_dot`) serialize sorted — the same tree always
-produces the same graph bytes, across ``--jobs`` values and hash seeds.
-
-Per-file extraction is cached keyed on the **content hash** of the
-source, so re-linting a clean tree (the common CI case, and the
-``bench_lint.py`` budget) re-parses nothing that did not change within
-the process lifetime.
+indexed in sorted module order and call sites are ordered by source
+position — the same tree always produces the same graph, across hash
+seeds.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -54,9 +47,6 @@ __all__ = [
     "FunctionSymbol",
     "build_call_graph",
 ]
-
-CALLGRAPH_SCHEMA = "repro.lint/callgraph"
-CALLGRAPH_VERSION = 1
 
 _PARTIAL_NAMES = frozenset({"functools.partial", "partial"})
 
@@ -78,15 +68,6 @@ class FunctionSymbol:
     lineno: int
     col: int
     class_name: str | None        # enclosing class, None for module level
-    params: tuple[str, ...]       # posonly + positional-or-keyword, in order
-    kwonly: tuple[str, ...]
-    has_varkw: bool
-    decorators: tuple[str, ...]   # canonical dotted decorator names
-    is_public: bool
-
-    @property
-    def all_params(self) -> tuple[str, ...]:
-        return self.params + self.kwonly
 
     @property
     def entry_key(self) -> str:
@@ -115,16 +96,10 @@ class CallSite:
     relpath: str         # module containing the call
     lineno: int
     col: int
-    #: Keyword names explicitly passed at the call.
-    keywords: tuple[str, ...]
-    #: True when the edge came from a dynamic table (``TABLE[k](...)``),
-    #: a ``functools.partial`` or a bound-method alias rather than a
-    #: direct syntactic call.
-    indirect: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Per-file extraction (content-hash cached)
+# Per-file extraction
 # ---------------------------------------------------------------------------
 
 
@@ -136,7 +111,6 @@ class _RawCall:
     target: str | None           # dotted syntactic target ("self.run", "f")
     lineno: int
     col: int
-    keywords: tuple[str, ...]
     #: For ``functools.partial(f, ...)`` calls: the dotted name of ``f``.
     partial_of: str | None = None
     #: For ``TABLE[key](...)`` calls: the table's dotted name.
@@ -150,10 +124,6 @@ class _RawFunction:
     lineno: int
     col: int
     class_name: str | None
-    params: tuple[str, ...]
-    kwonly: tuple[str, ...]
-    has_varkw: bool
-    decorators: tuple[str, ...]
 
 
 @dataclass
@@ -185,23 +155,6 @@ class _ModuleSummary:
     var_types: dict[str, dict[str, str]] = field(default_factory=dict)
 
 
-#: content-hash -> summary.  Process-wide: a clean re-run (same bytes)
-#: skips extraction entirely, which is what keeps repeated full-tree
-#: passes inside the bench_lint.py budget.
-_SUMMARY_CACHE: dict[str, _ModuleSummary] = {}
-
-
-def _content_key(module: ModuleInfo) -> str:
-    digest = hashlib.sha256(module.source.encode("utf-8")).hexdigest()
-    return f"{module.relpath}\x00{digest}"
-
-
-def _arg_names(args: ast.arguments) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    positional = tuple(a.arg for a in args.posonlyargs + args.args)
-    kwonly = tuple(a.arg for a in args.kwonlyargs)
-    return positional, kwonly
-
-
 class _Extractor(ast.NodeVisitor):
     """One pass over a module tree filling a :class:`_ModuleSummary`."""
 
@@ -231,21 +184,13 @@ class _Extractor(ast.NodeVisitor):
         # attributed to the enclosing top-level function.
         qualname = (f"{self.scope}.{node.name}" if self._scope
                     else self._qualname(node.name))
-        params, kwonly = _arg_names(node.args)
-        decorators = tuple(
-            self.imports.canonical(dotted_name(
-                d.func if isinstance(d, ast.Call) else d)) or "<dynamic>"
-            for d in node.decorator_list
-        )
         # Only top-level functions and methods are indexable symbols;
         # nested defs are callable locally but invisible project-wide.
         if len(self._scope) == 0:
             self.summary.functions.append(_RawFunction(
                 qualname=qualname, name=node.name, lineno=node.lineno,
                 col=node.col_offset, class_name=self._class[-1]
-                if self._class else None, params=params, kwonly=kwonly,
-                has_varkw=node.args.kwarg is not None,
-                decorators=decorators,
+                if self._class else None,
             ))
         self._scope.append(qualname)
         for child in node.body:
@@ -329,10 +274,9 @@ class _Extractor(ast.NodeVisitor):
     # -- calls ---------------------------------------------------------------
 
     def visit_Call(self, node: ast.Call):
-        keywords = tuple(k.arg for k in node.keywords if k.arg is not None)
         raw = _RawCall(
             scope=self.scope, target=dotted_name(node.func),
-            lineno=node.lineno, col=node.col_offset, keywords=keywords,
+            lineno=node.lineno, col=node.col_offset,
         )
         canonical = self.imports.canonical(raw.target)
         if canonical in _PARTIAL_NAMES and node.args:
@@ -343,15 +287,6 @@ class _Extractor(ast.NodeVisitor):
                 or raw.subscript_of is not None:
             self.summary.calls.append(raw)
         self.generic_visit(node)
-
-
-def _summarize(module: ModuleInfo) -> _ModuleSummary:
-    key = _content_key(module)
-    cached = _SUMMARY_CACHE.get(key)
-    if cached is None:
-        cached = _Extractor(module.tree).summary
-        _SUMMARY_CACHE[key] = cached
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +336,7 @@ class CallGraph:
 
     def _build(self) -> None:
         for module in self.modules:
-            summary = _summarize(module)
+            summary = _Extractor(module.tree).summary
             self._summaries[module.relpath] = summary
             dotted = _module_dotted(module)
             self._dotted[module.relpath] = dotted
@@ -413,10 +348,6 @@ class CallGraph:
                     qualname=raw.qualname, name=raw.name,
                     lineno=raw.lineno, col=raw.col,
                     class_name=raw.class_name,
-                    params=raw.params, kwonly=raw.kwonly,
-                    has_varkw=raw.has_varkw,
-                    decorators=raw.decorators,
-                    is_public=not raw.name.startswith("_"),
                 )
                 self.functions[symbol.id] = symbol
                 self._by_dotted[f"{dotted}.{raw.qualname}"] = symbol.id
@@ -452,24 +383,22 @@ class CallGraph:
                     caller = candidate
                 else:
                     caller = f"{module.relpath}::<module>"
-            for callee, indirect in self._resolve(module, summary, imports,
-                                                  raw):
+            for callee in self._resolve(module, summary, imports, raw):
                 self.calls.append(CallSite(
                     caller=caller, callee=callee, relpath=module.relpath,
-                    lineno=raw.lineno, col=raw.col, keywords=raw.keywords,
-                    indirect=indirect,
+                    lineno=raw.lineno, col=raw.col,
                 ))
 
     def _resolve(self, module: ModuleInfo, summary: _ModuleSummary,
                  imports: ImportTable,
-                 raw: _RawCall) -> Iterator[tuple[str, bool]]:
-        """Yield ``(function id, indirect)`` for every resolvable target."""
+                 raw: _RawCall) -> Iterator[str]:
+        """Yield the function id of every resolvable target."""
         # functools.partial(f, ...) — edge to f at the partial site.
         if raw.partial_of is not None:
             target = self._resolve_dotted(module, summary, imports,
                                           raw.scope, raw.partial_of)
             if target is not None:
-                yield target, True
+                yield target
             return
         # TABLE[key](...) — fan out to every registry member.
         if raw.subscript_of is not None:
@@ -484,18 +413,14 @@ class CallGraph:
                                                   raw.scope, member)
                     if target is not None and target not in seen:
                         seen.add(target)
-                        yield target, True
+                        yield target
             return
         if raw.target is None:
             return
         target = self._resolve_dotted(module, summary, imports, raw.scope,
                                       raw.target)
         if target is not None:
-            # An alias binding (g = partial(f); g()) is an indirect edge.
-            head = raw.target.partition(".")[0]
-            aliased = head in summary.aliases.get(raw.scope, {}) \
-                or head in summary.aliases.get("", {})
-            yield target, aliased
+            yield target
 
     def _foreign_registry(self, dotted: str | None) -> tuple[str, ...]:
         """Registry-dict members for a table imported from another module."""
@@ -639,58 +564,6 @@ class CallGraph:
                  for symbol in (self.resolve_entry(key),)
                  if symbol is not None]
         return sorted(found, key=lambda s: s.id)
-
-    # -- export --------------------------------------------------------------
-
-    def to_json_dict(self) -> dict:
-        """Sorted, stable JSON form (the ``--graph json`` export)."""
-        return {
-            "schema": CALLGRAPH_SCHEMA,
-            "version": CALLGRAPH_VERSION,
-            "modules": [m.relpath for m in self.modules],
-            "functions": [
-                {
-                    "id": s.id,
-                    "package_path": s.package_path,
-                    "qualname": s.qualname,
-                    "line": s.lineno,
-                    "params": list(s.all_params),
-                    "has_varkw": s.has_varkw,
-                    "decorators": list(s.decorators),
-                    "public": s.is_public,
-                }
-                for _, s in sorted(self.functions.items())
-            ],
-            "edges": [
-                {
-                    "caller": c.caller,
-                    "callee": c.callee,
-                    "line": c.lineno,
-                    "col": c.col,
-                    "keywords": list(c.keywords),
-                    "indirect": c.indirect,
-                }
-                for c in self.calls
-            ],
-        }
-
-    def to_dot(self) -> str:
-        """Graphviz export: one node per function, one edge per call."""
-        lines = ["digraph callgraph {", "  rankdir=LR;",
-                 '  node [shape=box, fontname="monospace"];']
-        for function_id, symbol in sorted(self.functions.items()):
-            label = f"{symbol.package_path}\\n{symbol.qualname}"
-            lines.append(f'  "{function_id}" [label="{label}"];')
-        seen: set[tuple[str, str]] = set()
-        for call in self.calls:
-            pair = (call.caller, call.callee)
-            if pair in seen:
-                continue
-            seen.add(pair)
-            style = ' [style=dashed]' if call.indirect else ""
-            lines.append(f'  "{call.caller}" -> "{call.callee}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def build_call_graph(modules: Sequence[ModuleInfo]) -> CallGraph:

@@ -2,11 +2,9 @@
 
 Exit codes follow the convention CI scripts expect:
 
-* ``0`` — no new findings (baselined / suppressed findings are fine);
-* ``1`` — new findings, or expired baseline entries (fixed debt must be
-  pruned with ``--write-baseline`` so it cannot regress silently);
-* ``2`` — usage or configuration error (unknown rule id, unreadable
-  baseline).
+* ``0`` — no findings (suppressed findings are fine);
+* ``1`` — findings;
+* ``2`` — usage or configuration error (unknown rule id).
 
 Output is deterministic for a given tree: files are visited in sorted
 order, findings sort by position, and the JSON mode serializes with
@@ -18,17 +16,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import Sequence
 
-from repro.errors import ConfigurationError
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintRunner
 from repro.lint.rules import ALL_RULES, default_rules
 
 __all__ = ["build_parser", "main", "run_lint"]
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,13 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: src/repro)")
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help=f"baseline file (default: {DEFAULT_BASELINE} "
-                             f"next to the first path's repo root if it "
-                             f"exists; a missing file is an empty baseline)")
-    parser.add_argument("--write-baseline", action="store_true",
-                        help="snapshot current findings into the baseline "
-                             "file and exit 0")
     parser.add_argument("--rules", default=None, metavar="ID[,ID...]",
                         help="run only these rule ids")
     parser.add_argument("--root", default=None, metavar="DIR",
@@ -56,20 +42,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: current directory)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe the registered rules and exit")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="parse files with N worker threads; output is "
-                             "byte-identical for any N (default: 1)")
-    parser.add_argument("--graph", choices=("json", "dot"), default=None,
-                        metavar="{json,dot}",
-                        help="export the interprocedural call graph to "
-                             "stdout instead of linting and exit 0")
     parser.add_argument("--strict-ignores", action="store_true",
                         help="report suppression comments that silenced "
                              "nothing as unused-suppression findings")
-    parser.add_argument("--expire-baselines", action="store_true",
-                        help="rewrite the baseline dropping entries no "
-                             "finding uses any more; exit 1 if any were "
-                             "dropped (stale debt must not linger)")
     return parser
 
 
@@ -102,51 +77,10 @@ def run_lint(argv: Sequence[str] | None = None, *, stdout=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    if args.jobs < 1:
-        print("error: --jobs must be >= 1", file=sys.stderr)
-        return 2
-
-    runner = LintRunner(rules, root=args.root, jobs=args.jobs,
+    runner = LintRunner(rules, root=args.root,
                         strict_ignores=args.strict_ignores)
-    result = runner.run(args.paths, build_graph=args.graph is not None)
-
-    if args.graph is not None:
-        # Pure export: no findings, no baseline, always exit 0.
-        if args.graph == "dot":
-            print(result.graph.to_dot(), file=out)
-        else:
-            print(json.dumps(result.graph.to_json_dict(), indent=2,
-                             sort_keys=True), file=out)
-        return 0
-
-    baseline_path = Path(args.baseline) if args.baseline else Path(DEFAULT_BASELINE)
-    if args.write_baseline:
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(f"wrote {len(result.findings)} finding(s) to {baseline_path}",
-              file=out)
-        return 0
-
-    try:
-        baseline = Baseline.load(baseline_path) if args.baseline \
-            else (Baseline.load(baseline_path) if baseline_path.exists()
-                  else Baseline())
-    except ConfigurationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    new, baselined, expired = baseline.split(result.findings)
-
-    if args.expire_baselines:
-        if expired:
-            # Keep exactly the entries still absorbing findings; stale
-            # fingerprints (fixed debt) are dropped so they cannot be
-            # re-spent on a future regression.
-            Baseline.from_findings(baselined).save(baseline_path)
-        kept = len(baseline.entries) - len(expired)
-        print(f"{baseline_path}: {len(expired)} stale baseline entr"
-              f"{'y' if len(expired) == 1 else 'ies'} dropped, "
-              f"{kept} kept", file=out)
-        return 1 if new or expired else 0
+    result = runner.run(args.paths)
+    findings = result.findings
 
     if args.format == "json":
         payload = {
@@ -154,32 +88,18 @@ def run_lint(argv: Sequence[str] | None = None, *, stdout=None) -> int:
             "version": 1,
             "files": result.files,
             "suppressed": result.suppressed,
-            "baselined": len(baselined),
-            "new": [finding.to_dict() for finding in new],
-            "expired": expired,
-            "by_rule": _by_rule(new),
+            "new": [finding.to_dict() for finding in findings],
+            "by_rule": result.by_rule(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True), file=out)
     else:
-        for finding in new:
+        for finding in findings:
             print(finding.format(), file=out)
-        for entry in expired:
-            print(f"expired baseline entry ({entry['unused']} unused): "
-                  f"{entry['example']}", file=out)
-        summary = (f"{result.files} file(s): {len(new)} new finding(s), "
-                   f"{len(baselined)} baselined, {result.suppressed} "
-                   f"suppressed, {len(expired)} expired baseline entr"
-                   f"{'y' if len(expired) == 1 else 'ies'}")
+        summary = (f"{result.files} file(s): {len(findings)} new "
+                   f"finding(s), {result.suppressed} suppressed")
         print(summary, file=out)
 
-    return 1 if new or expired else 0
-
-
-def _by_rule(findings) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for finding in findings:
-        counts[finding.rule_id] = counts.get(finding.rule_id, 0) + 1
-    return dict(sorted(counts.items()))
+    return 1 if findings else 0
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -6,8 +6,7 @@ every registered :class:`Rule`, and filter the findings through inline
 ``# lint: ignore[...]`` suppressions.  Determinism is a contract — the
 same tree always produces the same findings in the same order (the
 byte-stability test in ``tests/test_lint.py`` holds the engine to it),
-because the findings JSON is diffed in CI and fingerprints feed the
-baseline file.
+because the findings JSON is diffed in CI.
 
 Two dispatch tiers share that contract:
 
@@ -18,10 +17,6 @@ Two dispatch tiers share that contract:
   call graph (:mod:`repro.lint.callgraph`) alongside the modules, so a
   rule can follow an untyped exception or a leaked ``SharedCSR`` across
   function and module boundaries.
-
-Parsing can fan out over ``jobs`` worker threads; modules are collected
-back in the original sorted order, so output is byte-identical for any
-job count.
 
 Suppression syntax, on the offending line or alone on the line above::
 
@@ -156,7 +151,7 @@ class LintResult:
     findings: list[Finding]
     files: int
     suppressed: int
-    #: the call graph, when a project rule (or the caller) asked for one
+    #: the call graph, when a project rule asked for one
     graph: "object" = None
 
     def by_rule(self) -> dict[str, int]:
@@ -234,19 +229,16 @@ def _collect_files(paths: Iterable[str | Path]) -> list[Path]:
 class LintRunner:
     """Run a set of rules over a set of paths.
 
-    *jobs* parses files on a thread pool (results are collected back in
-    sorted-path order, so output stays byte-identical for any value).
     *strict_ignores* reports ``# lint: ignore`` directives that
     suppressed zero findings as ``unused-suppression`` findings, so
     stale ignores cannot rot once the code they excused is fixed.
     """
 
     def __init__(self, rules: Sequence[Rule], *,
-                 root: str | Path | None = None, jobs: int = 1,
+                 root: str | Path | None = None,
                  strict_ignores: bool = False):
         self.rules = list(rules)
         self.root = Path(root).resolve() if root is not None else Path.cwd()
-        self.jobs = max(1, int(jobs))
         self.strict_ignores = strict_ignores
         seen: set[str] = set()
         for rule in self.rules:
@@ -257,12 +249,7 @@ class LintRunner:
 
     def _parse_all(self, files: Sequence[Path]) \
             -> list["ModuleInfo | Finding"]:
-        """Parse every file, a parse failure becoming its finding.
-
-        With ``jobs > 1`` parsing fans out over a thread pool; ``map``
-        preserves input order, so downstream output is byte-identical
-        to the serial path.
-        """
+        """Parse every file, a parse failure becoming its finding."""
         def parse_one(path: Path) -> "ModuleInfo | Finding":
             try:
                 return parse_module(path, self.root)
@@ -280,15 +267,9 @@ class LintRunner:
                     message=f"cannot parse: "
                             f"{exc.msg if hasattr(exc, 'msg') else exc}",
                 )
-        if self.jobs == 1 or len(files) < 2:
-            return [parse_one(path) for path in files]
-        from concurrent.futures import ThreadPoolExecutor
+        return [parse_one(path) for path in files]
 
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            return list(pool.map(parse_one, files))
-
-    def run(self, paths: Iterable[str | Path], *,
-            build_graph: bool = False) -> LintResult:
+    def run(self, paths: Iterable[str | Path]) -> LintResult:
         findings: list[Finding] = []
         suppressed = 0
         files = _collect_files(paths)
@@ -337,11 +318,10 @@ class LintRunner:
                 admit(module, [finding])
 
         graph = None
-        if project_rules or build_graph:
+        if project_rules:
             from repro.lint.callgraph import build_call_graph
 
             graph = build_call_graph(modules)
-        if project_rules:
             context = ProjectContext(modules=modules, graph=graph)
             by_relpath = context.by_relpath
             for rule in project_rules:

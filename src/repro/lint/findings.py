@@ -1,22 +1,13 @@
 """Findings: what a lint rule reports, and how findings are identified.
 
-A :class:`Finding` is one diagnostic anchored to a file position.  Two
-identities matter:
-
-* the **position** (``path:line:col``) — what the human jumps to;
-* the **fingerprint** — a stable hash of ``(path, rule, message)`` that
-  deliberately excludes line numbers, so a baseline entry survives
-  unrelated edits that shift code up or down.  Two findings with the
-  same fingerprint (the same message twice in one file) are baselined by
-  *count*, not position.
-
-Findings sort by position so every output mode — text, JSON, baseline —
-is deterministic for a given tree.
+A :class:`Finding` is one diagnostic anchored to a file position
+(``path:line:col`` — what the human jumps to).  Findings sort by
+position so both output modes — text and JSON — are deterministic for a
+given tree.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 __all__ = ["SEVERITIES", "Finding"]
@@ -44,12 +35,6 @@ class Finding:
                 f"severity must be one of {SEVERITIES}, got {self.severity!r}"
             )
 
-    @property
-    def fingerprint(self) -> str:
-        """Line-independent identity used by the baseline file."""
-        basis = f"{self.path}\x00{self.rule_id}\x00{self.message}"
-        return hashlib.sha256(basis.encode("utf-8")).hexdigest()[:16]
-
     def format(self) -> str:
         """The one-line text rendering (``path:line:col: sev [rule] msg``)."""
         return (f"{self.path}:{self.line}:{self.col}: {self.severity}: "
@@ -63,5 +48,4 @@ class Finding:
             "rule": self.rule_id,
             "severity": self.severity,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }

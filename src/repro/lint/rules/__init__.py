@@ -29,7 +29,6 @@ from repro.lint.rules.mutable_default import MutableDefaultRule
 from repro.lint.rules.obs_vocab import ObsVocabRule
 from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
 from repro.lint.rules.set_iteration import SetIterationRule
-from repro.lint.rules.shm_lifecycle import ShmLifecycleRule
 from repro.lint.rules.sim_purity import SimPurityRule
 
 __all__ = ["ALL_RULES", "default_rules"]
@@ -44,7 +43,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ErrorTypesRule,
     MutableDefaultRule,
     SetIterationRule,
-    ShmLifecycleRule,
     # Project rules (interprocedural; run after all per-file rules).
     ExceptionFlowRule,
     ResourceLifecycleRule,

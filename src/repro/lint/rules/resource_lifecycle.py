@@ -1,12 +1,10 @@
 """``resource-lifecycle`` — long-lived resources reach a release on every path.
 
-The per-file ``shm-lifecycle`` rule checks one lexical shape: a
-``SharedMemory(create=True)`` call and a ``try/finally`` in the *same
-function*.  But the resources the overlapped engines actually juggle —
-published :class:`~repro.parallel.shm.SharedCSR` graphs, page files,
-heartbeat queues — are acquired through *factories* whose whole point is
-that the caller, not the factory, owns cleanup.  Ownership crosses the
-call graph; the check must too.
+The resources the overlapped engines juggle — raw shared-memory
+segments, published :class:`~repro.parallel.shm.SharedCSR` graphs, page
+files, heartbeat queues — are acquired through *factories* whose whole
+point is that the caller, not the factory, owns cleanup.  Ownership
+crosses the call graph; the check must too.
 
 This project rule runs an interprocedural escape analysis:
 
@@ -22,14 +20,21 @@ This project rule runs an interprocedural escape analysis:
   yielded, passed whole to another call (the callee now owns it — e.g.
   ``_close_queue(hb_queue)``), or stored on ``self`` — in which case
   the owning class must itself define a release method;
+* a **shared-memory segment** that stays in its frame is held to the
+  stricter all-paths shape: ``.close()`` *and* ``.unlink()`` on it
+  inside a ``finally``.  A segment is a named system resource that
+  survives its creating process, so an exception between creation and a
+  straight-line release leaks a ``/dev/shm`` entry until reboot.
+  Attach-side ``SharedMemory(name=...)`` calls are not acquisitions:
+  attachers own only their mapping, the creator's ``unlink`` is the one
+  that matters;
 * anything else — a resource bound and then dropped, or acquired with
   the result discarded — is a finding at the acquisition site.
 
 Approximations, documented: escape tracking is by whole-name use, so a
-resource smuggled out through a container literal is invisible; a
-release anywhere in the frame counts (the stricter all-paths
-``try/finally`` shape for raw segments stays enforced by
-``shm-lifecycle``); nested function frames are analyzed independently.
+resource smuggled out through a container literal is invisible; for
+everything but raw segments a release anywhere in the frame counts;
+nested function frames are analyzed independently.
 A deliberate leak (a cache that owns its entries process-long) carries
 a justified ``# lint: ignore[resource-lifecycle]``.
 """
@@ -56,6 +61,8 @@ _CLASS_RELEASERS = frozenset(RELEASE_METHODS | {"__exit__", "__del__"})
 
 _QUEUE_FACTORIES = frozenset({"Queue", "SimpleQueue", "JoinableQueue"})
 
+_SEGMENT = "shared-memory segment"
+
 
 def _base_acquisition_kind(call: ast.Call,
                            canonical: str | None,
@@ -69,7 +76,7 @@ def _base_acquisition_kind(call: ast.Call,
             if keyword.arg == "create" \
                     and isinstance(keyword.value, ast.Constant) \
                     and keyword.value.value is True:
-                return "shared-memory segment"
+                return _SEGMENT
         return None
     if canonical.endswith("SharedCSR.publish") \
             or canonical.endswith("SharedCSR.attach"):
@@ -229,7 +236,17 @@ class ResourceLifecycleRule(ProjectRule):
 
         for var in sorted(bound):
             call, kind = bound[var]
-            if var in released or var in escaped:
+            if var in escaped:
+                continue
+            if var in released:
+                if kind == _SEGMENT and var not in returned \
+                        and var not in stored and not \
+                        {"close", "unlink"} <= _called_in_finally(frame, var):
+                    findings.append(self._leak(
+                        module, call, kind, func_name,
+                        "it stays in this frame, where close() and "
+                        "unlink() must both run inside a finally — a "
+                        "failure before them strands it in /dev/shm"))
                 continue
             if var in returned:
                 # Ownership transfers out: this function becomes a
@@ -307,6 +324,22 @@ class ResourceLifecycleRule(ProjectRule):
             f"it in a finally, hand it to an owner with a release "
             f"method, or return it to transfer ownership)",
         )
+
+
+def _called_in_finally(frame: ast.AST, var: str) -> set[str]:
+    """Method names called on *var* inside a ``finally`` of this frame."""
+    called: set[str] = set()
+    for node in _walk_same_frame(frame):
+        if not isinstance(node, ast.Try):
+            continue
+        for stmt in node.finalbody:
+            for sub in ast.walk(stmt):
+                if isinstance(sub, ast.Call) \
+                        and isinstance(sub.func, ast.Attribute) \
+                        and isinstance(sub.func.value, ast.Name) \
+                        and sub.func.value.id == var:
+                    called.add(sub.func.attr)
+    return called
 
 
 def _walk_same_frame(root: ast.AST):

@@ -32,7 +32,6 @@ from repro.obs.attribution import (
     validate_attribution_dict,
 )
 from repro.obs.context import NO_CONTEXT, RunContext
-from repro.obs.expose import expose_text, read_telemetry_jsonl, render_top
 from repro.obs.history import (
     PerfHistory,
     PerfRecord,
@@ -55,7 +54,6 @@ from repro.obs.report import (
     RunReport,
     validate_report_dict,
 )
-from repro.obs.series import Series, SeriesBank
 from repro.obs.spans import Span, SpanTracker
 from repro.obs.telemetry import TelemetrySampler, fold_telemetry
 from repro.obs.trace import (
@@ -101,8 +99,6 @@ __all__ = [
     "RunReport",
     "SCHEMA_NAME",
     "SCHEMA_VERSION",
-    "Series",
-    "SeriesBank",
     "Span",
     "SpanTracker",
     "StackSampler",
@@ -114,16 +110,13 @@ __all__ = [
     "collapsed_text",
     "configure_logging",
     "degree_bucket",
-    "expose_text",
     "fold_telemetry",
     "fold_trace_analytics",
     "from_chrome_trace",
     "get_logger",
     "headline_elapsed",
     "overlap_analytics",
-    "read_telemetry_jsonl",
     "render_attribution",
-    "render_top",
     "render_trend",
     "to_chrome_trace",
     "to_speedscope",

@@ -192,13 +192,12 @@ class PerfHistory:
     # -- ingestion -----------------------------------------------------------
 
     def ingest(self, payload: Mapping, *, bench: str,
-               git_rev: str = "unknown", registry=None) -> PerfRecord | None:
+               git_rev: str = "unknown") -> PerfRecord | None:
         """Append *payload*'s headline to the index.
 
         Returns the appended :class:`PerfRecord`, or ``None`` when the
         report has no headline or the exact ``(bench, metric, git_rev,
-        value)`` tuple is already present (idempotent re-ingest).  With
-        a *registry*, each appended record bumps ``perf.ingested``.
+        value)`` tuple is already present (idempotent re-ingest).
         """
         headline = headline_elapsed(payload)
         if headline is None:
@@ -217,12 +216,10 @@ class PerfHistory:
                   if key in meta},
         )
         self.append(record)
-        if registry is not None:
-            registry.counter("perf.ingested").inc()
         return record
 
-    def ingest_file(self, path: str | Path, *, git_rev: str = "unknown",
-                    registry=None) -> PerfRecord | None:
+    def ingest_file(self, path: str | Path, *,
+                    git_rev: str = "unknown") -> PerfRecord | None:
         """Ingest a ``BENCH_*.json`` file (last line of a trajectory)."""
         text = Path(path).read_text(encoding="utf-8")
         try:
@@ -233,7 +230,7 @@ class PerfHistory:
                 raise ValueError(f"{path}: contains no reports") from None
             payload = json.loads(lines[-1])
         return self.ingest(payload, bench=bench_name_of(path),
-                           git_rev=git_rev, registry=registry)
+                           git_rev=git_rev)
 
     def append(self, record: PerfRecord) -> None:
         """Append one serialized record line (creates the file/parents)."""

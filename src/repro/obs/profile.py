@@ -23,10 +23,11 @@ tuple to an integer weight — which renders two ways:
   exactly as Chrome traces are validated by
   :func:`repro.obs.trace.validate_chrome_trace`.
 
-Overhead contract (pinned by ``benchmarks/bench_profile_overhead.py``):
-an enabled sampler at the default interval costs <10% wall on the
-Fig. 3b in-memory workload, and ``enabled=False`` costs nothing beyond
-the ``is not None`` guard — the same normalization idiom the tracer and
+Overhead contract (pinned by
+``benchmarks/bench_instrumentation_overhead.py``): an enabled sampler
+at the default interval costs <10% wall on the Fig. 3b in-memory
+workload, and ``enabled=False`` costs nothing beyond the ``is not
+None`` guard — the same normalization idiom the tracer and
 telemetry sampler use.
 
 Like the rest of :mod:`repro.obs`, nothing here imports anything outside

@@ -1,29 +1,29 @@
-"""Live telemetry: periodic sampling of the metrics registry into series.
+"""Live telemetry: periodic sampling of the metrics registry into ticks.
 
 Every observability surface before this module was post-hoc — the
 :class:`~repro.obs.report.RunReport` serializes *after* the run, the
 trace exports *after* the run.  The :class:`TelemetrySampler` closes that
 gap: it periodically reads a :class:`~repro.obs.registry.MetricsRegistry`
-and folds each reading into bounded ring-buffer time series
-(:mod:`repro.obs.series`) — counter cumulative values *and* rates, gauge
-values, histogram count/p50/p99 — plus one JSONL *tick record* per
-sample, streamable to disk while the run is still going.  ``repro top``
-renders those ticks live.
+and folds each reading into one *tick record* — counter cumulative
+values *and* rates, gauge values, histogram count/p50/p99 — kept in a
+bounded in-memory window and streamable to disk as JSONL while the run
+is still going.  The tick record is the telemetry store; nothing else
+holds sampled values.
 
 Two clock modes, mirroring :class:`~repro.obs.trace.EventTracer`:
 
 * ``clock="wall"`` — timestamps are seconds since the sampler's epoch.
-  ``sample()`` may be called at natural boundaries (the threaded engine
-  samples per iteration) and/or from the optional background thread
-  (:meth:`start` / :meth:`stop`) for long-running processes.
+  ``sample()`` is called at natural boundaries (the threaded engine
+  samples per iteration, the parallel engine from its drain loop).
 * ``clock="sim"`` — every sample *must* carry an explicit ``now``
-  (engines pass iteration/chunk ordinals), and the background thread is
-  refused.  A sim-clock tick stream is therefore a pure function of the
-  workload: byte-identical JSONL across repeat runs — and, for the
-  process-parallel engine's merge-replay sampling, across worker counts
-  (the determinism gate in ``tests/test_telemetry.py``).
+  (engines pass iteration/chunk ordinals).  A sim-clock tick stream is
+  therefore a pure function of the workload: byte-identical JSONL
+  across repeat runs — and, for the process-parallel engine's
+  merge-replay sampling, across worker counts (the determinism gate in
+  ``tests/test_telemetry.py``).
 
-Overhead contract (pinned by ``benchmarks/bench_telemetry_overhead.py``):
+Overhead contract (pinned by
+``benchmarks/bench_instrumentation_overhead.py``):
 an enabled per-iteration sampler costs <10% wall clock on the Fig. 3a
 workload, and ``enabled=False`` costs nothing beyond the ``is not None``
 guard — :class:`~repro.obs.RunContext` turns a disabled sampler into
@@ -42,16 +42,15 @@ from pathlib import Path
 from typing import IO, Callable, Mapping
 
 from repro.obs.registry import MetricsRegistry
-from repro.obs.series import SeriesBank
 
 __all__ = ["TelemetrySampler", "fold_telemetry"]
 
-#: Histogram summary fields copied onto series / tick records.
+#: Histogram summary fields copied onto tick records.
 _HISTOGRAM_FIELDS = ("count", "mean", "p50", "p99")
 
 
 class TelemetrySampler:
-    """Samples a metrics registry into bounded time series + JSONL ticks.
+    """Samples a metrics registry into a bounded window of JSONL ticks.
 
     Parameters
     ----------
@@ -60,19 +59,18 @@ class TelemetrySampler:
         CLI builds the sampler before the engine builds its report) and
         bound later with :meth:`bind`; sampling unbound raises.
     clock:
-        ``"wall"`` (implicit timestamps allowed, background thread
-        allowed) or ``"sim"`` (explicit ``now`` required, deterministic).
+        ``"wall"`` (implicit timestamps allowed) or ``"sim"`` (explicit
+        ``now`` required, deterministic).
     interval:
-        Minimum seconds between :meth:`maybe_sample` ticks and the
-        background thread's period (wall clock only).
+        Minimum seconds between :meth:`maybe_sample` ticks.
     capacity:
-        Ring-buffer size: points retained per series and tick records
-        retained in memory.  Streams written via *stream* are unbounded
-        by design (they live on disk).
+        Tick records retained in memory (the newest ones).  Streams
+        written via *stream* are unbounded by design (they live on
+        disk).
     stream:
         Optional text file object; every tick record is appended to it
-        as one JSON line and flushed, so a concurrent ``repro top`` can
-        follow the run live.
+        as one JSON line and flushed, so the file can be read while the
+        run is still going.
     enabled:
         ``False`` constructs an inert sampler; ``RunContext`` drops it,
         so the hot path pays only the ``is not None`` guard.
@@ -97,7 +95,6 @@ class TelemetrySampler:
         self.interval = interval
         self.capacity = capacity
         self.enabled = enabled
-        self.bank = SeriesBank(capacity=capacity)
         self._stream = stream
         self._lock = threading.Lock()
         self._ticks: list[dict] = []
@@ -106,8 +103,6 @@ class TelemetrySampler:
         self._prev_counters: dict[str, float] = {}
         self._epoch = time.perf_counter()
         self._providers: list[tuple[str, Callable[[float], object]]] = []
-        self._thread: threading.Thread | None = None
-        self._stop = threading.Event()
 
     # -- wiring --------------------------------------------------------------
 
@@ -129,7 +124,7 @@ class TelemetrySampler:
         """Merge ``provider(now)``'s payload into each tick under *name*.
 
         The heartbeat monitor registers a provider that contributes the
-        per-worker progress section ``repro top`` renders.
+        per-worker progress section (``workers``).
         """
         with self._lock:
             self._providers.append((name, provider))
@@ -186,7 +181,7 @@ class TelemetrySampler:
 
     def _fold_locked(self, now: float, snapshot: Mapping,
                      extra: Mapping) -> dict:
-        """Fold one registry snapshot into the bank and tick log."""
+        """Fold one registry snapshot into a tick record and log it."""
         seq = self._seq
         self._seq += 1
         last_t = self._last_t
@@ -199,16 +194,10 @@ class TelemetrySampler:
                     if prev is not None and dt > 0 else 0.0)
             rates[key] = rate
             self._prev_counters[key] = value
-            self.bank.record(key, now, value)
-            self.bank.record(f"{key}.rate", now, rate)
-        for key, value in snapshot["gauges"].items():
-            self.bank.record(key, now, float(value))
         histograms: dict[str, dict] = {}
         for key, summary in snapshot["histograms"].items():
             fields = {field: summary[field] for field in _HISTOGRAM_FIELDS}
             histograms[key] = fields
-            self.bank.record(f"{key}.p50", now, float(summary["p50"]))
-            self.bank.record(f"{key}.p99", now, float(summary["p99"]))
         record: dict = {
             "t": now,
             "seq": seq,
@@ -230,53 +219,14 @@ class TelemetrySampler:
             self._stream.flush()
         return record
 
-    # -- background sampling (wall clock only) -------------------------------
-
-    def start(self, interval: float | None = None) -> None:
-        """Start a daemon thread sampling every ``interval`` seconds.
-
-        Wall clock only: a sim-clock sampler's ticks come from engine
-        boundaries, never from a wall timer (that would destroy
-        byte-determinism).
-        """
-        if self.clock != "wall":
-            raise ValueError("background sampling requires a wall-clock "
-                             "sampler; sim ticks come from the engine")
-        if not self.enabled:
-            return
-        with self._lock:
-            if self._thread is not None:
-                raise ValueError("sampler thread already running")
-            if interval is not None:
-                self.interval = interval
-            self._stop.clear()
-            self._thread = threading.Thread(
-                target=self._run, name="telemetry-sampler", daemon=True
-            )
-            self._thread.start()
-
-    def _run(self) -> None:
-        while not self._stop.wait(self.interval):
-            self.sample()
-
-    def stop(self) -> None:
-        """Stop the background thread (idempotent)."""
-        with self._lock:
-            thread, self._thread = self._thread, None
-        if thread is None:
-            return
-        self._stop.set()
-        thread.join(timeout=5)
-
     def finish(self, now: float | None = None) -> dict:
-        """Stop background sampling and emit the run's final tick.
+        """Emit the run's final tick.
 
         The final tick carries ``"final": true`` — the end-of-stream
-        marker ``repro top``'s follow mode exits on.  In sim mode with no
+        marker for whoever follows the JSONL file.  In sim mode with no
         explicit *now*, the final tick lands one ordinal past the last
         sampled tick (deterministic, since the tick history is).
         """
-        self.stop()
         if now is None and self.clock == "sim":
             with self._lock:
                 last = self._last_t
@@ -293,6 +243,12 @@ class TelemetrySampler:
     def __len__(self) -> int:
         with self._lock:
             return len(self._ticks)
+
+    @property
+    def samples(self) -> int:
+        """Ticks taken so far — not capped at ``capacity`` like ``len()``."""
+        with self._lock:
+            return self._seq
 
     def to_jsonl(self) -> str:
         """Retained ticks as JSONL — deterministic bytes in sim mode.
@@ -315,16 +271,29 @@ def _tick_line(record: Mapping) -> str:
 
 
 def fold_telemetry(report: object, sampler: TelemetrySampler) -> dict:
-    """Land the sampler's final series state in *report*'s derived figures.
+    """Land the sampler's final state in *report*'s derived figures.
 
-    ``report.derived["telemetry"]`` gets the tick count plus every
-    series' last value, so ``benchmarks/compare_reports.py`` diffs of two
-    RunReports cover the sampled series without shipping whole ring
-    buffers inside every report.  Returns the folded payload.
+    ``report.derived["telemetry"]`` gets the number of samples taken
+    plus the last tick flattened to ``{series name: value}``
+    (``<counter>``, ``<counter>.rate``, ``<gauge>``, ``<histogram>.p50``
+    / ``.p99``), so ``benchmarks/compare_reports.py`` diffs of two
+    RunReports cover the sampled signals without shipping the tick
+    window inside every report.  Returns the folded payload.
     """
+    ticks = sampler.ticks()
+    last = ticks[-1] if ticks else {}
+    series: dict[str, float] = {}
+    for key, value in last.get("counters", {}).items():
+        series[key] = float(value)
+        series[f"{key}.rate"] = last["rates"][key]
+    for key, value in last.get("gauges", {}).items():
+        series[key] = float(value)
+    for key, summary in last.get("histograms", {}).items():
+        series[f"{key}.p50"] = float(summary["p50"])
+        series[f"{key}.p99"] = float(summary["p99"])
     payload = {
-        "samples": len(sampler),
-        "series": sampler.bank.last_values(),
+        "samples": sampler.samples,
+        "series": dict(sorted(series.items())),
     }
     report.derive("telemetry", payload)  # type: ignore[attr-defined]
     return payload

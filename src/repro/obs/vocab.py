@@ -111,8 +111,6 @@ METRIC_NAMES = frozenset({
     # wall sampling profiler (repro.obs.profile)
     "profile.samples",
     "profile.overhead",
-    # perf history store (repro.obs.history)
-    "perf.ingested",
     # live occupancy gauges sampled by the telemetry pipeline
     "buffer.resident",
     "ssd.inflight",

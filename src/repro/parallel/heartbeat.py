@@ -9,8 +9,8 @@ parent-side fix:
   multiprocessing queue at start, after every chunk, and at drain;
 * the parent's monitor loop drains that queue into a
   :class:`HeartbeatMonitor`, which folds per-worker progress into the
-  telemetry pipeline (as a tick provider — the ``workers`` section
-  ``repro top`` renders) and runs two detections per poll:
+  telemetry pipeline (as a tick provider — the ``workers`` section of
+  every tick record) and runs two detections per poll:
 
   1. **straggler** — a live worker whose chunk progress has fallen below
      a configurable fraction of the median worker's progress is flagged
@@ -250,7 +250,7 @@ class HeartbeatMonitor:
             return all(beat.done for beat in self._latest.values())
 
     def provider(self, now: float) -> Mapping:
-        """The telemetry tick's ``workers`` section (see ``render_top``)."""
+        """The telemetry tick's ``workers`` section."""
         with self._lock:
             beats = dict(self._latest)
             seen = dict(self._seen)

@@ -12,8 +12,8 @@ outlives every process that forgets to ``unlink`` it.  :class:`SharedCSR`
 makes the ownership explicit — the *publisher* owns the names and must
 ``unlink``; *attachers* only ``close`` their mappings — and the engine
 wraps the publish in ``try/finally`` so no code path leaks a segment
-(the ``shm-lifecycle`` lint rule and the determinism tests both enforce
-this).
+(the ``resource-lifecycle`` lint rule and the determinism tests both
+enforce this).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def _copy_into_segment(array: np.ndarray) -> shared_memory.SharedMemory:
     # Ownership of the fresh segment transfers to the caller
     # (SharedCSR.publish), whose callers release it via SharedCSR.close()
     # + SharedCSR.unlink() — publish itself unwinds partial failures.
-    # lint: ignore[shm-lifecycle] ownership transfers to the caller
     segment = shared_memory.SharedMemory(create=True,
                                          size=max(1, array.nbytes))
     if array.nbytes:

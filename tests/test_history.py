@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.obs import (
-    MetricsRegistry,
     PerfHistory,
     PerfRecord,
     headline_elapsed,
@@ -56,14 +55,12 @@ class TestHeadline:
 class TestIngest:
     def test_ingest_appends_and_counts(self, tmp_path):
         history = PerfHistory(tmp_path / "hist.jsonl")
-        registry = MetricsRegistry()
         record = history.ingest(_payload(0.5, engine="opt"), bench="fig3a",
-                                git_rev="abc1234", registry=registry)
+                                git_rev="abc1234")
         assert record == PerfRecord(bench="fig3a",
                                     metric="elapsed_simulated", value=0.5,
                                     git_rev="abc1234", seq=0,
                                     meta={"engine": "opt"})
-        assert registry.counter("perf.ingested").value == 1
         assert len(history) == 1
 
     def test_exact_repeat_is_skipped(self, tmp_path):

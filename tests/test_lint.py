@@ -5,15 +5,14 @@ Five layers of coverage:
 * **per-rule fixtures** — every registered rule has one true-positive
   and one true-negative fixture; a coverage meta-test fails when a new
   rule lands without them (project rules get multi-file fixture trees);
-* **engine semantics** — suppressions, baselines, parse errors,
-  deterministic output (including byte-identical output across
-  ``--jobs`` values and hash seeds);
+* **engine semantics** — suppressions, parse errors, deterministic
+  output (including byte-identical output across hash seeds);
 * **the call graph** — decorated functions, ``functools.partial``,
   bound-method aliases, registry-table dispatch, and recursion cycles
   all resolve to the right edges;
-* **the live gate** — ``src/repro`` itself lints clean with an empty
-  baseline and ``--strict-ignores`` (every accepted finding is a
-  justified inline ignore, and every ignore still earns its keep);
+* **the live gate** — ``src/repro`` itself lints clean with
+  ``--strict-ignores`` (every accepted finding is a justified inline
+  ignore, and every ignore still earns its keep);
 * **the race demo** — a synthetic unguarded shared write injected into
   a copy of ``core/threaded.py`` is caught by the lockset rule, and
   stripping the justified ignores from ``core/framework.py`` resurfaces
@@ -32,10 +31,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ConfigurationError
-from repro.lint import ALL_RULES, Baseline, LintRunner, default_rules
+from repro.lint import ALL_RULES, LintRunner, default_rules
+from repro.lint.callgraph import build_call_graph
 from repro.lint.cli import run_lint
-from repro.lint.engine import ProjectRule
+from repro.lint.engine import ProjectRule, parse_module
 from repro.lint.rules.lockset import LocksetRule
 
 pytestmark = [pytest.mark.fast, pytest.mark.lint]
@@ -174,31 +173,6 @@ FIXTURES = {
                     report.counter(key).inc()
         """,
     },
-    "shm-lifecycle": {
-        "path": "repro/parallel/seg.py",
-        "tp": """
-            from multiprocessing import shared_memory
-
-            def publish(payload):
-                segment = shared_memory.SharedMemory(create=True,
-                                                     size=len(payload))
-                segment.buf[:len(payload)] = payload
-                return segment.name
-        """,
-        "tn": """
-            from multiprocessing import shared_memory
-
-            def roundtrip(payload):
-                segment = shared_memory.SharedMemory(create=True,
-                                                     size=len(payload))
-                try:
-                    segment.buf[:len(payload)] = payload
-                    return bytes(segment.buf[:len(payload)])
-                finally:
-                    segment.close()
-                    segment.unlink()
-        """,
-    },
     "engine-composition": {
         "path": "repro/memory/edge_iterator.py",
         "tp": """
@@ -283,7 +257,6 @@ PROJECT_FIXTURES = {
                     return len(graph)
 
                 def _publish(payload):
-                    # lint: ignore[shm-lifecycle] ownership transfers out
                     segment = shared_memory.SharedMemory(create=True,
                                                          size=len(payload))
                     segment.buf[:len(payload)] = payload
@@ -303,7 +276,6 @@ PROJECT_FIXTURES = {
                         segment.unlink()
 
                 def _publish(payload):
-                    # lint: ignore[shm-lifecycle] ownership transfers out
                     segment = shared_memory.SharedMemory(create=True,
                                                          size=len(payload))
                     segment.buf[:len(payload)] = payload
@@ -313,22 +285,81 @@ PROJECT_FIXTURES = {
     },
 }
 
+# resource-lifecycle owns shared-memory release: a segment that stays in
+# its frame needs close() + unlink() inside a finally.  case -> (source,
+# is a finding).
+SEGMENT_FIXTURES = {
+    "released-outside-finally": ("""
+        from multiprocessing import shared_memory
+
+        def roundtrip(payload):
+            segment = shared_memory.SharedMemory(create=True,
+                                                 size=len(payload))
+            segment.buf[:len(payload)] = payload
+            data = bytes(segment.buf[:len(payload)])
+            segment.close()
+            segment.unlink()
+            return data
+    """, True),
+    "closed-never-unlinked": ("""
+        from multiprocessing import shared_memory
+
+        def roundtrip(payload):
+            segment = shared_memory.SharedMemory(create=True,
+                                                 size=len(payload))
+            try:
+                segment.buf[:len(payload)] = payload
+                data = bytes(segment.buf[:len(payload)])
+            finally:
+                segment.close()
+            return data
+    """, True),
+    "try-finally": ("""
+        from multiprocessing import shared_memory
+
+        def roundtrip(payload):
+            segment = shared_memory.SharedMemory(create=True,
+                                                 size=len(payload))
+            try:
+                segment.buf[:len(payload)] = payload
+                return bytes(segment.buf[:len(payload)])
+            finally:
+                segment.close()
+                segment.unlink()
+    """, False),
+    # Attachers (no create=True) only close; the owner unlinks.
+    "attach-only": ("""
+        from multiprocessing import shared_memory
+
+        def attach(name):
+            segment = shared_memory.SharedMemory(name=name)
+            return bytes(segment.buf[:8])
+    """, False),
+}
+
 
 def lint_source(tmp_path, relpath: str, source: str, rules=None, **kwargs):
     """Write one dedented fixture and run the engine over the tree."""
     return lint_tree(tmp_path, {relpath: source}, rules=rules, **kwargs)
 
 
-def lint_tree(tmp_path, files: dict, rules=None, **kwargs):
-    """Write a dict of ``relpath -> source`` fixtures and lint the tree."""
-    for relpath, source in files.items():
+def write_tree(tmp_path, files: dict) -> list[Path]:
+    """Write a dict of ``relpath -> source`` fixtures, dedented."""
+    targets = []
+    for relpath, source in sorted(files.items()):
         target = tmp_path / relpath
         target.parent.mkdir(parents=True, exist_ok=True)
         target.write_text(textwrap.dedent(source), encoding="utf-8")
-    build = kwargs.pop("build_graph", False)
+        targets.append(target)
+    return targets
+
+
+def lint_tree(tmp_path, files: dict, rules=None, **kwargs):
+    """Write a dict of ``relpath -> source`` fixtures and lint the tree."""
+    write_tree(tmp_path, files)
     runner = LintRunner(rules if rules is not None else default_rules(),
                         root=tmp_path, **kwargs)
-    return runner.run([tmp_path], build_graph=build)
+    return runner.run([tmp_path])
 
 
 def test_every_rule_has_fixtures():
@@ -550,33 +581,35 @@ def test_lockset_flags_process_entry_methods(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# shm-lifecycle: the parallel engine's justified ignore is load-bearing
+# resource-lifecycle: the one owner of shared-memory release
 # ---------------------------------------------------------------------------
 
-def test_shm_ignore_in_parallel_shm_is_load_bearing(tmp_path):
-    """Stripping the ownership-transfer ignore resurfaces the factory."""
-    from repro.lint.rules.shm_lifecycle import ShmLifecycleRule
+@pytest.mark.parametrize("case", sorted(SEGMENT_FIXTURES))
+def test_resource_lifecycle_segment_release(tmp_path, case):
+    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
+
+    source, is_finding = SEGMENT_FIXTURES[case]
+    result = lint_source(tmp_path, "repro/parallel/seg.py", source,
+                         rules=[ResourceLifecycleRule()])
+    hits = [f.format() for f in result.findings]
+    assert bool(hits) == is_finding, hits
+
+
+def test_copy_into_segment_is_clean_because_it_returns(tmp_path):
+    """``_copy_into_segment`` needs no ignore: returning the segment hands
+    ownership to ``SharedCSR``.  Drop the ``return`` and it is a leak."""
+    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
 
     source = (ROOT / "src/repro/parallel/shm.py").read_text(encoding="utf-8")
-    stripped = source.replace("# lint: ignore[shm-lifecycle]", "#")
-    result = lint_source(tmp_path, "repro/parallel/shm.py", stripped,
-                         rules=[ShmLifecycleRule()])
-    hits = [f for f in result.findings if f.rule_id == "shm-lifecycle"]
-    assert len(hits) == 1
-
-
-def test_shm_rule_skips_attach_only_calls(tmp_path):
-    """Attachers (no create=True) only close; the owner unlinks."""
-    from repro.lint.rules.shm_lifecycle import ShmLifecycleRule
-
-    result = lint_source(tmp_path, "repro/parallel/att.py", """
-        from multiprocessing import shared_memory
-
-        def attach(name):
-            segment = shared_memory.SharedMemory(name=name)
-            return bytes(segment.buf[:8])
-    """, rules=[ShmLifecycleRule()])
-    assert result.findings == []
+    assert source.count("    return segment\n") == 1
+    for text, expected in ((source, 0),
+                           (source.replace("    return segment\n", ""), 1)):
+        result = lint_source(tmp_path, "repro/parallel/shm.py", text,
+                             rules=[ResourceLifecycleRule()])
+        hits = [f for f in result.findings
+                if f.rule_id == "resource-lifecycle"]
+        assert len(hits) == expected, [f.format() for f in hits]
+        assert all("_copy_into_segment" in f.message for f in hits)
 
 
 # ---------------------------------------------------------------------------
@@ -656,14 +689,13 @@ def test_unknown_rule_id_rejected():
 # ---------------------------------------------------------------------------
 
 def build_graph(tmp_path, files: dict):
-    """Lint a fixture tree with no rules, returning only the call graph."""
-    result = lint_tree(tmp_path, files, rules=[], build_graph=True)
-    assert result.graph is not None
-    return result.graph
+    """Write a fixture tree and link its call graph."""
+    return build_call_graph([parse_module(target, root=tmp_path)
+                             for target in write_tree(tmp_path, files)])
 
 
 def _edge_pairs(graph):
-    return {(c.caller, c.callee, c.indirect) for c in graph.calls}
+    return {(c.caller, c.callee) for c in graph.calls}
 
 
 def test_callgraph_decorated_function_and_cycle(tmp_path):
@@ -679,11 +711,11 @@ def test_callgraph_decorated_function_and_cycle(tmp_path):
     """})
     fib = "repro/core/fib.py::fib"
     helper = "repro/core/fib.py::helper"
-    assert "functools.lru_cache" in graph.functions[fib].decorators
+    assert fib in graph.functions  # a decorated def is still the def
     pairs = _edge_pairs(graph)
-    assert (fib, helper, False) in pairs
-    assert (helper, fib, False) in pairs
-    assert (fib, fib, False) in pairs  # recursion
+    assert (fib, helper) in pairs
+    assert (helper, fib) in pairs
+    assert (fib, fib) in pairs  # recursion
     # A call cycle must not hang the callee walk.
     assert {c.callee for c in graph.callees(fib)} == {fib, helper}
 
@@ -702,9 +734,9 @@ def test_callgraph_functools_partial_is_indirect_edge(tmp_path):
     """})
     pairs = _edge_pairs(graph)
     assert ("repro/core/part.py::<module>",
-            "repro/core/part.py::base", True) in pairs
+            "repro/core/part.py::base") in pairs
     assert ("repro/core/part.py::run",
-            "repro/core/part.py::base", True) in pairs
+            "repro/core/part.py::base") in pairs
 
 
 def test_callgraph_bound_method_alias(tmp_path):
@@ -718,7 +750,7 @@ def test_callgraph_bound_method_alias(tmp_path):
                 return step()
     """})
     assert ("repro/core/step.py::Stepper.run",
-            "repro/core/step.py::Stepper._advance", True) \
+            "repro/core/step.py::Stepper._advance") \
         in _edge_pairs(graph)
 
 
@@ -737,9 +769,9 @@ def test_callgraph_registry_table_dispatch_fans_out(tmp_path):
     """})
     pairs = _edge_pairs(graph)
     assert ("repro/exec/reg.py::dispatch",
-            "repro/exec/reg.py::engine_a", True) in pairs
+            "repro/exec/reg.py::engine_a") in pairs
     assert ("repro/exec/reg.py::dispatch",
-            "repro/exec/reg.py::engine_b", True) in pairs
+            "repro/exec/reg.py::engine_b") in pairs
 
 
 def test_callgraph_cross_module_and_entry_resolution(tmp_path):
@@ -758,17 +790,7 @@ def test_callgraph_cross_module_and_entry_resolution(tmp_path):
     entry = graph.resolve_entry("core/engine.py::triangulate_disk")
     assert entry is not None
     assert ("repro/core/engine.py::triangulate_disk",
-            "repro/core/planner.py::plan", False) in _edge_pairs(graph)
-
-
-def test_callgraph_exports_are_deterministic(tmp_path):
-    files = {"repro/core/fib.py": FIXTURES["mutable-default"]["tp"]}
-    first = build_graph(tmp_path / "a", files)
-    second = build_graph(tmp_path / "b", files)
-    assert json.dumps(first.to_json_dict(), sort_keys=True) \
-        == json.dumps(second.to_json_dict(), sort_keys=True)
-    assert first.to_dot() == second.to_dot()
-    assert first.to_json_dict()["schema"] == "repro.lint/callgraph"
+            "repro/core/planner.py::plan") in _edge_pairs(graph)
 
 
 def test_findings_sorted_and_repeatable(tmp_path):
@@ -781,55 +803,6 @@ def test_findings_sorted_and_repeatable(tmp_path):
     second = runner.run([tmp_path])
     assert first.findings == second.findings
     assert first.findings == sorted(first.findings)
-
-
-# ---------------------------------------------------------------------------
-# baseline
-# ---------------------------------------------------------------------------
-
-def test_baseline_absorbs_then_expires(tmp_path):
-    result = lint_source(tmp_path, "repro/core/defaults.py",
-                         FIXTURES["mutable-default"]["tp"])
-    assert result.findings
-    baseline = Baseline.from_findings(result.findings)
-
-    new, baselined, expired = baseline.split(result.findings)
-    assert (new, len(baselined), expired) == ([], len(result.findings), [])
-
-    # Fix the tree: the baseline entry expires (fixed debt must be pruned).
-    new, baselined, expired = baseline.split([])
-    assert new == [] and baselined == []
-    assert len(expired) == 1 and expired[0]["unused"] == 1
-
-
-def test_baseline_round_trips_through_disk(tmp_path):
-    result = lint_source(tmp_path, "repro/core/defaults.py",
-                         FIXTURES["mutable-default"]["tp"])
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(result.findings).save(path)
-    loaded = Baseline.load(path)
-    assert len(loaded) == len(result.findings)
-    assert loaded.split(result.findings)[0] == []
-
-
-def test_baseline_rejects_foreign_json(tmp_path):
-    path = tmp_path / "baseline.json"
-    path.write_text('{"schema": "something/else"}', encoding="utf-8")
-    with pytest.raises(ConfigurationError):
-        Baseline.load(path)
-
-
-def test_missing_baseline_is_empty(tmp_path):
-    assert len(Baseline.load(tmp_path / "absent.json")) == 0
-
-
-def test_fingerprint_survives_line_shift(tmp_path):
-    spec = FIXTURES["mutable-default"]
-    before = lint_source(tmp_path, spec["path"], spec["tp"])
-    shifted = "# a new leading comment\n\n" + textwrap.dedent(spec["tp"])
-    after = lint_source(tmp_path, spec["path"], shifted)
-    assert before.findings[0].line != after.findings[0].line
-    assert before.findings[0].fingerprint == after.findings[0].fingerprint
 
 
 # ---------------------------------------------------------------------------
@@ -846,25 +819,9 @@ def test_cli_exit_one_on_findings(tmp_path):
     target = tmp_path / "repro/core/defaults.py"
     target.parent.mkdir(parents=True)
     target.write_text(textwrap.dedent(FIXTURES["mutable-default"]["tp"]))
-    code, text = _cli([str(tmp_path), "--root", str(tmp_path),
-                       "--baseline", str(tmp_path / "absent.json")])
+    code, text = _cli([str(tmp_path), "--root", str(tmp_path)])
     assert code == 1
     assert "[mutable-default]" in text
-
-
-def test_cli_write_baseline_then_clean_then_expired(tmp_path):
-    target = tmp_path / "repro/core/defaults.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(textwrap.dedent(FIXTURES["mutable-default"]["tp"]))
-    baseline = tmp_path / "baseline.json"
-    argv = [str(tmp_path), "--root", str(tmp_path), "--baseline", str(baseline)]
-
-    assert _cli(argv + ["--write-baseline"])[0] == 0
-    assert _cli(argv)[0] == 0  # baselined findings pass the gate
-
-    target.write_text(textwrap.dedent(FIXTURES["mutable-default"]["tn"]))
-    code, text = _cli(argv)  # fixed debt must be pruned: exit 1
-    assert code == 1 and "expired" in text
 
 
 def test_cli_exit_two_on_unknown_rule(tmp_path):
@@ -892,8 +849,7 @@ def test_json_output_byte_identical_across_hash_seeds(tmp_path):
                    PYTHONPATH=str(ROOT / "src"))
         proc = subprocess.run(
             [sys.executable, "-m", "repro.lint", str(tmp_path),
-             "--root", str(tmp_path), "--format", "json",
-             "--baseline", str(tmp_path / "absent.json")],
+             "--root", str(tmp_path), "--format", "json"],
             capture_output=True, text=True, env=env, cwd=str(tmp_path),
         )
         assert proc.returncode == 1, proc.stderr
@@ -904,48 +860,6 @@ def test_json_output_byte_identical_across_hash_seeds(tmp_path):
     payload = json.loads(first)
     assert payload["schema"] == "repro.lint/report"
     assert len(payload["new"]) >= 3
-
-
-def test_cli_jobs_output_byte_identical(tmp_path):
-    """--jobs N parallelism must never reorder or change output."""
-    for rule_id in ("mutable-default", "error-types", "set-iteration"):
-        spec = FIXTURES[rule_id]
-        target = tmp_path / spec["path"]
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(spec["tp"]), encoding="utf-8")
-    argv = [str(tmp_path), "--root", str(tmp_path), "--format", "json",
-            "--baseline", str(tmp_path / "absent.json")]
-    outputs = {jobs: _cli(argv + ["--jobs", str(jobs)]) for jobs in (1, 4, 7)}
-    assert outputs[1] == outputs[4] == outputs[7]
-    assert outputs[1][0] == 1
-
-
-def test_cli_graph_json_export(tmp_path):
-    files = PROJECT_FIXTURES["exception-flow"]["tp"]
-    for relpath, source in files.items():
-        target = tmp_path / relpath
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(source), encoding="utf-8")
-    code, text = _cli([str(tmp_path), "--root", str(tmp_path),
-                       "--graph", "json"])
-    assert code == 0  # pure export: findings never affect the exit code
-    payload = json.loads(text)
-    assert payload["schema"] == "repro.lint/callgraph"
-    ids = {f["id"] for f in payload["functions"]}
-    assert "repro/core/engine.py::triangulate_disk" in ids
-    assert payload["edges"]
-
-
-def test_cli_graph_dot_export(tmp_path):
-    (tmp_path / "repro").mkdir(parents=True)
-    (tmp_path / "repro/mod.py").write_text(
-        "def f():\n    return g()\n\ndef g():\n    return 1\n",
-        encoding="utf-8")
-    code, text = _cli([str(tmp_path), "--root", str(tmp_path),
-                       "--graph", "dot"])
-    assert code == 0
-    assert text.startswith("digraph callgraph {")
-    assert '"repro/mod.py::f" -> "repro/mod.py::g"' in text
 
 
 def test_strict_ignores_flags_unused_suppression(tmp_path):
@@ -971,45 +885,26 @@ def test_strict_ignores_off_by_default(tmp_path):
     assert result.findings == []
 
 
-def test_cli_expire_baselines_prunes_stale_entries(tmp_path):
-    target = tmp_path / "repro/core/defaults.py"
-    target.parent.mkdir(parents=True)
-    target.write_text(textwrap.dedent(FIXTURES["mutable-default"]["tp"]))
-    baseline = tmp_path / "baseline.json"
-    argv = [str(tmp_path), "--root", str(tmp_path),
-            "--baseline", str(baseline)]
-    assert _cli(argv + ["--write-baseline"])[0] == 0
-
-    # Nothing stale yet: the gate passes and the file is untouched.
-    before = baseline.read_text(encoding="utf-8")
-    assert _cli(argv + ["--expire-baselines"])[0] == 0
-    assert baseline.read_text(encoding="utf-8") == before
-
-    # Fix the tree: the entry is stale; --expire-baselines exits 1 and
-    # rewrites the baseline so the debt cannot be re-spent.
-    target.write_text(textwrap.dedent(FIXTURES["mutable-default"]["tn"]))
-    code, text = _cli(argv + ["--expire-baselines"])
-    assert code == 1 and "1 stale baseline entry dropped" in text
-    assert len(Baseline.load(baseline)) == 0
-    assert _cli(argv + ["--expire-baselines"])[0] == 0  # now converged
-
-
 def test_umbrella_cli_lint_subcommand(tmp_path, capsys):
+    """``opt-repro lint`` declares no flags of its own: whatever follows
+    the subcommand reaches ``repro.lint.cli``'s parser."""
     from repro.cli import main as repro_main
 
-    code = repro_main(["lint", str(ROOT / "src" / "repro"),
-                       "--root", str(ROOT),
-                       "--baseline", str(tmp_path / "absent.json")])
-    assert code == 0
-    assert "0 new finding(s)" in capsys.readouterr().out
+    write_tree(tmp_path, {FIXTURES[rule_id]["path"]: FIXTURES[rule_id]["tp"]
+                          for rule_id in ("mutable-default", "error-types")})
+    code = repro_main(["lint", str(tmp_path), "--root", str(tmp_path),
+                       "--rules", "error-types", "--format", "json"])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["files"] == 2
+    assert set(payload["by_rule"]) == {"error-types"}
 
 
-def test_repo_tree_lints_clean(tmp_path):
-    """The gate: src/repro has zero new findings with an empty baseline,
-    even with --strict-ignores (every inline ignore still suppresses a
-    real finding — stale excuses are findings themselves)."""
+def test_repo_tree_lints_clean():
+    """The gate: src/repro has zero findings even with --strict-ignores
+    (every inline ignore still suppresses a real finding — stale excuses
+    are findings themselves)."""
     code, text = _cli([str(ROOT / "src" / "repro"), "--root", str(ROOT),
-                       "--baseline", str(tmp_path / "absent.json"),
                        "--strict-ignores"])
     assert code == 0, f"lint gate failed:\n{text}"
     assert "0 new finding(s)" in text

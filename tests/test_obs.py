@@ -388,13 +388,13 @@ class TestLogging:
 
 
 class TestVocabClosure:
-    """The profiler / perf-history names are vocabulary members, and the
-    emitters stay within the vocabulary under a strict registry."""
+    """The profiler names are vocabulary members, and the emitters stay
+    within the vocabulary under a strict registry."""
 
     def test_new_names_are_in_the_vocabulary(self):
         from repro.obs import is_metric_name
 
-        for name in ("profile.samples", "profile.overhead", "perf.ingested"):
+        for name in ("profile.samples", "profile.overhead"):
             assert is_metric_name(name), name
 
     def test_stack_sampler_emits_vocabulary_names_only(self):
@@ -408,16 +408,6 @@ class TestVocabClosure:
         snapshot = registry.snapshot()
         assert "profile.samples" in snapshot["counters"]
         assert "profile.overhead" in snapshot["gauges"]
-
-    def test_history_ingest_emits_vocabulary_names_only(self, tmp_path):
-        from repro.obs import PerfHistory
-
-        registry = MetricsRegistry(strict_vocab=True)
-        history = PerfHistory(tmp_path / "hist.jsonl")
-        record = history.ingest({"derived": {"elapsed_simulated": 0.5}},
-                                bench="b", git_rev="r", registry=registry)
-        assert record is not None
-        assert registry.counter("perf.ingested").value == 1
 
     def test_every_vocabulary_name_has_an_emitter(self):
         """The direction the ``obs-vocab`` lint rule does not cover: a

@@ -111,7 +111,7 @@ def test_checker_flags_bad_payload(checker, tmp_path):
 def test_telemetry_overhead_baseline_is_seeded(checker):
     """The committed telemetry-overhead artifact validates and its
     derived ratios honor the pipeline's overhead contract (<10% wall
-    cost enabled, ~0 disabled — see bench_telemetry_overhead.py)."""
+    cost enabled, ~0 disabled — see bench_instrumentation_overhead.py)."""
     path = BENCHMARKS_DIR / "results" / "BENCH_telemetry_overhead.json"
     assert path.exists(), "missing committed BENCH_telemetry_overhead.json"
     assert checker.validate_file(path) == []
@@ -128,7 +128,8 @@ def test_profile_overhead_baseline_is_seeded(checker):
     """The committed profiler-overhead artifact validates and its
     derived ratios honor the profiler's overhead contract: <10% wall
     for the stack sampler, ~0 disabled, and the attribution table
-    within its documented ceiling (see bench_profile_overhead.py)."""
+    within its documented ceiling (see
+    bench_instrumentation_overhead.py)."""
     path = BENCHMARKS_DIR / "results" / "BENCH_profile_overhead.json"
     assert path.exists(), "missing committed BENCH_profile_overhead.json"
     assert checker.validate_file(path) == []

@@ -1,10 +1,10 @@
-"""Live telemetry pipeline: sampler, determinism, heartbeats, exposition.
+"""Live telemetry pipeline: sampler, determinism, heartbeats, CLI.
 
 Four concerns, mirroring the tentpole's structure:
 
 * :class:`TestSampler` — the :class:`~repro.obs.TelemetrySampler` unit
   contract (sim mode needs explicit timestamps, disabled samplers are
-  inert, ring buffers stay bounded, rates derive from counter deltas).
+  inert, the tick window stays bounded, rates derive from counter deltas).
 * :class:`TestSimDeterminism` — the headline guarantee: a sim-clock tick
   stream is byte-identical across repeat runs, and (for the parallel
   engine's merge-replay sampling) across worker counts.
@@ -14,8 +14,8 @@ Four concerns, mirroring the tentpole's structure:
   :class:`~repro.errors.ParallelError` well before the run would have
   hung at join.  Plus the resource-hygiene gates: no fd and no /dev/shm
   growth with the heartbeat channel enabled.
-* :class:`TestExposition` — Prometheus text, ``repro top`` frames,
-  sparklines, JSONL round-trips, and the CLI surface.
+* :class:`TestExposition` — the sparkline renderer ``render_trend``
+  draws with; :class:`TestCli` — the ``--telemetry`` CLI surface.
 """
 
 from __future__ import annotations
@@ -33,10 +33,7 @@ from repro.obs import (
     RunContext,
     RunReport,
     TelemetrySampler,
-    expose_text,
     fold_telemetry,
-    read_telemetry_jsonl,
-    render_top,
 )
 from repro.parallel import StragglerPolicy, triangulate_parallel
 
@@ -59,11 +56,6 @@ class TestSampler:
         tick = sampler.sample(0.0)
         assert tick["t"] == 0.0 and tick["seq"] == 0
 
-    def test_sim_clock_refuses_background_thread(self):
-        sampler = TelemetrySampler(_sampled_registry(), clock="sim")
-        with pytest.raises(ValueError, match="wall-clock"):
-            sampler.start()
-
     def test_unbound_sampler_raises(self):
         with pytest.raises(ValueError, match="no registry"):
             TelemetrySampler(clock="wall").sample()
@@ -83,8 +75,21 @@ class TestSampler:
             sampler.sample(float(i))
         assert len(sampler) == 8
         assert sampler.ticks()[0]["t"] == 42.0  # oldest retained
-        assert all(len(series) <= 8
-                   for _name, series in sampler.bank.items())
+
+    def test_sample_count_is_taken_not_retained(self):
+        import io
+
+        report = RunReport("telemetry-count")
+        stream = io.StringIO()
+        sampler = TelemetrySampler(report.registry, clock="sim", capacity=8,
+                                   stream=stream)
+        for i in range(50):
+            sampler.sample(float(i))
+        assert len(stream.getvalue().splitlines()) == 50
+        assert report.registry.counter("telemetry.samples").value == 50
+        assert len(sampler) == len(sampler.ticks()) == 8
+        assert sampler.samples == 50
+        assert fold_telemetry(report, sampler)["samples"] == 50
 
     def test_counter_rates_from_deltas(self):
         registry = MetricsRegistry()
@@ -317,65 +322,6 @@ class TestThreadedTelemetry:
 
 
 class TestExposition:
-    def test_expose_text_families(self):
-        registry = _sampled_registry()
-        registry.counter("triangles", phase="parallel").inc(7)
-        text = expose_text(registry)
-        assert "# TYPE repro_parallel_ops counter" in text
-        assert "repro_parallel_ops 10" in text
-        assert "repro_buffer_resident 4.0" in text
-        assert 'repro_triangles{phase="parallel"} 7' in text
-        assert 'repro_parallel_chunk_elapsed{quantile="0.5"} 0.5' in text
-        assert "repro_parallel_chunk_elapsed_count 1" in text
-
-    def test_expose_text_accepts_tick_records(self):
-        sampler = TelemetrySampler(_sampled_registry(), clock="sim")
-        tick = sampler.sample(0.0)
-        text = expose_text(tick)
-        assert "repro_parallel_ops 10" in text
-
-    def test_expose_text_empty_registry(self):
-        from repro.obs import MetricsRegistry
-
-        assert expose_text(MetricsRegistry()) == ""
-        assert expose_text({"counters": {}, "gauges": {},
-                            "histograms": {}}) == ""
-
-    def test_expose_text_unicode_name_folds_to_ascii(self):
-        from repro.obs import MetricsRegistry
-
-        registry = MetricsRegistry()
-        registry.counter("triångles.τotal").inc(3)
-        text = expose_text(registry)
-        # Outside-alphabet characters fold to underscores; the exposed
-        # name stays within [a-zA-Z0-9_:].
-        assert "repro_tri_ngles__otal 3" in text
-        for line in text.splitlines():
-            name = line.split("{")[0].split(" ")[-2 if line.startswith("#")
-                                                 else 0]
-            assert all(ch.isascii() for ch in name)
-
-    def test_expose_text_escapes_label_values_and_help(self):
-        text = expose_text({"counters": {
-            'io.pages_read{path=a\\b\nc"d}': 1}},
-            help_text={"io.pages_read": 'pages \\ read\n"raw"'})
-        assert r'path="a\\b\nc\"d"' in text
-        assert '# HELP repro_io_pages_read pages \\\\ read\\n"raw"' in text
-        assert "\n\n" not in text  # escaped newlines never split a line
-
-    def test_expose_text_help_and_sorted_series(self):
-        text = expose_text({"counters": {
-            "triangles{phase=total}": 9,
-            "triangles{phase=external}": 4,
-        }})
-        lines = text.splitlines()
-        assert lines[0] == "# HELP repro_triangles repro metric 'triangles'"
-        assert lines[1] == "# TYPE repro_triangles counter"
-        # Series within the family sort by label set regardless of
-        # registry insertion order.
-        assert lines[2] == 'repro_triangles{phase="external"} 4'
-        assert lines[3] == 'repro_triangles{phase="total"} 9'
-
     def test_sparkline_shapes(self):
         assert sparkline([]) == ""
         assert sparkline([1.0, 1.0]) == "▁▁"
@@ -401,62 +347,9 @@ class TestExposition:
         # The window trim happens before the finite scan.
         assert sparkline([nan, 1.0, 2.0], width=2) == sparkline([1.0, 2.0])
 
-    def test_render_top_finish_only_tick(self):
-        # A run short enough to emit only its finish() tick still renders
-        # a frame (header + [final] marker), with every optional section
-        # skipped.
-        frame = render_top([{"t": 0.25, "seq": 0, "final": True,
-                             "counters": {}, "rates": {}}])
-        assert "[final]" in frame
-        assert "t=0.250" in frame
-        assert "eta" not in frame and "w0" not in frame
-        assert "hottest rates" not in frame
-
-    def test_jsonl_round_trip_tolerates_torn_tail(self, tmp_path):
-        sampler = TelemetrySampler(_sampled_registry(), clock="sim")
-        sampler.sample(0.0)
-        sampler.sample(1.0)
-        path = tmp_path / "ticks.jsonl"
-        path.write_text(sampler.to_jsonl() + '{"t":2.0,"seq":2,"cou',
-                        encoding="utf-8")
-        ticks = read_telemetry_jsonl(path)
-        assert [tick["t"] for tick in ticks] == [0.0, 1.0]
-
-    def test_render_top_empty(self):
-        assert render_top([]) == "(no telemetry samples)"
-
-    def test_render_top_worker_frame(self):
-        ticks = [
-            {"t": float(i), "seq": i,
-             "counters": {"buffer.hits": i * 8, "buffer.misses": i * 2,
-                          "parallel.ops": i * 100},
-             "rates": {"parallel.ops": 100.0},
-             "workers": {
-                 "per": {"0": {"chunks": i, "ops": i * 50, "steals": 0,
-                               "age": 0.01, "status": "run"},
-                         "1": {"chunks": i // 2, "ops": i * 25, "steals": 1,
-                               "age": 0.02, "status": "straggler"}},
-                 "chunks_done": i + i // 2, "total_chunks": 12,
-                 "stragglers": 1}}
-            for i in range(1, 5)
-        ]
-        frame = render_top(ticks)
-        assert "w0" in frame and "w1" in frame
-        assert "straggler" in frame
-        assert "stragglers 1" in frame
-        assert "eta" in frame
-        assert "buffer hit rate" in frame
-        assert "80.0% last" in frame  # 8 hits per 2 misses per tick
-
-    def test_render_top_skips_absent_sections(self):
-        frame = render_top([{"t": 0.0, "seq": 0, "counters": {},
-                             "rates": {}}])
-        assert "buffer hit rate" not in frame
-        assert "w0" not in frame
-
 
 class TestCli:
-    def test_triangulate_telemetry_then_top(self, tmp_path, capsys):
+    def test_triangulate_telemetry_stream(self, tmp_path, capsys):
         from repro.cli import main
         from repro.graph.io import write_edge_list
         from repro.graph import generators
@@ -467,14 +360,11 @@ class TestCli:
         out = tmp_path / "ticks.jsonl"
         assert main(["triangulate", "--input", str(graph_path),
                      "--method", "opt", "--telemetry", str(out)]) == 0
-        ticks = read_telemetry_jsonl(out)
+        ticks = [json.loads(line)
+                 for line in out.read_text(encoding="utf-8").splitlines()]
         assert ticks and ticks[-1]["final"] is True
-        capsys.readouterr()
-        assert main(["top", str(out), "--once"]) == 0
-        frame = capsys.readouterr().out
-        assert "repro top" in frame and "[final]" in frame
-        assert main(["top", str(out), "--once", "--format", "prom"]) == 0
-        assert "# TYPE" in capsys.readouterr().out
+        assert (f"wrote {len(ticks)} telemetry samples"
+                in capsys.readouterr().out)
 
     def test_telemetry_rejects_in_memory_methods(self, tmp_path, capsys):
         from repro.cli import main
