@@ -5,6 +5,7 @@ from repro.analysis.costs import (
     CostBreakdown,
     cost_conformance,
     ideal_cost,
+    io_lower_bound,
     mgt_io_bound,
     opt_serial_cost,
     relative_elapsed_time,
@@ -23,6 +24,7 @@ __all__ = [
     "cost_conformance",
     "fit_parallel_fraction",
     "ideal_cost",
+    "io_lower_bound",
     "mgt_io_bound",
     "opt_serial_cost",
     "relative_elapsed_time",

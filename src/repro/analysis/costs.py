@@ -5,7 +5,8 @@ Provides the analytic counterparts to the simulated runs:
 * ``ideal_cost``            — Eq. 6: ``c * P(G) + Cost_CPU``;
 * ``opt_serial_cost``       — ``Cost_ideal + c * (Δex − Δin)``;
 * ``relative_elapsed_time`` — the Figure 3a measure (method / ideal);
-* ``mgt_io_bound``          — Eq. 7's ``(1 + ceil(P/m)) * c * P(G)``.
+* ``mgt_io_bound``          — Eq. 7's ``(1 + ceil(P/m)) * c * P(G)``;
+* ``io_lower_bound``        — Pagh–Silvestri's ``P^{3/2} / sqrt(m)`` pages.
 
 All quantities are expressed in CPU-operation units, with ``c`` taken
 from a :class:`~repro.sim.costmodel.CostModel` so analytic and simulated
@@ -24,6 +25,7 @@ __all__ = [
     "CostBreakdown",
     "cost_conformance",
     "ideal_cost",
+    "io_lower_bound",
     "mgt_io_bound",
     "opt_serial_cost",
     "relative_elapsed_time",
@@ -138,3 +140,16 @@ def mgt_io_bound(
         raise ValueError("buffer must hold at least one page")
     iterations = math.ceil(num_pages / buffer_pages)
     return (1 + iterations) * cost.c * num_pages
+
+
+def io_lower_bound(num_pages: int, buffer_pages: int) -> float:
+    """Pages any triangle enumeration must read: ``P^{3/2} / sqrt(m)``.
+
+    Pagh and Silvestri's ``E^{3/2} / (sqrt(M) * B)`` I/Os (PAPERS.md) in
+    page units — ``E = P * B`` edges, ``M = m * B`` of memory — up to
+    constants, so a run's ``pages_read`` over this says how far from
+    I/O-optimal it is, not whether it beat a hard floor.
+    """
+    if buffer_pages < 1:
+        raise ValueError("buffer must hold at least one page")
+    return num_pages ** 1.5 / math.sqrt(buffer_pages)

@@ -20,7 +20,7 @@ from repro.core.plugins import (
     MGTPlugin,
     VertexIteratorPlugin,
 )
-from repro.analysis.costs import cost_conformance
+from repro.analysis.costs import cost_conformance, io_lower_bound
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult
@@ -159,6 +159,10 @@ def triangulate_disk(
         report.derive("elapsed_simulated", sim.elapsed)
         if ideal > 0:
             report.derive("overhead_vs_ideal", sim.elapsed / ideal)
+        io_bound = io_lower_bound(store.num_pages, total)
+        if io_bound > 0:
+            report.derive("io_vs_lower_bound",
+                          run_trace.total_device_reads / io_bound)
         report.gauge("run.elapsed_simulated").set(sim.elapsed)
     return _result(
         run_trace, sim.elapsed,

@@ -15,6 +15,14 @@ itself: pages *arrive* through a page feed (``fill(pids, on_page)``,
 buffer manager; :mod:`repro.core.threaded` supplies the asynchronous one,
 and with it the same body *is* the paper's macro/micro overlap.
 
+The body works a page at a time on arrays: a page arrives decoded into a
+columnar :class:`~repro.storage.page.PageBlock`, the fill assembles the
+chunk's pages into one :class:`~repro.core.context.ChunkContext` (a
+chunk-local CSR plus ``V_req`` as two sorted arrays), and the plugin
+resolves each arrived page in one call.  Triangle groups are
+materialised only when something consumes them — a caller's sink or a
+checkpoint; otherwise the driver adds up the plugin's hit counts.
+
 The driver produces exact triangles plus a :class:`~repro.sim.trace.RunTrace`
 describing every iteration's I/O and per-page CPU cost; the discrete-event
 scheduler replays the trace under any core/morphing configuration.  This
@@ -33,6 +41,7 @@ from repro.core.context import ChunkContext
 from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
 from repro.core.result_store import GroupCaptureSink
 from repro.errors import ConfigurationError
+from repro.exec.block import charge_by_length
 from repro.memory.base import CountSink, TriangleSink
 from repro.obs import (
     NO_CONTEXT,
@@ -45,32 +54,16 @@ from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 from repro.storage.buffer import BufferManager
 from repro.storage.faults import FaultPlan, RecoveringLoader
 from repro.storage.layout import GraphStore
-from repro.storage.page import PageRecord
+from repro.storage.page import PageBlock
 
 __all__ = ["OPTConfig", "run_opt"]
 
 logger = get_logger(__name__)
 
-#: ``on_page(records, pid, buffered, delay)``: what a feed hands the
-#: iteration body per arrived page — the records plus what only the feed
-#: knows (was the read absorbed by a buffer; injected device seconds).
-OnPage = Callable[[list[PageRecord], int, bool, float], None]
-
-
-class _TallySink:
-    """Counts the triangles one phase emits on their way to the sink.
-
-    One per phase and iteration, so each is written by one thread only
-    even when external and internal emissions overlap.
-    """
-
-    def __init__(self, inner: TriangleSink):
-        self._inner = inner
-        self.count = 0
-
-    def emit(self, u: int, v: int, ws: Sequence[int]) -> None:
-        self.count += len(ws)
-        self._inner.emit(u, v, ws)
+#: ``on_page(block, pid, buffered, delay)``: what a feed hands the
+#: iteration body per arrived page — the decoded page plus what only the
+#: feed knows (was the read absorbed by a buffer; injected device seconds).
+OnPage = Callable[[PageBlock, int, bool, float], None]
 
 
 @dataclass
@@ -157,6 +150,10 @@ def run_opt(
 ) -> RunTrace:
     """Run OPT over *store* and return the trace (with real triangles).
 
+    ``RunTrace.triangles`` is the driver's own count of this run's
+    triangles, whatever *sink* is; without a sink (and without a
+    checkpoint) no group is built at all.
+
     Pages arrive through a :class:`_BufferedFeed` of ``m_in + m_ex``
     frames, on the calling thread: candidate identification runs as each
     fill page is delivered, and the request list is served to completion
@@ -196,8 +193,8 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
     report = ctx.report
     checkpoint = ctx.checkpoint
     telemetry = ctx.bound_telemetry()
-    if sink is None:
-        sink = CountSink()
+    if sink is None and checkpoint is not None:
+        sink = CountSink()  # something for the captured groups to pass through
     plugin = config.plugin
     scopes = (None, None, None)
     if ctx.attribution is not None:
@@ -237,6 +234,7 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
                 # Committed by an earlier (failed) run: replay the stored
                 # output instead of re-listing the chunk's triangles.
                 replayed = checkpoint.replay_into(index, sink)
+                run_trace.triangles += replayed
                 stored = checkpoint.trace_of(index)
                 run_trace.iterations.append(
                     IterationTrace.from_dict(stored) if stored
@@ -257,8 +255,10 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
             logger.debug("iteration %d: internal pages %d..%d", index, pid, end)
             with ctx.span("iteration", index=index), \
                     ctx.slice("iteration", index=index):
-                iteration = _iterate(store, plugin, feed, pid, end,
-                                     iteration_sink, scopes, ctx, index)
+                iteration, triangles = _iterate(store, plugin, feed, pid, end,
+                                                iteration_sink, scopes, ctx,
+                                                index)
+            run_trace.triangles += triangles
 
             output_pages_now = getattr(sink, "pages_written", 0)
             iteration.output_pages = output_pages_now - output_pages_before
@@ -285,7 +285,6 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
                 if report is not None:
                     report.counter("recovery.checkpoint.saved").inc()
 
-    run_trace.triangles = getattr(sink, "count", 0)
     if report is not None:
         report.counter("opt.pages_read").inc(run_trace.total_device_reads)
         if ctx.fault_plan is not None:
@@ -294,9 +293,12 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
 
 
 def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
-             end: int, sink: TriangleSink, scopes: tuple, ctx: RunContext,
-             index: int) -> IterationTrace:
+             end: int, sink: TriangleSink | None, scopes: tuple,
+             ctx: RunContext, index: int) -> tuple[IterationTrace, int]:
     """One OPT iteration over internal pages ``pid..end``.
+
+    Returns the iteration's trace and its triangle count; the groups go
+    to *sink*, and are materialised only when there is one.
 
     The two callbacks run wherever the feed delivers pages — the calling
     thread (buffered feed) or the SSD's callback thread (async feed),
@@ -306,77 +308,83 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     """
     attr_candidate, attr_external, attr_internal = scopes
     report = ctx.report
+    collect = sink is not None
     iteration = IterationTrace()
     chunk_pages = range(pid, end + 1)
-    internal_sink = external_sink = sink
-    if report is not None:
-        internal_sink, external_sink = _TallySink(sink), _TallySink(sink)
     v_lo, v_hi = store.chunk_vertex_range(pid, end)
-    adjacency: dict[int, np.ndarray] = {}
-    chunk_ctx = ChunkContext(v_lo, v_hi, adjacency, internal_sink)
-    external_ctx = chunk_ctx.emitting_to(external_sink)
-    arrived: dict[int, tuple[list[PageRecord], bool, float]] = {}
+    arrived: dict[int, tuple] = {}
+    # One writer each: the delivering thread / the calling thread.
+    found = {"internal": 0, "external": 0}
 
-    def identify_candidates(records, page_id, buffered, delay):
+    def emit(groups):
+        for u, v, ws in groups:
+            sink.emit(u, v, ws)
+
+    def identify_candidates(block, page_id, buffered, delay):
         # Algorithm 7, per delivered fill page: on the async feed this
         # runs while later fill reads are still in flight.
         started = time.perf_counter()
+        candidates, requesters, ops = plugin.candidates_for_page(block, v_hi)
         # Distinct page_id per delivery, deliveries are serialized, and
         # the main path reads only after fill().  # lint: ignore[lockset]
-        arrived[page_id] = (records, buffered, delay)
-        for record in records:
-            candidates, ops = plugin.candidates_for_record(chunk_ctx, record)
-            # Delivery-side only until fill() returns.  # lint: ignore[lockset]
-            iteration.candidate_ops += ops
-            if attr_candidate is not None:
-                attr_candidate.charge(len(record.neighbors), ops)
-            for candidate in candidates:
-                chunk_ctx.add_request(int(candidate), record.vertex)
+        arrived[page_id] = (block, buffered, delay, candidates, requesters)
+        # Delivery-side only until fill() returns.  # lint: ignore[lockset]
+        iteration.candidate_ops += int(ops.sum())
         if attr_candidate is not None:
+            charge_by_length(attr_candidate, block.lengths, ops)
             attr_candidate.charge_time(time.perf_counter() - started)
 
     # -- fill the internal area (Algorithm 3 lines 6-8) ----------------------
     with ctx.span("fill"), \
             ctx.slice("fill", reads=len(chunk_pages), index=index):
         feed.fill(chunk_pages, identify_candidates)
-    chunk_records = []
-    for page_id in chunk_pages:
-        records, buffered, delay = arrived[page_id]
-        chunk_records.append(records)
-        if buffered:
-            iteration.fill_buffered += 1
-        else:
-            iteration.fill_reads += 1
-        iteration.fill_delay += delay
+    chunk_blocks, hits, delays, candidates, requesters = zip(
+        *(arrived[page_id] for page_id in chunk_pages))
+    iteration.fill_buffered = sum(hits)
+    iteration.fill_reads = len(hits) - iteration.fill_buffered
+    iteration.fill_delay = sum(delays)
     # Read-only from here on: both phases below share it.
-    adjacency.update(_assemble_adjacency(chunk_records))
+    chunk = ChunkContext(v_lo, v_hi, store.num_vertices, chunk_blocks,
+                         np.concatenate(candidates),
+                         np.concatenate(requesters))
 
     # -- build the request list (Algorithm 4) --------------------------------
     with ctx.span("identify-candidates"):
         if plugin.rescan_all:
             ordered = list(range(store.num_pages))
         else:
-            pages_needed: set[int] = set()
-            for candidate in chunk_ctx.requesters:
-                pages_needed.update(store.pages_of_candidate(candidate))
+            # A difference array over page ids: +1 where a candidate's
+            # successor pages begin, -1 past where they end.
+            first = store.succ_first_page[chunk.candidates]
+            has_succ = first >= 0
+            past = store.last_page[chunk.candidates[has_succ]] + 1
+            marks = (np.bincount(first[has_succ], minlength=store.num_pages + 1)
+                     - np.bincount(past, minlength=store.num_pages + 1))
+            wanted = marks.cumsum()[:-1] > 0
+            wanted[pid:end + 1] = False
             # Descending page ids: the next chunk's pages are loaded last
             # and survive in the external area (the paper's Δin trick).
-            ordered = sorted(pages_needed - set(chunk_pages), reverse=True)
+            ordered = np.flatnonzero(wanted)[::-1].tolist()
 
-    def external_triangles(records, page_id, buffered, delay):
+    def external_triangles(block, page_id, buffered, delay):
         # Algorithm 9, per arrived candidate page.
-        ops = 0
-        for record in records:
-            if record.vertex in chunk_ctx.requesters:
-                record_ops = plugin.external_ops_for_record(external_ctx,
-                                                            record)
-                ops += record_ops
-                if attr_external is not None:
-                    attr_external.charge(len(record.neighbors), record_ops)
+        records, us = chunk.requests_on(block)
+        page_ops = 0
+        if len(us):
+            ops, triangles, groups = plugin.external_for_page(
+                chunk, block, records, us, collect)
+            page_ops = int(ops.sum())
+            # Delivery-side only.  # lint: ignore[lockset]
+            found["external"] += triangles
+            emit(groups)
+            if attr_external is not None:
+                requested, first = np.unique(records, return_index=True)
+                charge_by_length(attr_external, block.lengths[requested],
+                                 np.add.reduceat(ops, first))
         # Deliveries are serialized; the main path reads external_reads
         # only after finish().  # lint: ignore[lockset]
         iteration.external_reads.append(ExternalRead(
-            pid=page_id, cpu_ops=ops, buffered=buffered, delay=delay))
+            pid=page_id, cpu_ops=page_ops, buffered=buffered, delay=delay))
 
     # -- delegate the external triangulation ---------------------------------
     with ctx.span("external-triangulation"):
@@ -388,29 +396,24 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     # -- internal triangulation (Algorithm 5, per page) ----------------------
     with ctx.span("internal-triangulation"), ctx.slice("internal", index=index):
         phase_started = time.perf_counter()
-        for records in chunk_records:
-            # Every plugin processes records independently, so attribution
-            # bills a page record by record: per-record calls sum to the
-            # page call — same trace, but degree-bucketed.
-            page_ops = 0
-            for batch in ([records] if attr_internal is None
-                          else [[record] for record in records]):
-                batch_ops = plugin.internal_ops_for_page(chunk_ctx, batch)
-                if attr_internal is not None:
-                    attr_internal.charge(len(batch[0].neighbors), batch_ops)
-                page_ops += batch_ops
-            iteration.internal_page_ops.append(page_ops)
+        for block in chunk_blocks:
+            ops, triangles, groups = plugin.internal_for_page(chunk, block,
+                                                              collect)
+            iteration.internal_page_ops.append(int(ops.sum()))
+            found["internal"] += triangles
+            emit(groups)
+            if attr_internal is not None:
+                charge_by_length(attr_internal, block.lengths, ops)
         if attr_internal is not None:
             attr_internal.charge_time(time.perf_counter() - phase_started)
 
     # -- iteration barrier (Algorithm 3 lines 11-13) -------------------------
     feed.finish(chunk_pages)
     if report is not None:
-        for phase, tally in (("internal", internal_sink),
-                             ("external", external_sink)):
-            if tally.count:
-                report.counter("triangles", phase=phase).inc(tally.count)
-    return iteration
+        for phase, count in found.items():
+            if count:
+                report.counter("triangles", phase=phase).inc(count)
+    return iteration, sum(found.values())
 
 
 def _sample_iteration(telemetry: TelemetrySampler | None, index: int) -> None:
@@ -443,15 +446,3 @@ def _fold_fault_log(fault_plan: FaultPlan, report: RunReport) -> None:
             delta = value - counter.value
             if delta > 0:
                 counter.inc(delta)
-
-
-def _assemble_adjacency(chunk_records) -> dict:
-    """Concatenate record chunks into full adjacency lists per vertex."""
-    partial: dict[int, list] = {}
-    for records in chunk_records:
-        for record in records:
-            partial.setdefault(record.vertex, []).append(record.neighbors)
-    return {
-        vertex: (parts[0] if len(parts) == 1 else np.concatenate(parts))
-        for vertex, parts in partial.items()
-    }

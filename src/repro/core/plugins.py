@@ -1,15 +1,24 @@
 """Pluggable iterator models for the OPT framework.
 
-OPT is generic: an instance supplies three operations (Section 3.2/3.5) —
+OPT is generic: an instance supplies three operations (Section 3.2/3.5),
+each over one decoded page (:class:`~repro.storage.page.PageBlock`) —
 
-* ``internal_ops_for_page``   — InternalTriangleImpl (Algorithms 6 / 11),
-* ``candidates_for_record``   — ExternalCandidateVertexImpl (Algorithms 8 / 12),
-* ``external_ops_for_record`` — ExternalTriangleImpl (Algorithms 10 / 13).
+* ``candidates_for_page`` — ExternalCandidateVertexImpl (Algorithms 8 / 12),
+* ``internal_for_page``   — InternalTriangleImpl (Algorithms 6 / 11),
+* ``external_for_page``   — ExternalTriangleImpl (Algorithms 10 / 13).
 
-Each returns the CPU operation count it consumed (the paper's probe
-measure) and emits triangles into the context's sink.  Adjacency lists may
-arrive chunked across pages; intersections and membership probes
-distribute over chunks, so per-record processing remains exact.
+Each reports the CPU operations it consumed (the paper's probe measure)
+*per record* of the page — the driver sums them for the trace and
+buckets them for attribution — and the two triangulating ones return
+``(ops, triangles, groups)``, the groups only when asked to collect.
+Adjacency lists may arrive chunked across pages; intersections and
+membership probes distribute over chunks, so per-record processing
+remains exact.
+
+:class:`EdgeIteratorPlugin` resolves a page with a constant number of
+array operations (one batched probe of the chunk's successor index);
+:class:`VertexIteratorPlugin` and :class:`MGTPlugin` loop over the
+page's records.
 
 :class:`MGTPlugin` realizes the paper's Section 3.5 reduction of MGT
 [Hu et al., SIGMOD'13] to an OPT instance: no internal triangulation,
@@ -23,11 +32,15 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.context import ChunkContext
-from repro.storage.page import PageRecord
-from repro.util.intersect import HASH_PROBE_COST, intersect_count_ops, intersect_sorted
+from repro.core.context import ChunkContext, slice_sums
+from repro.exec.block import Group
+from repro.storage.page import PageBlock
+from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["EdgeIteratorPlugin", "IteratorPlugin", "MGTPlugin", "VertexIteratorPlugin"]
+
+#: ``(ops, triangles, groups)`` of one triangulated page.
+PageOutcome = tuple[np.ndarray, int, list[Group]]
 
 
 class IteratorPlugin(ABC):
@@ -40,26 +53,46 @@ class IteratorPlugin(ABC):
     sync_external: bool = False
 
     @abstractmethod
-    def candidates_for_record(
-        self, ctx: ChunkContext, record: PageRecord
-    ) -> tuple[np.ndarray, int]:
-        """External candidate vertices contributed by one record chunk.
+    def candidates_for_page(
+        self, block: PageBlock, v_hi: int
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """External candidate vertices one fill page contributes.
 
-        Returns ``(candidates, ops)``; the driver files each candidate in
-        ``ctx.requesters`` keyed by the record's vertex.
+        *v_hi* is the chunk's last internal vertex.  Returns
+        ``(candidates, requesters, ops)``: aligned ``(candidate,
+        requesting record's vertex)`` pairs in record order, and the ops
+        per record of *block*.
         """
 
     @abstractmethod
-    def internal_ops_for_page(
-        self, ctx: ChunkContext, records: list[PageRecord]
-    ) -> int:
-        """Find internal triangles for one internal-area page; return ops."""
+    def internal_for_page(
+        self, chunk: ChunkContext, block: PageBlock, collect: bool
+    ) -> PageOutcome:
+        """Find the internal triangles of one internal-area page.
+
+        The ops returned are per record of *block*.
+        """
 
     @abstractmethod
-    def external_ops_for_record(
-        self, ctx: ChunkContext, record: PageRecord
-    ) -> int:
-        """Find external triangles for one arrived candidate chunk; return ops."""
+    def external_for_page(
+        self, chunk: ChunkContext, block: PageBlock, records: np.ndarray,
+        us: np.ndarray, collect: bool,
+    ) -> PageOutcome:
+        """Find external triangles for one arrived candidate page.
+
+        Pair *i* is requester ``us[i]`` against record ``records[i]`` of
+        *block* (:meth:`ChunkContext.requests_on`); the ops returned are
+        per pair.
+        """
+
+
+def _candidates_above(block: PageBlock, bound):
+    """Every neighbor above *bound* (a scalar, or one value per neighbor)
+    is a candidate of its record's vertex; a record costs its length."""
+    lengths = block.lengths
+    wanted = block.neighbors > bound
+    return (block.neighbors[wanted], block.vertices.repeat(lengths)[wanted],
+            lengths)
 
 
 class EdgeIteratorPlugin(IteratorPlugin):
@@ -67,44 +100,43 @@ class EdgeIteratorPlugin(IteratorPlugin):
 
     name = "edge-iterator"
 
-    def candidates_for_record(self, ctx, record):
-        neighbors = record.neighbors
-        candidates = neighbors[neighbors > ctx.v_hi]
-        return candidates, len(neighbors)
+    def candidates_for_page(self, block, v_hi):
+        return _candidates_above(block, v_hi)
 
-    def internal_ops_for_page(self, ctx, records):
-        ops = 0
-        for record in records:
-            u = record.vertex
-            neighbors = record.neighbors
-            internal_succ = neighbors[(neighbors > u) & (neighbors <= ctx.v_hi)]
-            if len(internal_succ) == 0:
-                continue
-            succ_u = ctx.n_succ(u)
-            for v in internal_succ:
-                v = int(v)
-                succ_v = ctx.n_succ(v)
-                ops += intersect_count_ops(len(succ_u), len(succ_v))
-                common = intersect_sorted(succ_u, succ_v)
-                if len(common):
-                    ctx.sink.emit(u, v, common.tolist())
-        return ops
+    def internal_for_page(self, chunk, block, collect):
+        # One pair per (u, v) with v an internal successor on this page;
+        # both sides are whole lists of the chunk's CSR.
+        lengths = block.lengths
+        owner = block.vertices.repeat(lengths)
+        paired = (block.neighbors > owner) & (block.neighbors <= chunk.v_hi)
+        us = owner[paired]
+        vs = block.neighbors[paired]
+        u_rows = us - chunk.v_lo
+        v_rows = vs - chunk.v_lo
+        gather_len = chunk.succ_len[v_rows]
+        found, groups = chunk.probe(u_rows, chunk.indices,
+                                    chunk.succ_start[v_rows], gather_len,
+                                    (us, vs) if collect else None)
+        charge = np.minimum(chunk.succ_len[u_rows], gather_len)
+        # Float bincount weights are exact below 2**53.
+        ops = np.bincount(np.arange(len(block)).repeat(lengths)[paired],
+                          weights=charge, minlength=len(block))
+        return ops.astype(np.int64), int(found.sum()), groups
 
-    def external_ops_for_record(self, ctx, record):
-        v = record.vertex
-        chunk = record.neighbors
-        succ_chunk = chunk[chunk > v]  # this chunk's slice of n_succ(v)
-        requesters = ctx.requesters.get(v)
-        if not requesters:
-            return 0
-        ops = 0
-        for u in requesters:
-            succ_u = ctx.n_succ(u)
-            ops += intersect_count_ops(len(succ_u), len(succ_chunk))
-            common = intersect_sorted(succ_u, succ_chunk)
-            if len(common):
-                ctx.sink.emit(u, v, common.tolist())
-        return ops
+    def external_for_page(self, chunk, block, records, us, collect):
+        # v's side is the page's slice of n_succ(v): the suffix of its
+        # record above v.
+        succ_len = slice_sums(
+            block.neighbors > block.vertices.repeat(block.lengths),
+            block.offsets)
+        gather_len = succ_len[records]
+        u_rows = us - chunk.v_lo
+        found, groups = chunk.probe(
+            u_rows, block.neighbors,
+            (block.offsets[1:] - succ_len)[records], gather_len,
+            (us, block.vertices[records]) if collect else None)
+        return (np.minimum(chunk.succ_len[u_rows], gather_len),
+                int(found.sum()), groups)
 
 
 class VertexIteratorPlugin(IteratorPlugin):
@@ -112,52 +144,51 @@ class VertexIteratorPlugin(IteratorPlugin):
 
     name = "vertex-iterator"
 
-    def candidates_for_record(self, ctx, record):
-        neighbors = record.neighbors
-        candidates = neighbors[neighbors > ctx.v_hi]
-        return candidates, len(neighbors)
+    def candidates_for_page(self, block, v_hi):
+        return _candidates_above(block, v_hi)
 
-    def internal_ops_for_page(self, ctx, records):
-        ops = 0
-        for record in records:
+    def internal_for_page(self, chunk, block, collect):
+        ops = np.zeros(len(block), dtype=np.int64)
+        triangles = 0
+        groups: list[Group] = []
+        for index, record in enumerate(block):
             u = record.vertex
             neighbors = record.neighbors
-            internal_succ = neighbors[(neighbors > u) & (neighbors <= ctx.v_hi)]
-            if len(internal_succ) == 0:
-                continue
-            succ_u = ctx.n_succ(u)
-            for v in internal_succ:
-                v = int(v)
-                cut = int(np.searchsorted(succ_u, v, side="right"))
-                w_candidates = succ_u[cut:]
-                if len(w_candidates) == 0:
-                    continue
-                ops += HASH_PROBE_COST * len(w_candidates)
-                hits = w_candidates[
-                    np.isin(w_candidates, ctx.n_full(v), assume_unique=True)
-                ]
-                if len(hits):
-                    ctx.sink.emit(u, v, hits.tolist())
-        return ops
+            internal_succ = neighbors[(neighbors > u) & (neighbors <= chunk.v_hi)]
+            for v in internal_succ.tolist():
+                pair_ops, hits = _probe_above(chunk.n_succ(u), v,
+                                              chunk.n_full(v))
+                ops[index] += pair_ops
+                triangles += len(hits)
+                if collect and len(hits):
+                    groups.append((u, v, tuple(hits.tolist())))
+        return ops, triangles, groups
 
-    def external_ops_for_record(self, ctx, record):
-        v = record.vertex
-        chunk = record.neighbors
-        requesters = ctx.requesters.get(v)
-        if not requesters:
-            return 0
-        ops = 0
-        for u in requesters:
-            succ_u = ctx.n_succ(u)
-            cut = int(np.searchsorted(succ_u, v, side="right"))
-            w_candidates = succ_u[cut:]
-            if len(w_candidates) == 0:
-                continue
-            ops += HASH_PROBE_COST * len(w_candidates)
-            hits = w_candidates[np.isin(w_candidates, chunk, assume_unique=True)]
-            if len(hits):
-                ctx.sink.emit(u, v, hits.tolist())
-        return ops
+    def external_for_page(self, chunk, block, records, us, collect):
+        ops = np.zeros(len(us), dtype=np.int64)
+        triangles = 0
+        groups: list[Group] = []
+        arrived = list(block)
+        for index, (at, u) in enumerate(zip(records.tolist(), us.tolist())):
+            record = arrived[at]
+            ops[index], hits = _probe_above(chunk.n_succ(u), record.vertex,
+                                            record.neighbors)
+            triangles += len(hits)
+            if collect and len(hits):
+                groups.append((u, record.vertex, tuple(hits.tolist())))
+        return ops, triangles, groups
+
+
+def _probe_above(succ_u: np.ndarray, v: int,
+                 neighbors_v: np.ndarray) -> tuple[int, np.ndarray]:
+    """The vertex-iterator check of edge ``(u, v)``: which ``w`` of
+    ``n_succ(u)`` above *v* are neighbors of *v*; one random probe each."""
+    w_candidates = succ_u[int(np.searchsorted(succ_u, v, side="right")):]
+    if len(w_candidates) == 0:
+        return 0, w_candidates
+    return (HASH_PROBE_COST * len(w_candidates),
+            w_candidates[np.isin(w_candidates, neighbors_v,
+                                 assume_unique=True)])
 
 
 class MGTPlugin(VertexIteratorPlugin):
@@ -174,10 +205,8 @@ class MGTPlugin(VertexIteratorPlugin):
     rescan_all = True
     sync_external = True
 
-    def candidates_for_record(self, ctx, record):
-        neighbors = record.neighbors
-        candidates = neighbors[neighbors > record.vertex]
-        return candidates, len(neighbors)
+    def candidates_for_page(self, block, v_hi):
+        return _candidates_above(block, block.vertices.repeat(block.lengths))
 
-    def internal_ops_for_page(self, ctx, records):
-        return 0
+    def internal_for_page(self, chunk, block, collect):
+        return np.zeros(len(block), dtype=np.int64), 0, []

@@ -32,7 +32,7 @@ from repro.core.framework import OnPage, OPTConfig, _drive
 from repro.core.plugins import IteratorPlugin
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
-from repro.memory.base import CountSink, TriangleSink, TriangulationResult
+from repro.memory.base import TriangleSink, TriangulationResult
 from repro.obs import NO_CONTEXT, RunContext
 from repro.storage.faults import FaultyPageFile
 from repro.storage.layout import GraphStore
@@ -48,11 +48,9 @@ class _LockedSink:
     def __init__(self, inner: TriangleSink):
         self._inner = inner
         self._lock = threading.Lock()
-        self.count = 0
 
     def emit(self, u, v, ws):
         with self._lock:
-            self.count += len(ws)
             self._inner.emit(u, v, ws)
 
 
@@ -109,7 +107,7 @@ def triangulate_threaded(
         with ctx.span("pack", page_size=page_size):
             store = GraphStore.from_graph(source, page_size)
     config = OPTConfig(m_in=buffer_pages // 2, m_ex=window, plugin=plugin)
-    locked_sink = _LockedSink(sink if sink is not None else CountSink())
+    locked_sink = _LockedSink(sink) if sink is not None else None
     if report is not None:
         report.meta.update(
             engine="triangulate_threaded", plugin=plugin.name,
@@ -166,8 +164,8 @@ class _AsyncFeed:
         pending = deque(pids)
         issue_lock = threading.Lock()
 
-        def deliver(records, page_id):
-            on_page(records, page_id, False, 0.0)
+        def deliver(block, page_id):
+            on_page(block, page_id, False, 0.0)
             with issue_lock:  # Algorithm 9's atomic issue of the next request
                 if pending:
                     next_pid = pending.popleft()

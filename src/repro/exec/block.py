@@ -11,13 +11,20 @@ triangles, the analytic ``min(|n_succ(u)|, |n_succ(v)|)`` charge, the
 group sequence and the attribution cells — is what the per-pair loop
 returns for the same range (``docs/kernels.md``, "Block-batched hash
 path").
+
+:func:`probe_pairs` is the same batching for a caller that holds only
+part of the graph resident — the OPT driver's chunk
+(:class:`repro.core.context.ChunkContext`): the resident rows are folded
+into one sorted key array instead of a dense mask, and each pair brings
+its own slice to probe.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Group", "bit_lengths", "block_range"]
+__all__ = ["Group", "bit_lengths", "block_range", "charge_by_length",
+           "probe_pairs", "slices"]
 
 #: One emitted triangle group ``(u, v, (w, ...))``.
 Group = tuple[int, int, tuple[int, ...]]
@@ -40,10 +47,10 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
     return np.frexp(values)[1]
 
 
-def _slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(start, start + length)`` of every pair."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1])
+    ends = lengths.cumsum()
+    return (starts - (ends - lengths)).repeat(lengths) + np.arange(ends[-1])
 
 
 def block_range(
@@ -73,7 +80,7 @@ def block_range(
         return 0, 0, []
     # Edge e of the range is (us[e], vs[e]), in the per-pair loop's order.
     us = np.repeat(np.arange(lo, hi, dtype=np.int64), row_edges)
-    vs = indices[_slices(succ_start[lo:hi], row_edges)]
+    vs = indices[slices(succ_start[lo:hi], row_edges)]
     gather_len = succ_len[vs]
     charge = np.minimum(succ_len[us], gather_len)
     found = np.zeros(num_edges, dtype=np.int64)
@@ -98,10 +105,10 @@ def block_range(
         marked_len = succ_len[first_row:last_row]
         marked = (np.repeat(np.arange(last_row - first_row) * num_vertices,
                             marked_len)
-                  + indices[_slices(succ_start[first_row:last_row],
-                                    marked_len)])
+                  + indices[slices(succ_start[first_row:last_row],
+                                   marked_len)])
         mask[marked] = True
-        ws = indices[_slices(succ_start[vs[block]], gather_len[block])]
+        ws = indices[slices(succ_start[vs[block]], gather_len[block])]
         hits = mask[np.repeat((us[block] - first_row) * num_vertices,
                               gather_len[block]) + ws]
         mask[marked] = False
@@ -121,17 +128,70 @@ def block_range(
         start = stop
 
     if scope is not None:
-        # Float bincount weights are exact below 2**53, far above any
-        # op or triangle total an int64 CSR can produce per range.
-        lengths = bit_lengths(charge)
-        pairs = np.bincount(lengths)
-        ops_by = np.bincount(lengths, weights=charge)
-        found_by = np.bincount(lengths, weights=found)
-        scope.charge_lengths({
-            int(length): [int(pairs[length]), int(ops_by[length]),
-                          int(found_by[length])]
-            for length in np.flatnonzero(pairs)})
+        charge_by_length(scope, charge, charge, found)
     return triangles, int(charge.sum()), groups
+
+
+def charge_by_length(scope, sizes: np.ndarray, ops: np.ndarray,
+                     found: np.ndarray | None = None) -> None:
+    """Charge *scope* one pair per element, bucketed by its size.
+
+    Element ``i`` lands in the bucket of ``sizes[i]`` with ``ops[i]``
+    operations and ``found[i]`` triangles (none when *found* is omitted).
+    """
+    # Float bincount weights are exact below 2**53, far above any op or
+    # triangle total an int64 CSR can produce per range.
+    lengths = bit_lengths(sizes)
+    pairs = np.bincount(lengths)
+    ops_by = np.bincount(lengths, weights=ops)
+    found_by = (np.zeros(len(pairs)) if found is None
+                else np.bincount(lengths, weights=found))
+    scope.charge_lengths({
+        int(length): [int(pairs[length]), int(ops_by[length]),
+                      int(found_by[length])]
+        for length in np.flatnonzero(pairs)})
+
+
+def probe_pairs(
+    keys: np.ndarray,
+    bases: np.ndarray,
+    values: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    labels: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, list[Group]]:
+    """Batched membership of one slice of *values* per pair in sorted *keys*.
+
+    Pair ``i`` probes ``bases[i] + w`` for every ``w`` of
+    ``values[starts[i]:starts[i] + lengths[i]]``: the caller folds the
+    side it holds resident into *keys* (``row * n + w`` over a CSR's
+    rows) and names the pair's row by its base.  Returns the hits per
+    pair and, given ``labels = (us, vs)``, the groups ``(us[i], vs[i],
+    hits of pair i in slice order)`` of the pairs that hit, in pair
+    order.  At most :data:`BLOCK_ENTRIES` values (or one pair's slice)
+    are gathered at a time.
+    """
+    found = np.zeros(len(bases), dtype=np.int64)
+    groups: list[Group] = []
+    gathered = lengths.cumsum()
+    start = 0
+    while start < len(bases) and len(keys):
+        taken = int(gathered[start] - lengths[start])
+        stop = max(start + 1, int(gathered.searchsorted(
+            taken + BLOCK_ENTRIES, side="right")))
+        block = slice(start, stop)
+        # The pair (counted from *start*) owning each gathered value.
+        owner = np.arange(stop - start).repeat(lengths[block])
+        ws = values[slices(starts[block], lengths[block])]
+        probes = bases[block][owner] + ws
+        hits = keys.take(keys.searchsorted(probes), mode="clip") == probes
+        if np.count_nonzero(hits):
+            found[block] = np.bincount(owner[hits], minlength=stop - start)
+            if labels is not None:
+                _append_groups(groups, labels[0][block], labels[1][block],
+                               found[block], ws[hits].tolist())
+        start = stop
+    return found, groups
 
 
 def _append_groups(groups: list[Group], us: np.ndarray, vs: np.ndarray,

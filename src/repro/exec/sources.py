@@ -137,9 +137,9 @@ class _DiskHandle:
         store = self._store
         parts: list[np.ndarray] = []
         for pid in store.pages_of_candidate(u):
-            for record in self._buffer.get(pid).records:
-                if record.vertex == u and len(record.neighbors):
-                    parts.append(record.neighbors)
+            part = self._buffer.get(pid).records.neighbors_of(u)
+            if len(part):
+                parts.append(part)
         if not parts:
             return _EMPTY
         row = parts[0] if len(parts) == 1 else np.concatenate(parts)

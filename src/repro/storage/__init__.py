@@ -15,7 +15,13 @@ from repro.storage.faults import (
     corrupt_page_bytes,
 )
 from repro.storage.layout import GraphStore
-from repro.storage.page import DEFAULT_PAGE_SIZE, PageRecord, SlottedPage, record_capacity
+from repro.storage.page import (
+    DEFAULT_PAGE_SIZE,
+    PageBlock,
+    PageRecord,
+    SlottedPage,
+    record_capacity,
+)
 from repro.storage.pagefile import PageFile
 from repro.storage.ssd import SyncDevice, ThreadedSSD
 from repro.storage.writer import AsyncFile
@@ -34,6 +40,7 @@ __all__ = [
     "FlakyPageFile",
     "Frame",
     "GraphStore",
+    "PageBlock",
     "PageFile",
     "PageRecord",
     "RecoveringLoader",

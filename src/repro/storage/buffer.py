@@ -18,7 +18,7 @@ from typing import Callable
 
 from repro.errors import BufferError_
 from repro.obs import EventTracer, MetricsRegistry
-from repro.storage.page import PageRecord
+from repro.storage.page import PageBlock
 
 __all__ = ["BufferManager", "Frame"]
 
@@ -28,7 +28,7 @@ class Frame:
     """One buffer frame holding a decoded page."""
 
     pid: int
-    records: list[PageRecord]
+    records: PageBlock
     pin_count: int = 0
     dirty: bool = False
     stats: dict = field(default_factory=dict)
@@ -45,7 +45,7 @@ class BufferManager:
     ``evictions`` attributes remain available as properties.
     """
 
-    def __init__(self, capacity: int, loader: Callable[[int], list[PageRecord]],
+    def __init__(self, capacity: int, loader: Callable[[int], PageBlock],
                  *, registry: MetricsRegistry | None = None,
                  tracer: EventTracer | None = None):
         if capacity < 1:
@@ -116,7 +116,7 @@ class BufferManager:
             frame.pin_count += 1
         return frame
 
-    def install(self, pid: int, records: list[PageRecord], *, pin: bool = False) -> Frame:
+    def install(self, pid: int, records: PageBlock, *, pin: bool = False) -> Frame:
         """Install an externally loaded page (async-read completion path)."""
         frame = self._frames.get(pid)
         if frame is None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from repro.errors import ConfigurationError, DeviceError, FaultExhaustedError, PageFormatError
-from repro.storage.page import PageRecord
+from repro.storage.page import PageBlock
 from repro.storage.pagefile import PageFile
 
 __all__ = [
@@ -74,7 +74,7 @@ def corrupt_page_bytes(data: bytes, *, seed: int = 0) -> bytes:
     """Return *data* with its slot directory scrambled.
 
     Overwrites the tail (where the slot offsets live) with out-of-range
-    values, which :meth:`SlottedPage.from_bytes` must reject.
+    values, which :meth:`PageBlock.from_bytes` must reject.
     """
     rng = random.Random(seed)
     corrupted = bytearray(data)
@@ -350,7 +350,7 @@ class RecoveringLoader:
 
     def __init__(
         self,
-        decode: Callable[[int], list[PageRecord]],
+        decode: Callable[[int], PageBlock],
         plan: FaultPlan,
         policy: RetryPolicy | None = None,
         *,
@@ -374,7 +374,7 @@ class RecoveringLoader:
         delay, self._pending_delay = self._pending_delay, 0.0
         return delay
 
-    def _attempt_once(self, pid: int, attempt: int) -> list[PageRecord]:
+    def _attempt_once(self, pid: int, attempt: int) -> PageBlock:
         """One read attempt: apply the plan's actions, then decode."""
         torn = False
         for action in self.plan.actions(pid, attempt):
@@ -403,7 +403,7 @@ class RecoveringLoader:
             )
         return records
 
-    def __call__(self, pid: int) -> list[PageRecord]:
+    def __call__(self, pid: int) -> PageBlock:
         """Load page *pid* with retry + backoff; BufferManager's loader."""
         failures = 0
         while True:

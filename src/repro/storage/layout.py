@@ -18,7 +18,7 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.graph.graph import Graph
-from repro.storage.page import DEFAULT_PAGE_SIZE, PageRecord, SlottedPage
+from repro.storage.page import DEFAULT_PAGE_SIZE, PageBlock, SlottedPage
 from repro.storage.pagefile import PageFile
 
 __all__ = ["GraphStore", "PagePacker"]
@@ -186,9 +186,9 @@ class GraphStore:
         """``P(G)``: the number of pages of the stored graph."""
         return len(self.pages)
 
-    def decode_page(self, pid: int) -> list[PageRecord]:
+    def decode_page(self, pid: int) -> PageBlock:
         """Decode page *pid* into its records."""
-        return SlottedPage.from_bytes(self.pages[pid]).records()
+        return PageBlock.from_bytes(self.pages[pid])
 
     def pages_of_vertex(self, v: int) -> range:
         """Inclusive page-id range holding vertex *v*'s record chain."""

@@ -26,12 +26,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from repro.errors import PageFormatError, PageFullError
 
-__all__ = ["DEFAULT_PAGE_SIZE", "PageRecord", "SlottedPage", "record_capacity"]
+__all__ = ["DEFAULT_PAGE_SIZE", "PageBlock", "PageRecord", "SlottedPage",
+           "record_capacity"]
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -51,6 +53,106 @@ class PageRecord:
 
     def __len__(self) -> int:
         return len(self.neighbors)
+
+
+class PageBlock:
+    """One decoded page in columnar form; iterates as :class:`PageRecord`.
+
+    Record ``i`` is ``vertices[i]`` with neighbors
+    ``neighbors[offsets[i]:offsets[i + 1]]`` (``int64``, ascending) and
+    ``last[i]`` set on the final chunk of its adjacency list.
+    """
+
+    __slots__ = ("vertices", "offsets", "neighbors", "last")
+
+    def __init__(self, vertices: np.ndarray, offsets: np.ndarray,
+                 neighbors: np.ndarray, last: np.ndarray):
+        self.vertices = vertices
+        self.offsets = offsets
+        self.neighbors = neighbors
+        self.last = last
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Neighbor count of every record."""
+        return self.offsets[1:] - self.offsets[:-1]
+
+    def __iter__(self) -> Iterator[PageRecord]:
+        bounds = self.offsets.tolist()
+        return (
+            PageRecord(vertex, self.neighbors[begin:end], is_last)
+            for vertex, begin, end, is_last in zip(
+                self.vertices.tolist(), bounds, bounds[1:], self.last.tolist()))
+
+    def neighbors_of(self, vertex: int) -> np.ndarray:
+        """*vertex*'s neighbor chunk on this page, empty when it has none.
+
+        One binary search: a store's pages hold their records in
+        ascending vertex order, one record per vertex.
+        """
+        at = int(np.searchsorted(self.vertices, vertex))
+        if at == len(self.vertices) or self.vertices[at] != vertex:
+            return self.neighbors[:0]
+        return self.neighbors[self.offsets[at]:self.offsets[at + 1]]
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "PageBlock":
+        """Decode one page image: the only parser of the page layout.
+
+        Records are packed back to back from byte 2 and each is a whole
+        number of ``u32`` words, so one ``<u4`` view at offset 2 covers
+        every header and neighbor word; the slot directory is one
+        ``<u2`` view.  An image :meth:`SlottedPage.to_bytes` cannot have
+        written raises :class:`PageFormatError`.
+        """
+        size = len(data)
+        (count,) = _HEADER.unpack_from(data, 0)
+        directory = size - _SLOT.size * count
+        if count and directory < _HEADER.size + _RECORD_HEADER.size:
+            raise PageFormatError(
+                f"{count} records do not fit a {size}-byte page")
+        slots = np.frombuffer(data, dtype="<u2", count=count,
+                              offset=directory)[::-1].astype(np.int64)
+        words = np.frombuffer(data, dtype="<u4", offset=_HEADER.size,
+                              count=(size - _HEADER.size) // 4)
+        heads = slots >> 2  # word index of each record's vertex id
+        # The header's second word, flags | count << 16; clipped, so a
+        # wild slot is still there to be reported below.
+        packed = words.take(heads + 1, mode="clip").astype(np.int64)
+        # bounds[i]: the words that records 0..i-1 occupy.
+        bounds = np.zeros(count + 1, dtype=np.int64)
+        ((packed >> 16) + 2).cumsum(out=bounds[1:])
+        starts = _HEADER.size + 4 * bounds
+        # Every record starts where its predecessor ends, the first at
+        # byte 2, and the last ends before the directory: then all of
+        # them are word-aligned and in bounds, and no read was clipped.
+        if np.count_nonzero(slots != starts[:-1]) or starts[-1] > directory:
+            raise _defect(slots, starts, directory)
+        used = int(bounds[-1])
+        payload = np.ones(used, dtype=bool)
+        payload[heads] = payload[heads + 1] = False
+        return cls(words[heads].astype(np.int64),
+                   bounds - 2 * np.arange(count + 1),
+                   words[:used][payload].astype(np.int64),
+                   (packed & _FLAG_LAST).astype(bool))
+
+
+def _defect(slots: np.ndarray, starts: np.ndarray,
+            directory: int) -> PageFormatError:
+    """Name the first defect of a page image the decoder rejected."""
+    for bad, problem in (
+            (slots + _RECORD_HEADER.size > directory,
+             "slot {} points past page end"),
+            (slots % 4 != _HEADER.size, "record {} is misaligned"),
+            (slots != starts[:-1],
+             "record {} does not start where its predecessor ends")):
+        if bad.any():
+            return PageFormatError(problem.format(int(bad.argmax())))
+    # Every slot is in place, so the rejection was the last record's end.
+    return PageFormatError(f"record {len(slots) - 1} truncated")
 
 
 def record_capacity(page_size: int = DEFAULT_PAGE_SIZE) -> int:
@@ -128,18 +230,7 @@ class SlottedPage:
     def from_bytes(cls, data: bytes) -> "SlottedPage":
         """Decode a page previously produced by :meth:`to_bytes`."""
         page = cls(len(data))
-        (count,) = _HEADER.unpack_from(data, 0)
-        for index in range(count):
-            slot_pos = len(data) - _SLOT.size * (index + 1)
-            (offset,) = _SLOT.unpack_from(data, slot_pos)
-            if offset + _RECORD_HEADER.size > len(data):
-                raise PageFormatError(f"slot {index} points past page end")
-            vertex, flags, n_count = _RECORD_HEADER.unpack_from(data, offset)
-            start = offset + _RECORD_HEADER.size
-            end = start + 4 * n_count
-            if end > len(data):
-                raise PageFormatError(f"record {index} truncated")
-            neighbors = np.frombuffer(data, dtype="<u4", count=n_count,
-                                      offset=start).astype(np.int64)
-            page.add_record(vertex, neighbors, is_last=bool(flags & _FLAG_LAST))
+        for record in PageBlock.from_bytes(data):
+            page.add_record(record.vertex, record.neighbors,
+                            is_last=record.is_last)
         return page

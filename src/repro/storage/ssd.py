@@ -55,7 +55,7 @@ from repro.storage.faults import (
     FaultPlan,
     RetryPolicy,
 )
-from repro.storage.page import PageRecord, SlottedPage
+from repro.storage.page import PageBlock
 from repro.storage.pagefile import PageFile
 
 __all__ = ["SyncDevice", "ThreadedSSD"]
@@ -77,7 +77,7 @@ def _read_records_with_retry(
     giveups_counter,
     *,
     sleep: Callable[[float], None] = time.sleep,
-) -> list[PageRecord]:
+) -> PageBlock:
     """Read + decode page *pid*, retrying recoverable faults per *policy*.
 
     Recoverable means :class:`DeviceError` (the device refused the read)
@@ -89,7 +89,7 @@ def _read_records_with_retry(
     while True:
         try:
             raw = page_file.read_page(pid)
-            return SlottedPage.from_bytes(raw).records()
+            return PageBlock.from_bytes(raw)
         except (DeviceError, PageFormatError) as exc:
             if policy is None:
                 raise
@@ -141,7 +141,7 @@ class SyncDevice:
     def pages_read(self) -> int:
         return self._pages_read.value
 
-    def read_page(self, pid: int) -> list[PageRecord]:
+    def read_page(self, pid: int) -> PageBlock:
         """Read and decode page *pid* synchronously (with retries)."""
         start = self._tracer.now() if self._tracer is not None else 0.0
         records = _read_records_with_retry(

@@ -11,12 +11,14 @@ from repro.analysis import (
     amdahl_bound,
     fit_parallel_fraction,
     ideal_cost,
+    io_lower_bound,
     mgt_io_bound,
     opt_serial_cost,
     relative_elapsed_time,
 )
 from repro.core import make_store, triangulate_disk
 from repro.memory import edge_iterator
+from repro.obs import RunContext, RunReport
 from repro.sim import CostModel
 
 COST = CostModel()
@@ -87,6 +89,18 @@ class TestCostEquations:
         assert bound == pytest.approx((1 + math.ceil(100 / 10)) * COST.c * 100)
         with pytest.raises(ValueError):
             mgt_io_bound(100, 0, COST)
+
+    def test_io_lower_bound_formula_and_report(self, small_rmat_ordered):
+        assert io_lower_bound(169, 25) == pytest.approx(169 ** 1.5 / 5)
+        assert io_lower_bound(0, 4) == 0
+        with pytest.raises(ValueError):
+            io_lower_bound(100, 0)
+        store = make_store(small_rmat_ordered, 256)
+        report = RunReport()
+        result = triangulate_disk(store, buffer_pages=8,
+                                  ctx=RunContext(report=report))
+        assert report.derived["io_vs_lower_bound"] == pytest.approx(
+            result.pages_read / io_lower_bound(store.num_pages, 8))
 
     def test_mgt_io_within_paper_bound(self, small_rmat_ordered):
         """Measured MGT read volume must respect Eq. 7's upper bound.

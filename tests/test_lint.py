@@ -498,7 +498,7 @@ def test_lockset_ignores_in_threaded_are_load_bearing(tmp_path):
     stripped = source.replace("# lint: ignore[lockset]", "#")
     result = lint_source(tmp_path, "repro/core/framework.py", stripped,
                          rules=[LocksetRule()])
-    assert len([f for f in result.findings if f.rule_id == "lockset"]) == 3
+    assert len([f for f in result.findings if f.rule_id == "lockset"]) == 4
 
 
 # ---------------------------------------------------------------------------
