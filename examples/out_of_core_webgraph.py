@@ -13,7 +13,7 @@ overlap).
 import tempfile
 from pathlib import Path
 
-from repro.baselines import cc_seq, mgt
+from repro.baselines import cc_seq
 from repro.core import (
     NestedOutputWriter,
     buffer_pages_for_ratio,
@@ -52,7 +52,8 @@ def main() -> None:
               f"-> {output_path.name}")
         print(f"  simulated time: {opt.elapsed * 1e3:.1f} ms")
 
-    mgt_result = mgt(store, buffer_pages=budget, page_size=PAGE_SIZE, cost=cost)
+    mgt_result = triangulate_disk(store, plugin="mgt", buffer_pages=budget,
+                                  cost=cost, cores=1)
     print(f"\nMGT (same budget): {mgt_result.pages_read:,} pages read "
           f"({mgt_result.pages_read / max(opt.pages_read, 1):.1f}x OPT), "
           f"{mgt_result.elapsed * 1e3:.1f} ms "

@@ -2,6 +2,5 @@
 
 from repro.baselines.chu_cheng import cc_ds, cc_seq
 from repro.baselines.graphchi import graphchi_tri
-from repro.baselines.mgt import mgt
 
-__all__ = ["cc_ds", "cc_seq", "graphchi_tri", "mgt"]
+__all__ = ["cc_ds", "cc_seq", "graphchi_tri"]

@@ -214,8 +214,7 @@ def _run_method(args, graph, ctx):
         from repro.exec import compose
 
         engine = compose(args.source, args.kernel, args.executor,
-                         graph=graph, workers=args.workers,
-                         page_size=args.page_size)
+                         graph=graph, workers=args.workers)
         return engine.run(ctx=ctx), f"compose:{engine.describe()}"
     # Baselines and in-memory iterators record nothing themselves; the
     # caller exports their result counters into a --report afterwards.
@@ -362,20 +361,6 @@ def _cmd_layout(args) -> int:
     ]
     print(format_table(["measure", "value"], rows,
                        title=f"packed {args.input} -> {pages_path}"))
-    return 0
-
-
-def _cmd_cliques(args) -> int:
-    from repro.memory import count_cliques
-
-    graph = _load_graph(args)
-    result = count_cliques(graph, args.k)
-    print(format_table(
-        ["measure", "value"],
-        [("k", args.k), (f"{args.k}-cliques", result.triangles),
-         ("cpu ops", result.cpu_ops)],
-        title=f"{args.k}-clique count",
-    ))
     return 0
 
 
@@ -730,9 +715,9 @@ def build_parser() -> argparse.ArgumentParser:
     # EXECUTORS); the scenario matrix asserts they stay in sync so the
     # parser never imports the engine stack just to print --help.
     tri.add_argument("--source", default="memory",
-                     choices=["memory", "shm", "disk"],
-                     help="graph source for --method compose: heap CSR, "
-                          "POSIX shared-memory CSR, or paged disk store")
+                     choices=["memory", "shm"],
+                     help="graph source for --method compose: heap CSR "
+                          "or POSIX shared-memory CSR")
     tri.add_argument("--kernel", default="hash",
                      choices=["hash", "merge", "gallop", "bitmap",
                               "adaptive"],
@@ -794,11 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="skip the degree-based relabeling")
     lay.set_defaults(func=_cmd_layout)
 
-    clq = sub.add_parser("cliques", help="count k-cliques")
-    add_input_args(clq)
-    clq.add_argument("--k", type=int, default=4)
-    clq.set_defaults(func=_cmd_cliques)
-
     ver = sub.add_parser("verify", help="cross-check all methods on one graph")
     add_input_args(ver)
     ver.add_argument("--page-size", type=int, default=1024)
@@ -858,7 +838,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "compose"],
                      help="attribution-instrumented engine to profile")
     pro.add_argument("--source", default="memory",
-                     choices=["memory", "shm", "disk"],
+                     choices=["memory", "shm"],
                      help="graph source for --method compose")
     pro.add_argument("--kernel", default="hash",
                      choices=["hash", "merge", "gallop", "bitmap",

@@ -7,9 +7,8 @@ varies is three independent axes (the factorization the paper itself
 uses — iterator model × internal/external split × buffer policy, and
 the per-pair kernel choice AOT argues for):
 
-* **Source** — where successor lists come from: an in-memory CSR, a
-  shared-memory CSR attachable across processes, or a paged disk store
-  read through a buffer manager (:mod:`repro.exec.sources`);
+* **Source** — where the CSR lives: on the heap, or in shared memory
+  attachable across processes (:mod:`repro.exec.sources`);
 * **Kernel** — how two sorted lists are intersected and how the Eq. 3
   operation count is charged: analytic hash probes, two-pointer merge,
   galloping search, a dense bitmap, or the range-pruned adaptive
@@ -28,7 +27,7 @@ point that is not registered here fails static analysis, so no engine
 can silently escape the differential harness.
 """
 
-from repro.exec.engine import Engine, EngineOutcome, compose, run_range, split_ranges
+from repro.exec.engine import Engine, EngineOutcome, compose, run_range
 from repro.exec.executors import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.exec.kernels import (
     AdaptiveKernel,
@@ -52,13 +51,12 @@ from repro.exec.registry import (
     make_source,
     valid_cells,
 )
-from repro.exec.sources import DiskSource, MemorySource, SharedMemorySource
+from repro.exec.sources import MemorySource, SharedMemorySource
 
 __all__ = [
     "AdaptiveKernel",
     "BitmapKernel",
     "CellSpec",
-    "DiskSource",
     "EXECUTORS",
     "Engine",
     "EngineOutcome",
@@ -84,6 +82,5 @@ __all__ = [
     "make_kernel",
     "make_source",
     "run_range",
-    "split_ranges",
     "valid_cells",
 ]

@@ -1,9 +1,9 @@
 """The composed engine: one edge-iterator loop, three pluggable axes.
 
 :func:`run_range` is the single triangle-listing loop every composition
-executes — EdgeIterator≻ (Algorithm 2) over a half-open vertex range,
-reading successor lists from a :class:`~repro.exec.protocols.SourceHandle`
-and intersecting through a kernel binding.  Because every triangle is
+executes — EdgeIterator≻ (Algorithm 2) over a half-open vertex range
+of a CSR :class:`~repro.graph.graph.Graph`, intersecting successor
+lists through a kernel binding.  Because every triangle is
 listed at its minimum vertex, any partition of ``[0, n)`` enumerates
 disjoint triangle sets, chunk results merge by concatenation in range
 order, and the per-pair op charges are identical no matter who executes
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
 from repro.exec.block import Group, block_range
@@ -28,9 +28,11 @@ from repro.memory.base import TriangleSink, TriangulationResult
 from repro.obs.context import NO_CONTEXT, RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.exec.protocols import Executor, Kernel, Source, SourceHandle
+    from repro.exec.protocols import Executor, Kernel, Source
+    from repro.graph.graph import Graph
 
-__all__ = ["Engine", "EngineOutcome", "compose", "run_range", "split_ranges"]
+__all__ = ["Engine", "EngineOutcome", "compose", "run_range"]
+
 
 @dataclass
 class EngineOutcome:
@@ -40,7 +42,6 @@ class EngineOutcome:
     cpu_ops: int = 0
     groups: list[Group] = field(default_factory=list)
     chunks: int = 0
-    io: dict[str, int] = field(default_factory=dict)
     #: Per-branch ``{branch: [pairs, ops]}`` from the kernel bindings'
     #: ``stats()`` — empty for fixed-path kernels, populated by the
     #: adaptive kernel's selector.  Integer cells, so chunk results
@@ -48,25 +49,8 @@ class EngineOutcome:
     branches: dict[str, list[int]] = field(default_factory=dict)
 
 
-def split_ranges(num_vertices: int, parts: int) -> list[tuple[int, int]]:
-    """Split ``[0, num_vertices)`` into ≤ *parts* contiguous ranges.
-
-    Plain equal-width vertex split: executor-agnostic, deterministic,
-    and independent of the source (a disk handle cannot cheaply provide
-    degree mass).  Work balance is the executor's concern — the chunk
-    count oversubscribes the pool so fast workers absorb skew.
-    """
-    if parts < 1:
-        raise ConfigurationError("parts must be >= 1")
-    if num_vertices <= 0:
-        return []
-    parts = min(parts, num_vertices)
-    bounds = [round(i * num_vertices / parts) for i in range(parts + 1)]
-    return [(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-
-
 def run_range(
-    handle: "SourceHandle",
+    graph: "Graph",
     binding,
     lo: int,
     hi: int,
@@ -86,14 +70,14 @@ def run_range(
     Eq. 3 charges — so the attribution table's per-bucket sums conserve
     the returned ``ops`` exactly.
 
-    The ``hash`` binding over a handle that exposes its CSR does not
-    loop per pair: :func:`repro.exec.block.block_range` returns the
-    same triple and charges the same cells a block of edges at a time.
-    The per-pair loop below serves the paged-disk handle and the
-    kernels whose charge is measured, not analytic.
+    The ``hash`` binding does not loop per pair:
+    :func:`repro.exec.block.block_range` returns the same triple and
+    charges the same cells a block of edges at a time.  The per-pair
+    loop below serves the kernels whose charge is measured, not
+    analytic, and foreign :class:`~repro.exec.protocols.Kernel`
+    instances.
     """
-    graph = handle.csr_graph() if binding.name == "hash" else None
-    if graph is not None:
+    if binding.name == "hash":
         return block_range(graph.indptr, graph.indices, graph.succ_start,
                            lo, hi, collect, scope)
     triangles = 0
@@ -104,7 +88,7 @@ def run_range(
     # a method call per pair would dominate the attributed run.
     counts: dict[int, list[int]] = {}
     for u in range(lo, hi):
-        succ_u = handle.succ(u)
+        succ_u = graph.n_succ(u)
         deg_u = len(succ_u)
         if deg_u == 0:
             continue
@@ -112,7 +96,7 @@ def run_range(
         if scope is None:
             for v in succ_u:
                 v = int(v)
-                common, pair_ops = binding.intersect(prepped, handle.succ(v))
+                common, pair_ops = binding.intersect(prepped, graph.n_succ(v))
                 ops += pair_ops
                 if len(common):
                     triangles += len(common)
@@ -122,7 +106,7 @@ def run_range(
         else:
             for v in succ_u:
                 v = int(v)
-                succ_v = handle.succ(v)
+                succ_v = graph.n_succ(v)
                 common, pair_ops = binding.intersect(prepped, succ_v)
                 ops += pair_ops
                 found = len(common)
@@ -219,8 +203,6 @@ class Engine:
         return TriangulationResult(
             triangles=outcome.triangles,
             cpu_ops=outcome.cpu_ops,
-            pages_read=outcome.io.get("pages_read", 0),
-            pages_buffered=outcome.io.get("pages_buffered", 0),
             elapsed=elapsed,
             extra=extra,
         )
@@ -233,8 +215,6 @@ def compose(
     *,
     graph=None,
     workers: int = 2,
-    page_size: int | None = None,
-    buffer_pages: int = 8,
 ) -> Engine:
     """Assemble an :class:`Engine` from axis instances or registry names.
 
@@ -246,8 +226,7 @@ def compose(
     from repro.exec import registry
 
     if isinstance(source, str):
-        source = registry.make_source(source, graph, page_size=page_size,
-                                      buffer_pages=buffer_pages)
+        source = registry.make_source(source, graph)
     if isinstance(kernel, str):
         kernel = registry.make_kernel(kernel)
     if isinstance(executor, str):

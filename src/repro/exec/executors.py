@@ -2,22 +2,21 @@
 
 All three executors run the same :func:`repro.exec.engine.run_range`
 loop and merge chunk results in range order, so triangles, op counts,
-and emitted groups are identical across the axis — only wall time and
-I/O locality differ.  That invariance is what the scenario matrix's
-conservation checks pin down.
+and emitted groups are identical across the axis — only wall time
+differs.  That invariance is what the scenario matrix's conservation
+checks pin down.
 
 * :class:`SerialExecutor` — one range, one loop; the reference cell.
-* :class:`ThreadedExecutor` — a thread pool over oversubscribed vertex
-  ranges.  Under CPython this overlaps I/O (the disk source's page
-  reads) rather than CPU, mirroring the paper's threaded OPT; each task
-  reads through ``fork_local()`` so stateful read paths stay
-  single-threaded internally.
+* :class:`ThreadedExecutor` — a thread pool over the degree-balanced,
+  oversubscribed chunk plan of :func:`repro.parallel.chunks.plan_chunks`.
+  Under CPython the threads interleave rather than run in parallel; the
+  cell exists to show that a pool cannot change the listing or the bill.
 * :class:`ProcessExecutor` — the forked worker pool of
-  :func:`repro.parallel.engine.run_chunks`: each worker attaches the
-  source's published CSR and binds the kernel once, then pulls ranges
-  from a shared queue.  Requires a shareable source; the registry marks
-  other combinations invalid rather than pickling whole graphs across
-  the boundary.
+  :func:`repro.parallel.engine.run_chunks` over the same chunk plan:
+  each worker attaches the source's published CSR and binds the kernel
+  once, then pulls ranges from a shared queue.  Requires a shareable
+  source; the registry marks other combinations invalid rather than
+  pickling whole graphs across the boundary.
 """
 
 from __future__ import annotations
@@ -27,18 +26,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 from repro.errors import ConfigurationError
 from repro.exec.block import Group
-from repro.exec.engine import EngineOutcome, run_range, split_ranges
-from repro.exec.protocols import Kernel, Source
+from repro.exec.engine import EngineOutcome, run_range
+from repro.exec.protocols import Kernel, Source, SourceHandle
 from repro.obs.context import NO_CONTEXT, RunContext
-from repro.parallel.chunks import OVERSUBSCRIPTION
+from repro.parallel.chunks import default_chunk_count, plan_chunks
 
-__all__ = ["OVERSUBSCRIPTION", "ProcessExecutor", "SerialExecutor",
-           "ThreadedExecutor"]
-
-
-def _merge_io(totals: dict[str, int], stats: dict[str, int]) -> None:
-    for key, value in stats.items():
-        totals[key] = totals.get(key, 0) + int(value)
+__all__ = ["ProcessExecutor", "SerialExecutor", "ThreadedExecutor"]
 
 
 def _merge_branches(totals: dict[str, list[int]],
@@ -78,6 +71,17 @@ def _scope_for(attribution, source: Source, kernel: Kernel):
                              source=source.name)
 
 
+def _plan(handle: SourceHandle, workers: int) -> list[tuple[int, int]]:
+    """The pool executors' chunk plan, as ``triangulate_parallel`` plans.
+
+    A function of its own so that no caller's frame keeps the handle's
+    graph alive past ``source.open()``: a shared-memory segment cannot
+    unmap while views of it exist.
+    """
+    graph = handle.csr_graph()
+    return plan_chunks(graph, default_chunk_count(graph, workers))
+
+
 class SerialExecutor:
     """The whole vertex range in one in-process loop."""
 
@@ -89,16 +93,15 @@ class SerialExecutor:
         with source.open() as handle:
             binding = kernel.bind(handle.num_vertices)
             triangles, ops, groups = run_range(
-                handle, binding, 0, handle.num_vertices, collect,
+                handle.csr_graph(), binding, 0, handle.num_vertices, collect,
                 scope=_scope_for(ctx.attribution, source, kernel))
             return EngineOutcome(triangles=triangles, cpu_ops=ops,
                                  groups=groups, chunks=1,
-                                 io=dict(handle.io_stats()),
                                  branches=binding.stats())
 
 
 class ThreadedExecutor:
-    """A thread pool over oversubscribed contiguous vertex ranges."""
+    """A thread pool over the oversubscribed, degree-balanced chunk plan."""
 
     name = "threaded"
     requires_shareable = False
@@ -114,32 +117,25 @@ class ThreadedExecutor:
 
         attribution = ctx.attribution
         with source.open() as handle:
-            ranges = split_ranges(handle.num_vertices,
-                                  self.workers * OVERSUBSCRIPTION)
-            if not ranges:
-                return EngineOutcome(io=dict(handle.io_stats()))
-            num_vertices = handle.num_vertices
+            ranges = _plan(handle, self.workers)
 
             def job(bounds: tuple[int, int]):
                 lo, hi = bounds
-                local = handle.fork_local()
-                binding = kernel.bind(num_vertices)
+                binding = kernel.bind(handle.num_vertices)
                 # Each task charges its own table; the parent folds them
                 # in range order — integer cells sum, so the merged
                 # table is independent of scheduling and worker count.
                 table = Attribution() if attribution is not None else None
                 triangles, ops, groups = run_range(
-                    local, binding, lo, hi, collect,
+                    handle.csr_graph(), binding, lo, hi, collect,
                     scope=_scope_for(table, source, kernel))
-                return (triangles, ops, groups, local.io_stats(), table,
-                        binding.stats())
+                return triangles, ops, groups, table, binding.stats()
 
             outcome = EngineOutcome(chunks=len(ranges))
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                for (triangles, ops, groups, stats, table,
+                for (triangles, ops, groups, table,
                      branches) in pool.map(job, ranges):
                     _add_chunk(outcome, triangles, ops, groups)
-                    _merge_io(outcome.io, stats)
                     _merge_branches(outcome.branches, branches)
                     if table is not None:
                         attribution.merge(table)
@@ -169,8 +165,7 @@ class ProcessExecutor:
                     f"source {source.name!r} is not attachable across "
                     "processes; use the shared-memory source"
                 )
-            ranges = split_ranges(handle.num_vertices,
-                                  self.workers * OVERSUBSCRIPTION)
+            ranges = _plan(handle, self.workers)
             # Workers ship plain-dict table snapshots and branch tallies;
             # integer cells, so the fold is scheduling-independent.
             reports, rows = run_chunks(
@@ -180,8 +175,7 @@ class ProcessExecutor:
                 if attribution is not None else None,
                 ctx=ctx,
             )
-            outcome = EngineOutcome(chunks=len(ranges),
-                                    io=dict(handle.io_stats()))
+            outcome = EngineOutcome(chunks=len(ranges))
             for _, _, _, triangles, ops, groups in rows:
                 _add_chunk(outcome, triangles, ops, groups)
             for report in reports:

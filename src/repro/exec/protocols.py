@@ -3,9 +3,8 @@
 Each protocol is deliberately tiny — the composition layer only needs
 the operations the edge-iterator loop actually performs — so existing
 subsystems (:class:`repro.graph.graph.Graph`,
-:class:`repro.parallel.shm.SharedCSR`,
-:class:`repro.storage.layout.GraphStore`) adapt to them with a few
-lines rather than a rewrite.
+:class:`repro.parallel.shm.SharedCSR`) adapt to them with a few lines
+rather than a rewrite.
 """
 
 from __future__ import annotations
@@ -32,32 +31,14 @@ IntersectFn = Callable[[object, np.ndarray], tuple[Sequence[int], int]]
 
 @runtime_checkable
 class SourceHandle(Protocol):
-    """An open source: successor-list reads plus worker/process hooks."""
+    """An open source: the CSR plus its cross-process descriptor."""
 
     @property
     def num_vertices(self) -> int: ...
 
-    def succ(self, u: int) -> np.ndarray:
-        """Sorted successor ids of *u* (``id(w) > id(u)``)."""
-        ...
-
-    def fork_local(self) -> "SourceHandle":
-        """A handle safe for an additional worker thread.
-
-        Sources whose read path is thread-safe (immutable numpy views)
-        return ``self``; the paged-disk source returns a fresh reader
-        with its own buffer over the same immutable page sequence.
-        """
-        ...
-
-    def csr_graph(self) -> "Graph | None":
-        """The in-process CSR the reads come from, or ``None``.
-
-        Handles backed by one (heap or attached shared memory) let
-        :func:`repro.exec.engine.run_range` take whole blocks of edges
-        off the arrays; the paged-disk handle returns ``None`` — its
-        reads must go through the buffer one list at a time.
-        """
+    def csr_graph(self) -> "Graph":
+        """The in-process CSR (heap or attached shared memory) that
+        :func:`repro.exec.engine.run_range` reads."""
         ...
 
     def csr_handle(self) -> "CSRHandle | None":
@@ -66,10 +47,6 @@ class SourceHandle(Protocol):
         Only shareable sources (the shared-memory CSR) return one; the
         process executor refuses sources that return ``None``.
         """
-        ...
-
-    def io_stats(self) -> dict[str, int]:
-        """Page-level I/O counters accumulated by this handle."""
         ...
 
 

@@ -17,6 +17,10 @@ Everything that enumerates engines reads this module:
   registering here (and thereby joining the verification sweep);
 * the CLI's ``triangulate --source/--kernel/--executor`` flags take
   their choices from the three axis tables.
+
+Both sources are CSR residencies.  A paged store is not an axis member:
+its reader is Algorithm 3 (:func:`repro.core.engine.triangulate_disk`,
+swept below as ``opt:*``), not a row of the cube.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from repro.exec.kernels import (
     HashKernel,
     MergeKernel,
 )
-from repro.exec.sources import DiskSource, MemorySource, SharedMemorySource
+from repro.exec.sources import MemorySource, SharedMemorySource
 
 __all__ = [
     "EXECUTORS",
@@ -61,7 +65,6 @@ __all__ = [
 SOURCES = {
     "memory": MemorySource,
     "shm": SharedMemorySource,
-    "disk": DiskSource,
 }
 
 #: Kernel name -> class (stateless; instantiated per call).
@@ -81,8 +84,7 @@ EXECUTORS = {
 }
 
 
-def make_source(name: str, graph, *, page_size: int | None = None,
-                buffer_pages: int = 8):
+def make_source(name: str, graph):
     """Instantiate the named source over *graph*."""
     try:
         cls = SOURCES[name]
@@ -92,11 +94,6 @@ def make_source(name: str, graph, *, page_size: int | None = None,
         ) from None
     if graph is None:
         raise ConfigurationError(f"source {name!r} needs a graph")
-    if cls is DiskSource:
-        kwargs = {"buffer_pages": buffer_pages}
-        if page_size is not None:
-            kwargs["page_size"] = page_size
-        return DiskSource(graph, **kwargs)
     return cls(graph)
 
 
@@ -198,7 +195,6 @@ REGISTERED_ENTRY_POINTS = frozenset({
     "memory/forward.py::forward",
     "memory/compact_forward.py::compact_forward",
     "memory/matrix.py::matrix_count",
-    "memory/cliques.py::count_cliques",
     "core/engine.py::triangulate_disk",
     "core/engine.py::replay",
     "core/threaded.py::triangulate_threaded",
@@ -206,7 +202,6 @@ REGISTERED_ENTRY_POINTS = frozenset({
     "baselines/chu_cheng.py::cc_seq",
     "baselines/chu_cheng.py::cc_ds",
     "baselines/graphchi.py::graphchi_tri",
-    "baselines/mgt.py::mgt",
     "distributed/methods.py::sv_mapreduce",
     "distributed/methods.py::akm",
     "distributed/methods.py::powergraph",
@@ -320,7 +315,7 @@ def _composed_methods() -> list[tuple[str, Callable]]:
         ("memory", "merge", "serial"),
         ("memory", "gallop", "threaded"),
         ("memory", "adaptive", "serial"),
-        ("disk", "bitmap", "serial"),
+        ("memory", "bitmap", "serial"),
         ("shm", "hash", "process"),
     ]
 
@@ -328,7 +323,6 @@ def _composed_methods() -> list[tuple[str, Callable]]:
         source, kernel, executor = cell
         return lambda graph, env: compose(
             source, kernel, executor, graph=graph, workers=2,
-            page_size=env.page_size, buffer_pages=env.buffer_pages,
         ).run().triangles
 
     return [(f"exec:{'+'.join(cell)}", run(cell)) for cell in witnesses]

@@ -7,7 +7,7 @@ computation, render the series, verify the qualitative claims.
 from __future__ import annotations
 
 from repro.analysis import amdahl_bound, series_chart
-from repro.baselines import cc_ds, cc_seq, graphchi_tri, mgt
+from repro.baselines import cc_ds, cc_seq, graphchi_tri
 from repro.core import (
     buffer_pages_for_ratio,
     ideal_elapsed,
@@ -159,9 +159,9 @@ def fig5_buffer_effect() -> ExperimentResult:
             pages = buffer_pages_for_ratio(store, ratio)
             elapsed["OPT_serial"].append(triangulate_disk(
                 store, buffer_pages=pages, cost=COST, cores=1).elapsed)
-            elapsed["MGT"].append(mgt(
-                store, buffer_pages=pages, page_size=PAGE_SIZE,
-                cost=COST).elapsed)
+            elapsed["MGT"].append(triangulate_disk(
+                store, plugin="mgt", buffer_pages=pages, cost=COST,
+                cores=1).elapsed)
             elapsed["GraphChi-Tri"].append(graphchi_tri(
                 graph, buffer_pages=pages, page_size=PAGE_SIZE, cost=COST,
                 cores=1).elapsed)
@@ -270,7 +270,8 @@ def _run_synthetic(graph):
     pages = buffer_pages_for_ratio(store, 0.15)
     opt1 = triangulate_disk(store, buffer_pages=pages, cost=COST, cores=1)
     opt6 = replay(opt1.extra["trace"], COST, cores=6, morphing=True)
-    mgt_result = mgt(store, buffer_pages=pages, page_size=PAGE_SIZE, cost=COST)
+    mgt_result = triangulate_disk(store, plugin="mgt", buffer_pages=pages,
+                                  cost=COST, cores=1)
     gchi1 = graphchi_tri(graph, buffer_pages=pages, page_size=PAGE_SIZE,
                          cost=COST, cores=1)
     gchi6 = graphchi_tri(graph, buffer_pages=pages, page_size=PAGE_SIZE,

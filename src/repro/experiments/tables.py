@@ -7,7 +7,7 @@ benchmarks in ``benchmarks/`` are thin timing wrappers around these.
 
 from __future__ import annotations
 
-from repro.baselines import graphchi_tri, mgt
+from repro.baselines import graphchi_tri
 from repro.core import (
     NestedOutputWriter,
     buffer_pages_for_ratio,
@@ -149,7 +149,8 @@ def table6_billion() -> ExperimentResult:
     pages = buffer_pages_for_ratio(store, 0.10)
     opt1 = triangulate_disk(store, buffer_pages=pages, cost=COST, cores=1)
     opt6 = replay(opt1.extra["trace"], COST, cores=6, morphing=True)
-    mgt_result = mgt(store, buffer_pages=pages, page_size=PAGE_SIZE, cost=COST)
+    mgt_result = triangulate_disk(store, plugin="mgt", buffer_pages=pages,
+                                  cost=COST, cores=1)
     gchi1 = graphchi_tri(graph, buffer_pages=pages, page_size=PAGE_SIZE,
                          cost=COST, cores=1)
     gchi6 = graphchi_tri(graph, buffer_pages=pages, page_size=PAGE_SIZE,

@@ -33,8 +33,7 @@ __all__ = ["EngineCompositionRule"]
 #: triangulation engines.  ``exec/`` is deliberately absent — it *is*
 #: the composition layer.
 _ENGINE_PACKAGES = frozenset({
-    "memory", "core", "baselines", "parallel", "distributed",
-    "storage", "approx", "subgraph", "vcengine",
+    "memory", "core", "baselines", "parallel", "distributed", "storage",
 })
 
 _RESULT_TYPE = "TriangulationResult"

@@ -7,7 +7,6 @@ from repro.memory.base import (
     TriangulationResult,
     canonical_triangles,
 )
-from repro.memory.cliques import count_cliques, list_cliques
 from repro.memory.compact_forward import compact_forward
 from repro.memory.edge_iterator import edge_iterator
 from repro.memory.forward import forward
@@ -21,10 +20,8 @@ __all__ = [
     "TriangulationResult",
     "canonical_triangles",
     "compact_forward",
-    "count_cliques",
     "edge_iterator",
     "forward",
-    "list_cliques",
     "matrix_count",
     "vertex_iterator",
 ]

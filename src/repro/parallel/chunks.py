@@ -22,9 +22,10 @@ from repro.graph.graph import Graph
 __all__ = ["default_chunk_count", "plan_chunks"]
 
 #: Chunks per worker, for every pool in the repo (the thread and process
-#: executors import it).  4x oversubscription is the classic
-#: work-stealing sweet spot: fine enough that a straggler chunk can't
-#: serialize the run, coarse enough that queue traffic stays negligible.
+#: executors plan through :func:`default_chunk_count` too).  4x
+#: oversubscription is the classic work-stealing sweet spot: fine enough
+#: that a straggler chunk can't serialize the run, coarse enough that
+#: queue traffic stays negligible.
 OVERSUBSCRIPTION = 4
 
 

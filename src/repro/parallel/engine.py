@@ -48,7 +48,7 @@ from repro.errors import ConfigurationError, ParallelError
 from repro.exec.block import Group, block_range
 from repro.exec.engine import run_range
 from repro.exec.kernels import HashKernel, Kernel
-from repro.exec.sources import MemorySource, SharedMemorySource, _GraphHandle
+from repro.exec.sources import MemorySource, SharedMemorySource
 from repro.graph.graph import Graph
 from repro.memory.base import CountSink, TriangleSink, TriangulationResult
 from repro.obs.context import NO_CONTEXT, RunContext
@@ -183,7 +183,6 @@ def _execute_chunks(
         attr_table = Attribution()
         attr_scope = attr_table.scope(phase=phase, kernel=kernel_name,
                                       source=source)
-    handle = _GraphHandle(graph)
     binding = kernel.bind(graph.num_vertices)
     done_chunks = total_ops = total_steals = 0
 
@@ -206,7 +205,7 @@ def _execute_chunks(
         start = time.perf_counter() - anchor
         if chunk_delay > 0.0:
             time.sleep(chunk_delay)
-        triangles, ops, groups = run_range(handle, binding, lo, hi,
+        triangles, ops, groups = run_range(graph, binding, lo, hi,
                                            collect, scope=attr_scope)
         end = time.perf_counter() - anchor
         chunks_counter.inc()

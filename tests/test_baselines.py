@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.baselines import cc_ds, cc_seq, graphchi_tri, mgt
+from repro.baselines import cc_ds, cc_seq, graphchi_tri
 from repro.baselines.common import induced_pages, partition_ranges, range_triangle_pass
 from repro.core import buffer_pages_for_ratio, make_store, triangulate_disk
 from repro.errors import ConfigurationError
@@ -14,7 +14,7 @@ from repro.sim import CostModel
 
 COST = CostModel()
 BASELINES = [
-    pytest.param(lambda g, bp, ps: mgt(g, buffer_pages=bp, page_size=ps, cost=COST), id="mgt"),
+    pytest.param(lambda g, bp, ps: triangulate_disk(g, plugin="mgt", buffer_pages=bp, page_size=ps, cost=COST, cores=1), id="mgt"),
     pytest.param(lambda g, bp, ps: cc_seq(g, buffer_pages=bp, page_size=ps, cost=COST), id="cc-seq"),
     pytest.param(lambda g, bp, ps: cc_ds(g, buffer_pages=bp, page_size=ps, cost=COST), id="cc-ds"),
     pytest.param(lambda g, bp, ps: graphchi_tri(g, buffer_pages=bp, page_size=ps, cost=COST), id="graphchi"),
@@ -84,7 +84,8 @@ class TestCostShapes:
         bp = buffer_pages_for_ratio(store, 0.15)
         opt = triangulate_disk(store, buffer_pages=bp, cost=COST)
         for method in (
-            mgt(store, buffer_pages=bp, page_size=256, cost=COST),
+            triangulate_disk(store, plugin="mgt", buffer_pages=bp, cost=COST,
+                             cores=1),
             cc_seq(small_rmat_ordered, buffer_pages=bp, page_size=256, cost=COST),
             cc_ds(small_rmat_ordered, buffer_pages=bp, page_size=256, cost=COST),
             graphchi_tri(small_rmat_ordered, buffer_pages=bp, page_size=256, cost=COST),

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 from repro.exec import block, compose
 from repro.exec.engine import run_range
 from repro.exec.kernels import BitmapKernel
-from repro.exec.sources import MemorySource
 from repro.memory import CollectSink, forward
 from repro.obs.attribution import Attribution
 
@@ -57,9 +56,8 @@ def _per_pair(member: str, seed: int, lo: int, hi: int):
     graph = _graph(member, seed)
     table = Attribution()
     scope = table.scope(phase="exec", kernel="bitmap", source="memory")
-    with MemorySource(graph).open() as handle:
-        result = run_range(handle, BitmapKernel().bind(graph.num_vertices),
-                           lo, hi, True, scope=scope)
+    result = run_range(graph, BitmapKernel().bind(graph.num_vertices),
+                       lo, hi, True, scope=scope)
     return result, _cells(table)
 
 

@@ -191,17 +191,6 @@ class TestLayoutCommand:
         assert "packed" in capsys.readouterr().out
 
 
-class TestCliquesCommand:
-    def test_cliques_on_complete_graph(self, tmp_path, capsys):
-        from repro.graph.generators import complete_graph
-        from repro.graph.io import write_edge_list
-
-        path = tmp_path / "k6.txt"
-        write_edge_list(complete_graph(6), path)
-        assert main(["cliques", "--input", str(path), "--k", "4"]) == 0
-        assert "15" in capsys.readouterr().out  # C(6, 4)
-
-
 class TestVerifyCommand:
     def test_verify_agrees(self, tmp_path, capsys):
         from repro.graph.io import write_edge_list

@@ -16,9 +16,8 @@ from repro.graph import datasets
 from repro.graph.cores import degeneracy
 from repro.graph.metrics import per_vertex_triangles
 from repro.graph.ordering import apply_ordering
-from repro.memory import count_cliques, edge_iterator
+from repro.memory import edge_iterator
 from repro.sim import CostModel
-from repro.vcengine import DiskVCEngine, PageRankApp, ShardedGraph
 
 COST = CostModel()
 
@@ -37,10 +36,6 @@ class TestTriangleAgreement:
         gas_values = GASEngine(clustered_graph).run(TriangleCountProgram())
         expected = per_vertex_triangles(clustered_graph)
         assert np.array_equal(gas_values.astype(np.int64), expected)
-
-    def test_cliques_k3_equals_triangles(self, clustered_graph):
-        assert (count_cliques(clustered_graph, 3).triangles
-                == edge_iterator(clustered_graph).triangles)
 
 
 class TestCostBoundConsistency:
@@ -64,18 +59,6 @@ class TestCostBoundConsistency:
 
 
 class TestEngineRobustness:
-    def test_vc_engines_pagerank_agree(self, clustered_graph):
-        """The in-memory GAS engine and the disk PSW engine converge to
-        the same PageRank vector."""
-        from repro.baselines.vertex_centric import PageRankProgram
-
-        gas = GASEngine(clustered_graph).run(PageRankProgram(tolerance=1e-9))
-        sharded = ShardedGraph.build(clustered_graph, 3)
-        psw = DiskVCEngine(sharded, page_size=512).run(
-            PageRankApp(clustered_graph.degrees()), max_supersteps=200
-        )
-        assert np.allclose(gas, psw.values, atol=5e-4)
-
     def test_trace_replay_stability_across_datasets(self):
         """Replaying any dataset's trace at 6 cores is always faster
         than serial and never beats the CPU lower bound."""

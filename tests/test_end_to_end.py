@@ -1,10 +1,10 @@
-"""End-to-end integration: raw edge file to triangle queries to cliques.
+"""End-to-end integration: raw edge file to triangle queries.
 
 Exercises the full production pipeline a downstream user would run:
 raw text edge list → out-of-core build (external sort + degree remap +
 packing) → OPT triangulation with nested output through the asynchronous
-writer → indexed triangle queries → disk-based 4-clique join — checking
-exactness at every stage against independent references.
+writer → indexed triangle queries — checking exactness at every stage
+against independent references.
 """
 
 from __future__ import annotations
@@ -23,10 +23,9 @@ from repro.errors import ConfigurationError
 from repro.graph import generators
 from repro.graph.io import write_edge_list
 from repro.graph.metrics import per_vertex_triangles
-from repro.memory import count_cliques, edge_iterator
+from repro.memory import edge_iterator
 from repro.preprocess import build_store_external
 from repro.storage.writer import AsyncFile
-from repro.subgraph import four_cliques_disk
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +75,6 @@ class TestPipeline:
         assert np.array_equal(counts, expected)
         # The relabeling permutes, never changes, the count multiset.
         assert sorted(counts) == sorted(per_vertex_triangles(raw))
-
-    def test_clique_join_from_output_file(self, pipeline):
-        _raw, ordered, store, _stats, _result, path = pipeline
-        join = four_cliques_disk(store, read_nested_groups(path),
-                                 buffer_pages=8)
-        assert join.cliques == count_cliques(ordered, 4).triangles
 
     def test_threaded_engine_agrees(self, pipeline, tmp_path):
         _raw, _ordered, store, _stats, result, _path = pipeline

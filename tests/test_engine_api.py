@@ -17,7 +17,6 @@ from repro.core import (
 from repro.distributed import ClusterSpec
 from repro.graph.builder import GraphBuilder, from_edges
 from repro.sim import CostModel, simulate
-from repro.vcengine import DegreeApp, DiskVCEngine, ShardedGraph
 
 COST = CostModel()
 
@@ -81,18 +80,6 @@ class TestDegenerateGraphs:
             result = triangulate_disk(graph, plugin=plugin, page_size=128,
                                       buffer_pages=2)
             assert result.triangles == 2
-
-    def test_vcengine_empty_graph(self):
-        graph = GraphBuilder(0).build()
-        sharded = ShardedGraph.build(graph, 2)
-        result = DiskVCEngine(sharded, page_size=256).run(DegreeApp())
-        assert len(result.values) == 0
-
-    def test_vcengine_isolated_vertices(self):
-        graph = from_edges([(0, 1)], num_vertices=5)
-        sharded = ShardedGraph.build(graph, 2)
-        result = DiskVCEngine(sharded, page_size=256).run(DegreeApp())
-        assert result.values.tolist() == [1.0, 1.0, 0.0, 0.0, 0.0]
 
 
 class TestClusterSpecHelpers:

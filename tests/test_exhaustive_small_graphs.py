@@ -17,7 +17,6 @@ from repro.core import triangulate_disk
 from repro.graph.builder import from_edges
 from repro.memory import (
     compact_forward,
-    count_cliques,
     edge_iterator,
     forward,
     matrix_count,
@@ -78,20 +77,6 @@ class TestExhaustive:
             assert result.triangles == brute_force_triangles(edge_set), (
                 mask, plugin,
             )
-
-    def test_k4_cliques_sample(self):
-        """4-clique counts on every 16th graph vs brute force."""
-        for mask in range(0, 1 << len(ALL_EDGES), 16):
-            graph, edge_set = graph_of(mask)
-            expected = sum(
-                1
-                for quad in combinations(range(VERTICES), 4)
-                if all(
-                    (a, b) in edge_set
-                    for a, b in combinations(quad, 2)
-                )
-            )
-            assert count_cliques(graph, 4).triangles == expected, mask
 
 
 class TestExhaustiveParallel:

@@ -1,4 +1,4 @@
-"""Tests for the library extensions: compact-forward, k-cliques, kernels."""
+"""Tests for the library extensions: compact-forward, kernels."""
 
 from __future__ import annotations
 
@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import TriangulationError
-from repro.graph import generators
 from repro.graph.builder import from_edges
 from repro.memory import (
     CollectSink,
     canonical_triangles,
     compact_forward,
-    count_cliques,
     edge_iterator,
-    list_cliques,
 )
 from repro.util.intersect import IntersectionKernel
 from tests.conftest import nx_triangle_count
@@ -46,54 +42,6 @@ class TestCompactForward:
     def test_property_agrees(self, edges):
         graph = from_edges(edges)
         assert compact_forward(graph).triangles == edge_iterator(graph).triangles
-
-
-class TestCliques:
-    def test_k1_is_vertices(self, figure1):
-        assert count_cliques(figure1, 1).triangles == 8
-        assert len(list(list_cliques(figure1, 1))) == 8
-
-    def test_k2_is_edges(self, figure1):
-        assert count_cliques(figure1, 2).triangles == figure1.num_edges
-
-    def test_k3_is_triangles(self, figure1, small_rmat):
-        assert count_cliques(figure1, 3).triangles == 5
-        assert count_cliques(small_rmat, 3).triangles == nx_triangle_count(small_rmat)
-
-    def test_k4_complete_graph(self):
-        graph = generators.complete_graph(8)
-        assert count_cliques(graph, 4).triangles == 70  # C(8, 4)
-        assert count_cliques(graph, 8).triangles == 1
-        assert count_cliques(graph, 9).triangles == 0
-
-    def test_k4_figure1(self, figure1):
-        # Figure 1 has no 4-cliques (no vertex pair shares two triangles
-        # whose apexes are adjacent).
-        assert count_cliques(figure1, 4).triangles == 0
-
-    def test_listing_matches_count(self, clustered_graph):
-        for k in (3, 4):
-            listed = list(list_cliques(clustered_graph, k))
-            assert len(listed) == count_cliques(clustered_graph, k).triangles
-            assert len(set(listed)) == len(listed)
-            for clique in listed[:50]:
-                assert list(clique) == sorted(clique)
-                for i in range(k):
-                    for j in range(i + 1, k):
-                        assert clustered_graph.has_edge(clique[i], clique[j])
-
-    def test_k4_matches_networkx(self, clustered_graph):
-        import networkx as nx
-
-        nxg = nx.Graph(list(clustered_graph.edges()))
-        expected = sum(1 for c in nx.enumerate_all_cliques(nxg) if len(c) == 4)
-        assert count_cliques(clustered_graph, 4).triangles == expected
-
-    def test_validation(self, figure1):
-        with pytest.raises(TriangulationError):
-            count_cliques(figure1, 0)
-        with pytest.raises(TriangulationError):
-            list(list_cliques(figure1, -1))
 
 
 class TestKernelParameter:

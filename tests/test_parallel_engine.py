@@ -325,25 +325,39 @@ ENTRY_POINTS = pytest.mark.parametrize(
 
 class TestOnePool:
     """``compose(shm, k, process)`` and ``triangulate_parallel`` run the
-    same forked pool; only the chunk plan and the result shape differ."""
+    same forked pool over the same chunk plan; only the result shape
+    differs."""
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_process_cell_equals_serial_cell(self, zoo, kernel):
-        graph = zoo["clustered"]
-        serial_sink, process_sink = CollectSink(), CollectSink()
-        serial = compose("memory", kernel, "serial",
-                         graph=graph).run(serial_sink)
-        process = compose("shm", kernel, "process", graph=graph,
-                          workers=2).run(process_sink)
-        assert process.extra["chunks"] > 2
-        # Emission order, not just the set: chunk order is vertex order.
-        assert process_sink.triangles == serial_sink.triangles
-        assert process.cpu_ops == serial.cpu_ops
-        assert process.extra.get("branches") == serial.extra.get("branches")
-        if kernel == "hash":
-            parallel_sink = CollectSink()
-            run_parallel(graph, parallel_sink)
-            assert process_sink.triangles == parallel_sink.triangles
+        clustered = zoo["clustered"]
+        empty = from_edges([], num_vertices=0)
+        sparse = from_edges([(0, 1), (0, 2), (1, 2), (4, 5)], num_vertices=6)
+        for graph in (clustered, empty, sparse):
+            planned = len(plan_chunks(graph, default_chunk_count(graph, 2)))
+            if graph is clustered:
+                assert planned > 2
+            serial_sink = CollectSink()
+            serial = compose("memory", kernel, "serial",
+                             graph=graph).run(serial_sink)
+            assert serial.extra["chunks"] == 1
+            for source, executor in (("memory", "threaded"),
+                                     ("shm", "process")):
+                sink = CollectSink()
+                pooled = compose(source, kernel, executor, graph=graph,
+                                 workers=2).run(sink)
+                assert pooled.extra["chunks"] == planned
+                # Emission order, not just the set: chunk order is
+                # vertex order.
+                assert sink.triangles == serial_sink.triangles
+                assert pooled.cpu_ops == serial.cpu_ops
+                assert (pooled.extra.get("branches")
+                        == serial.extra.get("branches"))
+            if kernel == "hash":
+                parallel_sink = CollectSink()
+                parallel = run_parallel(graph, parallel_sink)
+                assert len(parallel.extra["chunks"]) == planned
+                assert sink.triangles == parallel_sink.triangles
 
 
 @pytest.fixture

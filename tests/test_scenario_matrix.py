@@ -31,10 +31,6 @@ from repro.verify import oracle_triangles
 
 from tests import zoo
 
-#: Small pages + tiny buffer so the disk source actually exercises
-#: eviction on zoo-sized graphs.
-PAGE_SIZE = 256
-BUFFER_PAGES = 4
 WORKERS = 2
 
 #: Every cell of the cube, valid and invalid alike.
@@ -73,8 +69,7 @@ def test_cell_matches_oracle_and_conserves_ops(cell, member, seed):
         pytest.skip(f"invalid cell {cell.id}: {cell.reason}")
     graph = _graph(member, seed)
     engine = compose(cell.source, cell.kernel, cell.executor, graph=graph,
-                     workers=WORKERS, page_size=PAGE_SIZE,
-                     buffer_pages=BUFFER_PAGES)
+                     workers=WORKERS)
     sink = CollectSink()
     result = engine.run(sink)
     listing = tuple(canonical_triangles(sink))
@@ -110,8 +105,7 @@ def test_compose_refuses_invalid_cells(figure1):
     assert invalid, "the cube currently has invalid cells by design"
     for cell in invalid:
         with pytest.raises(ConfigurationError) as excinfo:
-            compose(cell.source, cell.kernel, cell.executor, graph=figure1,
-                    page_size=PAGE_SIZE, buffer_pages=BUFFER_PAGES)
+            compose(cell.source, cell.kernel, cell.executor, graph=figure1)
         assert cell.reason in str(excinfo.value)
 
 
@@ -119,8 +113,13 @@ def test_unknown_axis_names_are_invalid_with_reasons():
     valid, reason = registry.cell_validity("memory", "no-such-kernel",
                                            "serial")
     assert not valid and "no-such-kernel" in reason
-    valid, reason = registry.cell_validity("tape", "hash", "serial")
-    assert not valid and "tape" in reason
+    for gone in ("tape", "disk"):
+        valid, reason = registry.cell_validity(gone, "hash", "serial")
+        assert not valid and f"unknown source {gone!r}" in reason
+        with pytest.raises(ConfigurationError,
+                           match=f"unknown source {gone!r}; "
+                                 "available: memory, shm"):
+            compose(gone, "hash", "serial", graph=_graph("figure1", 0))
     valid, reason = registry.cell_validity("memory", "hash", "quantum")
     assert not valid and "quantum" in reason
 
