@@ -40,6 +40,8 @@ class GraphBuilder:
         self._strict = strict
         self._sources: list[int] = []
         self._targets: list[int] = []
+        #: ``(src, dst)`` blocks taken by :meth:`add_edge_array`
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
 
     def add_edge(self, u: int, v: int) -> None:
         """Add the undirected edge ``(u, v)``."""
@@ -62,33 +64,49 @@ class GraphBuilder:
         for u, v in edges:
             self.add_edge(u, v)
 
+    def add_edge_array(self, src: np.ndarray, dst: np.ndarray) -> None:
+        """Add the undirected edges ``(src[i], dst[i])`` in one step.
+
+        The rules are :meth:`add_edge`'s, applied to whole arrays; when
+        an edge breaks one, the first such edge raises :meth:`add_edge`'s
+        error and none of the block is added.
+        """
+        src = np.asarray(src, dtype=np.int64)
+        dst = np.asarray(dst, dtype=np.int64)
+        if src.shape != dst.shape or src.ndim != 1:
+            raise GraphError("src and dst must be one-dimensional and equally long")
+        loops = src == dst
+        bad = (src < 0) | (dst < 0)
+        if self._strict:
+            bad |= loops
+        if self._num_vertices is not None:
+            bad |= ~loops & (np.maximum(src, dst) >= self._num_vertices)
+        if bad.any():
+            first = int(bad.argmax())
+            self.add_edge(src[first], dst[first])  # raises, in its words
+        if loops.any():
+            src, dst = src[~loops], dst[~loops]
+        self._blocks.append((src, dst))
+
     def build(self) -> Graph:
         """Deduplicate, symmetrize, sort, and emit the CSR graph."""
-        if not self._sources:
-            n = self._num_vertices or 0
-            return Graph(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
-                         validate=False)
-        src = np.asarray(self._sources, dtype=np.int64)
-        dst = np.asarray(self._targets, dtype=np.int64)
+        src = np.concatenate([np.asarray(self._sources, dtype=np.int64),
+                              *(block[0] for block in self._blocks)])
+        dst = np.concatenate([np.asarray(self._targets, dtype=np.int64),
+                              *(block[1] for block in self._blocks)])
         n = self._num_vertices
         if n is None:
-            n = int(max(src.max(), dst.max())) + 1
-        # Canonicalize to (low, high), dedupe, then symmetrize.
-        low = np.minimum(src, dst)
-        high = np.maximum(src, dst)
-        keys = low * n + high
-        unique_keys = np.unique(keys)
-        low = unique_keys // n
-        high = unique_keys % n
-        all_src = np.concatenate([low, high])
-        all_dst = np.concatenate([high, low])
-        order = np.lexsort((all_dst, all_src))
-        all_src = all_src[order]
-        all_dst = all_dst[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        counts = np.bincount(all_src, minlength=n)
-        indptr[1:] = np.cumsum(counts)
-        return Graph(indptr, all_dst, validate=False)
+            n = int(max(src.max(), dst.max())) + 1 if len(src) else 0
+        # One key per direction: sorted, they are the CSR entries in row
+        # order, and a key equal to its predecessor is a parallel edge.
+        keys = np.concatenate([src * n + dst, dst * n + src])
+        keys.sort()
+        fresh = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+        keys = keys[fresh]
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        np.remainder(keys, n, out=keys)
+        return Graph(indptr, keys, validate=False)
 
 
 def from_edges(

@@ -116,6 +116,14 @@ class Graph:
             self._succ_start = start
         return start
 
+    def rows(self, vertices: np.ndarray) -> np.ndarray:
+        """The adjacency lists of *vertices*, concatenated in that order."""
+        starts = self.indptr[vertices]
+        lengths = self.indptr[vertices + 1] - starts
+        ends = lengths.cumsum()
+        return self.indices[(starts - (ends - lengths)).repeat(lengths)
+                            + np.arange(lengths.sum())]
+
     def n_succ(self, v: int) -> np.ndarray:
         """``n_succ(v)``: neighbors with id greater than *v* (sorted view)."""
         return self.indices[self.succ_start[v]:self.indptr[v + 1]]
@@ -156,20 +164,21 @@ class Graph:
         """
         mapping = np.asarray(mapping, dtype=np.int64)
         n = self.num_vertices
-        if len(mapping) != n or len(np.unique(mapping)) != n:
+        if mapping.shape != (n,) or (n and (
+                mapping.min() < 0 or mapping.max() >= n
+                or np.bincount(mapping, minlength=n).max() > 1)):
             raise GraphError("mapping must be a permutation of the vertex ids")
-        inverse = np.empty(n, dtype=np.int64)
-        inverse[mapping] = np.arange(n, dtype=np.int64)
-        new_indptr = np.zeros(n + 1, dtype=np.int64)
         degrees = np.diff(self.indptr)
-        new_indptr[1:] = np.cumsum(degrees[inverse])
-        new_indices = np.empty_like(self.indices)
-        for new_v in range(n):
-            old_v = inverse[new_v]
-            row = mapping[self.neighbors(old_v)]
-            row.sort()
-            new_indices[new_indptr[new_v]:new_indptr[new_v + 1]] = row
-        return Graph(new_indptr, new_indices, validate=False)
+        new_indptr = np.zeros(n + 1, dtype=np.int64)
+        new_degrees = np.empty(n, dtype=np.int64)
+        new_degrees[mapping] = degrees
+        np.cumsum(new_degrees, out=new_indptr[1:])
+        # Sorted ``new_u * n + new_v`` keys are the new rows in order.
+        keys = np.repeat(mapping * n, degrees)
+        keys += mapping[self.indices]
+        keys.sort()
+        np.remainder(keys, n, out=keys)
+        return Graph(new_indptr, keys, validate=False)
 
     def subgraph_rows(self, vertices: np.ndarray) -> dict[int, np.ndarray]:
         """Adjacency lists of *vertices* as a dict (used by baselines)."""

@@ -10,12 +10,16 @@ Beyond degree order the catalogue carries two further heuristics from the
 tailored-ordering literature (Lécuyer et al.):
 
 * ``degeneracy`` — the k-core peel sequence (Matula & Beck): vertices get
-  ids in the order the linear-time core decomposition removes them, so
-  the ordering tracks coreness rather than raw degree and bounds every
-  ``n_succ`` list by the graph's degeneracy;
+  ids in the order the core decomposition removes them, so the ordering
+  tracks coreness rather than raw degree and bounds every ``n_succ``
+  list by the graph's degeneracy.  The peel removes a whole round of
+  vertices at once and orders a round by ``(original degree, id)``
+  (:mod:`repro.graph.cores` says why), so ids inside one core level are
+  not the sequential bucket queue's;
 * ``locality`` — deterministic BFS from a min-degree root with sorted
   neighbor visits: ids follow neighborhood proximity, which compacts the
-  successor ranges the range-pruning adaptive kernel feeds on.
+  successor ranges the range-pruning adaptive kernel feeds on.  It moves
+  a frontier at a time and ranks exactly as the sequential queue does.
 
 No single ordering wins on every graph, so ``auto`` measures the exact
 Eq. 3 bill of each candidate via :func:`ordering_op_cost` — a vectorized
@@ -63,6 +67,10 @@ AUTO_CANDIDATES = (Ordering.DEGREE, Ordering.DEGENERACY, Ordering.LOCALITY,
                    Ordering.NATURAL)
 
 
+#: Root candidates :func:`locality_order_mapping` tests per lookup.
+_ROOT_WINDOW = 1024
+
+
 def degree_order_mapping(graph: Graph, *, reverse: bool = False) -> np.ndarray:
     """Mapping ``old id -> new id`` sorting vertices by degree.
 
@@ -101,38 +109,43 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
     components start from the lowest-id unvisited root candidate.  Ids
     then follow neighborhood proximity, which narrows the successor-range
     spans the range-pruning adaptive kernel intersects.
+
+    One round of array calls per BFS level of each component: the ranks
+    are the sequential queue's, the cost is not per vertex.
     """
     n = graph.num_vertices
-    mapping = np.full(n, -1, dtype=np.int64)
-    if n == 0:
-        return mapping
     degrees = graph.degrees()
+    mapping = np.full(n, -1, dtype=np.int64)
+    # Degree-0 vertices lead the root sequence and each is a whole
+    # component, so together they take the first ranks in id order.
+    isolated = np.flatnonzero(degrees == 0)
+    mapping[isolated] = np.arange(len(isolated))
+    ranked = len(isolated)
     # Root preference: min degree, then min id — one lexsort gives the
     # global candidate sequence; per component the first unvisited
     # candidate is the root.
     roots = np.lexsort((np.arange(n), degrees))
-    next_rank = 0
-    head = 0
-    queue = np.empty(n, dtype=np.int64)
-    for root in roots:
-        root = int(root)
-        if mapping[root] >= 0:
+    cursor = ranked
+    while ranked < n:
+        # The next root is the first unranked candidate past the last
+        # root; a window at a time keeps the search O(n) over the run.
+        unranked = np.flatnonzero(
+            mapping[roots[cursor:cursor + _ROOT_WINDOW]] < 0)
+        if len(unranked) == 0:
+            cursor += _ROOT_WINDOW
             continue
-        tail = head
-        queue[tail] = root
-        tail += 1
-        mapping[root] = next_rank
-        next_rank += 1
-        while head < tail:
-            u = int(queue[head])
-            head += 1
-            for v in graph.neighbors(u):
-                v = int(v)
-                if mapping[v] < 0:
-                    mapping[v] = next_rank
-                    next_rank += 1
-                    queue[tail] = v
-                    tail += 1
+        cursor += int(unranked[0])
+        frontier = roots[cursor:cursor + 1]
+        while len(frontier):
+            mapping[frontier] = np.arange(ranked, ranked + len(frontier))
+            ranked += len(frontier)
+            # The sequential queue ranks a vertex when the earliest-ranked
+            # neighbor reaches it: its first occurrence in the frontier's
+            # rows laid end to end.
+            reached = graph.rows(frontier)
+            reached = reached[mapping[reached] < 0]
+            fresh, first = np.unique(reached, return_index=True)
+            frontier = fresh[np.argsort(first)]
     return mapping
 
 
@@ -146,8 +159,11 @@ def ordering_op_cost(graph: Graph, mapping: np.ndarray) -> int:
     relabeled graph, no engine run — and matches the relabeled run's
     ``cpu_ops`` exactly (asserted by the ordering property tests).
     """
-    n = graph.num_vertices
-    edges = graph.edge_array()
+    return _op_cost(graph.num_vertices, graph.edge_array(), mapping)
+
+
+def _op_cost(n: int, edges: np.ndarray, mapping: np.ndarray) -> int:
+    """:func:`ordering_op_cost` over an edge array computed once."""
     if n == 0 or len(edges) == 0:
         return 0
     mapped_u = mapping[edges[:, 0]]
@@ -177,7 +193,9 @@ def _mapping_for(graph: Graph, ordering: Ordering, seed: int) -> np.ndarray:
 
 def ordering_costs(graph: Graph) -> dict[Ordering, int]:
     """Measured Eq. 3 bill of every ``auto`` candidate on *graph*."""
-    return {ordering: ordering_op_cost(graph, _mapping_for(graph, ordering, 0))
+    edges = graph.edge_array()
+    return {ordering: _op_cost(graph.num_vertices, edges,
+                               _mapping_for(graph, ordering, 0))
             for ordering in AUTO_CANDIDATES}
 
 

@@ -157,6 +157,34 @@ class TestRelabel:
         with pytest.raises(GraphError):
             figure1.relabel(np.zeros(8, dtype=np.int64))
 
+    @pytest.mark.parametrize("mapping", [
+        [-1, 0, 1],        # used to wrap around: indices held -1
+        [0, 1, 5],         # used to raise a bare IndexError
+        [0, 0, 2],
+        [0.0, 0.5, 2.0],   # truncates to a duplicate
+        [0, 1],
+        [[0, 1, 2]],
+    ], ids=str)
+    def test_rejects_out_of_range_duplicate_and_misshapen(self, mapping):
+        path = from_edges([(0, 1), (1, 2)])
+        with pytest.raises(GraphError, match="mapping must be a permutation "
+                                             "of the vertex ids"):
+            path.relabel(mapping)
+
+    @given(edges_strategy, st.integers(0, 2**32 - 1))
+    def test_equals_the_row_by_row_relabel(self, edges, seed):
+        """The key sort against the loop it replaced: one sort per row."""
+        graph = from_edges(edges)
+        n = graph.num_vertices
+        mapping = np.random.default_rng(seed).permutation(n)
+        inverse = np.argsort(mapping)
+        rows = [np.sort(mapping[graph.neighbors(int(old))]) for old in inverse]
+        relabeled = graph.relabel(mapping)
+        assert relabeled.indptr.tolist() == [0, *np.cumsum(
+            [len(row) for row in rows]).tolist()]
+        assert relabeled.indices.tolist() == [
+            int(v) for row in rows for v in row]
+
 
 class TestOrdering:
     def test_degree_mapping_monotone(self, small_rmat):

@@ -14,23 +14,37 @@ graphs:
 * :func:`~repro.graph.ordering.ordering_op_cost` equals the relabeled
   engine's measured Eq. 3 bill exactly;
 * :func:`~repro.graph.ordering.choose_ordering` is deterministic per
-  graph seed and actually picks the measured minimum.
+  graph seed and actually picks the measured minimum;
+* the round-synchronous peel and the frontier-at-a-time BFS agree with
+  the sequential bucket-queue peel and queue BFS they replaced, which
+  are kept below as reference models (:func:`reference_peel`,
+  :func:`reference_bfs_ranks`): equal core numbers, a valid degeneracy
+  ordering, and the BFS mapping element for element.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.builder import from_edges
-from repro.graph.cores import core_numbers, peeling_order
+from repro.graph.cores import (
+    core_decomposition,
+    core_numbers,
+    degeneracy,
+    peeling_order,
+)
 from repro.graph.generators import rmat
 from repro.graph.ordering import (
     AUTO_CANDIDATES,
     Ordering,
     apply_ordering,
     choose_ordering,
+    degeneracy_order_mapping,
+    locality_order_mapping,
     ordering_costs,
     ordering_op_cost,
 )
@@ -129,3 +143,136 @@ def test_choose_ordering_is_deterministic_per_graph_seed(seed):
     assert (map_a == map_b).all()
     assert (graph_a.indptr == graph_b.indptr).all()
     assert (graph_a.indices == graph_b.indices).all()
+
+
+# -- the sequential algorithms the array forms replaced, as reference models ---
+
+
+def reference_peel(graph):
+    """``(core, order)`` by the Batagelj–Zaveršnik bucket queue, one vertex
+    at a time: what ``core_decomposition`` was before it peeled in rounds."""
+    n = graph.num_vertices
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    degree = graph.degrees().astype(np.int64).copy()
+    bin_start = np.zeros(int(degree.max()) + 2, dtype=np.int64)
+    for d in degree:
+        bin_start[d + 1] += 1
+    bin_start = np.cumsum(bin_start)
+    position = np.zeros(n, dtype=np.int64)
+    order = np.zeros(n, dtype=np.int64)
+    fill = bin_start[:-1].copy()
+    for v in range(n):
+        position[v] = fill[degree[v]]
+        order[position[v]] = v
+        fill[degree[v]] += 1
+    core = degree.copy()
+    bin_ptr = bin_start[:-1].copy()
+    for index in range(n):
+        v = int(order[index])
+        for u in graph.neighbors(v):
+            u = int(u)
+            if core[u] > core[v]:
+                du = core[u]
+                pu = position[u]
+                pw = bin_ptr[du]
+                w = int(order[pw])
+                if u != w:
+                    order[pu], order[pw] = w, u
+                    position[u], position[w] = pw, pu
+                bin_ptr[du] += 1
+                core[u] -= 1
+    return core, order
+
+
+def reference_bfs_ranks(graph):
+    """BFS visit ranks by an explicit queue, one vertex at a time: what
+    ``locality_order_mapping`` was before it moved a frontier at a time."""
+    n = graph.num_vertices
+    mapping = np.full(n, -1, dtype=np.int64)
+    roots = np.lexsort((np.arange(n), graph.degrees()))
+    next_rank = 0
+    for root in roots.tolist():
+        if mapping[root] >= 0:
+            continue
+        queue = [root]
+        mapping[root] = next_rank
+        next_rank += 1
+        for u in queue:  # grows while iterated: the BFS queue
+            for v in graph.neighbors(u).tolist():
+                if mapping[v] < 0:
+                    mapping[v] = next_rank
+                    next_rank += 1
+                    queue.append(v)
+    return mapping
+
+
+def _later_neighbors(graph, order):
+    """Per vertex, how many neighbors come after it in *order*."""
+    rank = np.empty(graph.num_vertices, dtype=np.int64)
+    rank[order] = np.arange(graph.num_vertices)
+    edges = graph.edge_array()
+    first = np.where(rank[edges[:, 0]] < rank[edges[:, 1]],
+                     edges[:, 0], edges[:, 1])
+    return np.bincount(first, minlength=graph.num_vertices)
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=graphs)
+def test_round_peel_matches_the_bucket_queue(spec):
+    graph = _build(spec)
+    core, order = core_decomposition(graph)
+    expected_core, expected_order = reference_peel(graph)
+    assert core.tolist() == expected_core.tolist()
+    assert degeneracy(graph) == int(expected_core.max(initial=0))
+    # The sequence differs from the bucket queue's (ties inside a round
+    # go by (degree, id)); what a degeneracy ordering owes is unchanged.
+    assert sorted(order.tolist()) == list(range(graph.num_vertices))
+    assert (np.diff(core[order]) >= 0).all()
+    assert (_later_neighbors(graph, order) <= core).all()
+    assert (_later_neighbors(graph, expected_order) <= core).all()
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=graphs)
+def test_frontier_bfs_matches_the_queue_bfs(spec):
+    # ``graphs`` leaves isolated vertices and several components in.
+    graph = _build(spec)
+    assert (locality_order_mapping(graph).tolist()
+            == reference_bfs_ranks(graph).tolist())
+
+
+def test_rewritten_orderings_match_the_models_on_seeded_graphs():
+    """Larger than hypothesis goes: skewed, many components, many rounds."""
+    for seed in range(4):
+        graph = rmat(600, 1500, seed=seed)  # sparse: dozens of components
+        core, order = core_decomposition(graph)
+        assert core.tolist() == reference_peel(graph)[0].tolist()
+        assert (_later_neighbors(graph, order) <= core).all()
+        assert (locality_order_mapping(graph).tolist()
+                == reference_bfs_ranks(graph).tolist())
+
+
+def test_round_peel_bill_is_not_above_the_bucket_queues():
+    """The stated reason for the new tie-break: a lower Eq. 3 bill."""
+    for seed in range(3):
+        graph = rmat(800, 8000, seed=seed)
+        queue_mapping = np.empty(graph.num_vertices, dtype=np.int64)
+        queue_mapping[reference_peel(graph)[1]] = np.arange(graph.num_vertices)
+        assert (ordering_op_cost(graph, degeneracy_order_mapping(graph))
+                <= ordering_op_cost(graph, queue_mapping))
+
+
+def test_path_graph_peels_and_ranks_fast():
+    """A path is the worst case for rounds: two vertices a round, and one
+    BFS level per vertex from the end the root sits at."""
+    n = 2000
+    path = from_edges([(v, v + 1) for v in range(n - 1)])
+    start = time.perf_counter()
+    core, order = core_decomposition(path)
+    mapping = locality_order_mapping(path)
+    elapsed = time.perf_counter() - start
+    assert core.tolist() == [1] * n
+    assert (_later_neighbors(path, order) <= 1).all()
+    assert mapping.tolist() == list(range(n))
+    assert elapsed < 1.0
