@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.exec.block import Group, probe_pairs
+from repro.exec.block import GroupBlock, probe_pairs
 from repro.storage.page import PageBlock
 
 __all__ = ["ChunkContext", "slice_sums"]
@@ -90,7 +90,7 @@ class ChunkContext:
 
     def probe(self, rows: np.ndarray, values: np.ndarray, starts: np.ndarray,
               lengths: np.ndarray, labels: tuple[np.ndarray, np.ndarray] | None
-              ) -> tuple[np.ndarray, list[Group]]:
+              ) -> tuple[np.ndarray, GroupBlock]:
         """Intersect ``n_succ`` of CSR row ``rows[i]`` with one slice of
         *values* per pair.
 

@@ -42,7 +42,7 @@ from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
 from repro.core.result_store import GroupCaptureSink
 from repro.errors import ConfigurationError
 from repro.exec.block import charge_by_length
-from repro.memory.base import CountSink, TriangleSink
+from repro.memory.base import CountSink, TriangleSink, emit_block
 from repro.obs import (
     NO_CONTEXT,
     RunContext,
@@ -316,10 +316,6 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     # One writer each: the delivering thread / the calling thread.
     found = {"internal": 0, "external": 0}
 
-    def emit(groups):
-        for u, v, ws in groups:
-            sink.emit(u, v, ws)
-
     def identify_candidates(block, page_id, buffered, delay):
         # Algorithm 7, per delivered fill page: on the async feed this
         # runs while later fill reads are still in flight.
@@ -376,7 +372,8 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
             page_ops = int(ops.sum())
             # Delivery-side only.  # lint: ignore[lockset]
             found["external"] += triangles
-            emit(groups)
+            if collect:
+                emit_block(sink, groups)
             if attr_external is not None:
                 requested, first = np.unique(records, return_index=True)
                 charge_by_length(attr_external, block.lengths[requested],
@@ -401,7 +398,8 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
                                                               collect)
             iteration.internal_page_ops.append(int(ops.sum()))
             found["internal"] += triangles
-            emit(groups)
+            if collect:
+                emit_block(sink, groups)
             if attr_internal is not None:
                 charge_by_length(attr_internal, block.lengths, ops)
         if attr_internal is not None:

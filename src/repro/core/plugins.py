@@ -10,7 +10,9 @@ each over one decoded page (:class:`~repro.storage.page.PageBlock`) —
 Each reports the CPU operations it consumed (the paper's probe measure)
 *per record* of the page — the driver sums them for the trace and
 buckets them for attribution — and the two triangulating ones return
-``(ops, triangles, groups)``, the groups only when asked to collect.
+``(ops, triangles, groups)``, the groups — one
+:class:`~repro.exec.block.GroupBlock` per page — only when asked to
+collect.
 Adjacency lists may arrive chunked across pages; intersections and
 membership probes distribute over chunks, so per-record processing
 remains exact.
@@ -33,14 +35,14 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.context import ChunkContext, slice_sums
-from repro.exec.block import Group
+from repro.exec.block import NO_GROUPS, GroupBlock
 from repro.storage.page import PageBlock
 from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["EdgeIteratorPlugin", "IteratorPlugin", "MGTPlugin", "VertexIteratorPlugin"]
 
 #: ``(ops, triangles, groups)`` of one triangulated page.
-PageOutcome = tuple[np.ndarray, int, list[Group]]
+PageOutcome = tuple[np.ndarray, int, GroupBlock]
 
 
 class IteratorPlugin(ABC):
@@ -150,7 +152,7 @@ class VertexIteratorPlugin(IteratorPlugin):
     def internal_for_page(self, chunk, block, collect):
         ops = np.zeros(len(block), dtype=np.int64)
         triangles = 0
-        groups: list[Group] = []
+        groups: list[tuple] = []
         for index, record in enumerate(block):
             u = record.vertex
             neighbors = record.neighbors
@@ -161,13 +163,13 @@ class VertexIteratorPlugin(IteratorPlugin):
                 ops[index] += pair_ops
                 triangles += len(hits)
                 if collect and len(hits):
-                    groups.append((u, v, tuple(hits.tolist())))
-        return ops, triangles, groups
+                    groups.append((u, v, hits))
+        return ops, triangles, GroupBlock.from_groups(groups)
 
     def external_for_page(self, chunk, block, records, us, collect):
         ops = np.zeros(len(us), dtype=np.int64)
         triangles = 0
-        groups: list[Group] = []
+        groups: list[tuple] = []
         arrived = list(block)
         for index, (at, u) in enumerate(zip(records.tolist(), us.tolist())):
             record = arrived[at]
@@ -175,8 +177,8 @@ class VertexIteratorPlugin(IteratorPlugin):
                                             record.neighbors)
             triangles += len(hits)
             if collect and len(hits):
-                groups.append((u, record.vertex, tuple(hits.tolist())))
-        return ops, triangles, groups
+                groups.append((u, record.vertex, hits))
+        return ops, triangles, GroupBlock.from_groups(groups)
 
 
 def _probe_above(succ_u: np.ndarray, v: int,
@@ -209,4 +211,4 @@ class MGTPlugin(VertexIteratorPlugin):
         return _candidates_above(block, block.vertices.repeat(block.lengths))
 
     def internal_for_page(self, chunk, block, collect):
-        return np.zeros(len(block), dtype=np.int64), 0, []
+        return np.zeros(len(block), dtype=np.int64), 0, NO_GROUPS

@@ -13,10 +13,13 @@ from __future__ import annotations
 import json
 import struct
 from collections import defaultdict
+from itertools import chain
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 from repro.errors import CheckpointError, GraphFormatError
+from repro.exec.block import GroupBlock
+from repro.memory.base import emit_block
 
 __all__ = ["GroupCaptureSink", "RunCheckpoint", "TriangleStore",
            "read_nested_groups"]
@@ -46,11 +49,7 @@ def read_nested_groups(
             body = handle.read(_VERTEX.size * count)
             if len(body) != _VERTEX.size * count:
                 raise GraphFormatError("truncated nested group body")
-            ws = [
-                _VERTEX.unpack_from(body, index * _VERTEX.size)[0]
-                for index in range(count)
-            ]
-            yield u, v, ws
+            yield u, v, list(struct.unpack(f"<{count}I", body))
     finally:
         if own:
             handle.close()
@@ -66,11 +65,23 @@ class GroupCaptureSink:
 
     def __init__(self, inner) -> None:
         self._inner = inner
-        self.groups: list[tuple[int, int, list[int]]] = []
+        #: What was forwarded, in order and as it came: whole blocks, and
+        #: one-group sequences for single emits.
+        self._captured: list[Iterable[tuple]] = []
+
+    @property
+    def groups(self) -> Iterator[tuple[int, int, Sequence[int]]]:
+        """Every forwarded group, in order, as :meth:`RunCheckpoint.record`
+        takes them (it is the one place they become JSON-ready ints)."""
+        return chain.from_iterable(self._captured)
 
     def emit(self, u: int, v: int, ws: Sequence[int]) -> None:
-        self.groups.append((int(u), int(v), [int(w) for w in ws]))
+        self._captured.append(((u, v, ws),))
         self._inner.emit(u, v, ws)
+
+    def emit_block(self, block: GroupBlock) -> None:
+        self._captured.append(block)
+        emit_block(self._inner, block)
 
     def __getattr__(self, name):  # count, pages_written, ...
         return getattr(self._inner, name)
@@ -132,7 +143,7 @@ class RunCheckpoint:
         index: int,
         start_pid: int,
         end_pid: int,
-        groups: Sequence[tuple[int, int, list[int]]],
+        groups: Iterable[tuple[int, int, Sequence[int]]],
         iteration_trace: dict | None = None,
     ) -> None:
         """Commit iteration *index* (bounds, emitted groups, trace)."""

@@ -32,7 +32,7 @@ from repro.core.framework import OnPage, OPTConfig, _drive
 from repro.core.plugins import IteratorPlugin
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
-from repro.memory.base import TriangleSink, TriangulationResult
+from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs import NO_CONTEXT, RunContext
 from repro.storage.faults import FaultyPageFile
 from repro.storage.layout import GraphStore
@@ -52,6 +52,10 @@ class _LockedSink:
     def emit(self, u, v, ws):
         with self._lock:
             self._inner.emit(u, v, ws)
+
+    def emit_block(self, block):
+        with self._lock:
+            emit_block(self._inner, block)
 
 
 def triangulate_threaded(

@@ -27,6 +27,7 @@ point that is not registered here fails static analysis, so no engine
 can silently escape the differential harness.
 """
 
+from repro.exec.block import GroupBlock
 from repro.exec.engine import Engine, EngineOutcome, compose, run_range
 from repro.exec.executors import ProcessExecutor, SerialExecutor, ThreadedExecutor
 from repro.exec.kernels import (
@@ -62,6 +63,7 @@ __all__ = [
     "EngineOutcome",
     "Executor",
     "GallopKernel",
+    "GroupBlock",
     "HashKernel",
     "KERNELS",
     "Kernel",

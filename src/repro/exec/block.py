@@ -17,17 +17,94 @@ part of the graph resident — the OPT driver's chunk
 (:class:`repro.core.context.ChunkContext`): the resident rows are folded
 into one sorted key array instead of a dense mask, and each pair brings
 its own slice to probe.
+
+Both hand their groups back as one :class:`GroupBlock` — four arrays,
+never a Python object per group — which is also what crosses the worker
+result queue and what a sink's ``emit_block`` receives.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
+
 import numpy as np
 
-__all__ = ["Group", "bit_lengths", "block_range", "charge_by_length",
-           "probe_pairs", "slices"]
+__all__ = ["Group", "GroupBlock", "NO_GROUPS", "bit_lengths", "block_range",
+           "charge_by_length", "probe_pairs", "slices"]
 
 #: One emitted triangle group ``(u, v, (w, ...))``.
 Group = tuple[int, int, tuple[int, ...]]
+
+
+@dataclass(frozen=True, eq=False)
+class GroupBlock:
+    """A sequence of triangle groups ``<u, v, {w…}>`` in columnar form.
+
+    Group *i* is ``(us[i], vs[i], ws[k:k + counts[i]])`` with ``k =
+    counts[:i].sum()``; every count is positive, all four arrays are
+    int64.  ``len()`` is the number of groups, iteration yields them as
+    ``(u, v, (w, ...))`` tuples of Python ints, and two blocks are equal
+    when they hold the same groups in the same order.  Treated as
+    immutable: blocks share arrays freely.
+    """
+
+    us: np.ndarray
+    vs: np.ndarray
+    counts: np.ndarray
+    ws: np.ndarray
+
+    @classmethod
+    def from_groups(cls, groups: Iterable[tuple[int, int, Sequence[int]]]
+                    ) -> "GroupBlock":
+        """The block of *groups*, an iterable of ``(u, v, ws)``; a group
+        without completions denotes no triangle and is dropped."""
+        groups = [group for group in groups if len(group[2])]
+        if not groups:
+            return NO_GROUPS
+        us, vs, completions = zip(*groups)
+        return cls(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
+                   np.array([len(ws) for ws in completions], dtype=np.int64),
+                   np.concatenate(completions, dtype=np.int64))
+
+    @classmethod
+    def concat(cls, blocks: Sequence["GroupBlock"]) -> "GroupBlock":
+        """The groups of *blocks*, in order, as one block."""
+        blocks = [block for block in blocks if len(block)]
+        if len(blocks) <= 1:
+            return blocks[0] if blocks else NO_GROUPS
+        return cls(*(np.concatenate(column) for column in zip(
+            *((b.us, b.vs, b.counts, b.ws) for b in blocks))))
+
+    @property
+    def triangles(self) -> int:
+        """Triangles denoted: one per completion."""
+        return len(self.ws)
+
+    def __len__(self) -> int:
+        return len(self.us)
+
+    def __iter__(self) -> Iterator[Group]:
+        ws = self.ws.tolist()
+        begin = 0
+        for u, v, end in zip(self.us.tolist(), self.vs.tolist(),
+                             self.counts.cumsum().tolist()):
+            yield u, v, tuple(ws[begin:end])
+            begin = end
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GroupBlock):
+            return NotImplemented
+        return all(np.array_equal(mine, theirs) for mine, theirs in (
+            (self.us, other.us), (self.vs, other.vs),
+            (self.counts, other.counts), (self.ws, other.ws)))
+
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_IDS.setflags(write=False)
+#: The empty block: what a kernel returns when it was not asked to
+#: collect, or found nothing.
+NO_GROUPS = GroupBlock(_NO_IDS, _NO_IDS, _NO_IDS, _NO_IDS)
 
 #: Cap on the successor entries gathered per block: every per-entry
 #: temporary (ids, mask offsets, hit flags) is at most this long.
@@ -61,7 +138,7 @@ def block_range(
     hi: int,
     collect: bool,
     scope=None,
-) -> tuple[int, int, list[Group]]:
+) -> tuple[int, int, GroupBlock]:
     """EdgeIterator≻ over ``[lo, hi)`` of a CSR, a block of edges at a time.
 
     *succ_start* is :attr:`repro.graph.graph.Graph.succ_start`.  Returns
@@ -77,7 +154,7 @@ def block_range(
     row_edges = succ_len[lo:hi]
     num_edges = int(row_edges.sum())
     if num_edges == 0:
-        return 0, 0, []
+        return 0, 0, NO_GROUPS
     # Edge e of the range is (us[e], vs[e]), in the per-pair loop's order.
     us = np.repeat(np.arange(lo, hi, dtype=np.int64), row_edges)
     vs = indices[slices(succ_start[lo:hi], row_edges)]
@@ -88,7 +165,7 @@ def block_range(
     rows = max(1, min(hi - lo, MASK_BYTES // num_vertices))
     mask = np.zeros(rows * num_vertices, dtype=bool)
     gathered = np.cumsum(gather_len)
-    groups: list[Group] = []
+    completions: list[np.ndarray] = []
     triangles = 0
     start = 0
     while start < num_edges:
@@ -122,14 +199,14 @@ def block_range(
             found[gathering] = np.add.reduceat(
                 hits, ends - gather_len[gathering], dtype=np.int64)
             if collect:
-                _append_groups(groups, us[block], vs[block], found[block],
-                               ws[hits].tolist())
+                completions.append(ws[hits])
         triangles += block_triangles
         start = stop
 
     if scope is not None:
         charge_by_length(scope, charge, charge, found)
-    return triangles, int(charge.sum()), groups
+    return (triangles, int(charge.sum()),
+            _closed_groups((us, vs), found, completions))
 
 
 def charge_by_length(scope, sizes: np.ndarray, ops: np.ndarray,
@@ -159,7 +236,7 @@ def probe_pairs(
     starts: np.ndarray,
     lengths: np.ndarray,
     labels: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, list[Group]]:
+) -> tuple[np.ndarray, GroupBlock]:
     """Batched membership of one slice of *values* per pair in sorted *keys*.
 
     Pair ``i`` probes ``bases[i] + w`` for every ``w`` of
@@ -172,7 +249,7 @@ def probe_pairs(
     are gathered at a time.
     """
     found = np.zeros(len(bases), dtype=np.int64)
-    groups: list[Group] = []
+    completions: list[np.ndarray] = []
     gathered = lengths.cumsum()
     start = 0
     while start < len(bases) and len(keys):
@@ -188,19 +265,24 @@ def probe_pairs(
         if np.count_nonzero(hits):
             found[block] = np.bincount(owner[hits], minlength=stop - start)
             if labels is not None:
-                _append_groups(groups, labels[0][block], labels[1][block],
-                               found[block], ws[hits].tolist())
+                completions.append(ws[hits])
         start = stop
-    return found, groups
+    return found, _closed_groups(labels, found, completions)
 
 
-def _append_groups(groups: list[Group], us: np.ndarray, vs: np.ndarray,
-                   found: np.ndarray, completions: list[int]) -> None:
-    """Cut the block's flat completion list into per-edge groups."""
+def _closed_groups(labels: tuple[np.ndarray, np.ndarray] | None,
+                   found: np.ndarray,
+                   completions: list[np.ndarray]) -> GroupBlock:
+    """The pairs that closed a triangle, with their hits, as one block.
+
+    *completions* holds the hits of consecutive runs of the ``labels =
+    (us, vs)`` pairs, in pair order, so their concatenation is already
+    cut by ``found``; nothing was collected (or hit) when it is empty.
+    """
+    if not completions:
+        return NO_GROUPS
+    us, vs = labels
     closed = np.flatnonzero(found)
-    ends = np.cumsum(found[closed])
-    groups.extend(
-        (u, v, tuple(completions[begin:end]))
-        for u, v, begin, end in zip(us[closed].tolist(), vs[closed].tolist(),
-                                    (ends - found[closed]).tolist(),
-                                    ends.tolist()))
+    return GroupBlock(us[closed].astype(np.int64, copy=False),
+                      vs[closed].astype(np.int64, copy=False), found[closed],
+                      np.concatenate(completions).astype(np.int64, copy=False))

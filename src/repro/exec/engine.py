@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.exec.block import Group, block_range
-from repro.memory.base import TriangleSink, TriangulationResult
+from repro.exec.block import NO_GROUPS, GroupBlock, block_range
+from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs.context import NO_CONTEXT, RunContext
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -40,7 +40,8 @@ class EngineOutcome:
 
     triangles: int = 0
     cpu_ops: int = 0
-    groups: list[Group] = field(default_factory=list)
+    #: Every group listed, in range order; empty unless asked to collect.
+    groups: GroupBlock = field(default_factory=lambda: NO_GROUPS)
     chunks: int = 0
     #: Per-branch ``{branch: [pairs, ops]}`` from the kernel bindings'
     #: ``stats()`` — empty for fixed-path kernels, populated by the
@@ -56,7 +57,7 @@ def run_range(
     hi: int,
     collect: bool,
     scope=None,
-) -> tuple[int, int, list[Group]]:
+) -> tuple[int, int, GroupBlock]:
     """EdgeIterator≻ over ``[lo, hi)`` through one kernel binding.
 
     Charges exactly what the historical serial edge iterator charges for
@@ -75,14 +76,15 @@ def run_range(
     charges the same cells a block of edges at a time.  The per-pair
     loop below serves the kernels whose charge is measured, not
     analytic, and foreign :class:`~repro.exec.protocols.Kernel`
-    instances.
+    instances; it packs its groups into the same
+    :class:`~repro.exec.block.GroupBlock` once, at the end.
     """
     if binding.name == "hash":
         return block_range(graph.indptr, graph.indices, graph.succ_start,
                            lo, hi, collect, scope)
     triangles = 0
     ops = 0
-    groups: list[Group] = []
+    groups: list[tuple] = []  # (u, v, the kernel's own common sequence)
     # Per-bucket accumulator (bit_length -> [pairs, ops, triangles]):
     # plain dict updates in the pair loop, one bulk charge at the end —
     # a method call per pair would dominate the attributed run.
@@ -101,8 +103,7 @@ def run_range(
                 if len(common):
                     triangles += len(common)
                     if collect:
-                        groups.append(
-                            (u, v, tuple(int(w) for w in common)))
+                        groups.append((u, v, common))
         else:
             for v in succ_u:
                 v = int(v)
@@ -120,11 +121,10 @@ def run_range(
                 if found:
                     triangles += found
                     if collect:
-                        groups.append(
-                            (u, v, tuple(int(w) for w in common)))
+                        groups.append((u, v, common))
     if scope is not None and counts:
         scope.charge_lengths(counts)
-    return triangles, ops, groups
+    return triangles, ops, GroupBlock.from_groups(groups)
 
 
 @dataclass(frozen=True)
@@ -168,8 +168,7 @@ class Engine:
             attribution.scope(phase="exec", kernel=self.kernel.name,
                               source=self.source.name).charge_time(elapsed)
         if sink is not None:
-            for u, v, ws in outcome.groups:
-                sink.emit(u, v, ws)
+            emit_block(sink, outcome.groups)
         source_name, kernel_name, executor_name = self.cell
         extra = {
             "cell": self.describe(),

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
+from typing import Sequence
 
 from repro.errors import ConfigurationError
-from repro.exec.block import Group
+from repro.exec.block import GroupBlock
 from repro.exec.engine import EngineOutcome, run_range
 from repro.exec.protocols import Kernel, Source, SourceHandle
 from repro.obs.context import NO_CONTEXT, RunContext
@@ -50,12 +51,13 @@ def _merge_branches(totals: dict[str, list[int]],
             cell[1] += int(ops)
 
 
-def _add_chunk(outcome: EngineOutcome, triangles: int, ops: int,
-               groups: list[Group]) -> None:
-    """Fold one range's result into *outcome*; callers go in range order."""
-    outcome.triangles += triangles
-    outcome.cpu_ops += ops
-    outcome.groups.extend(groups)
+def _fold(results: Sequence[tuple[int, int, GroupBlock]]) -> EngineOutcome:
+    """One outcome from every range's ``(triangles, ops, groups)``, given
+    in range order: the sums, and the blocks concatenated once."""
+    triangles, ops, blocks = zip(*results)
+    return EngineOutcome(triangles=sum(triangles), cpu_ops=sum(ops),
+                         groups=GroupBlock.concat(blocks),
+                         chunks=len(results))
 
 
 def _scope_for(attribution, source: Source, kernel: Kernel):
@@ -131,14 +133,13 @@ class ThreadedExecutor:
                     scope=_scope_for(table, source, kernel))
                 return triangles, ops, groups, table, binding.stats()
 
-            outcome = EngineOutcome(chunks=len(ranges))
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                for (triangles, ops, groups, table,
-                     branches) in pool.map(job, ranges):
-                    _add_chunk(outcome, triangles, ops, groups)
-                    _merge_branches(outcome.branches, branches)
-                    if table is not None:
-                        attribution.merge(table)
+                results = list(pool.map(job, ranges))
+            outcome = _fold([result[:3] for result in results])
+            for _, _, _, table, branches in results:
+                _merge_branches(outcome.branches, branches)
+                if table is not None:
+                    attribution.merge(table)
             return outcome
 
 
@@ -175,9 +176,7 @@ class ProcessExecutor:
                 if attribution is not None else None,
                 ctx=ctx,
             )
-            outcome = EngineOutcome(chunks=len(ranges))
-            for _, _, _, triangles, ops, groups in rows:
-                _add_chunk(outcome, triangles, ops, groups)
+            outcome = _fold([row[3:] for row in rows])
             for report in reports:
                 _merge_branches(outcome.branches, report.branches)
                 if report.attribution is not None:

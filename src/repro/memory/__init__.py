@@ -6,6 +6,7 @@ from repro.memory.base import (
     TriangleSink,
     TriangulationResult,
     canonical_triangles,
+    emit_block,
 )
 from repro.memory.compact_forward import compact_forward
 from repro.memory.edge_iterator import edge_iterator
@@ -21,6 +22,7 @@ __all__ = [
     "canonical_triangles",
     "compact_forward",
     "edge_iterator",
+    "emit_block",
     "forward",
     "matrix_count",
     "vertex_iterator",

@@ -45,12 +45,17 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
-from repro.exec.block import Group, block_range
+from repro.exec.block import GroupBlock, block_range
 from repro.exec.engine import run_range
 from repro.exec.kernels import HashKernel, Kernel
 from repro.exec.sources import MemorySource, SharedMemorySource
 from repro.graph.graph import Graph
-from repro.memory.base import CountSink, TriangleSink, TriangulationResult
+from repro.memory.base import (
+    CountSink,
+    TriangleSink,
+    TriangulationResult,
+    emit_block,
+)
 from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.registry import MetricsRegistry
 from repro.obs.telemetry import TelemetrySampler
@@ -67,8 +72,10 @@ __all__ = [
     "triangulate_parallel",
 ]
 
-#: ``(chunk_index, lo, hi, triangles, ops, groups)`` for one executed chunk.
-ChunkRow = tuple[int, int, int, int, int, list[Group]]
+#: ``(chunk_index, lo, hi, triangles, ops, groups)`` for one executed
+#: chunk; the groups cross the result queue as the kernel built them,
+#: four arrays per chunk.
+ChunkRow = tuple[int, int, int, int, int, GroupBlock]
 
 
 def count_chunk(
@@ -78,7 +85,7 @@ def count_chunk(
     hi: int,
     collect: bool = False,
     scope=None,
-) -> tuple[int, int, list[Group]]:
+) -> tuple[int, int, GroupBlock]:
     """EdgeIterator≻ over the vertex range ``[lo, hi)``.
 
     Returns ``(triangles, ops, groups)``; *groups* is empty unless
@@ -103,7 +110,8 @@ def count_chunk(
 class WorkerReport:
     """Everything one worker ships back over the result queue.
 
-    Plain data only — this crosses a process boundary by pickle.
+    Plain data and arrays only — this crosses a process boundary by
+    pickle.
     """
 
     worker_id: int
@@ -494,9 +502,7 @@ def _merge(
     if collect:
         # Chunk-index order == vertex order: the emission sequence is a
         # pure function of the graph, whatever the workers did.
-        for _, _, _, _, _, groups in rows:
-            for u, v, ws in groups:
-                sink.emit(u, v, ws)
+        emit_block(sink, GroupBlock.concat([row[5] for row in rows]))
 
     steals = 0
     for report in reports:

@@ -61,6 +61,21 @@ def _per_pair(member: str, seed: int, lo: int, hi: int):
     return result, _cells(table)
 
 
+@lru_cache(maxsize=None)
+def _per_pair_tuples(member: str, seed: int, lo: int, hi: int) -> list:
+    """The per-pair loop's groups as the tuples its kernel calls return,
+    built here and not by ``GroupBlock``."""
+    graph = _graph(member, seed)
+    binding = BitmapKernel().bind(graph.num_vertices)
+    groups = []
+    for u in range(lo, hi):
+        for v in graph.n_succ(u).tolist():
+            common, _ = binding.intersect(graph.n_succ(u), graph.n_succ(v))
+            if len(common):
+                groups.append((u, v, tuple(common.tolist())))
+    return groups
+
+
 def _blocked(member: str, seed: int, lo: int, hi: int, entries: int,
              rows: int):
     """``block_range`` with budgets of *entries* entries and *rows* rows."""
@@ -83,6 +98,7 @@ def _assert_same_as_references(member, seed, lo, hi, entries, rows):
     label = f"{member}/s{seed} [{lo}, {hi}) entries={entries} rows={rows}"
     assert (triangles, ops) == (ref_triangles, ref_ops), label
     assert groups == ref_groups, label
+    assert list(groups) == _per_pair_tuples(member, seed, lo, hi), label
     assert cells == ref_cells, label
     listed = sorted((u, v, w) for u, v, ws in groups for w in ws)
     expected = [t for t in _forward_triangles(member, seed)

@@ -252,6 +252,76 @@ def test_run_opt_is_the_reference_model(name, page_size, budget):
     assert run_opt(store, config) == expected
 
 
+class BlockSink:
+    """Takes whole blocks; keeps their groups in order."""
+
+    def __init__(self):
+        self.groups = []
+
+    def emit(self, u, v, ws):
+        raise AssertionError("a sink with emit_block is handed blocks")
+
+    def emit_block(self, block):
+        self.groups.extend(block)
+
+
+def mgt_reference_groups(store, m_in):
+    """MGT's group sequence, a record at a time: per chunk every successor
+    is a candidate, and the whole store streams by in page order."""
+    groups = []
+    pid = 0
+    while pid < store.num_pages:
+        end = store.align_chunk_end(pid, m_in)
+        parts = defaultdict(list)
+        requesters = defaultdict(list)
+        for page_id in range(pid, end + 1):
+            for record in store.decode_page(page_id):
+                parts[record.vertex].append(record.neighbors)
+                for candidate in record.neighbors[record.neighbors
+                                                  > record.vertex]:
+                    requesters[int(candidate)].append(record.vertex)
+        succ = {}
+        for vertex, chunks_of in parts.items():
+            row = np.concatenate(chunks_of)
+            succ[vertex] = row[row > vertex]
+        for page_id in range(store.num_pages):
+            for record in store.decode_page(page_id):
+                v = record.vertex
+                neighbors = set(record.neighbors.tolist())
+                for u in requesters.get(v, ()):
+                    hits = [w for w in succ[u].tolist()
+                            if w > v and w in neighbors]
+                    if hits:
+                        groups.append((u, v, tuple(hits)))
+        pid = end + 1
+    return groups
+
+
+@pytest.mark.parametrize("budget", [2, 4, 7])
+@pytest.mark.parametrize("page_size", [64, 256])
+@pytest.mark.parametrize("name", list(GRAPHS))
+@pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator", "mgt"])
+def test_triangulate_disk_emits_the_reference_group_sequence(
+        plugin, name, page_size, budget):
+    """Each plugin, through a sink that takes blocks and one that only has
+    ``emit``: the per-record model's groups, in its order.  VertexIterator≻
+    probes the other way round but closes the same pairs in the same order
+    as the edge-iterator reference."""
+    store = make_store(GRAPHS[name], page_size)
+    if plugin == "mgt":
+        expected = mgt_reference_groups(store, max(1, budget - 1))
+    else:
+        reference_sink = GroupSink()
+        reference_run(store, OPTConfig.even_split(budget), reference_sink,
+                      Attribution())
+        expected = reference_sink.groups
+    for sink in (BlockSink(), GroupSink()):
+        result = triangulate_disk(store, plugin=plugin, buffer_pages=budget,
+                                  sink=sink)
+        assert sink.groups == expected
+        assert result.triangles == sum(len(ws) for _, _, ws in expected)
+
+
 @pytest.mark.parametrize("entries", [1, 5])
 def test_probe_cut_into_tiny_blocks(entries):
     """``BLOCK_ENTRIES`` bounds a probe's gather; the cuts change nothing."""

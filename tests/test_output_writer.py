@@ -5,8 +5,12 @@ from __future__ import annotations
 import io
 import struct
 
+import pytest
+
 from repro.core import NestedOutputWriter, triangulate_disk
 from repro.core.output import nested_group_bytes, triple_bytes
+from repro.core.result_store import read_nested_groups
+from repro.exec.block import GroupBlock
 from repro.memory import edge_iterator
 
 
@@ -66,6 +70,69 @@ class TestWriter:
                 expected += struct.pack("<IIH", k, k + 1, k)
                 expected += b"".join(struct.pack("<I", w) for w in ws)
         assert stream.getvalue() == expected
+
+    def test_long_group_splits_at_the_count_field(self):
+        """70 000 completions do not fit the u16 count: consecutive groups
+        with the same prefix, which readers accumulate; counted only once
+        the bytes are in."""
+        ws = range(2, 70002)
+
+        def written(feed):
+            stream = io.BytesIO()
+            with NestedOutputWriter(stream) as writer:
+                feed(writer)
+            assert writer.bytes_written == len(stream.getvalue())
+            return (writer.count, writer.groups), stream.getvalue()
+
+        counters, data = written(lambda w: w.emit(0, 1, ws))
+        assert counters == (70000, 2)
+        groups = list(read_nested_groups(io.BytesIO(data)))
+        assert [(u, v, len(c)) for u, v, c in groups] == [
+            (0, 1, 0xFFFF), (0, 1, 70000 - 0xFFFF)]
+        assert [w for _, _, c in groups for w in c] == list(ws)
+
+        block = GroupBlock.from_groups(
+            [(5, 6, (7,)), (0, 1, ws), (8, 9, (10,))])
+        by_group = written(lambda w: [w.emit(*g) for g in block])
+        assert written(lambda w: w.emit_block(block)) == by_group
+        assert by_group[0] == (70002, 4)
+
+    def test_exactly_full_group_is_not_split(self):
+        for feed in (lambda w, ws: w.emit(0, 1, ws),
+                     lambda w, ws: w.emit_block(
+                         GroupBlock.from_groups([(0, 1, ws)]))):
+            for size, groups in ((0xFFFF, 1), (0x10000, 2), (2 * 0xFFFF, 2)):
+                writer = NestedOutputWriter()
+                feed(writer, range(size))
+                assert (writer.count, writer.groups) == (size, groups)
+
+    def test_rejected_group_leaves_the_counters_alone(self):
+        writer = NestedOutputWriter()
+        for feed in (lambda: writer.emit(0, 1, [2, 3, 4, 5, 2**32]),
+                     lambda: writer.emit(0, 1, [2**32]),
+                     lambda: writer.emit_block(
+                         GroupBlock.from_groups([(0, 1, [2, 2**32])])),
+                     lambda: writer.emit_block(
+                         GroupBlock.from_groups([(-1, 1, [2])]))):
+            with pytest.raises((struct.error, ValueError)):
+                feed()
+        writer.close()
+        assert (writer.count, writer.groups, writer.bytes_written) == (0, 0, 0)
+
+    def test_whole_pages_leave_in_one_write(self):
+        class Handle:
+            writes = []
+
+            def write(self, data):
+                self.writes.append(len(data))
+
+        writer = NestedOutputWriter(Handle(), page_size=32)
+        writer.emit(0, 1, range(300))  # 1210 bytes: 37 pages and 26 bytes
+        assert Handle.writes == [37 * 32]
+        assert (writer.pages_written, writer.bytes_written) == (37, 37 * 32)
+        writer.close()
+        assert Handle.writes == [37 * 32, 26]
+        assert (writer.pages_written, writer.bytes_written) == (38, 1210)
 
     def test_writes_to_path(self, tmp_path):
         path = tmp_path / "triangles.bin"
