@@ -9,12 +9,14 @@ requester map ``V_req`` built during candidate identification
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
 
 from repro.exec.block import GroupBlock, probe_pairs
-from repro.storage.page import PageBlock
+from repro.storage.layout import GraphStore
+from repro.storage.page import PageBlock, chain
 
 __all__ = ["ChunkContext", "slice_sums"]
 
@@ -26,29 +28,32 @@ def slice_sums(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return running[offsets[1:]] - running[offsets[:-1]]
 
 
+_NO_PAIRS = (np.empty(0, dtype=np.int64),) * 3
+
+
 class ChunkContext:
     """State of one OPT iteration (one internal chunk); read-only once built.
 
     Row ``v - v_lo`` of the CSR is internal vertex *v*: its full list is
     ``indices[indptr[row]:indptr[row + 1]]`` and ``n_succ(v)`` the suffix
     from ``succ_start[row]``.  ``V_req`` is two aligned arrays sorted by
-    candidate: the requesters of *c* are the ``requesters`` entries where
-    ``candidates == c``, in the order the fill pages listed them.
+    ``(candidate, requester)``: the requesters of *c* are the
+    ``requesters`` entries where ``candidates == c``, ascending — the
+    order the chunk's pages list them, however its pages arrived.
     """
 
-    def __init__(self, v_lo: int, v_hi: int, num_vertices: int,
-                 blocks: Sequence[PageBlock], candidates: np.ndarray,
+    def __init__(self, store: GraphStore, pid: int, end: int,
+                 block: PageBlock, candidates: np.ndarray,
                  requesters: np.ndarray):
-        """*blocks* are the chunk's pages in page order; *candidates* and
-        *requesters* the aligned ``(candidate, requester)`` pairs."""
-        self.v_lo = v_lo
-        self.v_hi = v_hi
-        rows = v_hi - v_lo + 1
-        vertices = np.concatenate([block.vertices for block in blocks])
-        lengths = np.concatenate([block.lengths for block in blocks])
-        self.indices = np.concatenate([block.neighbors for block in blocks])
+        """*block* is pages ``pid..end`` of *store*, merged in page order;
+        *candidates* and *requesters* the aligned ``(candidate,
+        requester)`` pairs, each pair once, in any order."""
+        self.v_lo, self.v_hi = store.chunk_vertex_range(pid, end)
+        v_lo = self.v_lo
+        rows = self.v_hi - v_lo + 1
+        self.indices = block.neighbors
         # Float bincount weights are exact below 2**53.
-        row_len = np.bincount(vertices - v_lo, weights=lengths,
+        row_len = np.bincount(block.vertices - v_lo, weights=block.lengths,
                               minlength=rows).astype(np.int64)
         self.indptr = np.zeros(rows + 1, dtype=np.int64)
         np.cumsum(row_len, out=self.indptr[1:])
@@ -58,11 +63,20 @@ class ChunkContext:
         self.succ_start = self.indptr[1:] - self.succ_len
         # Membership index of every n_succ(u): row * n + w, ascending
         # because rows and each row's neighbors are.
-        self._stride = num_vertices
-        self._keys = (owner * num_vertices + self.indices)[succ]
-        order = np.argsort(candidates, kind="stable")
-        self.candidates = candidates[order]
-        self.requesters = requesters[order]
+        self._stride = store.num_vertices
+        self._keys = (owner * self._stride + self.indices)[succ]
+        pairs = np.sort(candidates * self._stride + requesters)
+        self.candidates, self.requesters = np.divmod(pairs, self._stride)
+        # A store's page holds one record for every vertex id between its
+        # first and last (GraphStore.decode_pages checks it), so the
+        # pairs a page answers are one slice of V_req: per page of the
+        # store, where it starts and what to add to a candidate there to
+        # get its record on the page.
+        starts = self.candidates.searchsorted(store.page_first_vertex)
+        self._pairs_from = starts.tolist()
+        self._pairs_on = (self.candidates.searchsorted(
+            store.page_last_vertex, side="right") - starts).tolist()
+        self._first_vertex = store.page_first_vertex.tolist()
 
     def n_full(self, v: int) -> np.ndarray:
         """Full adjacency list of internal vertex *v* (sorted)."""
@@ -74,19 +88,30 @@ class ChunkContext:
         row = v - self.v_lo
         return self.indices[self.succ_start[row]:self.indptr[row + 1]]
 
-    def requests_on(self, block: PageBlock) -> tuple[np.ndarray, np.ndarray]:
-        """The ``V_req`` pairs an arrived page answers: ``(records, us)``.
+    def requests_on(self, pids: Sequence[int], records_on: Sequence[int]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The ``V_req`` pairs a window of arrived pages answers:
+        ``(records, us, pages)``.
 
-        Pair *i* is requester ``us[i]`` of the vertex of record
-        ``records[i]`` of *block*, in record order.  A store's page holds
-        one record for every vertex id between its first and last, so the
-        page's pairs are one slice of ``V_req`` and their candidates all
-        have a record.
+        Page ``pids[j]`` has ``records_on[j]`` records, which follow
+        those of the pages before it in the window's merged block.  Pair
+        *i* is requester ``us[i]`` of the vertex of record ``records[i]``
+        of that block, on page ``pids[pages[i]]``: page after page, and
+        in record order within a page.
         """
-        lo, hi = self.candidates.searchsorted(
-            (block.vertices[0], block.vertices[-1] + 1)).tolist()
-        return (block.vertices.searchsorted(self.candidates[lo:hi]),
-                self.requesters[lo:hi])
+        counts = [self._pairs_on[pid] for pid in pids]
+        if not any(counts):
+            return _NO_PAIRS
+        spans = [slice(self._pairs_from[pid], self._pairs_from[pid] + count)
+                 for pid, count in zip(pids, counts)]
+        # A candidate is record (candidate - the page's first vertex) of
+        # its page, whose records start where the pages before it end.
+        shift = [at - self._first_vertex[pid] for pid, at in zip(
+            pids, accumulate(records_on, initial=0))]
+        records = (chain([self.candidates[span] for span in spans])
+                   + np.array(shift).repeat(counts))
+        return (records, chain([self.requesters[span] for span in spans]),
+                np.arange(len(pids)).repeat(counts))
 
     def probe(self, rows: np.ndarray, values: np.ndarray, starts: np.ndarray,
               lengths: np.ndarray, labels: tuple[np.ndarray, np.ndarray] | None

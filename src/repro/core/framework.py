@@ -9,19 +9,24 @@ internal triangles per page (Algorithm 5) and external triangles per
 arrived candidate chunk (Algorithm 9).
 
 There is one iteration body, :func:`_iterate`, and it never reads a page
-itself: pages *arrive* through a page feed (``fill(pids, on_page)``,
-``request(ordered_pids, on_page)``, ``finish(chunk_pids)``).  The
+itself: pages *arrive* through a page feed (``fill(pids, on_pages)``,
+``request(ordered_pids, on_pages)``, ``finish(chunk_pids)``), a *window*
+at a time — ``on_pages(blocks, pids, buffered, delays)`` with up to
+``m_ex`` pages, what the external area holds at once.  The
 :class:`_BufferedFeed` here delivers them synchronously through the
 buffer manager; :mod:`repro.core.threaded` supplies the asynchronous one,
 and with it the same body *is* the paper's macro/micro overlap.
 
-The body works a page at a time on arrays: a page arrives decoded into a
-columnar :class:`~repro.storage.page.PageBlock`, the fill assembles the
-chunk's pages into one :class:`~repro.core.context.ChunkContext` (a
-chunk-local CSR plus ``V_req`` as two sorted arrays), and the plugin
-resolves each arrived page in one call.  Triangle groups are
-materialised only when something consumes them — a caller's sink or a
-checkpoint; otherwise the driver adds up the plugin's hit counts.
+The body works a window at a time on arrays: its pages arrive decoded
+into columnar :class:`~repro.storage.page.PageBlock` s and are merged
+into one, the fill assembles the chunk's pages into one
+:class:`~repro.core.context.ChunkContext` (a chunk-local CSR plus
+``V_req`` as two sorted arrays), and the plugin resolves each arrived
+window — and the whole chunk's internal triangles — in one call, its
+per-record and per-pair ops split back onto the pages they belong to.
+Triangle groups are materialised only when something consumes them — a
+caller's sink or a checkpoint; otherwise the driver adds up the plugin's
+hit counts.
 
 The driver produces exact triangles plus a :class:`~repro.sim.trace.RunTrace`
 describing every iteration's I/O and per-page CPU cost; the discrete-event
@@ -60,10 +65,12 @@ __all__ = ["OPTConfig", "run_opt"]
 
 logger = get_logger(__name__)
 
-#: ``on_page(block, pid, buffered, delay)``: what a feed hands the
-#: iteration body per arrived page — the decoded page plus what only the
-#: feed knows (was the read absorbed by a buffer; injected device seconds).
-OnPage = Callable[[PageBlock, int, bool, float], None]
+#: ``on_pages(blocks, pids, buffered, delays)``: what a feed hands the
+#: iteration body per arrived window, one entry per page — the decoded
+#: page, its id, and what only the feed knows (was the read absorbed by a
+#: buffer; injected device seconds).
+OnWindow = Callable[[Sequence[PageBlock], Sequence[int], Sequence[bool],
+                     Sequence[float]], None]
 
 
 @dataclass
@@ -100,9 +107,13 @@ class _BufferedFeed:
     Holds ``max(m_in, largest chunk) + m_ex`` frames: fill pages stay
     pinned until :meth:`finish`, requested pages cycle through the rest
     under LRU — which is how the saved I/O ``Δin`` arises rather than
-    being assumed.  Every ``on_page`` runs on the calling thread before
-    the method returns, so :meth:`request` has delivered the whole list,
-    in order, when it comes back.
+    being assumed.  Pages are served in runs
+    (:meth:`BufferManager.get_run`: pinned together, their misses
+    decoded in one batch, hits / misses / evictions those of page after
+    page) — the chunk as one, the request list in runs of at most
+    ``m_ex`` pages — with one ``on_pages`` per run on the calling
+    thread, so :meth:`request` has delivered the whole list, in order,
+    when it comes back.
     """
 
     def __init__(self, store: GraphStore, config: OPTConfig,
@@ -110,31 +121,46 @@ class _BufferedFeed:
         # MGT streams the whole input file once per iteration (its I/O
         # cost bound, Eq. 7): no buffering credit for re-read pages.
         self._credit_hits = not config.plugin.rescan_all
+        self._window = config.m_ex
         self._reader: RecoveringLoader | None = None
-        loader = store.decode_page
+        #: Injected device seconds of the run being loaded, by page.
+        self._delays: dict[int, float] = {}
+        loader = store.decode_pages
         if ctx.fault_plan is not None:
-            loader = self._reader = RecoveringLoader(
+            self._reader = RecoveringLoader(
                 store.decode_page, ctx.fault_plan, ctx.retry_policy,
                 registry=ctx.registry, tracer=ctx.trace,
             )
+            loader = self._recovering_load
         self._buffer = BufferManager(
             max(config.m_in, internal_frames) + config.m_ex, loader=loader,
             registry=ctx.registry, tracer=ctx.trace)
 
-    def _deliver(self, pid: int, on_page: OnPage) -> None:
-        hit = pid in self._buffer
-        frame = self._buffer.get(pid, pin=True)
-        delay = self._reader.take_delay() if self._reader is not None else 0.0
-        on_page(frame.records, pid, hit and self._credit_hits, delay)
-
-    def fill(self, pids: Sequence[int], on_page: OnPage) -> None:
+    def _recovering_load(self, pids: Sequence[int]) -> list[PageBlock]:
+        """A run's misses under a fault plan: one page, one image per
+        attempt, each with the virtual seconds its faults cost."""
+        blocks = []
         for pid in pids:
-            self._deliver(pid, on_page)
+            blocks.append(self._reader(pid))
+            self._delays[pid] = self._reader.take_delay()
+        return blocks
 
-    def request(self, pids: Sequence[int], on_page: OnPage) -> None:
-        for pid in pids:
-            self._deliver(pid, on_page)
-            self._buffer.unpin(pid)
+    def _deliver(self, run: Sequence[int], on_pages: OnWindow) -> None:
+        frames, hits = self._buffer.get_run(run)
+        on_pages([frame.records for frame in frames], run,
+                 [hit and self._credit_hits for hit in hits],
+                 [self._delays.pop(pid, 0.0) for pid in run])
+
+    def fill(self, pids: Sequence[int], on_pages: OnWindow) -> None:
+        # The internal area holds the whole chunk at once: one run.
+        self._deliver(pids, on_pages)
+
+    def request(self, pids: Sequence[int], on_pages: OnWindow) -> None:
+        for start in range(0, len(pids), self._window):
+            run = pids[start:start + self._window]
+            self._deliver(run, on_pages)
+            for pid in run:
+                self._buffer.unpin(pid)
 
     def finish(self, chunk_pids: Sequence[int]) -> None:
         for pid in chunk_pids:  # Algorithm 3 lines 12-13
@@ -311,36 +337,42 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     collect = sink is not None
     iteration = IterationTrace()
     chunk_pages = range(pid, end + 1)
-    v_lo, v_hi = store.chunk_vertex_range(pid, end)
-    arrived: dict[int, tuple] = {}
+    _, v_hi = store.chunk_vertex_range(pid, end)
+    arrived: list[tuple] = []  # one entry per delivered fill window
     # One writer each: the delivering thread / the calling thread.
     found = {"internal": 0, "external": 0}
 
-    def identify_candidates(block, page_id, buffered, delay):
-        # Algorithm 7, per delivered fill page: on the async feed this
-        # runs while later fill reads are still in flight.
+    def identify_candidates(blocks, page_ids, buffered, delays):
+        # Algorithm 7, per delivered window of fill pages: on the async
+        # feed this runs while later fill reads are still in flight.
         started = time.perf_counter()
-        candidates, requesters, ops = plugin.candidates_for_page(block, v_hi)
-        # Distinct page_id per delivery, deliveries are serialized, and
-        # the main path reads only after fill().  # lint: ignore[lockset]
-        arrived[page_id] = (block, buffered, delay, candidates, requesters)
+        window = PageBlock.concat(blocks)
+        candidates, requesters, ops = plugin.candidates_for_page(window, v_hi)
+        # Deliveries are serialized, and the main path reads only after
+        # fill().  # lint: ignore[lockset]
+        arrived.append((candidates, requesters,
+                        zip(page_ids, blocks, buffered, delays)))
         # Delivery-side only until fill() returns.  # lint: ignore[lockset]
         iteration.candidate_ops += int(ops.sum())
         if attr_candidate is not None:
-            charge_by_length(attr_candidate, block.lengths, ops)
+            charge_by_length(attr_candidate, window.lengths, ops)
             attr_candidate.charge_time(time.perf_counter() - started)
 
     # -- fill the internal area (Algorithm 3 lines 6-8) ----------------------
     with ctx.span("fill"), \
             ctx.slice("fill", reads=len(chunk_pages), index=index):
         feed.fill(chunk_pages, identify_candidates)
-    chunk_blocks, hits, delays, candidates, requesters = zip(
-        *(arrived[page_id] for page_id in chunk_pages))
+    candidates, requesters, windows = zip(*arrived)
+    # Whatever order they arrived in: the chunk's pages in page order.
+    _, chunk_blocks, hits, delays = zip(*sorted(
+        (page for window in windows for page in window),
+        key=lambda page: page[0]))
     iteration.fill_buffered = sum(hits)
     iteration.fill_reads = len(hits) - iteration.fill_buffered
     iteration.fill_delay = sum(delays)
+    chunk_block = PageBlock.concat(chunk_blocks)
     # Read-only from here on: both phases below share it.
-    chunk = ChunkContext(v_lo, v_hi, store.num_vertices, chunk_blocks,
+    chunk = ChunkContext(store, pid, end, chunk_block,
                          np.concatenate(candidates),
                          np.concatenate(requesters))
 
@@ -362,26 +394,30 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
             # and survive in the external area (the paper's Δin trick).
             ordered = np.flatnonzero(wanted)[::-1].tolist()
 
-    def external_triangles(block, page_id, buffered, delay):
-        # Algorithm 9, per arrived candidate page.
-        records, us = chunk.requests_on(block)
-        page_ops = 0
+    def external_triangles(blocks, page_ids, buffered, delays):
+        # Algorithm 9, per arrived window of candidate pages.
+        records, us, pages = chunk.requests_on(page_ids,
+                                               [len(block) for block in blocks])
+        page_ops = [0] * len(blocks)
         if len(us):
+            window = PageBlock.concat(blocks)
             ops, triangles, groups = plugin.external_for_page(
-                chunk, block, records, us, collect)
-            page_ops = int(ops.sum())
+                chunk, window, records, us, collect)
+            # Float bincount weights are exact below 2**53.
+            page_ops = np.bincount(pages, weights=ops, minlength=len(blocks)
+                                   ).astype(np.int64).tolist()
             # Delivery-side only.  # lint: ignore[lockset]
             found["external"] += triangles
             if collect:
                 emit_block(sink, groups)
             if attr_external is not None:
-                requested, first = np.unique(records, return_index=True)
-                charge_by_length(attr_external, block.lengths[requested],
-                                 np.add.reduceat(ops, first))
+                requested, starts = np.unique(records, return_index=True)
+                charge_by_length(attr_external, window.lengths[requested],
+                                 np.add.reduceat(ops, starts))
         # Deliveries are serialized; the main path reads external_reads
         # only after finish().  # lint: ignore[lockset]
-        iteration.external_reads.append(ExternalRead(
-            pid=page_id, cpu_ops=page_ops, buffered=buffered, delay=delay))
+        iteration.external_reads.extend(map(
+            ExternalRead, page_ids, page_ops, buffered, delays))
 
     # -- delegate the external triangulation ---------------------------------
     with ctx.span("external-triangulation"):
@@ -390,19 +426,21 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
         if attr_external is not None:
             attr_external.charge_time(time.perf_counter() - phase_started)
 
-    # -- internal triangulation (Algorithm 5, per page) ----------------------
+    # -- internal triangulation (Algorithm 5, the whole chunk) ---------------
     with ctx.span("internal-triangulation"), ctx.slice("internal", index=index):
         phase_started = time.perf_counter()
-        for block in chunk_blocks:
-            ops, triangles, groups = plugin.internal_for_page(chunk, block,
-                                                              collect)
-            iteration.internal_page_ops.append(int(ops.sum()))
-            found["internal"] += triangles
-            if collect:
-                emit_block(sink, groups)
-            if attr_internal is not None:
-                charge_by_length(attr_internal, block.lengths, ops)
+        ops, triangles, groups = plugin.internal_for_page(chunk, chunk_block,
+                                                          collect)
+        # Float bincount weights are exact below 2**53.
+        iteration.internal_page_ops = np.bincount(
+            np.arange(len(chunk_blocks)).repeat(
+                [len(block) for block in chunk_blocks]),
+            weights=ops, minlength=len(chunk_blocks)).astype(np.int64).tolist()
+        found["internal"] += triangles
+        if collect:
+            emit_block(sink, groups)
         if attr_internal is not None:
+            charge_by_length(attr_internal, chunk_block.lengths, ops)
             attr_internal.charge_time(time.perf_counter() - phase_started)
 
     # -- iteration barrier (Algorithm 3 lines 11-13) -------------------------

@@ -1,26 +1,28 @@
 """Pluggable iterator models for the OPT framework.
 
 OPT is generic: an instance supplies three operations (Section 3.2/3.5),
-each over one decoded page (:class:`~repro.storage.page.PageBlock`) —
+each over a :class:`~repro.storage.page.PageBlock` — one decoded page
+or, as the driver calls them, the merged records of a window of pages
+(a delivered fill window, the whole chunk, an arrived external window) —
 
 * ``candidates_for_page`` — ExternalCandidateVertexImpl (Algorithms 8 / 12),
 * ``internal_for_page``   — InternalTriangleImpl (Algorithms 6 / 11),
 * ``external_for_page``   — ExternalTriangleImpl (Algorithms 10 / 13).
 
 Each reports the CPU operations it consumed (the paper's probe measure)
-*per record* of the page — the driver sums them for the trace and
-buckets them for attribution — and the two triangulating ones return
+*per record* of the block — the driver splits them by page for the trace
+and buckets them for attribution — and the two triangulating ones return
 ``(ops, triangles, groups)``, the groups — one
-:class:`~repro.exec.block.GroupBlock` per page — only when asked to
+:class:`~repro.exec.block.GroupBlock` per call — only when asked to
 collect.
 Adjacency lists may arrive chunked across pages; intersections and
 membership probes distribute over chunks, so per-record processing
 remains exact.
 
-:class:`EdgeIteratorPlugin` resolves a page with a constant number of
+:class:`EdgeIteratorPlugin` resolves a block with a constant number of
 array operations (one batched probe of the chunk's successor index);
 :class:`VertexIteratorPlugin` and :class:`MGTPlugin` loop over the
-page's records.
+block's records.
 
 :class:`MGTPlugin` realizes the paper's Section 3.5 reduction of MGT
 [Hu et al., SIGMOD'13] to an OPT instance: no internal triangulation,
@@ -41,7 +43,7 @@ from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["EdgeIteratorPlugin", "IteratorPlugin", "MGTPlugin", "VertexIteratorPlugin"]
 
-#: ``(ops, triangles, groups)`` of one triangulated page.
+#: ``(ops, triangles, groups)`` of one triangulated block.
 PageOutcome = tuple[np.ndarray, int, GroupBlock]
 
 
@@ -58,7 +60,7 @@ class IteratorPlugin(ABC):
     def candidates_for_page(
         self, block: PageBlock, v_hi: int
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """External candidate vertices one fill page contributes.
+        """External candidate vertices the fill pages in *block* contribute.
 
         *v_hi* is the chunk's last internal vertex.  Returns
         ``(candidates, requesters, ops)``: aligned ``(candidate,
@@ -70,7 +72,7 @@ class IteratorPlugin(ABC):
     def internal_for_page(
         self, chunk: ChunkContext, block: PageBlock, collect: bool
     ) -> PageOutcome:
-        """Find the internal triangles of one internal-area page.
+        """Find the internal triangles of the internal-area pages in *block*.
 
         The ops returned are per record of *block*.
         """
@@ -80,7 +82,7 @@ class IteratorPlugin(ABC):
         self, chunk: ChunkContext, block: PageBlock, records: np.ndarray,
         us: np.ndarray, collect: bool,
     ) -> PageOutcome:
-        """Find external triangles for one arrived candidate page.
+        """Find external triangles for the arrived candidate pages in *block*.
 
         Pair *i* is requester ``us[i]`` against record ``records[i]`` of
         *block* (:meth:`ChunkContext.requests_on`); the ops returned are

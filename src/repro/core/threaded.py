@@ -7,12 +7,13 @@ over a different page feed: :class:`_AsyncFeed` hands every read to a
 :class:`~repro.storage.ssd.ThreadedSSD`, so the *main thread* issues the
 reads, assembles the chunk and finds internal triangles (Algorithms 3
 and 5), while the SSD's *callback thread* runs the driver's two
-callbacks — candidate identification per arrived fill page, external
-triangulation per arrived candidate page (Algorithms 7 and 9) — and
-re-issues the request list (Algorithm 9's atomic issue).  ``os.pread``
-releases the GIL, so the I/O genuinely overlaps the main thread's
-Python CPU work; the two CPU streams interleave under the GIL (real
-multi-core speed-up is what the discrete-event engine models).
+callbacks — candidate identification per arrived window of fill pages,
+external triangulation per arrived window of candidate pages
+(Algorithms 7 and 9) — and re-issues the request list (Algorithm 9's
+atomic issue).  ``os.pread`` releases the GIL, so the I/O genuinely
+overlaps the main thread's Python CPU work; the two CPU streams
+interleave under the GIL (real multi-core speed-up is what the
+discrete-event engine models).
 
 Triangle counts are exact and wall-clock ``elapsed`` is real time — used
 by the correctness tests and the quickstart, not by the paper-figure
@@ -28,7 +29,7 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.engine import _result, resolve_plugin
-from repro.core.framework import OnPage, OPTConfig, _drive
+from repro.core.framework import OnWindow, OPTConfig, _drive
 from repro.core.plugins import IteratorPlugin
 from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
@@ -145,38 +146,68 @@ def triangulate_threaded(
 class _AsyncFeed:
     """Asynchronous page arrival through :class:`ThreadedSSD` callbacks.
 
-    Every ``on_page`` runs on the SSD's single callback thread, which
-    serializes them.  :meth:`fill` returns once all its pages have been
-    delivered; :meth:`request` returns as soon as the first ``window``
-    reads are issued — the rest of the list is re-issued from the
-    callback thread, overlapping whatever the caller does next — and
-    :meth:`finish` is the iteration barrier.  Holds no frames: a
-    delivered page lives as long as the caller keeps its records.
+    Every ``on_pages`` runs on the SSD's single callback thread, which
+    serializes them, and is handed every completion that was queued when
+    the thread got to it — one window, at most ``window`` pages for a
+    request list, since no more are ever in flight.  :meth:`fill`
+    returns once all its pages have been delivered; :meth:`request`
+    returns as soon as the first ``window`` reads are issued — the rest
+    of the list is re-issued from the callback thread, overlapping
+    whatever the caller does next — and :meth:`finish` is the iteration
+    barrier.  Holds no frames: a delivered page lives as long as the
+    caller keeps its records.
     """
 
     def __init__(self, ssd: ThreadedSSD, window: int):
         self._ssd = ssd
-        self._window = window
+        self._window_size = window
 
-    def fill(self, pids: Sequence[int], on_page: OnPage) -> None:
+    def _window(self, held: list, block, pid: int) -> list:
+        """Add one completion to *held* and take the window: all of them,
+        or none yet while more completions wait behind this one (each
+        comes through here in turn).  Callback thread only."""
+        held.append((block, pid))
+        if self._ssd.completions_waiting:
+            return []
+        window = held[:]
+        held.clear()
+        return window
+
+    @staticmethod
+    def _hand_over(window: list, on_pages: OnWindow) -> None:
+        blocks, pids = zip(*window)
+        on_pages(blocks, pids, [False] * len(window), [0.0] * len(window))
+
+    def fill(self, pids: Sequence[int], on_pages: OnWindow) -> None:
+        held: list = []
+
+        def arrive(block, page_id):
+            window = self._window(held, block, page_id)
+            if window:
+                self._hand_over(window, on_pages)
+
         for pid in pids:
-            self._ssd.async_read(pid, on_page, (pid, False, 0.0))
+            self._ssd.async_read(pid, arrive, (pid,))
         self._ssd.wait_idle()
 
-    def request(self, pids: Sequence[int], on_page: OnPage) -> None:
+    def request(self, pids: Sequence[int], on_pages: OnWindow) -> None:
         ssd = self._ssd
         pending = deque(pids)
         issue_lock = threading.Lock()
+        held: list = []
 
         def deliver(block, page_id):
-            on_page(block, page_id, False, 0.0)
-            with issue_lock:  # Algorithm 9's atomic issue of the next request
-                if pending:
+            window = self._window(held, block, page_id)
+            if not window:
+                return
+            self._hand_over(window, on_pages)
+            with issue_lock:  # Algorithm 9's atomic issue of the next requests
+                for _ in range(min(len(window), len(pending))):
                     next_pid = pending.popleft()
                     ssd.async_read(next_pid, deliver, (next_pid,))
 
         with issue_lock:
-            for _ in range(min(self._window, len(pending))):
+            for _ in range(min(self._window_size, len(pending))):
                 next_pid = pending.popleft()
                 ssd.async_read(next_pid, deliver, (next_pid,))
 

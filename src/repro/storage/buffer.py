@@ -12,9 +12,9 @@ paper's saved I/O ``Δin``).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
+from typing import Callable, Sequence
 
 from repro.errors import BufferError_
 from repro.obs import EventTracer, MetricsRegistry
@@ -28,31 +28,43 @@ class Frame:
     """One buffer frame holding a decoded page."""
 
     pid: int
-    records: PageBlock
+    records: PageBlock | None  # None only inside BufferManager.get_run
     pin_count: int = 0
-    dirty: bool = False
-    stats: dict = field(default_factory=dict)
+    #: The buffer's access clock when the page was last asked for.
+    used_at: int = 0
 
 
 class BufferManager:
     """A page buffer with *capacity* frames and LRU replacement.
 
-    ``loader(pid)`` must return the decoded records of page *pid*; it is
-    invoked exactly once per miss.  Hits, misses, and evictions count
+    ``loader(pids)`` must return the decoded records of the pages *pids*,
+    one entry each; every miss is handed to it exactly once, a run's
+    misses (:meth:`get_run`) in one call.  Hits, misses, and evictions count
     through the ``buffer.*`` counters of *registry* (a private registry
     when none is given) so the engines can report the paper's ``Δin``
     (reads absorbed by buffering); the historical ``hits`` / ``misses`` /
     ``evictions`` attributes remain available as properties.
+
+    The victim is the unpinned page asked for longest ago.  Finding it
+    does not walk past the pinned ones (OPT keeps a whole chunk pinned
+    while thousands of pages cycle through the rest): every access stamps
+    its frame with a clock, a frame whose pin count falls to zero is
+    pushed on a heap under its stamp, and entries that a later access, a
+    pin or an eviction has overtaken are dropped when they surface.
     """
 
-    def __init__(self, capacity: int, loader: Callable[[int], PageBlock],
+    def __init__(self, capacity: int,
+                 loader: Callable[[Sequence[int]], Sequence[PageBlock]],
                  *, registry: MetricsRegistry | None = None,
                  tracer: EventTracer | None = None):
         if capacity < 1:
             raise BufferError_("buffer capacity must be at least one frame")
         self.capacity = capacity
         self._loader = loader
-        self._frames: OrderedDict[int, Frame] = OrderedDict()
+        self._frames: dict[int, Frame] = {}
+        self._clock = 0
+        #: ``(used_at, pid)`` of frames as they became evictable.
+        self._evictable: list[tuple[int, int]] = []
         self._tracer = tracer if tracer is not None and tracer.enabled else None
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter("buffer.hits")
@@ -89,7 +101,7 @@ class BufferManager:
 
     def resident_pages(self) -> list[int]:
         """Page ids currently buffered, least recently used first."""
-        return list(self._frames)
+        return sorted(self._frames, key=lambda pid: self._frames[pid].used_at)
 
     # -- core operations ------------------------------------------------------
 
@@ -100,34 +112,72 @@ class BufferManager:
         pin count is incremented and the page becomes ineligible for
         eviction until unpinned the same number of times.
         """
-        frame = self._frames.get(pid)
-        if frame is not None:
-            self._hits.inc()
-            if self._tracer is not None:
-                self._tracer.instant("buffer.hit", pid=pid)
-            self._frames.move_to_end(pid)
-        else:
-            self._misses.inc()
-            self._ensure_free_frame()
-            frame = Frame(pid, self._loader(pid))
-            self._frames[pid] = frame
-            self._resident.set(len(self._frames))
-        if pin:
-            frame.pin_count += 1
+        (frame,), _ = self.get_run((pid,))
+        if not pin:
+            self._release(frame)
         return frame
+
+    def get_run(self, pids: Sequence[int]) -> tuple[list[Frame], list[bool]]:
+        """Pin the pages *pids*, in order; the misses load in one batch.
+
+        Returns the frames and, per page, whether it was a hit.  Each
+        page is looked up, counted, made most-recently-used and given a
+        frame (evicting the least recently used unpinned page) exactly as
+        by ``get(pid, pin=True)`` page after page; only the loader runs
+        once, for all the misses, afterwards.  As long as the run is no
+        longer than the frames the caller leaves unpinned, pinning it
+        whole changes no victim: a run's earlier pages are the most
+        recently used, the last LRU would pick.  The caller unpins every
+        page of the run when it is done with it.
+        """
+        frames: list[Frame] = []
+        hits: list[bool] = []
+        missing: list[Frame] = []
+        try:
+            for pid in pids:
+                frame = self._frames.get(pid)
+                hits.append(frame is not None)
+                if frame is not None:
+                    self._hits.inc()
+                    if self._tracer is not None:
+                        self._tracer.instant("buffer.hit", pid=pid)
+                else:
+                    self._misses.inc()
+                    self._ensure_free_frame()
+                    frame = self._frames[pid] = Frame(pid, None)
+                    missing.append(frame)
+                self._clock = frame.used_at = self._clock + 1
+                frame.pin_count += 1
+                frames.append(frame)
+            if missing:
+                loaded = self._loader([frame.pid for frame in missing])
+                for frame, records in zip(missing, loaded, strict=True):
+                    frame.records = records
+        # Whatever went wrong, nothing is delivered: a frame that never
+        # got its records is not resident, the run holds no page, and
+        # the error goes on to the caller.  # lint: ignore[error-types]
+        except BaseException:
+            for frame in frames:
+                if frame.records is None:
+                    self._frames.pop(frame.pid, None)
+                else:
+                    self._release(frame)
+            raise
+        finally:
+            self._resident.set(len(self._frames))
+        return frames, hits
 
     def install(self, pid: int, records: PageBlock, *, pin: bool = False) -> Frame:
         """Install an externally loaded page (async-read completion path)."""
         frame = self._frames.get(pid)
         if frame is None:
             self._ensure_free_frame()
-            frame = Frame(pid, records)
-            self._frames[pid] = frame
+            frame = self._frames[pid] = Frame(pid, records)
             self._resident.set(len(self._frames))
-        else:
-            self._frames.move_to_end(pid)
-        if pin:
-            frame.pin_count += 1
+        self._clock = frame.used_at = self._clock + 1
+        frame.pin_count += 1
+        if not pin:
+            self._release(frame)
         return frame
 
     def pin(self, pid: int) -> None:
@@ -145,21 +195,38 @@ class BufferManager:
             raise BufferError_(f"cannot unpin non-resident page {pid}") from None
         if frame.pin_count <= 0:
             raise BufferError_(f"page {pid} is not pinned")
-        frame.pin_count -= 1
+        self._release(frame)
 
     def flush(self) -> None:
         """Drop every unpinned frame (used between independent runs)."""
-        for pid in [p for p, f in self._frames.items() if f.pin_count == 0]:
-            del self._frames[pid]
+        self._frames = {pid: frame for pid, frame in self._frames.items()
+                        if frame.pin_count}
+        self._evictable.clear()
         self._resident.set(len(self._frames))
 
     # -- internals ------------------------------------------------------------
 
+    def _release(self, frame: Frame) -> None:
+        """Drop one pin; at zero the frame becomes a candidate victim."""
+        frame.pin_count -= 1
+        if frame.pin_count == 0:
+            if len(self._evictable) > 2 * self.capacity + 16:
+                # Hits leave their overtaken entries behind unpopped.
+                self._evictable = [(other.used_at, other.pid)
+                                   for other in self._frames.values()
+                                   if other.pin_count == 0]
+                heapify(self._evictable)
+            else:
+                heappush(self._evictable, (frame.used_at, frame.pid))
+
     def _ensure_free_frame(self) -> None:
         if len(self._frames) < self.capacity:
             return
-        for pid, frame in self._frames.items():  # LRU order
-            if frame.pin_count == 0:
+        while self._evictable:
+            used_at, pid = heappop(self._evictable)
+            frame = self._frames.get(pid)
+            if (frame is not None and frame.pin_count == 0
+                    and frame.used_at == used_at):
                 del self._frames[pid]
                 self._evictions.inc()
                 self._resident.set(len(self._frames))

@@ -12,13 +12,15 @@ internal chunk never splits a vertex's record chain (see DESIGN.md §2).
 
 from __future__ import annotations
 
+from functools import cached_property
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import PageFormatError, StorageError
 from repro.graph.graph import Graph
-from repro.storage.page import DEFAULT_PAGE_SIZE, PageBlock, SlottedPage
+from repro.storage.page import DEFAULT_PAGE_SIZE, PageBlock, SlottedPage, chain
 from repro.storage.pagefile import PageFile
 
 __all__ = ["GraphStore", "PagePacker"]
@@ -188,7 +190,38 @@ class GraphStore:
 
     def decode_page(self, pid: int) -> PageBlock:
         """Decode page *pid* into its records."""
-        return PageBlock.from_bytes(self.pages[pid])
+        return self.decode_pages((pid,))[0]
+
+    def decode_pages(self, pids: Sequence[int]) -> list[PageBlock]:
+        """Decode pages *pids* in one batch, one block per page.
+
+        Besides the layout (:meth:`PageBlock.from_images`) this checks
+        what the packer guarantees and the OPT driver's record index
+        relies on: a page holds exactly one record for every vertex id
+        from its first to its last, in order.  An image that decodes but
+        names other vertices is as torn as one that does not decode, and
+        raises :class:`PageFormatError` too.
+        """
+        block, cuts = PageBlock.from_images([self.pages[pid] for pid in pids])
+        columns = [self._vertex_ids[self.page_first_vertex[pid]:
+                                    self.page_last_vertex[pid] + 1]
+                   for pid in pids]
+        expected = chain(columns)
+        blocks = block.split(cuts)
+        if len(expected) != len(block) or np.count_nonzero(
+                block.vertices != expected):
+            pid, column = next(
+                (pid, column) for pid, column, page in zip(pids, columns, blocks)
+                if not np.array_equal(page.vertices, column))
+            raise PageFormatError(
+                f"page {pid} does not hold one record for each of the "
+                f"vertices {column[0]}..{column[-1]}")
+        return blocks
+
+    @cached_property
+    def _vertex_ids(self) -> np.ndarray:
+        """``arange(num_vertices)``: a page's vertex column is a slice of it."""
+        return np.arange(self.num_vertices)
 
     def pages_of_vertex(self, v: int) -> range:
         """Inclusive page-id range holding vertex *v*'s record chain."""

@@ -26,14 +26,15 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterator
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from repro.errors import PageFormatError, PageFullError
 
 __all__ = ["DEFAULT_PAGE_SIZE", "PageBlock", "PageRecord", "SlottedPage",
-           "record_capacity"]
+           "chain", "record_capacity"]
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -41,6 +42,11 @@ _HEADER = struct.Struct("<H")
 _SLOT = struct.Struct("<H")
 _RECORD_HEADER = struct.Struct("<IHH")
 _FLAG_LAST = 0x1
+
+
+def chain(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """*arrays* end to end; a lone array comes back as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass(frozen=True)
@@ -56,7 +62,8 @@ class PageRecord:
 
 
 class PageBlock:
-    """One decoded page in columnar form; iterates as :class:`PageRecord`.
+    """The records of one decoded page — or of several, one page after
+    another — in columnar form; iterates as :class:`PageRecord`.
 
     Record ``i`` is ``vertices[i]`` with neighbors
     ``neighbors[offsets[i]:offsets[i + 1]]`` (``int64``, ascending) and
@@ -100,59 +107,142 @@ class PageBlock:
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "PageBlock":
-        """Decode one page image: the only parser of the page layout.
+        """Decode one page image: :meth:`from_images` of a single image."""
+        return cls.from_images((data,))[0]
 
-        Records are packed back to back from byte 2 and each is a whole
-        number of ``u32`` words, so one ``<u4`` view at offset 2 covers
-        every header and neighbor word; the slot directory is one
-        ``<u2`` view.  An image :meth:`SlottedPage.to_bytes` cannot have
-        written raises :class:`PageFormatError`.
+    @classmethod
+    def from_images(cls, images: Sequence[bytes]
+                    ) -> tuple["PageBlock", list[int]]:
+        """Decode page images of one size: the only parser of the page layout.
+
+        Returns the records of all *images*, in image order, as one block,
+        and its cuts — image *j* holds records ``cuts[j]:cuts[j + 1]``
+        (:meth:`split` makes them pages again).  The images are joined
+        into one buffer whose rows are a whole number of ``u32`` words
+        apart, so one ``<u4`` view at offset 2 covers every record header
+        and neighbor word of every image and one ``<u2`` view every slot
+        directory.  What is one number per image is worked out in plain
+        Python (a batch is tens of images), what is one per record or
+        neighbor in a constant number of array operations.  An image
+        :meth:`SlottedPage.to_bytes` cannot have written — or too short
+        for a header, or of another size than its batch — raises
+        :class:`PageFormatError`, the one the first such image raises
+        when decoded alone.
         """
-        size = len(data)
-        (count,) = _HEADER.unpack_from(data, 0)
-        directory = size - _SLOT.size * count
-        if count and directory < _HEADER.size + _RECORD_HEADER.size:
+        sizes = set(map(len, images))
+        if len(sizes) != 1:
             raise PageFormatError(
-                f"{count} records do not fit a {size}-byte page")
-        slots = np.frombuffer(data, dtype="<u2", count=count,
-                              offset=directory)[::-1].astype(np.int64)
-        words = np.frombuffer(data, dtype="<u4", offset=_HEADER.size,
-                              count=(size - _HEADER.size) // 4)
-        heads = slots >> 2  # word index of each record's vertex id
+                f"one batch needs page images of one size, got {sorted(sizes)}")
+        (size,) = sizes
+        if size < _HEADER.size:
+            raise PageFormatError(f"a {size}-byte image has no page header")
+        stride = size + -size % 4
+        row = stride // 4  # words from one image to the next
+        joined = (images[0] if len(images) == 1
+                  else bytes(stride - size).join(images))
+        counts = [_HEADER.unpack_from(image)[0] for image in images]
+        cuts = [0, *accumulate(counts)]
+        fullest = max(counts)
+        if fullest and (size - _SLOT.size * fullest
+                        < _HEADER.size + _RECORD_HEADER.size):
+            raise cls._defect(images, f"{fullest} records do not fit a "
+                                      f"{size}-byte page")
+        # Record r of an image has its slot 2 * (r + 1) bytes before the
+        # image's end: all slots sit at the parity of the page size, so
+        # one <u2 view reaches them.
+        odd = size & 1
+        halves = np.frombuffer(joined, dtype="<u2", offset=odd,
+                               count=(len(joined) - odd) // 2)
+        slots = chain([
+            halves[top - count:top][::-1] for count, top in zip(
+                counts, range((size - odd) // 2, len(halves) + 1, 2 * row))
+        ]).astype(np.int64)
+        words = np.frombuffer(joined, dtype="<u4", offset=_HEADER.size,
+                              count=(len(joined) - _HEADER.size) // 4)
+        # Word index of each record's vertex id.
+        heads = slots >> 2
+        if len(images) > 1:  # a lone image is the batch: nothing to add
+            per_image = np.array(counts)
+            heads += np.arange(0, len(images) * row, row).repeat(per_image)
+        seconds = heads + 1
         # The header's second word, flags | count << 16; clipped, so a
         # wild slot is still there to be reported below.
-        packed = words.take(heads + 1, mode="clip").astype(np.int64)
-        # bounds[i]: the words that records 0..i-1 occupy.
-        bounds = np.zeros(count + 1, dtype=np.int64)
-        ((packed >> 16) + 2).cumsum(out=bounds[1:])
-        starts = _HEADER.size + 4 * bounds
+        packed = words.take(seconds, mode="clip").astype(np.int64)
+        lengths = packed >> 16
+        # ends[i]: the words that records 0..i-1 of the batch occupy.
+        ends = np.zeros(cuts[-1] + 1, dtype=np.int64)
+        np.add.accumulate(lengths + 2, out=ends[1:])
+        marks = ends[cuts].tolist()
+        starts = 4 * ends[:-1] + _HEADER.size
+        if len(images) > 1:
+            starts -= 4 * np.array(marks[:-1]).repeat(per_image)
         # Every record starts where its predecessor ends, the first at
         # byte 2, and the last ends before the directory: then all of
         # them are word-aligned and in bounds, and no read was clipped.
-        if np.count_nonzero(slots != starts[:-1]) or starts[-1] > directory:
-            raise _defect(slots, starts, directory)
-        used = int(bounds[-1])
-        payload = np.ones(used, dtype=bool)
-        payload[heads] = payload[heads + 1] = False
-        return cls(words[heads].astype(np.int64),
-                   bounds - 2 * np.arange(count + 1),
-                   words[:used][payload].astype(np.int64),
-                   (packed & _FLAG_LAST).astype(bool))
+        if np.count_nonzero(slots != starts) or any(
+                4 * (end - begin) + _SLOT.size * count > size - _HEADER.size
+                for begin, end, count in zip(marks, marks[1:], counts)):
+            raise cls._defect(images, _slot_defect(slots, starts, size))
+        # The neighbors are the words in use that are no record header.
+        payload = np.ones(len(words), dtype=bool)
+        payload[heads] = payload[seconds] = False
+        for at, begin, end in zip(range(0, len(words), row), marks, marks[1:]):
+            payload[at + end - begin:at + row] = False
+        return cls(words.take(heads).astype(np.int64),
+                   ends - 2 * np.arange(len(ends)),
+                   words[payload].astype(np.int64),
+                   (packed & _FLAG_LAST).astype(bool)), cuts
+
+    @classmethod
+    def _defect(cls, images: Sequence[bytes], problem: str) -> PageFormatError:
+        """The error of a rejected batch: *problem* when it is one image,
+        else what its first bad image raises when decoded alone."""
+        if len(images) > 1:
+            for image in images:
+                cls.from_bytes(image)
+        return PageFormatError(problem)
+
+    @classmethod
+    def concat(cls, blocks: Sequence["PageBlock"]) -> "PageBlock":
+        """The records of *blocks*, in order, as one block."""
+        if len(blocks) == 1:
+            return blocks[0]
+        offsets = np.zeros(sum(map(len, blocks)) + 1, dtype=np.int64)
+        np.concatenate([block.offsets[1:] for block in blocks],
+                       out=offsets[1:])
+        offsets[1:] += np.repeat(
+            [0, *accumulate(len(block.neighbors) for block in blocks[:-1])],
+            [len(block) for block in blocks])
+        return cls(np.concatenate([block.vertices for block in blocks]),
+                   offsets,
+                   np.concatenate([block.neighbors for block in blocks]),
+                   np.concatenate([block.last for block in blocks]))
+
+    def split(self, cuts: Sequence[int]) -> list["PageBlock"]:
+        """Cut into consecutive blocks, records ``cuts[j]:cuts[j + 1]`` each."""
+        if len(cuts) == 2:
+            return [self]
+        bounds = self.offsets[cuts].tolist()
+        return [
+            PageBlock(self.vertices[begin:end],
+                      self.offsets[begin:end + 1] - lo,
+                      self.neighbors[lo:hi], self.last[begin:end])
+            for begin, end, lo, hi in zip(cuts, cuts[1:], bounds, bounds[1:])]
 
 
-def _defect(slots: np.ndarray, starts: np.ndarray,
-            directory: int) -> PageFormatError:
-    """Name the first defect of a page image the decoder rejected."""
+def _slot_defect(slots: np.ndarray, starts: np.ndarray, size: int) -> str:
+    """Name the first defect in the slots of the one image rejected."""
+    directory = size - _SLOT.size * len(slots)
     for bad, problem in (
             (slots + _RECORD_HEADER.size > directory,
              "slot {} points past page end"),
             (slots % 4 != _HEADER.size, "record {} is misaligned"),
-            (slots != starts[:-1],
+            (slots != starts,
              "record {} does not start where its predecessor ends")):
         if bad.any():
-            return PageFormatError(problem.format(int(bad.argmax())))
+            return problem.format(int(bad.argmax()))
     # Every slot is in place, so the rejection was the last record's end.
-    return PageFormatError(f"record {len(slots) - 1} truncated")
+    return f"record {len(slots) - 1} truncated"
 
 
 def record_capacity(page_size: int = DEFAULT_PAGE_SIZE) -> int:

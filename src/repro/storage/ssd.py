@@ -243,6 +243,12 @@ class ThreadedSSD:
     def pages_read(self) -> int:
         return self._pages_read.value
 
+    @property
+    def completions_waiting(self) -> int:
+        """Completed reads queued behind the callback now running (an
+        instantaneous reading; more may join right after)."""
+        return self._callback_queue.qsize()
+
     # -- public API ---------------------------------------------------------
 
     def async_read(

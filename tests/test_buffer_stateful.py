@@ -8,7 +8,10 @@ and page contents always come from the loader exactly once per residency.
 
 from __future__ import annotations
 
-from hypothesis import settings
+from collections import OrderedDict
+
+import pytest
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
@@ -26,9 +29,9 @@ class BufferMachine(RuleBasedStateMachine):
         self.buffer = BufferManager(CAPACITY, loader=self._load)
         self.pins: dict[int, int] = {}
 
-    def _load(self, pid: int) -> list:
-        self.loads.append(pid)
-        return [f"page-{pid}"]
+    def _load(self, pids) -> list:
+        self.loads.extend(pids)
+        return [[f"page-{pid}"] for pid in pids]
 
     @rule(pid=PAGE_IDS)
     def get(self, pid):
@@ -90,3 +93,118 @@ TestBufferStateful = BufferMachine.TestCase
 TestBufferStateful.settings = settings(
     max_examples=60, stateful_step_count=40, deadline=None
 )
+
+
+# ---------------------------------------------------------------------------
+# A pinned run is page-at-a-time, and both are plain LRU
+# ---------------------------------------------------------------------------
+
+M_EX = 3  # frames left over for runs; CAPACITY - M_EX stay pinned
+
+
+class _Events:
+    """A tracer that keeps the buffer's hit / evict instants in order."""
+
+    enabled = True
+
+    def __init__(self):
+        self.seen = []
+
+    def instant(self, name, **args):
+        self.seen.append((name, args["pid"]))
+
+
+def _drive(chunk, runs, by_run):
+    """The OPT feed's use of the buffer: *chunk* pinned throughout, each
+    of *runs* pinned, used and unpinned — as one run, or page by page."""
+    events, loads, hits = _Events(), [], []
+
+    def load(pids):
+        loads.extend(pids)
+        return [[f"page-{pid}"] for pid in pids]
+
+    buffer = BufferManager(CAPACITY, loader=load, tracer=events)
+    for pid in chunk:
+        buffer.get(pid, pin=True)
+    for run in runs:
+        if by_run:
+            frames, run_hits = buffer.get_run(run)
+            assert [frame.records for frame in frames] == [
+                [f"page-{pid}"] for pid in run]
+            assert all(pid in buffer for pid in run), "evicted its own page"
+            hits.extend(run_hits)
+            for pid in run:
+                buffer.unpin(pid)
+        else:
+            for pid in run:
+                hits.append(pid in buffer)
+                buffer.get(pid, pin=True)
+                buffer.unpin(pid)
+    return (events.seen, loads, hits, buffer.resident_pages(),
+            (buffer.hits, buffer.misses, buffer.evictions))
+
+
+def _lru_model(chunk, runs):
+    """What plain LRU does with the same accesses: an ordered dict walked
+    from its old end past the pinned pages."""
+    order, events, loads, hits = OrderedDict(), [], [], []
+
+    def access(pid):
+        hit = pid in order
+        if hit:
+            order.move_to_end(pid)
+            events.append(("buffer.hit", pid))
+        else:
+            if len(order) == CAPACITY:
+                victim = next(old for old in order if old not in chunk)
+                del order[victim]
+                events.append(("buffer.evict", victim))
+            order[pid] = None
+            loads.append(pid)
+        return hit
+
+    for pid in chunk:
+        access(pid)
+    for run in runs:
+        hits.extend([access(pid) for pid in run])
+    return events, loads, hits, list(order)
+
+
+@given(
+    st.sets(PAGE_IDS, max_size=CAPACITY - M_EX),
+    st.lists(st.lists(PAGE_IDS, min_size=1, max_size=M_EX, unique=True),
+             max_size=25),
+)
+@settings(max_examples=150, deadline=None)
+def test_pinned_run_is_page_at_a_time_is_lru(chunk, runs):
+    chunk = sorted(chunk)
+    by_run = _drive(chunk, runs, by_run=True)
+    assert by_run == _drive(chunk, runs, by_run=False)
+    events, loads, hits, resident, (n_hits, n_misses, n_evictions) = by_run
+    model_events, model_loads, model_hits, model_resident = _lru_model(
+        chunk, runs)
+    assert events == model_events
+    assert loads == model_loads
+    assert hits == model_hits
+    assert resident == model_resident
+    assert n_misses == len(loads)
+    assert n_evictions == sum(name == "buffer.evict" for name, _ in events)
+
+
+def test_failed_run_leaves_no_trace():
+    """A loader that gives up mid-run: nothing of the run stays pinned or
+    half-loaded, and the buffer goes on working."""
+    def load(pids):
+        if 7 in pids:
+            raise BufferError_("page 7 is gone")
+        return [[pid] for pid in pids]
+
+    buffer = BufferManager(CAPACITY, loader=load)
+    buffer.get(1)
+    with pytest.raises(BufferError_):
+        buffer.get_run([1, 6, 7])
+    assert buffer.resident_pages() == [1]
+    assert buffer.num_pinned == 0
+    frames, hits = buffer.get_run([6, 1, 2, 3])
+    assert hits == [False, True, False, False]
+    assert [frame.records for frame in frames] == [[6], [1], [2], [3]]

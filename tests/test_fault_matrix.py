@@ -102,6 +102,35 @@ class TestSimulatedEngineMatrix:
                          ctx=RunContext(fault_plan=plan, retry_policy=POLICY))
         assert set(canonical_triangles(sink)) == expected
 
+    @pytest.mark.parametrize("plugin", PLUGINS)
+    def test_injected_delay_lands_on_the_delayed_pages(self, matrix_graph,
+                                                       plugin):
+        """Pages arrive a window at a time; the virtual seconds a page's
+        faults cost must still be charged to that page's read."""
+        store = make_store(matrix_graph, PAGE_SIZE)
+        spec = FaultSpec("latency", rate=0.5, times=1, delay=0.25)
+        plan = FaultPlan([spec], seed=5)
+        affected = plan.affected_pages("latency", store.num_pages)
+        result = triangulate_disk(store, plugin=plugin, buffer_pages=8,
+                                  ctx=RunContext(fault_plan=plan,
+                                                 retry_policy=POLICY))
+        trace = result.extra["trace"]
+        # Each affected page is slow on its first load only, wherever
+        # that was: as an external read (charged to it) or in a fill.
+        delayed = [read.pid for iteration in trace.iterations
+                   for read in iteration.external_reads if read.delay]
+        assert len(delayed) == len(set(delayed))
+        assert set(delayed) <= affected
+        for iteration in trace.iterations:
+            for read in iteration.external_reads:
+                assert read.delay in (0.0, spec.delay)
+                assert not (read.delay and read.buffered)
+        in_fills = sum(iteration.fill_delay for iteration in trace.iterations)
+        assert in_fills == pytest.approx(
+            spec.delay * (len(affected) - len(delayed)))
+        assert trace.total_fault_delay == pytest.approx(
+            spec.delay * len(affected))
+
 
 class TestThreadedEngineMatrix:
     """triangulate_threaded under real injected faults, async kinds included."""

@@ -42,7 +42,8 @@ def test_clean_buffered_device_counts_once(page_file):
     registry = MetricsRegistry()
     device = SyncDevice(handle, registry=registry)
     buffer = BufferManager(max(2, store.num_pages // 2),
-                           loader=device.read_page, registry=registry)
+                           loader=lambda pids: [device.read_page(pid) for pid in pids],
+                           registry=registry)
     _walk(buffer, store.num_pages)
     assert buffer.misses == device.pages_read
     assert registry.counter("buffer.misses").value == \
@@ -63,7 +64,8 @@ def test_faulty_buffered_device_counts_once(page_file):
                         retry_policy=RetryPolicy(max_retries=8,
                                                  backoff_base=1e-6))
     buffer = BufferManager(max(2, store.num_pages // 2),
-                           loader=device.read_page, registry=registry)
+                           loader=lambda pids: [device.read_page(pid) for pid in pids],
+                           registry=registry)
     _walk(buffer, store.num_pages)
     assert registry.counter("recovery.retries").value > 0, \
         "fault plan never fired; the audit exercised nothing"

@@ -1,13 +1,15 @@
 """The block-batched OPT iteration against a per-record reference.
 
-``core/framework.py::_iterate`` works a page at a time on arrays: a page
-arrives as a columnar ``PageBlock``, the chunk is a local CSR, and the
-edge-iterator plugin resolves a page with one batched probe.  What it
-must reproduce is what the per-record form computes — the same
-``RunTrace``, the same emitted group sequence, the same attribution
-cells.  The per-record form lives *here*, as the reference model
-(:func:`reference_run`): a record loop with one ``np.intersect1d`` per
-pair, a dict-of-lists ``V_req`` and a set-built request list.
+``core/framework.py::_iterate`` works a window of up to ``m_ex`` arrived
+pages at a time on arrays: the pages arrive as columnar ``PageBlock`` s
+(a run's misses decoded in one batch) and are merged into one, the chunk
+is a local CSR, and the edge-iterator plugin resolves a window with one
+batched probe.  What it must reproduce is what the per-record form
+computes — the same ``RunTrace``, the same emitted group sequence, the
+same attribution cells.  The per-record form lives *here*, as the
+reference model (:func:`reference_run`): a record loop over one page at
+a time with one ``np.intersect1d`` per pair, a dict-of-lists ``V_req``
+and a set-built request list.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 
 from repro.core import make_store, triangulate_disk, triangulate_threaded
 from repro.core.framework import OPTConfig, run_opt
+from repro.core.plugins import EdgeIteratorPlugin, MGTPlugin, VertexIteratorPlugin
 from repro.errors import PageFormatError
 from repro.exec import block
 from repro.graph import from_edges, generators
@@ -31,6 +34,8 @@ from repro.obs import RunContext
 from repro.obs.attribution import Attribution
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 from repro.storage import BufferManager, PageBlock, SlottedPage, corrupt_page_bytes
+from repro.util.intersect import HASH_PROBE_COST
+from tests import zoo
 
 PAGE_SIZES = [64, 128, 256, 1024]
 BUDGETS = [2, 3, 4, 7, 16]
@@ -135,13 +140,15 @@ class TestDecoderRejects:
 # ---------------------------------------------------------------------------
 
 
-def reference_run(store, config, sink, attribution):
-    """OPT with the edge-iterator instance, one record and pair at a time."""
-    scope = {phase: attribution.scope(phase=phase, kernel="edge-iterator",
+def reference_run(store, config, sink, attribution, plugin="edge-iterator"):
+    """OPT, one record and pair at a time: the edge-iterator instance by
+    default, ``"vertex-iterator"`` or ``"mgt"`` (Section 3.5) on request."""
+    mgt = plugin == "mgt"
+    scope = {phase: attribution.scope(phase=phase, kernel=plugin,
                                       source="disk")
              for phase in ("candidate", "external", "internal")}
     trace = RunTrace(num_pages=store.num_pages, m_in=config.m_in,
-                     m_ex=config.m_ex)
+                     m_ex=1 if mgt else config.m_ex, sync_external=mgt)
     chunks = []
     pid = 0
     while pid < store.num_pages:
@@ -150,14 +157,19 @@ def reference_run(store, config, sink, attribution):
         pid = end + 1
     buffer = BufferManager(
         max(config.m_in, max(end - pid + 1 for pid, end in chunks))
-        + config.m_ex, store.decode_page)
+        + config.m_ex, store.decode_pages)
 
-    def intersect(u, v, succ_u, succ_v):
-        common = np.intersect1d(succ_u, succ_v, assume_unique=True)
+    def close(u, v, succ_u, neighbors_v):
+        """Triangles of edge (u, v) against (a chunk of) v's list; the
+        ops the instance bills for it."""
+        above = succ_u[succ_u > v]
+        common = np.intersect1d(above, neighbors_v, assume_unique=True)
         if len(common):
             sink.emit(u, v, common.tolist())
             trace.triangles += len(common)
-        return min(len(succ_u), len(succ_v))
+        if plugin == "edge-iterator":  # Eq. 3: the shorter successor list
+            return min(len(succ_u), int((neighbors_v > v).sum()))
+        return HASH_PROBE_COST * len(above)  # one probe per w of n_succ(u)
 
     for pid, end in chunks:
         iteration = IterationTrace()
@@ -166,35 +178,37 @@ def reference_run(store, config, sink, attribution):
         requesters = defaultdict(list)
         parts = defaultdict(list)
         for page_id in range(pid, end + 1):
-            hit = page_id in buffer
+            hit = page_id in buffer and not mgt  # MGT: no buffering credit
             records = list(buffer.get(page_id, pin=True).records)
             pages.append(records)
             iteration.fill_buffered += hit
             iteration.fill_reads += not hit
-            for record in records:  # Algorithm 8
+            for record in records:  # Algorithms 8 / 12
                 parts[record.vertex].append(record.neighbors)
                 iteration.candidate_ops += len(record)
                 scope["candidate"].charge(len(record), len(record))
-                for candidate in record.neighbors[record.neighbors > v_hi]:
+                bound = record.vertex if mgt else v_hi
+                for candidate in record.neighbors[record.neighbors > bound]:
                     requesters[int(candidate)].append(record.vertex)
-        succ = {}
-        for vertex, chunks_of in parts.items():
-            row = np.concatenate(chunks_of)
-            succ[vertex] = row[row > vertex]
+        full = {vertex: np.concatenate(chunks_of)
+                for vertex, chunks_of in parts.items()}
+        succ = {vertex: row[row > vertex] for vertex, row in full.items()}
 
-        needed = set()  # Algorithm 4
-        for candidate in requesters:
-            needed.update(store.pages_of_candidate(candidate))
-        for page_id in sorted(needed - set(range(pid, end + 1)),
-                              reverse=True):
-            hit = page_id in buffer
+        if mgt:  # streams the whole file, in file order
+            ordered = range(store.num_pages)
+        else:  # Algorithm 4
+            needed = set()
+            for candidate in requesters:
+                needed.update(store.pages_of_candidate(candidate))
+            ordered = sorted(needed - set(range(pid, end + 1)), reverse=True)
+        for page_id in ordered:
+            hit = page_id in buffer and not mgt
             ops = 0
             for record in buffer.get(page_id, pin=True).records:
                 if record.vertex not in requesters:
                     continue
-                v = record.vertex  # Algorithm 10
-                succ_chunk = record.neighbors[record.neighbors > v]
-                record_ops = sum(intersect(u, v, succ[u], succ_chunk)
+                v = record.vertex  # Algorithms 10 / 13
+                record_ops = sum(close(u, v, succ[u], record.neighbors)
                                  for u in requesters[v])
                 scope["external"].charge(len(record), record_ops)
                 ops += record_ops
@@ -202,14 +216,14 @@ def reference_run(store, config, sink, attribution):
             iteration.external_reads.append(
                 ExternalRead(pid=page_id, cpu_ops=ops, buffered=hit))
 
-        for records in pages:  # Algorithm 6
+        for records in pages:  # Algorithms 6 / 11; MGT has no internal phase
             page_ops = 0
             for record in records:
                 u = record.vertex
                 internal = record.neighbors[(record.neighbors > u)
                                             & (record.neighbors <= v_hi)]
-                record_ops = sum(intersect(u, v, succ[u], succ[v])
-                                 for v in internal.tolist())
+                record_ops = 0 if mgt else sum(
+                    close(u, v, succ[u], full[v]) for v in internal.tolist())
                 scope["internal"].charge(len(record), record_ops)
                 page_ops += record_ops
             iteration.internal_page_ops.append(page_ops)
@@ -250,6 +264,36 @@ def test_run_opt_is_the_reference_model(name, page_size, budget):
     assert cells.snapshot() == expected_cells.snapshot()
     # The count-only run (no sink: no group is built) bills the same.
     assert run_opt(store, config) == expected
+
+
+# ---------------------------------------------------------------------------
+# Every window size, every instance
+# ---------------------------------------------------------------------------
+
+WINDOW_GRAPHS = {**GRAPHS, "figure1": zoo.build("figure1"),
+                 "two-cliques": zoo.build("two-cliques")}
+PLUGINS = {"edge-iterator": EdgeIteratorPlugin,
+           "vertex-iterator": VertexIteratorPlugin, "mgt": MGTPlugin}
+
+
+@pytest.mark.parametrize("plugin", list(PLUGINS))
+@pytest.mark.parametrize("page_size", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("name", list(WINDOW_GRAPHS))
+def test_every_window_size_is_the_reference_model(name, page_size, plugin):
+    """The iteration works a window of up to ``m_ex`` arrived pages at a
+    time: one page, two, an odd three, and the whole request list at
+    once must all be the per-record run — trace, group sequence, cells."""
+    store = make_store(WINDOW_GRAPHS[name], page_size)
+    for m_in, m_ex in [(1, 1), (1, 2), (2, 3), (2, store.num_pages + 1)]:
+        config = OPTConfig(m_in=m_in, m_ex=m_ex, plugin=PLUGINS[plugin]())
+        expected_sink, expected_cells = GroupSink(), Attribution()
+        expected = reference_run(store, config, expected_sink, expected_cells,
+                                 plugin)
+        sink, cells = GroupSink(), Attribution()
+        trace = run_opt(store, config, sink, ctx=RunContext(attribution=cells))
+        assert trace == expected, (m_in, m_ex)
+        assert sink.groups == expected_sink.groups, (m_in, m_ex)
+        assert cells.snapshot() == expected_cells.snapshot(), (m_in, m_ex)
 
 
 class BlockSink:

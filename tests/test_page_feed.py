@@ -80,21 +80,25 @@ def test_threaded_and_serial_agree_per_iteration(serial, tmp_path, name,
 
 
 class _ShuffledFeed:
-    """Pages straight from the store, fill and request lists shuffled.
+    """Pages straight from the store, fill and request lists shuffled and
+    cut into windows of random sizes.
 
-    No buffer, no threads: arrival order is the one thing a feed may
-    vary, so it is the only thing this one does.
+    No buffer, no threads: arrival order and window boundaries are what
+    a feed may vary, so they are the only things this one does.
     """
 
     def __init__(self, store, seed: int):
         self._store = store
         self._rng = random.Random(seed)
 
-    def _deliver(self, pids, on_page):
+    def _deliver(self, pids, on_pages):
         pids = list(pids)
         self._rng.shuffle(pids)
-        for pid in pids:
-            on_page(self._store.decode_page(pid), pid, False, 0.0)
+        while pids:
+            window = [pids.pop() for _ in range(
+                min(len(pids), self._rng.randint(1, 5)))]
+            on_pages(self._store.decode_pages(window), window,
+                     [False] * len(window), [0.0] * len(window))
 
     fill = request = _deliver
 
@@ -111,3 +115,41 @@ def test_counts_and_ops_do_not_depend_on_arrival_order(serial, name, plugin):
                       lambda _frames: _ShuffledFeed(store, seed=7))
     assert _bill(shuffled) == _bill(disk.extra["trace"])
     assert canonical_triangles(sink) == triangles
+
+
+class _ScriptedFeed(_ShuffledFeed):
+    """A shuffled feed that also says, per page, what only a feed knows:
+    page *pid* was buffered when ``pid % 3 == 0`` and cost ``pid``
+    milliseconds of injected delay."""
+
+    def _deliver(self, pids, on_pages):
+        def scripted(blocks, window, _buffered, _delays):
+            on_pages(blocks, window, [pid % 3 == 0 for pid in window],
+                     [pid / 1000 for pid in window])
+
+        super()._deliver(pids, scripted)
+
+    fill = request = _deliver
+
+
+@pytest.mark.parametrize("plugin", ["edge-iterator", "mgt"])
+def test_what_the_feed_says_of_a_page_lands_on_that_page(serial, plugin):
+    """Windows carry ``buffered`` / ``delay`` per page; each must reach
+    the ``ExternalRead`` of its own page, and the fill's own totals."""
+    store, disk, _ = serial("holme-kim-small", plugin, 4)
+    config = disk.extra["config"]
+    scripted = _drive(store, config, None, NO_CONTEXT,
+                      lambda _frames: _ScriptedFeed(store, seed=3))
+    assert _bill(scripted) == _bill(disk.extra["trace"])
+    pid = 0
+    for iteration in scripted.iterations:
+        end = store.align_chunk_end(pid, config.m_in)
+        chunk = range(pid, end + 1)
+        assert iteration.fill_buffered == sum(p % 3 == 0 for p in chunk)
+        assert iteration.fill_reads == len(chunk) - iteration.fill_buffered
+        assert iteration.fill_delay == pytest.approx(sum(chunk) / 1000)
+        for read in iteration.external_reads:
+            assert read.buffered == (read.pid % 3 == 0)
+            assert read.delay == read.pid / 1000
+        pid = end + 1
+    assert scripted.total_external_reads > store.num_pages

@@ -11,9 +11,9 @@ from repro.storage.buffer import BufferManager
 def make_buffer(capacity: int):
     loads: list[int] = []
 
-    def loader(pid: int):
-        loads.append(pid)
-        return [f"records-{pid}"]
+    def loader(pids):
+        loads.extend(pids)
+        return [[f"records-{pid}"] for pid in pids]
 
     return BufferManager(capacity, loader), loads
 
@@ -29,7 +29,7 @@ class TestBasics:
 
     def test_capacity_validation(self):
         with pytest.raises(BufferError_):
-            BufferManager(0, lambda pid: [])
+            BufferManager(0, lambda pids: [[] for _ in pids])
 
     def test_contains(self):
         buffer, _ = make_buffer(2)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import triangulate_disk
+from repro.errors import FaultExhaustedError, PageFormatError
 from repro.graph import generators
 from repro.graph.builder import from_edges
+from repro.obs import RunContext
+from repro.storage import FaultPlan, PageBlock, RetryPolicy, SlottedPage
 from repro.storage.layout import GraphStore
 
 
@@ -31,14 +37,12 @@ class TestPacking:
 
     def test_vertex_index_correct(self, small_rmat):
         store = GraphStore.from_graph(small_rmat, 128)
+        found: dict[int, list[int]] = {}
+        for pid in range(store.num_pages):
+            for record in store.decode_page(pid):
+                found.setdefault(record.vertex, []).append(pid)
         for v in range(small_rmat.num_vertices):
-            found = [
-                pid
-                for pid in range(store.num_pages)
-                for record in store.decode_page(pid)
-                if record.vertex == v
-            ]
-            assert found == list(store.pages_of_vertex(v))
+            assert found[v] == list(store.pages_of_vertex(v))
 
     def test_spanning_vertex_contiguous(self):
         """A hub larger than a page spans contiguous pages with one last chunk."""
@@ -152,3 +156,66 @@ class TestPersistence:
         with store.open_page_file(tmp_path) as page_file:
             assert page_file.num_pages == store.num_pages
             assert page_file.read_page(0) == store.pages[0]
+
+
+class TestVertexColumnIsChecked:
+    """A page image that decodes but names the wrong vertices is a torn
+    page: ``GraphStore`` compares every decoded vertex column with the
+    index, which is what the OPT driver's analytic record index and the
+    chunk's CSR rely on."""
+
+    @pytest.fixture()
+    def store(self, small_rmat):
+        return GraphStore.from_graph(small_rmat, 256)
+
+    @staticmethod
+    def _flip(store, pid, record, vertex):
+        image = bytearray(store.pages[pid])
+        (slot,) = struct.unpack_from("<H", image, len(image) - 2 * (record + 1))
+        struct.pack_into("<I", image, slot, vertex)
+        store.pages[pid] = bytes(image)
+
+    @pytest.mark.parametrize("shift", [1000, -1, 1])
+    def test_flipped_id_names_the_page(self, store, shift):
+        pid = store.num_pages // 2
+        vertex = int(store.page_first_vertex[pid]) + 1
+        self._flip(store, pid, 1, vertex + shift)
+        with pytest.raises(PageFormatError, match=f"page {pid} "):
+            store.decode_page(pid)
+        with pytest.raises(PageFormatError, match=f"page {pid} "):
+            store.decode_pages([pid - 1, pid, pid + 1])
+        assert len(store.decode_pages([pid - 1, pid + 1])) == 2
+        # The layout itself is intact: the bare decoders take any vertices.
+        block = PageBlock.from_bytes(store.pages[pid])
+        assert block.vertices[1] == vertex + shift
+        assert SlottedPage.from_bytes(store.pages[pid]).num_records == len(block)
+
+    def test_a_page_short_of_a_record(self, store):
+        """The right vertices, but not all of them."""
+        pid = 3
+        records = list(store.decode_page(pid))
+        page = SlottedPage(store.page_size)
+        for record in records[:-1]:
+            page.add_record(record.vertex, record.neighbors,
+                            is_last=record.is_last)
+        store.pages[pid] = page.to_bytes()
+        with pytest.raises(PageFormatError, match=f"page {pid} "):
+            store.decode_pages(range(store.num_pages))
+
+    @pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator",
+                                        "mgt"])
+    def test_engine_fails_typed_and_retries(self, store, plugin):
+        """Used to surface as a bare ``ValueError`` from ``np.bincount`` —
+        or, for an id inside the chunk, as a wrong answer."""
+        pid = store.num_pages // 2
+        self._flip(store, pid, 0, int(store.page_first_vertex[pid]) + 1000)
+        with pytest.raises(PageFormatError, match=f"page {pid} "):
+            triangulate_disk(store, plugin=plugin, buffer_pages=4)
+        plan = FaultPlan([], seed=1)
+        with pytest.raises(FaultExhaustedError) as failure:
+            triangulate_disk(store, plugin=plugin, buffer_pages=4,
+                             ctx=RunContext(
+                                 fault_plan=plan,
+                                 retry_policy=RetryPolicy(max_retries=2)))
+        assert failure.value.pid == pid
+        assert plan.log.counts() == {"retry": 2, "giveup": 1}

@@ -7,8 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageFormatError, PageFullError, StorageError
-from repro.storage.page import DEFAULT_PAGE_SIZE, SlottedPage, record_capacity
+from repro.errors import (
+    FaultExhaustedError,
+    PageFormatError,
+    PageFullError,
+    StorageError,
+)
+from repro.storage import GraphStore, RetryPolicy, SyncDevice, corrupt_page_bytes
+from repro.storage.page import (
+    DEFAULT_PAGE_SIZE,
+    PageBlock,
+    SlottedPage,
+    record_capacity,
+)
 from repro.storage.pagefile import PageFile
 
 
@@ -132,3 +143,126 @@ class TestPageFile:
         page_file.close()
         with pytest.raises(StorageError):
             page_file.read_page(0)
+
+
+# ---------------------------------------------------------------------------
+# The batch decoder: PageBlock.from_images, of which from_bytes is one image
+# ---------------------------------------------------------------------------
+
+_FIELDS = ("vertices", "offsets", "neighbors", "last")
+
+
+def _same_block(got: PageBlock, want: PageBlock) -> None:
+    for name in _FIELDS:
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+
+
+@pytest.fixture(scope="module", params=[64, 67, 256, 4096])
+def packed(request, seeded_graph):
+    """A store's page images: tiny, odd-sized, small and benchmark pages."""
+    graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=4)
+    return GraphStore.from_graph(graph, request.param).pages
+
+
+class TestBatchDecode:
+    def test_batch_is_the_single_decodes(self, packed):
+        singles = [PageBlock.from_bytes(image) for image in packed]
+        for width in (1, 2, 5, len(packed)):
+            for start in range(0, len(packed), width):
+                block, cuts = PageBlock.from_images(
+                    packed[start:start + width])
+                pages = block.split(cuts)
+                for page, single in zip(pages, singles[start:start + width],
+                                        strict=True):
+                    _same_block(page, single)
+                _same_block(PageBlock.concat(pages), block)
+
+    def test_empty_pages_in_a_batch(self):
+        empty = SlottedPage(64).to_bytes()
+        full = SlottedPage(64)
+        full.add_record(7, np.array([1, 2, 9]))
+        block, cuts = PageBlock.from_images(
+            [empty, full.to_bytes(), empty, empty])
+        assert cuts == [0, 0, 1, 1, 1]
+        assert [len(page) for page in block.split(cuts)] == [0, 1, 0, 0]
+        assert block.vertices.tolist() == [7]
+        assert block.neighbors.tolist() == [1, 2, 9]
+
+    @pytest.mark.parametrize("defect", [
+        "past page end", "misaligned", "predecessor", "truncated",
+        "do not fit", "scrambled directory",
+    ])
+    def test_a_bad_image_fails_the_batch_as_it_fails_alone(self, defect):
+        pages = []
+        for base in range(0, 12, 2):
+            page = SlottedPage(64)
+            page.add_record(base, np.array([base + 1, base + 5]))
+            page.add_record(base + 1, np.array([base]), is_last=False)
+            pages.append(page.to_bytes())
+        image = bytearray(pages[3])
+        if defect == "past page end":
+            image[62:64] = (60).to_bytes(2, "little")  # slot 0
+        elif defect == "misaligned":
+            image[60:62] = (19).to_bytes(2, "little")  # slot 1
+        elif defect == "predecessor":
+            image[60:62] = (22).to_bytes(2, "little")
+        elif defect == "truncated":
+            image[18 + 6:18 + 8] = (200).to_bytes(2, "little")
+        elif defect == "do not fit":
+            image[0:2] = (40).to_bytes(2, "little")
+        else:
+            image = bytearray(corrupt_page_bytes(bytes(image), seed=1))
+        with pytest.raises(PageFormatError) as alone:
+            PageBlock.from_bytes(bytes(image))
+        if defect not in ("scrambled directory",):
+            assert defect in str(alone.value)
+        for at in (0, 3, 5):
+            batch = [page for page in pages if page is not pages[3]]
+            batch.insert(at, bytes(image))
+            with pytest.raises(PageFormatError) as batched:
+                PageBlock.from_images(batch)
+            assert str(batched.value) == str(alone.value)
+
+    @pytest.mark.parametrize("image", [b"", b"\x01"])
+    def test_an_image_too_short_for_a_header(self, image):
+        """Used to escape as ``struct.error``, which no retry loop catches."""
+        with pytest.raises(PageFormatError, match="no page header"):
+            PageBlock.from_bytes(image)
+        with pytest.raises(PageFormatError):
+            SlottedPage.from_bytes(image)
+
+    def test_images_of_differing_sizes(self):
+        page = SlottedPage(64).to_bytes()
+        with pytest.raises(PageFormatError, match="one size"):
+            PageBlock.from_images([page, page + bytes(64), page])
+        with pytest.raises(PageFormatError, match="one size"):
+            PageBlock.from_images([page, b""])
+
+    def test_a_short_read_is_retried_like_a_torn_page(self, tmp_path):
+        """``SyncDevice`` / ``ThreadedSSD`` retry ``PageFormatError`` only:
+        a read that comes back empty must be one."""
+        page = SlottedPage(64)
+        page.add_record(0, np.array([1]))
+        path = tmp_path / "short.pages"
+
+        class ShortReads:
+            """The page file, its first *short* reads returning nothing."""
+
+            def __init__(self, inner, short):
+                self._inner, self.short = inner, short
+                self.page_size, self.num_pages = inner.page_size, 1
+
+            def read_page(self, pid):
+                self.short -= 1
+                return b"" if self.short >= 0 else self._inner.read_page(pid)
+
+        policy = RetryPolicy(max_retries=2, backoff_base=1e-6)
+        with PageFile.create(path, [page.to_bytes()], 64) as handle:
+            device = SyncDevice(ShortReads(handle, 2), retry_policy=policy)
+            assert device.read_page(0).vertices.tolist() == [0]
+            assert device.registry.value("recovery.retries") == 2
+            device = SyncDevice(ShortReads(handle, 3), retry_policy=policy)
+            with pytest.raises(FaultExhaustedError):
+                device.read_page(0)
