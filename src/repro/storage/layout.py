@@ -12,7 +12,9 @@ internal chunk never splits a vertex's record chain (see DESIGN.md §2).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -20,7 +22,15 @@ import numpy as np
 
 from repro.errors import PageFormatError, StorageError
 from repro.graph.graph import Graph
-from repro.storage.page import DEFAULT_PAGE_SIZE, PageBlock, SlottedPage, chain
+from repro.storage.page import (
+    DEFAULT_PAGE_SIZE,
+    PAGE_HEADER,
+    RECORD_OVERHEAD,
+    PageBlock,
+    chain,
+    check_page_size,
+    record_capacity,
+)
 from repro.storage.pagefile import PageFile
 
 __all__ = ["GraphStore", "PagePacker"]
@@ -29,102 +39,182 @@ __all__ = ["GraphStore", "PagePacker"]
 _MIN_CHUNK_NEIGHBORS = 8
 
 
+def _plan(starts: np.ndarray, page_size: int) -> tuple[list[int], np.ndarray]:
+    """Lay adjacency lists out on pages greedily, in order; list *v* is
+    neighbors ``starts[v]:starts[v + 1]`` of the lists laid end to end.
+
+    A list goes whole onto the open page while it fits.  One that does
+    not is cut there if the page has room for at least
+    ``_MIN_CHUNK_NEIGHBORS`` of its neighbors, else moved to the next
+    page; the rest of a cut list fills whole pages of
+    :func:`record_capacity` neighbors until what is left fits.  Returns
+    ``(cuts, splits)``: page *j* holds records ``cuts[j]:cuts[j + 1]``,
+    and *splits* are the positions where a list is cut into one more
+    record.  One binary search over the records' cumulative page bytes
+    per page; everything else is arithmetic on the page's first and
+    last list.
+    """
+    capacity = record_capacity(page_size)
+    room = page_size - PAGE_HEADER
+    n = len(starts) - 1
+    # footprint[v]: the page bytes lists 0..v-1 take as whole records.
+    footprint = (4 * starts + RECORD_OVERHEAD * np.arange(n + 1)).tolist()
+    starts = starts.tolist()
+    cuts: list[int] = []
+    splits: list[int] = []
+    v = done = records = 0  # done: neighbors of v on earlier pages
+    while v < n:
+        rest = starts[v + 1] - starts[v] - done
+        if rest > capacity:  # full pages of one chunk each, then the rest
+            full = (rest - 1) // capacity
+            cuts.extend(range(records, records + full))
+            at = starts[v] + done
+            splits.extend(range(at + capacity, at + (full + 1) * capacity,
+                                capacity))
+            records += full
+            done += full * capacity
+            rest -= full * capacity
+        cuts.append(records)
+        used = 0
+        if done:  # the final chunk of a list cut on earlier pages
+            used = RECORD_OVERHEAD + 4 * rest
+            records += 1
+            v += 1
+            done = 0
+        end = bisect_right(footprint, footprint[v] + room - used, v) - 1
+        used += footprint[end] - footprint[v]
+        records += end - v
+        v = end
+        if v < n:  # list v does not fit whole: cut it here or move it on
+            fitting = (room - used - RECORD_OVERHEAD) // 4
+            if fitting >= _MIN_CHUNK_NEIGHBORS:
+                splits.append(starts[v] + fitting)
+                records += 1
+                done = fitting
+    cuts.append(records)
+    return cuts, np.array(splits, dtype=np.int64)
+
+
 class PagePacker:
     """Streaming packer: feed vertices in id order, get a GraphStore.
 
-    Shared by :meth:`GraphStore.from_graph` (in-memory graphs) and the
-    out-of-core build pipeline (:mod:`repro.preprocess`), which streams
-    adjacency lists from externally sorted runs.  Only the current page
-    and one adjacency list are ever held in memory.
+    Shared by :meth:`GraphStore.from_graph` (in-memory graphs, handed
+    over whole) and the out-of-core build pipeline
+    (:mod:`repro.preprocess`), which streams adjacency lists from
+    externally sorted runs.  Fed a vertex at a time, the packer queues
+    lists until their records exceed a page, then writes every complete
+    page and keeps the open page's records queued: only that page and
+    one adjacency list are ever held in memory.  Pages are planned by
+    :func:`_plan` and written by :meth:`PageBlock.to_images`.
     """
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
+        check_page_size(page_size)
         self.page_size = page_size
         self._pages: list[bytes] = []
-        self._first_page: list[int] = []
-        self._last_page: list[int] = []
-        self._succ_first_page: list[int] = []
-        self._page_first: list[int] = []
-        self._page_last: list[int] = []
-        self._page_complete: list[bool] = []
-        self._current = SlottedPage(page_size)
-        self._next_vertex = 0
-
-    def _flush(self) -> None:
-        records = self._current.records()
-        if not records:
-            return
-        self._pages.append(self._current.to_bytes())
-        self._page_first.append(records[0].vertex)
-        self._page_last.append(records[-1].vertex)
-        self._page_complete.append(records[-1].is_last)
-        self._current = SlottedPage(self.page_size)
+        # Per written record: vertex, page, is-last, holds a successor.
+        self._columns: list[tuple[np.ndarray, ...]] = []
+        # Lists of vertices _base, _base + 1, ... not yet on a written
+        # page; the first may be the rest of a list cut across pages.
+        self._queue: list[np.ndarray] = []
+        self._queued = 0  # page bytes of the queued records
+        self._base = 0
 
     def add_vertex(self, v: int, neighbors: np.ndarray) -> None:
         """Append vertex *v*'s sorted adjacency list (ids must be dense
         and fed in increasing order)."""
-        if v != self._next_vertex:
+        expected = self._base + len(self._queue)
+        if v != expected:
             raise StorageError(
                 f"vertices must be added densely in order; expected "
-                f"{self._next_vertex}, got {v}"
+                f"{expected}, got {v}"
             )
-        self._next_vertex += 1
-        remaining = np.asarray(neighbors, dtype=np.int64)
-        self._first_page.append(len(self._pages))
-        self._succ_first_page.append(-1)
-        placed_any = False
-        while True:
-            capacity = self._current.max_neighbors_fitting()
-            need_flush = (
-                self._current.num_records > 0
-                and capacity < len(remaining)
-                and capacity < _MIN_CHUNK_NEIGHBORS
-            )
-            if capacity < 0 or (len(remaining) > 0 and capacity == 0) or need_flush:
-                if self._current.num_records == 0:
-                    raise StorageError(
-                        f"page size {self.page_size} cannot hold any chunk"
-                    )
-                self._flush()
-                if not placed_any:
-                    self._first_page[v] = len(self._pages)
-                continue
-            if len(remaining) <= capacity:
-                self._current.add_record(v, remaining, is_last=True)
-                placed_any = True
-                if (len(remaining) and remaining[-1] > v
-                        and self._succ_first_page[v] < 0):
-                    self._succ_first_page[v] = len(self._pages)
-                break
-            chunk = remaining[:capacity]
-            self._current.add_record(v, chunk, is_last=False)
-            placed_any = True
-            if len(chunk) and chunk[-1] > v and self._succ_first_page[v] < 0:
-                self._succ_first_page[v] = len(self._pages)
-            remaining = remaining[capacity:]
-        self._last_page.append(len(self._pages))  # page being filled
+        neighbors = np.asarray(neighbors, dtype=np.int64)
+        self._queue.append(neighbors)
+        self._queued += RECORD_OVERHEAD + 4 * len(neighbors)
+        if self._queued > self.page_size:
+            vertex, done = self._write_queue(final=False)
+            self._queue = self._queue[vertex:]
+            self._queue[0] = self._queue[0][done:]
+            self._queued = sum(RECORD_OVERHEAD + 4 * len(queued)
+                               for queued in self._queue)
+
+    def _write_queue(self, *, final: bool) -> tuple[int, int]:
+        """:meth:`_write` of the queued lists."""
+        starts = np.array([0, *accumulate(map(len, self._queue))], dtype=np.int64)
+        return self._write(
+            starts, np.concatenate([np.empty(0, np.int64), *self._queue]),
+            final=final)
+
+    def _write(self, starts: np.ndarray, neighbors: np.ndarray, *,
+               final: bool) -> tuple[int, int]:
+        """Plan and write the pages of the lists from vertex ``_base`` on:
+        list *v* is ``neighbors[starts[v]:starts[v + 1]]``.
+
+        Unless *final*, the last page stays open: its records are not
+        written, and the return value says where they start — in the
+        list of vertex ``_base + vertex``, *done* neighbors into it.
+        """
+        cuts, splits = _plan(starts, self.page_size)
+        n = len(starts) - 1
+        # A split starts one more record of the list it falls in.
+        owner = np.searchsorted(starts, splits, side="right")
+        offsets = np.concatenate((starts, splits))
+        offsets.sort(kind="stable")
+        vertices = np.arange(n).repeat(1 + np.bincount(owner - 1, minlength=n))
+        last = np.ones(len(vertices), dtype=bool)
+        last[owner + np.arange(len(splits)) - 1] = False
+        if not final:
+            cuts.pop()
+        held = cuts[-1]
+        block = PageBlock(vertices[:held] + self._base, offsets[:held + 1],
+                          neighbors[:offsets[held]], last[:held])
+        marks = np.array(cuts)
+        pages = np.arange(len(self._pages), len(self._pages) + len(cuts) - 1
+                          ).repeat(marks[1:] - marks[:-1])
+        # A chunk holds a successor of its vertex when its last (largest)
+        # neighbor is above the vertex; an empty chunk holds none.
+        ends = block.offsets[1:]
+        successor = ends > block.offsets[:-1]
+        successor[successor] = (block.neighbors[ends[successor] - 1]
+                                > block.vertices[successor])
+        images = PageBlock.to_images(block, cuts, self.page_size)
+        self._columns.append((block.vertices, pages, block.last, successor))
+        self._pages.extend(images)
+        vertex = int(vertices[held]) if held < len(vertices) else n
+        self._base += vertex
+        return vertex, int(offsets[held] - starts[vertex])
 
     def finish(self) -> "GraphStore":
-        """Flush the final page and assemble the store."""
-        self._flush()
-        n = self._next_vertex
-        first_page = np.asarray(self._first_page, dtype=np.int64)
-        last_page = np.asarray(self._last_page, dtype=np.int64)
-        succ_first_page = np.asarray(self._succ_first_page, dtype=np.int64)
-        if self._pages:
-            limit = len(self._pages) - 1
-            first_page = np.minimum(first_page, limit)
-            last_page = np.minimum(last_page, limit)
-            succ_first_page = np.minimum(succ_first_page, limit)
+        """Write the queued lists and assemble the store."""
+        self._write_queue(final=True)
+        self._queue = []
+        vertices, pages, last, successor = map(np.concatenate,
+                                               zip(*self._columns))
+        n, num_pages = self._base, len(self._pages)
+        # Records run in vertex order, and in page order: the first and
+        # last record of a vertex or a page are binary searches away.
+        first = np.searchsorted(vertices, np.arange(n))
+        final = np.append(first, len(vertices))[1:] - 1
+        page_first = np.searchsorted(pages, np.arange(num_pages))
+        page_final = np.append(page_first, len(pages))[1:] - 1
+        # Sorted lists: the chunks holding a successor are a suffix of
+        # the vertex's chain, so its first such chunk is the first hit.
+        hits = np.flatnonzero(successor)
+        hit_vertices = vertices[hits]
+        lead = np.ones(len(hits), dtype=bool)
+        lead[1:] = hit_vertices[1:] != hit_vertices[:-1]
+        succ_first_page = np.full(n, -1, dtype=np.int64)
+        succ_first_page[hit_vertices[lead]] = pages[hits[lead]]
         return GraphStore(
             self._pages,
             self.page_size,
             n,
-            first_page,
-            last_page,
-            np.asarray(self._page_first, dtype=np.int64),
-            np.asarray(self._page_last, dtype=np.int64),
-            np.asarray(self._page_complete, dtype=bool),
+            pages[first],
+            pages[final],
+            vertices[page_first],
+            vertices[page_final],
+            last[page_final],
             succ_first_page,
         )
 
@@ -177,8 +267,7 @@ class GraphStore:
     def from_graph(cls, graph: Graph, page_size: int = DEFAULT_PAGE_SIZE) -> "GraphStore":
         """Pack *graph* into pages in vertex-id order."""
         packer = PagePacker(page_size)
-        for v in range(graph.num_vertices):
-            packer.add_vertex(v, graph.neighbors(v))
+        packer._write(graph.indptr, graph.indices, final=True)
         return packer.finish()
 
     # -- basic accessors -------------------------------------------------------

@@ -33,8 +33,9 @@ import numpy as np
 
 from repro.errors import PageFormatError, PageFullError
 
-__all__ = ["DEFAULT_PAGE_SIZE", "PageBlock", "PageRecord", "SlottedPage",
-           "chain", "record_capacity"]
+__all__ = ["DEFAULT_PAGE_SIZE", "PAGE_HEADER", "RECORD_OVERHEAD", "PageBlock",
+           "PageRecord", "SlottedPage", "chain", "check_page_size",
+           "record_capacity"]
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -42,6 +43,11 @@ _HEADER = struct.Struct("<H")
 _SLOT = struct.Struct("<H")
 _RECORD_HEADER = struct.Struct("<IHH")
 _FLAG_LAST = 0x1
+
+#: Bytes of a page before its records (the record count), and bytes a
+#: record takes besides its neighbors (its header and its slot).
+PAGE_HEADER = _HEADER.size
+RECORD_OVERHEAD = _RECORD_HEADER.size + _SLOT.size
 
 
 def chain(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -124,7 +130,7 @@ class PageBlock:
         directory.  What is one number per image is worked out in plain
         Python (a batch is tens of images), what is one per record or
         neighbor in a constant number of array operations.  An image
-        :meth:`SlottedPage.to_bytes` cannot have written — or too short
+        :meth:`to_images` cannot have written — or too short
         for a header, or of another size than its batch — raises
         :class:`PageFormatError`, the one the first such image raises
         when decoded alone.
@@ -193,6 +199,67 @@ class PageBlock:
                    words[payload].astype(np.int64),
                    (packed & _FLAG_LAST).astype(bool)), cuts
 
+    @staticmethod
+    def to_images(block: "PageBlock", cuts: Sequence[int],
+                  page_size: int) -> list[bytes]:
+        """Encode *block* as page images: the only writer of the page layout.
+
+        The inverse of :meth:`from_images`: image *j* holds records
+        ``cuts[j]:cuts[j + 1]`` of *block*, in order.  The images are
+        written into one zeroed buffer whose rows are a whole number of
+        ``u32`` words apart, so one ``<u4`` view at offset 2 takes every
+        record header and neighbor word of every page, and ``<u2`` views
+        every record count and slot directory, each in one fancy
+        assignment.  A vertex or neighbor id that is no ``u32``, a record
+        longer than a ``u16`` count, or a page whose records do not fit
+        raises :class:`PageFormatError`.
+        """
+        check_page_size(page_size)
+        vertices, offsets, neighbors = block.vertices, block.offsets, block.neighbors
+        lengths = block.lengths
+        if len(vertices) and (vertices.min() < 0 or vertices.max() > 0xFFFFFFFF):
+            raise PageFormatError("vertex ids must fit u32")
+        if len(neighbors) and (neighbors.min() < 0 or neighbors.max() > 0xFFFFFFFF):
+            raise PageFormatError("neighbor ids must fit u32")
+        if len(lengths) and lengths.max() > 0xFFFF:
+            raise PageFormatError("record chunk exceeds u16 neighbor count")
+        cuts = np.asarray(cuts, dtype=np.int64)
+        pages = len(cuts) - 1
+        if pages < 1:
+            return []
+        stride = page_size + -page_size % 4
+        row = stride // 4  # words from one page to the next
+        counts = cuts[1:] - cuts[:-1]
+        # ends[i]: the words that records 0..i-1 occupy, headers included.
+        ends = np.zeros(len(vertices) + 1, dtype=np.int64)
+        np.add.accumulate(lengths + 2, out=ends[1:])
+        marks = ends[cuts]
+        over = (4 * (marks[1:] - marks[:-1]) + _SLOT.size * counts
+                > page_size - _HEADER.size)
+        if over.any():
+            page = int(over.argmax())
+            raise PageFormatError(f"the {counts[page]} records of page {page} "
+                                  f"do not fit a {page_size}-byte page")
+        local = ends[:-1] - marks[:-1].repeat(counts)  # word offset on its page
+        rows = np.arange(0, pages * row, row)  # word index of each page
+        buffer = np.zeros(pages * stride, dtype=np.uint8)
+        words = buffer[_HEADER.size:-_HEADER.size].view("<u4")
+        heads = local + rows.repeat(counts)
+        words[heads] = vertices
+        words[heads + 1] = lengths << 16 | block.last * _FLAG_LAST
+        words[(heads + 2 - offsets[:-1]).repeat(lengths)
+              + np.arange(offsets[-1])] = neighbors
+        # Record r's slot sits 2 * (r + 1) bytes before its page's end, so
+        # at the page size's parity: the decoder's <u2 view reaches them.
+        buffer.view("<u2")[2 * rows] = counts
+        odd = page_size & 1
+        halves = buffer[odd:len(buffer) - odd].view("<u2")
+        tops = 2 * rows + (page_size - odd) // 2 - 1 + cuts[:-1]
+        halves[tops.repeat(counts) - np.arange(len(vertices))] = (
+            _HEADER.size + 4 * local)
+        data = buffer.tobytes()
+        return [data[at:at + page_size] for at in range(0, len(data), stride)]
+
     @classmethod
     def _defect(cls, images: Sequence[bytes], problem: str) -> PageFormatError:
         """The error of a rejected batch: *problem* when it is one image,
@@ -251,14 +318,20 @@ def record_capacity(page_size: int = DEFAULT_PAGE_SIZE) -> int:
     return usable // 4
 
 
+def check_page_size(page_size: int) -> None:
+    """Raise :class:`PageFormatError` unless pages of *page_size* bytes
+    can hold a one-neighbor record and address it with ``u16`` slots."""
+    if page_size < _HEADER.size + _SLOT.size + _RECORD_HEADER.size + 4:
+        raise PageFormatError(f"page size {page_size} too small for any record")
+    if page_size > 0xFFFF:
+        raise PageFormatError("page size must fit u16 slot offsets")
+
+
 class SlottedPage:
     """A mutable in-memory slotted page; freeze with :meth:`to_bytes`."""
 
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
-        if page_size < _HEADER.size + _SLOT.size + _RECORD_HEADER.size + 4:
-            raise PageFormatError(f"page size {page_size} too small for any record")
-        if page_size > 0xFFFF:
-            raise PageFormatError("page size must fit u16 slot offsets")
+        check_page_size(page_size)
         self.page_size = page_size
         self._records: list[PageRecord] = []
         self._used = _HEADER.size
@@ -283,6 +356,8 @@ class SlottedPage:
 
     def add_record(self, vertex: int, neighbors: np.ndarray, *, is_last: bool = True) -> None:
         """Append an adjacency-list chunk; raises :class:`PageFullError`."""
+        if not 0 <= vertex <= 0xFFFFFFFF:
+            raise PageFormatError("vertex ids must fit u32")
         neighbors = np.asarray(neighbors, dtype=np.int64)
         if len(neighbors) and (neighbors.min() < 0 or neighbors.max() > 0xFFFFFFFF):
             raise PageFormatError("neighbor ids must fit u32")
@@ -301,20 +376,16 @@ class SlottedPage:
         return list(self._records)
 
     def to_bytes(self) -> bytes:
-        """Serialize to exactly ``page_size`` bytes."""
-        buffer = bytearray(self.page_size)
-        _HEADER.pack_into(buffer, 0, len(self._records))
-        offset = _HEADER.size
-        for index, record in enumerate(self._records):
-            _SLOT.pack_into(buffer, self.page_size - _SLOT.size * (index + 1), offset)
-            flags = _FLAG_LAST if record.is_last else 0
-            _RECORD_HEADER.pack_into(buffer, offset, record.vertex, flags,
-                                     len(record.neighbors))
-            offset += _RECORD_HEADER.size
-            raw = record.neighbors.astype("<u4").tobytes()
-            buffer[offset:offset + len(raw)] = raw
-            offset += len(raw)
-        return bytes(buffer)
+        """Serialize to exactly ``page_size`` bytes: :meth:`PageBlock.to_images`
+        of a single page."""
+        records = self._records
+        block = PageBlock(
+            np.array([record.vertex for record in records], dtype=np.int64),
+            np.array([0, *accumulate(map(len, records))], dtype=np.int64),
+            np.concatenate([np.empty(0, dtype=np.int64),
+                            *(record.neighbors for record in records)]),
+            np.array([record.is_last for record in records], dtype=bool))
+        return PageBlock.to_images(block, (0, len(records)), self.page_size)[0]
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":

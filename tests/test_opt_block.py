@@ -36,6 +36,7 @@ from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
 from repro.storage import BufferManager, PageBlock, SlottedPage, corrupt_page_bytes
 from repro.util.intersect import HASH_PROBE_COST
 from tests import zoo
+from tests.test_storage_layout import reference_pack
 
 PAGE_SIZES = [64, 128, 256, 1024]
 BUDGETS = [2, 3, 4, 7, 16]
@@ -69,18 +70,8 @@ def test_page_block_is_the_packers_records(spec, page_size, seed):
     num_vertices, edges = spec
     graph = from_edges([(u, v) for u, v in edges if u != v],
                        num_vertices=num_vertices)
-    packed: list[list] = []
-    to_bytes = SlottedPage.to_bytes
-
-    def recording(page):
-        packed.append(page.records())
-        return to_bytes(page)
-
-    SlottedPage.to_bytes = recording
-    try:
-        store = make_store(graph, page_size)
-    finally:
-        SlottedPage.to_bytes = to_bytes
+    store = make_store(graph, page_size)
+    _, packed = reference_pack(graph, page_size)
     assert len(packed) == store.num_pages
     for pid, records in enumerate(packed):
         block = PageBlock.from_bytes(store.pages[pid])

@@ -1,21 +1,264 @@
-"""Tests for graph packing, the vertex index, and chunk alignment."""
+"""Tests for graph packing, the vertex index, and chunk alignment.
+
+``PagePacker`` plans pages in arrays and writes them with one
+``PageBlock.to_images`` call.  What it must reproduce is the greedy
+record-at-a-time packer it replaced, which lives *here* as the reference
+model (:func:`reference_pack`) together with that packer's own
+``struct`` serializer (:func:`reference_image`), so the model shares no
+code path with the writer it checks.  :data:`GOLDEN` pins the bytes of
+two stores, so a layout drift fails even if the model drifted with it.
+"""
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.core import triangulate_disk
-from repro.errors import FaultExhaustedError, PageFormatError
+from repro.core import make_store, triangulate_disk
+from repro.errors import FaultExhaustedError, PageFormatError, StorageError
 from repro.graph import generators
 from repro.graph.builder import from_edges
+from repro.graph.graph import Graph
 from repro.obs import RunContext
 from repro.storage import FaultPlan, PageBlock, RetryPolicy, SlottedPage
-from repro.storage.layout import GraphStore
+from repro.storage.layout import GraphStore, PagePacker
+from repro.storage.page import PageRecord
+
+# ---------------------------------------------------------------------------
+# The record-at-a-time reference packer
+# ---------------------------------------------------------------------------
+
+INDEX_FIELDS = ("first_page", "last_page", "succ_first_page",
+                "page_first_vertex", "page_last_vertex", "page_ends_complete")
+
+#: sha256 of pages + index arrays of
+#: ``make_store(holme_kim(2000, 16, 0.45, seed=3), page_size)``, taken
+#: from the record-at-a-time packer.
+GOLDEN = {
+    64: "593c8e4641cb178c3f0f4c83994aa0312139bd6101f63fd0502fc185dd8e1268",
+    4096: "adc585095005bbf7d4f277703761efbd88f09d57591b24b8c4858e5035c033d5",
+}
+
+
+def reference_image(records: list[PageRecord], page_size: int) -> bytes:
+    """One page image, written a ``struct.pack_into`` per field."""
+    buffer = bytearray(page_size)
+    struct.pack_into("<H", buffer, 0, len(records))
+    offset = 2
+    for index, record in enumerate(records):
+        struct.pack_into("<H", buffer, page_size - 2 * (index + 1), offset)
+        struct.pack_into("<IHH", buffer, offset, record.vertex,
+                         1 if record.is_last else 0, len(record.neighbors))
+        offset += 8
+        raw = np.asarray(record.neighbors).astype("<u4").tobytes()
+        buffer[offset:offset + len(raw)] = raw
+        offset += len(raw)
+    return bytes(buffer)
+
+
+def reference_pack(graph: Graph, page_size: int
+                   ) -> tuple[GraphStore, list[list[PageRecord]]]:
+    """The greedy packer, one record at a time: the store and each
+    page's records.
+
+    A list goes whole onto the open page while it fits; one that does
+    not is cut there when the page has room for 8 or more of its
+    neighbors, else moved to the next page.
+    """
+    page = SlottedPage(page_size)
+    pages: list[list[PageRecord]] = []
+    first_page: list[int] = []
+    last_page: list[int] = []
+    succ_first_page: list[int] = []
+
+    def flush():
+        nonlocal page
+        if page.num_records:
+            pages.append(page.records())
+            page = SlottedPage(page_size)
+
+    for v in range(graph.num_vertices):
+        remaining = np.asarray(graph.neighbors(v), dtype=np.int64)
+        first_page.append(len(pages))
+        succ_first_page.append(-1)
+        placed_any = False
+        while True:
+            capacity = page.max_neighbors_fitting()
+            need_flush = (page.num_records > 0 and capacity < len(remaining)
+                          and capacity < 8)
+            if capacity < 0 or (len(remaining) and capacity == 0) or need_flush:
+                if page.num_records == 0:
+                    raise StorageError(
+                        f"page size {page_size} cannot hold any chunk")
+                flush()
+                if not placed_any:
+                    first_page[v] = len(pages)
+                continue
+            if len(remaining) <= capacity:
+                page.add_record(v, remaining, is_last=True)
+                placed_any = True
+                if (len(remaining) and remaining[-1] > v
+                        and succ_first_page[v] < 0):
+                    succ_first_page[v] = len(pages)
+                break
+            chunk = remaining[:capacity]
+            page.add_record(v, chunk, is_last=False)
+            placed_any = True
+            if len(chunk) and chunk[-1] > v and succ_first_page[v] < 0:
+                succ_first_page[v] = len(pages)
+            remaining = remaining[capacity:]
+        last_page.append(len(pages))  # the page being filled
+    flush()
+    store = GraphStore(
+        [reference_image(records, page_size) for records in pages],
+        page_size,
+        graph.num_vertices,
+        np.asarray(first_page, dtype=np.int64),
+        np.asarray(last_page, dtype=np.int64),
+        np.asarray([records[0].vertex for records in pages], dtype=np.int64),
+        np.asarray([records[-1].vertex for records in pages], dtype=np.int64),
+        np.asarray([records[-1].is_last for records in pages], dtype=bool),
+        np.asarray(succ_first_page, dtype=np.int64),
+    )
+    return store, pages
+
+
+def assert_same_store(got: GraphStore, want: GraphStore) -> None:
+    """Pages byte for byte, and every index array by value and dtype."""
+    assert got.page_size == want.page_size
+    assert got.num_vertices == want.num_vertices
+    assert got.pages == want.pages
+    for name in INDEX_FIELDS:
+        ours, theirs = getattr(got, name), getattr(want, name)
+        assert ours.dtype == theirs.dtype, name
+        assert np.array_equal(ours, theirs), name
+
+
+def digest(store: GraphStore) -> str:
+    h = hashlib.sha256()
+    for page in store.pages:
+        h.update(page)
+    for name in INDEX_FIELDS:
+        array = getattr(store, name)
+        h.update(array.dtype.str.encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def streamed(graph: Graph, page_size: int) -> GraphStore:
+    """What ``preprocess/build.py`` does: one ``add_vertex`` per list."""
+    packer = PagePacker(page_size)
+    for v in range(graph.num_vertices):
+        packer.add_vertex(v, graph.neighbors(v))
+    return packer.finish()
+
+
+def hub_graph(n: int, hub: int, spokes: int, isolated: int,
+              edges: list[tuple[int, int]]) -> Graph:
+    """*edges* among ``0..n-1``, vertex *hub* joined to *spokes* extra
+    vertices after them, and *isolated* vertices at the end."""
+    edges = [(u, v) for u, v in edges if u != v]
+    edges += [(hub, n + leaf) for leaf in range(spokes)]
+    return from_edges(edges, num_vertices=n + spokes + isolated)
+
+
+PAGE_SIZES = [16, 17, 18, 31, 64, 100, 256, 4096]
+
+
+@st.composite
+def packable_graphs(draw) -> Graph:
+    n = draw(st.integers(0, 40))
+    if n == 0:
+        return hub_graph(0, 0, 0, draw(st.integers(0, 3)), [])
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=150))
+    spokes = draw(st.sampled_from([0, 0, 5, 40, 300]))
+    return hub_graph(n, draw(vertex), spokes, draw(st.integers(0, 4)), edges)
+
+
+class TestReferenceModel:
+    """The array planner and batch writer against :func:`reference_pack`."""
+
+    @pytest.mark.parametrize("page_size", PAGE_SIZES)
+    @given(graph=packable_graphs())
+    @example(graph=from_edges([], num_vertices=0))
+    @example(graph=from_edges([], num_vertices=6))
+    @settings(max_examples=15, deadline=None)
+    def test_packer_is_the_reference(self, page_size, graph):
+        want, _ = reference_pack(graph, page_size)
+        store = GraphStore.from_graph(graph, page_size)
+        assert_same_store(store, want)
+        assert_same_store(streamed(graph, page_size), want)
+        if store.pages:  # the writer inverts the parser on every page
+            assert PageBlock.to_images(*PageBlock.from_images(store.pages),
+                                       page_size) == store.pages
+
+    @pytest.mark.parametrize("page_size", [31, 64, 4096])
+    def test_a_hub_chained_over_many_pages(self, page_size):
+        """3 000 neighbors chained over 3 to 750 pages, cut wherever the
+        vertices before it leave the open page."""
+        graph = hub_graph(60, 37, 3000, 3, [(u, (7 * u + 3) % 60)
+                                            for u in range(60)])
+        want, _ = reference_pack(graph, page_size)
+        assert len(want.pages_of_vertex(37)) > 2
+        assert_same_store(GraphStore.from_graph(graph, page_size), want)
+        assert_same_store(streamed(graph, page_size), want)
+
+    @pytest.mark.parametrize("page_size, problem", [
+        (15, "page size 15 too small for any record"),
+        (8, "page size 8 too small for any record"),
+        (0x10000, "page size must fit u16 slot offsets"),
+    ])
+    def test_unusable_page_sizes_fail_as_before(self, page_size, problem):
+        graph = generators.star_graph(5)
+        for pack in (lambda: reference_pack(graph, page_size),
+                     lambda: GraphStore.from_graph(graph, page_size),
+                     lambda: PagePacker(page_size)):
+            with pytest.raises(PageFormatError, match=problem):
+                pack()
+
+    @pytest.mark.parametrize("page_size", sorted(GOLDEN))
+    def test_golden_digest(self, page_size):
+        graph = generators.holme_kim(2000, 16, 0.45, seed=3)
+        assert digest(make_store(graph, page_size)) == GOLDEN[page_size]
+
+
+class TestStreamingPacker:
+    """``add_vertex`` queues lists and writes every complete page once
+    they exceed one; what it writes is ``from_graph``'s store."""
+
+    @pytest.mark.parametrize("page_size", [16, 31, 64, 256])
+    def test_hold_back_inside_a_chain(self, page_size):
+        hub, degree = 5, 400
+        graph = hub_graph(12, hub, degree - 1, 2, [(hub, 3)])
+        packer = PagePacker(page_size)
+        for v in range(hub + 1):
+            packer.add_vertex(v, graph.neighbors(v))
+        # The hub's chain is written but for its final chunk, which opens
+        # the page still held back.
+        assert packer._pages
+        assert 0 < len(packer._queue[0]) < degree
+        for v in range(hub + 1, graph.num_vertices):
+            packer.add_vertex(v, graph.neighbors(v))
+        assert_same_store(packer.finish(), GraphStore.from_graph(graph, page_size))
+
+    @pytest.mark.parametrize("neighbor", [-1, 2**32])
+    def test_neighbor_ids_outside_u32_fail_typed(self, neighbor):
+        packer = PagePacker(64)
+        packer.add_vertex(0, np.array([1, neighbor]))
+        with pytest.raises(PageFormatError, match="neighbor ids must fit u32"):
+            packer.finish()
+
+    def test_vertices_must_come_densely_in_order(self):
+        packer = PagePacker(64)
+        packer.add_vertex(0, np.array([1]))
+        with pytest.raises(StorageError, match="expected 1, got 2"):
+            packer.add_vertex(2, np.array([0]))
 
 
 def reassemble(store: GraphStore) -> dict[int, list[int]]:

@@ -21,6 +21,8 @@ from repro.storage.page import (
     record_capacity,
 )
 from repro.storage.pagefile import PageFile
+from tests import zoo
+from tests.test_storage_layout import reference_image
 
 
 class TestSlottedPage:
@@ -64,6 +66,18 @@ class TestSlottedPage:
         page = SlottedPage(256)
         with pytest.raises(PageFormatError):
             page.add_record(0, np.array([2**33]))
+
+    @pytest.mark.parametrize("vertex", [-1, 2**32])
+    def test_rejects_vertex_ids_outside_u32(self, vertex):
+        """Used to be accepted, and ``to_bytes`` then raised a bare
+        ``struct.error``."""
+        page = SlottedPage(64)
+        with pytest.raises(PageFormatError, match="vertex ids must fit u32"):
+            page.add_record(vertex, np.array([1, 2]))
+        assert page.num_records == 0
+        page.add_record(2**32 - 1, np.array([1, 2]))
+        assert PageBlock.from_bytes(page.to_bytes()).vertices.tolist() == [
+            2**32 - 1]
 
     def test_empty_neighbor_record(self):
         page = SlottedPage(256)
@@ -266,3 +280,109 @@ class TestBatchDecode:
             device = SyncDevice(ShortReads(handle, 3), retry_policy=policy)
             with pytest.raises(FaultExhaustedError):
                 device.read_page(0)
+
+
+# ---------------------------------------------------------------------------
+# The batch writer: PageBlock.to_images, of which to_bytes is one image
+# ---------------------------------------------------------------------------
+
+
+def _paged(pages: list[list]) -> tuple[PageBlock, list[int]]:
+    """Records given page by page as one block and its cuts."""
+    records = [record for page in pages for record in page]
+    lengths = [len(record) for record in records]
+    block = PageBlock(
+        np.array([record.vertex for record in records], dtype=np.int64),
+        np.array([0, *np.cumsum(lengths, dtype=np.int64)], dtype=np.int64),
+        np.array([w for record in records for w in record.neighbors.tolist()],
+                 dtype=np.int64),
+        np.array([record.is_last for record in records], dtype=bool))
+    return block, [0, *np.cumsum([len(page) for page in pages]).tolist()]
+
+
+def _one_page(records, page_size: int) -> SlottedPage:
+    page = SlottedPage(page_size)
+    for record in records:
+        page.add_record(record.vertex, record.neighbors, is_last=record.is_last)
+    return page
+
+
+@st.composite
+def paged_records(draw):
+    """A page size and pages of records that fit it, ids anywhere in u32."""
+    page_size = draw(st.sampled_from([16, 17, 18, 31, 64, 100, 256]))
+    u32 = st.integers(0, 2**32 - 1)
+    pages = []
+    for specs in draw(st.lists(st.lists(
+            st.tuples(u32, st.lists(u32, max_size=20), st.booleans()),
+            max_size=6), max_size=5)):
+        page = SlottedPage(page_size)
+        for vertex, neighbors, is_last in specs:
+            if page.fits(len(neighbors)):
+                page.add_record(vertex, np.array(neighbors, dtype=np.int64),
+                                is_last=is_last)
+        pages.append(page.records())
+    return page_size, pages
+
+
+class TestBatchWrite:
+    @given(paged_records())
+    @settings(max_examples=80, deadline=None)
+    def test_the_parser_inverts_the_writer(self, case):
+        page_size, pages = case
+        block, cuts = _paged(pages)
+        images = PageBlock.to_images(block, cuts, page_size)
+        # Byte for byte what a struct.pack_into per field writes.
+        assert images == [reference_image(page, page_size) for page in pages]
+        assert images == [_one_page(page, page_size).to_bytes()
+                          for page in pages]
+        if images:
+            parsed, parsed_cuts = PageBlock.from_images(images)
+            _same_block(parsed, block)
+            assert parsed_cuts == cuts
+
+    @pytest.mark.parametrize("page_size", [16, 17, 64, 67, 256, 4096])
+    @pytest.mark.parametrize("name", zoo.zoo_names())
+    def test_the_writer_inverts_the_parser(self, graph_zoo, name, page_size):
+        """Every page of the zoo's stores, re-encoded from its parse."""
+        store = GraphStore.from_graph(graph_zoo(name), page_size)
+        if store.pages:
+            assert PageBlock.to_images(*PageBlock.from_images(store.pages),
+                                       page_size) == store.pages
+
+    def test_the_packed_stores_round_trip(self, packed):
+        assert PageBlock.to_images(*PageBlock.from_images(packed),
+                                   len(packed[0])) == packed
+
+    @pytest.mark.parametrize("column, value, problem", [
+        ("vertices", -1, "vertex ids must fit u32"),
+        ("vertices", 2**32, "vertex ids must fit u32"),
+        ("neighbors", -1, "neighbor ids must fit u32"),
+        ("neighbors", 2**32, "neighbor ids must fit u32"),
+    ])
+    def test_ids_outside_u32_fail_typed(self, column, value, problem):
+        page = SlottedPage(64)
+        page.add_record(3, np.array([4, 9]))
+        block, cuts = _paged([page.records()])
+        getattr(block, column)[0] = value
+        with pytest.raises(PageFormatError, match=problem):
+            PageBlock.to_images(block, cuts, 64)
+
+    def test_records_that_overflow_a_page_fail_typed(self):
+        page = SlottedPage(64)
+        page.add_record(0, np.arange(1, 9))
+        block, _ = _paged([page.records(), page.records()])
+        with pytest.raises(PageFormatError, match="page 0 do not fit"):
+            PageBlock.to_images(block, [0, 2], 64)
+        assert len(PageBlock.to_images(block, [0, 1, 2], 64)) == 2
+
+    def test_a_chunk_longer_than_a_u16_count(self):
+        block = PageBlock(np.array([0]), np.array([0, 0x10000]),
+                          np.zeros(0x10000, dtype=np.int64),
+                          np.array([True]))
+        with pytest.raises(PageFormatError, match="u16 neighbor count"):
+            PageBlock.to_images(block, [0, 1], 0xFFFF)
+
+    def test_no_pages(self):
+        block, cuts = _paged([])
+        assert PageBlock.to_images(block, cuts, 64) == []
