@@ -5,19 +5,21 @@ partition-shrink-rewrite structure: process a vertex range whose data fits
 the memory buffer, list every triangle whose minimum vertex falls in the
 range, then rewrite the *remaining* graph (vertices above the range) to
 disk.  Their CPU work is the same intersection workload as EdgeIterator≻
-(so their triangle output is exact); what distinguishes them — and what
-the paper's Figure 5 shows — is the I/O pattern of re-reading and
-re-writing the shrinking remainder every round.
+— one :func:`~repro.exec.block.block_range` call per range, so their
+triangle output is exact; what distinguishes them — and what the paper's
+Figure 5 shows — is the I/O pattern of re-reading and re-writing the
+shrinking remainder every round.  The planning (ranges, page counts) is
+array code too.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.block import block_range
 from repro.graph.graph import Graph
-from repro.memory.base import CountSink, TriangleSink
+from repro.memory.base import TriangleSink, emit_block
 from repro.storage.page import DEFAULT_PAGE_SIZE
-from repro.util.intersect import intersect_count_ops, intersect_sorted
 
 __all__ = [
     "induced_pages",
@@ -41,12 +43,9 @@ def induced_pages(graph: Graph, lo: int, page_size: int = DEFAULT_PAGE_SIZE) -> 
     n = graph.num_vertices
     if lo >= n:
         return 0
-    total_bytes = 0
-    for v in range(lo, n):
-        row = graph.neighbors(v)
-        kept = len(row) - int(np.searchsorted(row, lo, side="left"))
-        total_bytes += RECORD_HEADER_BYTES + NEIGHBOR_BYTES * kept
-    return int(np.ceil(total_bytes / page_size)) if total_bytes else 0
+    kept = np.count_nonzero(graph.indices[graph.indptr[lo]:] >= lo)
+    total_bytes = RECORD_HEADER_BYTES * (n - lo) + NEIGHBOR_BYTES * int(kept)
+    return -(-total_bytes // page_size)
 
 
 def partition_ranges(
@@ -60,19 +59,18 @@ def partition_ranges(
     budget (every range keeps at least one vertex, mirroring the paper's
     requirement that a partition holds at least one adjacency list).
     """
-    ranges: list[tuple[int, int]] = []
     budget_bytes = max(1, budget_pages) * page_size
+    # ends[v]: the bytes of the records of vertices 0..v-1.
+    ends = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(RECORD_HEADER_BYTES + NEIGHBOR_BYTES * graph.degrees(),
+              out=ends[1:])
+    ranges: list[tuple[int, int]] = []
     lo = 0
-    current_bytes = 0
-    for v in range(graph.num_vertices):
-        record_bytes = RECORD_HEADER_BYTES + NEIGHBOR_BYTES * graph.degree(v)
-        if current_bytes and current_bytes + record_bytes > budget_bytes:
-            ranges.append((lo, v - 1))
-            lo = v
-            current_bytes = 0
-        current_bytes += record_bytes
-    if graph.num_vertices:
-        ranges.append((lo, graph.num_vertices - 1))
+    while lo < graph.num_vertices:
+        hi = max(lo, int(ends.searchsorted(ends[lo] + budget_bytes,
+                                           side="right")) - 2)
+        ranges.append((lo, hi))
+        lo = hi + 1
     return ranges
 
 
@@ -88,18 +86,9 @@ def range_triangle_pass(
     Exactness: every triangle has a unique minimum vertex, so summing
     passes over a partition of the vertex range lists each triangle once.
     """
-    if sink is None:
-        sink = CountSink()
-    triangles = 0
-    ops = 0
-    for u in range(lo, hi + 1):
-        succ_u = graph.n_succ(u)
-        for v in succ_u:
-            v = int(v)
-            succ_v = graph.n_succ(v)
-            ops += intersect_count_ops(len(succ_u), len(succ_v))
-            common = intersect_sorted(succ_u, succ_v)
-            if len(common):
-                triangles += len(common)
-                sink.emit(u, v, common.tolist())
+    triangles, ops, groups = block_range(graph.indptr, graph.indices,
+                                         graph.succ_start, lo, hi + 1,
+                                         sink is not None)
+    if sink is not None:
+        emit_block(sink, groups)
     return triangles, ops

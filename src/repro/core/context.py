@@ -61,10 +61,12 @@ class ChunkContext:
         succ = self.indices > owner + v_lo
         self.succ_len = slice_sums(succ, self.indptr)
         self.succ_start = self.indptr[1:] - self.succ_len
-        # Membership index of every n_succ(u): row * n + w, ascending
-        # because rows and each row's neighbors are.
+        # Membership index of every row: row * n + w, ascending because
+        # rows and each row's neighbors are, and aligned with indices.  A
+        # probe asks only for w above the row's vertex, where n(v) and
+        # n_succ(v) agree.
         self._stride = store.num_vertices
-        self._keys = (owner * self._stride + self.indices)[succ]
+        self._keys = owner * self._stride + self.indices
         pairs = np.sort(candidates * self._stride + requesters)
         self.candidates, self.requesters = np.divmod(pairs, self._stride)
         # A store's page holds one record for every vertex id between its
@@ -77,16 +79,6 @@ class ChunkContext:
         self._pairs_on = (self.candidates.searchsorted(
             store.page_last_vertex, side="right") - starts).tolist()
         self._first_vertex = store.page_first_vertex.tolist()
-
-    def n_full(self, v: int) -> np.ndarray:
-        """Full adjacency list of internal vertex *v* (sorted)."""
-        row = v - self.v_lo
-        return self.indices[self.indptr[row]:self.indptr[row + 1]]
-
-    def n_succ(self, v: int) -> np.ndarray:
-        """``n_succ(v)`` of internal vertex *v*."""
-        row = v - self.v_lo
-        return self.indices[self.succ_start[row]:self.indptr[row + 1]]
 
     def requests_on(self, pids: Sequence[int], records_on: Sequence[int]
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

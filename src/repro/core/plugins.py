@@ -19,10 +19,13 @@ Adjacency lists may arrive chunked across pages; intersections and
 membership probes distribute over chunks, so per-record processing
 remains exact.
 
-:class:`EdgeIteratorPlugin` resolves a block with a constant number of
-array operations (one batched probe of the chunk's successor index);
-:class:`VertexIteratorPlugin` and :class:`MGTPlugin` loop over the
-block's records.
+Every plugin resolves a block with a constant number of array
+operations, one batched probe (:func:`~repro.exec.block.probe_pairs`)
+per call.  :class:`EdgeIteratorPlugin` probes ``n_succ(u)`` in the
+chunk's index with ``v``'s successors; :class:`VertexIteratorPlugin`
+and :class:`MGTPlugin` probe ``v``'s list with ``u``'s successors above
+``v`` — in the chunk's index when ``v`` is internal, in the arrived
+window's when it is external.
 
 :class:`MGTPlugin` realizes the paper's Section 3.5 reduction of MGT
 [Hu et al., SIGMOD'13] to an OPT instance: no internal triangulation,
@@ -37,7 +40,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from repro.core.context import ChunkContext, slice_sums
-from repro.exec.block import NO_GROUPS, GroupBlock
+from repro.exec.block import NO_GROUPS, GroupBlock, probe_pairs
 from repro.storage.page import PageBlock
 from repro.util.intersect import HASH_PROBE_COST
 
@@ -152,47 +155,42 @@ class VertexIteratorPlugin(IteratorPlugin):
         return _candidates_above(block, v_hi)
 
     def internal_for_page(self, chunk, block, collect):
-        ops = np.zeros(len(block), dtype=np.int64)
-        triangles = 0
-        groups: list[tuple] = []
-        for index, record in enumerate(block):
-            u = record.vertex
-            neighbors = record.neighbors
-            internal_succ = neighbors[(neighbors > u) & (neighbors <= chunk.v_hi)]
-            for v in internal_succ.tolist():
-                pair_ops, hits = _probe_above(chunk.n_succ(u), v,
-                                              chunk.n_full(v))
-                ops[index] += pair_ops
-                triangles += len(hits)
-                if collect and len(hits):
-                    groups.append((u, v, hits))
-        return ops, triangles, GroupBlock.from_groups(groups)
+        # One pair per (u, v) with v an internal successor.  _iterate
+        # passes the whole chunk, so v's position on the block is its
+        # position in the chunk's CSR, and u's successors after it probe
+        # v's row: for w > v, w is in n(v) exactly when in n_succ(v).
+        lengths = block.lengths
+        owner = block.vertices.repeat(lengths)
+        paired = np.flatnonzero((block.neighbors > owner)
+                                & (block.neighbors <= chunk.v_hi))
+        us = owner[paired]
+        vs = block.neighbors[paired]
+        starts = paired + 1
+        probed = chunk.indptr[us - chunk.v_lo + 1] - starts
+        found, groups = chunk.probe(vs - chunk.v_lo, chunk.indices, starts,
+                                    probed, (us, vs) if collect else None)
+        # Float bincount weights are exact below 2**53.
+        ops = np.bincount(np.arange(len(block)).repeat(lengths)[paired],
+                          weights=HASH_PROBE_COST * probed,
+                          minlength=len(block))
+        return ops.astype(np.int64), int(found.sum()), groups
 
     def external_for_page(self, chunk, block, records, us, collect):
-        ops = np.zeros(len(us), dtype=np.int64)
-        triangles = 0
-        groups: list[tuple] = []
-        arrived = list(block)
-        for index, (at, u) in enumerate(zip(records.tolist(), us.tolist())):
-            record = arrived[at]
-            ops[index], hits = _probe_above(chunk.n_succ(u), record.vertex,
-                                            record.neighbors)
-            triangles += len(hits)
-            if collect and len(hits):
-                groups.append((u, record.vertex, hits))
-        return ops, triangles, GroupBlock.from_groups(groups)
-
-
-def _probe_above(succ_u: np.ndarray, v: int,
-                 neighbors_v: np.ndarray) -> tuple[int, np.ndarray]:
-    """The vertex-iterator check of edge ``(u, v)``: which ``w`` of
-    ``n_succ(u)`` above *v* are neighbors of *v*; one random probe each."""
-    w_candidates = succ_u[int(np.searchsorted(succ_u, v, side="right")):]
-    if len(w_candidates) == 0:
-        return 0, w_candidates
-    return (HASH_PROBE_COST * len(w_candidates),
-            w_candidates[np.isin(w_candidates, neighbors_v,
-                                 assume_unique=True)])
+        # The arrived window is the resident side, one key per neighbor
+        # (record * n + w).  Pair (u, v) probes v's record with u's
+        # successors above v: the rest of u's chunk row after v, found
+        # by one search of the chunk's keys.
+        stride = chunk._stride
+        keys = (np.arange(len(block)).repeat(block.lengths) * stride
+                + block.neighbors)
+        vs = block.vertices[records]
+        u_rows = us - chunk.v_lo
+        starts = chunk._keys.searchsorted(u_rows * stride + vs, side="right")
+        probed = chunk.indptr[u_rows + 1] - starts
+        found, groups = probe_pairs(keys, records * stride, chunk.indices,
+                                    starts, probed,
+                                    (us, vs) if collect else None)
+        return HASH_PROBE_COST * probed, int(found.sum()), groups
 
 
 class MGTPlugin(VertexIteratorPlugin):

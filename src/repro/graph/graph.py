@@ -180,10 +180,6 @@ class Graph:
         np.remainder(keys, n, out=keys)
         return Graph(new_indptr, keys, validate=False)
 
-    def subgraph_rows(self, vertices: np.ndarray) -> dict[int, np.ndarray]:
-        """Adjacency lists of *vertices* as a dict (used by baselines)."""
-        return {int(v): self.neighbors(int(v)).copy() for v in vertices}
-
     # -- dunder ------------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.block import probe_pairs
 from repro.graph.graph import Graph
-from repro.memory.base import CountSink, TriangleSink, TriangulationResult
+from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["vertex_iterator"]
@@ -22,27 +23,23 @@ __all__ = ["vertex_iterator"]
 def vertex_iterator(graph: Graph, sink: TriangleSink | None = None) -> TriangulationResult:
     """List all triangles of *graph* with VertexIterator≻.
 
-    The pair loop is vectorized: for each ``v`` in ``n_succ(u)`` the suffix
-    ``w > v`` of ``n_succ(u)`` is membership-tested against ``n(v)`` in one
-    ``isin`` call; the charged op count remains the per-pair probe count of
-    Algorithm 1.
+    One batched probe over the whole CSR: the pair of every ``v`` in
+    ``n_succ(u)`` probes ``v``'s row (keys ``v * n + w``) with the suffix
+    of ``n_succ(u)`` after ``v`` — for ``w > v``, ``w`` is in ``n(v)``
+    exactly when it is in ``n_succ(v)``.  Each pair is charged one probe
+    per ``w``, Algorithm 1's count; groups come in ``(u, v)`` order.
     """
-    if sink is None:
-        sink = CountSink()
-    triangles = 0
-    ops = 0
-    for u in range(graph.num_vertices):
-        succ_u = graph.n_succ(u)
-        k = len(succ_u)
-        if k < 2:
-            continue
-        for idx in range(k - 1):
-            v = int(succ_u[idx])
-            candidates = succ_u[idx + 1:]
-            ops += HASH_PROBE_COST * len(candidates)
-            hits = candidates[np.isin(candidates, graph.neighbors(v),
-                                      assume_unique=True)]
-            if len(hits):
-                triangles += len(hits)
-                sink.emit(u, v, hits.tolist())
-    return TriangulationResult(triangles=triangles, cpu_ops=ops)
+    n = graph.num_vertices
+    indptr, indices = graph.indptr, graph.indices
+    owner = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
+    paired = np.flatnonzero(indices > owner)
+    us = owner[paired]
+    vs = indices[paired]
+    starts = paired + 1
+    probed = indptr[us + 1] - starts
+    found, groups = probe_pairs(owner * n + indices, vs * n, indices, starts,
+                                probed, None if sink is None else (us, vs))
+    if sink is not None:
+        emit_block(sink, groups)
+    return TriangulationResult(triangles=int(found.sum()),
+                               cpu_ops=HASH_PROBE_COST * int(probed.sum()))

@@ -100,17 +100,6 @@ class PageBlock:
             for vertex, begin, end, is_last in zip(
                 self.vertices.tolist(), bounds, bounds[1:], self.last.tolist()))
 
-    def neighbors_of(self, vertex: int) -> np.ndarray:
-        """*vertex*'s neighbor chunk on this page, empty when it has none.
-
-        One binary search: a store's pages hold their records in
-        ascending vertex order, one record per vertex.
-        """
-        at = int(np.searchsorted(self.vertices, vertex))
-        if at == len(self.vertices) or self.vertices[at] != vertex:
-            return self.neighbors[:0]
-        return self.neighbors[self.offsets[at]:self.offsets[at + 1]]
-
     @classmethod
     def from_bytes(cls, data: bytes) -> "PageBlock":
         """Decode one page image: :meth:`from_images` of a single image."""
