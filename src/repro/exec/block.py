@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 __all__ = ["Group", "GroupBlock", "NO_GROUPS", "bit_lengths", "block_range",
-           "charge_by_length", "probe_pairs", "slices"]
+           "charge_by_length", "mask_cells", "probe_pairs", "slices"]
 
 #: One emitted triangle group ``(u, v, (w, ...))``.
 Group = tuple[int, int, tuple[int, ...]]
@@ -114,6 +114,14 @@ BLOCK_ENTRIES = 1 << 17
 MASK_BYTES = 1 << 22
 
 
+def mask_cells(num_vertices: int) -> int:
+    """Cells of a :func:`block_range` mask kept across ranges: as many
+    whole rows as :data:`MASK_BYTES` holds (at least one), and no more
+    rows than the graph has — no range can use more."""
+    rows = max(1, MASK_BYTES // max(num_vertices, 1))
+    return min(rows, num_vertices) * num_vertices
+
+
 def bit_lengths(values: np.ndarray) -> np.ndarray:
     """``int.bit_length`` of every element of a non-negative int array.
 
@@ -138,6 +146,7 @@ def block_range(
     hi: int,
     collect: bool,
     scope=None,
+    mask: np.ndarray | None = None,
 ) -> tuple[int, int, GroupBlock]:
     """EdgeIterator≻ over ``[lo, hi)`` of a CSR, a block of edges at a time.
 
@@ -148,6 +157,11 @@ def block_range(
     ``min(|n_succ(u)|, |n_succ(v)|)`` ops each, bucketed by that
     minimum's bit length; groups in ``(u, v)`` order with ascending
     completions.
+
+    *mask* is an all-False scratch of :func:`mask_cells` cells that the
+    caller keeps across calls (the ``hash`` binding's); it is all-False
+    again on every exit, exceptions included.  Without one, each call
+    allocates its own.
     """
     num_vertices = len(indptr) - 1
     succ_len = indptr[1:] - succ_start
@@ -162,8 +176,11 @@ def block_range(
     charge = np.minimum(succ_len[us], gather_len)
     found = np.zeros(num_edges, dtype=np.int64)
 
-    rows = max(1, min(hi - lo, MASK_BYTES // num_vertices))
-    mask = np.zeros(rows * num_vertices, dtype=bool)
+    if mask is None:
+        rows = max(1, min(hi - lo, MASK_BYTES // num_vertices))
+        mask = np.zeros(rows * num_vertices, dtype=bool)
+    else:
+        rows = max(1, min(hi - lo, len(mask) // num_vertices))
     gathered = np.cumsum(gather_len)
     completions: list[np.ndarray] = []
     triangles = 0
@@ -184,11 +201,13 @@ def block_range(
                             marked_len)
                   + indices[slices(succ_start[first_row:last_row],
                                    marked_len)])
-        mask[marked] = True
-        ws = indices[slices(succ_start[vs[block]], gather_len[block])]
-        hits = mask[np.repeat((us[block] - first_row) * num_vertices,
-                              gather_len[block]) + ws]
-        mask[marked] = False
+        try:
+            mask[marked] = True
+            ws = indices[slices(succ_start[vs[block]], gather_len[block])]
+            hits = mask[np.repeat((us[block] - first_row) * num_vertices,
+                                  gather_len[block]) + ws]
+        finally:
+            mask[marked] = False
         block_triangles = int(np.count_nonzero(hits))
         if block_triangles and (collect or scope is not None):
             # Per-pair hit counts.  reduceat sums hits[cut[i]:cut[i+1]]

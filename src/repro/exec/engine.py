@@ -73,7 +73,8 @@ def run_range(
 
     The ``hash`` binding does not loop per pair:
     :func:`repro.exec.block.block_range` returns the same triple and
-    charges the same cells a block of edges at a time.  The per-pair
+    charges the same cells a block of edges at a time, in the mask the
+    binding keeps across ranges (bind once per process).  The per-pair
     loop below serves the kernels whose charge is measured, not
     analytic, and foreign :class:`~repro.exec.protocols.Kernel`
     instances; it packs its groups into the same
@@ -81,7 +82,7 @@ def run_range(
     """
     if binding.name == "hash":
         return block_range(graph.indptr, graph.indices, graph.succ_start,
-                           lo, hi, collect, scope)
+                           lo, hi, collect, scope, mask=binding.mask())
     triangles = 0
     ops = 0
     groups: list[tuple] = []  # (u, v, the kernel's own common sequence)

@@ -11,10 +11,11 @@ checks pin down.
   oversubscribed chunk plan of :func:`repro.parallel.chunks.plan_chunks`.
   Under CPython the threads interleave rather than run in parallel; the
   cell exists to show that a pool cannot change the listing or the bill.
-* :class:`ProcessExecutor` — the forked worker pool of
+* :class:`ProcessExecutor` — the worker pool of
   :func:`repro.parallel.engine.run_chunks` over the same chunk plan:
-  each worker attaches the source's published CSR and binds the kernel
-  once, then pulls ranges from a shared queue.  Requires a shareable
+  the caller is worker 0 and forks the rest, each of which attaches the
+  source's published CSR; every worker binds the kernel once, then
+  pulls ranges from a shared queue.  Requires a shareable
   source; the registry marks other combinations invalid rather than
   pickling whole graphs across the boundary.
 """
@@ -123,6 +124,8 @@ class ThreadedExecutor:
 
             def job(bounds: tuple[int, int]):
                 lo, hi = bounds
+                # A binding per job: bindings own scratch (the hash mask),
+                # which two threads must never share.
                 binding = kernel.bind(handle.num_vertices)
                 # Each task charges its own table; the parent folds them
                 # in range order — integer cells sum, so the merged

@@ -36,6 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.exec.block import mask_cells
 from repro.util.intersect import (
     adaptive_intersect_detail,
     gallop_intersect,
@@ -98,9 +99,33 @@ class HashKernel(Kernel):
 
     name = "hash"
 
+    def bind(self, num_vertices: int) -> "_HashBinding":
+        return _HashBinding(self, num_vertices)
+
     def _intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
         common = intersect_sorted(a, b)
         return common, intersect_count_ops(len(a), len(b))
+
+
+class _HashBinding(KernelBinding):
+    """The ``hash`` binding: owns the :func:`repro.exec.block.block_range`
+    mask, so one binding's ranges share one allocation.
+
+    The mask is allocated on first use: a process that binds after a fork
+    page-faults its own mask once, not one per range and never a
+    copy-on-write page of its parent's.
+    """
+
+    def __init__(self, kernel: Kernel, num_vertices: int):
+        super().__init__(kernel)
+        self._num_vertices = num_vertices
+        self._mask: np.ndarray | None = None
+
+    def mask(self) -> np.ndarray:
+        """The all-False scratch mask of ``mask_cells(n)`` cells."""
+        if self._mask is None:
+            self._mask = np.zeros(mask_cells(self._num_vertices), dtype=bool)
+        return self._mask
 
 
 class MergeKernel(Kernel):

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 from repro.exec import block, compose
 from repro.exec.engine import run_range
-from repro.exec.kernels import BitmapKernel
+from repro.exec.kernels import BitmapKernel, HashKernel
 from repro.memory import CollectSink, forward
 from repro.obs.attribution import Attribution
 
@@ -150,3 +150,94 @@ def test_bit_lengths_match_int_bit_length_around_powers_of_two():
     values = [0] + [(1 << k) + d for k in range(53) for d in (-1, 0, 1)]
     got = block.bit_lengths(np.asarray(values, dtype=np.int64))
     assert got.tolist() == [v.bit_length() for v in values]
+
+
+# ---------------------------------------------------------------------------
+# the hash binding owns the mask
+# ---------------------------------------------------------------------------
+
+
+def _bound_run(graph, binding, lo, hi):
+    table = Attribution()
+    result = run_range(graph, binding, lo, hi, True,
+                       scope=table.scope(phase="exec", kernel="hash",
+                                         source="memory"))
+    return result, _cells(table)
+
+
+def _fresh_run(graph, lo, hi):
+    table = Attribution()
+    result = block.block_range(graph.indptr, graph.indices, graph.succ_start,
+                               lo, hi, True,
+                               table.scope(phase="exec", kernel="hash",
+                                           source="memory"))
+    return result, _cells(table)
+
+
+def test_binding_keeps_one_all_false_mask():
+    """One mask per binding, allocated on first use, sized to whole rows
+    of the graph, and all-False between calls."""
+    graph = _graph("star-of-cliques", 0)
+    binding = HashKernel().bind(graph.num_vertices)
+    mask = binding.mask()
+    assert mask is binding.mask()
+    assert len(mask) == block.mask_cells(graph.num_vertices)
+    assert len(mask) % graph.num_vertices == 0
+    for lo, hi in ((0, graph.num_vertices), (3, 40), (0, 1)):
+        run_range(graph, binding, lo, hi, True)
+        assert binding.mask() is mask and not mask.any()
+    assert HashKernel().bind(0).mask().size == 0
+    # As many rows as MASK_BYTES holds, never more than the graph has.
+    assert block.mask_cells(5000) == (block.MASK_BYTES // 5000) * 5000
+    assert block.mask_cells(6) == 6 * 6
+
+
+def test_mask_is_cleared_when_a_block_raises():
+    """An exception between mark and unmark leaves the mask all-False."""
+    graph = _graph("star-of-cliques", 0)
+    binding = HashKernel().bind(graph.num_vertices)
+    real_slices = block.slices
+    calls = []
+
+    def slices_then_fail(starts, lengths):
+        calls.append(binding.mask().any())
+        # Call 1 gathers the range's edges, call 2 a block's marked rows,
+        # call 3 that block's probes — after the mark.
+        if len(calls) == 3:
+            raise MemoryError("injected mid-block")
+        return real_slices(starts, lengths)
+
+    with mock.patch.object(block, "slices", slices_then_fail):
+        with pytest.raises(MemoryError, match="mid-block"):
+            run_range(graph, binding, 0, graph.num_vertices, True)
+    assert calls[-1], "the failure did not land between mark and unmark"
+    assert not binding.mask().any()
+    # The binding stays usable, and right.
+    assert (_bound_run(graph, binding, 0, graph.num_vertices)
+            == _fresh_run(graph, 0, graph.num_vertices))
+
+
+@pytest.mark.parametrize("budget", ["entries", "mask"])
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_one_binding_over_random_ranges_equals_fresh_masks(budget, data):
+    """Ranges run one after another through one binding give what a
+    fresh-mask ``block_range`` gives for each: triangles, ops, the group
+    sequence and the attribution cells."""
+    member, seed = data.draw(st.sampled_from(MEMBERS))
+    graph = _graph(member, seed)
+    num_vertices = graph.num_vertices
+    ranges = []
+    for _ in range(data.draw(st.integers(1, 5))):
+        lo = data.draw(st.integers(0, num_vertices))
+        ranges.append((lo, data.draw(st.integers(lo, num_vertices))))
+    patch = (mock.patch.object(block, "BLOCK_ENTRIES", 1)
+             if budget == "entries" else
+             mock.patch.object(block, "MASK_BYTES",
+                               data.draw(st.integers(1, 3)) * num_vertices))
+    with patch:
+        binding = HashKernel().bind(num_vertices)
+        for lo, hi in ranges:
+            assert (_bound_run(graph, binding, lo, hi)
+                    == _fresh_run(graph, lo, hi)), (member, seed, lo, hi)
+            assert not binding.mask().any()

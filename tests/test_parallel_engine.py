@@ -430,3 +430,181 @@ class TestWorkerDeath:
         gc.collect()
         assert set(os.listdir("/dev/shm")) <= shm_before
         assert len(os.listdir("/proc/self/fd")) <= fds_before
+
+
+# ---------------------------------------------------------------------------
+# the caller is worker 0
+# ---------------------------------------------------------------------------
+
+
+class TestCallerIsWorkerZero:
+    """``run_chunks`` forks ``workers − 1`` processes and runs worker 0
+    itself, on the same task queue."""
+
+    @pytest.mark.parametrize("workers", (2, 4))
+    def test_forks_one_process_fewer_than_workers(self, zoo, monkeypatch,
+                                                  workers):
+        import multiprocessing as mp
+
+        import repro.parallel.engine as engine_mod
+
+        fork = mp.get_context("fork")
+        started: list[str] = []
+
+        class CountingProcess(fork.Process):
+            def start(self):
+                started.append(self.name)
+                super().start()
+
+        class CountingContext:
+            def __getattr__(self, name):
+                return getattr(fork, name)
+
+            Process = CountingProcess
+
+        monkeypatch.setattr(engine_mod.mp, "get_context",
+                            lambda method: CountingContext())
+        result = triangulate_parallel(zoo["clustered"], workers=workers)
+        assert result.extra["workers"] == workers
+        assert sorted(started) == [f"parallel-w{worker_id}"
+                                   for worker_id in range(1, workers)]
+        started.clear()
+        triangulate_parallel(zoo["clustered"], workers=1)
+        triangulate_parallel(zoo["clustered"], workers=workers, chunks=1)
+        assert started == []
+
+    @pytest.mark.parametrize("workers", (1, 2, 4))
+    def test_caller_rows_are_worker_zero(self, zoo, deadline, workers):
+        """Every chunk the caller pulled is audited to worker 0, and the
+        caller's report is the first."""
+        for _ in range(3):
+            result = triangulate_parallel(zoo["clustered"], workers=workers)
+            parallel = result.extra["parallel"]
+            caller = parallel.worker_reports[0]
+            assert caller.worker_id == 0
+            pulled = sorted(row[0] for row in caller.results)
+            assert pulled == [index for index, wid
+                              in enumerate(parallel.executed_by) if wid == 0]
+            assert (0 in parallel.executed_by) == bool(pulled)
+        if workers == 1:
+            assert set(parallel.executed_by) == {0}
+
+    @ENTRY_POINTS
+    def test_caller_chunk_failure_is_w0(self, zoo, monkeypatch, deadline,
+                                        entry):
+        """A chunk that raises only in the caller: ParallelError naming
+        w0, every child terminated, no fd and no segment left behind."""
+        import gc
+        import multiprocessing as mp
+        import os
+        import time
+
+        import repro.parallel.engine as engine_mod
+
+        caller = os.getpid()
+        real_run_range = engine_mod.run_range
+
+        def fail_in_caller(*args, **kwargs):
+            if os.getpid() == caller:
+                raise ValueError("injected in the caller")
+            time.sleep(0.05)  # keep the children busy when the caller fails
+            return real_run_range(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_range", fail_in_caller)
+
+        def attempt():
+            with pytest.raises(ParallelError,
+                               match=r"w0: ValueError: injected in the caller"):
+                entry(zoo["clustered"])
+            assert mp.active_children() == []
+
+        attempt()  # warm-up
+        gc.collect()
+        shm_before = set(os.listdir("/dev/shm"))
+        fds_before = len(os.listdir("/proc/self/fd"))
+        for _ in range(3):
+            attempt()
+        gc.collect()
+        assert set(os.listdir("/dev/shm")) <= shm_before
+        assert len(os.listdir("/proc/self/fd")) <= fds_before
+
+    def test_interrupt_in_the_caller_releases_everything(self, zoo,
+                                                         monkeypatch,
+                                                         deadline):
+        """Ctrl-C lands in the caller's chunk: it stays a
+        KeyboardInterrupt, and no traceback pins the shared segment."""
+        import multiprocessing as mp
+        import os
+
+        import repro.parallel.engine as engine_mod
+
+        caller = os.getpid()
+        real_run_range = engine_mod.run_range
+
+        def interrupt_caller(*args, **kwargs):
+            if os.getpid() == caller:
+                raise KeyboardInterrupt
+            return real_run_range(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_range", interrupt_caller)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(KeyboardInterrupt):
+            triangulate_parallel(zoo["clustered"], workers=2)
+        assert mp.active_children() == []
+        assert set(os.listdir("/dev/shm")) <= before
+
+
+class EmitOnlySink:
+    """A sink without ``emit_block``: fed one ``emit`` per group."""
+
+    def __init__(self):
+        self.groups: list[tuple[int, int, list[int]]] = []
+
+    def emit(self, u, v, ws):
+        self.groups.append((int(u), int(v), [int(w) for w in ws]))
+
+
+#: sha256 of what each sink receives from ``triangulate_parallel`` on
+#: ``holme_kim(300, 6, 0.5, seed=6)``, recorded when the merge still
+#: concatenated every row into one block before emitting.
+EMITTED_DIGESTS = {
+    "collect": "572bfaea9cf83965dd482e97351501f3"
+               "1ddde7dc13996948f130f6b15c4908f0",
+    "writer": "8a911e2428256e4286808d05fa651ca4"
+              "c43cc72f9e0eb145a3edecd95ddb59fd",
+    "emit": "4a34d55d5115370516f22f9294a60bb2"
+            "2e2e321502363a034a3d8595302dbf3d",
+}
+
+
+class TestRowByRowFold:
+    @pytest.mark.parametrize("workers", (1, 2, 3, 4))
+    def test_every_sink_receives_the_pinned_stream(self, seeded_graph,
+                                                   workers):
+        """The merge emits chunk by chunk: CollectSink's tuples, the
+        writer's file bytes and the ``(u, v, ws)`` sequence an
+        ``emit``-only sink sees are the ones the one-block merge
+        produced, for every worker count."""
+        import hashlib
+        import io
+        import json
+
+        from repro.core.output import NestedOutputWriter
+
+        graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=6,
+                             ordering="natural")
+        collect = CollectSink()
+        triangulate_parallel(graph, workers=workers, sink=collect)
+        stream = io.BytesIO()
+        writer = NestedOutputWriter(stream, page_size=256)
+        triangulate_parallel(graph, workers=workers, sink=writer)
+        writer.close()
+        plain = EmitOnlySink()
+        triangulate_parallel(graph, workers=workers, sink=plain)
+        received = {
+            "collect": json.dumps(collect.triangles).encode(),
+            "writer": stream.getvalue(),
+            "emit": json.dumps(plain.groups).encode(),
+        }
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in received.items()} == EMITTED_DIGESTS
