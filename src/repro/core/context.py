@@ -40,14 +40,22 @@ class ChunkContext:
     ``(candidate, requester)``: the requesters of *c* are the
     ``requesters`` entries where ``candidates == c``, ascending — the
     order the chunk's pages list them, however its pages arrived.
+    ``num_vertices`` is the store's vertex count *n*.
+
+    Membership in a row (:meth:`probe`) is answered from the run's dense
+    mask, cell ``row * n + w``, when the chunk's ``rows × n`` fits it,
+    and by a binary search of the same keys, sorted, when it does not.
+    The marks stay until :meth:`release`.
     """
 
     def __init__(self, store: GraphStore, pid: int, end: int,
                  block: PageBlock, candidates: np.ndarray,
-                 requesters: np.ndarray):
+                 requesters: np.ndarray, mask: np.ndarray | None = None):
         """*block* is pages ``pid..end`` of *store*, merged in page order;
         *candidates* and *requesters* the aligned ``(candidate,
-        requester)`` pairs, each pair once, in any order."""
+        requester)`` pairs, each pair once, in any order; *mask* the
+        run's all-False bool scratch of
+        :func:`~repro.exec.block.mask_cells` cells, if it has one."""
         self.v_lo, self.v_hi = store.chunk_vertex_range(pid, end)
         v_lo = self.v_lo
         rows = self.v_hi - v_lo + 1
@@ -64,11 +72,15 @@ class ChunkContext:
         # Membership index of every row: row * n + w, ascending because
         # rows and each row's neighbors are, and aligned with indices.  A
         # probe asks only for w above the row's vertex, where n(v) and
-        # n_succ(v) agree.
-        self._stride = store.num_vertices
-        self._keys = owner * self._stride + self.indices
-        pairs = np.sort(candidates * self._stride + requesters)
-        self.candidates, self.requesters = np.divmod(pairs, self._stride)
+        # n_succ(v) agree; the whole row is indexed all the same.
+        n = self.num_vertices = store.num_vertices
+        self._keys = owner * n + self.indices
+        self._members = self._keys
+        if mask is not None and rows * n <= len(mask):
+            mask[self._keys] = True
+            self._members = mask
+        pairs = np.sort(candidates * n + requesters)
+        self.candidates, self.requesters = np.divmod(pairs, n)
         # A store's page holds one record for every vertex id between its
         # first and last (GraphStore.decode_pages checks it), so the
         # pairs a page answers are one slice of V_req: per page of the
@@ -116,5 +128,18 @@ class ChunkContext:
         found per pair and, given ``labels = (us, vs)``, the ``(u, v,
         completions)`` groups in pair order.
         """
-        return probe_pairs(self._keys, rows * self._stride, values, starts,
-                           lengths, labels)
+        return probe_pairs(self._members, rows * self.num_vertices, values,
+                           starts, lengths, labels)
+
+    def row_after(self, rows: np.ndarray, vs: np.ndarray) -> np.ndarray:
+        """Where CSR row ``rows[i]`` continues after vertex ``vs[i]``: the
+        position in :attr:`indices` of its first neighbor above it (the
+        row's end when there is none)."""
+        return self._keys.searchsorted(rows * self.num_vertices + vs,
+                                       side="right")
+
+    def release(self) -> None:
+        """Clear this chunk's marks from the run's mask, all-False again
+        for the next chunk.  Call it once no probe can follow."""
+        if self._members is not self._keys:
+            self._members[self._keys] = False

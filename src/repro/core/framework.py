@@ -46,7 +46,7 @@ from repro.core.context import ChunkContext
 from repro.core.plugins import EdgeIteratorPlugin, IteratorPlugin
 from repro.core.result_store import GroupCaptureSink
 from repro.errors import ConfigurationError
-from repro.exec.block import charge_by_length
+from repro.exec.block import charge_by_length, mask_cells
 from repro.memory.base import CountSink, TriangleSink, emit_block
 from repro.obs import (
     NO_CONTEXT,
@@ -248,6 +248,9 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
         chunks.append((pid, end))
         pid = end + 1
     feed = open_feed(max(end - start + 1 for start, end in chunks))
+    # The chunks' membership mask, all-False between chunks; a run that
+    # fails drops it, marks and all.
+    mask = np.zeros(mask_cells(store.num_vertices), dtype=bool)
 
     output_pages_before = getattr(sink, "pages_written", 0)
     if telemetry is not None:
@@ -283,7 +286,7 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
                     ctx.slice("iteration", index=index):
                 iteration, triangles = _iterate(store, plugin, feed, pid, end,
                                                 iteration_sink, scopes, ctx,
-                                                index)
+                                                index, mask)
             run_trace.triangles += triangles
 
             output_pages_now = getattr(sink, "pages_written", 0)
@@ -320,11 +323,14 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
 
 def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
              end: int, sink: TriangleSink | None, scopes: tuple,
-             ctx: RunContext, index: int) -> tuple[IterationTrace, int]:
+             ctx: RunContext, index: int, mask: np.ndarray
+             ) -> tuple[IterationTrace, int]:
     """One OPT iteration over internal pages ``pid..end``.
 
     Returns the iteration's trace and its triangle count; the groups go
-    to *sink*, and are materialised only when there is one.
+    to *sink*, and are materialised only when there is one.  *mask* is
+    the run's all-False membership scratch; the chunk marks it and the
+    iteration barrier clears it again.
 
     The two callbacks run wherever the feed delivers pages — the calling
     thread (buffered feed) or the SSD's callback thread (async feed),
@@ -371,10 +377,11 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     iteration.fill_reads = len(hits) - iteration.fill_buffered
     iteration.fill_delay = sum(delays)
     chunk_block = PageBlock.concat(chunk_blocks)
-    # Read-only from here on: both phases below share it.
+    # Read-only from here on, the mask's marks included: both phases
+    # below share it, on two threads under the async feed.
     chunk = ChunkContext(store, pid, end, chunk_block,
                          np.concatenate(candidates),
-                         np.concatenate(requesters))
+                         np.concatenate(requesters), mask)
 
     # -- build the request list (Algorithm 4) --------------------------------
     with ctx.span("identify-candidates"):
@@ -445,6 +452,7 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
 
     # -- iteration barrier (Algorithm 3 lines 11-13) -------------------------
     feed.finish(chunk_pages)
+    chunk.release()  # no callback can probe past the barrier
     if report is not None:
         for phase, count in found.items():
             if count:

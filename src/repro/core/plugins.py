@@ -22,10 +22,10 @@ remains exact.
 Every plugin resolves a block with a constant number of array
 operations, one batched probe (:func:`~repro.exec.block.probe_pairs`)
 per call.  :class:`EdgeIteratorPlugin` probes ``n_succ(u)`` in the
-chunk's index with ``v``'s successors; :class:`VertexIteratorPlugin`
-and :class:`MGTPlugin` probe ``v``'s list with ``u``'s successors above
-``v`` — in the chunk's index when ``v`` is internal, in the arrived
-window's when it is external.
+chunk's index (:meth:`ChunkContext.probe`) with ``v``'s successors;
+:class:`VertexIteratorPlugin` and :class:`MGTPlugin` probe ``v``'s list
+with ``u``'s successors above ``v`` — in the chunk's index when ``v`` is
+internal, in a sorted index over the arrived window when it is external.
 
 :class:`MGTPlugin` realizes the paper's Section 3.5 reduction of MGT
 [Hu et al., SIGMOD'13] to an OPT instance: no internal triangulation,
@@ -178,16 +178,15 @@ class VertexIteratorPlugin(IteratorPlugin):
     def external_for_page(self, chunk, block, records, us, collect):
         # The arrived window is the resident side, one key per neighbor
         # (record * n + w).  Pair (u, v) probes v's record with u's
-        # successors above v: the rest of u's chunk row after v, found
-        # by one search of the chunk's keys.
-        stride = chunk._stride
-        keys = (np.arange(len(block)).repeat(block.lengths) * stride
+        # successors above v: the rest of u's chunk row after v.
+        n = chunk.num_vertices
+        keys = (np.arange(len(block)).repeat(block.lengths) * n
                 + block.neighbors)
         vs = block.vertices[records]
         u_rows = us - chunk.v_lo
-        starts = chunk._keys.searchsorted(u_rows * stride + vs, side="right")
+        starts = chunk.row_after(u_rows, vs)
         probed = chunk.indptr[u_rows + 1] - starts
-        found, groups = probe_pairs(keys, records * stride, chunk.indices,
+        found, groups = probe_pairs(keys, records * n, chunk.indices,
                                     starts, probed,
                                     (us, vs) if collect else None)
         return HASH_PROBE_COST * probed, int(found.sum()), groups

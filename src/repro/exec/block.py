@@ -14,9 +14,9 @@ path").
 
 :func:`probe_pairs` is the same batching for a caller that holds only
 part of the graph resident — the OPT driver's chunk
-(:class:`repro.core.context.ChunkContext`): the resident rows are folded
-into one sorted key array instead of a dense mask, and each pair brings
-its own slice to probe.
+(:class:`repro.core.context.ChunkContext`): the resident rows are marked
+once in the same dense mask when they fit it, and folded into one sorted
+key array when they do not, and each pair brings its own slice to probe.
 
 Both hand their groups back as one :class:`GroupBlock` — four arrays,
 never a Python object per group — which is also what crosses the worker
@@ -110,14 +110,16 @@ NO_GROUPS = GroupBlock(_NO_IDS, _NO_IDS, _NO_IDS, _NO_IDS)
 #: temporary (ids, mask offsets, hit flags) is at most this long.
 BLOCK_ENTRIES = 1 << 17
 #: Cap on the dense mask, one byte per cell; a block spans at most
-#: ``MASK_BYTES // n`` (and at least one) distinct ``u`` rows.
+#: ``MASK_BYTES // n`` (and at least one) distinct ``u`` rows, and an OPT
+#: chunk with more rows than that probes its sorted keys instead.
 MASK_BYTES = 1 << 22
 
 
 def mask_cells(num_vertices: int) -> int:
-    """Cells of a :func:`block_range` mask kept across ranges: as many
-    whole rows as :data:`MASK_BYTES` holds (at least one), and no more
-    rows than the graph has — no range can use more."""
+    """Cells of a :func:`block_range` mask kept across ranges (and of the
+    OPT driver's, kept across chunks): as many whole rows as
+    :data:`MASK_BYTES` holds (at least one), and no more rows than the
+    graph has — no range can use more."""
     rows = max(1, MASK_BYTES // max(num_vertices, 1))
     return min(rows, num_vertices) * num_vertices
 
@@ -249,29 +251,33 @@ def charge_by_length(scope, sizes: np.ndarray, ops: np.ndarray,
 
 
 def probe_pairs(
-    keys: np.ndarray,
+    members: np.ndarray,
     bases: np.ndarray,
     values: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
     labels: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, GroupBlock]:
-    """Batched membership of one slice of *values* per pair in sorted *keys*.
+    """Batched membership of one slice of *values* per pair in one index.
 
     Pair ``i`` probes ``bases[i] + w`` for every ``w`` of
     ``values[starts[i]:starts[i] + lengths[i]]``: the caller folds the
-    side it holds resident into *keys* (``row * n + w`` over a CSR's
-    rows) and names the pair's row by its base.  Returns the hits per
-    pair and, given ``labels = (us, vs)``, the groups ``(us[i], vs[i],
-    hits of pair i in slice order)`` of the pairs that hit, in pair
-    order.  At most :data:`BLOCK_ENTRIES` values (or one pair's slice)
-    are gathered at a time.
+    side it holds resident into the keys ``row * n + w`` over a CSR's
+    rows and names the pair's row by its base.  *members* holds those
+    keys either sorted, as int64 — each probe is a binary search — or
+    as the set cells of a bool mask longer than every probe, which one
+    gather answers.  Returns the hits per pair and, given ``labels =
+    (us, vs)``, the groups ``(us[i], vs[i], hits of pair i in slice
+    order)`` of the pairs that hit, in pair order.  At most
+    :data:`BLOCK_ENTRIES` values (or one pair's slice) are gathered at a
+    time.
     """
+    dense = members.dtype == bool
     found = np.zeros(len(bases), dtype=np.int64)
     completions: list[np.ndarray] = []
     gathered = lengths.cumsum()
     start = 0
-    while start < len(bases) and len(keys):
+    while start < len(bases) and len(members):
         taken = int(gathered[start] - lengths[start])
         stop = max(start + 1, int(gathered.searchsorted(
             taken + BLOCK_ENTRIES, side="right")))
@@ -280,7 +286,11 @@ def probe_pairs(
         owner = np.arange(stop - start).repeat(lengths[block])
         ws = values[slices(starts[block], lengths[block])]
         probes = bases[block][owner] + ws
-        hits = keys.take(keys.searchsorted(probes), mode="clip") == probes
+        if dense:
+            hits = members[probes]
+        else:
+            hits = members.take(members.searchsorted(probes),
+                                mode="clip") == probes
         if np.count_nonzero(hits):
             found[block] = np.bincount(owner[hits], minlength=stop - start)
             if labels is not None:

@@ -191,12 +191,27 @@ def _mapping_for(graph: Graph, ordering: Ordering, seed: int) -> np.ndarray:
     raise ValueError(f"ordering {ordering!r} has no direct mapping")
 
 
+def _priced(graph: Graph) -> dict[Ordering, tuple[int, np.ndarray]]:
+    """``(Eq. 3 bill, mapping)`` of every ``auto`` candidate on *graph*."""
+    edges = graph.edge_array()
+    priced = {}
+    for ordering in AUTO_CANDIDATES:
+        mapping = _mapping_for(graph, ordering, 0)
+        priced[ordering] = (_op_cost(graph.num_vertices, edges, mapping),
+                            mapping)
+    return priced
+
+
+def _cheapest(graph: Graph) -> tuple[Ordering, np.ndarray]:
+    """:func:`choose_ordering`'s pick and the mapping it was priced by."""
+    priced = _priced(graph)
+    ordering = min(AUTO_CANDIDATES, key=lambda ordering: priced[ordering][0])
+    return ordering, priced[ordering][1]
+
+
 def ordering_costs(graph: Graph) -> dict[Ordering, int]:
     """Measured Eq. 3 bill of every ``auto`` candidate on *graph*."""
-    edges = graph.edge_array()
-    return {ordering: _op_cost(graph.num_vertices, edges,
-                               _mapping_for(graph, ordering, 0))
-            for ordering in AUTO_CANDIDATES}
+    return {ordering: cost for ordering, (cost, _) in _priced(graph).items()}
 
 
 def choose_ordering(graph: Graph) -> Ordering:
@@ -206,8 +221,7 @@ def choose_ordering(graph: Graph) -> Ordering:
     pure function of the graph — same graph (same generator seed), same
     answer, which the ordering property tests pin.
     """
-    costs = ordering_costs(graph)
-    return min(AUTO_CANDIDATES, key=lambda ordering: costs[ordering])
+    return _cheapest(graph)[0]
 
 
 def apply_ordering(
@@ -220,12 +234,15 @@ def apply_ordering(
 
     ``mapping[old_id] == new_id``; for ``Ordering.NATURAL`` the mapping is
     the identity and the input graph object is returned unchanged.
-    ``Ordering.AUTO`` resolves through :func:`choose_ordering` first.
+    ``Ordering.AUTO`` resolves through :func:`choose_ordering` first and
+    relabels by the very mapping it priced.
     """
     ordering = Ordering(ordering)
+    mapping = None
     if ordering is Ordering.AUTO:
-        ordering = choose_ordering(graph)
+        ordering, mapping = _cheapest(graph)
     if ordering is Ordering.NATURAL:
         return graph, np.arange(graph.num_vertices, dtype=np.int64)
-    mapping = _mapping_for(graph, ordering, seed)
+    if mapping is None:
+        mapping = _mapping_for(graph, ordering, seed)
     return graph.relabel(mapping), mapping

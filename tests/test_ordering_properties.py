@@ -14,7 +14,8 @@ graphs:
 * :func:`~repro.graph.ordering.ordering_op_cost` equals the relabeled
   engine's measured Eq. 3 bill exactly;
 * :func:`~repro.graph.ordering.choose_ordering` is deterministic per
-  graph seed and actually picks the measured minimum;
+  graph seed and actually picks the measured minimum, and ``auto``
+  relabels by the mapping it priced instead of building it again;
 * the round-synchronous peel and the frontier-at-a-time BFS agree with
   the sequential bucket-queue peel and queue BFS they replaced, which
   are kept below as reference models (:func:`reference_peel`,
@@ -27,9 +28,11 @@ from __future__ import annotations
 import time
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graph import ordering as ordering_module
 from repro.graph.builder import from_edges
 from repro.graph.cores import (
     core_decomposition,
@@ -129,6 +132,29 @@ def test_choose_ordering_picks_the_measured_minimum(spec):
     # Deterministic tie-break: the earliest candidate at the minimum.
     assert chosen == next(ordering for ordering in AUTO_CANDIDATES
                           if costs[ordering] == costs[chosen])
+
+
+@settings(max_examples=30, deadline=None)
+@given(spec=graphs)
+def test_auto_relabels_by_the_mapping_it_priced(spec):
+    """``apply_ordering(graph, AUTO)`` is the chosen ordering applied, and
+    builds each candidate's mapping once: the winner is not rebuilt."""
+    graph = _build(spec)
+    built = []
+    real = ordering_module._mapping_for
+
+    def counted(graph, ordering, seed):
+        built.append(ordering)
+        return real(graph, ordering, seed)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ordering_module, "_mapping_for", counted)
+        relabeled, mapping = apply_ordering(graph, Ordering.AUTO)
+    assert built == list(AUTO_CANDIDATES)
+    expected, expected_mapping = apply_ordering(graph, choose_ordering(graph))
+    assert np.array_equal(mapping, expected_mapping)
+    assert np.array_equal(relabeled.indptr, expected.indptr)
+    assert np.array_equal(relabeled.indices, expected.indices)
 
 
 @settings(max_examples=10, deadline=None)
