@@ -16,17 +16,10 @@ import numpy as np
 
 from repro.exec.block import GroupBlock, probe_pairs
 from repro.storage.layout import GraphStore
-from repro.storage.page import PageBlock, chain
+from repro.storage.page import PageBlock
+from repro.util import ragged
 
-__all__ = ["ChunkContext", "slice_sums"]
-
-
-def slice_sums(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Sum of ``flags[offsets[i]:offsets[i + 1]]`` per slice, empty ones too."""
-    running = np.zeros(len(flags) + 1, dtype=np.int64)
-    flags.cumsum(out=running[1:])
-    return running[offsets[1:]] - running[offsets[:-1]]
-
+__all__ = ["ChunkContext"]
 
 _NO_PAIRS = (np.empty(0, dtype=np.int64),) * 3
 
@@ -63,11 +56,10 @@ class ChunkContext:
         # Float bincount weights are exact below 2**53.
         row_len = np.bincount(block.vertices - v_lo, weights=block.lengths,
                               minlength=rows).astype(np.int64)
-        self.indptr = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(row_len, out=self.indptr[1:])
+        self.indptr = ragged.from_lengths(row_len)
         owner = np.repeat(np.arange(rows), row_len)
         succ = self.indices > owner + v_lo
-        self.succ_len = slice_sums(succ, self.indptr)
+        self.succ_len = ragged.row_sums(self.indptr, succ)
         self.succ_start = self.indptr[1:] - self.succ_len
         # Membership index of every row: row * n + w, ascending because
         # rows and each row's neighbors are, and aligned with indices.  A
@@ -106,15 +98,15 @@ class ChunkContext:
         counts = [self._pairs_on[pid] for pid in pids]
         if not any(counts):
             return _NO_PAIRS
-        spans = [slice(self._pairs_from[pid], self._pairs_from[pid] + count)
-                 for pid, count in zip(pids, counts)]
+        # The window's spans of V_req, page after page.
+        taken = ragged.expand(np.array([self._pairs_from[pid] for pid in pids]),
+                              np.array(counts))
         # A candidate is record (candidate - the page's first vertex) of
         # its page, whose records start where the pages before it end.
         shift = [at - self._first_vertex[pid] for pid, at in zip(
             pids, accumulate(records_on, initial=0))]
-        records = (chain([self.candidates[span] for span in spans])
-                   + np.array(shift).repeat(counts))
-        return (records, chain([self.requesters[span] for span in spans]),
+        records = self.candidates[taken] + np.array(shift).repeat(counts)
+        return (records, self.requesters[taken],
                 np.arange(len(pids)).repeat(counts))
 
     def probe(self, rows: np.ndarray, values: np.ndarray, starts: np.ndarray,

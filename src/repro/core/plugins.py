@@ -39,9 +39,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.core.context import ChunkContext, slice_sums
+from repro.core.context import ChunkContext
 from repro.exec.block import NO_GROUPS, GroupBlock, probe_pairs
 from repro.storage.page import PageBlock
+from repro.util import ragged
 from repro.util.intersect import HASH_PROBE_COST
 
 __all__ = ["EdgeIteratorPlugin", "IteratorPlugin", "MGTPlugin", "VertexIteratorPlugin"]
@@ -133,9 +134,9 @@ class EdgeIteratorPlugin(IteratorPlugin):
     def external_for_page(self, chunk, block, records, us, collect):
         # v's side is the page's slice of n_succ(v): the suffix of its
         # record above v.
-        succ_len = slice_sums(
-            block.neighbors > block.vertices.repeat(block.lengths),
-            block.offsets)
+        succ_len = ragged.row_sums(
+            block.offsets,
+            block.neighbors > block.vertices.repeat(block.lengths))
         gather_len = succ_len[records]
         u_rows = us - chunk.v_lo
         found, groups = chunk.probe(

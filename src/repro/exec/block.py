@@ -30,8 +30,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.util import ragged
+
 __all__ = ["Group", "GroupBlock", "NO_GROUPS", "bit_lengths", "block_range",
-           "charge_by_length", "mask_cells", "probe_pairs", "slices"]
+           "charge_by_length", "mask_cells", "probe_pairs"]
 
 #: One emitted triangle group ``(u, v, (w, ...))``.
 Group = tuple[int, int, tuple[int, ...]]
@@ -63,9 +65,9 @@ class GroupBlock:
         if not groups:
             return NO_GROUPS
         us, vs, completions = zip(*groups)
+        offsets, ws = ragged.from_lists(completions)
         return cls(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
-                   np.array([len(ws) for ws in completions], dtype=np.int64),
-                   np.concatenate(completions, dtype=np.int64))
+                   offsets[1:] - offsets[:-1], ws)
 
     @classmethod
     def concat(cls, blocks: Sequence["GroupBlock"]) -> "GroupBlock":
@@ -134,12 +136,6 @@ def bit_lengths(values: np.ndarray) -> np.ndarray:
     return np.frexp(values)[1]
 
 
-def slices(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + length)`` of every pair."""
-    ends = lengths.cumsum()
-    return (starts - (ends - lengths)).repeat(lengths) + np.arange(ends[-1])
-
-
 def block_range(
     indptr: np.ndarray,
     indices: np.ndarray,
@@ -173,7 +169,7 @@ def block_range(
         return 0, 0, NO_GROUPS
     # Edge e of the range is (us[e], vs[e]), in the per-pair loop's order.
     us = np.repeat(np.arange(lo, hi, dtype=np.int64), row_edges)
-    vs = indices[slices(succ_start[lo:hi], row_edges)]
+    vs = ragged.take_rows(indices, succ_start[lo:hi], row_edges)
     gather_len = succ_len[vs]
     charge = np.minimum(succ_len[us], gather_len)
     found = np.zeros(num_edges, dtype=np.int64)
@@ -201,11 +197,12 @@ def block_range(
         marked_len = succ_len[first_row:last_row]
         marked = (np.repeat(np.arange(last_row - first_row) * num_vertices,
                             marked_len)
-                  + indices[slices(succ_start[first_row:last_row],
-                                   marked_len)])
+                  + ragged.take_rows(indices, succ_start[first_row:last_row],
+                                     marked_len))
         try:
             mask[marked] = True
-            ws = indices[slices(succ_start[vs[block]], gather_len[block])]
+            ws = ragged.take_rows(indices, succ_start[vs[block]],
+                                  gather_len[block])
             hits = mask[np.repeat((us[block] - first_row) * num_vertices,
                                   gather_len[block]) + ws]
         finally:
@@ -284,7 +281,7 @@ def probe_pairs(
         block = slice(start, stop)
         # The pair (counted from *start*) owning each gathered value.
         owner = np.arange(stop - start).repeat(lengths[block])
-        ws = values[slices(starts[block], lengths[block])]
+        ws = ragged.take_rows(values, starts[block], lengths[block])
         probes = bases[block][owner] + ws
         if dense:
             hits = members[probes]

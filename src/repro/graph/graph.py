@@ -13,6 +13,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.errors import GraphError
+from repro.util import ragged
 
 __all__ = ["Graph"]
 
@@ -119,10 +120,8 @@ class Graph:
     def rows(self, vertices: np.ndarray) -> np.ndarray:
         """The adjacency lists of *vertices*, concatenated in that order."""
         starts = self.indptr[vertices]
-        lengths = self.indptr[vertices + 1] - starts
-        ends = lengths.cumsum()
-        return self.indices[(starts - (ends - lengths)).repeat(lengths)
-                            + np.arange(lengths.sum())]
+        return ragged.take_rows(self.indices, starts,
+                                self.indptr[vertices + 1] - starts)
 
     def n_succ(self, v: int) -> np.ndarray:
         """``n_succ(v)``: neighbors with id greater than *v* (sorted view)."""

@@ -45,10 +45,8 @@ __all__ = [
 METRIC_NAMES = frozenset({
     # triangle output
     "triangles",                      # per-phase labelled total (engines)
-    "triangles.total",                # OpCounter's headline count
-    # CPU / I/O accounting (OpCounter + CLI export path)
+    # CPU / I/O accounting (CLI export path)
     "cpu.ops",
-    "cpu.ops.phase",
     "io.pages_read",
     "io.pages_written",
     "io.pages_buffered",

@@ -292,21 +292,33 @@ def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
     result_queue.put(report)
 
 
+#: Seconds the error path waits for a queue's feeder thread to close the
+#: pipe: an idle feeder does so at once, one blocked on a full pipe whose
+#: readers are dead never does.
+_FEEDER_GRACE = 1.0
+
+
 def _close_queue(q, *, discard: bool = False) -> None:
     """Release a multiprocessing queue's pipe fds and feeder thread.
 
-    ``discard=True`` (the error path) drops any unflushed buffer instead
-    of waiting on the feeder — the queues are dead either way, and the
-    fd-leak gate in ``tests/test_telemetry.py`` checks exactly this
-    cleanup.
+    The feeder closes both ends of the pipe when it takes ``close()``'s
+    sentinel, so the fds are released only once it has.  ``discard=True``
+    (the error path, every child reaped) drops any unflushed buffer and
+    waits at most :data:`_FEEDER_GRACE` for the feeder, which a full pipe
+    would block forever — the queues are dead either way, and the fd-leak
+    gates in ``tests/test_telemetry.py`` and ``tests/test_parallel_engine.py``
+    count the fds right after the call returns.
     """
     if q is None:
         return
     q.close()
-    if discard:
-        q.cancel_join_thread()
-    else:
+    if not discard:
         q.join_thread()
+        return
+    q.cancel_join_thread()
+    feeder = q._thread  # None when this process never put
+    if feeder is not None:
+        feeder.join(_FEEDER_GRACE)
 
 
 class _Pool:
@@ -424,8 +436,7 @@ class _Pool:
             self.poll(self.policy.poll_interval)
         if self.monitor is not None and self.hb_queue is not None:
             self.monitor.drain(self.hb_queue)
-        for process in self.processes.values():
-            process.join()
+        self._reap()
         return [self.reports[worker_id] for worker_id in sorted(self.processes)]
 
     def terminate(self) -> None:
@@ -433,8 +444,17 @@ class _Pool:
         for process in self.processes.values():
             if process.is_alive():
                 process.terminate()
+        self._reap()
+
+    def _reap(self) -> None:
+        """Join every child, then close it: its sentinel pipe is released
+        now rather than whenever the ``Process`` is collected.  None is
+        closed before all are joined, so an interrupt during a join
+        leaves :meth:`terminate` live ``Process`` objects to look at."""
         for process in self.processes.values():
             process.join()
+        for process in self.processes.values():
+            process.close()
 
     def close(self, *, discard: bool) -> None:
         for q in (self.task_queue, self.result_queue, self.hb_queue):

@@ -13,8 +13,6 @@ internal chunk never splits a vertex's record chain (see DESIGN.md §2).
 from __future__ import annotations
 
 from bisect import bisect_right
-from functools import cached_property
-from itertools import accumulate
 from pathlib import Path
 from typing import Sequence
 
@@ -27,11 +25,11 @@ from repro.storage.page import (
     PAGE_HEADER,
     RECORD_OVERHEAD,
     PageBlock,
-    chain,
     check_page_size,
     record_capacity,
 )
 from repro.storage.pagefile import PageFile
+from repro.util import ragged
 
 __all__ = ["GraphStore", "PagePacker"]
 
@@ -141,10 +139,7 @@ class PagePacker:
 
     def _write_queue(self, *, final: bool) -> tuple[int, int]:
         """:meth:`_write` of the queued lists."""
-        starts = np.array([0, *accumulate(map(len, self._queue))], dtype=np.int64)
-        return self._write(
-            starts, np.concatenate([np.empty(0, np.int64), *self._queue]),
-            final=final)
+        return self._write(*ragged.from_lists(self._queue), final=final)
 
     def _write(self, starts: np.ndarray, neighbors: np.ndarray, *,
                final: bool) -> tuple[int, int]:
@@ -303,25 +298,22 @@ class GraphStore:
         raises :class:`PageFormatError` too.
         """
         block, cuts = PageBlock.from_images(images)
-        columns = [self._vertex_ids[self.page_first_vertex[pid]:
-                                    self.page_last_vertex[pid] + 1]
-                   for pid in pids]
-        expected = chain(columns)
+        at = np.asarray(pids, dtype=np.int64)
+        firsts = self.page_first_vertex[at]
+        counts = self.page_last_vertex[at] - firsts + 1
+        expected = ragged.expand(firsts, counts)
         blocks = block.split(cuts)
         if len(expected) != len(block) or np.count_nonzero(
                 block.vertices != expected):
-            pid, column = next(
-                (pid, column) for pid, column, page in zip(pids, columns, blocks)
-                if not np.array_equal(page.vertices, column))
+            pid, first, count = next(
+                (pid, first, count) for pid, first, count, page in zip(
+                    pids, firsts.tolist(), counts.tolist(), blocks)
+                if not np.array_equal(page.vertices,
+                                      np.arange(first, first + count)))
             raise PageFormatError(
                 f"page {pid} does not hold one record for each of the "
-                f"vertices {column[0]}..{column[-1]}")
+                f"vertices {first}..{first + count - 1}")
         return blocks
-
-    @cached_property
-    def _vertex_ids(self) -> np.ndarray:
-        """``arange(num_vertices)``: a page's vertex column is a slice of it."""
-        return np.arange(self.num_vertices)
 
     def pages_of_vertex(self, v: int) -> range:
         """Inclusive page-id range holding vertex *v*'s record chain."""

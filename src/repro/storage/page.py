@@ -32,9 +32,10 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.errors import PageFormatError, PageFullError
+from repro.util import ragged
 
 __all__ = ["DEFAULT_PAGE_SIZE", "PAGE_HEADER", "RECORD_OVERHEAD", "PageBlock",
-           "PageRecord", "SlottedPage", "chain", "check_page_size",
+           "PageRecord", "SlottedPage", "check_page_size",
            "record_capacity"]
 
 DEFAULT_PAGE_SIZE = 4096
@@ -48,11 +49,6 @@ _FLAG_LAST = 0x1
 #: record takes besides its neighbors (its header and its slot).
 PAGE_HEADER = _HEADER.size
 RECORD_OVERHEAD = _RECORD_HEADER.size + _SLOT.size
-
-
-def chain(arrays: Sequence[np.ndarray]) -> np.ndarray:
-    """*arrays* end to end; a lone array comes back as it is, uncopied."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 @dataclass(frozen=True)
@@ -148,10 +144,10 @@ class PageBlock:
         odd = size & 1
         halves = np.frombuffer(joined, dtype="<u2", offset=odd,
                                count=(len(joined) - odd) // 2)
-        slots = chain([
+        slots = np.concatenate([
             halves[top - count:top][::-1] for count, top in zip(
                 counts, range((size - odd) // 2, len(halves) + 1, 2 * row))
-        ]).astype(np.int64)
+        ], dtype=np.int64)
         words = np.frombuffer(joined, dtype="<u4", offset=_HEADER.size,
                               count=(len(joined) - _HEADER.size) // 4)
         # Word index of each record's vertex id.
@@ -165,8 +161,7 @@ class PageBlock:
         packed = words.take(seconds, mode="clip").astype(np.int64)
         lengths = packed >> 16
         # ends[i]: the words that records 0..i-1 of the batch occupy.
-        ends = np.zeros(cuts[-1] + 1, dtype=np.int64)
-        np.add.accumulate(lengths + 2, out=ends[1:])
+        ends = ragged.from_lengths(lengths + 2)
         marks = ends[cuts].tolist()
         starts = 4 * ends[:-1] + _HEADER.size
         if len(images) > 1:
@@ -204,7 +199,7 @@ class PageBlock:
         raises :class:`PageFormatError`.
         """
         check_page_size(page_size)
-        vertices, offsets, neighbors = block.vertices, block.offsets, block.neighbors
+        vertices, neighbors = block.vertices, block.neighbors
         lengths = block.lengths
         if len(vertices) and (vertices.min() < 0 or vertices.max() > 0xFFFFFFFF):
             raise PageFormatError("vertex ids must fit u32")
@@ -220,8 +215,7 @@ class PageBlock:
         row = stride // 4  # words from one page to the next
         counts = cuts[1:] - cuts[:-1]
         # ends[i]: the words that records 0..i-1 occupy, headers included.
-        ends = np.zeros(len(vertices) + 1, dtype=np.int64)
-        np.add.accumulate(lengths + 2, out=ends[1:])
+        ends = ragged.from_lengths(lengths + 2)
         marks = ends[cuts]
         over = (4 * (marks[1:] - marks[:-1]) + _SLOT.size * counts
                 > page_size - _HEADER.size)
@@ -236,8 +230,7 @@ class PageBlock:
         heads = local + rows.repeat(counts)
         words[heads] = vertices
         words[heads + 1] = lengths << 16 | block.last * _FLAG_LAST
-        words[(heads + 2 - offsets[:-1]).repeat(lengths)
-              + np.arange(offsets[-1])] = neighbors
+        words[ragged.expand(heads + 2, lengths)] = neighbors
         # Record r's slot sits 2 * (r + 1) bytes before its page's end, so
         # at the page size's parity: the decoder's <u2 view reaches them.
         buffer.view("<u2")[2 * rows] = counts
@@ -263,27 +256,22 @@ class PageBlock:
         """The records of *blocks*, in order, as one block."""
         if len(blocks) == 1:
             return blocks[0]
-        offsets = np.zeros(sum(map(len, blocks)) + 1, dtype=np.int64)
-        np.concatenate([block.offsets[1:] for block in blocks],
-                       out=offsets[1:])
-        offsets[1:] += np.repeat(
-            [0, *accumulate(len(block.neighbors) for block in blocks[:-1])],
-            [len(block) for block in blocks])
+        offsets, neighbors = ragged.concat(
+            [(block.offsets, block.neighbors) for block in blocks])
         return cls(np.concatenate([block.vertices for block in blocks]),
-                   offsets,
-                   np.concatenate([block.neighbors for block in blocks]),
+                   offsets, neighbors,
                    np.concatenate([block.last for block in blocks]))
 
     def split(self, cuts: Sequence[int]) -> list["PageBlock"]:
         """Cut into consecutive blocks, records ``cuts[j]:cuts[j + 1]`` each."""
         if len(cuts) == 2:
             return [self]
-        bounds = self.offsets[cuts].tolist()
         return [
-            PageBlock(self.vertices[begin:end],
-                      self.offsets[begin:end + 1] - lo,
-                      self.neighbors[lo:hi], self.last[begin:end])
-            for begin, end, lo, hi in zip(cuts, cuts[1:], bounds, bounds[1:])]
+            PageBlock(self.vertices[begin:end], offsets, neighbors,
+                      self.last[begin:end])
+            for begin, end, (offsets, neighbors) in zip(
+                cuts, cuts[1:],
+                ragged.split(self.offsets, self.neighbors, cuts))]
 
 
 def _slot_defect(slots: np.ndarray, starts: np.ndarray, size: int) -> str:
@@ -370,9 +358,7 @@ class SlottedPage:
         records = self._records
         block = PageBlock(
             np.array([record.vertex for record in records], dtype=np.int64),
-            np.array([0, *accumulate(map(len, records))], dtype=np.int64),
-            np.concatenate([np.empty(0, dtype=np.int64),
-                            *(record.neighbors for record in records)]),
+            *ragged.from_lists([record.neighbors for record in records]),
             np.array([record.is_last for record in records], dtype=bool))
         return PageBlock.to_images(block, (0, len(records)), self.page_size)[0]
 

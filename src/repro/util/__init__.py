@@ -1,4 +1,4 @@
-"""Shared utilities: intersection kernels, orderings, counters, formatting."""
+"""Shared utilities: intersection kernels, ragged arrays, formatting."""
 
 from repro.util.intersect import (
     IntersectionKernel,
@@ -8,12 +8,10 @@ from repro.util.intersect import (
     intersect_sorted,
     merge_intersect,
 )
-from repro.util.opcount import OpCounter
 from repro.util.tables import format_table
 
 __all__ = [
     "IntersectionKernel",
-    "OpCounter",
     "format_table",
     "gallop_intersect",
     "hash_intersect",

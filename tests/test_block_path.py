@@ -25,6 +25,7 @@ from repro.exec.engine import run_range
 from repro.exec.kernels import BitmapKernel, HashKernel
 from repro.memory import CollectSink, forward
 from repro.obs.attribution import Attribution
+from repro.util import ragged
 
 from tests import zoo
 
@@ -196,18 +197,18 @@ def test_mask_is_cleared_when_a_block_raises():
     """An exception between mark and unmark leaves the mask all-False."""
     graph = _graph("star-of-cliques", 0)
     binding = HashKernel().bind(graph.num_vertices)
-    real_slices = block.slices
+    real_take_rows = ragged.take_rows
     calls = []
 
-    def slices_then_fail(starts, lengths):
+    def take_rows_then_fail(values, starts, lengths):
         calls.append(binding.mask().any())
         # Call 1 gathers the range's edges, call 2 a block's marked rows,
         # call 3 that block's probes — after the mark.
         if len(calls) == 3:
             raise MemoryError("injected mid-block")
-        return real_slices(starts, lengths)
+        return real_take_rows(values, starts, lengths)
 
-    with mock.patch.object(block, "slices", slices_then_fail):
+    with mock.patch.object(ragged, "take_rows", take_rows_then_fail):
         with pytest.raises(MemoryError, match="mid-block"):
             run_range(graph, binding, 0, graph.num_vertices, True)
     assert calls[-1], "the failure did not land between mark and unmark"

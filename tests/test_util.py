@@ -1,8 +1,8 @@
-"""Tests for the shared utilities: table formatting and op counters."""
+"""Tests for the shared utilities: table formatting."""
 
 from __future__ import annotations
 
-from repro.util import OpCounter, format_table
+from repro.util import format_table
 
 
 class TestFormatTable:
@@ -34,41 +34,3 @@ class TestFormatTable:
         table = format_table(["a", "b"], [])
         assert len(table.splitlines()) == 2  # header + rule
 
-
-class TestOpCounter:
-    def test_add_ops_with_phases(self):
-        counter = OpCounter()
-        counter.add_ops(10, phase="internal")
-        counter.add_ops(5, phase="external")
-        counter.add_ops(3)
-        assert counter.cpu_ops == 18
-        assert counter.per_phase == {"internal": 10, "external": 5}
-
-    def test_reads_split_buffered(self):
-        counter = OpCounter()
-        counter.add_read(3)
-        counter.add_read(2, buffered=True)
-        assert counter.pages_read == 3
-        assert counter.pages_buffered == 2
-
-    def test_merge(self):
-        a = OpCounter()
-        a.add_ops(5, phase="x")
-        a.add_read(1)
-        b = OpCounter()
-        b.add_ops(7, phase="x")
-        b.add_write(2)
-        b.triangles = 4
-        a.merge(b)
-        assert a.cpu_ops == 12
-        assert a.per_phase == {"x": 12}
-        assert a.pages_written == 2
-        assert a.triangles == 4
-
-    def test_snapshot(self):
-        counter = OpCounter()
-        counter.add_ops(1)
-        snapshot = counter.snapshot()
-        assert snapshot["cpu_ops"] == 1
-        counter.add_ops(1)
-        assert snapshot["cpu_ops"] == 1  # snapshot is a copy
