@@ -9,7 +9,6 @@ requester map ``V_req`` built during candidate identification
 
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import Sequence
 
 import numpy as np
@@ -74,7 +73,7 @@ class ChunkContext:
         pairs = np.sort(candidates * n + requesters)
         self.candidates, self.requesters = np.divmod(pairs, n)
         # A store's page holds one record for every vertex id between its
-        # first and last (GraphStore.decode_pages checks it), so the
+        # first and last (GraphStore.decode_rows checks it), so the
         # pairs a page answers are one slice of V_req: per page of the
         # store, where it starts and what to add to a candidate there to
         # get its record on the page.
@@ -84,13 +83,13 @@ class ChunkContext:
             store.page_last_vertex, side="right") - starts).tolist()
         self._first_vertex = store.page_first_vertex.tolist()
 
-    def requests_on(self, pids: Sequence[int], records_on: Sequence[int]
+    def requests_on(self, pids: Sequence[int], cuts: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The ``V_req`` pairs a window of arrived pages answers:
         ``(records, us, pages)``.
 
-        Page ``pids[j]`` has ``records_on[j]`` records, which follow
-        those of the pages before it in the window's merged block.  Pair
+        Page ``pids[j]`` holds records ``cuts[j]:cuts[j + 1]`` of the
+        window's merged block.  Pair
         *i* is requester ``us[i]`` of the vertex of record ``records[i]``
         of that block, on page ``pids[pages[i]]``: page after page, and
         in record order within a page.
@@ -104,7 +103,7 @@ class ChunkContext:
         # A candidate is record (candidate - the page's first vertex) of
         # its page, whose records start where the pages before it end.
         shift = [at - self._first_vertex[pid] for pid, at in zip(
-            pids, accumulate(records_on, initial=0))]
+            pids, cuts.tolist())]
         records = self.candidates[taken] + np.array(shift).repeat(counts)
         return (records, self.requesters[taken],
                 np.arange(len(pids)).repeat(counts))

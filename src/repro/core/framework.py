@@ -11,15 +11,15 @@ arrived candidate chunk (Algorithm 9).
 There is one iteration body, :func:`_iterate`, and it never reads a page
 itself: pages *arrive* through a page feed (``fill(pids, on_pages)``,
 ``request(ordered_pids, on_pages)``, ``finish(chunk_pids)``), a *window*
-at a time — ``on_pages(blocks, pids, buffered, delays)`` with up to
-``m_ex`` pages, what the external area holds at once.  The
+at a time — ``on_pages(block, cuts, pids, buffered, delays)`` with up
+to ``m_ex`` pages, what the external area holds at once.  The
 :class:`_BufferedFeed` here delivers them synchronously through the
 buffer manager; :mod:`repro.core.threaded` supplies the asynchronous one,
 and with it the same body *is* the paper's macro/micro overlap.
 
 The body works a window at a time on arrays: its pages arrive decoded
-into columnar :class:`~repro.storage.page.PageBlock` s and are merged
-into one, the fill assembles the chunk's pages into one
+into one columnar :class:`~repro.storage.page.PageBlock` with per-page
+record cuts, the fill assembles the chunk's pages into one
 :class:`~repro.core.context.ChunkContext` (a chunk-local CSR plus
 ``V_req`` as two sorted arrays), and the plugin resolves each arrived
 window — and the whole chunk's internal triangles — in one call, its
@@ -68,16 +68,18 @@ from repro.storage.faults import (
 )
 from repro.storage.layout import GraphStore
 from repro.storage.page import PageBlock
+from repro.util import ragged
 
 __all__ = ["OPTConfig", "run_opt"]
 
 logger = get_logger(__name__)
 
-#: ``on_pages(blocks, pids, buffered, delays)``: what a feed hands the
-#: iteration body per arrived window, one entry per page — the decoded
-#: page, its id, and what only the feed knows (was the read absorbed by a
+#: ``on_pages(block, cuts, pids, buffered, delays)``: what a feed hands
+#: the iteration body per arrived window — the window's pages decoded
+#: into one block, page ``pids[j]`` its records ``cuts[j]:cuts[j + 1]``,
+#: and per page what only the feed knows (was the read absorbed by a
 #: buffer; injected device seconds).
-OnWindow = Callable[[Sequence[PageBlock], Sequence[int], Sequence[bool],
+OnWindow = Callable[[PageBlock, np.ndarray, Sequence[int], Sequence[bool],
                      Sequence[float]], None]
 
 
@@ -112,16 +114,17 @@ class OPTConfig:
 class _BufferedFeed:
     """Synchronous page arrival through the buffer manager.
 
-    Holds ``max(m_in, largest chunk) + m_ex`` frames: fill pages stay
-    pinned until :meth:`finish`, requested pages cycle through the rest
-    under LRU — which is how the saved I/O ``Δin`` arises rather than
-    being assumed.  Pages are served in runs
-    (:meth:`BufferManager.get_run`: pinned together, their misses
-    decoded in one batch, hits / misses / evictions those of page after
-    page) — the chunk as one, the request list in runs of at most
-    ``m_ex`` pages — with one ``on_pages`` per run on the calling
-    thread, so :meth:`request` has delivered the whole list, in order,
-    when it comes back.
+    Holds ``max(m_in, largest chunk) + m_ex`` frames, the rows of one
+    pool array of page bytes: fill pages stay pinned until
+    :meth:`finish`, requested pages cycle through the rest under LRU —
+    which is how the saved I/O ``Δin`` arises rather than being assumed.
+    Pages are served in runs (:meth:`BufferManager.get_run`: pinned
+    together, their misses copied into their rows in one batch, hits /
+    misses / evictions those of page after page) — the chunk as one, the
+    request list in runs of at most ``m_ex`` pages — and each run's rows,
+    hits included, are decoded in one call and handed to one
+    ``on_pages`` on the calling thread, so :meth:`request` has delivered
+    the whole list, in order, when it comes back.
     """
 
     def __init__(self, store: GraphStore, config: OPTConfig,
@@ -130,14 +133,16 @@ class _BufferedFeed:
         # cost bound, Eq. 7): no buffering credit for re-read pages.
         self._credit_hits = not config.plugin.rescan_all
         self._window = config.m_ex
+        self._store = store
+        capacity = max(config.m_in, internal_frames) + config.m_ex
+        self._pool = np.zeros((capacity, store.rows.shape[1]), dtype=np.uint8)
         #: Injected device seconds of the run being loaded, by page.
         self._delays: dict[int, float] = {}
-        loader = store.decode_pages
+        loader = self._load
         if ctx.fault_plan is not None:
             # The threaded engine's injector and recovery loop over the
             # store itself, on a virtual clock: what it would sleep,
             # the trace is charged.
-            self._decode = store.decode_images
             self._pages = FaultyPageFile(store, ctx.fault_plan,
                                          sleep=self._charge, tracer=ctx.trace)
             self._policy = (ctx.retry_policy if ctx.retry_policy is not None
@@ -148,29 +153,38 @@ class _BufferedFeed:
             self._giveups = registry.counter(GIVEUPS_METRIC)
             self._pending = 0.0
             loader = self._load_faulted
-        self._buffer = BufferManager(
-            max(config.m_in, internal_frames) + config.m_ex, loader=loader,
-            registry=ctx.registry, tracer=ctx.trace)
+        self._buffer = BufferManager(capacity, loader=loader,
+                                     registry=ctx.registry, tracer=ctx.trace)
 
     def _charge(self, seconds: float) -> None:
         self._pending += seconds
 
-    def _load_faulted(self, pids: Sequence[int]) -> list[PageBlock]:
+    def _load(self, pids: Sequence[int], rows: Sequence[int]) -> None:
+        self._pool[rows] = self._store.rows[pids]
+
+    def _load_faulted(self, pids: Sequence[int], rows: Sequence[int]) -> None:
         """A run's misses under a fault plan: one page, one image per
-        attempt, each with the virtual seconds its faults cost."""
-        blocks = []
-        for pid in pids:
-            blocks.append(read_with_retry(self._pages, pid, self._decode,
-                                          self._policy, self._retries,
-                                          self._giveups))
+        attempt, each with the virtual seconds its faults cost; the image
+        the checked decoder accepts goes into the page's row."""
+        for pid, row in zip(pids, rows):
+            def verified(ids, images, row=row):
+                blocks = self._store.decode_images(ids, images)
+                self._pool[row, :self._store.page_size] = np.frombuffer(
+                    images[0], dtype=np.uint8)
+                return blocks
+
+            read_with_retry(self._pages, pid, verified, self._policy,
+                            self._retries, self._giveups)
             self._delays[pid], self._pending = self._pending, 0.0
-        return blocks
 
     def _deliver(self, run: Sequence[int], on_pages: OnWindow) -> None:
         frames, hits = self._buffer.get_run(run)
-        on_pages([frame.records for frame in frames], run,
-                 [hit and self._credit_hits for hit in hits],
-                 [self._delays.pop(pid, 0.0) for pid in run])
+        block, cuts = self._store.decode_rows(
+            run, self._pool[[frame.row for frame in frames]])
+        on_pages(block, cuts, run,
+                 hits if self._credit_hits else [False] * len(run),
+                 [self._delays.pop(pid, 0.0) for pid in run] if self._delays
+                 else [0.0] * len(run))
 
     def fill(self, pids: Sequence[int], on_pages: OnWindow) -> None:
         # The internal area holds the whole chunk at once: one run.
@@ -369,16 +383,15 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     # One writer each: the delivering thread / the calling thread.
     found = {"internal": 0, "external": 0}
 
-    def identify_candidates(blocks, page_ids, buffered, delays):
+    def identify_candidates(window, cuts, page_ids, buffered, delays):
         # Algorithm 7, per delivered window of fill pages: on the async
         # feed this runs while later fill reads are still in flight.
         started = time.perf_counter()
-        window = PageBlock.concat(blocks)
         candidates, requesters, ops = plugin.candidates_for_page(window, v_hi)
         # Deliveries are serialized, and the main path reads only after
         # fill().  # lint: ignore[lockset]
-        arrived.append((candidates, requesters,
-                        zip(page_ids, blocks, buffered, delays)))
+        arrived.append((candidates, requesters, window, cuts, page_ids,
+                        buffered, delays))
         # Delivery-side only until fill() returns.  # lint: ignore[lockset]
         iteration.candidate_ops += int(ops.sum())
         if attr_candidate is not None:
@@ -389,15 +402,13 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
     with ctx.span("fill"), \
             ctx.slice("fill", reads=len(chunk_pages), index=index):
         feed.fill(chunk_pages, identify_candidates)
-    candidates, requesters, windows = zip(*arrived)
-    # Whatever order they arrived in: the chunk's pages in page order.
-    _, chunk_blocks, hits, delays = zip(*sorted(
-        (page for window in windows for page in window),
-        key=lambda page: page[0]))
-    iteration.fill_buffered = sum(hits)
-    iteration.fill_reads = len(hits) - iteration.fill_buffered
+    candidates, requesters, windows, cuts, page_ids, hits, delays = zip(
+        *arrived)
+    chunk_block, chunk_cuts, delays = _in_page_order(
+        chunk_pages, windows, cuts, page_ids, delays)
+    iteration.fill_buffered = sum(map(sum, hits))
+    iteration.fill_reads = len(chunk_pages) - iteration.fill_buffered
     iteration.fill_delay = sum(delays)
-    chunk_block = PageBlock.concat(chunk_blocks)
     # Read-only from here on, the mask's marks included: both phases
     # below share it, on two threads under the async feed.
     chunk = ChunkContext(store, pid, end, chunk_block,
@@ -422,17 +433,15 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
             # and survive in the external area (the paper's Δin trick).
             ordered = np.flatnonzero(wanted)[::-1].tolist()
 
-    def external_triangles(blocks, page_ids, buffered, delays):
+    def external_triangles(window, cuts, page_ids, buffered, delays):
         # Algorithm 9, per arrived window of candidate pages.
-        records, us, pages = chunk.requests_on(page_ids,
-                                               [len(block) for block in blocks])
-        page_ops = [0] * len(blocks)
+        records, us, pages = chunk.requests_on(page_ids, cuts)
+        page_ops = [0] * len(page_ids)
         if len(us):
-            window = PageBlock.concat(blocks)
             ops, triangles, groups = plugin.external_for_page(
                 chunk, window, records, us, collect)
             # Float bincount weights are exact below 2**53.
-            page_ops = np.bincount(pages, weights=ops, minlength=len(blocks)
+            page_ops = np.bincount(pages, weights=ops, minlength=len(page_ids)
                                    ).astype(np.int64).tolist()
             # Delivery-side only.  # lint: ignore[lockset]
             found["external"] += triangles
@@ -459,11 +468,8 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
         phase_started = time.perf_counter()
         ops, triangles, groups = plugin.internal_for_page(chunk, chunk_block,
                                                           collect)
-        # Float bincount weights are exact below 2**53.
-        iteration.internal_page_ops = np.bincount(
-            np.arange(len(chunk_blocks)).repeat(
-                [len(block) for block in chunk_blocks]),
-            weights=ops, minlength=len(chunk_blocks)).astype(np.int64).tolist()
+        iteration.internal_page_ops = ragged.row_sums(chunk_cuts,
+                                                      ops).tolist()
         found["internal"] += triangles
         if collect:
             emit_block(sink, groups)
@@ -479,6 +485,33 @@ def _iterate(store: GraphStore, plugin: IteratorPlugin, feed, pid: int,
             if count:
                 report.counter("triangles", phase=phase).inc(count)
     return iteration, sum(found.values())
+
+
+def _in_page_order(chunk_pages: range, windows: Sequence[PageBlock],
+                   cuts: Sequence[np.ndarray], page_ids: Sequence[Sequence[int]],
+                   delays: Sequence[Sequence[float]]
+                   ) -> tuple[PageBlock, np.ndarray, list[float]]:
+    """The fill's windows as one block of the chunk's pages in page order,
+    its cuts, and the pages' delays in that order.
+
+    The buffered feed delivers the chunk as one window, in order, which
+    comes back as it is; only windows that arrived out of page order
+    (the async feed) are cut into pages and sorted.
+    """
+    ids = [pid for window_ids in page_ids for pid in window_ids]
+    per_page = [delay for window_delays in delays for delay in window_delays]
+    if ids == list(chunk_pages):
+        if len(windows) == 1:
+            return windows[0], cuts[0], per_page
+        records = np.concatenate([cut[1:] - cut[:-1] for cut in cuts])
+    else:
+        pages = [page for window, cut in zip(windows, cuts)
+                 for page in window.split(cut)]
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        windows = [pages[at] for at in order]
+        records = [len(page) for page in windows]
+        per_page = [per_page[at] for at in order]
+    return PageBlock.concat(windows), ragged.from_lengths(records), per_page
 
 
 def _sample_iteration(telemetry: TelemetrySampler | None, index: int) -> None:

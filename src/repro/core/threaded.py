@@ -37,8 +37,9 @@ from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs import NO_CONTEXT, RunContext
 from repro.storage.faults import FaultyPageFile
 from repro.storage.layout import GraphStore
-from repro.storage.page import DEFAULT_PAGE_SIZE
+from repro.storage.page import DEFAULT_PAGE_SIZE, PageBlock
 from repro.storage.ssd import ThreadedSSD
+from repro.util import ragged
 
 __all__ = ["triangulate_threaded"]
 
@@ -175,8 +176,11 @@ class _AsyncFeed:
 
     @staticmethod
     def _hand_over(window: list, on_pages: OnWindow) -> None:
+        """One ``on_pages`` for the window's completions, merged."""
         blocks, pids = zip(*window)
-        on_pages(blocks, pids, [False] * len(window), [0.0] * len(window))
+        on_pages(PageBlock.concat(blocks),
+                 ragged.from_lengths([len(block) for block in blocks]), pids,
+                 [False] * len(window), [0.0] * len(window))
 
     def fill(self, pids: Sequence[int], on_pages: OnWindow) -> None:
         held: list = []

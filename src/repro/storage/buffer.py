@@ -8,6 +8,11 @@ loading order (Algorithm 4, descending page ids) makes the external pages
 needed by the *next* internal chunk the most recently used — so LRU keeps
 them resident and the next iteration's loads become buffer hits (the
 paper's saved I/O ``Δin``).
+
+A frame is a row of the caller's pool, one ``(capacity, stride)`` array
+of page bytes: the manager decides which page lives in which row and
+when a row is reused, the loader puts a page's bytes into its row, and
+the caller decodes the rows it is handed.
 """
 
 from __future__ import annotations
@@ -18,17 +23,16 @@ from typing import Callable, Sequence
 
 from repro.errors import BufferError_
 from repro.obs import EventTracer, MetricsRegistry
-from repro.storage.page import PageBlock
 
 __all__ = ["BufferManager", "Frame"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
-    """One buffer frame holding a decoded page."""
+    """One buffer frame: page *pid*, held in row *row* of the pool."""
 
     pid: int
-    records: PageBlock | None  # None only inside BufferManager.get_run
+    row: int
     pin_count: int = 0
     #: The buffer's access clock when the page was last asked for.
     used_at: int = 0
@@ -37,13 +41,16 @@ class Frame:
 class BufferManager:
     """A page buffer with *capacity* frames and LRU replacement.
 
-    ``loader(pids)`` must return the decoded records of the pages *pids*,
-    one entry each; every miss is handed to it exactly once, a run's
-    misses (:meth:`get_run`) in one call.  Hits, misses, and evictions count
-    through the ``buffer.*`` counters of *registry* (a private registry
-    when none is given) so the engines can report the paper's ``Δin``
-    (reads absorbed by buffering); the historical ``hits`` / ``misses`` /
-    ``evictions`` attributes remain available as properties.
+    The frames are the rows ``0 .. capacity - 1`` of a pool the caller
+    owns.  ``loader(pids, rows)`` must put page ``pids[i]`` into pool row
+    ``rows[i]``; every miss is handed to it exactly once, a run's misses
+    (:meth:`get_run`) in one call.  A page keeps its row while it is
+    resident, and an evicted page's row goes to the page that evicted
+    it.  Hits, misses, and evictions count through the ``buffer.*``
+    counters of *registry* (a private registry when none is given) so the
+    engines can report the paper's ``Δin`` (reads absorbed by
+    buffering); the historical ``hits`` / ``misses`` / ``evictions``
+    attributes remain available as properties.
 
     The victim is the unpinned page asked for longest ago.  Finding it
     does not walk past the pinned ones (OPT keeps a whole chunk pinned
@@ -54,7 +61,7 @@ class BufferManager:
     """
 
     def __init__(self, capacity: int,
-                 loader: Callable[[Sequence[int]], Sequence[PageBlock]],
+                 loader: Callable[[Sequence[int], Sequence[int]], None],
                  *, registry: MetricsRegistry | None = None,
                  tracer: EventTracer | None = None):
         if capacity < 1:
@@ -62,6 +69,8 @@ class BufferManager:
         self.capacity = capacity
         self._loader = loader
         self._frames: dict[int, Frame] = {}
+        #: Rows no frame holds; the next one handed out is the last.
+        self._free_rows = list(range(capacity - 1, -1, -1))
         self._clock = 0
         #: ``(used_at, pid)`` of frames as they became evictable.
         self._evictable: list[tuple[int, int]] = []
@@ -121,11 +130,12 @@ class BufferManager:
         """Pin the pages *pids*, in order; the misses load in one batch.
 
         Returns the frames and, per page, whether it was a hit.  Each
-        page is looked up, counted, made most-recently-used and given a
-        frame (evicting the least recently used unpinned page) exactly as
-        by ``get(pid, pin=True)`` page after page; only the loader runs
-        once, for all the misses, afterwards.  As long as the run is no
-        longer than the frames the caller leaves unpinned, pinning it
+        page is looked up, made most-recently-used and given a row
+        (evicting the least recently used unpinned page) exactly as by
+        ``get(pid, pin=True)`` page after page; only the loader runs
+        once, for all the misses, afterwards, and the ``buffer.*``
+        counters move once, by the run's totals.  As long as the run is
+        no longer than the frames the caller leaves unpinned, pinning it
         whole changes no victim: a run's earlier pages are the most
         recently used, the last LRU would pick.  The caller unpins every
         page of the run when it is done with it.
@@ -133,52 +143,58 @@ class BufferManager:
         frames: list[Frame] = []
         hits: list[bool] = []
         missing: list[Frame] = []
+        resident = self._frames
+        tracer = self._tracer
+        clock = self._clock
+        free_rows = self._free_rows
+        found = misses = evicted = 0
         try:
             for pid in pids:
-                frame = self._frames.get(pid)
-                hits.append(frame is not None)
-                if frame is not None:
-                    self._hits.inc()
-                    if self._tracer is not None:
-                        self._tracer.instant("buffer.hit", pid=pid)
-                else:
-                    self._misses.inc()
-                    self._ensure_free_frame()
-                    frame = self._frames[pid] = Frame(pid, None)
+                frame = resident.get(pid)
+                if frame is None:
+                    hits.append(False)
+                    misses += 1
+                    if free_rows:
+                        row = free_rows.pop()
+                    else:
+                        row = self._evict()
+                        evicted += 1
+                    frame = resident[pid] = Frame(pid, row)
                     missing.append(frame)
-                self._clock = frame.used_at = self._clock + 1
+                else:
+                    hits.append(True)
+                    found += 1
+                    if tracer is not None:
+                        tracer.instant("buffer.hit", pid=pid)
+                clock += 1
+                frame.used_at = clock
                 frame.pin_count += 1
                 frames.append(frame)
             if missing:
-                loaded = self._loader([frame.pid for frame in missing])
-                for frame, records in zip(missing, loaded, strict=True):
-                    frame.records = records
+                self._loader([frame.pid for frame in missing],
+                             [frame.row for frame in missing])
         # Whatever went wrong, nothing is delivered: a frame that never
-        # got its records is not resident, the run holds no page, and
-        # the error goes on to the caller.  # lint: ignore[error-types]
+        # got its page is not resident and its row is free again, the run
+        # holds no page, and the error goes on to the caller.
+        # lint: ignore[error-types]
         except BaseException:
+            for frame in missing:
+                del resident[frame.pid]
+                free_rows.append(frame.row)
             for frame in frames:
-                if frame.records is None:
-                    self._frames.pop(frame.pid, None)
-                else:
+                if frame.pid in resident:
                     self._release(frame)
             raise
         finally:
-            self._resident.set(len(self._frames))
+            self._clock = clock
+            if misses:
+                self._misses.inc(misses)
+            if found:
+                self._hits.inc(found)
+            if evicted:
+                self._evictions.inc(evicted)
+            self._resident.set(len(resident))
         return frames, hits
-
-    def install(self, pid: int, records: PageBlock, *, pin: bool = False) -> Frame:
-        """Install an externally loaded page (async-read completion path)."""
-        frame = self._frames.get(pid)
-        if frame is None:
-            self._ensure_free_frame()
-            frame = self._frames[pid] = Frame(pid, records)
-            self._resident.set(len(self._frames))
-        self._clock = frame.used_at = self._clock + 1
-        frame.pin_count += 1
-        if not pin:
-            self._release(frame)
-        return frame
 
     def pin(self, pid: int) -> None:
         """Increment the pin count of a resident page."""
@@ -199,6 +215,8 @@ class BufferManager:
 
     def flush(self) -> None:
         """Drop every unpinned frame (used between independent runs)."""
+        self._free_rows.extend(frame.row for frame in self._frames.values()
+                               if not frame.pin_count)
         self._frames = {pid: frame for pid, frame in self._frames.items()
                         if frame.pin_count}
         self._evictable.clear()
@@ -219,20 +237,17 @@ class BufferManager:
             else:
                 heappush(self._evictable, (frame.used_at, frame.pid))
 
-    def _ensure_free_frame(self) -> None:
-        if len(self._frames) < self.capacity:
-            return
+    def _evict(self) -> int:
+        """Evict the least recently used unpinned page; returns its row."""
         while self._evictable:
             used_at, pid = heappop(self._evictable)
             frame = self._frames.get(pid)
             if (frame is not None and frame.pin_count == 0
                     and frame.used_at == used_at):
                 del self._frames[pid]
-                self._evictions.inc()
-                self._resident.set(len(self._frames))
                 if self._tracer is not None:
                     self._tracer.instant("buffer.evict", pid=pid)
-                return
+                return frame.row
         raise BufferError_(
             f"all {self.capacity} frames pinned; cannot load another page"
         )

@@ -27,6 +27,8 @@ from repro.storage.page import (
     PageBlock,
     check_page_size,
     record_capacity,
+    row_stride,
+    stack_images,
 )
 from repro.storage.pagefile import PageFile
 from repro.util import ragged
@@ -109,7 +111,9 @@ class PagePacker:
     def __init__(self, page_size: int = DEFAULT_PAGE_SIZE):
         check_page_size(page_size)
         self.page_size = page_size
-        self._pages: list[bytes] = []
+        #: The written pages, a (pages, stride) row array per write.
+        self._rows: list[np.ndarray] = []
+        self._written = 0  # pages in _rows
         # Per written record: vertex, page, is-last, holds a successor.
         self._columns: list[tuple[np.ndarray, ...]] = []
         # Lists of vertices _base, _base + 1, ... not yet on a written
@@ -165,7 +169,7 @@ class PagePacker:
         block = PageBlock(vertices[:held] + self._base, offsets[:held + 1],
                           neighbors[:offsets[held]], last[:held])
         marks = np.array(cuts)
-        pages = np.arange(len(self._pages), len(self._pages) + len(cuts) - 1
+        pages = np.arange(self._written, self._written + len(cuts) - 1
                           ).repeat(marks[1:] - marks[:-1])
         # A chunk holds a successor of its vertex when its last (largest)
         # neighbor is above the vertex; an empty chunk holds none.
@@ -173,9 +177,10 @@ class PagePacker:
         successor = ends > block.offsets[:-1]
         successor[successor] = (block.neighbors[ends[successor] - 1]
                                 > block.vertices[successor])
-        images = PageBlock.to_images(block, cuts, self.page_size)
+        rows = PageBlock.to_images(block, cuts, self.page_size)
         self._columns.append((block.vertices, pages, block.last, successor))
-        self._pages.extend(images)
+        self._rows.append(rows)
+        self._written += len(rows)
         vertex = int(vertices[held]) if held < len(vertices) else n
         self._base += vertex
         return vertex, int(offsets[held] - starts[vertex])
@@ -186,7 +191,7 @@ class PagePacker:
         self._queue = []
         vertices, pages, last, successor = map(np.concatenate,
                                                zip(*self._columns))
-        n, num_pages = self._base, len(self._pages)
+        n, num_pages = self._base, self._written
         # Records run in vertex order, and in page order: the first and
         # last record of a vertex or a page are binary searches away.
         first = np.searchsorted(vertices, np.arange(n))
@@ -201,8 +206,10 @@ class PagePacker:
         lead[1:] = hit_vertices[1:] != hit_vertices[:-1]
         succ_first_page = np.full(n, -1, dtype=np.int64)
         succ_first_page[hit_vertices[lead]] = pages[hits[lead]]
+        rows = (self._rows[0] if len(self._rows) == 1
+                else np.concatenate(self._rows))
         return GraphStore(
-            self._pages,
+            rows,
             self.page_size,
             n,
             pages[first],
@@ -214,14 +221,55 @@ class PagePacker:
         )
 
 
+#: The index arrays of a store, in constructor order: the ``page_*``
+#: ones hold an entry per page, the others one per vertex.
+_INDEX_FIELDS = ("first_page", "last_page", "page_first_vertex",
+                 "page_last_vertex", "page_ends_complete", "succ_first_page")
+
+
+def _check_index(path: Path, arrays: dict[str, np.ndarray], page_size: int,
+                 num_pages: int) -> None:
+    """Raise :class:`StorageError` naming the first array of the sidecar
+    at *path* that does not fit a page file of *num_pages* pages of
+    *page_size* bytes: every lookup the engines make into it is then in
+    bounds."""
+    if int(arrays["page_size"]) != page_size:
+        raise StorageError(f"{path}: page_size {int(arrays['page_size'])} "
+                           f"!= the page file's {page_size}")
+    n = int(arrays["num_vertices"])
+    for field in _INDEX_FIELDS:
+        if field not in arrays:
+            continue
+        array = arrays[field]
+        per_page = field.startswith("page_")
+        length = num_pages if per_page else n
+        if array.shape != (length,):
+            raise StorageError(
+                f"{path}: {field} has shape {array.shape}, expected "
+                f"({length},): one entry per {'page' if per_page else 'vertex'}")
+        if field == "page_ends_complete":
+            if num_pages and not array[-1]:
+                raise StorageError(f"{path}: page_ends_complete[-1] is not "
+                                   f"set: the last page ends mid-list")
+            continue
+        # Page ids in [0, P) (-1: no successor); vertex ids in [0, n).
+        low, high = ((0, n) if per_page
+                     else (-1 if field == "succ_first_page" else 0, num_pages))
+        if len(array) and (array.min() < low or array.max() >= high):
+            raise StorageError(f"{path}: {field} holds ids outside "
+                               f"[{low}, {high})")
+
+
 class GraphStore:
     """A graph packed into slotted pages with a vertex location index.
 
     Attributes
     ----------
-    pages:
-        Serialized page images, ``pages[pid]`` is exactly ``page_size``
-        bytes.
+    rows:
+        The pages, read-only: one ``(P, stride)`` ``uint8`` array whose
+        row *pid* holds page *pid* in its first ``page_size`` bytes, with
+        ``stride`` the page size rounded up to a whole ``u32``
+        (:func:`~repro.storage.page.row_stride`) and the rest zero.
     first_page / last_page:
         For each vertex, the inclusive page-id range holding its record
         chain (``first_page[v] == last_page[v]`` for single-page lists).
@@ -234,7 +282,7 @@ class GraphStore:
 
     def __init__(
         self,
-        pages: list[bytes],
+        rows: np.ndarray,
         page_size: int,
         num_vertices: int,
         first_page: np.ndarray,
@@ -244,7 +292,11 @@ class GraphStore:
         page_ends_complete: np.ndarray,
         succ_first_page: np.ndarray | None = None,
     ):
-        self.pages = pages
+        if rows.shape[1:] != (row_stride(page_size),):
+            raise StorageError(f"{rows.shape} is no array of "
+                               f"{page_size}-byte page rows")
+        rows.setflags(write=False)
+        self.rows = rows
         self.page_size = page_size
         self.num_vertices = num_vertices
         self.first_page = first_page
@@ -270,50 +322,57 @@ class GraphStore:
     @property
     def num_pages(self) -> int:
         """``P(G)``: the number of pages of the stored graph."""
-        return len(self.pages)
+        return len(self.rows)
 
     def read_page(self, pid: int) -> bytes:
         """Page *pid*'s image: the store is a page source like
         :class:`PageFile`, so a fault injector can wrap either."""
-        return self.pages[pid]
+        return self.rows[pid, :self.page_size].tobytes()
 
     def decode_page(self, pid: int) -> PageBlock:
         """Decode page *pid* into its records."""
-        return self.decode_pages((pid,))[0]
-
-    def decode_pages(self, pids: Sequence[int]) -> list[PageBlock]:
-        """Decode pages *pids* in one batch, one block per page."""
-        return self.decode_images(pids, [self.pages[pid] for pid in pids])
+        return self.decode_rows((pid,), self.rows[pid:pid + 1])[0]
 
     def decode_images(self, pids: Sequence[int],
                       images: Sequence[bytes]) -> list[PageBlock]:
-        """Decode *images*, read as pages *pids*, one block per page.
+        """Decode *images*, read as pages *pids*, one block per page:
+        :meth:`decode_rows` of the images stacked.  An image of another
+        size than the store's pages is torn too."""
+        rows, size = stack_images(images)
+        if size != self.page_size:
+            raise PageFormatError(f"a {size}-byte image is no page of "
+                                  f"{self.page_size} bytes")
+        block, cuts = self.decode_rows(pids, rows)
+        return block.split(cuts)
 
-        The one checked decoder, whichever engine read the images.
-        Besides the layout (:meth:`PageBlock.from_images`) this checks
-        what the packer guarantees and the OPT driver's record index
-        relies on: a page holds exactly one record for every vertex id
-        from its first to its last, in order.  An image that decodes but
-        names other vertices is as torn as one that does not decode, and
-        raises :class:`PageFormatError` too.
+    def decode_rows(self, pids: Sequence[int], rows: np.ndarray
+                    ) -> tuple[PageBlock, np.ndarray]:
+        """Decode *rows*, read as pages *pids*: the block of their
+        records, in row order, and its cuts (:meth:`PageBlock.from_rows`).
+
+        The one checked decoder, whichever engine read the pages and
+        wherever it keeps them.  Besides the layout this checks what the
+        packer guarantees and the OPT driver's record index relies on: a
+        page holds exactly one record for every vertex id from its first
+        to its last, in order.  A page that decodes but names other
+        vertices is as torn as one that does not decode, and raises
+        :class:`PageFormatError` too, naming the first such page.
         """
-        block, cuts = PageBlock.from_images(images)
-        at = np.asarray(pids, dtype=np.int64)
-        firsts = self.page_first_vertex[at]
-        counts = self.page_last_vertex[at] - firsts + 1
+        block, cuts = PageBlock.from_rows(rows, self.page_size)
+        firsts = self.page_first_vertex.take(pids)
+        counts = self.page_last_vertex.take(pids) - firsts + 1
         expected = ragged.expand(firsts, counts)
-        blocks = block.split(cuts)
         if len(expected) != len(block) or np.count_nonzero(
                 block.vertices != expected):
             pid, first, count = next(
-                (pid, first, count) for pid, first, count, page in zip(
-                    pids, firsts.tolist(), counts.tolist(), blocks)
-                if not np.array_equal(page.vertices,
+                (pid, first, count) for pid, first, count, begin, end in zip(
+                    pids, firsts.tolist(), counts.tolist(), cuts, cuts[1:])
+                if not np.array_equal(block.vertices[begin:end],
                                       np.arange(first, first + count)))
             raise PageFormatError(
                 f"page {pid} does not hold one record for each of the "
                 f"vertices {first}..{first + count - 1}")
-        return blocks
+        return block, cuts
 
     def pages_of_vertex(self, v: int) -> range:
         """Inclusive page-id range holding vertex *v*'s record chain."""
@@ -365,7 +424,7 @@ class GraphStore:
         directory.mkdir(parents=True, exist_ok=True)
         pages_path = directory / f"{name}.pages"
         index_path = directory / f"{name}.idx.npz"
-        PageFile.create(pages_path, self.pages, self.page_size).close()
+        PageFile.create(pages_path, self.rows, self.page_size).close()
         np.savez(
             index_path,
             page_size=self.page_size,
@@ -381,22 +440,28 @@ class GraphStore:
 
     @classmethod
     def load(cls, directory: str | Path, name: str = "graph") -> "GraphStore":
-        """Load a store previously written by :meth:`save`."""
+        """Load a store previously written by :meth:`save`: the page file
+        in one read, and the index sidecar checked against it — a
+        sidecar of another page file raises :class:`StorageError`
+        naming the array that does not fit."""
         directory = Path(directory)
-        index = np.load(directory / f"{name}.idx.npz")
+        index_path = directory / f"{name}.idx.npz"
         with PageFile.open(directory / f"{name}.pages") as page_file:
-            pages = [page_file.read_page(pid) for pid in range(page_file.num_pages)]
+            rows = page_file.read_rows()
             page_size = page_file.page_size
+        with np.load(index_path) as index:
+            arrays = {}
+            for field in ("page_size", "num_vertices", *_INDEX_FIELDS):
+                if field in index:
+                    arrays[field] = index[field]
+                elif field != "succ_first_page":  # older sidecars lack it
+                    raise StorageError(f"{index_path}: no {field} array")
+        _check_index(index_path, arrays, page_size, len(rows))
         return cls(
-            pages,
-            int(page_size),
-            int(index["num_vertices"]),
-            index["first_page"],
-            index["last_page"],
-            index["page_first_vertex"],
-            index["page_last_vertex"],
-            index["page_ends_complete"],
-            index["succ_first_page"] if "succ_first_page" in index else None,
+            rows,
+            page_size,
+            int(arrays["num_vertices"]),
+            *(arrays.get(field) for field in _INDEX_FIELDS),
         )
 
     def open_page_file(self, directory: str | Path, name: str = "graph") -> PageFile:
@@ -404,5 +469,5 @@ class GraphStore:
         directory = Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         path = directory / f"{name}.pages"
-        PageFile.create(path, self.pages, self.page_size).close()
+        PageFile.create(path, self.rows, self.page_size).close()
         return PageFile.open(path)

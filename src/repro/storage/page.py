@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -36,7 +35,7 @@ from repro.util import ragged
 
 __all__ = ["DEFAULT_PAGE_SIZE", "PAGE_HEADER", "RECORD_OVERHEAD", "PageBlock",
            "PageRecord", "SlottedPage", "check_page_size",
-           "record_capacity"]
+           "record_capacity", "row_stride", "stack_images"]
 
 DEFAULT_PAGE_SIZE = 4096
 
@@ -103,100 +102,107 @@ class PageBlock:
 
     @classmethod
     def from_images(cls, images: Sequence[bytes]
-                    ) -> tuple["PageBlock", list[int]]:
-        """Decode page images of one size: the only parser of the page layout.
+                    ) -> tuple["PageBlock", np.ndarray]:
+        """Decode page images of one size: :meth:`from_rows` of the images
+        stacked (:func:`stack_images`), the image size as the page size."""
+        return cls.from_rows(*stack_images(images))
 
-        Returns the records of all *images*, in image order, as one block,
-        and its cuts — image *j* holds records ``cuts[j]:cuts[j + 1]``
-        (:meth:`split` makes them pages again).  The images are joined
-        into one buffer whose rows are a whole number of ``u32`` words
-        apart, so one ``<u4`` view at offset 2 covers every record header
-        and neighbor word of every image and one ``<u2`` view every slot
-        directory.  What is one number per image is worked out in plain
-        Python (a batch is tens of images), what is one per record or
-        neighbor in a constant number of array operations.  An image
-        :meth:`to_images` cannot have written — or too short
-        for a header, or of another size than its batch — raises
-        :class:`PageFormatError`, the one the first such image raises
-        when decoded alone.
+    @classmethod
+    def from_rows(cls, rows: np.ndarray, page_size: int
+                  ) -> tuple["PageBlock", np.ndarray]:
+        """Decode the pages in the rows of *rows*: the only parser of the
+        page layout.
+
+        *rows* is a ``(k, stride)`` ``uint8`` array, page
+        *j* the first *page_size* bytes of row *j* and *stride* the page
+        size rounded up to a whole ``u32`` (:func:`row_stride`) — a
+        store's pages, a buffer pool's frames.  Returns the records of
+        all pages, in row order, as one block, and its ``int64`` cuts —
+        page *j* holds records ``cuts[j]:cuts[j + 1]``.  One ``<u4`` view
+        at offset 2 covers every record header and neighbor word of every
+        row and one ``<u2`` view every slot directory, so the work is a
+        constant number of array operations whatever *k* is.  A page
+        :meth:`to_images` cannot have written — or a page size too small
+        for a header — raises :class:`PageFormatError`, the one the
+        first such page raises when decoded alone.
         """
-        sizes = set(map(len, images))
-        if len(sizes) != 1:
-            raise PageFormatError(
-                f"one batch needs page images of one size, got {sorted(sizes)}")
-        (size,) = sizes
-        if size < _HEADER.size:
-            raise PageFormatError(f"a {size}-byte image has no page header")
-        stride = size + -size % 4
-        row = stride // 4  # words from one image to the next
-        joined = (images[0] if len(images) == 1
-                  else bytes(stride - size).join(images))
-        counts = [_HEADER.unpack_from(image)[0] for image in images]
-        cuts = [0, *accumulate(counts)]
-        fullest = max(counts)
-        if fullest and (size - _SLOT.size * fullest
+        if page_size < _HEADER.size:
+            raise PageFormatError(f"a {page_size}-byte image has no page header")
+        pages, stride = rows.shape
+        row = stride // 4  # words from one page to the next
+        flat = rows.reshape(-1)
+        counts = flat.view("<u2")[::stride // 2]
+        cuts = ragged.from_lengths(counts)
+        fullest = int(counts.max(initial=0))
+        if fullest and (page_size - _SLOT.size * fullest
                         < _HEADER.size + _RECORD_HEADER.size):
-            raise cls._defect(images, f"{fullest} records do not fit a "
-                                      f"{size}-byte page")
-        # Record r of an image has its slot 2 * (r + 1) bytes before the
-        # image's end: all slots sit at the parity of the page size, so
+            raise cls._defect(rows, page_size, f"{fullest} records do not "
+                                               f"fit a {page_size}-byte page")
+        # Record r of a page has its slot 2 * (r + 1) bytes before the
+        # page's end: all slots sit at the parity of the page size, so
         # one <u2 view reaches them.
-        odd = size & 1
-        halves = np.frombuffer(joined, dtype="<u2", offset=odd,
-                               count=(len(joined) - odd) // 2)
-        slots = np.concatenate([
-            halves[top - count:top][::-1] for count, top in zip(
-                counts, range((size - odd) // 2, len(halves) + 1, 2 * row))
-        ], dtype=np.int64)
-        words = np.frombuffer(joined, dtype="<u4", offset=_HEADER.size,
-                              count=(len(joined) - _HEADER.size) // 4)
+        odd = page_size & 1
+        halves = flat[odd:len(flat) - odd].view("<u2")
+        top = (page_size - odd) // 2 - 1  # record 0's slot on page 0
+        # Word w of page j is words[j * row + w]: every record header
+        # and neighbor word, widened once.
+        words = flat[_HEADER.size:_HEADER.size + 4 * (len(flat) // 4 - 1)
+                     ].view("<u4").astype(np.int64)
+        if pages > 1:
+            page = np.arange(pages).repeat(counts)
+            slots = halves.take((stride // 2 * page + cuts[page] + top)
+                                - np.arange(cuts[-1]))
+        else:  # a lone page is the batch: no page to add
+            slots = halves[top + 1 - fullest:top + 1][::-1]
+        slots = slots.astype(np.int64)
         # Word index of each record's vertex id.
         heads = slots >> 2
-        if len(images) > 1:  # a lone image is the batch: nothing to add
-            per_image = np.array(counts)
-            heads += np.arange(0, len(images) * row, row).repeat(per_image)
+        if pages > 1:
+            heads += row * page
         seconds = heads + 1
         # The header's second word, flags | count << 16; clipped, so a
         # wild slot is still there to be reported below.
-        packed = words.take(seconds, mode="clip").astype(np.int64)
+        packed = words.take(seconds, mode="clip")
         lengths = packed >> 16
         # ends[i]: the words that records 0..i-1 of the batch occupy.
         ends = ragged.from_lengths(lengths + 2)
-        marks = ends[cuts].tolist()
+        marks = ends[cuts]
+        used = marks[1:] - marks[:-1]  # words in use on each page
         starts = 4 * ends[:-1] + _HEADER.size
-        if len(images) > 1:
-            starts -= 4 * np.array(marks[:-1]).repeat(per_image)
+        if pages > 1:
+            starts -= 4 * marks[page]
         # Every record starts where its predecessor ends, the first at
-        # byte 2, and the last ends before the directory: then all of
-        # them are word-aligned and in bounds, and no read was clipped.
-        if np.count_nonzero(slots != starts) or any(
-                4 * (end - begin) + _SLOT.size * count > size - _HEADER.size
-                for begin, end, count in zip(marks, marks[1:], counts)):
-            raise cls._defect(images, _slot_defect(slots, starts, size))
-        # The neighbors are the words in use that are no record header.
-        payload = np.ones(len(words), dtype=bool)
+        # byte 2, and the last ends before the directory (4 * used + 2 *
+        # count bytes within page_size - 2, halved): then all of them are
+        # word-aligned and in bounds, and no read was clipped.
+        if np.count_nonzero(slots != starts) or np.count_nonzero(
+                2 * used + counts > (page_size - _HEADER.size) // 2):
+            raise cls._defect(rows, page_size,
+                              _slot_defect(slots, starts, page_size))
+        # The neighbors are the words in use that are no record header
+        # (a row has fewer than 2**16 words: compared as u16, it is one
+        # vector pass).
+        payload = (np.arange(row, dtype=np.uint16)
+                   < used.astype(np.uint16)[:, None]).reshape(-1)[:-1]
         payload[heads] = payload[seconds] = False
-        for at, begin, end in zip(range(0, len(words), row), marks, marks[1:]):
-            payload[at + end - begin:at + row] = False
-        return cls(words.take(heads).astype(np.int64),
-                   ends - 2 * np.arange(len(ends)),
-                   words[payload].astype(np.int64),
-                   (packed & _FLAG_LAST).astype(bool)), cuts
+        return cls(words[heads], ragged.from_lengths(lengths),
+                   words[payload], (packed & _FLAG_LAST).astype(bool)), cuts
 
     @staticmethod
     def to_images(block: "PageBlock", cuts: Sequence[int],
-                  page_size: int) -> list[bytes]:
+                  page_size: int) -> np.ndarray:
         """Encode *block* as page images: the only writer of the page layout.
 
-        The inverse of :meth:`from_images`: image *j* holds records
-        ``cuts[j]:cuts[j + 1]`` of *block*, in order.  The images are
-        written into one zeroed buffer whose rows are a whole number of
-        ``u32`` words apart, so one ``<u4`` view at offset 2 takes every
-        record header and neighbor word of every page, and ``<u2`` views
-        every record count and slot directory, each in one fancy
-        assignment.  A vertex or neighbor id that is no ``u32``, a record
-        longer than a ``u16`` count, or a page whose records do not fit
-        raises :class:`PageFormatError`.
+        The inverse of :meth:`from_rows`: returns one zeroed ``(pages,
+        stride)`` ``uint8`` array (:func:`row_stride`) whose row *j* holds
+        records ``cuts[j]:cuts[j + 1]`` of *block*, in order, in its
+        first *page_size* bytes.  Rows are a whole number of ``u32``
+        words apart, so one ``<u4`` view at offset 2 takes every record
+        header and neighbor word of every page, and ``<u2`` views every
+        record count and slot directory, each in one fancy assignment.  A
+        vertex or neighbor id that is no ``u32``, a record longer than a
+        ``u16`` count, or a page whose records do not fit raises
+        :class:`PageFormatError`.
         """
         check_page_size(page_size)
         vertices, neighbors = block.vertices, block.neighbors
@@ -208,10 +214,11 @@ class PageBlock:
         if len(lengths) and lengths.max() > 0xFFFF:
             raise PageFormatError("record chunk exceeds u16 neighbor count")
         cuts = np.asarray(cuts, dtype=np.int64)
-        pages = len(cuts) - 1
-        if pages < 1:
-            return []
-        stride = page_size + -page_size % 4
+        pages = max(len(cuts) - 1, 0)
+        stride = row_stride(page_size)
+        buffer = np.zeros(pages * stride, dtype=np.uint8)
+        if not pages:
+            return buffer.reshape(0, stride)
         row = stride // 4  # words from one page to the next
         counts = cuts[1:] - cuts[:-1]
         # ends[i]: the words that records 0..i-1 occupy, headers included.
@@ -225,7 +232,6 @@ class PageBlock:
                                   f"do not fit a {page_size}-byte page")
         local = ends[:-1] - marks[:-1].repeat(counts)  # word offset on its page
         rows = np.arange(0, pages * row, row)  # word index of each page
-        buffer = np.zeros(pages * stride, dtype=np.uint8)
         words = buffer[_HEADER.size:-_HEADER.size].view("<u4")
         heads = local + rows.repeat(counts)
         words[heads] = vertices
@@ -239,16 +245,16 @@ class PageBlock:
         tops = 2 * rows + (page_size - odd) // 2 - 1 + cuts[:-1]
         halves[tops.repeat(counts) - np.arange(len(vertices))] = (
             _HEADER.size + 4 * local)
-        data = buffer.tobytes()
-        return [data[at:at + page_size] for at in range(0, len(data), stride)]
+        return buffer.reshape(pages, stride)
 
     @classmethod
-    def _defect(cls, images: Sequence[bytes], problem: str) -> PageFormatError:
-        """The error of a rejected batch: *problem* when it is one image,
-        else what its first bad image raises when decoded alone."""
-        if len(images) > 1:
-            for image in images:
-                cls.from_bytes(image)
+    def _defect(cls, rows: np.ndarray, page_size: int,
+                problem: str) -> PageFormatError:
+        """The error of a rejected batch: *problem* when it is one page,
+        else what its first bad page raises when decoded alone."""
+        if len(rows) > 1:
+            for at in range(len(rows)):
+                cls.from_rows(rows[at:at + 1], page_size)
         return PageFormatError(problem)
 
     @classmethod
@@ -287,6 +293,27 @@ def _slot_defect(slots: np.ndarray, starts: np.ndarray, size: int) -> str:
             return problem.format(int(bad.argmax()))
     # Every slot is in place, so the rejection was the last record's end.
     return f"record {len(slots) - 1} truncated"
+
+
+def row_stride(page_size: int) -> int:
+    """Bytes from one page's row to the next: *page_size* rounded up to a
+    whole ``u32``, so every row's words line up in one ``<u4`` view."""
+    return page_size + -page_size % 4
+
+
+def stack_images(images: Sequence[bytes]) -> tuple[np.ndarray, int]:
+    """Page images of one size as the rows of one zero-padded ``(k,
+    stride)`` ``uint8`` array (:func:`row_stride`), and that size; images
+    of differing sizes raise :class:`PageFormatError`."""
+    sizes = set(map(len, images))
+    if len(sizes) != 1:
+        raise PageFormatError(
+            f"one batch needs page images of one size, got {sorted(sizes)}")
+    (size,) = sizes
+    rows = np.zeros((len(images), row_stride(size)), dtype=np.uint8)
+    rows[:, :size] = np.frombuffer(b"".join(images), dtype=np.uint8
+                                   ).reshape(len(images), size)
+    return rows, size
 
 
 def record_capacity(page_size: int = DEFAULT_PAGE_SIZE) -> int:
@@ -360,7 +387,8 @@ class SlottedPage:
             np.array([record.vertex for record in records], dtype=np.int64),
             *ragged.from_lists([record.neighbors for record in records]),
             np.array([record.is_last for record in records], dtype=bool))
-        return PageBlock.to_images(block, (0, len(records)), self.page_size)[0]
+        return PageBlock.to_images(block, (0, len(records)),
+                                   self.page_size)[0, :self.page_size].tobytes()
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "SlottedPage":

@@ -12,7 +12,10 @@ import os
 import struct
 from pathlib import Path
 
+import numpy as np
+
 from repro.errors import StorageError
+from repro.storage.page import row_stride
 
 __all__ = ["PageFile"]
 
@@ -33,18 +36,19 @@ class PageFile:
     # -- lifecycle ----------------------------------------------------------
 
     @classmethod
-    def create(cls, path: str | Path, pages: list[bytes], page_size: int) -> "PageFile":
-        """Write *pages* (each exactly *page_size* bytes) to a new file."""
+    def create(cls, path: str | Path, rows: np.ndarray, page_size: int) -> "PageFile":
+        """Write the pages in the rows of *rows* — a ``(pages, stride)``
+        ``uint8`` array, page *j* the first *page_size* bytes of row *j*
+        — to a new file, in one write."""
         path = Path(path)
-        for index, page in enumerate(pages):
-            if len(page) != page_size:
-                raise StorageError(
-                    f"page {index} is {len(page)} bytes, expected {page_size}"
-                )
+        if rows.ndim != 2 or rows.dtype != np.uint8 or rows.shape[1] < page_size:
+            raise StorageError(
+                f"a {rows.dtype} array of shape {rows.shape} holds no "
+                f"{page_size}-byte pages")
         with path.open("wb") as handle:
-            handle.write(_HEADER.pack(_MAGIC, page_size, len(pages)))
-            for page in pages:
-                handle.write(page)
+            handle.write(_HEADER.pack(_MAGIC, page_size, len(rows)))
+            # No copy when the rows are the pages (a multiple-of-4 size).
+            handle.write(np.ascontiguousarray(rows[:, :page_size]).data)
         return cls.open(path)
 
     @classmethod
@@ -94,6 +98,27 @@ class PageFile:
             pass
 
     # -- access ---------------------------------------------------------------
+
+    def read_rows(self) -> np.ndarray:
+        """Every page, in one read, as the rows of one zero-padded
+        ``(num_pages, stride)`` ``uint8`` array
+        (:func:`~repro.storage.page.row_stride`)."""
+        if self._closed:
+            raise StorageError("page file is closed")
+        rows = np.zeros((self.num_pages, row_stride(self.page_size)),
+                        dtype=np.uint8)
+        body = (rows if rows.shape[1] == self.page_size
+                else np.empty((self.num_pages, self.page_size), dtype=np.uint8))
+        view = memoryview(body.reshape(-1))
+        done = 0
+        while done < len(view):  # pread may stop short of a huge body
+            got = os.preadv(self._fd, [view[done:]], _HEADER.size + done)
+            if not got:
+                raise StorageError(f"{self.path}: short read at byte {done}")
+            done += got
+        if body is not rows:
+            rows[:, :self.page_size] = body
+        return rows
 
     def read_page(self, pid: int) -> bytes:
         """Read page *pid*; thread-safe (uses ``pread``)."""

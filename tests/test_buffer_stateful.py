@@ -3,13 +3,15 @@
 A hypothesis rule-based machine drives get/pin/unpin/flush sequences and
 checks the invariants a buffer pool must never violate: capacity is
 respected, pinned pages are never evicted, pin counts never go negative,
-and page contents always come from the loader exactly once per residency.
+page contents always come from the loader exactly once per residency,
+and no two resident pages share a row of the pool.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,12 +28,13 @@ class BufferMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.loads: list[int] = []
+        self.pool = np.full(CAPACITY, -1)
         self.buffer = BufferManager(CAPACITY, loader=self._load)
         self.pins: dict[int, int] = {}
 
-    def _load(self, pids) -> list:
+    def _load(self, pids, rows) -> None:
         self.loads.extend(pids)
-        return [[f"page-{pid}"] for pid in pids]
+        self.pool[rows] = pids
 
     @rule(pid=PAGE_IDS)
     def get(self, pid):
@@ -42,7 +45,7 @@ class BufferMachine(RuleBasedStateMachine):
         ):
             return  # would need an eviction with everything pinned
         frame = self.buffer.get(pid)
-        assert frame.records == [f"page-{pid}"]
+        assert self.pool[frame.row] == pid
 
     @rule(pid=PAGE_IDS)
     def get_pinned(self, pid):
@@ -84,6 +87,13 @@ class BufferMachine(RuleBasedStateMachine):
                 assert pid in self.buffer, f"pinned page {pid} was evicted"
 
     @invariant()
+    def every_resident_page_in_its_own_row(self):
+        rows = [self.buffer._frames[pid].row
+                for pid in self.buffer.resident_pages()]
+        assert len(set(rows)) == len(rows)
+        assert self.pool[rows].tolist() == self.buffer.resident_pages()
+
+    @invariant()
     def stats_consistent(self):
         assert self.buffer.hits + self.buffer.misses >= len(self.loads)
         assert self.buffer.misses == len(self.loads)
@@ -118,10 +128,11 @@ def _drive(chunk, runs, by_run):
     """The OPT feed's use of the buffer: *chunk* pinned throughout, each
     of *runs* pinned, used and unpinned — as one run, or page by page."""
     events, loads, hits = _Events(), [], []
+    pool = np.full(CAPACITY, -1)
 
-    def load(pids):
+    def load(pids, rows):
         loads.extend(pids)
-        return [[f"page-{pid}"] for pid in pids]
+        pool[rows] = pids
 
     buffer = BufferManager(CAPACITY, loader=load, tracer=events)
     for pid in chunk:
@@ -129,8 +140,7 @@ def _drive(chunk, runs, by_run):
     for run in runs:
         if by_run:
             frames, run_hits = buffer.get_run(run)
-            assert [frame.records for frame in frames] == [
-                [f"page-{pid}"] for pid in run]
+            assert pool[[frame.row for frame in frames]].tolist() == run
             assert all(pid in buffer for pid in run), "evicted its own page"
             hits.extend(run_hits)
             for pid in run:
@@ -194,10 +204,12 @@ def test_pinned_run_is_page_at_a_time_is_lru(chunk, runs):
 def test_failed_run_leaves_no_trace():
     """A loader that gives up mid-run: nothing of the run stays pinned or
     half-loaded, and the buffer goes on working."""
-    def load(pids):
+    pool = np.full(CAPACITY, -1)
+
+    def load(pids, rows):
         if 7 in pids:
             raise BufferError_("page 7 is gone")
-        return [[pid] for pid in pids]
+        pool[rows] = pids
 
     buffer = BufferManager(CAPACITY, loader=load)
     buffer.get(1)
@@ -207,4 +219,4 @@ def test_failed_run_leaves_no_trace():
     assert buffer.num_pinned == 0
     frames, hits = buffer.get_run([6, 1, 2, 3])
     assert hits == [False, True, False, False]
-    assert [frame.records for frame in frames] == [[6], [1], [2], [3]]
+    assert pool[[frame.row for frame in frames]].tolist() == [6, 1, 2, 3]

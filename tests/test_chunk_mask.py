@@ -30,7 +30,6 @@ from repro.exec import block
 from repro.graph import from_edges, generators
 from repro.obs import RunContext
 from repro.obs.attribution import Attribution
-from repro.storage import PageBlock
 from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 from tests import zoo
 from tests.test_opt_block import GroupSink
@@ -159,7 +158,7 @@ def chunky():
     store = make_store(generators.holme_kim(40, 4, 0.6, seed=3), 128)
     end = store.align_chunk_end(0, 3)
     v_lo, v_hi = store.chunk_vertex_range(0, end)
-    merged = PageBlock.concat(store.decode_pages(range(end + 1)))
+    merged, _ = store.decode_rows(range(end + 1), store.rows[:end + 1])
     return store, end, merged, v_hi - v_lo + 1
 
 

@@ -48,7 +48,10 @@ class TestMisdirectedPage:
     @pytest.fixture(scope="class")
     def store(self):
         store = GraphStore.from_graph(holme_kim(600, 8, 0.6, seed=3), 512)
-        store.pages[3] = store.pages[4]
+        rows = store.rows.copy()
+        rows[3] = rows[4]
+        rows.setflags(write=False)
+        store.rows = rows
         return store
 
     @pytest.mark.parametrize("engine", ["disk", "threaded"])

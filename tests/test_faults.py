@@ -264,7 +264,7 @@ class TestRecoveringLoader:
                                         retry_policy=policy))
         charged = []
         for _ in range(2):
-            feed.fill([0], lambda blocks, pids, buffered, delays:
+            feed.fill([0], lambda block, cuts, pids, buffered, delays:
                       charged.extend(delays))
             feed.finish([0])
         return charged

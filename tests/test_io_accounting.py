@@ -30,13 +30,13 @@ def page_file(tmp_path, small_rmat):
 
 def _loader(ssd):
     """A buffer loader that reads a run's misses through *ssd* and waits."""
-    def load(pids):
+    def load(pids, rows):
         arrived = {}
         for pid in pids:
             ssd.async_read(pid, lambda records, p: arrived.__setitem__(p, records),
                            (pid,))
         ssd.wait_idle()
-        return [arrived[pid] for pid in pids]
+        assert sorted(arrived) == sorted(pids)
     return load
 
 

@@ -1,8 +1,8 @@
 """The block-batched OPT iteration against a per-record reference.
 
 ``core/framework.py::_iterate`` works a window of up to ``m_ex`` arrived
-pages at a time on arrays: the pages arrive as columnar ``PageBlock`` s
-(a run's misses decoded in one batch) and are merged into one, the chunk
+pages at a time on arrays: the window's rows of the buffer pool arrive
+decoded into one columnar ``PageBlock`` (one decode per window), the chunk
 is a local CSR, and the edge-iterator plugin resolves a window with one
 batched probe.  What it must reproduce is what the per-record form
 computes — the same ``RunTrace``, the same emitted group sequence, the
@@ -74,7 +74,7 @@ def test_page_block_is_the_packers_records(spec, page_size, seed):
     _, packed = reference_pack(graph, page_size)
     assert len(packed) == store.num_pages
     for pid, records in enumerate(packed):
-        block = PageBlock.from_bytes(store.pages[pid])
+        block = PageBlock.from_bytes(store.read_page(pid))
         assert block.vertices.tolist() == [r.vertex for r in records]
         assert block.last.tolist() == [r.is_last for r in records]
         assert block.lengths.tolist() == [len(r) for r in records]
@@ -85,7 +85,7 @@ def test_page_block_is_the_packers_records(spec, page_size, seed):
             assert viewed.is_last == record.is_last
             assert viewed.neighbors.tolist() == record.neighbors.tolist()
         with pytest.raises(PageFormatError):
-            PageBlock.from_bytes(corrupt_page_bytes(store.pages[pid],
+            PageBlock.from_bytes(corrupt_page_bytes(store.read_page(pid),
                                                     seed=seed + pid))
 
 
@@ -144,9 +144,19 @@ def reference_run(store, config, sink, attribution, plugin="edge-iterator"):
         end = store.align_chunk_end(pid, config.m_in)
         chunks.append((pid, end))
         pid = end + 1
-    buffer = BufferManager(
-        max(config.m_in, max(end - pid + 1 for pid, end in chunks))
-        + config.m_ex, store.decode_pages)
+    capacity = (max(config.m_in, max(end - pid + 1 for pid, end in chunks))
+                + config.m_ex)
+    pool = np.zeros((capacity, store.rows.shape[1]), dtype=np.uint8)
+
+    def load(pids, rows):
+        pool[rows] = store.rows[pids]
+
+    buffer = BufferManager(capacity, load)
+
+    def records_of(page_id):
+        """Page *page_id*, pinned, decoded from its row of the pool."""
+        row = buffer.get(page_id, pin=True).row
+        return list(PageBlock.from_rows(pool[row:row + 1], store.page_size)[0])
 
     def close(u, v, succ_u, neighbors_v):
         """Triangles of edge (u, v) against (a chunk of) v's list; the
@@ -168,7 +178,7 @@ def reference_run(store, config, sink, attribution, plugin="edge-iterator"):
         parts = defaultdict(list)
         for page_id in range(pid, end + 1):
             hit = page_id in buffer and not mgt  # MGT: no buffering credit
-            records = list(buffer.get(page_id, pin=True).records)
+            records = records_of(page_id)
             pages.append(records)
             iteration.fill_buffered += hit
             iteration.fill_reads += not hit
@@ -193,7 +203,7 @@ def reference_run(store, config, sink, attribution, plugin="edge-iterator"):
         for page_id in ordered:
             hit = page_id in buffer and not mgt
             ops = 0
-            for record in buffer.get(page_id, pin=True).records:
+            for record in records_of(page_id):
                 if record.vertex not in requesters:
                     continue
                 v = record.vertex  # Algorithms 10 / 13

@@ -97,8 +97,8 @@ class _ShuffledFeed:
         while pids:
             window = [pids.pop() for _ in range(
                 min(len(pids), self._rng.randint(1, 5)))]
-            on_pages(self._store.decode_pages(window), window,
-                     [False] * len(window), [0.0] * len(window))
+            on_pages(*self._store.decode_rows(window, self._store.rows[window]),
+                     window, [False] * len(window), [0.0] * len(window))
 
     fill = request = _deliver
 
@@ -123,8 +123,8 @@ class _ScriptedFeed(_ShuffledFeed):
     milliseconds of injected delay."""
 
     def _deliver(self, pids, on_pages):
-        def scripted(blocks, window, _buffered, _delays):
-            on_pages(blocks, window, [pid % 3 == 0 for pid in window],
+        def scripted(block, cuts, window, _buffered, _delays):
+            on_pages(block, cuts, window, [pid % 3 == 0 for pid in window],
                      [pid / 1000 for pid in window])
 
         super()._deliver(pids, scripted)
@@ -153,3 +153,58 @@ def test_what_the_feed_says_of_a_page_lands_on_that_page(serial, plugin):
             assert read.delay == read.pid / 1000
         pid = end + 1
     assert scripted.total_external_reads > store.num_pages
+
+
+class _SplitFillFeed:
+    """Fill pages in windows of two, the windows in a scripted order;
+    request lists in page order, ``m_ex`` pages a window.  Page *pid*
+    carries ``pid`` milliseconds of delay."""
+
+    def __init__(self, store, window: int, arrange: str):
+        self._store = store
+        self._window = window
+        self._arrange = arrange
+
+    def _hand(self, pids, on_pages):
+        on_pages(*self._store.decode_rows(pids, self._store.rows[pids]), pids,
+                 [False] * len(pids), [pid / 1000 for pid in pids])
+
+    def fill(self, pids, on_pages):
+        pids = list(pids)
+        windows = [pids[at:at + 2] for at in range(0, len(pids), 2)]
+        if self._arrange == "reversed":
+            windows.reverse()
+        elif self._arrange == "interleaved":  # each window out of order too
+            windows = [window[::-1] for window in windows[1::2]] + windows[::2]
+        for window in windows:
+            self._hand(window, on_pages)
+
+    def request(self, pids, on_pages):
+        for at in range(0, len(pids), self._window):
+            self._hand(pids[at:at + self._window], on_pages)
+
+    def finish(self, chunk_pids):
+        pass
+
+
+@pytest.mark.parametrize("arrange", ["in-order", "reversed", "interleaved"])
+@pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator", "mgt"])
+def test_a_fill_split_across_windows_is_put_in_page_order(serial, plugin,
+                                                          arrange):
+    """Several fill windows, in page order or not: the iteration sees the
+    chunk's pages in page order, so its per-page bill, its triangles and
+    its fill delay (summed page after page) are the one-window feed's."""
+    store, disk, triangles = serial("holme-kim-small", plugin, 6)
+    config = disk.extra["config"]
+    sink = CollectSink()
+    split = _drive(store, config, sink, NO_CONTEXT,
+                   lambda _frames: _SplitFillFeed(store, config.m_ex, arrange))
+    assert _bill(split) == _bill(disk.extra["trace"])
+    assert canonical_triangles(sink) == triangles
+    pid, widest = 0, 0
+    for iteration in split.iterations:
+        end = store.align_chunk_end(pid, config.m_in)
+        assert iteration.fill_delay == sum(p / 1000 for p in range(pid, end + 1))
+        widest = max(widest, end - pid + 1)
+        pid = end + 1
+    assert widest >= 3, "no chunk spans more than one window"

@@ -60,7 +60,7 @@ class TestBuildPipeline:
         ordered, expected_mapping = apply_ordering(graph, "degree")
         reference = make_store(ordered, 512)
         assert np.array_equal(mapping, expected_mapping)
-        assert store.pages == reference.pages
+        assert store.rows.tobytes() == reference.rows.tobytes()
         assert np.array_equal(store.first_page, reference.first_page)
         assert stats.num_edges == graph.num_edges
 
@@ -105,7 +105,7 @@ class TestBuildPipeline:
         )
         assert np.array_equal(mapping, np.arange(graph.num_vertices))
         reference = make_store(graph, 512)
-        assert store.pages == reference.pages
+        assert store.rows.tobytes() == reference.rows.tobytes()
 
     def test_tiny_chunks_still_exact(self, tmp_path):
         graph = from_edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 0)])

@@ -27,7 +27,7 @@ from repro.graph.graph import Graph
 from repro.obs import RunContext
 from repro.storage import FaultPlan, PageBlock, RetryPolicy, SlottedPage
 from repro.storage.layout import GraphStore, PagePacker
-from repro.storage.page import PageRecord
+from repro.storage.page import PageRecord, row_stride, stack_images
 
 # ---------------------------------------------------------------------------
 # The record-at-a-time reference packer
@@ -114,8 +114,10 @@ def reference_pack(graph: Graph, page_size: int
             remaining = remaining[capacity:]
         last_page.append(len(pages))  # the page being filled
     flush()
+    images = [reference_image(records, page_size) for records in pages]
     store = GraphStore(
-        [reference_image(records, page_size) for records in pages],
+        stack_images(images)[0] if images
+        else np.zeros((0, row_stride(page_size)), dtype=np.uint8),
         page_size,
         graph.num_vertices,
         np.asarray(first_page, dtype=np.int64),
@@ -132,7 +134,8 @@ def assert_same_store(got: GraphStore, want: GraphStore) -> None:
     """Pages byte for byte, and every index array by value and dtype."""
     assert got.page_size == want.page_size
     assert got.num_vertices == want.num_vertices
-    assert got.pages == want.pages
+    assert got.rows.shape == want.rows.shape
+    assert got.rows.tobytes() == want.rows.tobytes()
     for name in INDEX_FIELDS:
         ours, theirs = getattr(got, name), getattr(want, name)
         assert ours.dtype == theirs.dtype, name
@@ -141,8 +144,8 @@ def assert_same_store(got: GraphStore, want: GraphStore) -> None:
 
 def digest(store: GraphStore) -> str:
     h = hashlib.sha256()
-    for page in store.pages:
-        h.update(page)
+    for pid in range(store.num_pages):
+        h.update(store.read_page(pid))
     for name in INDEX_FIELDS:
         array = getattr(store, name)
         h.update(array.dtype.str.encode())
@@ -194,9 +197,10 @@ class TestReferenceModel:
         store = GraphStore.from_graph(graph, page_size)
         assert_same_store(store, want)
         assert_same_store(streamed(graph, page_size), want)
-        if store.pages:  # the writer inverts the parser on every page
-            assert PageBlock.to_images(*PageBlock.from_images(store.pages),
-                                       page_size) == store.pages
+        if store.num_pages:  # the writer inverts the parser on every page
+            assert np.array_equal(PageBlock.to_images(
+                *PageBlock.from_rows(store.rows, page_size), page_size),
+                store.rows)
 
     @pytest.mark.parametrize("page_size", [31, 64, 4096])
     def test_a_hub_chained_over_many_pages(self, page_size):
@@ -241,7 +245,7 @@ class TestStreamingPacker:
             packer.add_vertex(v, graph.neighbors(v))
         # The hub's chain is written but for its final chunk, which opens
         # the page still held back.
-        assert packer._pages
+        assert packer._written
         assert 0 < len(packer._queue[0]) < degree
         for v in range(hub + 1, graph.num_vertices):
             packer.add_vertex(v, graph.neighbors(v))
@@ -390,15 +394,104 @@ class TestPersistence:
         store.save(tmp_path)
         loaded = GraphStore.load(tmp_path)
         assert loaded.num_pages == store.num_pages
-        assert loaded.pages == store.pages
+        assert loaded.rows.tobytes() == store.rows.tobytes()
         assert np.array_equal(loaded.first_page, store.first_page)
         assert np.array_equal(loaded.succ_first_page, store.succ_first_page)
+
+    @pytest.mark.parametrize("page_size", [64, 67])
+    def test_an_empty_store_round_trips(self, tmp_path, page_size):
+        store = GraphStore.from_graph(from_edges([], num_vertices=0),
+                                      page_size)
+        store.save(tmp_path)
+        loaded = GraphStore.load(tmp_path)
+        assert loaded.num_pages == 0
+        assert loaded.rows.shape == store.rows.shape
 
     def test_open_page_file(self, tmp_path, figure1):
         store = GraphStore.from_graph(figure1, 128)
         with store.open_page_file(tmp_path) as page_file:
             assert page_file.num_pages == store.num_pages
-            assert page_file.read_page(0) == store.pages[0]
+            assert page_file.read_page(0) == store.read_page(0)
+
+
+def _resave_index(directory, change) -> None:
+    """Rewrite the sidecar in *directory* with ``change(arrays)`` applied."""
+    path = directory / "graph.idx.npz"
+    with np.load(path) as index:
+        arrays = {name: index[name] for name in index.files}
+    change(arrays)
+    np.savez(path, **arrays)
+
+
+class TestSidecarIsChecked:
+    """``GraphStore.load`` checks the index sidecar against the page file:
+    one that belongs to another file used to load, and the engines then
+    died on a bare ``IndexError`` deep inside a run."""
+
+    @pytest.fixture()
+    def saved(self, tmp_path, small_rmat):
+        store = GraphStore.from_graph(small_rmat, 256)
+        store.save(tmp_path)
+        return tmp_path, store
+
+    def test_dropped_page_entries_fail_at_load(self, saved):
+        directory, _ = saved
+
+        def drop(arrays):
+            for name in ("page_first_vertex", "page_last_vertex",
+                         "page_ends_complete"):
+                arrays[name] = arrays[name][:-1]
+
+        _resave_index(directory, drop)
+        with pytest.raises(StorageError, match="page_first_vertex has shape"):
+            triangulate_disk(GraphStore.load(directory), buffer_pages=8)
+
+    @pytest.mark.parametrize("name, change, problem", [
+        pytest.param("page_last_vertex", lambda a: a[:-1],
+                     "page_last_vertex has shape", id="short-per-page"),
+        pytest.param("page_ends_complete", lambda a: np.append(a, True),
+                     "page_ends_complete has shape", id="long-per-page"),
+        pytest.param("first_page", lambda a: a[1:], "first_page has shape",
+                     id="short-per-vertex"),
+        pytest.param("succ_first_page", lambda a: np.append(a, -1),
+                     "succ_first_page has shape", id="long-per-vertex"),
+        pytest.param("page_ends_complete", lambda a: np.append(a[:-1], False),
+                     r"page_ends_complete\[-1\] is not set",
+                     id="last-page-mid-list"),
+        pytest.param("last_page", lambda a: a + 1,
+                     r"last_page holds ids outside \[0, ", id="page-id-past-end"),
+        pytest.param("first_page", lambda a: a - 1,
+                     r"first_page holds ids outside \[0, ", id="page-id-negative"),
+        pytest.param("succ_first_page", lambda a: a - 2,
+                     r"succ_first_page holds ids outside \[-1, ",
+                     id="successor-page-below-none"),
+        pytest.param("page_first_vertex", lambda a: a + 10**6,
+                     "page_first_vertex holds ids outside", id="vertex-id"),
+        pytest.param("page_size", lambda a: a * 2,
+                     "page_size 512 != the page file's 256", id="page-size"),
+        pytest.param("num_vertices", lambda a: a + 1, "first_page has shape",
+                     id="vertex-count"),
+        pytest.param("last_page", None, "no last_page array", id="missing"),
+    ])
+    def test_a_sidecar_of_another_page_file_fails_typed(self, saved, name,
+                                                        change, problem):
+        directory, _ = saved
+
+        def apply(arrays):
+            if change is None:
+                del arrays[name]
+            else:
+                arrays[name] = change(arrays[name])
+
+        _resave_index(directory, apply)
+        with pytest.raises(StorageError, match=problem):
+            GraphStore.load(directory)
+
+    def test_a_sidecar_without_successor_pages_still_loads(self, saved):
+        directory, store = saved
+        _resave_index(directory, lambda arrays: arrays.pop("succ_first_page"))
+        loaded = GraphStore.load(directory)
+        assert np.array_equal(loaded.succ_first_page, store.first_page)
 
 
 class TestVertexColumnIsChecked:
@@ -412,11 +505,19 @@ class TestVertexColumnIsChecked:
         return GraphStore.from_graph(small_rmat, 256)
 
     @staticmethod
-    def _flip(store, pid, record, vertex):
-        image = bytearray(store.pages[pid])
+    def _put(store, pid, image):
+        """Page *pid* of *store* replaced with *image*."""
+        rows = store.rows.copy()
+        rows[pid, :len(image)] = np.frombuffer(image, dtype=np.uint8)
+        rows.setflags(write=False)
+        store.rows = rows
+
+    @classmethod
+    def _flip(cls, store, pid, record, vertex):
+        image = bytearray(store.read_page(pid))
         (slot,) = struct.unpack_from("<H", image, len(image) - 2 * (record + 1))
         struct.pack_into("<I", image, slot, vertex)
-        store.pages[pid] = bytes(image)
+        cls._put(store, pid, bytes(image))
 
     @pytest.mark.parametrize("shift", [1000, -1, 1])
     def test_flipped_id_names_the_page(self, store, shift):
@@ -426,12 +527,14 @@ class TestVertexColumnIsChecked:
         with pytest.raises(PageFormatError, match=f"page {pid} "):
             store.decode_page(pid)
         with pytest.raises(PageFormatError, match=f"page {pid} "):
-            store.decode_pages([pid - 1, pid, pid + 1])
-        assert len(store.decode_pages([pid - 1, pid + 1])) == 2
+            window = [pid - 1, pid, pid + 1]
+            store.decode_rows(window, store.rows[window])
+        window = [pid - 1, pid + 1]
+        assert len(store.decode_rows(window, store.rows[window])[1]) == 3
         # The layout itself is intact: the bare decoders take any vertices.
-        block = PageBlock.from_bytes(store.pages[pid])
+        block = PageBlock.from_bytes(store.read_page(pid))
         assert block.vertices[1] == vertex + shift
-        assert SlottedPage.from_bytes(store.pages[pid]).num_records == len(block)
+        assert SlottedPage.from_bytes(store.read_page(pid)).num_records == len(block)
 
     def test_a_page_short_of_a_record(self, store):
         """The right vertices, but not all of them."""
@@ -441,9 +544,9 @@ class TestVertexColumnIsChecked:
         for record in records[:-1]:
             page.add_record(record.vertex, record.neighbors,
                             is_last=record.is_last)
-        store.pages[pid] = page.to_bytes()
+        self._put(store, pid, page.to_bytes())
         with pytest.raises(PageFormatError, match=f"page {pid} "):
-            store.decode_pages(range(store.num_pages))
+            store.decode_rows(range(store.num_pages), store.rows)
 
     @pytest.mark.parametrize("plugin", ["edge-iterator", "vertex-iterator",
                                         "mgt"])

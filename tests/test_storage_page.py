@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +24,7 @@ from repro.storage.page import (
     PageBlock,
     SlottedPage,
     record_capacity,
+    stack_images,
 )
 from repro.storage.pagefile import PageFile
 from tests import zoo
@@ -122,14 +126,24 @@ class TestPageFile:
     def test_round_trip(self, tmp_path):
         pages = [bytes([i]) * 128 for i in range(5)]
         path = tmp_path / "data.pages"
-        with PageFile.create(path, pages, 128) as page_file:
+        with PageFile.create(path, stack_images(pages)[0], 128) as page_file:
             assert page_file.num_pages == 5
             for pid in range(5):
                 assert page_file.read_page(pid) == pages[pid]
 
+    @pytest.mark.parametrize("page_size", [64, 67])
+    def test_rows_round_trip_in_one_read(self, tmp_path, page_size):
+        pages = [bytes([i + 1]) * page_size for i in range(4)]
+        rows = stack_images(pages)[0]
+        with PageFile.create(tmp_path / "rows.pages", rows, page_size
+                             ) as page_file:
+            assert page_file.read_rows().tobytes() == rows.tobytes()
+        assert (tmp_path / "rows.pages").stat().st_size == 16 + 4 * page_size
+
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "d.pages"
-        with PageFile.create(path, [b"x" * 64], 64) as page_file:
+        with PageFile.create(path, stack_images([b"x" * 64])[0], 64
+                             ) as page_file:
             with pytest.raises(StorageError):
                 page_file.read_page(1)
             with pytest.raises(StorageError):
@@ -137,7 +151,8 @@ class TestPageFile:
 
     def test_wrong_page_size_rejected(self, tmp_path):
         with pytest.raises(StorageError):
-            PageFile.create(tmp_path / "bad.pages", [b"xx"], 64)
+            PageFile.create(tmp_path / "bad.pages",
+                            np.zeros((1, 2), dtype=np.uint8), 64)
 
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "c.pages"
@@ -147,7 +162,7 @@ class TestPageFile:
 
     def test_truncated_file_rejected(self, tmp_path):
         path = tmp_path / "t.pages"
-        PageFile.create(path, [b"y" * 64] * 3, 64).close()
+        PageFile.create(path, stack_images([b"y" * 64] * 3)[0], 64).close()
         data = path.read_bytes()
         path.write_bytes(data[:-10])
         with pytest.raises(StorageError):
@@ -155,7 +170,7 @@ class TestPageFile:
 
     def test_read_after_close(self, tmp_path):
         path = tmp_path / "r.pages"
-        page_file = PageFile.create(path, [b"z" * 64], 64)
+        page_file = PageFile.create(path, stack_images([b"z" * 64])[0], 64)
         page_file.close()
         with pytest.raises(StorageError):
             page_file.read_page(0)
@@ -179,7 +194,8 @@ def _same_block(got: PageBlock, want: PageBlock) -> None:
 def packed(request, seeded_graph):
     """A store's page images: tiny, odd-sized, small and benchmark pages."""
     graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=4)
-    return GraphStore.from_graph(graph, request.param).pages
+    store = GraphStore.from_graph(graph, request.param)
+    return [store.read_page(pid) for pid in range(store.num_pages)]
 
 
 class TestBatchDecode:
@@ -201,7 +217,7 @@ class TestBatchDecode:
         full.add_record(7, np.array([1, 2, 9]))
         block, cuts = PageBlock.from_images(
             [empty, full.to_bytes(), empty, empty])
-        assert cuts == [0, 0, 1, 1, 1]
+        assert cuts.tolist() == [0, 0, 1, 1, 1]
         assert [len(page) for page in block.split(cuts)] == [0, 1, 0, 0]
         assert block.vertices.tolist() == [7]
         assert block.neighbors.tolist() == [1, 2, 9]
@@ -288,6 +304,130 @@ class TestBatchDecode:
 
 
 # ---------------------------------------------------------------------------
+# Rows: the checked decoder over a store's rows or a buffer pool's frames
+# ---------------------------------------------------------------------------
+
+#: Every page size the suite packs stores with, multiples of 4 or not.
+ROW_PAGE_SIZES = [16, 17, 18, 31, 64, 67, 100, 256, 4096]
+
+
+@pytest.fixture(scope="module")
+def row_stores(seeded_graph):
+    graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=4)
+    return {size: GraphStore.from_graph(graph, size) for size in ROW_PAGE_SIZES}
+
+
+def _bad_row(store: GraphStore, pid: int, defect: str) -> np.ndarray:
+    """Page *pid*'s row with one defect: its slot directory scrambled, its
+    last record running into the directory, or another page's bytes."""
+    row = store.rows[pid].copy()
+    size = store.page_size
+    if defect == "torn":
+        row[:size] = np.frombuffer(corrupt_page_bytes(
+            store.read_page(pid), seed=pid), dtype=np.uint8)
+    elif defect == "truncated":
+        count = int(row[:2].view("<u2")[0])
+        slot = int(row[size - 2 * count:size - 2 * count + 2].view("<u2")[0])
+        row[slot + 6:slot + 8] = np.frombuffer(
+            (size // 4).to_bytes(2, "little"), dtype=np.uint8)
+    else:  # misdirected: the bytes of a page further on
+        row = store.rows[pid + 9].copy()
+    return row
+
+
+class TestRowDecode:
+    """``GraphStore.decode_rows`` / ``PageBlock.from_rows``, which every
+    OPT window and every ``ThreadedSSD`` read goes through."""
+
+    @given(data=st.data(), page_size=st.sampled_from(ROW_PAGE_SIZES))
+    @settings(max_examples=60, deadline=None)
+    def test_any_rows_decode_as_their_pages(self, row_stores, data, page_size):
+        """Any pages, in any order, repeated or alone: one decode of their
+        rows is the per-page decodes one after another."""
+        store = row_stores[page_size]
+        pids = data.draw(st.lists(st.integers(0, store.num_pages - 1),
+                                  min_size=1, max_size=16))
+        singles = [store.decode_page(pid) for pid in pids]
+        # The rows as a pool holds them: copies, scattered over its rows.
+        pool = np.zeros((2 * len(pids), store.rows.shape[1]), dtype=np.uint8)
+        slots = data.draw(st.permutations(range(len(pool))))[:len(pids)]
+        pool[slots] = store.rows[pids]
+        for block, cuts in (store.decode_rows(pids, pool[slots]),
+                            store.decode_rows(pids, store.rows[pids])):
+            assert cuts.tolist() == [0, *np.cumsum(
+                [len(single) for single in singles]).tolist()]
+            _same_block(block, PageBlock.concat(singles))
+            for page, single in zip(block.split(cuts), singles, strict=True):
+                _same_block(page, single)
+
+    @pytest.mark.parametrize("at", [0, 3, 6])
+    @pytest.mark.parametrize("defect", ["torn", "truncated", "misdirected"])
+    def test_a_bad_row_fails_the_window_as_it_fails_alone(self, row_stores,
+                                                         defect, at):
+        store = row_stores[64]
+        pids = list(range(40, 47))
+        bad = _bad_row(store, pids[at], defect)
+        with pytest.raises(PageFormatError) as alone:
+            store.decode_rows([pids[at]], bad[None])
+        if defect == "truncated":
+            assert "truncated" in str(alone.value)
+        if defect == "misdirected":
+            assert f"page {pids[at]} " in str(alone.value)
+        rows = store.rows[pids]
+        rows[at] = bad
+        with pytest.raises(PageFormatError) as window:
+            store.decode_rows(pids, rows)
+        assert str(window.value) == str(alone.value)
+        images = [row[:64].tobytes() for row in rows]
+        with pytest.raises(PageFormatError) as stacked:
+            store.decode_images(pids, images)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_an_image_of_another_size_is_torn(self, row_stores):
+        store = row_stores[64]
+        with pytest.raises(PageFormatError, match="no page of 64 bytes"):
+            store.decode_images([0], [store.read_page(0)[:60]])
+
+    def test_threads_decode_rows_at_once(self, row_stores):
+        """ThreadedSSD's readers decode concurrently: the parser keeps no
+        state between calls.  More threads than cores, switching often."""
+        store = row_stores[67]
+        windows = [list(range(start, start + 5))
+                   for start in range(0, store.num_pages - 5, 3)]
+        want = [store.decode_rows(pids, store.rows[pids]) for pids in windows]
+        start = threading.Barrier(4)
+        failures, done = [], []
+
+        def decode_all(offset):
+            start.wait(timeout=30)
+            try:
+                for index in range(len(windows)):
+                    at = (index + offset) % len(windows)
+                    block, cuts = store.decode_rows(
+                        windows[at], store.rows[windows[at]])
+                    _same_block(block, want[at][0])
+                    assert np.array_equal(cuts, want[at][1])
+            except AssertionError as failure:  # pragma: no cover - a bug
+                failures.append(failure)
+            done.append(offset)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=decode_all, args=(7 * offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert sorted(done) == [0, 7, 14, 21]
+
+
+# ---------------------------------------------------------------------------
 # The batch writer: PageBlock.to_images, of which to_bytes is one image
 # ---------------------------------------------------------------------------
 
@@ -336,28 +476,33 @@ class TestBatchWrite:
     def test_the_parser_inverts_the_writer(self, case):
         page_size, pages = case
         block, cuts = _paged(pages)
-        images = PageBlock.to_images(block, cuts, page_size)
+        rows = PageBlock.to_images(block, cuts, page_size)
+        assert rows.shape == (len(pages), page_size + -page_size % 4)
+        assert not rows[:, page_size:].any()  # zero padding
+        images = [row[:page_size].tobytes() for row in rows]
         # Byte for byte what a struct.pack_into per field writes.
         assert images == [reference_image(page, page_size) for page in pages]
         assert images == [_one_page(page, page_size).to_bytes()
                           for page in pages]
         if images:
-            parsed, parsed_cuts = PageBlock.from_images(images)
+            parsed, parsed_cuts = PageBlock.from_rows(rows, page_size)
             _same_block(parsed, block)
-            assert parsed_cuts == cuts
+            assert parsed_cuts.tolist() == cuts
 
     @pytest.mark.parametrize("page_size", [16, 17, 64, 67, 256, 4096])
     @pytest.mark.parametrize("name", zoo.zoo_names())
     def test_the_writer_inverts_the_parser(self, graph_zoo, name, page_size):
         """Every page of the zoo's stores, re-encoded from its parse."""
         store = GraphStore.from_graph(graph_zoo(name), page_size)
-        if store.pages:
-            assert PageBlock.to_images(*PageBlock.from_images(store.pages),
-                                       page_size) == store.pages
+        if store.num_pages:
+            assert np.array_equal(PageBlock.to_images(
+                *PageBlock.from_rows(store.rows, page_size), page_size),
+                store.rows)
 
     def test_the_packed_stores_round_trip(self, packed):
-        assert PageBlock.to_images(*PageBlock.from_images(packed),
-                                   len(packed[0])) == packed
+        rows, page_size = stack_images(packed)
+        assert np.array_equal(PageBlock.to_images(
+            *PageBlock.from_images(packed), page_size), rows)
 
     @pytest.mark.parametrize("column, value, problem", [
         ("vertices", -1, "vertex ids must fit u32"),
@@ -390,4 +535,4 @@ class TestBatchWrite:
 
     def test_no_pages(self):
         block, cuts = _paged([])
-        assert PageBlock.to_images(block, cuts, 64) == []
+        assert PageBlock.to_images(block, cuts, 64).shape == (0, 64)
