@@ -19,8 +19,8 @@ once in the same dense mask when they fit it, and folded into one sorted
 key array when they do not, and each pair brings its own slice to probe.
 
 Both hand their groups back as one :class:`GroupBlock` — four arrays,
-never a Python object per group — which is also what crosses the worker
-result queue and what a sink's ``emit_block`` receives.
+never a Python object per group — which is also what crosses a forked
+worker's pipe and what a sink's ``emit_block`` receives.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ checks pin down.
   :func:`repro.parallel.engine.run_chunks` over the same chunk plan:
   the caller is worker 0 and forks the rest, each of which attaches the
   source's published CSR; every worker binds the kernel once, then
-  pulls ranges from a shared queue.  Requires a shareable
+  claims ranges from one shared cursor.  Requires a shareable
   source; the registry marks other combinations invalid rather than
   pickling whole graphs across the boundary.
 """

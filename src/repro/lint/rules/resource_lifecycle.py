@@ -2,7 +2,7 @@
 
 The resources the overlapped engines juggle — raw shared-memory
 segments, published :class:`~repro.parallel.shm.SharedCSR` graphs, page
-files, heartbeat queues — are acquired through *factories* whose whole
+files, worker pipes — are acquired through *factories* whose whole
 point is that the caller, not the factory, owns cleanup.  Ownership
 crosses the call graph; the check must too.
 
@@ -10,16 +10,18 @@ This project rule runs an interprocedural escape analysis:
 
 * **acquisitions** are calls to the known resource factories
   (``SharedMemory(create=True)``, ``SharedCSR.publish`` / ``.attach``,
-  ``PageFile.open`` / ``.create``, ``multiprocessing`` ``Queue()``
-  constructors) — plus, transitively, calls to any project function
-  that *returns* a resource it acquired (a transfer factory): its
-  callers inherit the obligation, to a fixed point over the call graph;
+  ``PageFile.open`` / ``.create``, ``multiprocessing`` ``Pipe()``, which
+  acquires both connections it returns) — plus, transitively, calls to
+  any project function that *returns* a resource it acquired (a
+  transfer factory): its callers inherit the obligation, to a fixed
+  point over the call graph;
 * an acquisition is **discharged** in its frame when the bound name is
   released (``.close()`` / ``.unlink()`` / ``.stop()`` / ...), used as
   a ``with`` context manager, or **escapes** ownership: returned,
-  yielded, passed whole to another call (the callee now owns it — e.g.
-  ``_close_queue(hb_queue)``), or stored on ``self`` — in which case
-  the owning class must itself define a release method;
+  yielded, passed whole to another call (the callee now owns it), or
+  stored on ``self`` or in a container on ``self``
+  (``self.conns[worker_id] = reader``) — in which case the owning
+  class must itself define a release method;
 * a **shared-memory segment** that stays in its frame is held to the
   stricter all-paths shape: ``.close()`` *and* ``.unlink()`` on it
   inside a ``finally``.  A segment is a named system resource that
@@ -59,9 +61,9 @@ RELEASE_METHODS = frozenset({
 #: acceptable: the instance owns the resource and can let it go.
 _CLASS_RELEASERS = frozenset(RELEASE_METHODS | {"__exit__", "__del__"})
 
-_QUEUE_FACTORIES = frozenset({"Queue", "SimpleQueue", "JoinableQueue"})
-
 _SEGMENT = "shared-memory segment"
+
+_PIPE_END = "pipe end"
 
 
 def _base_acquisition_kind(call: ast.Call,
@@ -84,8 +86,8 @@ def _base_acquisition_kind(call: ast.Call,
     if canonical.endswith("PageFile.open") \
             or canonical.endswith("PageFile.create"):
         return "page file"
-    if tail in _QUEUE_FACTORIES and imports_multiprocessing:
-        return "worker queue"
+    if tail == "Pipe" and imports_multiprocessing:
+        return _PIPE_END
     return None
 
 
@@ -93,7 +95,7 @@ class ResourceLifecycleRule(ProjectRule):
     rule_id = "resource-lifecycle"
     severity = "error"
     description = ("every acquired SharedCSR / shared-memory segment / "
-                   "page file / worker queue must be released, stored on "
+                   "page file / pipe end must be released, stored on "
                    "an owner with a release method, or returned to the "
                    "caller (who then inherits the obligation)")
     paper_invariant = ("overlapped execution (Eq. 5) multiplies long-lived "
@@ -181,12 +183,11 @@ class ResourceLifecycleRule(ProjectRule):
                 # `with factory() as v:` — the context manager releases.
                 continue
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
-                    and isinstance(stmt.targets[0], ast.Name) \
                     and isinstance(stmt.value, ast.Call):
                 kind = self._acquisition_kind(stmt.value, module, imports,
                                               imports_mp, edge_at, transfers)
-                if kind is not None:
-                    bound[stmt.targets[0].id] = (stmt.value, kind)
+                for name in _bound_names(stmt.targets[0], kind):
+                    bound[name] = (stmt.value, kind)
                 continue
             if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                 kind = self._acquisition_kind(stmt.value, module, imports,
@@ -229,6 +230,8 @@ class ResourceLifecycleRule(ProjectRule):
                         released.add(expr.id)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
+                    if isinstance(target, ast.Subscript):
+                        target = target.value
                     if isinstance(target, ast.Attribute) \
                             and isinstance(node.value, ast.Name) \
                             and node.value.id in bound:
@@ -324,6 +327,18 @@ class ResourceLifecycleRule(ProjectRule):
             f"it in a finally, hand it to an owner with a release "
             f"method, or return it to transfer ownership)",
         )
+
+
+def _bound_names(target: ast.AST, kind: str | None) -> list[str]:
+    """The names an acquisition of *kind* binds to *target*: the one
+    name, or both names a ``Pipe()`` is unpacked into."""
+    if kind is None:
+        return []
+    if isinstance(target, ast.Name):
+        return [target.id]
+    if kind == _PIPE_END and isinstance(target, ast.Tuple):
+        return [elt.id for elt in target.elts if isinstance(elt, ast.Name)]
+    return []
 
 
 def _called_in_finally(frame: ast.AST, var: str) -> set[str]:

@@ -5,9 +5,9 @@ parallelism needs processes.  This package is the process-pool analogue
 of the paper's thread-morphing design (Section 3.4): the immutable CSR
 graph is published once into POSIX shared memory (:mod:`repro.parallel.shm`,
 zero-copy attach in every worker), the vertex range is split into
-degree-balanced chunks (:mod:`repro.parallel.chunks`) served from a
-shared work queue — an idle worker pulling a chunk past its fair share
-is the morphing "steal" — and per-worker triangle counts, op counts,
+degree-balanced chunks (:mod:`repro.parallel.chunks`) claimed from one
+shared cursor — an idle worker claiming a chunk past its fair share is
+the morphing "steal" — and per-worker triangle counts, op counts,
 metrics snapshots, and trace tracks merge back into the observability
 pipeline (:mod:`repro.parallel.engine`).
 """

@@ -3,9 +3,10 @@
 EdgeIterator≻ charges each vertex ``u`` one intersection per successor,
 so successor-list mass — not vertex count — is the work proxy that keeps
 chunks comparable on power-law graphs.  Chunks are deliberately finer
-than the worker count (``default_chunk_count``): the work queue then
-behaves like thread morphing, because a worker that drains its fair
-share early keeps pulling chunks that "belonged" to a slower sibling.
+than the worker count (``default_chunk_count``): claiming from the
+shared cursor then behaves like thread morphing, because a worker that
+finishes its fair share early keeps claiming chunks that "belonged" to
+a slower sibling.
 
 Every triangle is listed at its minimum vertex, so contiguous vertex
 chunks enumerate disjoint triangle sets and the merge step is a plain
@@ -25,7 +26,7 @@ __all__ = ["default_chunk_count", "plan_chunks"]
 #: executors plan through :func:`default_chunk_count` too).  4x
 #: oversubscription is the classic work-stealing sweet spot: fine enough
 #: that a straggler chunk can't serialize the run, coarse enough that
-#: queue traffic stays negligible.
+#: claims stay negligible.
 OVERSUBSCRIPTION = 4
 
 
@@ -41,8 +42,8 @@ def plan_chunks(graph: Graph, chunks: int) -> list[tuple[int, int]]:
     approximately equal successor mass.
 
     A cumsum + searchsorted split, and pure planning: the chunk list is
-    computed once in the parent and pushed onto the work queue, so the
-    split is identical for every worker count — the root of the engine's
+    computed once in the parent, before the fork, and claimed by index, so
+    the split is identical for every worker count — the root of the engine's
     determinism guarantee.
     """
     if chunks < 1:

@@ -7,13 +7,14 @@ Section 3.4 of the paper):
    (:class:`repro.parallel.shm.SharedCSR`) and plans degree-balanced
    vertex chunks (:func:`repro.parallel.chunks.plan_chunks`), finer than
    the worker count;
-2. chunks go onto one work queue.  The caller is worker ``w0``: it
-   forks ``workers − 1`` workers ``w1 …``, which attach the shared CSR
-   zero-copy, and then pulls chunks from the same queue itself — no
-   core idles while the others work.  Everyone pulls until the queue
-   drains.  The round-robin "fair share" of chunk ``i`` is worker
-   ``i % workers`` — a worker executing someone else's chunk is the
-   *steal* that morphing performs with threads;
+2. every pool member claims the next chunk index from one shared
+   cursor.  The caller is worker ``w0``: it forks ``workers − 1``
+   workers ``w1 …``, which attach the shared CSR zero-copy, and then
+   claims chunks itself — no core idles while the others work.
+   Everyone claims until the plan is spent.  The round-robin "fair
+   share" of chunk ``i`` is worker ``i % workers`` — a worker executing
+   someone else's chunk is the *steal* that morphing performs with
+   threads;
 3. each worker binds the kernel once (the binding keeps the ``hash``
    mask across the worker's chunks) and runs
    :func:`repro.exec.engine.run_range` per chunk, accumulating its own
@@ -23,17 +24,18 @@ Section 3.4 of the paper):
    chunk, in chunk order (so output is identical for every worker
    count), worker metric snapshots folded into the run report's
    registry, worker trace events translated onto the caller's tracer
-   timeline.  The caller's own rows never cross a queue.
+   timeline.  The caller's own rows never cross a pipe.
 
 Steps 2–3 are :func:`run_chunks`, the only place in ``src/`` that forks:
 :func:`triangulate_parallel` and
 :class:`repro.exec.executors.ProcessExecutor` both hand it a chunk plan
-and fold the rows it returns.  Between its chunks the caller takes one
-non-blocking look at the children (heartbeats, straggler and silence
-checks, a live telemetry tick); at its sentinel it drains their reports.
-A worker that dies without reporting (SIGKILL, OOM-kill) is noticed on
-the next empty poll of the result queue and raises
-:class:`ParallelError` naming it.
+and fold the rows it returns.  Each child writes its heartbeats and
+then its report to one pipe that only it writes.  Between its chunks
+the caller takes one non-blocking look at the children (heartbeats,
+straggler and silence checks, a live telemetry tick); once the plan is
+spent it waits on their pipes and exits for the reports.  A worker that
+dies without reporting (SIGKILL, OOM-kill) ends its pipe, which the
+caller sees at once, and raises :class:`ParallelError` naming it.
 
 Determinism contract: the chunk plan, per-chunk triangle groups, and all
 op counts depend only on the graph — never on scheduling.  Only
@@ -44,11 +46,11 @@ and the determinism tests compare snapshots with exactly those excluded.
 from __future__ import annotations
 
 import multiprocessing as mp
-import queue as queue_mod
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Iterable, Sequence
+from multiprocessing.connection import wait
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,7 +83,7 @@ __all__ = [
 ]
 
 #: ``(chunk_index, lo, hi, triangles, ops, groups)`` for one executed
-#: chunk; the groups cross the result queue as the kernel built them,
+#: chunk; the groups cross a worker's pipe as the kernel built them,
 #: four arrays per chunk.
 ChunkRow = tuple[int, int, int, int, int, GroupBlock]
 
@@ -116,7 +118,7 @@ def count_chunk(
 
 @dataclass
 class WorkerReport:
-    """Everything one worker ships back over the result queue.
+    """Everything one worker ships back over its pipe.
 
     Plain data and arrays only — this crosses a process boundary by
     pickle.
@@ -166,20 +168,21 @@ def _execute_chunks(
     chunk.
 
     Every pool worker runs this: the caller as ``w0`` over the task list
-    or the task queue, a forked worker over the queue.  Timestamps are
+    or its claims from the shared cursor, a forked worker over its
+    claims.  Timestamps are
     seconds since *anchor* (a caller-side ``perf_counter`` reading), so
     merged events land on the caller's timeline without clock
     negotiation — ``perf_counter`` is one system-wide monotonic clock on
     Linux.
 
     With *publish* set, a :class:`Heartbeat` is handed to it at start,
-    after every chunk, and once more at drain (``done=True``): a forked
-    worker puts it on the heartbeat queue, the caller folds it into the
-    monitor and takes one non-blocking look at the other workers
-    (:meth:`_Pool.beat`).  *chunk_delay* is the straggler
-    fault-injection hook: seconds slept once before the first task fetch
-    and again inside every chunk (the up-front sleep makes the stall
-    deterministic even when the other workers drain the queue first;
+    after every chunk, and once more when the plan is spent
+    (``done=True``): a forked worker writes it to its pipe, the caller
+    folds it into the monitor and takes one non-blocking look at the
+    other workers (:meth:`_Pool.beat`).  *chunk_delay* is the straggler
+    fault-injection hook: seconds slept once before the first claim and
+    again inside every chunk (the up-front sleep makes the stall
+    deterministic even when the other workers spend the plan first;
     see :class:`StragglerPolicy`).  With a *coordinate* ``(phase,
     kernel, source)``, the worker charges a private attribution table
     under it and ships its deterministic snapshot on the report — cells
@@ -250,36 +253,47 @@ def _execute_chunks(
     return report
 
 
-def _put_beat(hb_queue, beat: Heartbeat) -> None:
-    """A forked worker's *publish*: ``put_nowait``, dropping the beat if
-    the channel is momentarily full — progress reporting must never
-    block the work it reports on."""
-    try:
-        hb_queue.put_nowait(beat)
-    except queue_mod.Full:  # pragma: no cover - tiny payloads
-        pass
+def _claim(cursor, lock, tasks: Sequence[tuple[int, int, int]],
+           look: Callable[[], None] | None = None,
+           patience: float = 0.0) -> Iterator[tuple[int, int, int]]:
+    """The chunks one pool member claims from the shared *cursor*, one
+    index per claim, until the plan is spent.
+
+    With *look* set (the caller), the lock is tried for *patience*
+    seconds at a time and *look* runs between tries: a child killed
+    while holding the lock then fails the run instead of hanging it.
+    """
+    while True:
+        while not lock.acquire(timeout=None if look is None else patience):
+            look()
+        index = cursor.value
+        cursor.value = index + 1
+        lock.release()
+        if index >= len(tasks):
+            return
+        yield tasks[index]
 
 
 def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
                  worker_id: int, collect: bool, anchor: float,
                  coordinate: tuple[str, str, str] | None,
-                 task_queue, result_queue, hb_queue,
-                 chunk_delay: float) -> None:
-    """Forked worker entry: attach, pull tasks up to the ``None``
-    sentinel, ship one report."""
+                 tasks: list[tuple[int, int, int]], cursor, lock,
+                 conn, beats: bool, chunk_delay: float) -> None:
+    """Forked worker entry: attach, claim chunks until the plan is spent,
+    write the beats (with *beats*) and then one report to *conn*, the
+    pipe only this worker writes."""
     shared = SharedCSR.attach(csr_handle)
     graph = None
     try:
         graph = shared.graph()
         report = _execute_chunks(
-            graph, kernel, iter(task_queue.get, None), worker_id,
+            graph, kernel, _claim(cursor, lock, tasks), worker_id,
             num_workers, collect, anchor, coordinate,
-            None if hb_queue is None else partial(_put_beat, hb_queue),
-            chunk_delay,
+            conn.send if beats else None, chunk_delay,
         )
     # Worker boundary: ANY failure (including KeyboardInterrupt /
     # SystemExit) must reach the parent as an error report; a death this
-    # cannot catch (SIGKILL) is the caller's _Pool.poll to notice.
+    # cannot catch (SIGKILL) ends the pipe, which the caller sees.
     # lint: ignore[error-types] worker-to-parent error funnel
     except BaseException as exc:
         report = WorkerReport(worker_id=worker_id,
@@ -289,96 +303,75 @@ def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
         # close() or the mmap refuses to unmap ("exported pointers exist").
         graph = None
         shared.close()
-    result_queue.put(report)
-
-
-#: Seconds the error path waits for a queue's feeder thread to close the
-#: pipe: an idle feeder does so at once, one blocked on a full pipe whose
-#: readers are dead never does.
-_FEEDER_GRACE = 1.0
-
-
-def _close_queue(q, *, discard: bool = False) -> None:
-    """Release a multiprocessing queue's pipe fds and feeder thread.
-
-    The feeder closes both ends of the pipe when it takes ``close()``'s
-    sentinel, so the fds are released only once it has.  ``discard=True``
-    (the error path, every child reaped) drops any unflushed buffer and
-    waits at most :data:`_FEEDER_GRACE` for the feeder, which a full pipe
-    would block forever — the queues are dead either way, and the fd-leak
-    gates in ``tests/test_telemetry.py`` and ``tests/test_parallel_engine.py``
-    count the fds right after the call returns.
-    """
-    if q is None:
-        return
-    q.close()
-    if not discard:
-        q.join_thread()
-        return
-    q.cancel_join_thread()
-    feeder = q._thread  # None when this process never put
-    if feeder is not None:
-        feeder.join(_FEEDER_GRACE)
+    conn.send(report)
+    conn.close()
 
 
 class _Pool:
     """The forked workers ``w1 … w{W-1}`` of one :func:`run_chunks` call,
     as the caller — worker ``w0`` — sees them.
 
-    With one worker nothing is forked and nothing is opened: the caller
-    runs the task list alone, and there is no child to look at, drain,
-    terminate or close a queue for.
+    Every member claims chunks from one shared cursor (a ``RawValue``
+    and a ``Lock``, allocated before the fork); each child writes its
+    beats and then its report to one pipe whose write end only it holds,
+    so a beat can never overtake a report.  With one worker nothing is
+    forked and nothing is opened: the caller runs the task list alone.
     """
 
-    def __init__(self, workers: int, policy: StragglerPolicy, anchor: float,
+    def __init__(self, workers: int, tasks: list[tuple[int, int, int]],
+                 policy: StragglerPolicy, anchor: float,
                  monitor: HeartbeatMonitor | None, ctx: RunContext):
         self.workers = workers
+        self.tasks = tasks
         self.policy = policy
         self.anchor = anchor
         self.monitor = monitor
         self.telemetry = ctx.telemetry
         #: ``worker_id -> Process`` of the started children.
         self.processes: dict = {}
+        #: ``worker_id -> Connection``, the read end of the child's pipe.
+        self.conns: dict = {}
         self.reports: dict[int, WorkerReport] = {}
-        self.task_queue = self.result_queue = self.hb_queue = None
+        self.cursor = self.lock = None
 
-    def start(self, handle, kernel: Kernel,
-              tasks: list[tuple[int, int, int]], collect: bool,
+    def start(self, handle, kernel: Kernel, collect: bool,
               coordinate: tuple[str, str, str] | None) -> None:
-        """Queue *tasks* and one sentinel per worker, then fork the
-        children; they attach ``handle.csr_handle()``."""
+        """Allocate the cursor, then fork the children, one pipe each;
+        they attach ``handle.csr_handle()``."""
         if self.workers <= 1:
             return
         mp_fork = mp.get_context("fork")
-        self.task_queue = mp_fork.Queue()
-        self.result_queue = mp_fork.Queue()
-        if self.monitor is not None:
-            self.hb_queue = mp_fork.Queue()
-        for task in tasks:
-            self.task_queue.put(task)
-        for _ in range(self.workers):
-            self.task_queue.put(None)
+        self.cursor = mp_fork.RawValue("q", 0)
+        self.lock = mp_fork.Lock()
         policy = self.policy
         for worker_id in range(1, self.workers):
-            process = mp_fork.Process(
-                target=_worker_main,
-                args=(handle.csr_handle(), kernel, self.workers, worker_id,
-                      collect, self.anchor, coordinate, self.task_queue,
-                      self.result_queue, self.hb_queue,
-                      policy.inject_chunk_delay
-                      if policy.inject_worker == worker_id else 0.0),
-                name=f"parallel-w{worker_id}",
-            )
-            process.start()
+            reader, writer = mp_fork.Pipe(duplex=False)
+            self.conns[worker_id] = reader
+            try:
+                process = mp_fork.Process(
+                    target=_worker_main,
+                    args=(handle.csr_handle(), kernel, self.workers,
+                          worker_id, collect, self.anchor, coordinate,
+                          self.tasks, self.cursor, self.lock, writer,
+                          self.monitor is not None,
+                          policy.inject_chunk_delay
+                          if policy.inject_worker == worker_id else 0.0),
+                    name=f"parallel-w{worker_id}",
+                )
+                process.start()
+            finally:
+                # Only the child may hold the write end: then the pipe
+                # ends exactly when the child does.
+                writer.close()
             self.processes[worker_id] = process
 
-    def tasks(self, tasks: list[tuple[int, int, int]]
-              ) -> Iterable[tuple[int, int, int]]:
-        """What the caller runs: *tasks* alone, or its pulls from the
-        queue the children share, up to its sentinel."""
-        if self.task_queue is None:
-            return tasks
-        return iter(self.task_queue.get, None)
+    def claims(self) -> Iterable[tuple[int, int, int]]:
+        """What the caller runs: the task list alone, or its claims from
+        the cursor the children share."""
+        if self.cursor is None:
+            return self.tasks
+        return _claim(self.cursor, self.lock, self.tasks,
+                      partial(self.poll, 0.0), self.policy.poll_interval)
 
     def beat(self, beat: Heartbeat) -> None:
         """The caller's *publish*: its own beat goes straight into the
@@ -389,76 +382,82 @@ class _Pool:
             self.poll(0.0)
 
     def poll(self, timeout: float) -> None:
-        """One pass: wait at most *timeout* for a child's report, drain
-        the heartbeats, run the detections, take a telemetry tick.
+        """One look: wait at most *timeout* for a child's pipe or exit,
+        read what arrived, run the detections, take a telemetry tick.
 
-        A child that exited before the wait began has already flushed its
-        report into the pipe, so if the wait still comes up empty the
-        child died without one (SIGKILL, OOM-kill — nothing its own error
-        funnel can catch) and :class:`ParallelError` names it instead of
-        the caller waiting forever.  With a monitor, a silent child
-        raises :class:`ParallelError` out of :meth:`HeartbeatMonitor.check`;
-        the context's telemetry sampler, if any, takes a rate-limited
-        tick (the caller hands down only a live, wall-clock one —
-        sim-clock ticks come from the merge replay).
+        A pipe that ends before its report means the child died without
+        one (SIGKILL, OOM-kill — nothing its own error funnel can catch):
+        :class:`ParallelError` names it as soon as the wait returns.
+        With a monitor, a silent child raises :class:`ParallelError` out
+        of :meth:`HeartbeatMonitor.check`; the context's telemetry
+        sampler, if any, takes a rate-limited tick (the caller hands down
+        only a live, wall-clock one — sim-clock ticks come from the merge
+        replay).
         """
-        exited = [(worker_id, process.exitcode)
-                  for worker_id, process in self.processes.items()
-                  if worker_id not in self.reports
-                  and process.exitcode is not None]
-        try:
-            report = self.result_queue.get(timeout=timeout)
-        except queue_mod.Empty:
-            if exited:
-                raise ParallelError(
-                    f"{len(exited)} worker(s) died without reporting: "
-                    + "; ".join(f"w{worker_id}: exit code {code}"
-                                for worker_id, code in exited)
-                ) from None
-        else:
-            self.reports[report.worker_id] = report
-            if self.monitor is not None:
-                self.monitor.mark_done(report.worker_id,
-                                       chunks_done=len(report.results))
+        owners = {}
+        for worker_id, process in self.processes.items():
+            if worker_id not in self.reports:
+                owners[self.conns[worker_id]] = owners[process.sentinel] = \
+                    worker_id
+        dead = sorted({owners[ready] for ready in wait(list(owners), timeout)
+                       if not self._read(owners[ready])})
+        if dead:
+            for worker_id in dead:
+                self.processes[worker_id].join()
+            raise ParallelError(
+                f"{len(dead)} worker(s) died without reporting: "
+                + "; ".join(f"w{worker_id}: exit code "
+                            f"{self.processes[worker_id].exitcode}"
+                            for worker_id in dead)
+            )
         if self.monitor is not None:
-            self.monitor.drain(self.hb_queue)
             self.monitor.check(time.perf_counter() - self.anchor)
         if self.telemetry is not None:
             self.telemetry.maybe_sample()
 
-    def drain(self) -> list[WorkerReport]:
-        """Every child's report, in worker order, then join them.
+    def _read(self, worker_id: int) -> bool:
+        """Read what *worker_id*'s pipe holds, up to its report; ``False``
+        when the pipe ends without one."""
+        conn = self.conns[worker_id]
+        try:
+            while worker_id not in self.reports and conn.poll():
+                message = conn.recv()
+                if isinstance(message, Heartbeat):
+                    self.monitor.observe(message)
+                    continue
+                self.reports[worker_id] = message
+                if self.monitor is not None:
+                    self.monitor.mark_done(worker_id,
+                                           chunks_done=len(message.results))
+        except EOFError:
+            return False
+        return True
 
-        Reports are read *before* join: a child blocks in ``put()`` until
-        the caller reads, so the reverse order deadlocks on big payloads.
+    def drain(self) -> list[WorkerReport]:
+        """Every child's report, in worker order.
+
+        Reports are read before :meth:`close` joins: a child blocks in
+        ``send()`` until the caller reads, so the reverse order deadlocks
+        on big payloads.
         """
         while len(self.reports) < len(self.processes):
             self.poll(self.policy.poll_interval)
-        if self.monitor is not None and self.hb_queue is not None:
-            self.monitor.drain(self.hb_queue)
-        self._reap()
         return [self.reports[worker_id] for worker_id in sorted(self.processes)]
 
-    def terminate(self) -> None:
-        """Stop every child still running and reap them all."""
-        for process in self.processes.values():
-            if process.is_alive():
+    def close(self) -> None:
+        """Stop every child that has not reported, reap them all, release
+        the pipes.  A child that reported exits on its own; one that did
+        not is failed, hung or blocked writing to a caller that stopped
+        reading.  A joined ``Process`` is closed at once, so its sentinel
+        is released now rather than whenever the object is collected."""
+        for worker_id, process in self.processes.items():
+            if worker_id not in self.reports and process.is_alive():
                 process.terminate()
-        self._reap()
-
-    def _reap(self) -> None:
-        """Join every child, then close it: its sentinel pipe is released
-        now rather than whenever the ``Process`` is collected.  None is
-        closed before all are joined, so an interrupt during a join
-        leaves :meth:`terminate` live ``Process`` objects to look at."""
         for process in self.processes.values():
             process.join()
-        for process in self.processes.values():
             process.close()
-
-    def close(self, *, discard: bool) -> None:
-        for q in (self.task_queue, self.result_queue, self.hb_queue):
-            _close_queue(q, discard=discard)
+        for conn in self.conns.values():
+            conn.close()
 
 
 def run_chunks(
@@ -472,21 +471,21 @@ def run_chunks(
     monitor: HeartbeatMonitor | None = None,
     ctx: RunContext = NO_CONTEXT,
 ) -> tuple[list[WorkerReport], list[ChunkRow]]:
-    """Run *kernel* over every chunk with a pool of queue-pulling workers.
+    """Run *kernel* over every chunk with a pool of cursor-claiming workers.
 
     The one process pool, and the caller is its worker ``w0``: *handle*
     is an open CSR-backed :class:`~repro.exec.protocols.SourceHandle`;
     ``min(workers, chunks) − 1`` forked workers ``w1 …`` attach
-    ``handle.csr_handle()`` and pull ``(index, lo, hi)`` tasks from one
-    queue until its sentinel, while the caller pulls from the same queue
-    over ``handle.csr_graph()``, taking one non-blocking look at the
-    children between its chunks and draining their reports at its own
-    sentinel.  With one worker or one chunk nothing is forked and the
-    caller runs the task list alone.  *anchor* is the caller's
-    ``perf_counter`` epoch for worker timestamps; *coordinate* is as in
-    :func:`_execute_chunks`; a *monitor* opens the heartbeat queue and
-    *ctx*'s live telemetry sampler is ticked on every look
-    (:meth:`_Pool.poll`).
+    ``handle.csr_handle()`` and claim ``(index, lo, hi)`` tasks from one
+    shared cursor until the plan is spent, while the caller claims from
+    the same cursor over ``handle.csr_graph()``, taking one non-blocking
+    look at the children between its chunks and waiting on their pipes
+    for the reports once the plan is spent.  With one worker or one
+    chunk nothing is forked and the caller runs the task list alone.
+    *anchor* is the caller's ``perf_counter`` epoch for worker
+    timestamps; *coordinate* is as in :func:`_execute_chunks`; with a
+    *monitor* the children write heartbeats to their pipes, and *ctx*'s
+    live telemetry sampler is ticked on every look (:meth:`_Pool.poll`).
 
     Returns the worker reports in worker order and every chunk's row in
     chunk order — vertex order, so the groups in row order are a pure
@@ -494,7 +493,7 @@ def run_chunks(
     :class:`ParallelError` when a worker (the caller included) failed,
     died, or the rows do not account for every planned chunk, and
     :class:`ConfigurationError` when the monitor's policy would stall the
-    caller; queues and workers are released on every path.
+    caller; pipes and workers are released on every path.
     """
     tasks = [(index, lo, hi) for index, (lo, hi) in enumerate(chunk_bounds)]
     workers = max(1, min(workers, len(tasks)))
@@ -505,17 +504,16 @@ def run_chunks(
             "runs worker 0 and watches the others; name a forked worker "
             f"(1 to {workers - 1})"
         )
-    pool = _Pool(workers, policy, anchor, monitor, ctx)
-    failed = False
+    pool = _Pool(workers, tasks, policy, anchor, monitor, ctx)
     try:
-        pool.start(handle, kernel, tasks, collect, coordinate)
+        pool.start(handle, kernel, collect, coordinate)
         # The caller's frames hold views of the shared segment, which
         # cannot unmap while a traceback keeps them alive: whatever is
         # raised in them leaves this block as a fresh exception.
         try:
-            own = _execute_chunks(handle.csr_graph(), kernel,
-                                  pool.tasks(tasks), 0, workers, collect,
-                                  anchor, coordinate, pool.beat)
+            own = _execute_chunks(handle.csr_graph(), kernel, pool.claims(),
+                                  0, workers, collect, anchor, coordinate,
+                                  pool.beat)
             failure = None
         except ParallelError as exc:  # a look at the children: one failed
             failure = ParallelError(str(exc))
@@ -531,15 +529,8 @@ def run_chunks(
         if failure is not None:
             raise failure
         reports = [own, *pool.drain()]
-    # Cleanup-and-reraise: even KeyboardInterrupt must terminate the
-    # workers and discard the queues, or the interpreter hangs at
-    # exit on the feeder threads.  # lint: ignore[error-types]
-    except BaseException:
-        failed = True
-        pool.terminate()
-        raise
     finally:
-        pool.close(discard=failed)
+        pool.close()
 
     failures = [(report.worker_id, report.error)
                 for report in reports if report.error]
@@ -672,7 +663,7 @@ def triangulate_parallel(
         shared memory) — the reference point the differential tests
         compare higher worker counts against.
     chunks:
-        Work-queue chunk count; defaults to
+        Chunk count of the plan the workers claim from; defaults to
         :func:`repro.parallel.chunks.default_chunk_count` (4x
         oversubscription so idle workers have something to steal).
     ordering:

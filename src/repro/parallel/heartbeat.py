@@ -1,16 +1,16 @@
 """Worker heartbeats: live progress, straggler and silence detection.
 
 The process-parallel engine's workers are invisible between fork and
-join — a stalled worker used to mean the parent blocked forever in
-``result_queue.get()`` with nothing on screen.  This module is the
+join — a stalled worker would leave the parent waiting on its pipe for
+a report that never comes, with nothing on screen.  This module is the
 parent-side fix:
 
-* forked workers publish a tiny :class:`Heartbeat` record on a
-  dedicated multiprocessing queue at start, after every chunk, and at
-  drain; the parent, which is worker 0 of its own pool, hands its own
-  beats to the monitor directly;
+* forked workers write a tiny :class:`Heartbeat` record to their pipe
+  (the one that later carries their report) at start, after every
+  chunk, and when the plan is spent; the parent, which is worker 0 of
+  its own pool, hands its own beats to the monitor directly;
 * between its chunks, and after them until every report is in, the
-  parent drains that queue into a
+  parent reads those beats into a
   :class:`HeartbeatMonitor`, which folds per-worker progress into the
   telemetry pipeline (as a tick provider — the ``workers`` section of
   every tick record) and runs two detections per poll:
@@ -34,7 +34,6 @@ it.
 
 from __future__ import annotations
 
-import queue as queue_mod
 from dataclasses import dataclass, replace
 from statistics import median
 from typing import Mapping
@@ -57,7 +56,7 @@ class Heartbeat:
     steals: int = 0
     #: Seconds since the run anchor (the parent's ``perf_counter`` epoch).
     ts: float = 0.0
-    #: True on the final beat, after the worker drained the task queue.
+    #: True on the final beat, after the worker found the plan spent.
     done: bool = False
 
 
@@ -69,7 +68,8 @@ class StragglerPolicy:
     worker is a straggler when the median worker has finished at least
     ``min_chunks`` chunks and this worker has finished fewer than
     ``fraction * median`` — the median over workers that ran a chunk or
-    are still running (one that drained an empty queue is left out).
+    are still running (one that found the plan already spent is left
+    out).
     ``grace`` suppresses that detector for the
     first seconds of a run — at startup the fastest worker can lap the
     others before they even fetch a task, which is scheduling noise, not
@@ -77,6 +77,10 @@ class StragglerPolicy:
     hang detector; ``None`` leaves it off, so a monitor used purely for
     live progress can never kill a run.  The grace period does *not*
     gate the deadline detector: a hang is a hang from second zero.
+    ``poll_interval`` is the longest the caller waits between two runs
+    of the detectors once its own chunks are done, and between two tries
+    at the chunk cursor's lock; a beat, a report or a death wakes it
+    sooner.
 
     ``inject_worker`` / ``inject_chunk_delay`` are test hooks: the
     engine makes worker ``inject_worker`` sleep ``inject_chunk_delay``
@@ -104,7 +108,7 @@ class HeartbeatMonitor:
     """Parent-side fold of worker heartbeats into telemetry + detection.
 
     Single-threaded by design: the engine's monitor loop owns
-    :meth:`drain` and :meth:`check`, while the telemetry sampler (possibly
+    :meth:`observe` and :meth:`check`, while the telemetry sampler (possibly
     on its background thread) reads :meth:`provider` — so state access
     takes a lock, but no method holds it while calling out.
     """
@@ -157,17 +161,6 @@ class HeartbeatMonitor:
                 done=beat.done,
             )
 
-    def drain(self, hb_queue) -> int:
-        """Drain every pending heartbeat from *hb_queue*; returns count."""
-        drained = 0
-        while True:
-            try:
-                beat = hb_queue.get_nowait()
-            except queue_mod.Empty:
-                return drained
-            self.observe(beat)
-            drained += 1
-
     # -- detection ------------------------------------------------------------
 
     def check(self, now: float) -> list[int]:
@@ -180,7 +173,7 @@ class HeartbeatMonitor:
         with self._lock:
             beats = dict(self._latest)
             seen = dict(self._seen)
-        # A worker that found the queue already empty (done, zero chunks)
+        # A worker that found the plan already spent (done, zero chunks)
         # says nothing about pace: counting it lets one fast worker that
         # drained every chunk pull the median to 0 and hide a stalled peer.
         progress = [beat.chunks_done for beat in beats.values()
@@ -238,9 +231,8 @@ class HeartbeatMonitor:
         """Record that *worker_id*'s final report arrived (join-safe).
 
         *chunks_done* is the report's chunk count: the report, not the
-        beats, is authoritative.  A worker's last beat travels on its own
-        queue and can arrive after the report; :meth:`observe` never lets
-        such a late beat roll the count back.
+        beats, is authoritative, and a beat observed after it never rolls
+        the count back (:meth:`observe`).
         """
         with self._lock:
             beat = replace(self._latest[worker_id], done=True)

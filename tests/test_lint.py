@@ -337,6 +337,62 @@ SEGMENT_FIXTURES = {
     """, False),
 }
 
+# Both connections a Pipe() returns are resources.  case -> (source, is a
+# finding).
+PIPE_FIXTURES = {
+    "reader-leaked": ("""
+        import multiprocessing as mp
+
+        def ping(payload):
+            reader, writer = mp.Pipe(duplex=False)
+            try:
+                writer.send(payload)
+                return payload
+            finally:
+                writer.close()
+    """, True),
+    "both-closed-in-finally": ("""
+        import multiprocessing as mp
+
+        def ping(payload):
+            reader, writer = mp.Pipe(duplex=False)
+            try:
+                writer.send(payload)
+                return reader.recv()
+            finally:
+                writer.close()
+                reader.close()
+    """, False),
+    "stored-on-an-owner-that-closes": ("""
+        import multiprocessing as mp
+
+        class Pool:
+            def __init__(self):
+                self.conns = {}
+
+            def start(self, worker_id):
+                reader, writer = mp.Pipe(duplex=False)
+                self.conns[worker_id] = reader
+                writer.close()
+
+            def close(self):
+                for conn in self.conns.values():
+                    conn.close()
+    """, False),
+    "stored-on-an-owner-that-never-closes": ("""
+        import multiprocessing as mp
+
+        class Pool:
+            def __init__(self):
+                self.conns = {}
+
+            def start(self, worker_id):
+                reader, writer = mp.Pipe(duplex=False)
+                self.conns[worker_id] = reader
+                writer.close()
+    """, True),
+}
+
 
 def lint_source(tmp_path, relpath: str, source: str, rules=None, **kwargs):
     """Write one dedented fixture and run the engine over the tree."""
@@ -593,6 +649,39 @@ def test_resource_lifecycle_segment_release(tmp_path, case):
                          rules=[ResourceLifecycleRule()])
     hits = [f.format() for f in result.findings]
     assert bool(hits) == is_finding, hits
+
+
+@pytest.mark.parametrize("case", sorted(PIPE_FIXTURES))
+def test_resource_lifecycle_pipe_ends(tmp_path, case):
+    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
+
+    source, is_finding = PIPE_FIXTURES[case]
+    result = lint_source(tmp_path, "repro/parallel/pipe.py", source,
+                         rules=[ResourceLifecycleRule()])
+    hits = [f.format() for f in result.findings]
+    assert bool(hits) == is_finding, hits
+    assert all("pipe end" in hit for hit in hits)
+
+
+def test_pool_pipes_are_clean_because_the_writer_closes(tmp_path):
+    """The pool closes its copy of each write end right after the fork
+    and keeps the read ends on itself.  Drop the close and it is a
+    leak."""
+    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
+
+    source = (ROOT / "src/repro/parallel/engine.py").read_text(
+        encoding="utf-8")
+    closing = "                writer.close()\n"
+    assert source.count(closing) == 1
+    for text, expected in ((source, 0),
+                           (source.replace(closing, "                pass\n"),
+                            1)):
+        result = lint_source(tmp_path, "repro/parallel/engine.py", text,
+                             rules=[ResourceLifecycleRule()])
+        hits = [f for f in result.findings
+                if f.rule_id == "resource-lifecycle"]
+        assert len(hits) == expected, [f.format() for f in hits]
+        assert all("pipe end" in f.message for f in hits)
 
 
 def test_copy_into_segment_is_clean_because_it_returns(tmp_path):

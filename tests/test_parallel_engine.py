@@ -31,6 +31,7 @@ from repro.memory import compact_forward, edge_iterator, forward
 from repro.memory.base import CollectSink, canonical_triangles
 from repro.obs import RunContext
 from repro.parallel import (
+    StragglerPolicy,
     default_chunk_count,
     plan_chunks,
     triangulate_parallel,
@@ -221,6 +222,23 @@ class TestWorkQueue:
         assert len(parallel.executed_by) == len(parallel.chunk_bounds)
         assert all(0 <= wid < parallel.workers
                    for wid in parallel.executed_by)
+
+    def test_cursor_hands_out_each_chunk_once_under_contention(
+            self, deadline):
+        """Six workers on fewer cores race for thousands of one-vertex
+        claims: a lost update on the shared cursor would run a chunk
+        twice."""
+        n = 3000
+        graph = from_edges([(v, v + 1) for v in range(n - 1)],
+                           num_vertices=n)
+        planned = len(plan_chunks(graph, n))
+        assert planned == n - 1
+        for _ in range(2):
+            result = triangulate_parallel(graph, workers=6, chunks=n)
+            claimed = sorted(row[0] for report
+                             in result.extra["parallel"].worker_reports
+                             for row in report.results)
+            assert claimed == list(range(planned))
 
     def test_steals_counted_against_round_robin_share(self, zoo):
         result = triangulate_parallel(zoo["clustered"], workers=2, chunks=8)
@@ -430,6 +448,66 @@ class TestWorkerDeath:
         gc.collect()
         assert set(os.listdir("/dev/shm")) <= shm_before
         assert len(os.listdir("/proc/self/fd")) <= fds_before
+
+    def test_death_during_the_drain_is_seen_at_once(self, zoo, monkeypatch,
+                                                    deadline):
+        """w1 dies after the caller ran out of chunks and waits on the
+        children: the exit is seen when it happens, not after the next
+        ``poll_interval`` (30 s here, past the 10 s deadline)."""
+        import multiprocessing as mp
+        import os
+        import signal
+        import time
+
+        import repro.parallel.engine as engine_mod
+
+        real_run_range = engine_mod.run_range
+
+        def die_late_in_w1(*args, **kwargs):
+            if mp.current_process().name == "parallel-w1":
+                time.sleep(0.2)
+                os.kill(os.getpid(), signal.SIGKILL)
+            # The caller's chunk: slow enough that w1 claims the other.
+            time.sleep(0.1)
+            return real_run_range(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "run_range", die_late_in_w1)
+        with pytest.raises(ParallelError, match=r"w1: exit code -9"):
+            triangulate_parallel(zoo["clustered"], workers=2, chunks=2,
+                                 straggler=StragglerPolicy(poll_interval=30.0))
+
+    def test_death_holding_the_cursor_lock_is_seen(self, zoo, monkeypatch,
+                                                   deadline):
+        """w1 dies inside its first claim, the cursor's lock held: the
+        caller's next claim times out on the lock, looks at its children
+        and raises instead of waiting on the lock forever.  The caller's
+        look between its chunks is switched off, so only the claim can
+        see the death."""
+        import multiprocessing as mp
+        import os
+        import signal
+        import time
+
+        import repro.parallel.engine as engine_mod
+
+        real_claim = engine_mod._claim
+        real_run_range = engine_mod.run_range
+
+        def claim_and_die_in_w1(cursor, lock, *args, **kwargs):
+            if mp.current_process().name == "parallel-w1":
+                lock.acquire()
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real_claim(cursor, lock, *args, **kwargs)
+
+        def slow_run_range(*args, **kwargs):
+            time.sleep(0.1)  # w1 is in its claim before the caller's next
+            return real_run_range(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "_claim", claim_and_die_in_w1)
+        monkeypatch.setattr(engine_mod, "run_range", slow_run_range)
+        monkeypatch.setattr(engine_mod._Pool, "beat", lambda self, beat: None)
+        with pytest.raises(ParallelError, match=r"w1: exit code -9"):
+            triangulate_parallel(zoo["clustered"], workers=2, chunks=8)
 
 
 # ---------------------------------------------------------------------------
