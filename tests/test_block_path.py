@@ -2,12 +2,14 @@
 
 ``block_range`` must return what the per-pair loop returns — triangles,
 Eq. 3 ops, the exact group sequence, the attribution cells — wherever
-its block boundaries fall.  The zoo graphs all fit in one block at
-the shipped budgets, so these tests shrink the budgets until blocks
-split inside one vertex's successor list and across rows.  The per-pair
-reference is the ``bitmap`` binding (same analytic charge, separate data
-path); the listing oracle is ``forward``, which shares no code with
-either.
+its block boundaries fall, and whichever side of each edge it gathers.
+At the shipped budgets every zoo graph's mask holds all the rows a range
+can reach, so it takes the shorter-side path; shrinking ``MASK_BYTES``
+to a row or two forces the row-window path, and shrinking
+``BLOCK_ENTRIES`` splits blocks inside one vertex's successor list and
+across rows on either.  The per-pair reference is the ``bitmap`` binding
+(same analytic charge, separate data path); the listing oracle is
+``forward``, which shares no code with either.
 """
 
 from __future__ import annotations
@@ -25,9 +27,12 @@ from repro.exec.engine import run_range
 from repro.exec.kernels import BitmapKernel, HashKernel
 from repro.memory import CollectSink, forward
 from repro.obs.attribution import Attribution
+from repro.parallel import (default_chunk_count, plan_chunks,
+                            triangulate_parallel)
 from repro.util import ragged
 
 from tests import zoo
+from tests.test_parallel_engine import EMITTED_DIGESTS, emitted_digests
 
 MEMBERS = [(name, 0) for name in zoo.zoo_names()] + [
     (name, seed) for name in zoo.SEEDED for seed in (1, 2)
@@ -78,14 +83,16 @@ def _per_pair_tuples(member: str, seed: int, lo: int, hi: int) -> list:
 
 
 def _blocked(member: str, seed: int, lo: int, hi: int, entries: int,
-             rows: int):
-    """``block_range`` with budgets of *entries* entries and *rows* rows."""
+             rows: int | None):
+    """``block_range`` with budgets of *entries* entries and *rows* rows
+    (``None``: the shipped ``MASK_BYTES``)."""
     graph = _graph(member, seed)
     table = Attribution()
     scope = table.scope(phase="exec", kernel="hash", source="memory")
+    mask_bytes = (block.MASK_BYTES if rows is None
+                  else rows * graph.num_vertices)
     with mock.patch.object(block, "BLOCK_ENTRIES", entries), \
-            mock.patch.object(block, "MASK_BYTES",
-                              rows * graph.num_vertices):
+            mock.patch.object(block, "MASK_BYTES", mask_bytes):
         result = block.block_range(graph.indptr, graph.indices,
                                    graph.succ_start, lo, hi, True, scope)
     return result, _cells(table)
@@ -109,11 +116,16 @@ def _assert_same_as_references(member, seed, lo, hi, entries, rows):
 
 @pytest.mark.parametrize("member,seed", MEMBERS,
                          ids=[f"{m}-s{s}" for m, s in MEMBERS])
-@pytest.mark.parametrize("entries,rows", [(1, 1), (3, 2), (8, 1), (8, 2)])
+@pytest.mark.parametrize("entries,rows", [
+    (1, 1), (3, 2), (8, 1), (8, 2),
+    (1, None), (8, None), (block.BLOCK_ENTRIES, None)])
 def test_tiny_blocks_match_per_pair_loop_and_oracle(member, seed, entries,
                                                     rows):
-    """Whole graph; one entry per block splits every successor list."""
+    """Whole graph; one entry per block splits every successor list, and
+    on the shorter-side path (``rows=None``) every flipped suffix."""
     num_vertices = _graph(member, seed).num_vertices
+    if rows is None:
+        assert num_vertices ** 2 <= block.MASK_BYTES
     _assert_same_as_references(member, seed, 0, num_vertices, entries, rows)
 
 
@@ -126,7 +138,7 @@ def test_sub_ranges_under_random_budgets(data):
     lo = data.draw(st.integers(0, num_vertices))
     hi = data.draw(st.integers(lo, num_vertices))
     entries = data.draw(st.integers(1, 8))
-    rows = data.draw(st.integers(1, 2))
+    rows = data.draw(st.sampled_from([1, 2, None]))
     _assert_same_as_references(member, seed, lo, hi, entries, rows)
 
 
@@ -145,6 +157,96 @@ def test_shipped_budgets_split_a_larger_graph():
     assert results["hash"].triangles == results["bitmap"].triangles
     assert results["hash"].cpu_ops == results["bitmap"].cpu_ops
     assert sinks["hash"].triangles == sinks["bitmap"].triangles
+
+
+class _CountingMask:
+    """A ``block_range`` mask that counts the cells it is probed at."""
+
+    def __init__(self, cells: int):
+        self.cells = np.zeros(cells, dtype=bool)
+        self.probed = 0
+
+    def __len__(self) -> int:
+        return len(self.cells)
+
+    def __getitem__(self, probes):
+        self.probed += len(probes)
+        return self.cells[probes]
+
+    def __setitem__(self, marked, value):
+        self.cells[marked] = value
+
+
+def _gather_bill(graph, lo: int, hi: int, shorter: bool) -> int:
+    """Entries gathered over ``[lo, hi)``: ``|n_succ(v)|`` per edge
+    ``(u, v)`` or, *shorter*, the least of that and the number of ``u``'s
+    successors after ``v``."""
+    total = 0
+    for u in range(lo, hi):
+        succ_u = graph.n_succ(u)
+        for i, v in enumerate(succ_u.tolist()):
+            side = len(graph.n_succ(v))
+            total += min(side, len(succ_u) - i - 1) if shorter else side
+    return total
+
+
+@pytest.mark.parametrize("member,seed", MEMBERS,
+                         ids=[f"{m}-s{s}" for m, s in MEMBERS])
+def test_a_mask_of_every_reachable_row_gathers_the_shorter_side(member,
+                                                                 seed):
+    """``(n − lo) · n`` cells take the shorter-side path, one cell less
+    the row-window path; both answer like the per-pair loop and leave the
+    mask all-False."""
+    graph = _graph(member, seed)
+    num_vertices = graph.num_vertices
+    for lo in sorted({0, num_vertices // 2, num_vertices - 2}):
+        if not 0 <= lo <= num_vertices - 2:
+            continue
+        reach = (num_vertices - lo) * num_vertices
+        for cells, shorter in ((reach, True), (reach - 1, False)):
+            mask = _CountingMask(cells)
+            table = Attribution()
+            result = block.block_range(
+                graph.indptr, graph.indices, graph.succ_start, lo,
+                num_vertices, True,
+                table.scope(phase="exec", kernel="hash", source="memory"),
+                mask=mask)
+            label = (member, seed, lo, cells)
+            assert mask.probed == _gather_bill(graph, lo, num_vertices,
+                                               shorter), label
+            assert not mask.cells.any(), label
+            assert ((result, _cells(table))
+                    == _per_pair(member, seed, lo, num_vertices)), label
+
+
+def test_the_shorter_side_gathers_less_on_a_clustered_graph():
+    """The bill the path above is held to is a saving, not a tie."""
+    graph = _graph("star-of-cliques", 0)
+    n = graph.num_vertices
+    assert (_gather_bill(graph, 0, n, True)
+            < _gather_bill(graph, 0, n, False))
+
+
+@pytest.mark.parametrize("workers", (1, 2, 3))
+def test_parallel_chunks_on_both_paths(seeded_graph, workers):
+    """A mask that only the tail chunks of the plan fit sends the other
+    chunks through the row-window path: the listing is ``forward``'s and
+    every sink still receives the pinned stream."""
+    graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=6,
+                         ordering="natural")
+    n = graph.num_vertices
+    # The last chunk of the coarsest plan (one worker) fits, exactly.
+    rows = n - plan_chunks(graph, default_chunk_count(graph, 1))[-1][0]
+    chunks = plan_chunks(graph, default_chunk_count(graph, workers))
+    fitting = sum(n - lo <= rows for lo, _ in chunks)
+    assert 0 < fitting < len(chunks)
+    with mock.patch.object(block, "MASK_BYTES", rows * n):
+        sink = CollectSink()
+        triangulate_parallel(graph, workers=workers, sink=sink)
+        expected = CollectSink()
+        forward(graph, expected)
+        assert sorted(sink.triangles) == sorted(expected.triangles)
+        assert emitted_digests(graph, workers) == EMITTED_DIGESTS
 
 
 def test_bit_lengths_match_int_bit_length_around_powers_of_two():
@@ -193,29 +295,43 @@ def test_binding_keeps_one_all_false_mask():
     assert block.mask_cells(6) == 6 * 6
 
 
-def test_mask_is_cleared_when_a_block_raises():
-    """An exception between mark and unmark leaves the mask all-False."""
+def _fail_mid_block(mask_bytes: int) -> None:
+    """Run a binding over a range whose first probe gather raises; the
+    failure must land between mark and unmark and leave the mask
+    all-False, and the binding usable."""
     graph = _graph("star-of-cliques", 0)
-    binding = HashKernel().bind(graph.num_vertices)
     real_take_rows = ragged.take_rows
     calls = []
 
     def take_rows_then_fail(values, starts, lengths):
         calls.append(binding.mask().any())
-        # Call 1 gathers the range's edges, call 2 a block's marked rows,
-        # call 3 that block's probes — after the mark.
-        if len(calls) == 3:
+        # Call 1 marks rows — every row the range reaches, or the first
+        # block's — and call 2 gathers that block's probes, after the mark.
+        if len(calls) == 2:
             raise MemoryError("injected mid-block")
         return real_take_rows(values, starts, lengths)
 
-    with mock.patch.object(ragged, "take_rows", take_rows_then_fail):
-        with pytest.raises(MemoryError, match="mid-block"):
-            run_range(graph, binding, 0, graph.num_vertices, True)
-    assert calls[-1], "the failure did not land between mark and unmark"
-    assert not binding.mask().any()
-    # The binding stays usable, and right.
-    assert (_bound_run(graph, binding, 0, graph.num_vertices)
-            == _fresh_run(graph, 0, graph.num_vertices))
+    with mock.patch.object(block, "MASK_BYTES", mask_bytes):
+        binding = HashKernel().bind(graph.num_vertices)
+        with mock.patch.object(ragged, "take_rows", take_rows_then_fail):
+            with pytest.raises(MemoryError, match="mid-block"):
+                run_range(graph, binding, 0, graph.num_vertices, True)
+        assert calls[-1], "the failure did not land between mark and unmark"
+        assert not binding.mask().any()
+        # The binding stays usable, and right.
+        assert (_bound_run(graph, binding, 0, graph.num_vertices)
+                == _fresh_run(graph, 0, graph.num_vertices))
+
+
+def test_mask_is_cleared_when_a_block_raises():
+    """An exception between mark and unmark leaves the mask all-False
+    (the shipped budget: the shorter-side path)."""
+    _fail_mid_block(block.MASK_BYTES)
+
+
+def test_mask_is_cleared_when_a_row_window_block_raises():
+    """The same on the row-window path, under a mask of two rows."""
+    _fail_mid_block(2 * _graph("star-of-cliques", 0).num_vertices)
 
 
 @pytest.mark.parametrize("budget", ["entries", "mask"])

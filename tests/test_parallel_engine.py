@@ -655,34 +655,39 @@ EMITTED_DIGESTS = {
 }
 
 
+def emitted_digests(graph, workers: int) -> dict[str, str]:
+    """sha256 of what each sink receives from ``triangulate_parallel``:
+    CollectSink's tuples, the writer's file bytes and the ``(u, v, ws)``
+    sequence an ``emit``-only sink sees."""
+    import hashlib
+    import io
+    import json
+
+    from repro.core.output import NestedOutputWriter
+
+    collect = CollectSink()
+    triangulate_parallel(graph, workers=workers, sink=collect)
+    stream = io.BytesIO()
+    writer = NestedOutputWriter(stream, page_size=256)
+    triangulate_parallel(graph, workers=workers, sink=writer)
+    writer.close()
+    plain = EmitOnlySink()
+    triangulate_parallel(graph, workers=workers, sink=plain)
+    received = {
+        "collect": json.dumps(collect.triangles).encode(),
+        "writer": stream.getvalue(),
+        "emit": json.dumps(plain.groups).encode(),
+    }
+    return {name: hashlib.sha256(data).hexdigest()
+            for name, data in received.items()}
+
+
 class TestRowByRowFold:
     @pytest.mark.parametrize("workers", (1, 2, 3, 4))
     def test_every_sink_receives_the_pinned_stream(self, seeded_graph,
                                                    workers):
-        """The merge emits chunk by chunk: CollectSink's tuples, the
-        writer's file bytes and the ``(u, v, ws)`` sequence an
-        ``emit``-only sink sees are the ones the one-block merge
-        produced, for every worker count."""
-        import hashlib
-        import io
-        import json
-
-        from repro.core.output import NestedOutputWriter
-
+        """The merge emits chunk by chunk: every sink receives what the
+        one-block merge produced, for every worker count."""
         graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=6,
                              ordering="natural")
-        collect = CollectSink()
-        triangulate_parallel(graph, workers=workers, sink=collect)
-        stream = io.BytesIO()
-        writer = NestedOutputWriter(stream, page_size=256)
-        triangulate_parallel(graph, workers=workers, sink=writer)
-        writer.close()
-        plain = EmitOnlySink()
-        triangulate_parallel(graph, workers=workers, sink=plain)
-        received = {
-            "collect": json.dumps(collect.triangles).encode(),
-            "writer": stream.getvalue(),
-            "emit": json.dumps(plain.groups).encode(),
-        }
-        assert {name: hashlib.sha256(data).hexdigest()
-                for name, data in received.items()} == EMITTED_DIGESTS
+        assert emitted_digests(graph, workers) == EMITTED_DIGESTS
