@@ -12,9 +12,8 @@ run-to-run perf comparisons never silently break.  It runs three ways:
 
 Beyond the RunReport payloads it also covers the profiler's artifacts:
 an embedded ``derived.attribution`` snapshot validates against the
-attribution schema, ``PROFILE_*.speedscope.json`` flame profiles against
-the speedscope format, and ``*perf_history*.jsonl`` indexes against the
-perf-history record schema.
+attribution schema, and ``PROFILE_*.speedscope.json`` flame profiles
+against the speedscope format.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from repro.obs import (
     validate_report_dict,
     validate_speedscope,
 )
-from repro.obs.history import validate_history_file
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -41,11 +39,6 @@ def bench_report_paths(results_dir: str | Path = RESULTS_DIR) -> list[Path]:
 def profile_paths(results_dir: str | Path = RESULTS_DIR) -> list[Path]:
     """Every ``PROFILE_*.speedscope.json`` flame profile artifact."""
     return sorted(Path(results_dir).glob("PROFILE_*.speedscope.json"))
-
-
-def history_paths(results_dir: str | Path = RESULTS_DIR) -> list[Path]:
-    """Every perf-history JSONL index under *results_dir*."""
-    return sorted(Path(results_dir).glob("*perf_history*.jsonl"))
 
 
 def validate_profile_file(path: str | Path) -> list[str]:
@@ -98,15 +91,12 @@ def validate_file(path: str | Path) -> list[str]:
 def validate_results_dir(results_dir: str | Path = RESULTS_DIR) -> dict[str, list[str]]:
     """Map of file name -> schema errors, for every artifact file.
 
-    Covers the RunReport trajectories, the speedscope flame profiles,
-    and any perf-history indexes living under *results_dir*.
+    Covers the RunReport trajectories and the speedscope flame profiles.
     """
     checked = {path.name: validate_file(path)
                for path in bench_report_paths(results_dir)}
     checked.update({path.name: validate_profile_file(path)
                     for path in profile_paths(results_dir)})
-    checked.update({path.name: validate_history_file(path)
-                    for path in history_paths(results_dir)})
     return checked
 
 

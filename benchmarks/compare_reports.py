@@ -9,7 +9,7 @@ committed baseline of the same name and failing loudly on regression.
 Usage::
 
     PYTHONPATH=src python benchmarks/compare_reports.py BASELINE FRESH \
-        [--threshold 0.20] [--json] [--history INDEX.jsonl]
+        [--threshold 0.20] [--json]
 
 ``BASELINE`` and ``FRESH`` are either two report files or two
 directories of ``BENCH_*.json`` files (matched by file name; files
@@ -18,20 +18,12 @@ exit code is 1 when any matched report regressed by more than
 ``--threshold`` (fraction, default 20%), else 0.
 
 ``--json`` prints the comparison rows as one machine-readable JSON
-object (``{"rows": {...}, "regressions": N}``) instead of the table —
-the form ``repro perf check`` and CI steps consume.  ``--history``
-enables the multi-baseline mode: each report is additionally compared
-against the best-of-history value in the given
-:class:`repro.obs.history.PerfHistory` index, and the *tighter* (lower)
-of pinned-seed and best-of-history wins as the baseline, so a bench
-that once got faster can't quietly drift back to its seed value.
+object (``{"rows": {...}, "regressions": N}``) instead of the table.
 
 The headline metric is resolved per report, most-specific first:
 ``derived.elapsed_simulated``, then the ``run.elapsed_simulated`` /
 ``sim.elapsed`` / ``run.elapsed_wall`` gauges — so the same diff covers
-the simulated engines and the wall-clock threaded engine.  The
-resolution order lives in :mod:`repro.obs.history` (shared with the
-perf-history store) so the two tools can never disagree.
+the simulated engines and the wall-clock threaded engine.
 """
 
 from __future__ import annotations
@@ -40,14 +32,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-
-from repro.obs.history import (
-    DEFAULT_THRESHOLD,
-    HEADLINE_KEYS,
-    PerfHistory,
-    bench_name_of,
-    headline_elapsed,
-)
+from typing import Mapping
 
 __all__ = [
     "DEFAULT_THRESHOLD",
@@ -59,6 +44,35 @@ __all__ = [
     "load_report",
     "main",
 ]
+
+#: Resolution order for the headline elapsed-time metric.
+HEADLINE_KEYS: tuple[tuple[str, str], ...] = (
+    ("derived", "elapsed_simulated"),
+    ("gauge", "run.elapsed_simulated"),
+    ("gauge", "sim.elapsed"),
+    ("gauge", "run.elapsed_wall"),
+)
+
+#: Allowed slowdown fraction before a comparison regresses.
+DEFAULT_THRESHOLD = 0.20
+
+
+def headline_elapsed(payload: Mapping) -> tuple[str, float] | None:
+    """The report's headline elapsed time as ``(metric_name, seconds)``.
+
+    Most-specific first: ``derived.elapsed_simulated``, then the
+    ``run.elapsed_simulated`` / ``sim.elapsed`` / ``run.elapsed_wall``
+    gauges — so one resolution covers the simulated engines and the
+    wall-clock engines alike.
+    """
+    derived = payload.get("derived") or {}
+    gauges = (payload.get("metrics") or {}).get("gauges") or {}
+    for kind, key in HEADLINE_KEYS:
+        source = derived if kind == "derived" else gauges
+        value = source.get(key)
+        if isinstance(value, (int, float)) and value > 0:
+            return key, float(value)
+    return None
 
 
 def load_report(path: str | Path) -> dict:
@@ -77,34 +91,18 @@ def compare_payloads(
     baseline: dict,
     fresh: dict,
     threshold: float = DEFAULT_THRESHOLD,
-    *,
-    history: PerfHistory | None = None,
-    bench: str | None = None,
 ) -> dict:
-    """One comparison row: headline values, ratio, and the verdict.
-
-    With *history* and *bench*, the baseline is the tighter of the
-    pinned payload and the best-of-history record (multi-baseline mode);
-    ``baseline_source`` says which one won.
-    """
+    """One comparison row: headline values, ratio, and the verdict."""
     base = headline_elapsed(baseline)
     new = headline_elapsed(fresh)
     if base is None or new is None:
         return {"status": "no-headline", "baseline": base, "fresh": new}
-    base_value = base[1]
-    base_source = "pinned"
-    if history is not None and bench:
-        best = history.best(bench)
-        if best is not None and best.value < base_value:
-            base_value = best.value
-            base_source = f"history@{best.git_rev}"
-    ratio = new[1] / base_value
+    ratio = new[1] / base[1]
     regressed = ratio > 1.0 + threshold
     return {
         "status": "regressed" if regressed else "ok",
         "metric": new[0],
-        "baseline": base_value,
-        "baseline_source": base_source,
+        "baseline": base[1],
         "fresh": new[1],
         "ratio": ratio,
         "threshold": threshold,
@@ -115,21 +113,15 @@ def compare_files(
     baseline_path: str | Path,
     fresh_path: str | Path,
     threshold: float = DEFAULT_THRESHOLD,
-    *,
-    history: PerfHistory | None = None,
 ) -> dict:
     return compare_payloads(load_report(baseline_path),
-                            load_report(fresh_path), threshold,
-                            history=history,
-                            bench=bench_name_of(fresh_path))
+                            load_report(fresh_path), threshold)
 
 
 def compare_dirs(
     baseline_dir: str | Path,
     fresh_dir: str | Path,
     threshold: float = DEFAULT_THRESHOLD,
-    *,
-    history: PerfHistory | None = None,
 ) -> dict[str, dict]:
     """Compare every ``BENCH_*.json`` present on both sides, by name."""
     baseline_dir, fresh_dir = Path(baseline_dir), Path(fresh_dir)
@@ -143,7 +135,7 @@ def compare_dirs(
         elif not new.exists():
             rows[name] = {"status": "fresh-missing"}
         else:
-            rows[name] = compare_files(base, new, threshold, history=history)
+            rows[name] = compare_files(base, new, threshold)
     return rows
 
 
@@ -151,9 +143,8 @@ def _format_row(name: str, row: dict) -> str:
     status = row["status"]
     if status in ("baseline-missing", "fresh-missing", "no-headline"):
         return f"{status:18s}  {name}"
-    source = row.get("baseline_source", "pinned")
     return (f"{status:18s}  {name}  {row['metric']}: "
-            f"{row['baseline']:.6f}s ({source}) -> {row['fresh']:.6f}s "
+            f"{row['baseline']:.6f}s -> {row['fresh']:.6f}s "
             f"(x{row['ratio']:.3f}, limit x{1 + row['threshold']:.2f})")
 
 
@@ -166,9 +157,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="allowed slowdown fraction (default 0.20)")
     parser.add_argument("--json", action="store_true", dest="as_json",
                         help="print rows as machine-readable JSON")
-    parser.add_argument("--history", default=None, metavar="INDEX",
-                        help="perf-history JSONL index enabling the "
-                             "best-of-history multi-baseline mode")
     args = parser.parse_args(argv)
     baseline, fresh = Path(args.baseline), Path(args.fresh)
     if not baseline.exists() or not fresh.exists():
@@ -179,12 +167,10 @@ def main(argv: list[str] | None = None) -> int:
         print("error: baseline and fresh must both be files or both be "
               "directories", file=sys.stderr)
         return 2
-    history = PerfHistory(args.history) if args.history else None
     if baseline.is_dir():
-        rows = compare_dirs(baseline, fresh, args.threshold, history=history)
+        rows = compare_dirs(baseline, fresh, args.threshold)
     else:
-        rows = {fresh.name: compare_files(baseline, fresh, args.threshold,
-                                          history=history)}
+        rows = {fresh.name: compare_files(baseline, fresh, args.threshold)}
     regressions = sum(1 for row in rows.values()
                       if row["status"] == "regressed")
     if args.as_json:

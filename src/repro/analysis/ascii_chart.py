@@ -8,13 +8,9 @@ figure, not only its numbers.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
-__all__ = ["bar_chart", "series_chart", "sparkline"]
-
-#: Eight-level block ramp used by :func:`sparkline`.
-_SPARK_TICKS = "▁▂▃▄▅▆▇█"
+__all__ = ["bar_chart", "series_chart"]
 
 
 def bar_chart(
@@ -88,40 +84,6 @@ def series_chart(
         f"{marker}={name}" for name, marker in markers.items()
     ))
     return "\n".join(lines)
-
-
-def sparkline(values: Sequence[float], *, width: int | None = None) -> str:
-    """One-line block-character chart of *values*, scaled to their range.
-
-    With *width* set, the most recent ``width`` values are shown (live
-    views want the trailing window).  A flat series renders at the lowest
-    tick so a sparkline of constants is visibly "flat", not empty.
-    Non-finite values (NaN, ±inf — torn telemetry ticks, div-by-zero
-    rates) render as ``·`` and are excluded from the scale instead of
-    poisoning it.
-    """
-    if width is not None:
-        if width < 1:
-            raise ValueError("sparkline width must be at least one column")
-        values = values[-width:]
-    if not values:
-        return ""
-    finite = [value for value in values if math.isfinite(value)]
-    if not finite:
-        return "·" * len(values)
-    lo = min(finite)
-    hi = max(finite)
-    span = hi - lo
-    top = len(_SPARK_TICKS) - 1
-    out = []
-    for value in values:
-        if not math.isfinite(value):
-            out.append("·")
-        elif span <= 0:
-            out.append(_SPARK_TICKS[0])
-        else:
-            out.append(_SPARK_TICKS[min(top, round((value - lo) / span * top))])
-    return "".join(out)
 
 
 def _fit(x: float) -> str:

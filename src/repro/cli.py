@@ -49,10 +49,6 @@ cost-attribution table enabled and renders where the Eq. 3 operations go
 degree-bucket)`` cell), ``collapsed`` (flame-graph collapsed stacks), or
 ``speedscope`` (a speedscope.app-loadable JSON document).  ``--sample``
 additionally runs the wall stack sampler and reports its overhead.
-``perf`` maintains the cross-run history index: ``perf ingest`` appends
-``BENCH_*.json`` headlines, ``perf trend`` prints sparkline
-trajectories, ``perf check`` exits non-zero on a regression against the
-best-of-history baseline — see ``docs/observability.md``.
 """
 
 from __future__ import annotations
@@ -602,74 +598,6 @@ def _cmd_profile(args) -> int:
     return 0
 
 
-def _cmd_perf(args) -> int:
-    import json as _json
-    import subprocess
-
-    from repro.obs import PerfHistory, render_trend
-    from repro.obs.history import bench_name_of
-
-    history = PerfHistory(args.index)
-    if args.perf_command == "ingest":
-        rev = args.rev
-        if rev is None:
-            try:
-                out = subprocess.run(["git", "rev-parse", "--short", "HEAD"],
-                                     capture_output=True, text=True,
-                                     timeout=10)
-                rev = out.stdout.strip() if out.returncode == 0 else ""
-            except (OSError, subprocess.TimeoutExpired):
-                rev = ""
-            rev = rev or "unknown"
-        ingested = skipped = 0
-        for report in args.reports:
-            path = Path(report)
-            if not path.exists():
-                print(f"error: {path}: does not exist", file=sys.stderr)
-                return 1
-            record = history.ingest_file(path, git_rev=rev)
-            if record is None:
-                skipped += 1
-                print(f"skipped   {path.name}")
-            else:
-                ingested += 1
-                print(f"ingested  {record.bench}  {record.metric}="
-                      f"{record.value:.6f}s @ {record.git_rev}")
-        print(f"{ingested} ingested, {skipped} skipped -> {args.index}")
-        return 0
-    if args.perf_command == "trend":
-        benches = args.benches or history.benches()
-        if not benches:
-            print(f"no history in {args.index}; run `perf ingest` first")
-            return 0
-        for bench in benches:
-            print(render_trend(history, bench))
-        return 0
-    # check
-    fresh = Path(args.fresh)
-    if not fresh.exists():
-        print(f"error: {fresh}: does not exist", file=sys.stderr)
-        return 1
-    text = fresh.read_text(encoding="utf-8")
-    try:
-        payload = _json.loads(text)
-    except _json.JSONDecodeError:
-        # JSONL trajectory: judge the final report.
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        payload = _json.loads(lines[-1])
-    verdict = history.check(payload, bench=bench_name_of(fresh),
-                            against=args.against, threshold=args.threshold)
-    status = verdict["status"]
-    if status in ("no-headline", "no-history"):
-        print(f"{status}: {verdict['bench']} (nothing to compare)")
-        return 0
-    print(f"{status:10s}{verdict['bench']}  {verdict['metric']}: "
-          f"{verdict['against']}-of-history {verdict['baseline']:.6f}s "
-          f"(@ {verdict['baseline_rev']}) -> {verdict['fresh']:.6f}s "
-          f"(x{verdict['ratio']:.3f}, limit x{1 + verdict['threshold']:.2f})")
-    return 1 if status == "regressed" else 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="opt-repro",
@@ -866,33 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
     pro.add_argument("--sample-interval", type=float, default=0.005,
                      help="sampler period in seconds (default 5ms)")
     pro.set_defaults(func=_cmd_profile)
-
-    perf = sub.add_parser("perf",
-                          help="cross-run perf history: ingest BENCH "
-                               "reports, print trends, check regressions")
-    perf.add_argument("--index", default="perf_history.jsonl",
-                      help="append-only history JSONL index path")
-    perf_sub = perf.add_subparsers(dest="perf_command", required=True)
-    ping = perf_sub.add_parser("ingest",
-                               help="append BENCH report headline metrics")
-    ping.add_argument("reports", nargs="+", metavar="BENCH.json",
-                      help="BENCH_*.json report files")
-    ping.add_argument("--rev", default=None,
-                      help="git revision label (default: current HEAD)")
-    ptre = perf_sub.add_parser("trend",
-                               help="sparkline trajectory per bench")
-    ptre.add_argument("benches", nargs="*",
-                      help="bench names (default: all indexed)")
-    pchk = perf_sub.add_parser("check",
-                               help="fail on regression vs history baseline")
-    pchk.add_argument("fresh", metavar="BENCH.json",
-                      help="fresh report to judge")
-    pchk.add_argument("--threshold", type=float, default=0.20,
-                      help="allowed slowdown fraction (default 0.20)")
-    pchk.add_argument("--against", choices=["best", "latest"],
-                      default="best",
-                      help="baseline: best-of-history or latest ingest")
-    perf.set_defaults(func=_cmd_perf)
     return parser
 
 

@@ -32,6 +32,7 @@ def run_experiment(name: str) -> ExperimentResult:
     try:
         runner = REGISTRY[name]
     except KeyError:
+        # lint: ignore[error-types] dict-lookup contract, as REGISTRY[name]
         raise KeyError(
             f"unknown experiment {name!r}; available: "
             f"{', '.join(experiment_names())}"

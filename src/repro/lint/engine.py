@@ -8,16 +8,6 @@ same tree always produces the same findings in the same order (the
 byte-stability test in ``tests/test_lint.py`` holds the engine to it),
 because the findings JSON is diffed in CI.
 
-Two dispatch tiers share that contract:
-
-* **per-file rules** (:class:`Rule`) see one :class:`ModuleInfo` at a
-  time — the original tier;
-* **project rules** (:class:`ProjectRule`) run after every file has
-  parsed and receive a :class:`ProjectContext` carrying the whole-tree
-  call graph (:mod:`repro.lint.callgraph`) alongside the modules, so a
-  rule can follow an untyped exception or a leaked ``SharedCSR`` across
-  function and module boundaries.
-
 Suppression syntax, on the offending line or alone on the line above::
 
     self._queue.append(item)  # lint: ignore[lockset] serialized by barrier
@@ -42,8 +32,7 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.lint.findings import Finding
 
-__all__ = ["LintResult", "LintRunner", "ModuleInfo", "ProjectContext",
-           "ProjectRule", "Rule"]
+__all__ = ["LintResult", "LintRunner", "ModuleInfo", "Rule"]
 
 _SUPPRESS_RE = re.compile(
     r"#\s*lint:\s*ignore(?:\[(?P<rules>[^\]]*)\])?"
@@ -104,55 +93,12 @@ class Rule:
 
 
 @dataclass
-class ProjectContext:
-    """What a :class:`ProjectRule` sees: the whole parsed tree at once."""
-
-    modules: list[ModuleInfo]
-    #: the linked :class:`repro.lint.callgraph.CallGraph`
-    graph: "object"
-    by_relpath: dict[str, ModuleInfo] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.by_relpath:
-            self.by_relpath = {m.relpath: m for m in self.modules}
-
-
-class ProjectRule(Rule):
-    """A rule over the whole project rather than one module.
-
-    Subclasses implement :meth:`check_project` against a
-    :class:`ProjectContext`; the per-file :meth:`Rule.check` hook is a
-    no-op so a mixed rule list dispatches each rule exactly once.
-    Findings must carry the ``relpath`` of a parsed module so inline
-    suppressions keep working.
-    """
-
-    def check(self, module: ModuleInfo) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        raise NotImplementedError
-
-    def project_finding(self, module: ModuleInfo, lineno: int, col: int,
-                        message: str, *,
-                        severity: str | None = None) -> Finding:
-        """A finding anchored to an explicit position in *module*."""
-        return Finding(
-            path=module.relpath, line=lineno, col=col,
-            rule_id=self.rule_id, message=message,
-            severity=severity or self.severity,
-        )
-
-
-@dataclass
 class LintResult:
     """Everything one engine run produced."""
 
     findings: list[Finding]
     files: int
     suppressed: int
-    #: the call graph, when a project rule asked for one
-    graph: "object" = None
 
     def by_rule(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -287,10 +233,9 @@ class LintRunner:
         #: directive with a typo'd rule id is mis-written, not stale).
         bad_lines: dict[str, set[int]] = {}
 
-        def admit(module: ModuleInfo, raw: Iterable[Finding]) -> int:
-            """Suppression-filter *raw* into ``findings``; count kept."""
+        def admit(module: ModuleInfo, raw: Iterable[Finding]) -> None:
+            """Suppression-filter *raw* into ``findings``."""
             nonlocal suppressed
-            kept = 0
             for finding in raw:
                 ignored = module.suppressions.get(finding.line)
                 if ignored is not None and (not ignored
@@ -300,37 +245,13 @@ class LintRunner:
                         module.relpath, set()).add(finding.line)
                     continue
                 findings.append(finding)
-                kept += 1
-            return kept
-
-        project_rules = [rule for rule in self.rules
-                         if isinstance(rule, ProjectRule)]
-        file_rules = [rule for rule in self.rules
-                      if not isinstance(rule, ProjectRule)]
 
         for module in modules:
-            raw: list[Finding] = []
-            for rule in file_rules:
-                raw.extend(rule.check(module))
-            admit(module, raw)
+            for rule in self.rules:
+                admit(module, rule.check(module))
             for finding in self._check_suppressions(module):
                 bad_lines.setdefault(module.relpath, set()).add(finding.line)
                 admit(module, [finding])
-
-        graph = None
-        if project_rules:
-            from repro.lint.callgraph import build_call_graph
-
-            graph = build_call_graph(modules)
-            context = ProjectContext(modules=modules, graph=graph)
-            by_relpath = context.by_relpath
-            for rule in project_rules:
-                for finding in sorted(rule.check_project(context)):
-                    module = by_relpath.get(finding.path)
-                    if module is None:
-                        findings.append(finding)
-                    else:
-                        admit(module, [finding])
 
         if self.strict_ignores:
             for module in modules:
@@ -349,7 +270,7 @@ class LintRunner:
                     ))
 
         return LintResult(findings=sorted(findings), files=len(files),
-                          suppressed=suppressed, graph=graph)
+                          suppressed=suppressed)
 
     def _check_suppressions(self, module: ModuleInfo) -> Iterator[Finding]:
         """Report suppression directives naming unknown rule ids."""

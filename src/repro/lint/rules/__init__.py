@@ -11,10 +11,7 @@ here, set ``rule_id`` / ``severity`` / ``description`` /
 ``paper_invariant``, implement ``check()`` as a generator of findings,
 append the class to :data:`ALL_RULES`, and add one true-positive and
 one true-negative fixture to ``tests/test_lint.py`` (the rule-coverage
-test fails until both exist).  Rules needing the whole-project call
-graph subclass :class:`repro.lint.engine.ProjectRule` instead and
-implement ``check_project()``; their fixtures live in the project-rule
-fixture table.
+test fails until both exist).
 """
 
 from __future__ import annotations
@@ -23,11 +20,9 @@ from repro.lint.engine import Rule
 from repro.lint.rules.callback_io import CallbackIoRule
 from repro.lint.rules.engine_composition import EngineCompositionRule
 from repro.lint.rules.error_types import ErrorTypesRule
-from repro.lint.rules.exception_flow import ExceptionFlowRule
 from repro.lint.rules.lockset import LocksetRule
 from repro.lint.rules.mutable_default import MutableDefaultRule
 from repro.lint.rules.obs_vocab import ObsVocabRule
-from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
 from repro.lint.rules.set_iteration import SetIterationRule
 from repro.lint.rules.sim_purity import SimPurityRule
 
@@ -43,9 +38,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     ErrorTypesRule,
     MutableDefaultRule,
     SetIterationRule,
-    # Project rules (interprocedural; run after all per-file rules).
-    ExceptionFlowRule,
-    ResourceLifecycleRule,
 )
 
 

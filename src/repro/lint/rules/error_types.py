@@ -5,16 +5,21 @@ it *raises* derives from :class:`~repro.errors.ReproError`, so callers
 catch library failures with one clause while programming errors
 (``ValueError``, ``TypeError``...) propagate.  Two patterns break it:
 
-* ``raise Exception(...)`` / ``raise RuntimeError(...)`` — an untyped
-  failure no caller can distinguish from a crash;
+* raising a builtin exception class outside that programming-error
+  family — ``raise RuntimeError(...)``, ``raise KeyError(...)``,
+  ``raise OSError(...)`` — an untyped failure that slips past
+  ``except ReproError`` and that no caller can tell from a crash;
 * ``except Exception:`` / bare ``except:`` — a handler wide enough to
   swallow the typed errors the recovery subsystem depends on seeing
   (a ``FaultExhaustedError`` absorbed here becomes a silently wrong
   triangle count).
 
-Validation errors raised with the builtin ``ValueError`` / ``TypeError``
-family are allowed: per the hierarchy's docstring those are programming
-errors, not library failures.  Deliberately broad handlers (the SSD
+The builtins in :data:`_ALLOWED_BUILTINS` are accepted: per the
+hierarchy's docstring ``ValueError`` / ``TypeError`` and their kin are
+programming errors, not library failures, and the rest are control
+flow.  A raised name that is not a builtin — a ``repro.errors`` class,
+a factory call such as ``raise _defect(...)``, a bound ``raise
+failure`` — is accepted too.  Deliberately broad handlers (the SSD
 worker loops must capture *everything* to surface it at the
 ``wait_idle`` barrier) carry a justified ``# lint: ignore[error-types]``.
 """
@@ -22,6 +27,7 @@ worker loops must capture *everything* to surface it at the
 from __future__ import annotations
 
 import ast
+import builtins
 from typing import Iterator
 
 from repro.lint.engine import ModuleInfo, Rule
@@ -29,12 +35,22 @@ from repro.lint.findings import Finding
 
 __all__ = ["ErrorTypesRule"]
 
-#: Raising these names is flagged; anything else (repro.errors types,
-#: the builtin validation family) is accepted.
-_BANNED_RAISES = frozenset({"Exception", "BaseException", "RuntimeError"})
+#: The builtin exceptions a library function may raise: the hierarchy's
+#: programming-error family plus control flow.  Raising any other
+#: builtin exception class is flagged.
+_ALLOWED_BUILTINS = frozenset({
+    "ValueError", "TypeError", "NotImplementedError", "AssertionError",
+    "StopIteration", "KeyboardInterrupt", "SystemExit",
+})
 
 #: Catching these names is flagged (bare ``except:`` too).
 _BANNED_CATCHES = frozenset({"Exception", "BaseException"})
+
+
+def _is_banned_raise(name: str | None) -> bool:
+    builtin = getattr(builtins, name or "", None)
+    return (isinstance(builtin, type) and issubclass(builtin, BaseException)
+            and name not in _ALLOWED_BUILTINS)
 
 
 def _exception_name(node: ast.AST | None) -> str | None:
@@ -50,8 +66,9 @@ def _exception_name(node: ast.AST | None) -> str | None:
 class ErrorTypesRule(Rule):
     rule_id = "error-types"
     severity = "error"
-    description = ("raise repro.errors types, never bare Exception; "
-                   "no blanket except handlers")
+    description = ("raise repro.errors types, never a builtin outside "
+                   "ValueError/TypeError and kin; no blanket except "
+                   "handlers")
     paper_invariant = ("recovery (Algorithm 3's barriers + fault handling) "
                        "relies on typed terminal errors surfacing, never a "
                        "silently wrong triangle listing")
@@ -60,7 +77,7 @@ class ErrorTypesRule(Rule):
         for node in ast.walk(module.tree):
             if isinstance(node, ast.Raise):
                 name = _exception_name(node.exc)
-                if name in _BANNED_RAISES:
+                if _is_banned_raise(name):
                     yield self.finding(
                         module, node,
                         f"raise a repro.errors type instead of {name}",

@@ -32,13 +32,6 @@ from repro.obs.attribution import (
     validate_attribution_dict,
 )
 from repro.obs.context import NO_CONTEXT, RunContext
-from repro.obs.history import (
-    PerfHistory,
-    PerfRecord,
-    headline_elapsed,
-    render_trend,
-    validate_history_dict,
-)
 from repro.obs.logsetup import configure_logging, get_logger
 from repro.obs.profile import (
     StackSampler,
@@ -93,8 +86,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "PerfHistory",
-    "PerfRecord",
     "RunContext",
     "RunReport",
     "SCHEMA_NAME",
@@ -114,14 +105,11 @@ __all__ = [
     "fold_trace_analytics",
     "from_chrome_trace",
     "get_logger",
-    "headline_elapsed",
     "overlap_analytics",
     "render_attribution",
-    "render_trend",
     "to_chrome_trace",
     "to_speedscope",
     "validate_attribution_dict",
-    "validate_history_dict",
     "validate_chrome_trace",
     "validate_speedscope",
     "write_chrome_trace",

@@ -116,8 +116,6 @@ METRIC_NAMES = frozenset({
     "lint.files",
     "lint.findings",
     "lint.rules",
-    "lint.graph.functions",
-    "lint.graph.edges",
 })
 
 #: Every causal trace event name (see the table in :mod:`repro.obs.trace`).

@@ -12,7 +12,7 @@ outlives every process that forgets to ``unlink`` it.  :class:`SharedCSR`
 makes the ownership explicit — the *publisher* owns the names and must
 ``unlink``; *attachers* only ``close`` their mappings — and the engine
 wraps the publish in ``try/finally`` so no code path leaks a segment
-(the ``resource-lifecycle`` lint rule and the determinism tests both
+(the ``/dev/shm`` hygiene tests of ``tests/test_parallel_determinism.py``
 enforce this).
 """
 

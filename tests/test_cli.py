@@ -274,46 +274,3 @@ class TestProfileCommand:
                      "--source", "memory", "--executor", "process"]) == 1
         assert "error" in capsys.readouterr().err
 
-
-class TestPerfCommand:
-    def _bench(self, tmp_path, name, elapsed):
-        path = tmp_path / f"BENCH_{name}.json"
-        payload = {"derived": {"elapsed_simulated": elapsed}}
-        path.write_text(json.dumps(payload), encoding="utf-8")
-        return path
-
-    def test_ingest_trend_check_round_trip(self, tmp_path, capsys):
-        index = tmp_path / "hist.jsonl"
-        first = self._bench(tmp_path, "fig3a", 0.50)
-        assert main(["perf", "--index", str(index), "ingest",
-                     str(first), "--rev", "r1"]) == 0
-        assert "1 ingested, 0 skipped" in capsys.readouterr().out
-        # Re-ingesting the identical report is a skip, not a new row.
-        assert main(["perf", "--index", str(index), "ingest",
-                     str(first), "--rev", "r1"]) == 0
-        assert "0 ingested, 1 skipped" in capsys.readouterr().out
-        assert main(["perf", "--index", str(index), "trend"]) == 0
-        assert "fig3a" in capsys.readouterr().out
-        ok = self._bench(tmp_path, "fig3a_ok", 0.52)
-        ok = ok.rename(tmp_path / "BENCH_fig3a.json.ok")
-        fresh = self._bench(tmp_path, "fig3a", 0.52)
-        assert main(["perf", "--index", str(index), "check",
-                     str(fresh)]) == 0
-        assert "ok" in capsys.readouterr().out
-
-    def test_check_flags_regression(self, tmp_path, capsys):
-        index = tmp_path / "hist.jsonl"
-        baseline = self._bench(tmp_path, "fig3a", 0.50)
-        assert main(["perf", "--index", str(index), "ingest",
-                     str(baseline), "--rev", "r1"]) == 0
-        capsys.readouterr()
-        slow = self._bench(tmp_path, "fig3a", 0.50 * 1.5)
-        assert main(["perf", "--index", str(index), "check",
-                     str(slow)]) == 1
-        assert "regressed" in capsys.readouterr().out
-
-    def test_check_without_history_is_ok(self, tmp_path, capsys):
-        fresh = self._bench(tmp_path, "nohist", 0.1)
-        assert main(["perf", "--index", str(tmp_path / "h.jsonl"),
-                     "check", str(fresh)]) == 0
-        assert "no-history" in capsys.readouterr().out

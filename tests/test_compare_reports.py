@@ -109,6 +109,18 @@ def test_wall_clock_headline_fallback(differ, tmp_path):
 def test_headline_resolution_prefers_derived(differ):
     payload = {
         "derived": {"elapsed_simulated": 2.0},
-        "metrics": {"gauges": {"sim.elapsed": 1.0}},
+        "metrics": {"gauges": {"run.elapsed_simulated": 3.0,
+                               "sim.elapsed": 1.0,
+                               "run.elapsed_wall": 4.0}},
     }
     assert differ.headline_elapsed(payload) == ("elapsed_simulated", 2.0)
+    del payload["derived"]
+    assert differ.headline_elapsed(payload) == ("run.elapsed_simulated", 3.0)
+    del payload["metrics"]["gauges"]["run.elapsed_simulated"]
+    assert differ.headline_elapsed(payload) == ("sim.elapsed", 1.0)
+    del payload["metrics"]["gauges"]["sim.elapsed"]
+    assert differ.headline_elapsed(payload) == ("run.elapsed_wall", 4.0)
+    # No positive headline at all: nothing to compare.
+    assert differ.headline_elapsed({}) is None
+    assert differ.headline_elapsed({"derived": {"elapsed_simulated": 0}}) \
+        is None

@@ -1,15 +1,12 @@
 """Tier-1 gates for the ``repro.lint`` static-analysis framework.
 
-Five layers of coverage:
+Four layers of coverage:
 
-* **per-rule fixtures** — every registered rule has one true-positive
-  and one true-negative fixture; a coverage meta-test fails when a new
-  rule lands without them (project rules get multi-file fixture trees);
+* **per-rule fixtures** — every registered rule has true-positive and
+  true-negative inputs; a coverage meta-test fails when a new rule
+  lands without them;
 * **engine semantics** — suppressions, parse errors, deterministic
   output (including byte-identical output across hash seeds);
-* **the call graph** — decorated functions, ``functools.partial``,
-  bound-method aliases, registry-table dispatch, and recursion cycles
-  all resolve to the right edges;
 * **the live gate** — ``src/repro`` itself lints clean with
   ``--strict-ignores`` (every accepted finding is a justified inline
   ignore, and every ignore still earns its keep);
@@ -32,9 +29,7 @@ from pathlib import Path
 import pytest
 
 from repro.lint import ALL_RULES, LintRunner, default_rules
-from repro.lint.callgraph import build_call_graph
 from repro.lint.cli import run_lint
-from repro.lint.engine import ProjectRule, parse_module
 from repro.lint.rules.lockset import LocksetRule
 
 pytestmark = [pytest.mark.fast, pytest.mark.lint]
@@ -42,7 +37,8 @@ pytestmark = [pytest.mark.fast, pytest.mark.lint]
 ROOT = Path(__file__).resolve().parents[1]
 
 # ---------------------------------------------------------------------------
-# fixtures: one true positive + one true negative per rule
+# fixtures: true positives + true negatives per rule (one source, or a
+# tuple of sources each linted on its own)
 # ---------------------------------------------------------------------------
 
 FIXTURES = {
@@ -132,14 +128,24 @@ FIXTURES = {
     },
     "error-types": {
         "path": "repro/core/errs.py",
-        "tp": """
+        "tp": ("""
             def f(g):
                 try:
                     g()
                 except Exception:
                     raise RuntimeError("boom")
-        """,
-        "tn": """
+        """, """
+            def page(pages, pid):
+                if pid not in pages:
+                    raise KeyError(pid)
+                return pages[pid]
+        """, """
+            def read(fd):
+                if fd < 0:
+                    raise OSError("closed")
+                return fd
+        """),
+        "tn": ("""
             from repro.errors import StorageError
 
             def f(g):
@@ -147,7 +153,20 @@ FIXTURES = {
                     g()
                 except (OSError, StorageError) as exc:
                     raise StorageError("wrapped") from exc
-        """,
+        """, """
+            from repro.errors import GraphFormatError
+
+            def _factory(line):
+                return GraphFormatError(f"bad line {line}")
+
+            def parse(line):
+                raise _factory(line)
+        """, """
+            def check(budget):
+                if budget < 2:
+                    raise ValueError("budget must hold two pages")
+                return budget
+        """),
     },
     "mutable-default": {
         "path": "repro/core/defaults.py",
@@ -202,198 +221,6 @@ FIXTURES = {
 }
 
 
-# Project rules see whole trees: each fixture is a dict of files whose
-# entry point matches a real ``REGISTERED_ENTRY_POINTS`` key (the fixture
-# path ``repro/core/engine.py`` maps to the package path
-# ``core/engine.py``, so ``triangulate_disk`` resolves as an entry).
-
-_ERRORS_SHIM = """
-    class ReproError(Exception):
-        pass
-
-    class GraphError(ReproError):
-        pass
-"""
-
-PROJECT_FIXTURES = {
-    "exception-flow": {
-        "tp": {
-            "repro/errors.py": _ERRORS_SHIM,
-            "repro/core/engine.py": """
-                def triangulate_disk(graph, *, report=None):
-                    return _next_page(graph)
-
-                def _next_page(graph):
-                    if not graph:
-                        raise KeyError("no pages")
-                    return graph[0]
-            """,
-        },
-        "tn": {
-            "repro/errors.py": _ERRORS_SHIM,
-            "repro/core/engine.py": """
-                from repro.errors import GraphError
-
-                def triangulate_disk(graph, *, report=None):
-                    try:
-                        return _next_page(graph)
-                    except LookupError as exc:
-                        raise GraphError("empty graph") from exc
-
-                def _next_page(graph):
-                    if not graph:
-                        raise KeyError("no pages")
-                    return graph[0]
-            """,
-        },
-    },
-    "resource-lifecycle": {
-        "tp": {
-            "repro/core/engine.py": """
-                from multiprocessing import shared_memory
-
-                def triangulate_disk(graph, *, report=None):
-                    segment = _publish(bytes(8))
-                    return len(graph)
-
-                def _publish(payload):
-                    segment = shared_memory.SharedMemory(create=True,
-                                                         size=len(payload))
-                    segment.buf[:len(payload)] = payload
-                    return segment
-            """,
-        },
-        "tn": {
-            "repro/core/engine.py": """
-                from multiprocessing import shared_memory
-
-                def triangulate_disk(graph, *, report=None):
-                    segment = _publish(bytes(8))
-                    try:
-                        return len(graph)
-                    finally:
-                        segment.close()
-                        segment.unlink()
-
-                def _publish(payload):
-                    segment = shared_memory.SharedMemory(create=True,
-                                                         size=len(payload))
-                    segment.buf[:len(payload)] = payload
-                    return segment
-            """,
-        },
-    },
-}
-
-# resource-lifecycle owns shared-memory release: a segment that stays in
-# its frame needs close() + unlink() inside a finally.  case -> (source,
-# is a finding).
-SEGMENT_FIXTURES = {
-    "released-outside-finally": ("""
-        from multiprocessing import shared_memory
-
-        def roundtrip(payload):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=len(payload))
-            segment.buf[:len(payload)] = payload
-            data = bytes(segment.buf[:len(payload)])
-            segment.close()
-            segment.unlink()
-            return data
-    """, True),
-    "closed-never-unlinked": ("""
-        from multiprocessing import shared_memory
-
-        def roundtrip(payload):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=len(payload))
-            try:
-                segment.buf[:len(payload)] = payload
-                data = bytes(segment.buf[:len(payload)])
-            finally:
-                segment.close()
-            return data
-    """, True),
-    "try-finally": ("""
-        from multiprocessing import shared_memory
-
-        def roundtrip(payload):
-            segment = shared_memory.SharedMemory(create=True,
-                                                 size=len(payload))
-            try:
-                segment.buf[:len(payload)] = payload
-                return bytes(segment.buf[:len(payload)])
-            finally:
-                segment.close()
-                segment.unlink()
-    """, False),
-    # Attachers (no create=True) only close; the owner unlinks.
-    "attach-only": ("""
-        from multiprocessing import shared_memory
-
-        def attach(name):
-            segment = shared_memory.SharedMemory(name=name)
-            return bytes(segment.buf[:8])
-    """, False),
-}
-
-# Both connections a Pipe() returns are resources.  case -> (source, is a
-# finding).
-PIPE_FIXTURES = {
-    "reader-leaked": ("""
-        import multiprocessing as mp
-
-        def ping(payload):
-            reader, writer = mp.Pipe(duplex=False)
-            try:
-                writer.send(payload)
-                return payload
-            finally:
-                writer.close()
-    """, True),
-    "both-closed-in-finally": ("""
-        import multiprocessing as mp
-
-        def ping(payload):
-            reader, writer = mp.Pipe(duplex=False)
-            try:
-                writer.send(payload)
-                return reader.recv()
-            finally:
-                writer.close()
-                reader.close()
-    """, False),
-    "stored-on-an-owner-that-closes": ("""
-        import multiprocessing as mp
-
-        class Pool:
-            def __init__(self):
-                self.conns = {}
-
-            def start(self, worker_id):
-                reader, writer = mp.Pipe(duplex=False)
-                self.conns[worker_id] = reader
-                writer.close()
-
-            def close(self):
-                for conn in self.conns.values():
-                    conn.close()
-    """, False),
-    "stored-on-an-owner-that-never-closes": ("""
-        import multiprocessing as mp
-
-        class Pool:
-            def __init__(self):
-                self.conns = {}
-
-            def start(self, worker_id):
-                reader, writer = mp.Pipe(duplex=False)
-                self.conns[worker_id] = reader
-                writer.close()
-    """, True),
-}
-
-
 def lint_source(tmp_path, relpath: str, source: str, rules=None, **kwargs):
     """Write one dedented fixture and run the engine over the tree."""
     return lint_tree(tmp_path, {relpath: source}, rules=rules, **kwargs)
@@ -418,64 +245,36 @@ def lint_tree(tmp_path, files: dict, rules=None, **kwargs):
     return runner.run([tmp_path])
 
 
+def inputs(spec, kind: str) -> tuple[str, ...]:
+    """A fixture's ``tp`` / ``tn`` sources as a tuple."""
+    sources = spec[kind]
+    return (sources,) if isinstance(sources, str) else sources
+
+
 def test_every_rule_has_fixtures():
-    project_ids = {cls.rule_id for cls in ALL_RULES
-                   if issubclass(cls, ProjectRule)}
-    file_ids = {cls.rule_id for cls in ALL_RULES} - project_ids
-    assert set(FIXTURES) == file_ids
-    assert set(PROJECT_FIXTURES) == project_ids
+    assert set(FIXTURES) == {cls.rule_id for cls in ALL_RULES}
     for spec in FIXTURES.values():
-        assert spec["tp"] and spec["tn"] and spec["path"]
-    for spec in PROJECT_FIXTURES.values():
-        assert spec["tp"] and spec["tn"]
+        assert inputs(spec, "tp") and inputs(spec, "tn") and spec["path"]
 
 
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
 def test_true_positive(tmp_path, rule_id):
     spec = FIXTURES[rule_id]
-    result = lint_source(tmp_path, spec["path"], spec["tp"])
-    hits = [f for f in result.findings if f.rule_id == rule_id]
-    assert hits, (f"{rule_id}: expected a finding in the TP fixture, got "
-                  f"{[f.format() for f in result.findings]}")
-    assert all(f.path == spec["path"] for f in hits)
+    for index, source in enumerate(inputs(spec, "tp")):
+        result = lint_source(tmp_path / str(index), spec["path"], source)
+        hits = [f for f in result.findings if f.rule_id == rule_id]
+        assert hits, (f"{rule_id}: expected a finding in TP input {index}, "
+                      f"got {[f.format() for f in result.findings]}")
+        assert all(f.path == spec["path"] for f in hits)
 
 
 @pytest.mark.parametrize("rule_id", sorted(FIXTURES))
 def test_true_negative(tmp_path, rule_id):
     spec = FIXTURES[rule_id]
-    result = lint_source(tmp_path, spec["path"], spec["tn"])
-    hits = [f.format() for f in result.findings if f.rule_id == rule_id]
-    assert not hits, f"{rule_id}: TN fixture flagged: {hits}"
-
-
-@pytest.mark.parametrize("rule_id", sorted(PROJECT_FIXTURES))
-def test_project_rule_true_positive(tmp_path, rule_id):
-    result = lint_tree(tmp_path, PROJECT_FIXTURES[rule_id]["tp"])
-    hits = [f for f in result.findings if f.rule_id == rule_id]
-    assert hits, (f"{rule_id}: expected a finding in the TP tree, got "
-                  f"{[f.format() for f in result.findings]}")
-
-
-@pytest.mark.parametrize("rule_id", sorted(PROJECT_FIXTURES))
-def test_project_rule_true_negative(tmp_path, rule_id):
-    result = lint_tree(tmp_path, PROJECT_FIXTURES[rule_id]["tn"])
-    hits = [f.format() for f in result.findings if f.rule_id == rule_id]
-    assert not hits, f"{rule_id}: TN tree flagged: {hits}"
-
-
-def test_project_finding_is_suppressible(tmp_path):
-    """Inline ignores work on interprocedural findings too."""
-    files = dict(PROJECT_FIXTURES["exception-flow"]["tp"])
-    # Project findings anchor on the leaking entry point's ``def`` line.
-    source = textwrap.dedent(files["repro/core/engine.py"]).replace(
-        "def triangulate_disk(graph, *, report=None):",
-        "def triangulate_disk(graph, *, report=None):"
-        "  # lint: ignore[exception-flow]")
-    files["repro/core/engine.py"] = source
-    result = lint_tree(tmp_path, files)
-    assert not [f for f in result.findings
-                if f.rule_id == "exception-flow"]
-    assert result.suppressed >= 1
+    for index, source in enumerate(inputs(spec, "tn")):
+        result = lint_source(tmp_path / str(index), spec["path"], source)
+        hits = [f.format() for f in result.findings if f.rule_id == rule_id]
+        assert not hits, f"{rule_id}: TN input {index} flagged: {hits}"
 
 
 # ---------------------------------------------------------------------------
@@ -637,71 +436,6 @@ def test_lockset_flags_process_entry_methods(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# resource-lifecycle: the one owner of shared-memory release
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("case", sorted(SEGMENT_FIXTURES))
-def test_resource_lifecycle_segment_release(tmp_path, case):
-    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
-
-    source, is_finding = SEGMENT_FIXTURES[case]
-    result = lint_source(tmp_path, "repro/parallel/seg.py", source,
-                         rules=[ResourceLifecycleRule()])
-    hits = [f.format() for f in result.findings]
-    assert bool(hits) == is_finding, hits
-
-
-@pytest.mark.parametrize("case", sorted(PIPE_FIXTURES))
-def test_resource_lifecycle_pipe_ends(tmp_path, case):
-    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
-
-    source, is_finding = PIPE_FIXTURES[case]
-    result = lint_source(tmp_path, "repro/parallel/pipe.py", source,
-                         rules=[ResourceLifecycleRule()])
-    hits = [f.format() for f in result.findings]
-    assert bool(hits) == is_finding, hits
-    assert all("pipe end" in hit for hit in hits)
-
-
-def test_pool_pipes_are_clean_because_the_writer_closes(tmp_path):
-    """The pool closes its copy of each write end right after the fork
-    and keeps the read ends on itself.  Drop the close and it is a
-    leak."""
-    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
-
-    source = (ROOT / "src/repro/parallel/engine.py").read_text(
-        encoding="utf-8")
-    closing = "                writer.close()\n"
-    assert source.count(closing) == 1
-    for text, expected in ((source, 0),
-                           (source.replace(closing, "                pass\n"),
-                            1)):
-        result = lint_source(tmp_path, "repro/parallel/engine.py", text,
-                             rules=[ResourceLifecycleRule()])
-        hits = [f for f in result.findings
-                if f.rule_id == "resource-lifecycle"]
-        assert len(hits) == expected, [f.format() for f in hits]
-        assert all("pipe end" in f.message for f in hits)
-
-
-def test_copy_into_segment_is_clean_because_it_returns(tmp_path):
-    """``_copy_into_segment`` needs no ignore: returning the segment hands
-    ownership to ``SharedCSR``.  Drop the ``return`` and it is a leak."""
-    from repro.lint.rules.resource_lifecycle import ResourceLifecycleRule
-
-    source = (ROOT / "src/repro/parallel/shm.py").read_text(encoding="utf-8")
-    assert source.count("    return segment\n") == 1
-    for text, expected in ((source, 0),
-                           (source.replace("    return segment\n", ""), 1)):
-        result = lint_source(tmp_path, "repro/parallel/shm.py", text,
-                             rules=[ResourceLifecycleRule()])
-        hits = [f for f in result.findings
-                if f.rule_id == "resource-lifecycle"]
-        assert len(hits) == expected, [f.format() for f in hits]
-        assert all("_copy_into_segment" in f.message for f in hits)
-
-
-# ---------------------------------------------------------------------------
 # suppressions
 # ---------------------------------------------------------------------------
 
@@ -748,6 +482,21 @@ def test_unknown_rule_in_suppression_is_reported(tmp_path):
     assert "no-such-rule" in result.findings[0].message
 
 
+def test_suppression_above_a_raise_in_a_handler(tmp_path):
+    """The form ``run_experiment`` uses: a directive alone on the line
+    above an ``error-types`` raise inside an ``except`` block."""
+    result = lint_source(tmp_path, "repro/core/s.py", """
+        def lookup(table, key):
+            try:
+                return table[key]
+            except KeyError:
+                # lint: ignore[error-types] dict-lookup contract
+                raise KeyError(f"unknown key {key!r}") from None
+    """, strict_ignores=True)
+    assert result.findings == []
+    assert result.suppressed == 1
+
+
 def test_directive_inside_string_is_not_a_suppression(tmp_path):
     result = lint_source(tmp_path, "repro/core/s.py", '''
         DOC = "use # lint: ignore[mutable-default] to suppress"
@@ -771,115 +520,6 @@ def test_parse_error_becomes_finding(tmp_path):
 def test_unknown_rule_id_rejected():
     with pytest.raises(ValueError, match="no-such-rule"):
         default_rules({"no-such-rule"})
-
-
-# ---------------------------------------------------------------------------
-# call graph: resolution edge cases
-# ---------------------------------------------------------------------------
-
-def build_graph(tmp_path, files: dict):
-    """Write a fixture tree and link its call graph."""
-    return build_call_graph([parse_module(target, root=tmp_path)
-                             for target in write_tree(tmp_path, files)])
-
-
-def _edge_pairs(graph):
-    return {(c.caller, c.callee) for c in graph.calls}
-
-
-def test_callgraph_decorated_function_and_cycle(tmp_path):
-    graph = build_graph(tmp_path, {"repro/core/fib.py": """
-        import functools
-
-        @functools.lru_cache(maxsize=None)
-        def fib(n):
-            return fib(n - 1) + helper(n)
-
-        def helper(n):
-            return fib(n - 2)
-    """})
-    fib = "repro/core/fib.py::fib"
-    helper = "repro/core/fib.py::helper"
-    assert fib in graph.functions  # a decorated def is still the def
-    pairs = _edge_pairs(graph)
-    assert (fib, helper) in pairs
-    assert (helper, fib) in pairs
-    assert (fib, fib) in pairs  # recursion
-    # A call cycle must not hang the callee walk.
-    assert {c.callee for c in graph.callees(fib)} == {fib, helper}
-
-
-def test_callgraph_functools_partial_is_indirect_edge(tmp_path):
-    graph = build_graph(tmp_path, {"repro/core/part.py": """
-        import functools
-
-        def base(x, report=None):
-            return x
-
-        bound = functools.partial(base, 1)
-
-        def run():
-            return bound()
-    """})
-    pairs = _edge_pairs(graph)
-    assert ("repro/core/part.py::<module>",
-            "repro/core/part.py::base") in pairs
-    assert ("repro/core/part.py::run",
-            "repro/core/part.py::base") in pairs
-
-
-def test_callgraph_bound_method_alias(tmp_path):
-    graph = build_graph(tmp_path, {"repro/core/step.py": """
-        class Stepper:
-            def _advance(self):
-                return 1
-
-            def run(self):
-                step = self._advance
-                return step()
-    """})
-    assert ("repro/core/step.py::Stepper.run",
-            "repro/core/step.py::Stepper._advance") \
-        in _edge_pairs(graph)
-
-
-def test_callgraph_registry_table_dispatch_fans_out(tmp_path):
-    graph = build_graph(tmp_path, {"repro/exec/reg.py": """
-        def engine_a(graph):
-            return 1
-
-        def engine_b(graph):
-            return 2
-
-        ENGINES = {"a": engine_a, "b": engine_b}
-
-        def dispatch(key, graph):
-            return ENGINES[key](graph)
-    """})
-    pairs = _edge_pairs(graph)
-    assert ("repro/exec/reg.py::dispatch",
-            "repro/exec/reg.py::engine_a") in pairs
-    assert ("repro/exec/reg.py::dispatch",
-            "repro/exec/reg.py::engine_b") in pairs
-
-
-def test_callgraph_cross_module_and_entry_resolution(tmp_path):
-    graph = build_graph(tmp_path, {
-        "repro/core/engine.py": """
-            from repro.core.planner import plan
-
-            def triangulate_disk(graph, *, report=None):
-                return plan(graph)
-        """,
-        "repro/core/planner.py": """
-            def plan(graph):
-                return len(graph)
-        """,
-    })
-    entry = graph.resolve_entry("core/engine.py::triangulate_disk")
-    assert entry is not None
-    assert ("repro/core/engine.py::triangulate_disk",
-            "repro/core/planner.py::plan") in _edge_pairs(graph)
 
 
 def test_findings_sorted_and_repeatable(tmp_path):
@@ -931,7 +571,8 @@ def test_json_output_byte_identical_across_hash_seeds(tmp_path):
         spec = FIXTURES[rule_id]
         target = tmp_path / spec["path"]
         target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(spec["tp"]), encoding="utf-8")
+        target.write_text(textwrap.dedent(inputs(spec, "tp")[0]),
+                          encoding="utf-8")
 
     def run(seed):
         env = dict(os.environ, PYTHONHASHSEED=seed,
@@ -979,7 +620,8 @@ def test_umbrella_cli_lint_subcommand(tmp_path, capsys):
     the subcommand reaches ``repro.lint.cli``'s parser."""
     from repro.cli import main as repro_main
 
-    write_tree(tmp_path, {FIXTURES[rule_id]["path"]: FIXTURES[rule_id]["tp"]
+    write_tree(tmp_path, {FIXTURES[rule_id]["path"]:
+                          inputs(FIXTURES[rule_id], "tp")[0]
                           for rule_id in ("mutable-default", "error-types")})
     code = repro_main(["lint", str(tmp_path), "--root", str(tmp_path),
                        "--rules", "error-types", "--format", "json"])

@@ -9,7 +9,8 @@ gauges) may vary, and this module pins exactly that boundary.
 
 It also proves the shared-memory lifecycle: segments are visible in
 ``/dev/shm`` only while a publisher holds them, and every code path —
-success, worker crash, publisher context exit — leaves the directory
+success, worker crash, a publish that fails half-way, publisher
+context exit — leaves the directory
 exactly as it found it.
 """
 
@@ -21,11 +22,11 @@ import os
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ParallelError
 from repro.graph.graph import Graph
 from repro.memory.base import CollectSink
 from repro.obs import RunContext, RunReport
-from repro.parallel import CSRHandle, SharedCSR, triangulate_parallel
+from repro.parallel import CSRHandle, SharedCSR, shm, triangulate_parallel
 
 pytestmark = pytest.mark.parallel
 
@@ -166,6 +167,26 @@ class TestSharedMemoryLifecycle:
             _ = shared.indptr
         shared.close()  # idempotent
         shared.unlink()
+
+    def test_partial_publish_unlinks_what_it_allocated(self, monkeypatch):
+        """A publish whose second segment fails leaves /dev/shm as it
+        found it, and the typed error reaches the caller."""
+        copy_into_segment = shm._copy_into_segment
+        made = []
+
+        def copy_then_fail(array):
+            if made:
+                raise ParallelError("second segment refused")
+            made.append(copy_into_segment(array))
+            return made[-1]
+
+        monkeypatch.setattr(shm, "_copy_into_segment", copy_then_fail)
+        before = set(os.listdir("/dev/shm"))
+        with pytest.raises(ParallelError, match="second segment refused"):
+            SharedCSR.publish(self.graph())
+        assert len(made) == 1
+        assert not os.path.exists(f"/dev/shm/{made[0].name.lstrip('/')}")
+        assert set(os.listdir("/dev/shm")) <= before
 
     def test_attach_to_missing_segment_fails_cleanly(self):
         handle = CSRHandle(indptr_name="repro-nonexistent-a",

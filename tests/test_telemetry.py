@@ -14,8 +14,7 @@ Four concerns, mirroring the tentpole's structure:
   :class:`~repro.errors.ParallelError` well before the run would have
   hung at join.  Plus the resource-hygiene gates: no fd and no /dev/shm
   growth with the heartbeat channel enabled.
-* :class:`TestExposition` — the sparkline renderer ``render_trend``
-  draws with; :class:`TestCli` — the ``--telemetry`` CLI surface.
+* :class:`TestCli` — the ``--telemetry`` CLI surface.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import os
 
 import pytest
 
-from repro.analysis.ascii_chart import sparkline
 from repro.errors import ConfigurationError, ParallelError
 from repro.obs import (
     MetricsRegistry,
@@ -350,33 +348,6 @@ class TestThreadedTelemetry:
             triangulate_threaded(store, tmp_path / "pages", buffer_pages=8,
                                  page_size=1024, ctx=RunContext(
                                      telemetry=TelemetrySampler(clock="sim")))
-
-
-class TestExposition:
-    def test_sparkline_shapes(self):
-        assert sparkline([]) == ""
-        assert sparkline([1.0, 1.0]) == "▁▁"
-        ramp = sparkline([0.0, 1.0, 2.0, 3.0])
-        assert ramp[0] == "▁" and ramp[-1] == "█"
-        assert sparkline(list(range(100)), width=10) == sparkline(
-            list(range(90, 100)))
-        with pytest.raises(ValueError):
-            sparkline([1.0], width=0)
-
-    def test_sparkline_edge_cases(self):
-        # Constant and single-point series are flat, not empty.
-        assert sparkline([5.0]) == "▁"
-        assert sparkline([5.0] * 4) == "▁▁▁▁"
-        # Non-finite values render as dots and don't poison the scale.
-        nan = float("nan")
-        inf = float("inf")
-        assert sparkline([nan, nan]) == "··"
-        assert sparkline([inf, -inf]) == "··"
-        mixed = sparkline([0.0, nan, 1.0, inf, 2.0])
-        assert mixed[0] == "▁" and mixed[-1] == "█"
-        assert mixed[1] == "·" and mixed[3] == "·"
-        # The window trim happens before the finite scan.
-        assert sparkline([nan, 1.0, 2.0], width=2) == sparkline([1.0, 2.0])
 
 
 class TestCli:
