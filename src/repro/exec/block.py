@@ -3,16 +3,15 @@
 The per-pair loop pays one Python iteration and several numpy calls for
 every edge; on the graphs this repository runs, that fixed cost — not
 the Eq. 3 probe count — is the wall time.  :func:`block_range` resolves
-a whole block of edges with a constant number of numpy calls instead:
-mark ``n_succ(u)`` of the block's rows in a dense ``rows × n`` mask,
-gather ``n_succ(v)`` of every edge ``(u, v)`` of the block as one
-concatenated batch, and probe the mask once — or, when the mask holds
-every row the range can reach, mark those rows once and gather the
-shorter of ``n_succ(v)`` and the rest of ``u``'s row.  What it returns —
-triangles, the analytic ``min(|n_succ(u)|, |n_succ(v)|)`` charge, the
-group sequence and the attribution cells — is what the per-pair loop
-returns for the same range (``docs/kernels.md``, "Block-batched hash
-path").
+the edges of a range with a constant number of numpy calls per band of
+rows and per block of gathered entries instead: mark a band's whole
+rows in a dense ``rows × n`` mask, gather the shorter of ``n_succ(v)``
+and the rest of ``u``'s row for every edge probing that band as one
+concatenated batch, and probe the mask once per block.  What it
+returns — triangles, the analytic ``min(|n_succ(u)|, |n_succ(v)|)``
+charge, the group sequence and the attribution cells — is what the
+per-pair loop returns for the same range (``docs/kernels.md``,
+"Block-batched hash path").
 
 :func:`probe_pairs` is the same batching for a caller that holds only
 part of the graph resident — the OPT driver's chunk
@@ -32,6 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.util import ragged
 
 __all__ = ["Group", "GroupBlock", "NO_GROUPS", "bit_lengths", "block_range",
@@ -113,9 +113,9 @@ NO_GROUPS = GroupBlock(_NO_IDS, _NO_IDS, _NO_IDS, _NO_IDS)
 #: Cap on the successor entries gathered per block: every per-entry
 #: temporary (ids, mask offsets, hit flags) is at most this long.
 BLOCK_ENTRIES = 1 << 17
-#: Cap on the dense mask, one byte per cell; a row-window block spans at
-#: most ``MASK_BYTES // n`` (and at least one) distinct ``u`` rows, and an
-#: OPT chunk with more rows than that probes its sorted keys instead.
+#: Cap on the dense mask, one byte per cell: a :func:`block_range` band
+#: spans ``MASK_BYTES // n`` (and at least one) whole rows, and an OPT
+#: chunk with more rows than that probes its sorted keys instead.
 MASK_BYTES = 1 << 22
 
 
@@ -123,9 +123,8 @@ def mask_cells(num_vertices: int) -> int:
     """Cells of a :func:`block_range` mask kept across ranges (and of the
     OPT driver's, kept across chunks): as many whole rows as
     :data:`MASK_BYTES` holds (at least one), and no more rows than the
-    graph has — no range can use more.  For ``n ≤ 2 048`` that is all
-    ``n`` rows: the mask holds every row any range can reach, so
-    :func:`block_range` gathers the shorter side of every edge."""
+    graph has — no range can use more.  Each is one band of rows for
+    :func:`block_range`; for ``n ≤ 2 048`` one band covers the graph."""
     rows = max(1, MASK_BYTES // max(num_vertices, 1))
     return min(rows, num_vertices) * num_vertices
 
@@ -150,7 +149,7 @@ def block_range(
     scope=None,
     mask: np.ndarray | None = None,
 ) -> tuple[int, int, GroupBlock]:
-    """EdgeIterator≻ over ``[lo, hi)`` of a CSR, a block of edges at a time.
+    """EdgeIterator≻ over ``[lo, hi)`` of a CSR, a band of rows at a time.
 
     *succ_start* is :attr:`repro.graph.graph.Graph.succ_start`.  Returns
     ``(triangles, ops, groups)`` and charges *scope* exactly as the
@@ -160,29 +159,37 @@ def block_range(
     minimum's bit length; groups in ``(u, v)`` order with ascending
     completions.
 
-    *mask* is an all-False scratch of :func:`mask_cells` cells that the
-    caller keeps across calls (the ``hash`` binding's); it is all-False
-    again on every exit, exceptions included.  Without one, each call
-    allocates its own: ``(n − lo) · n`` cells when that fits
-    :data:`MASK_BYTES`, else as many whole rows as fit.
+    *mask* is an all-False scratch of whole rows of ``n`` cells, at
+    least one — the ``hash`` binding's :func:`mask_cells` — that the
+    caller keeps across calls; it is all-False again on every exit, exceptions
+    included.  Without one, each call allocates ``min(hi − lo,
+    MASK_BYTES // n)`` rows (at least one).  A shorter mask raises
+    :class:`~repro.errors.ConfigurationError` before anything is marked.
 
-    When the mask holds every row a probe of the range can touch — rows
-    ``lo … n−1``, ``(n − lo) · n ≤ len(mask)``, always so for a
-    binding's mask when ``n ≤ 2 048`` — those rows are marked once and
-    each edge ``(u, v)`` gathers the shorter of two slices: ``n_succ(v)``,
-    probing ``u``'s row, or the rest of ``u``'s row after ``v``, probing
-    ``v``'s row.  Both are ascending and hold the same completions (the
-    members of ``n_succ(u) ∩ n_succ(v)``, all above ``v``), so the hits,
-    their order and the charge are those of the row-window loop every
-    other range takes: mark the rows a block touches, gather
-    ``n_succ(v)``, probe ``u``'s row, unmark.
+    Each edge ``(u, v)`` gathers the shorter of two slices: ``n_succ(v)``,
+    probing ``u``'s row, or — only when ``v < hi`` — the rest of ``u``'s
+    row after ``v``, probing ``v``'s row.  Both are ascending and hold
+    the same completions (the members of ``n_succ(u) ∩ n_succ(v)``, all
+    above ``v``), so the hits, their order and the charge do not depend
+    on the choice.  Every probed row is then in ``[lo, hi)``: the mask
+    takes ``len(mask) // n`` of them at a time, a band, whose whole
+    ``n_succ`` rows are marked once while the edges probing them run, and
+    unmarked in a ``finally``.
     """
     num_vertices = len(indptr) - 1
+    if mask is not None and len(mask) < num_vertices:
+        raise ConfigurationError(
+            f"block_range: a mask of {len(mask)} cells is shorter than one "
+            f"row of the graph's {num_vertices} vertices")
     succ_len = indptr[1:] - succ_start
     row_edges = succ_len[lo:hi]
     num_edges = int(row_edges.sum())
     if num_edges == 0:
         return 0, 0, NO_GROUPS
+    if mask is None:
+        mask = np.zeros(max(1, min(hi - lo, MASK_BYTES // num_vertices))
+                        * num_vertices, dtype=bool)
+    band_rows = len(mask) // num_vertices
     # Edge e of the range is (us[e], vs[e]), in the per-pair loop's order;
     # v sits at indices[pos[e]], inside u's row.
     us = np.repeat(np.arange(lo, hi, dtype=np.int64), row_edges)
@@ -190,92 +197,84 @@ def block_range(
     vs = indices[pos]
     gather_len = succ_len[vs]
     charge = np.minimum(succ_len[us], gather_len)
-    found = np.zeros(num_edges, dtype=np.int64)
-
-    reach = (num_vertices - lo) * num_vertices
-    if mask is None:
-        rows = (num_vertices - lo if reach <= MASK_BYTES
-                else max(1, min(hi - lo, MASK_BYTES // num_vertices)))
-        mask = np.zeros(rows * num_vertices, dtype=bool)
-    resident = reach <= len(mask)
-    if resident:
-        # Mark rows lo … n−1 once; each edge gathers its shorter slice
-        # (ties keep n_succ(v)) and probes the other side's row.
-        rest = indptr[us + 1] - pos - 1
-        flip = rest < gather_len
-        starts = np.where(flip, pos + 1, succ_start[vs])
-        gather_len = np.where(flip, rest, gather_len)
-        bases = (np.where(flip, vs, us) - lo) * num_vertices
-        reached = _row_cells(indices, succ_start, succ_len, lo, num_vertices)
-    else:
-        rows = max(1, min(hi - lo, len(mask) // num_vertices))
-        reached = _NO_IDS
-    del pos  # free before the blocks' temporaries
+    # The shorter slice, ties keeping n_succ(v); u's rest only when v < hi,
+    # so that v's row is one the range marks anyway.
+    rest = indptr[us + 1] - pos - 1
+    flip = (rest < gather_len) & (vs < hi)
+    starts = np.where(flip, pos + 1, succ_start[vs])
+    gather_len = np.where(flip, rest, gather_len)
+    bases = (np.where(flip, vs, us) - lo) * num_vertices
+    # Edge (u, v) is also the cell (u − lo)·n + v of u's row, so the rows
+    # of a band (counted from lo) mark one slice of these.
+    cells = (us - lo) * num_vertices + vs
+    row_cuts = ragged.from_lengths(row_edges)
+    labels = (us, vs) if collect else None
+    del us, vs, pos, rest, flip  # free before the bands' temporaries
+    num_bands = -(-(hi - lo) // band_rows)
+    order, cuts = None, [0, num_edges]
+    if num_bands > 1:
+        # The edges grouped by the band of their probed row, in edge order
+        # within a band: a radix sort of the band numbers.
+        bands = bases // (band_rows * num_vertices)
+        order = np.argsort(bands.astype(np.min_scalar_type(num_bands - 1)),
+                           kind="stable")
+        cuts = ragged.from_lengths(
+            np.bincount(bands, minlength=num_bands)).tolist()
+        bases -= bands * (band_rows * num_vertices)  # the row in its band
+        del bands
+        starts, gather_len, bases = (starts[order], gather_len[order],
+                                     bases[order])
     gathered = np.cumsum(gather_len)
+    found = np.zeros(num_edges, dtype=np.int64)
     completions: list[np.ndarray] = []
     triangles = 0
-    start = 0
-    try:
-        mask[reached] = True
-        while start < num_edges:
-            taken = int(gathered[start] - gather_len[start])
-            stop = max(start + 1, int(np.searchsorted(
-                gathered, taken + BLOCK_ENTRIES, side="right")))
-            if resident:
+    for band in range(num_bands):
+        start, end = cuts[band], cuts[band + 1]
+        if start == end:
+            continue
+        first, last = band * band_rows, min((band + 1) * band_rows, hi - lo)
+        marked = cells[row_cuts[first]:row_cuts[last]] - first * num_vertices
+        try:
+            mask[marked] = True
+            while start < end:
+                taken = int(gathered[start] - gather_len[start])
+                stop = min(end, max(start + 1, int(np.searchsorted(
+                    gathered, taken + BLOCK_ENTRIES, side="right"))))
                 block = slice(start, stop)
                 ws = ragged.take_rows(indices, starts[block],
                                       gather_len[block])
                 hits = mask[np.repeat(bases[block], gather_len[block]) + ws]
-            else:
-                first_row = int(us[start])
-                stop = max(start + 1, min(stop, int(np.searchsorted(
-                    us, first_row + rows, side="left"))))
-                block = slice(start, stop)
-                # Mark all of n_succ(u) for every row the block touches —
-                # also for a row the block enters or leaves part-way: the
-                # completions of a later (u, v) may sit anywhere in
-                # n_succ(u) above v.
-                marked = _row_cells(indices, succ_start, succ_len, first_row,
-                                    int(us[stop - 1]) + 1)
-                try:
-                    mask[marked] = True
-                    ws = ragged.take_rows(indices, succ_start[vs[block]],
-                                          gather_len[block])
-                    hits = mask[np.repeat((us[block] - first_row)
-                                          * num_vertices, gather_len[block])
-                                + ws]
-                finally:
-                    mask[marked] = False
-            block_triangles = int(np.count_nonzero(hits))
-            if block_triangles and (collect or scope is not None):
-                # Per-pair hit counts.  reduceat sums hits[cut[i]:cut[i+1]]
-                # but yields hits[cut[i]] for an empty slice, so only the
-                # edges that gathered anything take part.
-                gathering = np.flatnonzero(gather_len[block]) + start
-                ends = gathered[gathering] - taken
-                found[gathering] = np.add.reduceat(
-                    hits, ends - gather_len[gathering], dtype=np.int64)
-                if collect:
-                    completions.append(ws[hits])
-            triangles += block_triangles
-            start = stop
-    finally:
-        mask[reached] = False
+                block_triangles = int(np.count_nonzero(hits))
+                if block_triangles and (collect or scope is not None):
+                    # Per-pair hit counts.  reduceat sums
+                    # hits[cut[i]:cut[i+1]] but yields hits[cut[i]] for an
+                    # empty slice, so only the edges that gathered
+                    # anything take part.
+                    gathering = np.flatnonzero(gather_len[block]) + start
+                    ends = gathered[gathering] - taken
+                    found[gathering] = np.add.reduceat(
+                        hits, ends - gather_len[gathering], dtype=np.int64)
+                    if collect:
+                        completions.append(ws[hits])
+                triangles += block_triangles
+                start = stop
+        finally:
+            mask[marked] = False
 
+    if order is not None and (collect or scope is not None):
+        # Back to edge order: the counts by one scatter, then each edge's
+        # completions (still ascending) by one linear scatter.
+        banded, found = found, np.empty_like(found)
+        found[order] = banded
+        if completions:
+            ws = np.concatenate(completions)
+            completions = [np.empty_like(ws)]
+            completions[0][ragged.expand(ragged.from_lengths(found)[order],
+                                         banded)] = ws
     if scope is not None:
         charge_by_length(scope, charge, charge, found)
     return (triangles, int(charge.sum()),
-            _closed_groups((us, vs), found, completions))
-
-
-def _row_cells(indices: np.ndarray, succ_start: np.ndarray,
-               succ_len: np.ndarray, first: int, last: int) -> np.ndarray:
-    """The mask cells ``(u − first) · n + w`` of every ``w`` in
-    ``n_succ(u)``, ``first ≤ u < last``."""
-    num_vertices = len(succ_start)
-    lengths = succ_len[first:last]
-    return (np.repeat(np.arange(last - first) * num_vertices, lengths)
-            + ragged.take_rows(indices, succ_start[first:last], lengths))
+            _closed_groups(labels, found, completions))
 
 
 def charge_by_length(scope, sizes: np.ndarray, ops: np.ndarray,

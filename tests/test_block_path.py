@@ -2,14 +2,16 @@
 
 ``block_range`` must return what the per-pair loop returns — triangles,
 Eq. 3 ops, the exact group sequence, the attribution cells — wherever
-its block boundaries fall, and whichever side of each edge it gathers.
-At the shipped budgets every zoo graph's mask holds all the rows a range
-can reach, so it takes the shorter-side path; shrinking ``MASK_BYTES``
-to a row or two forces the row-window path, and shrinking
+its band and block boundaries fall, and whichever side of each edge it
+gathers.  At the shipped budgets every zoo graph's mask holds all its
+rows, one band; shrinking ``MASK_BYTES`` to one to three rows cuts
+every range into bands that small, so edges probe bands out of edge
+order and their completions are put back, and shrinking
 ``BLOCK_ENTRIES`` splits blocks inside one vertex's successor list and
-across rows on either.  The per-pair reference is the ``bitmap`` binding
-(same analytic charge, separate data path); the listing oracle is
-``forward``, which shares no code with either.
+across rows.  The
+per-pair reference is the ``bitmap`` binding (same analytic charge,
+separate data path); the listing oracle is ``forward``, which shares no
+code with either.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.exec import block, compose
 from repro.exec.engine import run_range
 from repro.exec.kernels import BitmapKernel, HashKernel
@@ -121,8 +124,8 @@ def _assert_same_as_references(member, seed, lo, hi, entries, rows):
     (1, None), (8, None), (block.BLOCK_ENTRIES, None)])
 def test_tiny_blocks_match_per_pair_loop_and_oracle(member, seed, entries,
                                                     rows):
-    """Whole graph; one entry per block splits every successor list, and
-    on the shorter-side path (``rows=None``) every flipped suffix."""
+    """Whole graph; one entry per block splits every successor list and
+    every flipped suffix, one or two rows per band every range."""
     num_vertices = _graph(member, seed).num_vertices
     if rows is None:
         assert num_vertices ** 2 <= block.MASK_BYTES
@@ -138,7 +141,7 @@ def test_sub_ranges_under_random_budgets(data):
     lo = data.draw(st.integers(0, num_vertices))
     hi = data.draw(st.integers(lo, num_vertices))
     entries = data.draw(st.integers(1, 8))
-    rows = data.draw(st.sampled_from([1, 2, None]))
+    rows = data.draw(st.sampled_from([1, 2, 3, None]))
     _assert_same_as_references(member, seed, lo, hi, entries, rows)
 
 
@@ -180,13 +183,14 @@ class _CountingMask:
 def _gather_bill(graph, lo: int, hi: int, shorter: bool) -> int:
     """Entries gathered over ``[lo, hi)``: ``|n_succ(v)|`` per edge
     ``(u, v)`` or, *shorter*, the least of that and the number of ``u``'s
-    successors after ``v``."""
+    successors after ``v`` when ``v < hi``."""
     total = 0
     for u in range(lo, hi):
         succ_u = graph.n_succ(u)
         for i, v in enumerate(succ_u.tolist()):
             side = len(graph.n_succ(v))
-            total += min(side, len(succ_u) - i - 1) if shorter else side
+            total += (min(side, len(succ_u) - i - 1) if shorter and v < hi
+                      else side)
     return total
 
 
@@ -194,8 +198,10 @@ def _gather_bill(graph, lo: int, hi: int, shorter: bool) -> int:
                          ids=[f"{m}-s{s}" for m, s in MEMBERS])
 def test_a_mask_of_every_reachable_row_gathers_the_shorter_side(member,
                                                                  seed):
-    """``(n − lo) · n`` cells take the shorter-side path, one cell less
-    the row-window path; both answer like the per-pair loop and leave the
+    """The shorter-side bill at every mask size: ``(n − lo) · n`` cells,
+    one band; one cell less, a second band of one row; one row, every
+    row its own band.  A range ending below ``n`` flips only the edges
+    with ``v < hi``.  Each answers like the per-pair loop and leaves the
     mask all-False."""
     graph = _graph(member, seed)
     num_vertices = graph.num_vertices
@@ -203,20 +209,21 @@ def test_a_mask_of_every_reachable_row_gathers_the_shorter_side(member,
         if not 0 <= lo <= num_vertices - 2:
             continue
         reach = (num_vertices - lo) * num_vertices
-        for cells, shorter in ((reach, True), (reach - 1, False)):
-            mask = _CountingMask(cells)
-            table = Attribution()
-            result = block.block_range(
-                graph.indptr, graph.indices, graph.succ_start, lo,
-                num_vertices, True,
-                table.scope(phase="exec", kernel="hash", source="memory"),
-                mask=mask)
-            label = (member, seed, lo, cells)
-            assert mask.probed == _gather_bill(graph, lo, num_vertices,
-                                               shorter), label
-            assert not mask.cells.any(), label
-            assert ((result, _cells(table))
-                    == _per_pair(member, seed, lo, num_vertices)), label
+        for hi in sorted({num_vertices, (lo + num_vertices + 1) // 2}):
+            for cells in (reach, reach - 1, num_vertices):
+                mask = _CountingMask(cells)
+                table = Attribution()
+                result = block.block_range(
+                    graph.indptr, graph.indices, graph.succ_start, lo, hi,
+                    True,
+                    table.scope(phase="exec", kernel="hash", source="memory"),
+                    mask=mask)
+                label = (member, seed, lo, hi, cells)
+                assert mask.probed == _gather_bill(graph, lo, hi,
+                                                   True), label
+                assert not mask.cells.any(), label
+                assert ((result, _cells(table))
+                        == _per_pair(member, seed, lo, hi)), label
 
 
 def test_the_shorter_side_gathers_less_on_a_clustered_graph():
@@ -227,19 +234,60 @@ def test_the_shorter_side_gathers_less_on_a_clustered_graph():
             < _gather_bill(graph, 0, n, False))
 
 
+def _inverted_bands(graph, lo: int, hi: int, rows: int) -> bool:
+    """Whether some edge of ``[lo, hi)`` probes a later band of *rows*
+    rows than an edge after it — so its completions must be put back."""
+    bands = []
+    for u in range(lo, hi):
+        succ_u = graph.n_succ(u).tolist()
+        for i, v in enumerate(succ_u):
+            flips = v < hi and len(succ_u) - i - 1 < len(graph.n_succ(v))
+            bands.append(((v if flips else u) - lo) // rows)
+    return any(a > b for a, b in zip(bands, bands[1:]))
+
+
+@pytest.mark.parametrize("rows", (1, 2, 3))
+def test_bands_out_of_edge_order_collect_in_edge_order(rows):
+    """Bands of one to three rows over every zoo graph, whole and two
+    sub-ranges: the same as the per-pair loop, and on some of them edges
+    do probe bands out of edge order."""
+    inverted = []
+    for member, seed in MEMBERS:
+        graph = _graph(member, seed)
+        n = graph.num_vertices
+        for lo, hi in ((0, n), (n // 3, n - n // 4), (1, n // 2)):
+            _assert_same_as_references(member, seed, lo, hi,
+                                       block.BLOCK_ENTRIES, rows)
+            if _inverted_bands(graph, lo, hi, rows):
+                inverted.append((member, seed, lo, hi))
+    assert len(inverted) >= 5, inverted
+
+
+def test_a_mask_shorter_than_a_row_is_refused(seeded_graph):
+    """Refused by name before anything is marked, not an ``IndexError``
+    from inside the probe."""
+    graph = seeded_graph("holme_kim", 200, 4, 0.5, seed=1)
+    mask = np.zeros(150, dtype=bool)
+    with pytest.raises(ConfigurationError, match=r"\b150\b.*\b200\b"):
+        block.block_range(graph.indptr, graph.indices, graph.succ_start, 0,
+                          graph.num_vertices, True, mask=mask)
+    assert not mask.any()
+
+
 @pytest.mark.parametrize("workers", (1, 2, 3))
 def test_parallel_chunks_on_both_paths(seeded_graph, workers):
-    """A mask that only the tail chunks of the plan fit sends the other
-    chunks through the row-window path: the listing is ``forward``'s and
-    every sink still receives the pinned stream."""
+    """A mask of fewer rows than any chunk of any plan has: every chunk
+    spans at least two bands.  The listing is ``forward``'s and every sink
+    still receives the pinned stream."""
     graph = seeded_graph("holme_kim", 300, 6, 0.5, seed=6,
                          ordering="natural")
     n = graph.num_vertices
-    # The last chunk of the coarsest plan (one worker) fits, exactly.
-    rows = n - plan_chunks(graph, default_chunk_count(graph, 1))[-1][0]
+    rows = min(hi - lo for count in (1, 2, 3)
+               for lo, hi in plan_chunks(graph, default_chunk_count(graph,
+                                                                    count)))
+    rows = max(1, rows // 2)
     chunks = plan_chunks(graph, default_chunk_count(graph, workers))
-    fitting = sum(n - lo <= rows for lo, _ in chunks)
-    assert 0 < fitting < len(chunks)
+    assert all(hi - lo > rows for lo, hi in chunks)
     with mock.patch.object(block, "MASK_BYTES", rows * n):
         sink = CollectSink()
         triangulate_parallel(graph, workers=workers, sink=sink)
@@ -295,8 +343,8 @@ def test_binding_keeps_one_all_false_mask():
     assert block.mask_cells(6) == 6 * 6
 
 
-def _fail_mid_block(mask_bytes: int) -> None:
-    """Run a binding over a range whose first probe gather raises; the
+def _fail_mid_block(mask_bytes: int, fail: int) -> None:
+    """Run a binding over a range whose *fail*-th probe gather raises; the
     failure must land between mark and unmark and leave the mask
     all-False, and the binding usable."""
     graph = _graph("star-of-cliques", 0)
@@ -305,9 +353,9 @@ def _fail_mid_block(mask_bytes: int) -> None:
 
     def take_rows_then_fail(values, starts, lengths):
         calls.append(binding.mask().any())
-        # Call 1 marks rows — every row the range reaches, or the first
-        # block's — and call 2 gathers that block's probes, after the mark.
-        if len(calls) == 2:
+        # One call per block, each gathering its probes after its band's
+        # mark; every band here is one block.
+        if len(calls) == fail:
             raise MemoryError("injected mid-block")
         return real_take_rows(values, starts, lengths)
 
@@ -325,13 +373,13 @@ def _fail_mid_block(mask_bytes: int) -> None:
 
 def test_mask_is_cleared_when_a_block_raises():
     """An exception between mark and unmark leaves the mask all-False
-    (the shipped budget: the shorter-side path)."""
-    _fail_mid_block(block.MASK_BYTES)
+    (the shipped budget: one band)."""
+    _fail_mid_block(block.MASK_BYTES, 1)
 
 
-def test_mask_is_cleared_when_a_row_window_block_raises():
-    """The same on the row-window path, under a mask of two rows."""
-    _fail_mid_block(2 * _graph("star-of-cliques", 0).num_vertices)
+def test_mask_is_cleared_when_a_later_band_raises():
+    """The same in the second band, under a mask of two rows."""
+    _fail_mid_block(2 * _graph("star-of-cliques", 0).num_vertices, 2)
 
 
 @pytest.mark.parametrize("budget", ["entries", "mask"])
