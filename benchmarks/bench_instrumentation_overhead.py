@@ -9,10 +9,10 @@ the ``is not None`` guard at call sites — :class:`~repro.obs.RunContext`
 turns it into ``None`` when it is built — so ``off`` and ``disabled``
 must be indistinguishable up to timer noise.
 
-The event tracer and the telemetry sampler are measured on the OPT disk
-engine over the LJ stand-in (the Fig. 3a workload); the Eq. 3
-attribution table on the composed in-memory engine
-``memory+bitmap+serial`` over the same graph (Fig. 3b).  ``bitmap``
+The event tracer is measured on the OPT disk engine over the LJ
+stand-in (the Fig. 3a workload); the Eq. 3 attribution table on the
+composed in-memory engine ``memory+bitmap+serial`` over the same graph
+(Fig. 3b).  ``bitmap``
 charges the same Eq. 3 ops as ``hash`` but through the per-pair loop,
 whose per-pair charge hook is what the attribution ceiling bounds.
 
@@ -26,14 +26,12 @@ Emits one artifact set per entry of :data:`ARTIFACTS`:
 ``results/BENCH_<name>.json`` (RunReport schema; the live run's report
 with the wall ratios in ``derived.<instrument>_overhead`` /
 ``disabled_overhead``, which ``tests/test_report_schema.py`` pins) and
-the ``results/<name>.txt`` table.  The disk artifacts' headline is the
+the ``results/<name>.txt`` table.  The disk artifact's headline is the
 deterministic ``elapsed_simulated`` — identical across modes — so
-``compare_reports.py`` diffs stay stable; the telemetry one also carries
-the sampler's last tick (``derived.telemetry``, via
-:func:`~repro.obs.fold_telemetry`); the profile one the attribution
-snapshot, next to ``results/PROFILE_fig3b.speedscope.json`` — the
-op-weighted attribution stacks as a speedscope document (the artifact CI
-uploads).
+``compare_reports.py`` diffs stay stable; the profile one carries the
+attribution snapshot, next to ``results/PROFILE_fig3b.speedscope.json``
+— the op-weighted attribution stacks as a speedscope document (the
+artifact CI uploads).
 """
 
 from __future__ import annotations
@@ -59,8 +57,6 @@ from repro.obs import (
     EventTracer,
     RunContext,
     RunReport,
-    TelemetrySampler,
-    fold_telemetry,
     to_speedscope,
     validate_attribution_dict,
     write_speedscope,
@@ -86,12 +82,9 @@ INSTRUMENTS = {
     "trace": Instrument(
         lambda enabled: EventTracer(clock="sim", enabled=enabled),
         "trace", len, 1.10, 1.05),
-    "telemetry": Instrument(
-        lambda enabled: TelemetrySampler(clock="sim", enabled=enabled),
-        "telemetry", lambda sampler: sampler.samples, 1.10, 1.05),
     # The attribution table adds dict updates to every intersection pair
     # (see the bulk ``charge_lengths`` path in ``exec/engine.py``), so
-    # its ceiling sits above the tracer's and the telemetry sampler's.
+    # its ceiling sits above the tracer's.
     "attribution": Instrument(
         lambda _enabled: Attribution(),
         "attribution", len, 1.30, None),
@@ -116,9 +109,6 @@ ARTIFACTS = {
     "trace_overhead": (
         _fig3a, "Event-tracing overhead on the Fig. 3a LJ workload",
         ("trace",)),
-    "telemetry_overhead": (
-        _fig3a, "Telemetry-sampling overhead on the Fig. 3a LJ workload",
-        ("telemetry",)),
     "profile_overhead": (
         _fig3b, "Attribution-profiler overhead on the Fig. 3b LJ workload",
         ("attribution",)),
@@ -204,9 +194,6 @@ def test_instrumentation_overhead(benchmark, artifact):
 
     if artifact == "trace_overhead":
         run_report.derive("trace_events", live["trace"].recorded)
-    elif artifact == "telemetry_overhead":
-        fold_telemetry(run_report, live["telemetry"].instrument)
-        run_report.derive("telemetry_samples", live["telemetry"].recorded)
     else:
         # Conservation: the attribution table accounts for every engine op.
         attribution = live["attribution"].instrument

@@ -22,11 +22,7 @@ run's causal event timeline (Chrome trace_event JSON — load it in
 Perfetto or ``chrome://tracing``): simulated time for the disk-based
 methods, wall time for ``--method opt-threaded``.  ``trace
 out.trace.json`` summarizes a saved trace as overlap analytics plus an
-ASCII Gantt chart.  ``triangulate --telemetry out.jsonl`` streams live
-tick records (counter rates, gauges, histogram percentiles, per-worker
-heartbeats) to a JSONL file while the run is going — simulated clock for
-the disk-based methods (byte-deterministic), wall clock for
-``opt-threaded`` / ``opt-parallel``.  The global ``--verbose`` /
+ASCII Gantt chart.  The global ``--verbose`` /
 ``--quiet`` flags configure the ``repro.*`` logger hierarchy.
 
 Robustness: ``triangulate --fault-kind transient --fault-rate 0.2``
@@ -128,37 +124,13 @@ def _build_fault_plan(args):
 _DISK_PLUGINS = {"opt": "edge-iterator", "opt-vi": "vertex-iterator",
                  "mgt": "mgt"}
 
-#: Methods whose timeline (elapsed, tracer, telemetry) is real time; the
+#: Methods whose timeline (elapsed, tracer) is real time; the
 #: rest report simulated seconds.
 _WALL_METHODS = ("opt-threaded", "opt-parallel", "compose")
 
 #: ``RunContext`` field → the ``triangulate`` flag that fills it.
-_CONTEXT_FLAGS = {"trace": "--trace", "telemetry": "--telemetry",
-                  "fault_plan": "--fault-kind", "checkpoint": "--checkpoint"}
-
-
-class _LazyTextFile:
-    """Text sink that creates its file (and parent directories) on the
-    first write, so a run refused before its first telemetry tick leaves
-    the path — and any earlier run's file there — untouched."""
-
-    def __init__(self, path):
-        self.path = Path(path)
-        self._file = None
-
-    def write(self, text: str) -> int:
-        if self._file is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._file = self.path.open("w", encoding="utf-8")
-        return self._file.write(text)
-
-    def flush(self) -> None:
-        if self._file is not None:
-            self._file.flush()
-
-    def close(self) -> None:
-        if self._file is not None:
-            self._file.close()
+_CONTEXT_FLAGS = {"trace": "--trace", "fault_plan": "--fault-kind",
+                  "checkpoint": "--checkpoint"}
 
 
 def _run_method(args, graph, ctx):
@@ -241,13 +213,12 @@ def _cmd_triangulate(args) -> int:
         EventTracer,
         RunContext,
         RunReport,
-        TelemetrySampler,
         write_chrome_trace,
     )
 
     graph = _load_graph(args)
     # Disk methods replay on the deterministic simulated clock (a
-    # byte-stable trace / tick stream per seed); the threaded and
+    # byte-stable trace per seed); the threaded and
     # process-parallel engines record real timelines in wall time.
     clock = "wall" if args.method in _WALL_METHODS else "sim"
     report = None
@@ -268,19 +239,10 @@ def _cmd_triangulate(args) -> int:
                   f"({len(checkpoint.committed())} committed iterations)")
         else:
             checkpoint = RunCheckpoint()
-    telemetry = telemetry_stream = None
-    if args.telemetry:
-        # Stream ticks live (one flushed JSON line each) so the file can
-        # be followed while the run is still going.
-        telemetry_stream = _LazyTextFile(args.telemetry)
-        telemetry = TelemetrySampler(clock=clock, stream=telemetry_stream)
     try:
         result, method = _run_method(args, graph, RunContext(
-            report=report, trace=tracer, telemetry=telemetry,
-            fault_plan=fault_plan, retry_policy=retry_policy,
-            checkpoint=checkpoint))
-        if telemetry is not None:
-            telemetry.finish()
+            report=report, trace=tracer, fault_plan=fault_plan,
+            retry_policy=retry_policy, checkpoint=checkpoint))
     except ConfigurationError as exc:
         flags = [flag for name, flag in _CONTEXT_FLAGS.items()
                  if name in exc.refused]
@@ -290,9 +252,6 @@ def _cmd_triangulate(args) -> int:
               f"{'applies' if len(flags) == 1 else 'apply'} only to methods "
               f"whose engine consumes it: {exc}", file=sys.stderr)
         return 1
-    finally:
-        if telemetry_stream is not None:
-            telemetry_stream.close()
     if checkpoint is not None:
         path = checkpoint.save(args.checkpoint)
         print(f"wrote checkpoint to {path}")
@@ -308,9 +267,6 @@ def _cmd_triangulate(args) -> int:
     ]
     print(format_table(["measure", "value"], rows,
                        title=f"{method} on {args.dataset or args.input}"))
-    if telemetry is not None:
-        print(f"wrote {telemetry.samples} telemetry samples to "
-              f"{args.telemetry}")
     if tracer is not None:
         path = write_chrome_trace(args.trace, tracer)
         print(f"wrote {len(tracer)} trace events to {path} "
@@ -650,12 +606,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "trace_event JSON (Perfetto-loadable); simulated "
                           "clock for opt/opt-vi/mgt, wall clock for "
                           "opt-threaded and opt-parallel")
-    tri.add_argument("--telemetry", default=None, metavar="OUT.jsonl",
-                     help="stream live telemetry tick records (counter "
-                          "rates, gauges, histogram percentiles, worker "
-                          "heartbeats) to this JSONL file.  Simulated clock "
-                          "for opt/opt-vi/mgt (byte-deterministic), wall "
-                          "clock for opt-threaded and opt-parallel")
     tri.add_argument("--fault-kind", action="append", default=[],
                      choices=["latency", "transient", "torn"],
                      help="inject seeded storage faults of this kind into the "

@@ -120,8 +120,8 @@ def triangulate_disk(
     simulated wall time and whose ``extra`` carries the trace and the
     scheduler result for deeper analysis.
     """
-    ctx.accept("triangulate_disk", "report", "trace", "telemetry",
-               "attribution", "fault_plan", "retry_policy", "checkpoint")
+    ctx.accept("triangulate_disk", "report", "trace", "attribution",
+               "fault_plan", "retry_policy", "checkpoint")
     report = ctx.report
     plugin = resolve_plugin(plugin)
     if isinstance(source, GraphStore):

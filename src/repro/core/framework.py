@@ -53,7 +53,6 @@ from repro.obs import (
     MetricsRegistry,
     RunContext,
     RunReport,
-    TelemetrySampler,
     get_logger,
 )
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
@@ -237,7 +236,7 @@ def run_opt(
     trace's ``candidate_ops`` / ``external_ops`` / ``internal_ops``
     exactly.
     """
-    ctx.accept("run_opt", "report", "trace", "telemetry", "attribution",
+    ctx.accept("run_opt", "report", "trace", "attribution",
                "fault_plan", "retry_policy", "checkpoint")
     return _drive(store, config, sink, ctx,
                   lambda frames: _BufferedFeed(store, config, frames, ctx))
@@ -253,7 +252,6 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
     """
     report = ctx.report
     checkpoint = ctx.checkpoint
-    telemetry = ctx.bound_telemetry()
     if sink is None and checkpoint is not None:
         sink = CountSink()  # something for the captured groups to pass through
     plugin = config.plugin
@@ -288,9 +286,6 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
     mask = np.zeros(mask_cells(store.num_vertices), dtype=bool)
 
     output_pages_before = getattr(sink, "pages_written", 0)
-    if telemetry is not None:
-        # The opening tick: t=0 in sim mode, "now" on the wall clock.
-        telemetry.sample(0.0 if telemetry.clock == "sim" else None)
     with ctx.span("run-opt", plugin=plugin.name, m_in=config.m_in,
                   m_ex=config.m_ex):
         for index, (pid, end) in enumerate(chunks):
@@ -312,7 +307,6 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
                     report.counter("triangles", phase="internal").inc(replayed)
                     report.counter("recovery.checkpoint.replayed").inc()
                     report.counter("opt.iterations").inc()
-                _sample_iteration(telemetry, index)
                 continue
             iteration_sink = (GroupCaptureSink(sink) if checkpoint is not None
                               else sink)
@@ -341,7 +335,6 @@ def _drive(store: GraphStore, config: OPTConfig, sink: TriangleSink | None,
                 report.counter("opt.iterations").inc()
 
             run_trace.iterations.append(iteration)
-            _sample_iteration(telemetry, index)
 
             if checkpoint is not None:
                 checkpoint.record(index, pid, end, iteration_sink.groups,
@@ -512,21 +505,6 @@ def _in_page_order(chunk_pages: range, windows: Sequence[PageBlock],
         records = [len(page) for page in windows]
         per_page = [per_page[at] for at in order]
     return PageBlock.concat(windows), ragged.from_lengths(records), per_page
-
-
-def _sample_iteration(telemetry: TelemetrySampler | None, index: int) -> None:
-    """One telemetry tick at an iteration boundary.
-
-    Sim clock: the tick's timestamp is the iteration ordinal (``index``
-    completing means ``t = index + 1``), the deterministic time axis.
-    Wall clock: a rate-limited tick at the sampler's interval.
-    """
-    if telemetry is None:
-        return
-    if telemetry.clock == "sim":
-        telemetry.sample(float(index + 1), iteration=index)
-    else:
-        telemetry.maybe_sample()
 
 
 def _fold_fault_log(fault_plan: FaultPlan, report: RunReport) -> None:

@@ -81,10 +81,10 @@ def triangulate_threaded(
 
     *ctx* is the run's :class:`~repro.obs.RunContext` (the fields are
     documented there); this engine consumes all but ``attribution``, and
-    — its timeline being real time — refuses a sim-clock tracer or
-    sampler.  Specific to this engine: the fault plan is injected *for
-    real* through a :class:`~repro.storage.faults.FaultyPageFile`
-    (sleeps, raised errors, corrupted bytes), reads whose completion is
+    — its timeline being real time — refuses a sim-clock tracer.
+    Specific to this engine: the fault plan is injected *for real*
+    through a :class:`~repro.storage.faults.FaultyPageFile` (sleeps,
+    raised errors, corrupted bytes), reads whose completion is
     lost (``dropped_callback`` / ``stall`` faults, which *require* a
     ``retry_policy.timeout``) are reclaimed at the iteration barrier and
     degraded to a synchronous re-read, and an exhausted policy surfaces
@@ -94,9 +94,8 @@ def triangulate_threaded(
     thread; and the report's ``cost_conformance`` compares measured wall
     time with ``Cost_OPTserial``.
     """
-    ctx.accept("triangulate_threaded", "report", "trace", "telemetry",
-               "fault_plan", "retry_policy", "checkpoint",
-               wall_clock=("trace", "telemetry"))
+    ctx.accept("triangulate_threaded", "report", "trace", "fault_plan",
+               "retry_policy", "checkpoint", wall_clock=True)
     if buffer_pages < 2:
         raise ConfigurationError("buffer must hold at least two pages")
     plugin = resolve_plugin(plugin)

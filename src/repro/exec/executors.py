@@ -130,7 +130,6 @@ class ProcessExecutor:
                 time.perf_counter(),
                 ("exec", kernel.name, source.name)
                 if attribution is not None else None,
-                ctx=ctx,
             )
             outcome = _fold([row[3:] for row in rows])
             for report in reports:

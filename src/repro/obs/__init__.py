@@ -47,7 +47,6 @@ from repro.obs.report import (
     validate_report_dict,
 )
 from repro.obs.spans import Span, SpanTracker
-from repro.obs.telemetry import TelemetrySampler, fold_telemetry
 from repro.obs.trace import (
     TRACE_SCHEMA_NAME,
     TRACE_SCHEMA_VERSION,
@@ -93,13 +92,11 @@ __all__ = [
     "SpanTracker",
     "TRACE_SCHEMA_NAME",
     "TRACE_SCHEMA_VERSION",
-    "TelemetrySampler",
     "TraceEvent",
     "ascii_gantt",
     "collapsed_text",
     "configure_logging",
     "degree_bucket",
-    "fold_telemetry",
     "fold_trace_analytics",
     "from_chrome_trace",
     "get_logger",

@@ -4,11 +4,10 @@ Every instrumented entry point — ``triangulate_disk``, ``run_opt``,
 ``triangulate_threaded``, ``triangulate_parallel``, ``Engine.run``,
 ``simulate`` — takes a single ``ctx=`` and hands the same object to every
 hop below it, so an instrument cannot be dropped between two frames.
-What the engines used to copy lives here once: a disabled tracer or
-telemetry sampler becomes ``None`` at construction, :attr:`RunContext.registry` /
+What the engines used to copy lives here once: a disabled tracer
+becomes ``None`` at construction, :attr:`RunContext.registry` /
 :meth:`RunContext.span` / :meth:`RunContext.slice` replace the
-``if report is not None`` / ``if tracer is not None`` twins,
-:meth:`RunContext.bound_telemetry` is the one telemetry-bind site, and
+``if report is not None`` / ``if tracer is not None`` twins, and
 each entry point opens with one :meth:`RunContext.accept` declaration
 that turns a field it does not consume — or a clock it cannot honour —
 into a :class:`~repro.errors.ConfigurationError` before any work starts.
@@ -30,7 +29,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.result_store import RunCheckpoint
     from repro.obs.attribution import Attribution
     from repro.obs.report import RunReport
-    from repro.obs.telemetry import TelemetrySampler
     from repro.obs.trace import EventTracer
     from repro.storage.faults import FaultPlan, RetryPolicy
 
@@ -59,13 +57,6 @@ class RunContext:
         process-parallel engines record real time and refuse a
         sim-clock tracer.  With a *report* too, the trace's overlap
         analytics are folded into ``report.derived``.
-    telemetry:
-        A :class:`~repro.obs.TelemetrySampler`, ticked at iteration
-        boundaries (disk, threaded) or from the heartbeat loop
-        (process-parallel, wall clock).  A sim-clock sampler ticks at
-        iteration / chunk ordinals, so its JSONL stream is
-        byte-deterministic — for the process-parallel engine via a
-        post-merge replay that is identical across worker counts.
     attribution:
         An :class:`~repro.obs.Attribution`.  Every Eq. 3 op charge lands
         in a ``(phase, kernel, source, degree-bucket)`` cell — phases
@@ -87,19 +78,16 @@ class RunContext:
 
     report: RunReport | None = None
     trace: EventTracer | None = None
-    telemetry: TelemetrySampler | None = None
     attribution: Attribution | None = None
     fault_plan: FaultPlan | None = None
     retry_policy: RetryPolicy | None = None
     checkpoint: RunCheckpoint | None = None
 
     def __post_init__(self) -> None:
-        # The one place a disabled tracer / telemetry sampler is
-        # normalised away: engines keep their plain ``is not None`` guards.
-        for name in ("trace", "telemetry"):
-            instrument = getattr(self, name)
-            if instrument is not None and not instrument.enabled:
-                object.__setattr__(self, name, None)
+        # The one place a disabled tracer is normalised away: engines
+        # keep their plain ``is not None`` guards.
+        if self.trace is not None and not self.trace.enabled:
+            object.__setattr__(self, "trace", None)
 
     @property
     def registry(self) -> MetricsRegistry | None:
@@ -123,27 +111,15 @@ class RunContext:
             return nullcontext()
         return self.trace.slice(name, **args)
 
-    def bound_telemetry(self) -> TelemetrySampler | None:
-        """The sampler, bound to the run's registry if it had none.
-
-        Without a report it samples a private registry, so ticking is
-        always legal.
-        """
-        telemetry = self.telemetry
-        if telemetry is not None:
-            telemetry.bind(self.report.registry if self.report is not None
-                           else MetricsRegistry())
-        return telemetry
-
     def accept(self, engine: str, *consumed: str,
-               wall_clock: tuple[str, ...] = ()) -> None:
+               wall_clock: bool = False) -> None:
         """Declare what *engine* consumes; refuse everything else.
 
         *consumed* names the fields the engine reads; any other field
         that is set raises :class:`ConfigurationError` — one bundle must
-        never turn an unsupported instrument into silent loss.
-        *wall_clock* names the ``trace`` / ``telemetry`` fields that
-        must run on real time.
+        never turn an unsupported instrument into silent loss.  With
+        *wall_clock* the engine runs on real time and refuses a
+        sim-clock tracer.
         """
         refused = tuple(
             name for name in _FIELDS
@@ -155,13 +131,9 @@ class RunContext:
                 f"{', '.join(consumed) or 'nothing'})",
                 refused=refused,
             )
-        for name in wall_clock:
-            instrument = getattr(self, name)
-            if instrument is not None and instrument.clock != "wall":
-                kind = "tracer" if name == "trace" else "telemetry sampler"
-                raise ConfigurationError(
-                    f"{engine} runs on real time; pass a clock='wall' {kind}"
-                )
+        if wall_clock and self.trace is not None and self.trace.clock != "wall":
+            raise ConfigurationError(
+                f"{engine} runs on real time; pass a clock='wall' tracer")
 
     def only(self, *names: str) -> RunContext:
         """This context narrowed to *names*, for a hop that consumes less."""

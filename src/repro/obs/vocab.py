@@ -101,11 +101,6 @@ METRIC_NAMES = frozenset({
     "parallel.heartbeats",
     "parallel.straggler",
     "parallel.chunk.elapsed",
-    # live telemetry pipeline (repro.obs.telemetry)
-    "telemetry.samples",
-    # live occupancy gauges sampled by the telemetry pipeline
-    "buffer.resident",
-    "ssd.inflight",
     # run headline figures
     "run.elapsed_wall",
     "run.elapsed_simulated",

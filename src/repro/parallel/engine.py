@@ -32,10 +32,10 @@ Steps 2–3 are :func:`run_chunks`, the only place in ``src/`` that forks:
 and fold the rows it returns.  Each child writes its heartbeats and
 then its report to one pipe that only it writes.  Between its chunks
 the caller takes one non-blocking look at the children (heartbeats,
-straggler and silence checks, a live telemetry tick); once the plan is
-spent it waits on their pipes and exits for the reports.  A worker that
-dies without reporting (SIGKILL, OOM-kill) ends its pipe, which the
-caller sees at once, and raises :class:`ParallelError` naming it.
+straggler and silence checks); once the plan is spent it waits on their
+pipes and exits for the reports.  A worker that dies without reporting
+(SIGKILL, OOM-kill) ends its pipe, which the caller sees at once, and
+raises :class:`ParallelError` naming it.
 
 Determinism contract: the chunk plan, per-chunk triangle groups, and all
 op counts depend only on the graph — never on scheduling.  Only
@@ -68,7 +68,6 @@ from repro.memory.base import (
 )
 from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.registry import MetricsRegistry
-from repro.obs.telemetry import TelemetrySampler
 from repro.obs.trace import EventTracer, TraceEvent
 from repro.parallel.chunks import default_chunk_count, plan_chunks
 from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor, StragglerPolicy
@@ -207,13 +206,12 @@ def _execute_chunks(
         attr_scope = attr_table.scope(phase=phase, kernel=kernel_name,
                                       source=source)
     binding = kernel.bind(graph.num_vertices)
-    done_chunks = total_ops = total_steals = 0
+    done_chunks = 0
 
     def beat(done: bool = False) -> None:
         if publish is not None:
             publish(Heartbeat(
                 worker_id=worker_id, chunks_done=done_chunks,
-                ops=total_ops, steals=total_steals,
                 ts=time.perf_counter() - anchor, done=done,
             ))
 
@@ -232,11 +230,9 @@ def _execute_chunks(
         triangles_counter.inc(triangles)
         chunk_elapsed.observe(end - start)
         done_chunks += 1
-        total_ops += ops
         owner = index % num_workers
         if owner != worker_id:
             steals_counter.inc()
-            total_steals += 1
             tracer.instant("parallel.steal", ts=end, track=track,
                            chunk=index, owner=owner)
         tracer.complete("parallel.chunk", start, end - start, track=track,
@@ -320,13 +316,12 @@ class _Pool:
 
     def __init__(self, workers: int, tasks: list[tuple[int, int, int]],
                  policy: StragglerPolicy, anchor: float,
-                 monitor: HeartbeatMonitor | None, ctx: RunContext):
+                 monitor: HeartbeatMonitor | None):
         self.workers = workers
         self.tasks = tasks
         self.policy = policy
         self.anchor = anchor
         self.monitor = monitor
-        self.telemetry = ctx.telemetry
         #: ``worker_id -> Process`` of the started children.
         self.processes: dict = {}
         #: ``worker_id -> Connection``, the read end of the child's pipe.
@@ -383,16 +378,13 @@ class _Pool:
 
     def poll(self, timeout: float) -> None:
         """One look: wait at most *timeout* for a child's pipe or exit,
-        read what arrived, run the detections, take a telemetry tick.
+        read what arrived, run the detections.
 
         A pipe that ends before its report means the child died without
         one (SIGKILL, OOM-kill — nothing its own error funnel can catch):
         :class:`ParallelError` names it as soon as the wait returns.
         With a monitor, a silent child raises :class:`ParallelError` out
-        of :meth:`HeartbeatMonitor.check`; the context's telemetry
-        sampler, if any, takes a rate-limited tick (the caller hands down
-        only a live, wall-clock one — sim-clock ticks come from the merge
-        replay).
+        of :meth:`HeartbeatMonitor.check`.
         """
         owners = {}
         for worker_id, process in self.processes.items():
@@ -412,8 +404,6 @@ class _Pool:
             )
         if self.monitor is not None:
             self.monitor.check(time.perf_counter() - self.anchor)
-        if self.telemetry is not None:
-            self.telemetry.maybe_sample()
 
     def _read(self, worker_id: int) -> bool:
         """Read what *worker_id*'s pipe holds, up to its report; ``False``
@@ -469,7 +459,6 @@ def run_chunks(
     anchor: float,
     coordinate: tuple[str, str, str] | None = None,
     monitor: HeartbeatMonitor | None = None,
-    ctx: RunContext = NO_CONTEXT,
 ) -> tuple[list[WorkerReport], list[ChunkRow]]:
     """Run *kernel* over every chunk with a pool of cursor-claiming workers.
 
@@ -484,8 +473,8 @@ def run_chunks(
     chunk nothing is forked and the caller runs the task list alone.
     *anchor* is the caller's ``perf_counter`` epoch for worker
     timestamps; *coordinate* is as in :func:`_execute_chunks`; with a
-    *monitor* the children write heartbeats to their pipes, and *ctx*'s
-    live telemetry sampler is ticked on every look (:meth:`_Pool.poll`).
+    *monitor* the children write heartbeats to their pipes, and every
+    look at them runs its detections (:meth:`_Pool.poll`).
 
     Returns the worker reports in worker order and every chunk's row in
     chunk order — vertex order, so the groups in row order are a pure
@@ -504,7 +493,7 @@ def run_chunks(
             "runs worker 0 and watches the others; name a forked worker "
             f"(1 to {workers - 1})"
         )
-    pool = _Pool(workers, tasks, policy, anchor, monitor, ctx)
+    pool = _Pool(workers, tasks, policy, anchor, monitor)
     try:
         pool.start(handle, kernel, collect, coordinate)
         # The caller's frames hold views of the shared segment, which
@@ -547,36 +536,6 @@ def run_chunks(
     return reports, rows
 
 
-def _replay_sample(
-    rows: Sequence[ChunkRow],
-    telemetry: TelemetrySampler,
-) -> None:
-    """Sim-clock telemetry for a parallel run: replay the merged chunks.
-
-    Wall-clock sampling of live workers can never be deterministic, so
-    the sim-clock tick stream is produced *after* the fact from the
-    merged chunk rows, which are a pure function of the graph: a fresh
-    replay registry re-accumulates the deterministic counters in chunk
-    order, sampling at every chunk ordinal.  The resulting JSONL is
-    byte-identical across runs *and across worker counts* — the
-    determinism gate in ``tests/test_telemetry.py``.
-
-    The sampler is rebound to the replay registry (scheduling-dependent
-    counters like ``parallel.steals`` must stay out of the stream).
-    """
-    replay = MetricsRegistry()
-    telemetry.registry = replay
-    chunks_counter = replay.counter("parallel.chunks")
-    ops_counter = replay.counter("parallel.ops")
-    triangles_counter = replay.counter("triangles", phase="parallel")
-    telemetry.sample(0.0)
-    for index, _, _, triangles, ops, _ in rows:
-        chunks_counter.inc()
-        ops_counter.inc(ops)
-        triangles_counter.inc(triangles)
-        telemetry.sample(float(index + 1), chunk=index)
-
-
 def _merge(
     reports: Sequence[WorkerReport],
     rows: Sequence[ChunkRow],
@@ -593,15 +552,12 @@ def _merge(
     """
     run_report = ctx.report
     trace = ctx.trace
-    telemetry = ctx.telemetry
     attribution = ctx.attribution
     merge_started = trace.now() if trace is not None else 0.0
     executed_by = {row[0]: report.worker_id
                    for report in reports for row in report.results}
     triangles = sum(row[3] for row in rows)
     ops = sum(row[4] for row in rows)
-    if telemetry is not None and telemetry.clock == "sim":
-        _replay_sample(rows, telemetry)
     if collect:
         # Chunk-index order == vertex order: the emission sequence is a
         # pure function of the graph, whatever the workers did.  Row by
@@ -679,34 +635,31 @@ def triangulate_parallel(
         Optional receiver of nested ``<u, v, {w...}>`` groups, emitted
         in deterministic chunk order; defaults to a counting sink.
     straggler:
-        Optional :class:`StragglerPolicy` enabling heartbeat monitoring
-        (it also switches on implicitly when the context carries a
-        wall-clock telemetry sampler): workers publish progress beats,
-        laggards are flagged via ``parallel.straggler``, and with a
-        ``deadline`` set a silent worker raises :class:`ParallelError`
-        promptly instead of hanging the join.  Monitoring is fully off
-        by default — the determinism contract of plain runs is untouched.
+        Optional :class:`StragglerPolicy`, the one switch for heartbeat
+        monitoring: forked workers publish progress beats (counted in
+        ``parallel.heartbeats``), laggards are flagged via
+        ``parallel.straggler``, and with a ``deadline`` set a silent
+        worker raises :class:`ParallelError` promptly instead of hanging
+        the join.  Monitoring is fully off by default — the determinism
+        contract of plain runs is untouched.
     ctx:
         The run's :class:`~repro.obs.RunContext` (the fields are
         documented there); this engine consumes ``report``, ``trace``
-        (wall clock only), ``telemetry`` and ``attribution``.  Worker
-        metric snapshots are folded into the report's registry
-        (``parallel.*`` counters, per-phase ``triangles``) next to the
-        parent-side ``parallel.workers`` / ``run.elapsed_wall`` gauges;
-        worker slices land on one ``parallel/w<id>`` tracer track each;
-        a wall-clock sampler is fed live from the heartbeat loop
-        (per-worker progress in each tick's ``workers`` section) while a
-        sim-clock sampler is rebound to a private registry replaying the
-        merged chunk stream; and workers charge private attribution
-        tables under ``(parallel, hash, shm)`` that the parent folds in
-        worker order, the parent's own wall time being attributed
-        separately (excluded from the deterministic snapshot).
+        (wall clock only) and ``attribution``.  Worker metric snapshots
+        are folded into the report's registry (``parallel.*`` counters,
+        per-phase ``triangles``) next to the parent-side
+        ``parallel.workers`` / ``run.elapsed_wall`` gauges; worker
+        slices land on one ``parallel/w<id>`` tracer track each; and
+        workers charge private attribution tables under
+        ``(parallel, hash, shm)`` that the parent folds in worker order,
+        the parent's own wall time being attributed separately (excluded
+        from the deterministic snapshot).
 
     Returns the usual :class:`TriangulationResult`; ``extra["parallel"]``
     carries the merged :class:`ParallelResult`.
     """
-    ctx.accept("triangulate_parallel", "report", "trace", "telemetry",
-               "attribution", wall_clock=("trace",))
+    ctx.accept("triangulate_parallel", "report", "trace", "attribution",
+               wall_clock=True)
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
     resolved_ordering: str | None = None
@@ -721,8 +674,6 @@ def triangulate_parallel(
     report = ctx.report
     trace = ctx.trace
     attribution = ctx.attribution
-    # A sim-clock sampler is rebound by the merge replay.
-    telemetry = ctx.bound_telemetry()
     collect = sink is not None
     if sink is None:
         sink = CountSink()
@@ -734,40 +685,21 @@ def triangulate_parallel(
     start_wall = time.perf_counter()
     anchor_rel = trace.now() if trace is not None else 0.0
 
-    # Heartbeat monitoring is opt-in: an explicit policy, or implicitly
-    # a live (wall-clock) telemetry sampler — and only where there are
-    # forked workers to watch.  Plain runs open no heartbeat channel.
+    # Heartbeat monitoring is opt-in, and only where there are forked
+    # workers to watch: plain runs open no heartbeat channel.
     monitor: HeartbeatMonitor | None = None
-    live = telemetry is not None and telemetry.clock == "wall"
-    if effective_workers > 1:
-        policy = straggler
-        if live and policy is None:
-            policy = StragglerPolicy()
-        if policy is not None:
-            monitor = HeartbeatMonitor(
-                policy,
-                workers=effective_workers,
-                total_chunks=len(chunk_bounds),
-                registry=(report.registry if report is not None
-                          else telemetry.registry if live else None),
-                tracer=trace,
-            )
-            if live:
-                telemetry.add_provider("workers", monitor.provider)
+    if straggler is not None and effective_workers > 1:
+        monitor = HeartbeatMonitor(straggler, workers=effective_workers,
+                                   registry=ctx.registry, tracer=trace)
     coordinate = (("parallel", "hash", "shm") if attribution is not None
                   else None)
     # One worker runs in-process and needs no segment.
     source = (SharedMemorySource(graph) if effective_workers > 1
               else MemorySource(graph))
     with source.open() as handle:
-        # The caller's looks at the children tick whatever sampler it is
-        # handed: only a live one goes down (a sim-clock sampler waits for
-        # _merge's replay).
         worker_reports, rows = run_chunks(
             handle, HashKernel(), chunk_bounds, effective_workers, collect,
-            start_wall, coordinate, monitor,
-            ctx if live else ctx.only("report", "trace", "attribution"),
-        )
+            start_wall, coordinate, monitor)
 
     triangles, ops, parallel_result = _merge(
         worker_reports, rows, effective_workers, sink, collect,

@@ -1,19 +1,16 @@
-"""Worker heartbeats: live progress, straggler and silence detection.
+"""Worker heartbeats: straggler and silence detection.
 
 The process-parallel engine's workers are invisible between fork and
 join — a stalled worker would leave the parent waiting on its pipe for
-a report that never comes, with nothing on screen.  This module is the
-parent-side fix:
+a report that never comes.  This module is the parent-side fix:
 
 * forked workers write a tiny :class:`Heartbeat` record to their pipe
   (the one that later carries their report) at start, after every
   chunk, and when the plan is spent; the parent, which is worker 0 of
   its own pool, hands its own beats to the monitor directly;
 * between its chunks, and after them until every report is in, the
-  parent reads those beats into a
-  :class:`HeartbeatMonitor`, which folds per-worker progress into the
-  telemetry pipeline (as a tick provider — the ``workers`` section of
-  every tick record) and runs two detections per poll:
+  parent reads those beats into a :class:`HeartbeatMonitor`, which
+  keeps each worker's latest progress and runs two detections per poll:
 
   1. **straggler** — a live worker whose chunk progress has fallen below
      a configurable fraction of the median worker's progress is flagged
@@ -28,17 +25,16 @@ parent-side fix:
 Detection thresholds live in :class:`StragglerPolicy`, which also
 carries the fault-injection hooks the tests use to make a worker slow or
 silent on demand.  Heartbeats are wall-clock by nature and the whole
-channel is opt-in: sim-clock runs and the determinism gates never see
-it.
+channel is opt-in (a policy passed as ``straggler=``): sim-clock runs
+and the determinism gates never see it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from statistics import median
-from typing import Mapping
 
-from repro.errors import ParallelError
+from repro.errors import ConfigurationError, ParallelError
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import EventTracer
 
@@ -52,8 +48,6 @@ class Heartbeat:
 
     worker_id: int
     chunks_done: int = 0
-    ops: int = 0
-    steals: int = 0
     #: Seconds since the run anchor (the parent's ``perf_counter`` epoch).
     ts: float = 0.0
     #: True on the final beat, after the worker found the plan spent.
@@ -74,8 +68,8 @@ class StragglerPolicy:
     first seconds of a run — at startup the fastest worker can lap the
     others before they even fetch a task, which is scheduling noise, not
     imbalance.  ``deadline`` (seconds of heartbeat silence) arms the
-    hang detector; ``None`` leaves it off, so a monitor used purely for
-    live progress can never kill a run.  The grace period does *not*
+    hang detector; ``None`` leaves it off, so a monitor that only flags
+    stragglers can never kill a run.  The grace period does *not*
     gate the deadline detector: a hang is a hang from second zero.
     ``poll_interval`` is the longest the caller waits between two runs
     of the detectors once its own chunks are done, and between two tries
@@ -93,6 +87,13 @@ class StragglerPolicy:
     stalling it would stall the only thing that could notice.  The
     engine raises :class:`~repro.errors.ConfigurationError` for
     ``inject_worker=0`` whenever it forks.
+
+    A value that would break a healthy run raises
+    :class:`~repro.errors.ConfigurationError` naming the field, before
+    anything is forked: a ``deadline`` of zero or less fails every
+    worker at the first check, the caller included, and a
+    ``poll_interval`` of zero or less makes every wait return at once,
+    so the caller spins.
     """
 
     poll_interval: float = 0.05
@@ -103,14 +104,30 @@ class StragglerPolicy:
     inject_worker: int | None = None
     inject_chunk_delay: float = 0.0
 
+    def __post_init__(self) -> None:
+        # Each test is true for a valid value, so NaN fails all of them.
+        for name, valid, rule in (
+            ("deadline", self.deadline is None or self.deadline > 0,
+             "None or > 0 seconds"),
+            ("poll_interval", self.poll_interval > 0, "> 0 seconds"),
+            ("grace", self.grace >= 0, ">= 0 seconds"),
+            ("fraction", 0 <= self.fraction <= 1, "within [0, 1]"),
+            ("min_chunks", self.min_chunks >= 0, ">= 0"),
+            ("inject_chunk_delay", self.inject_chunk_delay >= 0,
+             ">= 0 seconds"),
+        ):
+            if not valid:
+                raise ConfigurationError(
+                    f"StragglerPolicy.{name}={getattr(self, name)!r} is out "
+                    f"of range: it must be {rule}")
+
 
 class HeartbeatMonitor:
-    """Parent-side fold of worker heartbeats into telemetry + detection.
+    """Parent-side fold of worker heartbeats into the two detections.
 
-    Single-threaded by design: the engine's monitor loop owns
-    :meth:`observe` and :meth:`check`, while the telemetry sampler (possibly
-    on its background thread) reads :meth:`provider` — so state access
-    takes a lock, but no method holds it while calling out.
+    Single-threaded: the caller's looks at its pool own :meth:`observe`,
+    :meth:`mark_done` and :meth:`check`, and nothing else reads the
+    state between them.
     """
 
     def __init__(
@@ -118,18 +135,13 @@ class HeartbeatMonitor:
         policy: StragglerPolicy,
         *,
         workers: int,
-        total_chunks: int,
         registry: MetricsRegistry | None = None,
         tracer: EventTracer | None = None,
     ):
-        import threading
-
         self.policy = policy
         self.workers = workers
-        self.total_chunks = total_chunks
         self.registry = registry
         self.tracer = tracer
-        self._lock = threading.Lock()
         self._latest: dict[int, Heartbeat] = {
             worker_id: Heartbeat(worker_id=worker_id)
             for worker_id in range(workers)
@@ -141,16 +153,15 @@ class HeartbeatMonitor:
 
     def observe(self, beat: Heartbeat) -> None:
         """Fold one heartbeat into the per-worker state."""
-        with self._lock:
-            known = self._latest.get(beat.worker_id)
-            # A late-arriving beat never rolls progress backwards.
-            if known is not None and known.chunks_done > beat.chunks_done:
-                beat = replace(beat, chunks_done=known.chunks_done,
-                               done=known.done or beat.done)
-            if known is not None and known.done:
-                beat = replace(beat, done=True)
-            self._latest[beat.worker_id] = beat
-            self._seen[beat.worker_id] = True
+        known = self._latest.get(beat.worker_id)
+        # A late-arriving beat never rolls progress backwards.
+        if known is not None and known.chunks_done > beat.chunks_done:
+            beat = replace(beat, chunks_done=known.chunks_done,
+                           done=known.done or beat.done)
+        if known is not None and known.done:
+            beat = replace(beat, done=True)
+        self._latest[beat.worker_id] = beat
+        self._seen[beat.worker_id] = True
         if self.registry is not None:
             self.registry.counter("parallel.heartbeats").inc()
         if self.tracer is not None:
@@ -170,9 +181,7 @@ class HeartbeatMonitor:
         the policy deadline — after flagging it, so the straggler counter
         and trace event land even on the failing path.
         """
-        with self._lock:
-            beats = dict(self._latest)
-            seen = dict(self._seen)
+        beats, seen = self._latest, self._seen
         # A worker that found the plan already spent (done, zero chunks)
         # says nothing about pace: counting it lets one fast worker that
         # drained every chunk pull the median to 0 and hide a stalled peer.
@@ -234,52 +243,20 @@ class HeartbeatMonitor:
         beats, is authoritative, and a beat observed after it never rolls
         the count back (:meth:`observe`).
         """
-        with self._lock:
-            beat = replace(self._latest[worker_id], done=True)
-            if chunks_done is not None:
-                beat = replace(beat, chunks_done=chunks_done)
-            self._latest[worker_id] = beat
-            self._seen[worker_id] = True
+        beat = replace(self._latest[worker_id], done=True)
+        if chunks_done is not None:
+            beat = replace(beat, chunks_done=chunks_done)
+        self._latest[worker_id] = beat
+        self._seen[worker_id] = True
 
     # -- exposition -----------------------------------------------------------
 
     @property
     def flagged(self) -> frozenset[int]:
-        with self._lock:
-            return frozenset(self._flagged)
+        return frozenset(self._flagged)
 
     def chunks_done(self) -> int:
-        with self._lock:
-            return sum(beat.chunks_done for beat in self._latest.values())
+        return sum(beat.chunks_done for beat in self._latest.values())
 
     def all_done(self) -> bool:
-        with self._lock:
-            return all(beat.done for beat in self._latest.values())
-
-    def provider(self, now: float) -> Mapping:
-        """The telemetry tick's ``workers`` section."""
-        with self._lock:
-            beats = dict(self._latest)
-            seen = dict(self._seen)
-            flagged = set(self._flagged)
-        per: dict[str, dict] = {}
-        for worker_id, beat in sorted(beats.items()):
-            if beat.done:
-                status = "done"
-            elif worker_id in flagged:
-                status = "straggler"
-            else:
-                status = "run"
-            per[str(worker_id)] = {
-                "chunks": beat.chunks_done,
-                "ops": beat.ops,
-                "steals": beat.steals,
-                "age": round(now - beat.ts, 6) if seen[worker_id] else None,
-                "status": status,
-            }
-        return {
-            "per": per,
-            "chunks_done": sum(b.chunks_done for b in beats.values()),
-            "total_chunks": self.total_chunks,
-            "stragglers": len(flagged),
-        }
+        return all(beat.done for beat in self._latest.values())

@@ -79,9 +79,6 @@ class BufferManager:
         self._hits = self.registry.counter("buffer.hits")
         self._misses = self.registry.counter("buffer.misses")
         self._evictions = self.registry.counter("buffer.evictions")
-        # Live occupancy for the telemetry pipeline; kept in step with
-        # every resident-set mutation.
-        self._resident = self.registry.gauge("buffer.resident")
 
     @property
     def hits(self) -> int:
@@ -193,7 +190,6 @@ class BufferManager:
                 self._hits.inc(found)
             if evicted:
                 self._evictions.inc(evicted)
-            self._resident.set(len(resident))
         return frames, hits
 
     def pin(self, pid: int) -> None:
@@ -220,7 +216,6 @@ class BufferManager:
         self._frames = {pid: frame for pid, frame in self._frames.items()
                         if frame.pin_count}
         self._evictable.clear()
-        self._resident.set(len(self._frames))
 
     # -- internals ------------------------------------------------------------
 

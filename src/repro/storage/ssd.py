@@ -98,10 +98,6 @@ class ThreadedSSD:
         self._pages_read = self.registry.counter(PAGES_READ_METRIC)
         self._async_reads = self.registry.counter("ssd.async_reads")
         self._queue_depth = self.registry.histogram("ssd.queue.depth")
-        # Live outstanding-request count for the telemetry pipeline
-        # (the histogram above keeps the distribution; the gauge is the
-        # instantaneous value a sampler tick reads).
-        self._inflight_gauge = self.registry.gauge("ssd.inflight")
         self._callback_latency = self.registry.histogram("ssd.callback.latency")
         self._retry_policy = retry_policy
         self._plan: FaultPlan | None = getattr(page_file, "plan", None)
@@ -190,7 +186,6 @@ class ThreadedSSD:
                 self._idle.notify_all()
         self._async_reads.inc()
         self._queue_depth.observe(depth)
-        self._inflight_gauge.set(depth)
         if self._tracer is not None:
             self._tracer.instant("read.submit", pid=pid, req=request,
                                  depth=depth)
@@ -377,16 +372,12 @@ class ThreadedSSD:
     def _finish_one(self) -> None:
         with self._idle:
             self._outstanding -= 1
-            remaining = self._outstanding
-            if remaining <= 0:
+            if self._outstanding <= 0:
                 self._idle.notify_all()
-        self._inflight_gauge.set(max(0, remaining))
 
     def _fail(self, exc: BaseException) -> None:
         logger.debug("asynchronous read failed: %r", exc)
         with self._idle:
             self._failure = exc
             self._outstanding -= 1
-            remaining = self._outstanding
             self._idle.notify_all()
-        self._inflight_gauge.set(max(0, remaining))

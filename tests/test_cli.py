@@ -85,7 +85,6 @@ class TestTriangulate:
 
     @pytest.mark.parametrize("flag, value, accepted, refused", [
         ("--trace", "t.json", "opt-parallel", "compose"),
-        ("--telemetry", "t.jsonl", "opt-threaded", "cc-seq"),
         ("--fault-kind", "latency", "opt", "opt-parallel"),
         ("--checkpoint", "ckpt.json", "opt-threaded", "opt-parallel"),
     ])
@@ -105,20 +104,16 @@ class TestTriangulate:
         assert err.startswith(f"error: {flag} applies only")
         assert "does not consume ctx." in err
 
-    def test_refused_telemetry_leaves_the_path_untouched(self, graph_file,
-                                                         tmp_path, capsys):
-        earlier = tmp_path / "t.jsonl"
-        base = ["triangulate", "--input", str(graph_file),
-                "--page-size", "128", "--method"]
-        assert main(base + ["opt", "--telemetry", str(earlier)]) == 0
-        ticks = earlier.read_text(encoding="utf-8")
-        assert ticks
-        fresh = tmp_path / "new" / "t.jsonl"
-        for path in (earlier, fresh):
-            assert main(base + ["forward", "--telemetry", str(path)]) == 1
-        assert "error: --telemetry" in capsys.readouterr().err
-        assert earlier.read_text(encoding="utf-8") == ticks
-        assert not fresh.parent.exists()
+    def test_telemetry_flag_is_rejected_by_the_parser(self, graph_file,
+                                                      tmp_path, capsys):
+        """The live tick stream is gone: ``--telemetry`` is an unknown
+        argument, refused before any file is written."""
+        with pytest.raises(SystemExit) as info:
+            main(["triangulate", "--input", str(graph_file), "--method",
+                  "opt", "--telemetry", str(tmp_path / "x.jsonl")])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --telemetry" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.jsonl"))
 
     def test_opt_threaded_checkpoint_saves_and_resumes(self, graph_file,
                                                        tmp_path, capsys):

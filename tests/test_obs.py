@@ -189,10 +189,10 @@ class TestSnapshotMerge:
         parent.counter("parallel.ops").inc(5)
         worker = MetricsRegistry()
         worker.counter("parallel.ops").inc(7)
-        worker.gauge("buffer.resident").set(3.0)
+        worker.gauge("parallel.workers").set(3.0)
         parent.merge_snapshot(worker.snapshot())
         assert parent.value("parallel.ops") == 12
-        assert parent.value("buffer.resident") == 3.0
+        assert parent.value("parallel.workers") == 3.0
 
 
 class TestThreadSafety:

@@ -2,8 +2,8 @@
 
 Two layers:
 
-* **the context itself** — frozen, seven fields, disabled tracer /
-  sampler normalised away at construction, one shared default, and
+* **the context itself** — frozen, six fields, a disabled tracer
+  normalised away at construction, one shared default, and
   ``accept`` errors that name the engine and the field;
 * **every instrumented entry point × every field** — a field the
   engine's ``accept`` declaration lists must leave a mark on the
@@ -29,7 +29,6 @@ from repro.obs import (
     EventTracer,
     RunContext,
     RunReport,
-    TelemetrySampler,
 )
 from repro.parallel import triangulate_parallel
 from repro.sim import CostModel, simulate
@@ -37,8 +36,8 @@ from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
 
 pytestmark = pytest.mark.fast
 
-FIELDS = ("report", "trace", "telemetry", "attribution", "fault_plan",
-          "retry_policy", "checkpoint")
+FIELDS = ("report", "trace", "attribution", "fault_plan", "retry_policy",
+          "checkpoint")
 PAGE_SIZE = 256
 
 
@@ -47,7 +46,7 @@ PAGE_SIZE = 256
 # ---------------------------------------------------------------------------
 
 class TestRunContext:
-    def test_exactly_the_seven_fields_all_off(self):
+    def test_exactly_the_six_fields_all_off(self):
         assert tuple(f.name for f in dataclasses.fields(RunContext)) == FIELDS
         assert all(getattr(RunContext(), name) is None for name in FIELDS)
 
@@ -56,9 +55,7 @@ class TestRunContext:
             RunContext().report = RunReport("x")
 
     def test_disabled_instruments_become_none(self):
-        ctx = RunContext(trace=EventTracer(enabled=False),
-                         telemetry=TelemetrySampler(enabled=False))
-        assert ctx.trace is None and ctx.telemetry is None
+        assert RunContext(trace=EventTracer(enabled=False)).trace is None
         live = EventTracer.sim()
         assert RunContext(trace=live).trace is live
 
@@ -81,17 +78,6 @@ class TestRunContext:
             pass
         assert [span.name for span in report.spans.roots] == ["pack"]
 
-    def test_bound_telemetry_uses_the_report_registry(self):
-        report = RunReport("x")
-        sampler = TelemetrySampler(clock="sim")
-        assert RunContext(report=report,
-                          telemetry=sampler).bound_telemetry() is sampler
-        assert sampler.registry is report.registry
-        private = TelemetrySampler(clock="sim")
-        RunContext(telemetry=private).bound_telemetry()
-        assert private.registry is not None
-        assert NO_CONTEXT.bound_telemetry() is None
-
     def test_accept_names_engine_and_field(self):
         ctx = RunContext(report=RunReport("x"), checkpoint=RunCheckpoint())
         ctx.accept("some_engine", "report", "checkpoint")
@@ -101,14 +87,13 @@ class TestRunContext:
         assert info.value.refused == ("checkpoint",)
 
     def test_accept_checks_the_clock(self):
-        ctx = RunContext(trace=EventTracer.sim(),
-                         telemetry=TelemetrySampler(clock="sim"))
-        ctx.accept("e", "trace", "telemetry")
+        ctx = RunContext(trace=EventTracer.sim())
+        ctx.accept("e", "trace")
         with pytest.raises(ConfigurationError, match="e runs on real time; "
                                                      "pass a clock='wall' tracer"):
-            ctx.accept("e", "trace", "telemetry", wall_clock=("trace",))
-        with pytest.raises(ConfigurationError, match="telemetry sampler"):
-            ctx.accept("e", "trace", "telemetry", wall_clock=("telemetry",))
+            ctx.accept("e", "trace", wall_clock=True)
+        RunContext(trace=EventTracer(clock="wall")).accept(
+            "e", "trace", wall_clock=True)
 
     def test_only_narrows_without_copying_when_it_can(self):
         assert NO_CONTEXT.only("report") is NO_CONTEXT
@@ -124,7 +109,7 @@ class TestRunContext:
 # ---------------------------------------------------------------------------
 
 ALL = frozenset(FIELDS)
-PARALLEL = frozenset({"report", "trace", "telemetry", "attribution"})
+PARALLEL = frozenset({"report", "trace", "attribution"})
 COMPOSED = frozenset({"report", "attribution"})
 
 
@@ -182,8 +167,6 @@ def _instrumented(field: str, clock: str):
         instrument = RunReport("run-context")
     elif field == "trace":
         instrument = EventTracer(clock=clock)
-    elif field == "telemetry":
-        instrument = TelemetrySampler(clock=clock)
     elif field == "attribution":
         instrument = Attribution()
     elif field == "fault_plan":
@@ -201,10 +184,6 @@ def _instrumented(field: str, clock: str):
 def test_field_leaves_a_mark_or_is_refused(entry, field, small_rmat_ordered,
                                            tmp_path):
     run, consumed, clock = ENTRY_POINTS[entry]
-    if entry.startswith("triangulate_parallel") and field == "telemetry":
-        # A wall sampler is fed only from forked workers; the sim-clock
-        # merge replay ticks at every worker count.
-        clock = "sim"
     instrument, ctx = _instrumented(field, clock)
     graph = small_rmat_ordered
 
@@ -227,8 +206,6 @@ def test_field_leaves_a_mark_or_is_refused(entry, field, small_rmat_ordered,
         if hasattr(result, "extra"):  # simulate returns a bare SimResult
             assert result.extra["report"] is instrument
     elif field == "trace":
-        assert len(instrument) > 0
-    elif field == "telemetry":
         assert len(instrument) > 0
     elif field == "attribution":
         assert instrument.total_ops == result.cpu_ops > 0
