@@ -29,9 +29,7 @@ with the wall ratios in ``derived.<instrument>_overhead`` /
 the ``results/<name>.txt`` table.  The disk artifact's headline is the
 deterministic ``elapsed_simulated`` — identical across modes — so
 ``compare_reports.py`` diffs stay stable; the profile one carries the
-attribution snapshot, next to ``results/PROFILE_fig3b.speedscope.json``
-— the op-weighted attribution stacks as a speedscope document (the
-artifact CI uploads).
+attribution snapshot.
 """
 
 from __future__ import annotations
@@ -44,7 +42,6 @@ import pytest
 
 from _helpers import (
     COST,
-    RESULTS_DIR,
     emit_bench_report,
     once,
     prepared,
@@ -57,9 +54,7 @@ from repro.obs import (
     EventTracer,
     RunContext,
     RunReport,
-    to_speedscope,
     validate_attribution_dict,
-    write_speedscope,
 )
 from repro.util.tables import format_table
 
@@ -203,10 +198,4 @@ def test_instrumentation_overhead(benchmark, artifact):
         snapshot = attribution.snapshot()
         assert validate_attribution_dict(snapshot) == []
         run_report.derive("attribution", snapshot)
-        # The op-weighted flame profile CI uploads alongside the report.
-        path = write_speedscope(
-            RESULTS_DIR / "PROFILE_fig3b.speedscope.json",
-            to_speedscope(attribution.collapsed(),
-                          name="fig3b LJ memory+bitmap+serial", unit="none"))
-        print(f"wrote {path}")
     emit_bench_report(artifact, run_report)

@@ -76,15 +76,8 @@ def headline_elapsed(payload: Mapping) -> tuple[str, float] | None:
 
 
 def load_report(path: str | Path) -> dict:
-    """The report payload at *path* (last line of a JSONL trajectory)."""
-    text = Path(path).read_text(encoding="utf-8")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        lines = [line for line in map(str.strip, text.splitlines()) if line]
-        if not lines:
-            raise ValueError(f"{path}: contains no reports") from None
-        return json.loads(lines[-1])
+    """The report payload at *path* (one JSON document)."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 def compare_payloads(

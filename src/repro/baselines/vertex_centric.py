@@ -6,8 +6,8 @@ real — synchronous supersteps of gather (over incident edges), apply
 (update the vertex value), and scatter (activate neighbors) — so the
 cost models in :mod:`repro.baselines.graphchi` and
 :mod:`repro.distributed` rest on an executable reference, not just on
-prose.  Two classic programs are included: triangle counting (validated
-against EdgeIterator≻ in the tests) and PageRank.
+prose.  Its one program is triangle counting, an independent counter
+the tests check against EdgeIterator≻.
 """
 
 from __future__ import annotations
@@ -17,12 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError
 from repro.graph.graph import Graph
 
 __all__ = [
     "GASEngine",
-    "PageRankProgram",
     "SuperstepStats",
     "TriangleCountProgram",
     "VertexProgram",
@@ -127,29 +125,3 @@ class TriangleCountProgram(VertexProgram):
     @staticmethod
     def total_triangles(values: np.ndarray) -> int:
         return int(round(values.sum() / 3.0))
-
-
-class PageRankProgram(VertexProgram):
-    """Standard damped PageRank with convergence-driven activation."""
-
-    def __init__(self, damping: float = 0.85, tolerance: float = 1e-6):
-        if not 0.0 < damping < 1.0:
-            raise ConfigurationError("damping must be in (0, 1)")
-        self.damping = damping
-        self.tolerance = tolerance
-
-    def initial_value(self, graph, u):
-        return 1.0 / max(graph.num_vertices, 1)
-
-    def gather(self, graph, values, u, v):
-        degree = graph.degree(v)
-        return values[v] / degree if degree else 0.0
-
-    def apply(self, graph, u, old_value, gathered):
-        return (1.0 - self.damping) / graph.num_vertices + self.damping * gathered
-
-    def scatter(self, graph, u, old_value, new_value):
-        return abs(new_value - old_value) > self.tolerance
-
-    def max_supersteps(self):
-        return 200

@@ -40,10 +40,9 @@ the same gate as ``python -m repro.lint``; see
 ``docs/static-analysis.md``.
 
 Performance attribution: ``profile`` runs a method with the
-cost-attribution table enabled and renders where the Eq. 3 operations go
-— ``--format table`` (ASCII, ops share per ``(phase, kernel, source,
-degree-bucket)`` cell), ``collapsed`` (flame-graph collapsed stacks), or
-``speedscope`` (a speedscope.app-loadable JSON document).
+cost-attribution table enabled and prints where the Eq. 3 operations go,
+as an ASCII table of ops share per ``(phase, kernel, source,
+degree-bucket)`` cell.
 """
 
 from __future__ import annotations
@@ -375,28 +374,11 @@ def _cmd_report(args) -> int:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         try:
-            payloads = [json.loads(text)]  # one report per file
-        except json.JSONDecodeError:
-            # JSONL trajectory: one report per line.
-            try:
-                payloads = [json.loads(line)
-                            for line in filter(None, map(str.strip,
-                                                         text.splitlines()))]
-            except json.JSONDecodeError as exc:
-                print(f"error: {args.run}: not JSON or JSONL: {exc}",
-                      file=sys.stderr)
-                return 1
-        if not payloads:
-            print(f"error: {args.run}: contains no reports", file=sys.stderr)
+            report = RunReport.from_dict(json.loads(text))
+        except ValueError as exc:  # JSONDecodeError included
+            print(f"error: {args.run}: {exc}", file=sys.stderr)
             return 1
-        for payload in payloads:
-            try:
-                report = RunReport.from_dict(payload)
-            except ValueError as exc:
-                print(f"error: {args.run}: {exc}", file=sys.stderr)
-                return 1
-            print(report.summary())
-            print()
+        print(report.summary())
         return 0
     from repro.analysis.report import build_report
 
@@ -495,41 +477,17 @@ def _cmd_metrics(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    from repro.obs import (
-        Attribution,
-        RunContext,
-        collapsed_text,
-        render_attribution,
-        to_speedscope,
-        write_speedscope,
-    )
+    from repro.obs import Attribution, RunContext, render_attribution
 
     graph = _load_graph(args)
     attribution = Attribution()
     result, method = _run_method(args, graph,
                                  RunContext(attribution=attribution))
-    title = f"{method} on {args.dataset or args.input}"
-
-    def _emit(text: str) -> None:
-        if args.output:
-            Path(args.output).write_text(text + "\n", encoding="utf-8")
-            print(f"wrote {args.format} profile to {args.output}")
-        else:
-            print(text)
-
-    if args.format == "table":
-        _emit(render_attribution(attribution))
-        print(f"{title}: {result.triangles} triangles, "
-              f"{attribution.total_ops} attributed ops over "
-              f"{len(attribution)} cells")
-    elif args.format == "collapsed":
-        _emit(collapsed_text(attribution.collapsed()))
-    else:  # speedscope
-        doc = to_speedscope(attribution.collapsed(), name=title)
-        out = args.output or "profile.speedscope.json"
-        path = write_speedscope(out, doc)
-        print(f"wrote speedscope profile to {path} "
-              f"(open at https://www.speedscope.app)")
+    print(render_attribution(attribution))
+    print(f"{method} on {args.dataset or args.input}: "
+          f"{result.triangles} triangles, "
+          f"{attribution.total_ops} attributed ops over "
+          f"{len(attribution)} cells")
     return 0
 
 
@@ -658,7 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--results-dir", default="benchmarks/results")
     rep.add_argument("--output", default=None)
     rep.add_argument("--run", default=None, metavar="REPORT.json",
-                     help="pretty-print a RunReport JSON/JSONL file instead")
+                     help="pretty-print a RunReport JSON file instead")
     rep.set_defaults(func=_cmd_report)
 
     trc = sub.add_parser("trace",
@@ -709,13 +667,6 @@ def build_parser() -> argparse.ArgumentParser:
     pro.add_argument("--workers", type=int, default=2,
                      help="worker count for opt-parallel and the "
                           "process executor")
-    pro.add_argument("--format", choices=["table", "collapsed", "speedscope"],
-                     default="table",
-                     help="ASCII table, flame-graph collapsed stacks, or a "
-                          "speedscope.app JSON document")
-    pro.add_argument("--output", default=None, metavar="OUT",
-                     help="write the rendered profile here instead of stdout "
-                          "(speedscope default: profile.speedscope.json)")
     pro.set_defaults(func=_cmd_profile)
     return parser
 

@@ -15,7 +15,6 @@ from repro.core.output import NestedOutputWriter
 from repro.core.result_store import (
     GroupCaptureSink,
     RunCheckpoint,
-    TriangleStore,
     read_nested_groups,
 )
 from repro.core.plugins import (
@@ -37,7 +36,6 @@ __all__ = [
     "NestedOutputWriter",
     "OPTConfig",
     "RunCheckpoint",
-    "TriangleStore",
     "read_nested_groups",
     "VertexIteratorPlugin",
     "triangulate_parallel",

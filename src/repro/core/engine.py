@@ -13,6 +13,8 @@ relative overhead is measured.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.framework import OPTConfig, run_opt
 from repro.core.plugins import (
     EdgeIteratorPlugin,
@@ -69,8 +71,9 @@ def buffer_pages_for_ratio(store: GraphStore, ratio: float) -> int:
 
     Clamped to at least 2 pages (one internal + one external frame).
     """
-    if ratio <= 0:
-        raise ConfigurationError("buffer ratio must be positive")
+    if not (math.isfinite(ratio) and ratio > 0):
+        raise ConfigurationError(
+            f"buffer ratio must be finite and positive, got {ratio}")
     return max(2, int(round(store.num_pages * ratio)))
 
 

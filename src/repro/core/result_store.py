@@ -1,18 +1,17 @@
-"""Reading and querying triangle listings in the nested representation.
+"""Reading and checkpointing triangle listings in the nested representation.
 
 :class:`NestedOutputWriter` produces the paper's ``<u, v, {w...}>``
 encoding; this module is its consumer side: a streaming reader (the
-decoded groups never need to fit in memory at once) and
-:class:`TriangleStore`, an indexed view that answers the queries the
-paper's motivating applications need — triangles per vertex (clustering
-coefficients, spam signals) and per edge (trigonal connectivity).
+decoded groups never need to fit in memory at once), and the
+:class:`RunCheckpoint` that stores each committed iteration's groups so
+a resumed run replays them.  Per-vertex and per-edge triangle queries
+are :mod:`repro.graph.metrics`.
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from collections import defaultdict
 from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, Iterator, Sequence
@@ -21,8 +20,7 @@ from repro.errors import CheckpointError, GraphFormatError
 from repro.exec.block import GroupBlock
 from repro.memory.base import emit_block
 
-__all__ = ["GroupCaptureSink", "RunCheckpoint", "TriangleStore",
-           "read_nested_groups"]
+__all__ = ["GroupCaptureSink", "RunCheckpoint", "read_nested_groups"]
 
 _GROUP_HEADER = struct.Struct("<IIH")
 _VERTEX = struct.Struct("<I")
@@ -223,70 +221,3 @@ class RunCheckpoint:
     @classmethod
     def load(cls, path: str | Path) -> "RunCheckpoint":
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
-
-
-class TriangleStore:
-    """An indexed triangle listing supporting per-vertex/edge queries.
-
-    Build it from a nested output file (:meth:`from_file`) or directly
-    from a sink's groups.  The store keeps each triangle once as a sorted
-    tuple and maintains a vertex -> triangle-index adjacency for O(degree)
-    lookups.
-    """
-
-    def __init__(self) -> None:
-        self._triangles: list[tuple[int, int, int]] = []
-        self._by_vertex: dict[int, list[int]] = defaultdict(list)
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "TriangleStore":
-        """Load a file written by :class:`NestedOutputWriter`."""
-        store = cls()
-        for u, v, ws in read_nested_groups(path):
-            store.add_group(u, v, ws)
-        return store
-
-    def add_group(self, u: int, v: int, ws: list[int]) -> None:
-        """Insert a nested group (the writer-side ``emit`` signature)."""
-        for w in ws:
-            index = len(self._triangles)
-            triangle = tuple(sorted((int(u), int(v), int(w))))
-            self._triangles.append(triangle)  # type: ignore[arg-type]
-            for vertex in triangle:
-                self._by_vertex[vertex].append(index)
-
-    # -- queries -------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return len(self._triangles)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int]]:
-        return iter(self._triangles)
-
-    def triangles_of_vertex(self, v: int) -> list[tuple[int, int, int]]:
-        """All triangles containing vertex *v*."""
-        return [self._triangles[i] for i in self._by_vertex.get(v, [])]
-
-    def triangle_count_of_vertex(self, v: int) -> int:
-        """Number of triangles containing vertex *v*."""
-        return len(self._by_vertex.get(v, []))
-
-    def triangles_of_edge(self, u: int, v: int) -> list[tuple[int, int, int]]:
-        """All triangles containing the edge ``(u, v)``."""
-        u, v = (u, v) if u <= v else (v, u)
-        return [
-            self._triangles[i]
-            for i in self._by_vertex.get(u, [])
-            if v in self._triangles[i]
-        ]
-
-    def trigonal_connectivity(self, u: int, v: int) -> int:
-        """Triangle count of the edge — the paper's tightness measure."""
-        return len(self.triangles_of_edge(u, v))
-
-    def top_vertices(self, k: int = 10) -> list[tuple[int, int]]:
-        """The *k* vertices with the most triangles, as (vertex, count)."""
-        counts = [(vertex, len(indices))
-                  for vertex, indices in self._by_vertex.items()]
-        counts.sort(key=lambda item: (-item[1], item[0]))
-        return counts[:k]

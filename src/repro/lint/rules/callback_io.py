@@ -44,7 +44,7 @@ _BLOCKING_CALLS = frozenset({
 #: Blocking *methods* (receiver-typed calls we can only match by name).
 _BLOCKING_METHODS = frozenset({
     "read_text", "read_bytes", "write_text", "write_bytes",
-    "write_json", "append_jsonl",
+    "write_json",
 })
 
 #: Thread-loop method naming convention for the callback side.

@@ -30,8 +30,7 @@ __all__ = ["SetIterationRule"]
 _SET_CALLS = frozenset({"set", "frozenset"})
 _OBS_NAME_FRAGMENTS = ("report", "tracer", "sink", "registry", "checkpoint")
 _OBS_METHODS = frozenset({"emit", "counter", "gauge", "histogram",
-                          "instant", "complete", "record", "append_jsonl",
-                          "write_json"})
+                          "instant", "complete", "record", "write_json"})
 
 
 def _is_set_expr(node: ast.AST, set_names: set[str]) -> bool:

@@ -8,9 +8,9 @@ through this package so that one run produces one comparable artifact:
   histograms with labels, safe to update from the SSD callback thread;
 * :class:`SpanTracker` / ``span()`` — hierarchical phase timing carrying
   both wall-clock seconds and simulated seconds in the same tree;
-* :class:`RunReport` — the export path: JSON / JSONL serialization, an
-  ASCII summary table, and a stable schema that ``BENCH_*.json``
-  trajectory files and the CLI's ``--report`` flag share;
+* :class:`RunReport` — the export path: JSON serialization, an ASCII
+  summary table, and a stable schema that ``BENCH_*.json`` files and
+  the CLI's ``--report`` flag share;
 * :class:`EventTracer` — causal event tracing on both timelines, with
   Chrome ``trace_event`` (Perfetto) export, an ASCII Gantt renderer,
   and overlap analytics (:mod:`repro.obs.trace`);
@@ -33,12 +33,6 @@ from repro.obs.attribution import (
 )
 from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.logsetup import configure_logging, get_logger
-from repro.obs.profile import (
-    collapsed_text,
-    to_speedscope,
-    validate_speedscope,
-    write_speedscope,
-)
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.report import (
     SCHEMA_NAME,
@@ -94,7 +88,6 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "TraceEvent",
     "ascii_gantt",
-    "collapsed_text",
     "configure_logging",
     "degree_bucket",
     "fold_trace_analytics",
@@ -103,10 +96,7 @@ __all__ = [
     "overlap_analytics",
     "render_attribution",
     "to_chrome_trace",
-    "to_speedscope",
     "validate_attribution_dict",
     "validate_chrome_trace",
-    "validate_speedscope",
     "write_chrome_trace",
-    "write_speedscope",
 ]

@@ -258,19 +258,6 @@ class Attribution:
             for (phase, kernel, source) in sorted(self._seconds)
         ]
 
-    def collapsed(self) -> dict[tuple[str, ...], int]:
-        """Op-weighted collapsed stacks: ``(phase, kernel, source, bucket)``.
-
-        The flame-graph input shape :mod:`repro.obs.profile` renders as
-        collapsed text or a speedscope document.
-        """
-        return {
-            (f"phase:{row['phase']}", f"kernel:{row['kernel']}",
-             f"source:{row['source']}", f"degree:{row['bucket']}"):
-            row["ops"]
-            for row in self.cells() if row["ops"] > 0
-        }
-
     # -- serialization -------------------------------------------------------
 
     def snapshot(self, *, deterministic: bool = True) -> dict:
@@ -331,9 +318,8 @@ class Attribution:
 def validate_attribution_dict(data: Mapping) -> list[str]:
     """Schema errors in a serialized attribution snapshot (empty = valid).
 
-    The :func:`repro.obs.profile.validate_speedscope` sibling for the
-    attribution payload; ``benchmarks/check_report_schema.py`` runs it
-    over committed ``PROFILE_*.json`` artifacts.
+    ``benchmarks/check_report_schema.py`` runs it over the snapshot a
+    committed ``BENCH_*.json`` embeds as ``derived.attribution``.
     """
     errors: list[str] = []
     if not isinstance(data, Mapping):

@@ -2,9 +2,8 @@
 
 Everything an engine measures — the metrics registry, the span tree, any
 derived figures (``overhead_vs_ideal``) — lands in one :class:`RunReport`
-that serializes to JSON (one report per file), appends to JSONL (one
-report per line, the trajectory format ``BENCH_*.json`` files use), and
-renders an ASCII summary for terminals.
+that serializes to JSON (one report per file, the format ``BENCH_*.json``
+files use) and renders an ASCII summary for terminals.
 
 The schema is versioned and validated by :func:`validate_report_dict`;
 ``benchmarks/check_report_schema.py`` runs that validation over every
@@ -109,14 +108,6 @@ class RunReport:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(self.to_json() + "\n", encoding="utf-8")
-        return path
-
-    def append_jsonl(self, path: str | Path) -> Path:
-        """Append this report as one line — the trajectory format."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("a", encoding="utf-8") as handle:
-            handle.write(self.to_json(indent=None) + "\n")
         return path
 
     # -- presentation --------------------------------------------------------

@@ -94,9 +94,15 @@ TRACE_SCHEMA_VERSION = 1
 # metric and event name) and re-imported above for compatibility.
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One discrete event: a point (``dur is None``) or a slice."""
+    """One discrete event: a point (``dur is None``) or a slice.
+
+    A slotted record, not a frozen one: a frozen dataclass sets each
+    field through ``object.__setattr__`` and costs about five times as
+    much to build, on a path that builds one per recorded event.
+    Nothing mutates an event.
+    """
 
     name: str
     ts: float
@@ -136,7 +142,6 @@ class EventTracer:
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
-        self._seq = 0
 
     @classmethod
     def wall(cls) -> "EventTracer":
@@ -166,12 +171,8 @@ class EventTracer:
         if track is None:
             track = threading.current_thread().name
         with self._lock:
-            seq = self._seq
-            self._seq += 1
-            self._events.append(
-                TraceEvent(name=name, ts=ts, track=track, dur=dur,
-                           args=args, seq=seq)
-            )
+            events = self._events
+            events.append(TraceEvent(name, ts, track, dur, args, len(events)))
 
     def instant(self, name: str, *, ts: float | None = None,
                 track: str | None = None, **args) -> None:
@@ -362,12 +363,18 @@ def validate_chrome_trace(payload, *, known_names_only: bool = False) -> list[st
 def _merge(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Union of (start, end) intervals, sorted and coalesced."""
     merged: list[tuple[float, float]] = []
-    for start, end in sorted(i for i in intervals if i[1] > i[0]):
-        if merged and start <= merged[-1][1]:
-            last_start, last_end = merged[-1]
-            merged[-1] = (last_start, max(last_end, end))
-        else:
-            merged.append((start, end))
+    ordered = sorted([i for i in intervals if i[1] > i[0]])
+    if not ordered:
+        return merged
+    low, high = ordered[0]
+    for start, end in ordered:
+        if start > high:
+            merged.append((low, high))
+            low = start
+            high = end
+        elif end > high:
+            high = end
+    merged.append((low, high))
     return merged
 
 
@@ -393,26 +400,6 @@ def _intersect(
     return out
 
 
-def _outstanding_io(events: list[TraceEvent]) -> list[tuple[float, float]]:
-    """Merged intervals during which at least one page read is in flight.
-
-    A request is outstanding from its ``read.submit`` instant (matched by
-    the ``req`` arg) to the end of its ``read.service`` slice; a service
-    event without a matching submit counts from its own start.
-    """
-    submits: dict[object, float] = {}
-    for event in events:
-        if event.name == "read.submit" and "req" in event.args:
-            submits.setdefault(event.args["req"], event.ts)
-    intervals: list[tuple[float, float]] = []
-    for event in events:
-        if event.name != "read.service" or event.dur is None:
-            continue
-        start = submits.get(event.args.get("req"), event.ts)
-        intervals.append((min(start, event.ts), event.end))
-    return _merge(intervals)
-
-
 def overlap_analytics(source) -> dict:
     """Derived temporal figures of one trace.
 
@@ -432,8 +419,6 @@ def overlap_analytics(source) -> dict:
     """
     events = _as_events(source)
     counts: dict[str, int] = {}
-    for event in events:
-        counts[event.name] = counts.get(event.name, 0) + 1
     if not events:
         return {
             "macro_overlap_ratio": 0.0,
@@ -445,23 +430,44 @@ def overlap_analytics(source) -> dict:
             "track_utilization": {},
             "event_counts": counts,
         }
-    t0 = min(event.ts for event in events)
-    t1 = max(event.end for event in events)
-    io = _outstanding_io(events)
-    internal = _merge(
-        [(e.ts, e.end) for e in events if e.name == "internal" and e.dur]
-    )
-    external = _merge(
-        [(e.ts, e.end) for e in events
-         if e.name in EXTERNAL_CPU_EVENTS and e.dur]
-    )
+    # One pass.  A page read is outstanding from its ``read.submit``
+    # instant (matched by the ``req`` arg) to the end of its
+    # ``read.service`` slice; a service without a matching submit counts
+    # from its own start.
+    t0 = t1 = events[0].ts
+    submits: dict[object, float] = {}
+    services: list[tuple[object, float, float]] = []
+    internal_slices: list[tuple[float, float]] = []
+    external_slices: list[tuple[float, float]] = []
+    busy: dict[str, list[tuple[float, float]]] = {}
+    for event in events:
+        name, ts, dur = event.name, event.ts, event.dur
+        counts[name] = counts.get(name, 0) + 1
+        end = ts if dur is None else ts + dur
+        if ts < t0:
+            t0 = ts
+        if end > t1:
+            t1 = end
+        if name == "read.submit":
+            if "req" in event.args:
+                submits.setdefault(event.args["req"], ts)
+        elif name == "read.service" and dur is not None:
+            services.append((event.args.get("req"), ts, end))
+        if not dur:
+            continue
+        if name == "internal":
+            internal_slices.append((ts, end))
+        elif name in EXTERNAL_CPU_EVENTS:
+            external_slices.append((ts, end))
+        if name in WORK_EVENTS:
+            busy.setdefault(event.track, []).append((ts, end))
+    io = _merge([(min(submits.get(req, ts), ts), end)
+                 for req, ts, end in services])
+    internal = _merge(internal_slices)
+    external = _merge(external_slices)
     internal_time = _total(internal)
     external_time = _total(external)
     span = t1 - t0
-    busy: dict[str, list[tuple[float, float]]] = {}
-    for event in events:
-        if event.name in WORK_EVENTS and event.dur:
-            busy.setdefault(event.track, []).append((event.ts, event.end))
     utilization = {
         track: (_total(_merge(intervals)) / span if span > 0 else 0.0)
         for track, intervals in sorted(busy.items())

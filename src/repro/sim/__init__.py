@@ -3,7 +3,6 @@
 from repro.sim.costmodel import DEFAULT_COST_MODEL, CostModel
 from repro.sim.schedule import IterationTiming, SimResult, simulate
 from repro.sim.trace import ExternalRead, IterationTrace, RunTrace
-from repro.sim.trace_io import load_trace, save_trace
 
 __all__ = [
     "DEFAULT_COST_MODEL",
@@ -14,6 +13,4 @@ __all__ = [
     "RunTrace",
     "SimResult",
     "simulate",
-    "save_trace",
-    "load_trace",
 ]

@@ -183,10 +183,11 @@ def _simulate_iteration(
             channel_free[channel] = done
             if tracer is not None:
                 track = f"sim/flash{channel}"
+                req = f"{index}:{seq}"
                 tracer.instant("read.submit", ts=t0 + now, track=track,
-                               pid=read.pid, req=f"{index}:{seq}")
+                               pid=read.pid, req=req)
                 tracer.complete("read.service", t0 + start, done - start,
-                                track=track, pid=read.pid, req=f"{index}:{seq}")
+                                track=track, pid=read.pid, req=req)
                 if read.delay > 0:
                     tracer.instant("fault.delay", ts=t0 + start, track=track,
                                    pid=read.pid, delay=read.delay)

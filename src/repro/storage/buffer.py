@@ -74,7 +74,10 @@ class BufferManager:
         self._clock = 0
         #: ``(used_at, pid)`` of frames as they became evictable.
         self._evictable: list[tuple[int, int]] = []
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        # Hits and evictions are stamped with the wall clock; a sim-clock
+        # tracer would drop them (its timeline comes from the replay).
+        self._tracer = (tracer if tracer is not None and tracer.enabled
+                        and tracer.clock == "wall" else None)
         self.registry = registry if registry is not None else MetricsRegistry()
         self._hits = self.registry.counter("buffer.hits")
         self._misses = self.registry.counter("buffer.misses")

@@ -290,7 +290,11 @@ class FaultyPageFile:
         self._inner = inner
         self.plan = plan
         self.sleep = sleep
-        self._tracer = tracer if tracer is not None and tracer.enabled else None
+        # ``fault.inject`` is wall-clocked: a sim-clock tracer would drop
+        # it (its ``fault.delay`` events come from the scheduler's replay
+        # of the charged virtual delay).
+        self._tracer = (tracer if tracer is not None and tracer.enabled
+                        and tracer.clock == "wall" else None)
         self._lock = threading.Lock()
         self._attempts: dict[int, int] = {}
         self._latest = threading.local()
@@ -323,9 +327,6 @@ class FaultyPageFile:
             if action.kind == "dropped_callback":
                 continue
             if self._tracer is not None:
-                # Wall-clocked marker: a sim-mode tracer drops it (the
-                # deterministic ``fault.delay`` events come from the
-                # scheduler's replay of the charged virtual delay).
                 self._tracer.instant("fault.inject", kind=action.kind,
                                      pid=pid, attempt=attempt)
             self.plan.log.record("inject", action.kind, pid, attempt)

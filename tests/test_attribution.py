@@ -21,12 +21,9 @@ import pytest
 from repro.exec import compose
 from repro.obs import (
     RunContext,
-    collapsed_text,
     degree_bucket,
     render_attribution,
-    to_speedscope,
     validate_attribution_dict,
-    validate_speedscope,
 )
 from repro.obs.attribution import (
     Attribution,
@@ -144,42 +141,6 @@ class TestTable:
         text = render_attribution(table)
         assert "exec" in text and "hash" in text and "4-7" in text
         assert "ops" in text
-
-
-class TestCollapsedStacks:
-    def test_collapsed_frames_are_prefixed(self):
-        table = Attribution()
-        table.scope(phase="exec", kernel="hash",
-                    source="memory").charge(4, 10)
-        stacks = table.collapsed()
-        assert stacks == {
-            ("phase:exec", "kernel:hash", "source:memory", "degree:4-7"): 10,
-        }
-        assert collapsed_text(stacks) == \
-            "phase:exec;kernel:hash;source:memory;degree:4-7 10\n"
-
-    def test_speedscope_document_validates(self):
-        table = Attribution()
-        scope = table.scope(phase="exec", kernel="hash", source="memory")
-        scope.charge(4, 10, triangles=1)
-        scope.charge(9, 7)
-        doc = to_speedscope(table.collapsed(), name="unit")
-        assert validate_speedscope(doc) == []
-        profile = doc["profiles"][0]
-        assert sum(weight for _stack, weight in
-                   zip(profile["samples"], profile["weights"])
-                   for weight in [weight]) == 17
-
-    def test_speedscope_validator_flags_drift(self):
-        table = Attribution()
-        table.scope(phase="exec", kernel="hash",
-                    source="memory").charge(4, 10)
-        doc = to_speedscope(table.collapsed(), name="unit")
-        assert validate_speedscope(doc) == []
-        broken = json.loads(json.dumps(doc))
-        broken["profiles"][0]["weights"].append(1)
-        assert any("weights" in error
-                   for error in validate_speedscope(broken))
 
 
 @pytest.fixture(scope="module")

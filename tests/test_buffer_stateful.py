@@ -116,6 +116,7 @@ class _Events:
     """A tracer that keeps the buffer's hit / evict instants in order."""
 
     enabled = True
+    clock = "wall"
 
     def __init__(self):
         self.seen = []

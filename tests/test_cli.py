@@ -54,6 +54,14 @@ class TestTriangulate:
         assert code == 0
         assert "triangles" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("ratio", ["nan", "inf", "-inf", "0", "-0.5"])
+    def test_bad_buffer_ratio_fails_cleanly(self, graph_file, capsys, ratio):
+        code = main(["triangulate", "--input", str(graph_file),
+                     "--method", "opt", f"--buffer-ratio={ratio}"])
+        assert code == 1
+        assert "error: buffer ratio must be finite and positive" in \
+            capsys.readouterr().err
+
     def test_unknown_dataset_fails_cleanly(self, capsys):
         code = main(["triangulate", "--dataset", "NOPE", "--method", "opt"])
         assert code == 1
@@ -239,28 +247,9 @@ class TestProfileCommand:
         return path
 
     def test_table_output_conserves_ops(self, graph_file, capsys):
-        assert main(["profile", "--input", str(graph_file),
-                     "--format", "table"]) == 0
+        assert main(["profile", "--input", str(graph_file)]) == 0
         out = capsys.readouterr().out
         assert "attributed ops" in out and "triangles" in out
-
-    def test_collapsed_output(self, graph_file, capsys):
-        assert main(["profile", "--input", str(graph_file),
-                     "--format", "collapsed"]) == 0
-        out = capsys.readouterr().out
-        assert "phase:" in out and "degree:" in out
-
-    def test_speedscope_output_validates(self, graph_file, tmp_path,
-                                         capsys):
-        from repro.obs import validate_speedscope
-
-        out_path = tmp_path / "p.speedscope.json"
-        assert main(["profile", "--input", str(graph_file),
-                     "--method", "opt", "--format", "speedscope",
-                     "--output", str(out_path)]) == 0
-        assert "speedscope" in capsys.readouterr().out
-        doc = json.loads(out_path.read_text(encoding="utf-8"))
-        assert validate_speedscope(doc) == []
 
     def test_bad_composition_fails_cleanly(self, graph_file, capsys):
         # A memory source cannot cross process boundaries — compose

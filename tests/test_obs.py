@@ -342,15 +342,6 @@ class TestRunReport:
         # Serializing the deserialized report is the identity.
         assert restored.to_json() == text
 
-    def test_jsonl_append(self, tmp_path):
-        path = tmp_path / "trajectory.jsonl"
-        self.make_report().append_jsonl(path)
-        self.make_report().append_jsonl(path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        for line in lines:
-            validate_report_dict(json.loads(line))
-
     def test_summary_renders(self):
         text = self.make_report().summary()
         assert "RunReport: unit" in text

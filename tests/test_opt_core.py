@@ -180,6 +180,16 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             buffer_pages_for_ratio(store, 0)
 
+    @pytest.mark.parametrize("ratio", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -0.5])
+    def test_buffer_ratio_must_be_finite_and_positive(self, small_rmat_ordered,
+                                                      ratio):
+        store = make_store(small_rmat_ordered, 256)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            buffer_pages_for_ratio(store, ratio)
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            triangulate_disk(store, buffer_ratio=ratio)
+
     def test_empty_graph(self):
         from repro.graph.builder import GraphBuilder
 

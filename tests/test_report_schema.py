@@ -125,13 +125,6 @@ def test_profile_overhead_baseline_is_seeded(checker):
     assert attribution["totals"]["ops"] > 0
 
 
-def test_profile_flame_artifact_is_seeded(checker):
-    """The committed speedscope flame profile validates."""
-    path = BENCHMARKS_DIR / "results" / "PROFILE_fig3b.speedscope.json"
-    assert path.exists(), "missing committed PROFILE_fig3b.speedscope.json"
-    assert checker.validate_profile_file(path) == []
-
-
 def test_validate_report_dict_rejects_future_version():
     payload = json.loads(RunReport("x").to_json())
     payload["version"] = 999

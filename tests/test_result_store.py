@@ -1,4 +1,4 @@
-"""Tests for the nested-output reader and TriangleStore queries."""
+"""Tests for the nested-output reader and the run checkpoint."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import pytest
 
 from repro.analysis.costs import cost_conformance
 from repro.core import NestedOutputWriter, triangulate_disk
-from repro.core.result_store import TriangleStore, read_nested_groups
+from repro.core.result_store import read_nested_groups
 from repro.errors import GraphFormatError
 from repro.graph.metrics import per_vertex_triangles, trigonal_connectivity
 from repro.memory import edge_iterator
@@ -50,55 +50,6 @@ class TestReader:
 
     def test_empty_file(self):
         assert list(read_nested_groups(io.BytesIO())) == []
-
-
-class TestTriangleStore:
-    @pytest.fixture()
-    def store(self, tmp_path, clustered_graph):
-        path = tmp_path / "t.nested"
-        with NestedOutputWriter(path) as writer:
-            edge_iterator(clustered_graph, writer)
-        return TriangleStore.from_file(path), clustered_graph
-
-    def test_total_count(self, store):
-        triangle_store, graph = store
-        assert len(triangle_store) == edge_iterator(graph).triangles
-
-    def test_per_vertex_matches_metrics(self, store):
-        triangle_store, graph = store
-        expected = per_vertex_triangles(graph)
-        for v in range(graph.num_vertices):
-            assert triangle_store.triangle_count_of_vertex(v) == expected[v]
-
-    def test_edge_query_matches_trigonal_connectivity(self, store):
-        triangle_store, graph = store
-        for u, v in list(graph.edges())[:100]:
-            assert (
-                triangle_store.trigonal_connectivity(u, v)
-                == trigonal_connectivity(graph, u, v)
-            )
-
-    def test_edge_query_symmetric(self, store):
-        triangle_store, graph = store
-        u, v = next(iter(graph.edges()))
-        assert (triangle_store.triangles_of_edge(u, v)
-                == triangle_store.triangles_of_edge(v, u))
-
-    def test_top_vertices_sorted(self, store):
-        triangle_store, _graph = store
-        top = triangle_store.top_vertices(5)
-        counts = [count for _, count in top]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_triangles_canonical(self, store):
-        triangle_store, _graph = store
-        for triangle in triangle_store:
-            assert list(triangle) == sorted(triangle)
-
-    def test_missing_vertex(self, store):
-        triangle_store, _graph = store
-        assert triangle_store.triangles_of_vertex(10**6) == []
-        assert triangle_store.trigonal_connectivity(10**6, 0) == 0
 
 
 class TestRunCheckpoint:
@@ -166,6 +117,40 @@ class TestRunCheckpoint:
             RunCheckpoint.from_dict({
                 "schema": "repro.core/run-checkpoint", "version": 99,
             })
+
+    def test_resume_under_faults_reproduces_the_run(self, small_rmat_ordered):
+        """The checkpoint is the one serialiser of a ``RunTrace``: a run
+        under injected faults, resumed from its checkpoint's dict form,
+        bills the same pages and seconds, fault delays included."""
+        import json
+
+        from repro.core import RunCheckpoint
+        from repro.memory.base import CollectSink
+        from repro.storage.faults import FaultPlan, FaultSpec, RetryPolicy
+
+        specs = [FaultSpec("latency", rate=0.5, times=1, delay=0.01),
+                 FaultSpec("transient", rate=0.5, times=1)]
+        policy = RetryPolicy(max_retries=3, backoff_base=0.001)
+
+        def run(checkpoint):
+            return triangulate_disk(
+                small_rmat_ordered, page_size=256, buffer_pages=4,
+                sink=CollectSink(),
+                ctx=RunContext(fault_plan=FaultPlan(specs, seed=3),
+                               retry_policy=policy, checkpoint=checkpoint))
+
+        first = RunCheckpoint()
+        whole = run(first)
+        trace = whole.extra["trace"]
+        assert any(it.fill_delay > 0 for it in trace.iterations)
+        assert any(read.delay > 0 for it in trace.iterations
+                   for read in it.external_reads)
+        resumed = run(RunCheckpoint.from_dict(
+            json.loads(json.dumps(first.to_dict()))))
+        assert resumed.elapsed == whole.elapsed
+        assert resumed.pages_read == whole.pages_read
+        assert resumed.iterations == whole.iterations
+        assert resumed.extra["trace"] == trace
 
     def test_threaded_engine_checkpoints_too(self, small_rmat_ordered,
                                              tmp_path):

@@ -1,58 +1,10 @@
-"""Tests for trace serialization and the text chart helpers."""
+"""Tests for the text chart helpers and the core decomposition."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.analysis.ascii_chart import bar_chart, series_chart
-from repro.core import triangulate_disk
-from repro.errors import SimulationError
-from repro.sim import CostModel, simulate
-from repro.sim.trace_io import load_trace, save_trace, trace_from_dict, trace_to_dict
-
-
-class TestTraceIO:
-    @pytest.fixture()
-    def trace(self, small_rmat_ordered):
-        result = triangulate_disk(small_rmat_ordered, page_size=256,
-                                  buffer_pages=6)
-        return result.extra["trace"]
-
-    def test_round_trip_preserves_schedule(self, trace, tmp_path):
-        path = tmp_path / "run.trace.json"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        cost = CostModel()
-        for cores in (1, 4):
-            original = simulate(trace, cost, cores=cores)
-            replayed = simulate(loaded, cost, cores=cores)
-            assert replayed.elapsed == original.elapsed
-
-    def test_round_trip_fields(self, trace, tmp_path):
-        path = tmp_path / "run.trace.json"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.num_pages == trace.num_pages
-        assert loaded.triangles == trace.triangles
-        assert loaded.total_ops == trace.total_ops
-        assert loaded.total_fill_buffered == trace.total_fill_buffered
-        assert len(loaded.iterations) == len(trace.iterations)
-
-    def test_version_check(self, trace):
-        payload = trace_to_dict(trace)
-        payload["version"] = 99
-        with pytest.raises(SimulationError):
-            trace_from_dict(payload)
-
-    def test_malformed_payload(self):
-        with pytest.raises(SimulationError):
-            trace_from_dict({"version": 1, "iterations": [{"bogus": 1}]})
-
-    def test_invalid_json_file(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(SimulationError):
-            load_trace(path)
 
 
 class TestCharts:
