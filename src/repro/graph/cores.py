@@ -15,7 +15,11 @@ that fell to ``k`` or below are the next round; ``k`` rises to the live
 minimum when a round leaves none.  Core numbers are those of the
 bucket queue.  The peel *sequence* is not the bucket queue's, because a
 round has no internal order of its own: within a round vertices go by
-``(original degree, id)``.  Any order inside a round is a degeneracy
+``(original degree, id)``, and that is a round's only sort.  The
+decrement is one ``np.subtract.at`` over the removed vertices' live
+neighbors, and the next round's vertices are deduplicated through an
+``n``-long scratch (each keeps the one position whose write survived),
+so no round sorts its neighbors.  Any order inside a round is a degeneracy
 ordering (a round's vertices had at most ``k`` live neighbors when it
 began); this one is chosen because, used as a vertex ordering, its
 Eq. 3 bill is below the bucket queue's on every graph measured
@@ -53,6 +57,7 @@ def core_decomposition(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
     initial = graph.degrees()
     degree = initial.copy()
     live = np.ones(n, dtype=bool)
+    slot = np.empty(n, dtype=np.int64)  # dedupe scratch, read where written
     remaining = np.arange(n, dtype=np.int64)
     frontier = remaining[:0]
     level = peeled = 0
@@ -64,16 +69,21 @@ def core_decomposition(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
             current = degree[remaining]
             level = int(current.min())
             frontier = remaining[current <= level]
-        # ``frontier`` ascends by id; the stable sort makes it (degree, id).
-        frontier = frontier[np.argsort(initial[frontier], kind="stable")]
+        # Ids are distinct, so this is one total (degree, id) order.
+        frontier = frontier[np.lexsort((frontier, initial[frontier]))]
         order[peeled:peeled + len(frontier)] = frontier
         peeled += len(frontier)
         core[frontier] = level
         live[frontier] = False
         neighbors = graph.rows(frontier)
-        touched, lost = np.unique(neighbors[live[neighbors]], return_counts=True)
-        degree[touched] -= lost
-        frontier = touched[degree[touched] <= level]
+        neighbors = neighbors[live[neighbors]]
+        np.subtract.at(degree, neighbors, 1)
+        candidates = neighbors[degree[neighbors] <= level]
+        # One write per distinct vertex survives in ``slot``; keeping the
+        # position that won leaves each candidate once, in no set order.
+        positions = np.arange(len(candidates))
+        slot[candidates] = positions
+        frontier = candidates[slot[candidates] == positions]
     return core, order
 
 

@@ -111,7 +111,11 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
     spans the range-pruning adaptive kernel intersects.
 
     One round of array calls per BFS level of each component: the ranks
-    are the sequential queue's, the cost is not per vertex.
+    are the sequential queue's, the cost is not per vertex.  A level's
+    new frontier is the unranked vertices of its rows laid end to end, each
+    at its first occurrence: ``np.minimum.at`` writes every vertex's first
+    position into an ``n``-long scratch and a vertex is kept where its
+    position is that one, so no level sorts.
     """
     n = graph.num_vertices
     degrees = graph.degrees()
@@ -125,6 +129,10 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
     # global candidate sequence; per component the first unvisited
     # candidate is the root.
     roots = np.lexsort((np.arange(n), degrees))
+    # Per vertex, its first position in the level being expanded; reset to
+    # ``unseen`` after each level, so only the cells a level wrote change.
+    unseen = np.iinfo(np.int64).max
+    first = np.full(n, unseen, dtype=np.int64)
     cursor = ranked
     while ranked < n:
         # The next root is the first unranked candidate past the last
@@ -144,8 +152,10 @@ def locality_order_mapping(graph: Graph) -> np.ndarray:
             # rows laid end to end.
             reached = graph.rows(frontier)
             reached = reached[mapping[reached] < 0]
-            fresh, first = np.unique(reached, return_index=True)
-            frontier = fresh[np.argsort(first)]
+            positions = np.arange(len(reached))
+            np.minimum.at(first, reached, positions)
+            frontier = reached[first[reached] == positions]
+            first[frontier] = unseen
     return mapping
 
 
@@ -159,17 +169,32 @@ def ordering_op_cost(graph: Graph, mapping: np.ndarray) -> int:
     relabeled graph, no engine run — and matches the relabeled run's
     ``cpu_ops`` exactly (asserted by the ordering property tests).
     """
-    return _op_cost(graph.num_vertices, graph.edge_array(), mapping)
+    return _op_cost(graph.num_vertices, _oriented_edges(graph), mapping)
 
 
-def _op_cost(n: int, edges: np.ndarray, mapping: np.ndarray) -> int:
-    """:func:`ordering_op_cost` over an edge array computed once."""
-    if n == 0 or len(edges) == 0:
+def _oriented_edges(graph: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """Every undirected edge once, as contiguous ``(low id, high id)`` columns."""
+    sources = np.repeat(np.arange(graph.num_vertices, dtype=np.int64),
+                        graph.degrees())
+    keep = sources < graph.indices
+    return sources[keep], graph.indices[keep]
+
+
+def _op_cost(n: int, edges: tuple[np.ndarray, np.ndarray],
+             mapping: np.ndarray | None) -> int:
+    """:func:`ordering_op_cost` over edge columns computed once.
+
+    ``mapping=None`` prices the identity, under which the columns are
+    already oriented low-to-high.
+    """
+    lo, hi = edges
+    if n == 0 or len(lo) == 0:
         return 0
-    mapped_u = mapping[edges[:, 0]]
-    mapped_v = mapping[edges[:, 1]]
-    lo = np.minimum(mapped_u, mapped_v)
-    hi = np.maximum(mapped_u, mapped_v)
+    if mapping is not None:
+        mapped_u = mapping[lo]
+        mapped_v = mapping[hi]
+        lo = np.minimum(mapped_u, mapped_v)
+        hi = np.maximum(mapped_u, mapped_v)
     outdeg = np.bincount(lo, minlength=n)
     return int(np.minimum(outdeg[lo], outdeg[hi]).sum())
 
@@ -193,11 +218,12 @@ def _mapping_for(graph: Graph, ordering: Ordering, seed: int) -> np.ndarray:
 
 def _priced(graph: Graph) -> dict[Ordering, tuple[int, np.ndarray]]:
     """``(Eq. 3 bill, mapping)`` of every ``auto`` candidate on *graph*."""
-    edges = graph.edge_array()
+    edges = _oriented_edges(graph)
     priced = {}
     for ordering in AUTO_CANDIDATES:
         mapping = _mapping_for(graph, ordering, 0)
-        priced[ordering] = (_op_cost(graph.num_vertices, edges, mapping),
+        priced_by = None if ordering is Ordering.NATURAL else mapping
+        priced[ordering] = (_op_cost(graph.num_vertices, edges, priced_by),
                             mapping)
     return priced
 

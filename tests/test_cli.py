@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -218,6 +222,29 @@ class TestReportCommand:
                      "--output", str(output)])
         assert code == 0
         assert "table body" in output.read_text()
+
+    def test_closed_pipe_ends_without_a_traceback(self, tmp_path, figure1):
+        """``opt-repro report --run r.json | true``: the reader is gone
+        before the summary is written, and the command still exits cleanly."""
+        from repro.graph.io import write_edge_list
+
+        graph, run = tmp_path / "fig1.txt", tmp_path / "run.json"
+        write_edge_list(figure1, graph)
+        assert main(["triangulate", "--input", str(graph), "--method", "opt",
+                     "--page-size", "128", "--report", str(run)]) == 0
+        env = dict(os.environ, PYTHONPATH=str(
+            Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "report", "--run", str(run)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env)
+        proc.stdout.close()  # a reader that exits at once
+        try:
+            stderr = proc.communicate(timeout=60)[1]
+        finally:
+            proc.kill()
+        assert "Traceback" not in stderr
+        assert "BrokenPipeError" not in stderr
 
 
 class TestInfoCommands:

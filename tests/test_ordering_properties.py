@@ -20,7 +20,11 @@ graphs:
   the sequential bucket-queue peel and queue BFS they replaced, which
   are kept below as reference models (:func:`reference_peel`,
   :func:`reference_bfs_ranks`): equal core numbers, a valid degeneracy
-  ordering, and the BFS mapping element for element.
+  ordering, and the BFS mapping element for element;
+* the peel *sequence* is the per-vertex round model's
+  (:func:`reference_round_peel`), element for element;
+* the four ``auto`` bills and the pick on the four end-to-end benchmark
+  graphs are the measured values.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from repro.graph.cores import (
     degeneracy,
     peeling_order,
 )
-from repro.graph.generators import rmat
+from repro.graph.generators import holme_kim, rmat
 from repro.graph.ordering import (
     AUTO_CANDIDATES,
     Ordering,
@@ -233,6 +237,38 @@ def reference_bfs_ranks(graph):
     return mapping
 
 
+def reference_round_peel(graph):
+    """``(core, order)`` of the round-synchronous peel, one vertex at a time.
+
+    Each round removes every live vertex whose degree is at most the
+    level ``k``, in ``(original degree, id)`` order, then decrements their
+    live neighbors; ``k`` rises to the live minimum when a round would
+    remove none.
+    """
+    n = graph.num_vertices
+    initial = graph.degrees().tolist()
+    degree = list(initial)
+    live = [True] * n
+    core = [0] * n
+    order = []
+    level = 0
+    while len(order) < n:
+        peel = [v for v in range(n) if live[v] and degree[v] <= level]
+        if not peel:
+            level = min(degree[v] for v in range(n) if live[v])
+            continue
+        peel.sort(key=lambda v: (initial[v], v))
+        for v in peel:
+            live[v] = False
+            core[v] = level
+        for v in peel:
+            for u in graph.neighbors(v).tolist():
+                if live[u]:
+                    degree[u] -= 1
+        order.extend(peel)
+    return core, order
+
+
 def _later_neighbors(graph, order):
     """Per vertex, how many neighbors come after it in *order*."""
     rank = np.empty(graph.num_vertices, dtype=np.int64)
@@ -261,6 +297,17 @@ def test_round_peel_matches_the_bucket_queue(spec):
 
 @settings(max_examples=120, deadline=None)
 @given(spec=graphs)
+def test_round_peel_sequence_matches_the_round_model(spec):
+    """The sequence ``degeneracy`` relabels by, not only its properties."""
+    graph = _build(spec)
+    core, order = core_decomposition(graph)
+    expected_core, expected_order = reference_round_peel(graph)
+    assert order.tolist() == expected_order
+    assert core.tolist() == expected_core
+
+
+@settings(max_examples=120, deadline=None)
+@given(spec=graphs)
 def test_frontier_bfs_matches_the_queue_bfs(spec):
     # ``graphs`` leaves isolated vertices and several components in.
     graph = _build(spec)
@@ -274,6 +321,7 @@ def test_rewritten_orderings_match_the_models_on_seeded_graphs():
         graph = rmat(600, 1500, seed=seed)  # sparse: dozens of components
         core, order = core_decomposition(graph)
         assert core.tolist() == reference_peel(graph)[0].tolist()
+        assert order.tolist() == reference_round_peel(graph)[1]
         assert (_later_neighbors(graph, order) <= core).all()
         assert (locality_order_mapping(graph).tolist()
                 == reference_bfs_ranks(graph).tolist())
@@ -287,6 +335,30 @@ def test_round_peel_bill_is_not_above_the_bucket_queues():
         queue_mapping[reference_peel(graph)[1]] = np.arange(graph.num_vertices)
         assert (ordering_op_cost(graph, degeneracy_order_mapping(graph))
                 <= ordering_op_cost(graph, queue_mapping))
+
+
+#: The four ``auto`` bills (in ``AUTO_CANDIDATES`` order) and the pick on
+#: the end-to-end benchmark's graphs at seed 1, as measured.
+BENCHMARK_BILLS = {
+    "mem-count-skew": (lambda: rmat(7500, 75000, seed=1),
+                       (812_280, 866_774, 898_340, 910_715), Ordering.DEGREE),
+    "mem-list-dense": (lambda: holme_kim(1250, 40, 0.9, seed=1),
+                       (1_506_180, 1_572_317, 1_486_759, 1_582_395),
+                       Ordering.LOCALITY),
+    "proc-list-social": (lambda: holme_kim(5000, 14, 0.9, seed=1),
+                         (840_552, 921_701, 861_816, 904_369), Ordering.DEGREE),
+    "disk-opt-web": (lambda: holme_kim(5000, 16, 0.45, seed=1),
+                     (1_092_895, 1_199_258, 1_117_093, 1_176_207),
+                     Ordering.DEGREE),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCHMARK_BILLS))
+def test_bills_on_the_benchmark_graphs(workload):
+    generate, bills, pick = BENCHMARK_BILLS[workload]
+    graph = generate()
+    assert ordering_costs(graph) == dict(zip(AUTO_CANDIDATES, bills))
+    assert choose_ordering(graph) is pick
 
 
 def test_path_graph_peels_and_ranks_fast():
