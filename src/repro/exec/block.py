@@ -71,15 +71,6 @@ class GroupBlock:
         return cls(np.array(us, dtype=np.int64), np.array(vs, dtype=np.int64),
                    offsets[1:] - offsets[:-1], ws)
 
-    @classmethod
-    def concat(cls, blocks: Sequence["GroupBlock"]) -> "GroupBlock":
-        """The groups of *blocks*, in order, as one block."""
-        blocks = [block for block in blocks if len(block)]
-        if len(blocks) <= 1:
-            return blocks[0] if blocks else NO_GROUPS
-        return cls(*(np.concatenate(column) for column in zip(
-            *((b.us, b.vs, b.counts, b.ws) for b in blocks))))
-
     @property
     def triangles(self) -> int:
         """Triangles denoted: one per completion."""

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.exec.block import NO_GROUPS, GroupBlock, block_range
+from repro.exec.block import GroupBlock, block_range
 from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs.context import NO_CONTEXT, RunContext
 
@@ -40,8 +40,9 @@ class EngineOutcome:
 
     triangles: int = 0
     cpu_ops: int = 0
-    #: Every group listed, in range order; empty unless asked to collect.
-    groups: GroupBlock = field(default_factory=lambda: NO_GROUPS)
+    #: Every group listed, one block per range, in range order; empty
+    #: blocks unless asked to collect.
+    blocks: tuple[GroupBlock, ...] = ()
     chunks: int = 0
     #: Per-branch ``{branch: [pairs, ops]}`` from the kernel bindings'
     #: ``stats()`` — empty for fixed-path kernels, populated by the
@@ -152,7 +153,8 @@ class Engine:
         engine consumes its report and attribution.  Per-axis labelled
         counters (``exec.triangles`` / ``exec.ops`` / ``exec.chunks``)
         land in the report's registry so cross-cell comparisons can
-        slice by any axis; every pair's op charge lands in its ``(exec,
+        slice by any axis (the process executor also folds its workers'
+        ``parallel.*`` counters in); every pair's op charge lands in its ``(exec,
         kernel, source, degree-bucket)`` attribution cell and the
         engine's wall time is attributed to the same coordinate —
         per-bucket ops sum exactly to ``exec.ops``.
@@ -169,7 +171,8 @@ class Engine:
             attribution.scope(phase="exec", kernel=self.kernel.name,
                               source=self.source.name).charge_time(elapsed)
         if sink is not None:
-            emit_block(sink, outcome.groups)
+            for block in outcome.blocks:
+                emit_block(sink, block)
         source_name, kernel_name, executor_name = self.cell
         extra = {
             "cell": self.describe(),

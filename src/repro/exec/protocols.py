@@ -9,7 +9,7 @@ rather than a rewrite.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -19,14 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.graph import Graph
     from repro.parallel.shm import CSRHandle
 
-__all__ = ["Executor", "IntersectFn", "Kernel", "Source", "SourceHandle"]
-
-
-#: A bound intersection function: ``(prepped_a, b) -> (common, ops)``.
-#: ``common`` is a sequence of vertex ids in ascending order; ``ops`` is
-#: the operation count the kernel charges for this pair (Eq. 3 for the
-#: analytic kernels, measured comparisons for the reference kernels).
-IntersectFn = Callable[[object, np.ndarray], tuple[Sequence[int], int]]
+__all__ = ["Executor", "Kernel", "Source", "SourceHandle"]
 
 
 @runtime_checkable
@@ -45,7 +38,7 @@ class SourceHandle(Protocol):
         """Picklable cross-process descriptor, or ``None``.
 
         Only shareable sources (the shared-memory CSR) return one; the
-        process executor refuses sources that return ``None``.
+        process executor refuses a source that is not shareable.
         """
         ...
 

@@ -13,7 +13,6 @@ from repro.graph.graph import Graph
 from repro.util.intersect import intersect_sorted
 
 __all__ = [
-    "arboricity_bound",
     "clustering_coefficients",
     "global_clustering_coefficient",
     "per_vertex_triangles",
@@ -78,10 +77,3 @@ def trigonal_connectivity(graph: Graph, u: int, v: int) -> int:
         return 0
     return len(intersect_sorted(graph.neighbors(u), graph.neighbors(v)))
 
-
-def arboricity_bound(graph: Graph) -> float:
-    """Upper bound on arboricity: ``ceil(sqrt(|E|))`` for simple graphs.
-
-    Used to sanity check the ``O(alpha * |E|)`` cost accounting.
-    """
-    return float(np.ceil(np.sqrt(max(graph.num_edges, 1))))

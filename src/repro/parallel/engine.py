@@ -20,22 +20,24 @@ Section 3.4 of the paper):
    :func:`repro.exec.engine.run_range` per chunk, accumulating its own
    :class:`MetricsRegistry` counters and :class:`EventTracer` slices on
    a private ``parallel/w<id>`` track;
-4. the caller merges: triangle groups re-emitted to the sink chunk by
-   chunk, in chunk order (so output is identical for every worker
-   count), worker metric snapshots folded into the run report's
-   registry, worker trace events translated onto the caller's tracer
-   timeline.  The caller's own rows never cross a pipe.
+4. the caller folds, once the segment is released: triangle groups
+   emitted to the sink chunk by chunk, in chunk order (so output is
+   identical for every worker count), kernel branch tallies summed,
+   attribution and metric snapshots merged into the run's tables,
+   worker trace events translated onto the caller's tracer timeline.
+   The caller's own rows never cross a pipe.
 
-Steps 2–3 are :func:`run_chunks`, the only place in ``src/`` that forks:
-:func:`triangulate_parallel` and
-:class:`repro.exec.executors.ProcessExecutor` both hand it a chunk plan
-and fold the rows it returns.  Each child writes its heartbeats and
-then its report to one pipe that only it writes.  Between its chunks
-the caller takes one non-blocking look at the children (heartbeats,
-straggler and silence checks); once the plan is spent it waits on their
-pipes and exits for the reports.  A worker that dies without reporting
-(SIGKILL, OOM-kill) ends its pipe, which the caller sees at once, and
-raises :class:`ParallelError` naming it.
+Steps 1–4 are :func:`_pool`, of which steps 2–3 are :func:`run_chunks`,
+the only place in ``src/`` that forks.  :func:`triangulate_parallel` and
+:class:`repro.exec.executors.ProcessExecutor` are both thin callers of
+:func:`_pool`, so they share the plan, the pool and the fold.  Each
+child writes its heartbeats and then its report to one pipe that only
+it writes.  Between its chunks the caller takes one non-blocking look
+at the children (heartbeats, straggler and silence checks); once the
+plan is spent it waits on their pipes and exits for the reports.  A
+worker that dies without reporting (SIGKILL, OOM-kill) ends its pipe,
+which the caller sees at once, and raises :class:`ParallelError`
+naming it.
 
 Determinism contract: the chunk plan, per-chunk triangle groups, and all
 op counts depend only on the graph — never on scheduling.  Only
@@ -56,16 +58,11 @@ import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
 from repro.exec.block import GroupBlock, block_range
-from repro.exec.engine import run_range
+from repro.exec.engine import EngineOutcome, run_range
 from repro.exec.kernels import HashKernel, Kernel
 from repro.exec.sources import MemorySource, SharedMemorySource
 from repro.graph.graph import Graph
-from repro.memory.base import (
-    CountSink,
-    TriangleSink,
-    TriangulationResult,
-    emit_block,
-)
+from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs.context import NO_CONTEXT, RunContext
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import EventTracer, TraceEvent
@@ -117,11 +114,8 @@ def count_chunk(
 
 @dataclass
 class WorkerReport:
-    """Everything one worker ships back over its pipe.
-
-    Plain data and arrays only — this crosses a process boundary by
-    pickle.
-    """
+    """Everything one worker ships back over its pipe, by pickle: plain
+    data and arrays only."""
 
     worker_id: int
     results: list[ChunkRow] = field(default_factory=list)
@@ -168,11 +162,10 @@ def _execute_chunks(
 
     Every pool worker runs this: the caller as ``w0`` over the task list
     or its claims from the shared cursor, a forked worker over its
-    claims.  Timestamps are
-    seconds since *anchor* (a caller-side ``perf_counter`` reading), so
-    merged events land on the caller's timeline without clock
-    negotiation — ``perf_counter`` is one system-wide monotonic clock on
-    Linux.
+    claims.  Timestamps are seconds since *anchor* (a caller-side
+    ``perf_counter`` reading), so merged events land on the caller's
+    timeline without clock negotiation — ``perf_counter`` is one
+    system-wide monotonic clock on Linux.
 
     With *publish* set, a :class:`Heartbeat` is handed to it at start,
     after every chunk, and once more when the plan is spent
@@ -464,13 +457,14 @@ def run_chunks(
 
     The one process pool, and the caller is its worker ``w0``: *handle*
     is an open CSR-backed :class:`~repro.exec.protocols.SourceHandle`;
-    ``min(workers, chunks) − 1`` forked workers ``w1 …`` attach
-    ``handle.csr_handle()`` and claim ``(index, lo, hi)`` tasks from one
-    shared cursor until the plan is spent, while the caller claims from
-    the same cursor over ``handle.csr_graph()``, taking one non-blocking
-    look at the children between its chunks and waiting on their pipes
-    for the reports once the plan is spent.  With one worker or one
-    chunk nothing is forked and the caller runs the task list alone.
+    ``workers − 1`` forked workers ``w1 …`` (:func:`_pool` asks for at
+    most one worker per chunk) attach ``handle.csr_handle()`` and claim
+    ``(index, lo, hi)`` tasks from one shared cursor until the plan is
+    spent, while the caller claims from the same cursor over
+    ``handle.csr_graph()``, taking one non-blocking look at the children
+    between its chunks and waiting on their pipes for the reports once
+    the plan is spent.  With one worker nothing is forked and the caller
+    runs the task list alone.
     *anchor* is the caller's ``perf_counter`` epoch for worker
     timestamps; *coordinate* is as in :func:`_execute_chunks`; with a
     *monitor* the children write heartbeats to their pipes, and every
@@ -485,7 +479,6 @@ def run_chunks(
     caller; pipes and workers are released on every path.
     """
     tasks = [(index, lo, hi) for index, (lo, hi) in enumerate(chunk_bounds)]
-    workers = max(1, min(workers, len(tasks)))
     policy = monitor.policy if monitor is not None else StragglerPolicy()
     if workers > 1 and policy.inject_worker == 0:
         raise ConfigurationError(
@@ -536,43 +529,70 @@ def run_chunks(
     return reports, rows
 
 
-def _merge(
-    reports: Sequence[WorkerReport],
-    rows: Sequence[ChunkRow],
+def _pool(
+    source,
+    kernel: Kernel,
+    coordinate: tuple[str, str, str],
+    straggler: StragglerPolicy | None,
+    *,
     workers: int,
-    sink: TriangleSink,
     collect: bool,
-    anchor_rel: float,
     ctx: RunContext,
-) -> tuple[int, int, ParallelResult]:
-    """Fold :func:`run_chunks`' reports and rows into (triangles, ops) + obs.
+    sink: TriangleSink | None = None,
+    chunks: int | None = None,
+) -> tuple[EngineOutcome, ParallelResult]:
+    """Plan, run and fold one pool call: what both callers of the pool
+    share.
 
-    *reports* arrive in worker order and *rows* in chunk order, so every
-    fold below is deterministic.
+    Opens *source*, plans its CSR into *chunks* ranges (by default
+    :func:`default_chunk_count` for *workers*) and runs
+    :func:`run_chunks` with ``min(workers, chunks)`` members — watched
+    by a :class:`HeartbeatMonitor` when *straggler* is set and a worker
+    is forked; workers charge attribution under *coordinate* when
+    ``ctx.attribution`` is set.  The source is released before the
+    fold, which runs once, in chunk then worker order, so every step is
+    deterministic: each chunk's groups, kept in order on the outcome's
+    ``blocks``, go to *sink* when one is given — vertex order, whatever
+    the workers did; each worker's branch tally is summed into
+    the outcome, its attribution snapshot merged into
+    ``ctx.attribution``, its registry snapshot into ``ctx.report``, and
+    its trace events translated onto ``ctx.trace``'s timeline.
     """
-    run_report = ctx.report
     trace = ctx.trace
     attribution = ctx.attribution
-    merge_started = trace.now() if trace is not None else 0.0
-    executed_by = {row[0]: report.worker_id
-                   for report in reports for row in report.results}
-    triangles = sum(row[3] for row in rows)
-    ops = sum(row[4] for row in rows)
-    if collect:
-        # Chunk-index order == vertex order: the emission sequence is a
-        # pure function of the graph, whatever the workers did.  Row by
-        # row, so no copy of every group is ever built.
-        for row in rows:
-            emit_block(sink, row[5])
+    with source.open() as handle:
+        # No local holds the graph: a shared-memory segment cannot unmap
+        # while views of it exist.
+        ranges = plan_chunks(handle.csr_graph(), default_chunk_count(
+            handle.csr_graph(), workers) if chunks is None else chunks)
+        workers = min(workers, len(ranges))
+        monitor = None
+        if straggler is not None and workers > 1:
+            monitor = HeartbeatMonitor(straggler, workers=workers,
+                                       registry=ctx.registry, tracer=trace)
+        anchor = time.perf_counter()
+        anchor_rel = trace.now() if trace is not None else 0.0
+        reports, rows = run_chunks(
+            handle, kernel, ranges, workers, collect, anchor,
+            coordinate if attribution is not None else None, monitor)
 
+    merge_started = trace.now() if trace is not None else 0.0
+    blocks = tuple(row[5] for row in rows)
+    if sink is not None:
+        for block in blocks:
+            emit_block(sink, block)
+    branches: dict[str, list[int]] = {}
     steals = 0
     for report in reports:
-        steals += int(report.snapshot.get("counters", {})
-                      .get("parallel.steals", 0))
+        for branch, (pairs, ops) in report.branches.items():
+            cell = branches.setdefault(branch, [0, 0])
+            cell[0] += int(pairs)
+            cell[1] += int(ops)
+        steals += report.snapshot["counters"]["parallel.steals"]
         if attribution is not None and report.attribution is not None:
             attribution.merge_snapshot(report.attribution)
-        if run_report is not None:
-            run_report.registry.merge_snapshot(report.snapshot)
+        if ctx.report is not None:
+            ctx.report.registry.merge_snapshot(report.snapshot)
         if trace is not None:
             for event in report.events:
                 if event.dur is None:
@@ -586,14 +606,16 @@ def _merge(
         trace.complete("parallel.merge", merge_started,
                        trace.now() - merge_started,
                        workers=workers, chunks=len(rows))
-    parallel_result = ParallelResult(
-        workers=workers,
-        chunk_bounds=tuple((lo, hi) for _, lo, hi, _, _, _ in rows),
+    outcome = EngineOutcome(
+        triangles=sum(row[3] for row in rows),
+        cpu_ops=sum(row[4] for row in rows),
+        blocks=blocks, chunks=len(rows), branches=branches)
+    executed_by = {row[0]: report.worker_id
+                   for report in reports for row in report.results}
+    return outcome, ParallelResult(
+        workers=workers, chunk_bounds=tuple(ranges),
         executed_by=tuple(executed_by[row[0]] for row in rows),
-        steals=steals,
-        worker_reports=tuple(reports),
-    )
-    return triangles, ops, parallel_result
+        steals=steals, worker_reports=tuple(reports))
 
 
 def triangulate_parallel(
@@ -633,7 +655,7 @@ def triangulate_parallel(
         already ordered their input keep byte-identical behavior.
     sink:
         Optional receiver of nested ``<u, v, {w...}>`` groups, emitted
-        in deterministic chunk order; defaults to a counting sink.
+        in deterministic chunk order; without one no group is built.
     straggler:
         Optional :class:`StragglerPolicy`, the one switch for heartbeat
         monitoring: forked workers publish progress beats (counted in
@@ -662,6 +684,8 @@ def triangulate_parallel(
                wall_clock=True)
     if workers < 1:
         raise ConfigurationError("workers must be >= 1")
+    if chunks is not None and chunks < 1:
+        raise ConfigurationError("chunks must be >= 1")
     resolved_ordering: str | None = None
     if ordering is not None:
         from repro.graph.ordering import Ordering, apply_ordering, choose_ordering
@@ -672,46 +696,20 @@ def triangulate_parallel(
         graph, _ = apply_ordering(graph, resolved)
         resolved_ordering = resolved.value
     report = ctx.report
-    trace = ctx.trace
-    attribution = ctx.attribution
-    collect = sink is not None
-    if sink is None:
-        sink = CountSink()
-    if chunks is None:
-        chunks = default_chunk_count(graph, workers)
-    chunk_bounds = plan_chunks(graph, chunks)
-    effective_workers = min(workers, len(chunk_bounds))
-
     start_wall = time.perf_counter()
-    anchor_rel = trace.now() if trace is not None else 0.0
-
-    # Heartbeat monitoring is opt-in, and only where there are forked
-    # workers to watch: plain runs open no heartbeat channel.
-    monitor: HeartbeatMonitor | None = None
-    if straggler is not None and effective_workers > 1:
-        monitor = HeartbeatMonitor(straggler, workers=effective_workers,
-                                   registry=ctx.registry, tracer=trace)
-    coordinate = (("parallel", "hash", "shm") if attribution is not None
-                  else None)
     # One worker runs in-process and needs no segment.
-    source = (SharedMemorySource(graph) if effective_workers > 1
-              else MemorySource(graph))
-    with source.open() as handle:
-        worker_reports, rows = run_chunks(
-            handle, HashKernel(), chunk_bounds, effective_workers, collect,
-            start_wall, coordinate, monitor)
-
-    triangles, ops, parallel_result = _merge(
-        worker_reports, rows, effective_workers, sink, collect,
-        anchor_rel, ctx,
-    )
+    outcome, parallel_result = _pool(
+        SharedMemorySource(graph) if workers > 1 else MemorySource(graph),
+        HashKernel(), ("parallel", "hash", "shm"), straggler,
+        workers=workers, collect=sink is not None, ctx=ctx, sink=sink,
+        chunks=chunks)
     elapsed = time.perf_counter() - start_wall
-    if attribution is not None:
-        attribution.scope(phase="parallel", kernel="hash",
-                          source="shm").charge_time(elapsed)
+    if ctx.attribution is not None:
+        ctx.attribution.scope(phase="parallel", kernel="hash",
+                              source="shm").charge_time(elapsed)
     extra = {
-        "workers": effective_workers,
-        "chunks": list(chunk_bounds),
+        "workers": parallel_result.workers,
+        "chunks": list(parallel_result.chunk_bounds),
         "steals": parallel_result.steals,
         "parallel": parallel_result,
     }
@@ -720,12 +718,12 @@ def triangulate_parallel(
     if report is not None:
         if resolved_ordering is not None:
             report.meta.setdefault("parallel.ordering", resolved_ordering)
-        report.gauge("parallel.workers").set(effective_workers)
+        report.gauge("parallel.workers").set(parallel_result.workers)
         report.gauge("run.elapsed_wall").set(elapsed)
         extra["report"] = report
     return TriangulationResult(
-        triangles=triangles,
-        cpu_ops=ops,
+        triangles=outcome.triangles,
+        cpu_ops=outcome.cpu_ops,
         elapsed=elapsed,
         extra=extra,
     )

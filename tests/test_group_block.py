@@ -4,7 +4,7 @@ A block is the columnar form of a group sequence, so everything here is
 differential: whatever a sink holds after ``emit_block(block)`` must be
 what it holds after ``emit`` of the same groups one by one — bytes,
 counters and Python types included — and a block must survive
-``from_groups`` / ``concat`` / pickle unchanged.
+``from_groups`` / pickle unchanged.
 """
 
 from __future__ import annotations
@@ -48,8 +48,6 @@ def test_empty_block():
     assert NO_GROUPS.triangles == 0
     assert list(NO_GROUPS) == []
     assert GroupBlock.from_groups([]) == NO_GROUPS
-    assert GroupBlock.concat([]) == NO_GROUPS
-    assert GroupBlock.concat([NO_GROUPS, NO_GROUPS]) == NO_GROUPS
     assert GroupBlock.from_groups([(1, 2, ())]) == NO_GROUPS
 
 
@@ -62,13 +60,6 @@ def test_from_groups_round_trip(groups):
     assert all(type(x) is int for u, v, ws in block for x in (u, v, *ws))
     assert {a.dtype for a in (block.us, block.vs, block.counts, block.ws)
             } == {np.dtype(np.int64)}
-
-
-@given(st.lists(group_lists, max_size=5))
-def test_concat_is_the_concatenated_groups(parts):
-    block = GroupBlock.concat([GroupBlock.from_groups(p) for p in parts])
-    assert list(block) == [g for p in parts for g in p]
-    assert block == GroupBlock.from_groups(g for p in parts for g in p)
 
 
 @given(group_lists, group_lists)

@@ -342,9 +342,32 @@ ENTRY_POINTS = pytest.mark.parametrize(
 
 
 class TestOnePool:
-    """``compose(shm, k, process)`` and ``triangulate_parallel`` run the
-    same forked pool over the same chunk plan; only the result shape
-    differs."""
+    """``compose(shm, k, process)`` and ``triangulate_parallel`` make the
+    same pool call: the same chunk plan, the same forked pool and the
+    same fold of rows, branches, attribution and registry snapshots;
+    only what each returns around it differs."""
+
+    def test_both_callers_fold_the_workers_obs(self, zoo):
+        from repro.obs import Attribution, RunReport
+
+        graph = zoo["clustered"]
+        planned = len(plan_chunks(graph, default_chunk_count(graph, 2)))
+        serial = edge_iterator(graph)
+        entries = {
+            "parallel": lambda ctx: triangulate_parallel(graph, workers=2,
+                                                         ctx=ctx),
+            "compose": lambda ctx: compose("shm", "hash", "process",
+                                           graph=graph, workers=2).run(ctx=ctx),
+        }
+        for name, entry in entries.items():
+            report, attribution = RunReport(name), Attribution()
+            result = entry(RunContext(report=report, attribution=attribution))
+            counters = report.registry.snapshot()["counters"]
+            assert counters["parallel.chunks"] == planned, name
+            assert counters["parallel.ops"] == serial.cpu_ops, name
+            assert "parallel.steals" in counters, name
+            assert result.cpu_ops == serial.cpu_ops, name
+            assert attribution.total_ops == result.cpu_ops, name
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
     def test_process_cell_equals_serial_cell(self, zoo, kernel):
