@@ -1,11 +1,13 @@
 """Ablation — intersection kernels (real wall-clock micro-benchmark).
 
 Unlike the simulated experiments, this one measures actual Python wall
-time: EdgeIterator≻ over the LJ stand-in with each intersection kernel
-(numpy, merge, hash, gallop, adaptive).  All kernels must produce
-identical triangle counts; the reported op counts follow each kernel's
-own measure — and the adaptive kernel's range-pruned Eq. 3 bill must
-come in at or below the hash reference's ``min(|a|, |b|)``.
+time: EdgeIterator≻ over the LJ stand-in with each kernel of the
+composition layer's registry (``repro.exec.registry.KERNELS``: hash,
+merge, gallop, bitmap, adaptive), each run as its ``memory`` /
+``serial`` cell.  All kernels must produce identical triangle counts;
+the reported op counts follow each kernel's own measure — bitmap
+charges hash's analytic ``min(|a|, |b|)``, and the adaptive kernel's
+range-pruned Eq. 3 bill must come in below it.
 
 The sweep also emits ``BENCH_ablation_kernels.json`` for the CI
 regression gate: its headline (``derived.elapsed_simulated``) is the
@@ -19,21 +21,21 @@ from __future__ import annotations
 import time
 
 from _helpers import COST, emit_bench_report, once, prepared, report
-from repro.memory import edge_iterator
+from repro.exec import compose
+from repro.exec.registry import KERNELS
 from repro.obs import RunReport
-from repro.util.intersect import IntersectionKernel
 from repro.util.tables import format_table
 
 
 def sweep():
     graph, _store, reference = prepared("LJ")
     rows = {}
-    for kernel in IntersectionKernel:
+    for kernel in KERNELS:
         start = time.perf_counter()
-        result = edge_iterator(graph, kernel=kernel)
+        result = compose("memory", kernel, "serial", graph=graph).run()
         wall = time.perf_counter() - start
         assert result.triangles == reference.triangles
-        rows[kernel.value] = (result.triangles, result.cpu_ops, wall)
+        rows[kernel] = (result.triangles, result.cpu_ops, wall)
     return rows
 
 
@@ -56,8 +58,8 @@ def test_ablation_kernels(benchmark):
     )
     counts = {triangles for triangles, _, _ in results.values()}
     assert len(counts) == 1
-    # The hash kernel's charge is the paper's min() measure.
-    assert results["hash"][1] == results["numpy"][1]
+    # Bitmap charges the paper's min() measure, as hash does.
+    assert results["bitmap"][1] == results["hash"][1]
     # Range pruning never charges above the hash min, and on the skewed
     # LJ stand-in it strictly undercuts it.
     assert results["adaptive"][1] < results["hash"][1]
@@ -65,7 +67,7 @@ def test_ablation_kernels(benchmark):
     obs = RunReport("ablation-kernels-LJ", meta={
         "dataset": "LJ",
         "engine": "exec.compose",
-        "kernels": [kernel.value for kernel in IntersectionKernel],
+        "kernels": list(KERNELS),
     })
     for kernel, (triangles, ops, wall) in results.items():
         obs.counter("exec.triangles", kernel=kernel).inc(triangles)

@@ -19,6 +19,7 @@ regression gate with a deterministic op-priced headline.
 from __future__ import annotations
 
 from _helpers import COST, emit_bench_report, once, report
+from repro.exec import compose
 from repro.graph import datasets
 from repro.graph.ordering import AUTO_CANDIDATES, apply_ordering, choose_ordering
 from repro.memory import edge_iterator, vertex_iterator
@@ -38,7 +39,8 @@ def sweep(name: str) -> dict[str, tuple[int, int, int]]:
     for ordering in ORDERINGS:
         graph, _ = apply_ordering(raw, ordering, seed=1)
         hash_ops = edge_iterator(graph).cpu_ops
-        merge_ops = edge_iterator(graph, kernel="merge").cpu_ops
+        merge_ops = compose("memory", "merge", "serial",
+                            graph=graph).run().cpu_ops
         vi_ops = vertex_iterator(graph).cpu_ops
         results[ordering] = (hash_ops, merge_ops, vi_ops)
     results["auto->"] = (choose_ordering(datasets.load(name)).value, 0, 0)

@@ -34,10 +34,9 @@ from repro.exec.kernels import (
     BitmapKernel,
     GallopKernel,
     HashKernel,
-    Kernel,
     MergeKernel,
 )
-from repro.exec.protocols import Executor, Source, SourceHandle
+from repro.exec.protocols import Executor, Kernel, Source, SourceHandle
 from repro.exec.registry import (
     EXECUTORS,
     KERNELS,

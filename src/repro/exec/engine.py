@@ -61,9 +61,8 @@ def run_range(
 ) -> tuple[int, int, GroupBlock]:
     """EdgeIterator≻ over ``[lo, hi)`` through one kernel binding.
 
-    Charges exactly what the historical serial edge iterator charges for
-    the same vertices: one kernel invocation per edge ``(u, v)`` with
-    ``u`` in range, including pairs with empty intersections.
+    Charges the kernel's own count for every edge ``(u, v)`` with ``u``
+    in range, including pairs with empty intersections.
 
     *scope* is an optional
     :class:`~repro.obs.attribution.AttributionScope`; when given, every
@@ -72,12 +71,12 @@ def run_range(
     Eq. 3 charges — so the attribution table's per-bucket sums conserve
     the returned ``ops`` exactly.
 
-    The ``hash`` binding does not loop per pair:
-    :func:`repro.exec.block.block_range` returns the same triple and
-    charges the same cells a block of edges at a time, in the mask the
-    binding keeps across ranges (bind once per process).  The per-pair
-    loop below serves the kernels whose charge is measured, not
-    analytic, and foreign :class:`~repro.exec.protocols.Kernel`
+    The ``hash`` binding has no per-pair form:
+    :func:`repro.exec.block.block_range` resolves its range a block of
+    edges at a time, with the analytic ``min(|n_succ(u)|, |n_succ(v)|)``
+    charge, in the mask the binding keeps across ranges (bind once per
+    process).  The per-pair loop below serves the other kernels and
+    foreign :class:`~repro.exec.protocols.Kernel`
     instances; it packs its groups into the same
     :class:`~repro.exec.block.GroupBlock` once, at the end.
     """

@@ -1,17 +1,14 @@
 """Intersection kernels: the Kernel axis of the composition layer.
 
 Five strategies, all operating on sorted duplicate-free id arrays and
-all returning ``(common, ops)``:
+all charging their own op count for every edge ``(u, v)``:
 
-* ``hash`` — the canonical Eq. 3 kernel: the fast numpy intersection
-  with the analytic hash-probe charge ``min(|a|, |b|)``.  This is
-  byte-for-byte the accounting of the historical
-  :func:`repro.memory.edge_iterator.edge_iterator` numpy path, which is
-  now a façade over this kernel.  Over a CSR-backed handle the engine
-  does not call it pair by pair: :mod:`repro.exec.block` resolves whole
-  blocks of edges with the same charge, and no engine path calls the
-  per-pair form, which stays because the :class:`Kernel` protocol asks
-  every kernel for it.
+* ``hash`` — the canonical Eq. 3 kernel: the analytic hash-probe charge
+  ``min(|a|, |b|)``, which is what
+  :func:`repro.memory.edge_iterator.edge_iterator` runs.  It has no
+  per-pair form: :func:`repro.exec.engine.run_range` hands its ranges to
+  :func:`repro.exec.block.block_range`, which resolves whole blocks of
+  edges with that charge.
 * ``merge`` — two-pointer merge; charges measured element comparisons.
 * ``gallop`` — exponential search; efficient under degree skew, the
   AOT-style alternative for ``|a| ≪ |b|``.
@@ -26,9 +23,11 @@ all returning ``(common, ops)``:
   to the merge / gallop / bitmap data path by pruned skew ratio.  See
   ``docs/kernels.md`` for the selection rule and thresholds.
 
-Kernels are stateless (forked pool workers inherit the instance and
-bind it once each); per-graph scratch state lives in the binding
-returned by ``bind()``.
+Each class satisfies :class:`repro.exec.protocols.Kernel`.  Kernels are
+stateless (forked pool workers inherit the instance and bind it once
+each); a kernel with per-graph scratch (``hash``, ``bitmap``,
+``adaptive``) keeps it in the binding ``bind()`` returns, and the two
+without (``merge``, ``gallop``) are their own binding.
 """
 
 from __future__ import annotations
@@ -41,74 +40,23 @@ from repro.exec.block import mask_cells
 from repro.util.intersect import (
     adaptive_intersect_detail,
     gallop_intersect,
-    intersect_count_ops,
-    intersect_sorted,
     merge_intersect,
 )
 
 __all__ = ["AdaptiveKernel", "BitmapKernel", "GallopKernel", "HashKernel",
-           "Kernel", "MergeKernel"]
+           "MergeKernel"]
 
 
-class Kernel:
-    """Base: a named intersection strategy.
-
-    Subclasses override :meth:`bind` (stateful kernels) or
-    :meth:`_intersect` (stateless ones).
-    """
-
-    name = "abstract"
-
-    def bind(self, num_vertices: int) -> "KernelBinding":
-        return KernelBinding(self)
-
-    def _intersect(self, a, b: np.ndarray) -> tuple[Sequence[int], int]:
-        raise NotImplementedError
-
-    def _prep(self, row: np.ndarray):
-        return row
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<Kernel {self.name}>"
-
-
-class KernelBinding:
-    """Default binding: delegate straight to the kernel's methods.
-
-    Bindings carry their kernel's ``name`` so attribution scopes can be
-    labelled from whichever object a caller holds.
-    """
-
-    def __init__(self, kernel: Kernel):
-        self._kernel = kernel
-        self.name = kernel.name
-
-    def prep(self, row: np.ndarray):
-        return self._kernel._prep(row)
-
-    def intersect(self, prepped, row: np.ndarray) -> tuple[Sequence[int], int]:
-        return self._kernel._intersect(prepped, row)
-
-    def stats(self) -> dict[str, list[int]]:
-        """Per-branch ``{branch: [pairs, ops]}`` — empty for fixed-path
-        kernels; the adaptive binding reports its selector's decisions."""
-        return {}
-
-
-class HashKernel(Kernel):
-    """Numpy intersection charged with the analytic Eq. 3 probe count."""
+class HashKernel:
+    """Block-batched intersection charged with the analytic Eq. 3 count."""
 
     name = "hash"
 
     def bind(self, num_vertices: int) -> "_HashBinding":
-        return _HashBinding(self, num_vertices)
-
-    def _intersect(self, a: np.ndarray, b: np.ndarray) -> tuple[Sequence[int], int]:
-        common = intersect_sorted(a, b)
-        return common, intersect_count_ops(len(a), len(b))
+        return _HashBinding(num_vertices)
 
 
-class _HashBinding(KernelBinding):
+class _HashBinding:
     """The ``hash`` binding: owns the :func:`repro.exec.block.block_range`
     mask, so one binding's ranges share one allocation.
 
@@ -117,8 +65,9 @@ class _HashBinding(KernelBinding):
     copy-on-write page of its parent's.
     """
 
-    def __init__(self, kernel: Kernel, num_vertices: int):
-        super().__init__(kernel)
+    name = "hash"
+
+    def __init__(self, num_vertices: int):
         self._num_vertices = num_vertices
         self._mask: np.ndarray | None = None
 
@@ -128,32 +77,49 @@ class _HashBinding(KernelBinding):
             self._mask = np.zeros(mask_cells(self._num_vertices), dtype=bool)
         return self._mask
 
+    def stats(self) -> dict[str, list[int]]:
+        return {}
 
-class MergeKernel(Kernel):
-    """Two-pointer merge over python lists; measured comparison count."""
+
+class MergeKernel:
+    """Two-pointer merge over python lists; measured comparison count.
+    Stateless, so it is its own binding."""
 
     name = "merge"
 
-    def _prep(self, row: np.ndarray) -> list[int]:
+    def bind(self, num_vertices: int) -> "MergeKernel":
+        return self
+
+    def prep(self, row: np.ndarray) -> list[int]:
         return row.tolist()
 
-    def _intersect(self, a: list[int], b: np.ndarray) -> tuple[Sequence[int], int]:
+    def intersect(self, a: list[int], b: np.ndarray) -> tuple[Sequence[int], int]:
         return merge_intersect(a, b.tolist())
 
+    def stats(self) -> dict[str, list[int]]:
+        return {}
 
-class GallopKernel(Kernel):
-    """Galloping/exponential search; measured comparison count."""
+
+class GallopKernel:
+    """Galloping/exponential search; measured comparison count.
+    Stateless, so it is its own binding."""
 
     name = "gallop"
 
-    def _prep(self, row: np.ndarray) -> list[int]:
+    def bind(self, num_vertices: int) -> "GallopKernel":
+        return self
+
+    def prep(self, row: np.ndarray) -> list[int]:
         return row.tolist()
 
-    def _intersect(self, a: list[int], b: np.ndarray) -> tuple[Sequence[int], int]:
+    def intersect(self, a: list[int], b: np.ndarray) -> tuple[Sequence[int], int]:
         return gallop_intersect(a, b.tolist())
 
+    def stats(self) -> dict[str, list[int]]:
+        return {}
 
-class BitmapKernel(Kernel):
+
+class BitmapKernel:
     """Dense bitmap probe with the analytic Eq. 3 charge.
 
     The binding owns one boolean scratch array sized to the graph; each
@@ -165,7 +131,7 @@ class BitmapKernel(Kernel):
 
     name = "bitmap"
 
-    def bind(self, num_vertices: int) -> "KernelBinding":
+    def bind(self, num_vertices: int) -> "_BitmapBinding":
         return _BitmapBinding(num_vertices)
 
 
@@ -192,7 +158,7 @@ class _BitmapBinding:
         return {}
 
 
-class AdaptiveKernel(Kernel):
+class AdaptiveKernel:
     """Range-pruned per-pair strategy selection (AOT-style).
 
     Every pair is first range-pruned (each list restricted to the
@@ -209,7 +175,7 @@ class AdaptiveKernel(Kernel):
 
     name = "adaptive"
 
-    def bind(self, num_vertices: int) -> "KernelBinding":
+    def bind(self, num_vertices: int) -> "_AdaptiveBinding":
         return _AdaptiveBinding(num_vertices)
 
 

@@ -74,7 +74,12 @@ class Kernel(Protocol):
 
 
 class KernelBinding(Protocol):
-    """Kernel state bound to one graph; drives the inner loop."""
+    """Kernel state bound to one graph; drives the inner loop.
+
+    The ``hash`` binding has ``mask()`` in place of ``prep`` /
+    ``intersect``: :func:`repro.exec.engine.run_range` hands its ranges
+    to :func:`repro.exec.block.block_range`.
+    """
 
     name: str
 

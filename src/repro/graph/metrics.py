@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.exec.block import block_range
 from repro.graph.graph import Graph
 from repro.util.intersect import intersect_sorted
 
@@ -24,20 +25,17 @@ __all__ = [
 def per_vertex_triangles(graph: Graph) -> np.ndarray:
     """Number of triangles each vertex participates in.
 
-    Computed by intersecting adjacency lists along each edge (u < v) and
-    crediting u, v, and every common neighbor w.
+    One EdgeIterator≻ pass (:func:`repro.exec.block.block_range`) lists
+    every triangle once, as a completion ``w`` of its group ``<u, v,
+    {w…}>``; each completion credits ``u``, ``v`` and ``w``.
     """
-    counts = np.zeros(graph.num_vertices, dtype=np.int64)
-    for u in range(graph.num_vertices):
-        row_u = graph.n_succ(u)
-        for v in row_u:
-            v = int(v)
-            common = intersect_sorted(row_u, graph.n_succ(v))
-            if len(common):
-                counts[u] += len(common)
-                counts[v] += len(common)
-                counts[common] += 1
-    return counts
+    n = graph.num_vertices
+    _, _, groups = block_range(graph.indptr, graph.indices,
+                               graph.succ_start, 0, n, collect=True)
+    return np.bincount(np.concatenate((groups.us.repeat(groups.counts),
+                                       groups.vs.repeat(groups.counts),
+                                       groups.ws)),
+                       minlength=n).astype(np.int64, copy=False)
 
 
 def clustering_coefficients(graph: Graph) -> np.ndarray:

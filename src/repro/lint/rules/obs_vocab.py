@@ -13,8 +13,8 @@ This rule resolves the first argument of every
 ``tracer.instant/complete/slice(...)`` call — string literals directly,
 module-level ``NAME = "literal"`` aliases through the constant table —
 and requires the name to appear in :mod:`repro.obs.vocab`.  Dynamic
-names (f-strings, parameters) are skipped: they are the registry's
-``strict_vocab`` runtime check's job.
+names (f-strings, parameters) are skipped; a recorded trace's event
+names are checked by ``validate_chrome_trace(known_names_only=True)``.
 """
 
 from __future__ import annotations

@@ -6,38 +6,24 @@ ordering constraint lists each triangle exactly once.  With the hash cost
 model, one edge costs ``min(|n_succ(u)|, |n_succ(v)|)`` operations and the
 total is ``O(alpha * |E|)`` (Eq. 2-5).
 
-This function is now a façade over the composition layer: it runs
-``compose(memory, <kernel>, serial)`` from :mod:`repro.exec`, which
-executes the identical loop with the identical operation accounting.
-The scenario matrix cross-checks the composed cell against every other
-source/executor pairing, so the façade stays honest by construction.
+This function is a façade over the composition layer: it runs
+``compose("memory", "hash", "serial")`` from :mod:`repro.exec`, the
+block-batched loop of :func:`repro.exec.block.block_range`.  A caller
+that wants another intersection kernel composes its cell directly,
+e.g. ``compose("memory", "merge", "serial", graph=g).run()``.
 """
 
 from __future__ import annotations
 
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult
-from repro.util.intersect import IntersectionKernel
 
 __all__ = ["edge_iterator"]
-
-#: Historical kernel selector -> exec registry kernel name.  NUMPY and
-#: HASH share the Eq. 3 analytic charge ``min(|a|, |b|)``; the exec
-#: ``hash`` kernel is the vectorized fast path that charges it.
-_KERNEL_NAMES = {
-    IntersectionKernel.NUMPY: "hash",
-    IntersectionKernel.HASH: "hash",
-    IntersectionKernel.MERGE: "merge",
-    IntersectionKernel.GALLOP: "gallop",
-    IntersectionKernel.ADAPTIVE: "adaptive",
-}
 
 
 def edge_iterator(
     graph: Graph,
     sink: TriangleSink | None = None,
-    *,
-    kernel: IntersectionKernel | str = IntersectionKernel.NUMPY,
 ) -> TriangulationResult:
     """List all triangles of *graph* with EdgeIterator≻.
 
@@ -46,24 +32,15 @@ def edge_iterator(
     graph:
         The (already relabeled, if desired) input graph.
     sink:
-        Optional receiver of nested ``<u, v, {w...}>`` groups; defaults to
-        a counting sink.
-    kernel:
-        Intersection strategy.  The default numpy kernel charges the
-        paper's analytic probe count; the reference kernels (merge, hash,
-        gallop) charge their own measured operation counts — used by the
-        kernel ablation benchmark.
+        Optional receiver of nested ``<u, v, {w...}>`` groups; without
+        one the run counts only and builds no group.
 
-    Returns the triangle count and the CPU op count.
+    Returns the triangle count and the CPU op count, the paper's
+    analytic probe count.
     """
     from repro.exec.engine import compose
 
-    kernel = IntersectionKernel(kernel)
-    engine = compose("memory", _KERNEL_NAMES[kernel], "serial", graph=graph)
-    # No sink: run in count-only mode (no group materialization), the
-    # historical default-CountSink behavior.
-    result = engine.run(sink)
-    # Preserve the historical result shape: a pure in-memory run reports
-    # triangles and CPU ops only.
+    result = compose("memory", "hash", "serial", graph=graph).run(sink)
+    # A pure in-memory run reports triangles and CPU ops only.
     return TriangulationResult(triangles=result.triangles,
                                cpu_ops=result.cpu_ops)

@@ -59,7 +59,6 @@ from repro.obs.vocab import (
     METRIC_NAMES,
     TRACE_EVENT_NAMES,
     WORK_EVENTS,
-    is_metric_name,
     is_trace_event_name,
 )
 
@@ -69,7 +68,6 @@ __all__ = [
     "NO_CONTEXT",
     "TRACE_EVENT_NAMES",
     "WORK_EVENTS",
-    "is_metric_name",
     "is_trace_event_name",
     "Attribution",
     "AttributionScope",

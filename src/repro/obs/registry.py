@@ -18,8 +18,6 @@ from __future__ import annotations
 import threading
 from typing import Iterable, Mapping
 
-from repro.obs.vocab import is_metric_name
-
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry"]
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -239,24 +237,15 @@ class Histogram(_Instrument):
 class MetricsRegistry:
     """Interning factory and snapshot point for all instruments.
 
-    ``strict_vocab=True`` rejects metric names outside the canonical
-    vocabulary (:data:`repro.obs.vocab.METRIC_NAMES`) at interning time;
-    the default stays permissive so tests and ad-hoc scripts can use
-    scratch names.  The static ``obs-vocab`` lint rule enforces the same
-    contract on the library's own call sites at CI time.
+    Any name interns; the static ``obs-vocab`` lint rule checks the
+    library's own call sites against :data:`repro.obs.vocab.METRIC_NAMES`.
     """
 
-    def __init__(self, *, strict_vocab: bool = False) -> None:
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._metrics: dict[tuple[str, str, LabelKey], _Instrument] = {}
-        self.strict_vocab = strict_vocab
 
     def _get(self, cls, name: str, labels: Mapping[str, object]):
-        if self.strict_vocab and not is_metric_name(name):
-            raise ValueError(
-                f"metric name {name!r} is not in the canonical vocabulary "
-                f"(repro.obs.vocab.METRIC_NAMES)"
-            )
         key = (cls.kind, name, _label_key(labels))
         with self._lock:
             metric = self._metrics.get(key)
@@ -340,21 +329,3 @@ class MetricsRegistry:
         for key, summary in snapshot.get("histograms", {}).items():
             name, labels = _parse_key(key)
             self.histogram(name, **labels).merge_summary(summary)
-
-    def merge(self, other: "MetricsRegistry") -> None:
-        """Fold *other*'s counters and gauges into this registry.
-
-        Counters add; gauges take the other's latest value; histograms
-        are merged by re-observing the retained samples.
-        """
-        for metric in other.instruments():
-            if isinstance(metric, Counter):
-                self.counter(metric.name, **metric.labels).inc(metric.value)
-            elif isinstance(metric, Gauge):
-                self.gauge(metric.name, **metric.labels).set(metric.value)
-            elif isinstance(metric, Histogram):
-                mine = self.histogram(metric.name, **metric.labels)
-                with metric._lock:
-                    samples = list(metric._samples)
-                for sample in samples:
-                    mine.observe(sample)

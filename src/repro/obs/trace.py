@@ -132,13 +132,11 @@ class EventTracer:
     guard and pays nothing when tracing is off.
     """
 
-    def __init__(self, *, clock: str = "wall", enabled: bool = True,
-                 strict_vocab: bool = False):
+    def __init__(self, *, clock: str = "wall", enabled: bool = True):
         if clock not in ("wall", "sim"):
             raise ValueError(f"clock must be 'wall' or 'sim', got {clock!r}")
         self.clock = clock
         self.enabled = enabled
-        self.strict_vocab = strict_vocab
         self._epoch = time.perf_counter()
         self._lock = threading.Lock()
         self._events: list[TraceEvent] = []
@@ -159,11 +157,6 @@ class EventTracer:
                 track: str | None, args: dict) -> None:
         if not self.enabled:
             return
-        if self.strict_vocab and not is_trace_event_name(name):
-            raise ValueError(
-                f"event name {name!r} is not in the canonical vocabulary "
-                f"(repro.obs.vocab.TRACE_EVENT_NAMES)"
-            )
         if ts is None:
             if self.clock == "sim":
                 return  # wall-clocked call site on a simulated timeline

@@ -15,15 +15,12 @@ the ``obs-vocab`` rule of :mod:`repro.lint` statically checks every
 these sets, so a typo'd or ad-hoc name fails CI instead of silently
 forking the vocabulary.
 
-Consumers:
+Consumers — the only two vocabulary checks:
 
-* :class:`repro.obs.MetricsRegistry` — optional ``strict_vocab`` mode
-  rejects unknown metric names at interning time;
-* :class:`repro.obs.EventTracer` — optional ``strict_vocab`` mode
-  rejects unknown event names at record time;
+* :mod:`repro.lint.rules.obs_vocab` — the static conformance rule over
+  every literal metric and event name;
 * :func:`repro.obs.validate_chrome_trace` — ``known_names_only=True``
-  reports unknown event names as schema errors;
-* :mod:`repro.lint.rules.obs_vocab` — the static conformance rule.
+  reports unknown event names in a recorded trace as schema errors.
 
 Like the rest of :mod:`repro.obs`, nothing here imports anything outside
 the standard library.
@@ -36,7 +33,6 @@ __all__ = [
     "METRIC_NAMES",
     "TRACE_EVENT_NAMES",
     "WORK_EVENTS",
-    "is_metric_name",
     "is_trace_event_name",
 ]
 
@@ -143,11 +139,6 @@ WORK_EVENTS = frozenset(
 
 #: Event names whose intervals count as *external* CPU (micro overlap).
 EXTERNAL_CPU_EVENTS = frozenset({"external", "read.callback"})
-
-
-def is_metric_name(name: str) -> bool:
-    """True when *name* is in the canonical metric vocabulary."""
-    return name in METRIC_NAMES
 
 
 def is_trace_event_name(name: str) -> bool:

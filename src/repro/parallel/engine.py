@@ -57,9 +57,10 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from repro.errors import ConfigurationError, ParallelError
-from repro.exec.block import GroupBlock, block_range
+from repro.exec.block import NO_GROUPS, GroupBlock, block_range
 from repro.exec.engine import EngineOutcome, run_range
-from repro.exec.kernels import HashKernel, Kernel
+from repro.exec.kernels import HashKernel
+from repro.exec.protocols import Kernel
 from repro.exec.sources import MemorySource, SharedMemorySource
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult, emit_block
@@ -138,6 +139,8 @@ class ParallelResult:
     #: ``chunk_index -> worker_id`` that actually executed it.
     executed_by: tuple[int, ...]
     steals: int
+    #: The workers' reports, their chunk rows stripped of groups (the
+    #: fold has emitted those).
     worker_reports: tuple[WorkerReport, ...]
 
 
@@ -584,6 +587,9 @@ def _pool(
     branches: dict[str, list[int]] = {}
     steals = 0
     for report in reports:
+        # The groups live on in the outcome's blocks only: the retained
+        # report keeps each chunk's index and figures.
+        report.results = [(*row[:5], NO_GROUPS) for row in report.results]
         for branch, (pairs, ops) in report.branches.items():
             cell = branches.setdefault(branch, [0, 0])
             cell[0] += int(pairs)

@@ -1,9 +1,7 @@
 """Shared utilities: intersection kernels, ragged arrays, formatting."""
 
 from repro.util.intersect import (
-    IntersectionKernel,
     gallop_intersect,
-    hash_intersect,
     intersect_count_ops,
     intersect_sorted,
     merge_intersect,
@@ -11,10 +9,8 @@ from repro.util.intersect import (
 from repro.util.tables import format_table
 
 __all__ = [
-    "IntersectionKernel",
     "format_table",
     "gallop_intersect",
-    "hash_intersect",
     "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",

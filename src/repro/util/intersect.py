@@ -8,14 +8,14 @@ to ``numpy.intersect1d`` and *charges* the analytic probe count via
 :func:`intersect_count_ops` — this keeps the Python implementation fast
 while the cost model matches the paper exactly.
 
-Three reference kernels (merge, hash, gallop) are provided for the kernel
-ablation benchmark and as executable specifications; they return their own
-measured operation counts.
+Two reference kernels (merge, gallop) back the ``merge`` and ``gallop``
+kernels of :mod:`repro.exec.kernels`; they return their own measured
+operation counts.  :func:`adaptive_intersect_detail` is the ``adaptive``
+kernel's per-pair body.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -23,11 +23,8 @@ import numpy as np
 __all__ = [
     "ADAPTIVE_BITMAP_SKEW",
     "ADAPTIVE_GALLOP_SKEW",
-    "IntersectionKernel",
-    "adaptive_intersect",
     "adaptive_intersect_detail",
     "gallop_intersect",
-    "hash_intersect",
     "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",
@@ -40,16 +37,6 @@ __all__ = [
 #: observation that VertexIterator≻ runs ~20% slower than EdgeIterator≻
 #: despite equal asymptotic complexity (Section 5.3).
 HASH_PROBE_COST = 2
-
-
-class IntersectionKernel(str, Enum):
-    """Selectable intersection strategies for the ablation study."""
-
-    NUMPY = "numpy"
-    MERGE = "merge"
-    HASH = "hash"
-    GALLOP = "gallop"
-    ADAPTIVE = "adaptive"
 
 
 def intersect_count_ops(len_a: int, len_b: int) -> int:
@@ -91,20 +78,6 @@ def merge_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]
         else:
             j += 1
     return result, ops
-
-
-def hash_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
-    """Hash-probe intersection: probe the shorter list into the longer set.
-
-    Returns ``(result, ops)`` where ``ops`` counts hash probes — this is
-    exactly ``min(|a|, |b|)``, the paper's cost measure.  The result is
-    sorted (inputs are sorted, and we scan the shorter input in order).
-    """
-    if len(a) > len(b):
-        a, b = b, a
-    lookup = set(b)
-    result = [x for x in a if x in lookup]
-    return result, len(a)
 
 
 def gallop_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
@@ -216,9 +189,3 @@ def adaptive_intersect_detail(
         return common, ops, "bitmap"
     return np.intersect1d(shorter, longer, assume_unique=True), ops, "merge"
 
-
-def adaptive_intersect(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], int]:
-    """Reference-kernel shape for the adaptive strategy: ``(result, ops)``."""
-    common, ops, _branch = adaptive_intersect_detail(
-        np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-    return common.tolist(), ops

@@ -17,6 +17,19 @@ from repro.distributed import (
 )
 from repro.errors import ConfigurationError
 from repro.memory import edge_iterator
+from tests import zoo
+
+
+def reference_partition_ops(graph, placement, parts):
+    """The per-edge form of :func:`per_partition_ops`: each oriented
+    edge ``(u, v)`` charges ``min(|n_succ(u)|, |n_succ(v)|)`` to
+    ``placement[u]``."""
+    ops = np.zeros(parts, dtype=np.int64)
+    for u in range(graph.num_vertices):
+        succ_u = graph.n_succ(u)
+        for v in succ_u:
+            ops[placement[u]] += min(len(succ_u), len(graph.n_succ(int(v))))
+    return ops
 
 
 class TestPartitioning:
@@ -48,6 +61,21 @@ class TestPartitioning:
         placement = hash_partition(small_rmat.num_vertices, 5)
         ops = per_partition_ops(small_rmat, placement, 5)
         assert int(ops.sum()) == edge_iterator(small_rmat).cpu_ops
+
+    @pytest.mark.parametrize("parts", [1, 5, 31])
+    def test_per_partition_ops_match_the_per_edge_bill(self, small_rmat, parts):
+        placement = hash_partition(small_rmat.num_vertices, parts)
+        ops = per_partition_ops(small_rmat, placement, parts)
+        assert ops.dtype == np.int64
+        assert np.array_equal(
+            ops, reference_partition_ops(small_rmat, placement, parts))
+
+    @pytest.mark.parametrize("name", zoo.zoo_names())
+    def test_per_partition_ops_on_the_zoo(self, graph_zoo, name):
+        graph = graph_zoo(name)
+        placement = hash_partition(graph.num_vertices, 5, seed=3)
+        assert np.array_equal(per_partition_ops(graph, placement, 5),
+                              reference_partition_ops(graph, placement, 5))
 
     def test_replication_factor_bounds(self, small_rmat):
         replication = vertex_cut_replication(small_rmat, 8)

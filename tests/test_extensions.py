@@ -1,4 +1,4 @@
-"""Tests for the library extensions: compact-forward, kernels."""
+"""Tests for the library extensions: compact-forward, the kernel axis."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec import compose
+from repro.exec.registry import KERNELS
 from repro.graph.builder import from_edges
 from repro.memory import (
     CollectSink,
@@ -13,7 +15,6 @@ from repro.memory import (
     compact_forward,
     edge_iterator,
 )
-from repro.util.intersect import IntersectionKernel
 from tests.conftest import nx_triangle_count
 
 
@@ -33,7 +34,8 @@ class TestCompactForward:
 
     def test_counts_merge_steps(self, small_rmat_ordered):
         result = compact_forward(small_rmat_ordered)
-        merge = edge_iterator(small_rmat_ordered, kernel="merge")
+        merge = compose("memory", "merge", "serial",
+                        graph=small_rmat_ordered).run()
         # Truncated merges can never cost more than full succ-list merges.
         assert 0 < result.cpu_ops <= merge.cpu_ops
 
@@ -45,20 +47,27 @@ class TestCompactForward:
 
 
 class TestKernelParameter:
-    @pytest.mark.parametrize("kernel", list(IntersectionKernel))
+    """Every kernel of the registry, composed in memory, against the
+    ``edge_iterator`` façade."""
+
+    @pytest.mark.parametrize("kernel", list(KERNELS))
     def test_all_kernels_agree(self, small_rmat_ordered, kernel):
         expected = edge_iterator(small_rmat_ordered).triangles
-        assert edge_iterator(small_rmat_ordered, kernel=kernel).triangles == expected
+        composed = compose("memory", kernel, "serial", graph=small_rmat_ordered)
+        assert composed.run().triangles == expected
 
     def test_kernel_listing_identical(self, clustered_graph):
         reference = CollectSink()
         edge_iterator(clustered_graph, reference)
-        for kernel in IntersectionKernel:
+        for kernel in KERNELS:
             sink = CollectSink()
-            edge_iterator(clustered_graph, sink, kernel=kernel)
+            compose("memory", kernel, "serial", graph=clustered_graph).run(sink)
             assert canonical_triangles(sink) == canonical_triangles(reference)
 
     def test_hash_kernel_matches_analytic_ops(self, small_rmat_ordered):
-        analytic = edge_iterator(small_rmat_ordered).cpu_ops
-        hashed = edge_iterator(small_rmat_ordered, kernel="hash").cpu_ops
-        assert hashed == analytic
+        graph = small_rmat_ordered
+        succ_len = [len(graph.n_succ(u)) for u in range(graph.num_vertices)]
+        analytic = sum(min(succ_len[u], succ_len[int(v)])
+                       for u in range(graph.num_vertices)
+                       for v in graph.n_succ(u))
+        assert edge_iterator(graph).cpu_ops == analytic

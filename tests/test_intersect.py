@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.util.intersect import (
     ADAPTIVE_BITMAP_SKEW,
     ADAPTIVE_GALLOP_SKEW,
-    adaptive_intersect,
     adaptive_intersect_detail,
     gallop_intersect,
-    hash_intersect,
     intersect_count_ops,
     intersect_sorted,
     merge_intersect,
@@ -51,19 +49,29 @@ class TestOpsAccounting:
         assert intersect_count_ops(0, 5) == 0
 
     def test_hash_ops_match_paper_measure(self):
-        result, ops = hash_intersect([1, 2, 3], list(range(100)))
-        assert result == [1, 2, 3]
-        assert ops == 3  # min(|a|, |b|)
+        from repro.exec import compose
+        from repro.graph.builder import from_edges
+
+        # A 4-clique {0, 1, 2, 3} with a 100-vertex fan on vertex 3: the
+        # edge (0, 3) costs min(|n_succ(0)|, |n_succ(3)|) = 3, not 100.
+        graph = from_edges([(0, v) for v in (1, 2, 3)]
+                           + [(1, 2), (1, 3), (2, 3)]
+                           + [(3, w) for w in range(4, 104)])
+        result = compose("memory", "hash", "serial", graph=graph).run()
+        assert result.triangles == 4
+        # (0,1): min(3, 2); (0,2): min(3, 1); (0,3): min(3, 100);
+        # (1,2): min(2, 1); (1,3): min(2, 100); (2,3): min(1, 100).
+        assert result.cpu_ops == 2 + 1 + 3 + 1 + 2 + 1
 
 
 class TestReferenceKernels:
-    @pytest.mark.parametrize("kernel", [merge_intersect, hash_intersect, gallop_intersect])
+    @pytest.mark.parametrize("kernel", [merge_intersect, gallop_intersect])
     def test_known_case(self, kernel):
         result, ops = kernel([1, 4, 6, 9], [2, 4, 9, 12])
         assert result == [4, 9]
         assert ops > 0
 
-    @pytest.mark.parametrize("kernel", [merge_intersect, hash_intersect, gallop_intersect])
+    @pytest.mark.parametrize("kernel", [merge_intersect, gallop_intersect])
     def test_empty(self, kernel):
         result, _ = kernel([], [1, 2])
         assert result == []
@@ -71,10 +79,12 @@ class TestReferenceKernels:
     @given(sorted_unique, sorted_unique)
     def test_kernels_agree(self, a, b):
         expected = sorted(set(a) & set(b))
-        for kernel in (merge_intersect, hash_intersect, gallop_intersect,
-                       adaptive_intersect):
+        for kernel in (merge_intersect, gallop_intersect):
             result, _ = kernel(a, b)
             assert result == expected
+        common, _ops, _branch = adaptive_intersect_detail(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
+        assert common.tolist() == expected
 
     @given(sorted_unique, sorted_unique)
     def test_numpy_kernel_agrees(self, a, b):
@@ -141,7 +151,8 @@ class TestAdaptiveEdgeCases:
 
     @given(sorted_unique, sorted_unique)
     def test_charge_never_exceeds_the_hash_min(self, a, b):
-        _common, ops = adaptive_intersect(a, b)
+        _common, ops, _branch = adaptive_intersect_detail(
+            np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
         assert ops <= intersect_count_ops(len(a), len(b))
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.graph import generators
+from repro.graph.builder import GraphBuilder, from_edges
 from repro.graph.metrics import (
     clustering_coefficients,
     global_clustering_coefficient,
@@ -13,6 +14,8 @@ from repro.graph.metrics import (
     transitivity,
     trigonal_connectivity,
 )
+from repro.verify import oracle_triangles
+from tests import zoo
 
 
 def _nx_graph(graph):
@@ -36,6 +39,34 @@ class TestPerVertexTriangles:
         expected = nx.triangles(_nx_graph(clustered_graph))
         counts = per_vertex_triangles(clustered_graph)
         assert all(counts[v] == expected[v] for v in range(clustered_graph.num_vertices))
+
+
+def oracle_per_vertex(graph):
+    """Each vertex's triangles, counted from the brute-force listing."""
+    counts = np.zeros(graph.num_vertices, dtype=np.int64)
+    for triangle in oracle_triangles(graph):
+        counts[list(triangle)] += 1
+    return counts
+
+
+class TestPerVertexOracle:
+    @pytest.mark.parametrize("name", zoo.zoo_names())
+    def test_zoo_matches_oracle(self, graph_zoo, name):
+        graph = graph_zoo(name)
+        counts = per_vertex_triangles(graph)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, oracle_per_vertex(graph))
+
+    def test_empty_graph(self):
+        counts = per_vertex_triangles(GraphBuilder(0).build())
+        assert counts.dtype == np.int64 and len(counts) == 0
+
+    def test_isolated_vertices_count_zero(self):
+        # Two triangles sharing vertex 2, and vertices 5-9 untouched.
+        graph = from_edges([(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)],
+                           num_vertices=10)
+        assert per_vertex_triangles(graph).tolist() == [
+            1, 1, 2, 1, 1, 0, 0, 0, 0, 0]
 
 
 class TestClustering:

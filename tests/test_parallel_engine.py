@@ -240,6 +240,20 @@ class TestWorkQueue:
                              for row in report.results)
             assert claimed == list(range(planned))
 
+    def test_reports_keep_no_groups_after_the_fold(self, zoo):
+        """The sink holds the groups; the retained reports keep each
+        chunk's index and figures only."""
+        sink = CollectSink()
+        result = triangulate_parallel(zoo["clustered"], workers=2, sink=sink)
+        assert sink.count == result.triangles > 0
+        parallel = result.extra["parallel"]
+        rows = [row for report in parallel.worker_reports
+                for row in report.results]
+        assert sorted(row[0] for row in rows) == list(
+            range(len(parallel.chunk_bounds)))
+        assert sum(array.nbytes for row in rows for array in (
+            row[5].us, row[5].vs, row[5].counts, row[5].ws)) == 0
+
     def test_steals_counted_against_round_robin_share(self, zoo):
         result = triangulate_parallel(zoo["clustered"], workers=2, chunks=8)
         parallel = result.extra["parallel"]
