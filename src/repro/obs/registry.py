@@ -34,19 +34,6 @@ def _format_key(name: str, labels: LabelKey) -> str:
     return f"{name}{{{inner}}}"
 
 
-def _parse_key(key: str) -> tuple[str, dict[str, str]]:
-    """Invert :func:`_format_key`: ``"a{k=v,l=w}"`` → ``("a", {...})``."""
-    if not key.endswith("}") or "{" not in key:
-        return key, {}
-    name, _, inner = key[:-1].partition("{")
-    labels: dict[str, str] = {}
-    for pair in inner.split(","):
-        if pair:
-            label, _, value = pair.partition("=")
-            labels[label] = value
-    return name, labels
-
-
 class _Instrument:
     """Common identity of every metric: name, labels, shared lock."""
 
@@ -172,15 +159,8 @@ class Histogram(_Instrument):
         rank = min(len(samples) - 1, max(0, round(q / 100 * (len(samples) - 1))))
         return samples[rank]
 
-    def summary(self, *, samples: bool = False) -> dict:
-        """Streaming statistics plus nearest-rank percentiles.
-
-        With ``samples=True`` the retained reservoir is included under a
-        ``"samples"`` key, which makes the summary *mergeable*: a peer
-        registry can fold it in through :meth:`merge_summary` without
-        losing percentile fidelity (up to the reservoir cap).  The
-        default stays compact for run-report serialization.
-        """
+    def summary(self) -> dict:
+        """Streaming statistics plus nearest-rank percentiles."""
         with self._lock:
             retained = sorted(self._samples)
             out = {
@@ -190,8 +170,6 @@ class Histogram(_Instrument):
                 "max": self._max,
                 "mean": self._sum / self._count if self._count else 0.0,
             }
-            if samples:
-                out["samples"] = list(self._samples)
         for q in (50, 90, 95, 99):
             if retained:
                 rank = min(len(retained) - 1,
@@ -200,39 +178,6 @@ class Histogram(_Instrument):
             else:
                 out[f"p{q}"] = 0.0
         return out
-
-    def merge_summary(self, summary: Mapping) -> None:
-        """Fold a serialized :meth:`summary` into this histogram.
-
-        ``count`` / ``sum`` / ``min`` / ``max`` merge exactly.  Percentile
-        fidelity needs the summary's ``"samples"`` reservoir (produced by
-        ``summary(samples=True)``): the retained observations are pooled
-        into this histogram's reservoir, bounded by ``max_samples``, so
-        the merged percentiles equal the pooled-sample percentiles
-        whenever the pooled total fits the cap.  A summary *without*
-        samples still merges its exact aggregates, but contributes
-        nothing to the percentile reservoir — the merged p50/p99 then
-        describe only the observations that did ship samples.
-        """
-        count = int(summary.get("count", 0))
-        if count <= 0:
-            return
-        lo = summary.get("min")
-        hi = summary.get("max")
-        with self._lock:
-            self._count += count
-            self._sum += float(summary.get("sum", 0.0))
-            if lo is not None:
-                lo = float(lo)
-                self._min = lo if self._min is None else min(self._min, lo)
-            if hi is not None:
-                hi = float(hi)
-                self._max = hi if self._max is None else max(self._max, hi)
-            for value in summary.get("samples", ()):
-                if len(self._samples) >= self.max_samples:
-                    break
-                self._samples.append(float(value))
-
 
 class MetricsRegistry:
     """Interning factory and snapshot point for all instruments.
@@ -282,15 +227,8 @@ class MetricsRegistry:
         with self._lock:
             return list(self._metrics.values())
 
-    def snapshot(self, *, histogram_samples: bool = False) -> dict:
-        """Plain-dict export: ``{counters: {key: value}, gauges: ...}``.
-
-        ``histogram_samples=True`` ships each histogram's retained
-        reservoir alongside its summary so the snapshot is mergeable
-        with percentile fidelity (see :meth:`merge_snapshot`); the
-        process-parallel workers use this mode, run-report serialization
-        keeps the compact default.
-        """
+    def snapshot(self) -> dict:
+        """Plain-dict export: ``{counters: {key: value}, gauges: ...}``."""
         counters: dict[str, int] = {}
         gauges: dict[str, float] = {}
         histograms: dict[str, dict] = {}
@@ -300,32 +238,6 @@ class MetricsRegistry:
             elif isinstance(metric, Gauge):
                 gauges[metric.key] = metric.value
             elif isinstance(metric, Histogram):
-                histograms[metric.key] = metric.summary(
-                    samples=histogram_samples)
+                histograms[metric.key] = metric.summary()
         return {"counters": counters, "gauges": gauges,
                 "histograms": histograms}
-
-    def merge_snapshot(self, snapshot: Mapping) -> None:
-        """Fold a serialized :meth:`snapshot` into this registry.
-
-        The process-parallel engine ships worker metrics across process
-        boundaries as plain snapshot dicts (a live registry holds a
-        lock, which does not pickle).  Counters add, gauges take the
-        snapshot's value.  Histograms merge through
-        :meth:`Histogram.merge_summary`: exact ``count``/``sum``/
-        ``min``/``max`` always, and full percentile fidelity when the
-        snapshot was taken with ``histogram_samples=True`` (the merged
-        p99 then equals the p99 of the pooled samples, up to the
-        reservoir cap — the regression tests in ``tests/test_obs.py``
-        pin exactly this).  A sample-free snapshot merges aggregates
-        only; its observations are invisible to merged percentiles.
-        """
-        for key, value in snapshot.get("counters", {}).items():
-            name, labels = _parse_key(key)
-            self.counter(name, **labels).inc(int(value))
-        for key, value in snapshot.get("gauges", {}).items():
-            name, labels = _parse_key(key)
-            self.gauge(name, **labels).set(float(value))
-        for key, summary in snapshot.get("histograms", {}).items():
-            name, labels = _parse_key(key)
-            self.histogram(name, **labels).merge_summary(summary)

@@ -95,7 +95,6 @@ METRIC_NAMES = frozenset({
     "parallel.steals",
     "parallel.workers",
     "parallel.heartbeats",
-    "parallel.straggler",
     "parallel.chunk.elapsed",
     # run headline figures
     "run.elapsed_wall",
@@ -126,7 +125,6 @@ TRACE_EVENT_NAMES = frozenset({
     "parallel.steal",
     "parallel.merge",
     "parallel.heartbeat",
-    "parallel.straggler",
 })
 
 #: Event names that represent actual work for utilization purposes

@@ -17,15 +17,17 @@ Section 3.4 of the paper):
    threads;
 3. each worker binds the kernel once (the binding keeps the ``hash``
    mask across the worker's chunks) and runs
-   :func:`repro.exec.engine.run_range` per chunk, accumulating its own
-   :class:`MetricsRegistry` counters and :class:`EventTracer` slices on
-   a private ``parallel/w<id>`` track;
+   :func:`repro.exec.engine.run_range` per chunk, shipping one row per
+   chunk: its index, range, triangles, ops, groups and its start and
+   end on the caller's ``perf_counter`` clock;
 4. the caller folds, once the segment is released: triangle groups
    emitted to the sink chunk by chunk, in chunk order (so output is
    identical for every worker count), kernel branch tallies summed,
-   attribution and metric snapshots merged into the run's tables,
-   worker trace events translated onto the caller's tracer timeline.
-   The caller's own rows never cross a pipe.
+   attribution snapshots merged into the run's table, and every
+   ``parallel.*`` counter, chunk-time observation and trace event
+   derived from the rows, worker by worker in claim order, onto a
+   ``parallel/w<id>`` track per worker.  The caller's own rows never
+   cross a pipe.
 
 Steps 1–4 are :func:`_pool`, of which steps 2–3 are :func:`run_chunks`,
 the only place in ``src/`` that forks.  :func:`triangulate_parallel` and
@@ -33,7 +35,7 @@ the only place in ``src/`` that forks.  :func:`triangulate_parallel` and
 :func:`_pool`, so they share the plan, the pool and the fold.  Each
 child writes its heartbeats and then its report to one pipe that only
 it writes.  Between its chunks the caller takes one non-blocking look
-at the children (heartbeats, straggler and silence checks); once the
+at the children (heartbeats and the silence check); once the
 plan is spent it waits on their pipes and exits for the reports.  A
 worker that dies without reporting (SIGKILL, OOM-kill) ends its pipe,
 which the caller sees at once, and raises :class:`ParallelError`
@@ -65,8 +67,6 @@ from repro.exec.sources import MemorySource, SharedMemorySource
 from repro.graph.graph import Graph
 from repro.memory.base import TriangleSink, TriangulationResult, emit_block
 from repro.obs.context import NO_CONTEXT, RunContext
-from repro.obs.registry import MetricsRegistry
-from repro.obs.trace import EventTracer, TraceEvent
 from repro.parallel.chunks import default_chunk_count, plan_chunks
 from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor, StragglerPolicy
 from repro.parallel.shm import SharedCSR
@@ -79,10 +79,11 @@ __all__ = [
     "triangulate_parallel",
 ]
 
-#: ``(chunk_index, lo, hi, triangles, ops, groups)`` for one executed
-#: chunk; the groups cross a worker's pipe as the kernel built them,
-#: four arrays per chunk.
-ChunkRow = tuple[int, int, int, int, int, GroupBlock]
+#: ``(chunk_index, lo, hi, triangles, ops, groups, start, end)`` for one
+#: executed chunk; the groups cross a worker's pipe as the kernel built
+#: them, four arrays per chunk, and ``start`` / ``end`` are seconds since
+#: the run anchor.
+ChunkRow = tuple[int, int, int, int, int, GroupBlock, float, float]
 
 
 def count_chunk(
@@ -119,9 +120,8 @@ class WorkerReport:
     data and arrays only."""
 
     worker_id: int
+    #: The worker's chunk rows, in claim order.
     results: list[ChunkRow] = field(default_factory=list)
-    snapshot: dict = field(default_factory=dict)
-    events: list[TraceEvent] = field(default_factory=list)
     #: Serialized :class:`~repro.obs.attribution.Attribution` snapshot
     #: (deterministic form), or ``None`` when attribution was off.
     attribution: dict | None = None
@@ -149,14 +149,13 @@ def _execute_chunks(
     kernel: Kernel,
     tasks: Iterable[tuple[int, int, int]],
     worker_id: int,
-    num_workers: int,
     collect: bool,
     anchor: float,
     coordinate: tuple[str, str, str] | None = None,
     publish: Callable[[Heartbeat], None] | None = None,
     chunk_delay: float = 0.0,
 ) -> WorkerReport:
-    """Run *tasks* (``(index, lo, hi)``) and record obs locally.
+    """Run *tasks* (``(index, lo, hi)``) and ship one row per chunk.
 
     Binds *kernel* once, then calls :func:`repro.exec.engine.run_range`
     per chunk: the binding's scratch (the ``hash`` mask) is allocated by
@@ -165,16 +164,17 @@ def _execute_chunks(
 
     Every pool worker runs this: the caller as ``w0`` over the task list
     or its claims from the shared cursor, a forked worker over its
-    claims.  Timestamps are seconds since *anchor* (a caller-side
-    ``perf_counter`` reading), so merged events land on the caller's
-    timeline without clock negotiation — ``perf_counter`` is one
-    system-wide monotonic clock on Linux.
+    claims.  A row's ``start`` / ``end`` are seconds since *anchor* (a
+    caller-side ``perf_counter`` reading), so the events the fold
+    derives from them land on the caller's timeline without clock
+    negotiation — ``perf_counter`` is one system-wide monotonic clock on
+    Linux.
 
     With *publish* set, a :class:`Heartbeat` is handed to it at start,
     after every chunk, and once more when the plan is spent
     (``done=True``): a forked worker writes it to its pipe, the caller
     folds it into the monitor and takes one non-blocking look at the
-    other workers (:meth:`_Pool.beat`).  *chunk_delay* is the straggler
+    other workers (:meth:`_Pool.beat`).  *chunk_delay* is the slow-worker
     fault-injection hook: seconds slept once before the first claim and
     again inside every chunk (the up-front sleep makes the stall
     deterministic even when the other workers spend the plan first;
@@ -186,14 +186,6 @@ def _execute_chunks(
     """
     from repro.obs.attribution import Attribution
 
-    registry = MetricsRegistry()
-    tracer = EventTracer(clock="wall")
-    chunks_counter = registry.counter("parallel.chunks")
-    ops_counter = registry.counter("parallel.ops")
-    steals_counter = registry.counter("parallel.steals")
-    triangles_counter = registry.counter("triangles", phase="parallel")
-    chunk_elapsed = registry.histogram("parallel.chunk.elapsed")
-    track = f"parallel/w{worker_id}"
     report = WorkerReport(worker_id=worker_id)
     attr_table = attr_scope = None
     if coordinate is not None:
@@ -202,12 +194,11 @@ def _execute_chunks(
         attr_scope = attr_table.scope(phase=phase, kernel=kernel_name,
                                       source=source)
     binding = kernel.bind(graph.num_vertices)
-    done_chunks = 0
 
     def beat(done: bool = False) -> None:
         if publish is not None:
             publish(Heartbeat(
-                worker_id=worker_id, chunks_done=done_chunks,
+                worker_id=worker_id, chunks_done=len(report.results),
                 ts=time.perf_counter() - anchor, done=done,
             ))
 
@@ -221,24 +212,10 @@ def _execute_chunks(
         triangles, ops, groups = run_range(graph, binding, lo, hi,
                                            collect, scope=attr_scope)
         end = time.perf_counter() - anchor
-        chunks_counter.inc()
-        ops_counter.inc(ops)
-        triangles_counter.inc(triangles)
-        chunk_elapsed.observe(end - start)
-        done_chunks += 1
-        owner = index % num_workers
-        if owner != worker_id:
-            steals_counter.inc()
-            tracer.instant("parallel.steal", ts=end, track=track,
-                           chunk=index, owner=owner)
-        tracer.complete("parallel.chunk", start, end - start, track=track,
-                        chunk=index, lo=lo, hi=hi,
-                        triangles=triangles, ops=ops)
-        report.results.append((index, lo, hi, triangles, ops, groups))
+        report.results.append((index, lo, hi, triangles, ops, groups,
+                               start, end))
         beat()
     beat(done=True)
-    report.snapshot = registry.snapshot(histogram_samples=True)
-    report.events = tracer.events()
     report.branches = binding.stats()
     if attr_table is not None:
         report.attribution = attr_table.snapshot()
@@ -266,8 +243,8 @@ def _claim(cursor, lock, tasks: Sequence[tuple[int, int, int]],
         yield tasks[index]
 
 
-def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
-                 worker_id: int, collect: bool, anchor: float,
+def _worker_main(csr_handle, kernel: Kernel, worker_id: int,
+                 collect: bool, anchor: float,
                  coordinate: tuple[str, str, str] | None,
                  tasks: list[tuple[int, int, int]], cursor, lock,
                  conn, beats: bool, chunk_delay: float) -> None:
@@ -280,7 +257,7 @@ def _worker_main(csr_handle, kernel: Kernel, num_workers: int,
         graph = shared.graph()
         report = _execute_chunks(
             graph, kernel, _claim(cursor, lock, tasks), worker_id,
-            num_workers, collect, anchor, coordinate,
+            collect, anchor, coordinate,
             conn.send if beats else None, chunk_delay,
         )
     # Worker boundary: ANY failure (including KeyboardInterrupt /
@@ -341,10 +318,9 @@ class _Pool:
             try:
                 process = mp_fork.Process(
                     target=_worker_main,
-                    args=(handle.csr_handle(), kernel, self.workers,
-                          worker_id, collect, self.anchor, coordinate,
-                          self.tasks, self.cursor, self.lock, writer,
-                          self.monitor is not None,
+                    args=(handle.csr_handle(), kernel, worker_id, collect,
+                          self.anchor, coordinate, self.tasks, self.cursor,
+                          self.lock, writer, self.monitor is not None,
                           policy.inject_chunk_delay
                           if policy.inject_worker == worker_id else 0.0),
                     name=f"parallel-w{worker_id}",
@@ -413,8 +389,7 @@ class _Pool:
                     continue
                 self.reports[worker_id] = message
                 if self.monitor is not None:
-                    self.monitor.mark_done(worker_id,
-                                           chunks_done=len(message.results))
+                    self.monitor.mark_done(worker_id)
         except EOFError:
             return False
         return True
@@ -497,7 +472,7 @@ def run_chunks(
         # raised in them leaves this block as a fresh exception.
         try:
             own = _execute_chunks(handle.csr_graph(), kernel, pool.claims(),
-                                  0, workers, collect, anchor, coordinate,
+                                  0, collect, anchor, coordinate,
                                   pool.beat)
             failure = None
         except ParallelError as exc:  # a look at the children: one failed
@@ -557,9 +532,14 @@ def _pool(
     deterministic: each chunk's groups, kept in order on the outcome's
     ``blocks``, go to *sink* when one is given — vertex order, whatever
     the workers did; each worker's branch tally is summed into
-    the outcome, its attribution snapshot merged into
-    ``ctx.attribution``, its registry snapshot into ``ctx.report``, and
-    its trace events translated onto ``ctx.trace``'s timeline.
+    the outcome and its attribution snapshot merged into
+    ``ctx.attribution``.  Every other signal is derived from the rows,
+    worker by worker in claim order: a ``parallel.chunk.elapsed``
+    observation per chunk into ``ctx.report`` and its ``parallel.chunk``
+    slice (after a ``parallel.steal`` instant when the chunk was stolen)
+    onto ``ctx.trace``'s timeline, then the ``parallel.chunks`` /
+    ``.ops`` / ``.steals`` and ``triangles{phase=parallel}`` totals,
+    each key present even at 0.
     """
     trace = ctx.trace
     attribution = ctx.attribution
@@ -584,40 +564,52 @@ def _pool(
     if sink is not None:
         for block in blocks:
             emit_block(sink, block)
+    registry = ctx.registry
+    elapsed = (registry.histogram("parallel.chunk.elapsed")
+               if registry is not None else None)
     branches: dict[str, list[int]] = {}
+    executed_by: dict[int, int] = {}
     steals = 0
     for report in reports:
+        worker_id = report.worker_id
+        track = f"parallel/w{worker_id}"
+        for index, lo, hi, triangles, ops, _, start, end in report.results:
+            executed_by[index] = worker_id
+            owner = index % workers
+            steals += owner != worker_id
+            if elapsed is not None:
+                elapsed.observe(end - start)
+            if trace is not None:
+                if owner != worker_id:
+                    trace.instant("parallel.steal", ts=anchor_rel + end,
+                                  track=track, chunk=index, owner=owner)
+                trace.complete("parallel.chunk", anchor_rel + start,
+                               end - start, track=track, chunk=index,
+                               lo=lo, hi=hi, triangles=triangles, ops=ops)
         # The groups live on in the outcome's blocks only: the retained
         # report keeps each chunk's index and figures.
-        report.results = [(*row[:5], NO_GROUPS) for row in report.results]
+        report.results = [(*row[:5], NO_GROUPS, *row[6:])
+                          for row in report.results]
         for branch, (pairs, ops) in report.branches.items():
             cell = branches.setdefault(branch, [0, 0])
             cell[0] += int(pairs)
             cell[1] += int(ops)
-        steals += report.snapshot["counters"]["parallel.steals"]
         if attribution is not None and report.attribution is not None:
             attribution.merge_snapshot(report.attribution)
-        if ctx.report is not None:
-            ctx.report.registry.merge_snapshot(report.snapshot)
-        if trace is not None:
-            for event in report.events:
-                if event.dur is None:
-                    trace.instant(event.name, ts=anchor_rel + event.ts,
-                                  track=event.track, **event.args)
-                else:
-                    trace.complete(event.name, anchor_rel + event.ts,
-                                   event.dur, track=event.track,
-                                   **event.args)
-    if trace is not None:
-        trace.complete("parallel.merge", merge_started,
-                       trace.now() - merge_started,
-                       workers=workers, chunks=len(rows))
     outcome = EngineOutcome(
         triangles=sum(row[3] for row in rows),
         cpu_ops=sum(row[4] for row in rows),
         blocks=blocks, chunks=len(rows), branches=branches)
-    executed_by = {row[0]: report.worker_id
-                   for report in reports for row in report.results}
+    if registry is not None:
+        registry.counter("parallel.chunks").inc(len(rows))
+        registry.counter("parallel.ops").inc(int(outcome.cpu_ops))
+        registry.counter("parallel.steals").inc(steals)
+        registry.counter("triangles", phase="parallel").inc(
+            int(outcome.triangles))
+    if trace is not None:
+        trace.complete("parallel.merge", merge_started,
+                       trace.now() - merge_started,
+                       workers=workers, chunks=len(rows))
     return outcome, ParallelResult(
         workers=workers, chunk_bounds=tuple(ranges),
         executed_by=tuple(executed_by[row[0]] for row in rows),
@@ -665,15 +657,14 @@ def triangulate_parallel(
     straggler:
         Optional :class:`StragglerPolicy`, the one switch for heartbeat
         monitoring: forked workers publish progress beats (counted in
-        ``parallel.heartbeats``), laggards are flagged via
-        ``parallel.straggler``, and with a ``deadline`` set a silent
+        ``parallel.heartbeats``), and with a ``deadline`` set a silent
         worker raises :class:`ParallelError` promptly instead of hanging
         the join.  Monitoring is fully off by default — the determinism
         contract of plain runs is untouched.
     ctx:
         The run's :class:`~repro.obs.RunContext` (the fields are
         documented there); this engine consumes ``report``, ``trace``
-        (wall clock only) and ``attribution``.  Worker metric snapshots
+        (wall clock only) and ``attribution``.  The workers' chunk rows
         are folded into the report's registry (``parallel.*`` counters,
         per-phase ``triangles``) next to the parent-side
         ``parallel.workers`` / ``run.elapsed_wall`` gauges; worker

@@ -1,4 +1,4 @@
-"""Worker heartbeats: straggler and silence detection.
+"""Worker heartbeats: silence detection.
 
 The process-parallel engine's workers are invisible between fork and
 join — a stalled worker would leave the parent waiting on its pipe for
@@ -10,29 +10,22 @@ a report that never comes.  This module is the parent-side fix:
   its own pool, hands its own beats to the monitor directly;
 * between its chunks, and after them until every report is in, the
   parent reads those beats into a :class:`HeartbeatMonitor`, which
-  keeps each worker's latest progress and runs two detections per poll:
+  keeps each worker's latest beat and runs one check per poll: a
+  worker that has not reported and has not beaten for longer than the
+  policy deadline is presumed hung, and the monitor raises
+  :class:`~repro.errors.ParallelError` so the run fails *now*, with a
+  message naming the worker, instead of hanging at join.
 
-  1. **straggler** — a live worker whose chunk progress has fallen below
-     a configurable fraction of the median worker's progress is flagged
-     once: ``parallel.straggler`` counter + ``parallel.straggler`` trace
-     instant.  The run still completes; the flag is for the operator and
-     the imbalance analytics.
-  2. **silence** — a worker that has not heartbeat for longer than the
-     policy deadline is presumed hung; the monitor raises
-     :class:`~repro.errors.ParallelError` so the run fails *now*, with a
-     message naming the worker, instead of hanging at join.
-
-Detection thresholds live in :class:`StragglerPolicy`, which also
-carries the fault-injection hooks the tests use to make a worker slow or
-silent on demand.  Heartbeats are wall-clock by nature and the whole
-channel is opt-in (a policy passed as ``straggler=``): sim-clock runs
-and the determinism gates never see it.
+The deadline lives in :class:`StragglerPolicy`, which also carries the
+fault-injection hooks the tests use to make a worker slow or silent on
+demand.  Heartbeats are wall-clock by nature and the whole channel is
+opt-in (a policy passed as ``straggler=``): sim-clock runs and the
+determinism gates never see it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from statistics import median
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, ParallelError
 from repro.obs.registry import MetricsRegistry
@@ -56,37 +49,26 @@ class Heartbeat:
 
 @dataclass(frozen=True)
 class StragglerPolicy:
-    """Detection thresholds and fault-injection hooks.
+    """The silence deadline and the fault-injection hooks.
 
-    ``fraction`` and ``min_chunks`` tune the imbalance detector: a
-    worker is a straggler when the median worker has finished at least
-    ``min_chunks`` chunks and this worker has finished fewer than
-    ``fraction * median`` — the median over workers that ran a chunk or
-    are still running (one that found the plan already spent is left
-    out).
-    ``grace`` suppresses that detector for the
-    first seconds of a run — at startup the fastest worker can lap the
-    others before they even fetch a task, which is scheduling noise, not
-    imbalance.  ``deadline`` (seconds of heartbeat silence) arms the
-    hang detector; ``None`` leaves it off, so a monitor that only flags
-    stragglers can never kill a run.  The grace period does *not*
-    gate the deadline detector: a hang is a hang from second zero.
-    ``poll_interval`` is the longest the caller waits between two runs
-    of the detectors once its own chunks are done, and between two tries
-    at the chunk cursor's lock; a beat, a report or a death wakes it
-    sooner.
+    ``deadline`` (seconds of heartbeat silence) arms the hang check;
+    ``None`` leaves it off, so the monitor only counts beats and can
+    never kill a run.  ``poll_interval`` is the longest the caller
+    waits between two checks once its own chunks are done, and between
+    two tries at the chunk cursor's lock; a beat, a report or a death
+    wakes it sooner.
 
     ``inject_worker`` / ``inject_chunk_delay`` are test hooks: the
     engine makes worker ``inject_worker`` sleep ``inject_chunk_delay``
     seconds per chunk.  A sleeping worker stops beating, so a delay
-    modest next to the deadline yields a flagged-but-finishing
-    straggler, while a delay past the deadline yields the hang path —
-    the fault matrix gets both deterministically without patching the
-    worker code.  The hook names a *forked* worker, ``1`` or above:
-    worker ``0`` is the caller, which also runs the detections, so
-    stalling it would stall the only thing that could notice.  The
-    engine raises :class:`~repro.errors.ConfigurationError` for
-    ``inject_worker=0`` whenever it forks.
+    modest next to the deadline yields a slow but finishing worker,
+    while a delay past the deadline yields the hang path — the fault
+    matrix gets both deterministically without patching the worker
+    code.  The hook names a *forked* worker, ``1`` or above: worker
+    ``0`` is the caller, which also runs the check, so stalling it
+    would stall the only thing that could notice.  The engine raises
+    :class:`~repro.errors.ConfigurationError` for ``inject_worker=0``
+    whenever it forks.
 
     A value that would break a healthy run raises
     :class:`~repro.errors.ConfigurationError` naming the field, before
@@ -97,10 +79,7 @@ class StragglerPolicy:
     """
 
     poll_interval: float = 0.05
-    fraction: float = 0.5
-    grace: float = 1.0
     deadline: float | None = None
-    min_chunks: int = 2
     inject_worker: int | None = None
     inject_chunk_delay: float = 0.0
 
@@ -110,9 +89,6 @@ class StragglerPolicy:
             ("deadline", self.deadline is None or self.deadline > 0,
              "None or > 0 seconds"),
             ("poll_interval", self.poll_interval > 0, "> 0 seconds"),
-            ("grace", self.grace >= 0, ">= 0 seconds"),
-            ("fraction", 0 <= self.fraction <= 1, "within [0, 1]"),
-            ("min_chunks", self.min_chunks >= 0, ">= 0"),
             ("inject_chunk_delay", self.inject_chunk_delay >= 0,
              ">= 0 seconds"),
         ):
@@ -123,7 +99,7 @@ class StragglerPolicy:
 
 
 class HeartbeatMonitor:
-    """Parent-side fold of worker heartbeats into the two detections.
+    """Parent-side fold of worker heartbeats into the silence check.
 
     Single-threaded: the caller's looks at its pool own :meth:`observe`,
     :meth:`mark_done` and :meth:`check`, and nothing else reads the
@@ -139,29 +115,18 @@ class HeartbeatMonitor:
         tracer: EventTracer | None = None,
     ):
         self.policy = policy
-        self.workers = workers
         self.registry = registry
         self.tracer = tracer
-        self._latest: dict[int, Heartbeat] = {
-            worker_id: Heartbeat(worker_id=worker_id)
-            for worker_id in range(workers)
-        }
-        self._seen: dict[int, bool] = {w: False for w in range(workers)}
-        self._flagged: set[int] = set()
-
-    # -- ingest ---------------------------------------------------------------
+        #: ``worker_id -> ts`` of its latest beat; silence before the
+        #: first one counts from the run anchor.
+        self._last_beat = dict.fromkeys(range(workers), 0.0)
+        self._done: set[int] = set()
 
     def observe(self, beat: Heartbeat) -> None:
         """Fold one heartbeat into the per-worker state."""
-        known = self._latest.get(beat.worker_id)
-        # A late-arriving beat never rolls progress backwards.
-        if known is not None and known.chunks_done > beat.chunks_done:
-            beat = replace(beat, chunks_done=known.chunks_done,
-                           done=known.done or beat.done)
-        if known is not None and known.done:
-            beat = replace(beat, done=True)
-        self._latest[beat.worker_id] = beat
-        self._seen[beat.worker_id] = True
+        self._last_beat[beat.worker_id] = beat.ts
+        if beat.done:
+            self._done.add(beat.worker_id)
         if self.registry is not None:
             self.registry.counter("parallel.heartbeats").inc()
         if self.tracer is not None:
@@ -172,91 +137,22 @@ class HeartbeatMonitor:
                 done=beat.done,
             )
 
-    # -- detection ------------------------------------------------------------
+    def check(self, now: float) -> None:
+        """Raise :class:`ParallelError` naming the first worker, in
+        worker order, that is not done and has been silent past the
+        policy deadline at time *now*."""
+        deadline = self.policy.deadline
+        if deadline is None:
+            return
+        for worker_id, last in sorted(self._last_beat.items()):
+            if worker_id not in self._done and now - last > deadline:
+                raise ParallelError(
+                    f"worker w{worker_id} has sent no heartbeat for "
+                    f"{now - last:.2f}s (deadline {deadline:.2f}s); "
+                    f"presumed hung"
+                )
 
-    def check(self, now: float) -> list[int]:
-        """Run both detections at time *now*; returns newly flagged workers.
-
-        Raises :class:`ParallelError` when a worker has been silent past
-        the policy deadline — after flagging it, so the straggler counter
-        and trace event land even on the failing path.
-        """
-        beats, seen = self._latest, self._seen
-        # A worker that found the plan already spent (done, zero chunks)
-        # says nothing about pace: counting it lets one fast worker that
-        # drained every chunk pull the median to 0 and hide a stalled peer.
-        progress = [beat.chunks_done for beat in beats.values()
-                    if beat.chunks_done or not beat.done]
-        typical = median(progress) if progress else 0
-        newly: list[int] = []
-        hung: tuple[int, float] | None = None
-        for worker_id, beat in sorted(beats.items()):
-            if beat.done:
-                continue
-            silence = now - beat.ts if seen[worker_id] else now
-            # The deadline detection runs even for already-flagged
-            # workers: a straggler that then goes fully silent must
-            # still fail the run.
-            if (self.policy.deadline is not None
-                    and silence > self.policy.deadline):
-                if worker_id not in self._flagged:
-                    self._flag(worker_id, beat, now, reason="silent",
-                               silence=silence)
-                    newly.append(worker_id)
-                if hung is None:
-                    hung = (worker_id, silence)
-                continue
-            if worker_id in self._flagged:
-                continue
-            if (now >= self.policy.grace
-                    and typical >= self.policy.min_chunks
-                    and beat.chunks_done < self.policy.fraction * typical):
-                self._flag(worker_id, beat, now, reason="behind",
-                           median=typical)
-                newly.append(worker_id)
-        if hung is not None:
-            worker_id, silence = hung
-            raise ParallelError(
-                f"worker w{worker_id} has sent no heartbeat for "
-                f"{silence:.2f}s (deadline {self.policy.deadline:.2f}s); "
-                f"presumed hung"
-            )
-        return newly
-
-    def _flag(self, worker_id: int, beat: Heartbeat, now: float, *,
-              reason: str, **detail) -> None:
-        self._flagged.add(worker_id)
-        if self.registry is not None:
-            self.registry.counter("parallel.straggler").inc()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "parallel.straggler", ts=now,
-                track=f"parallel/w{worker_id}",
-                worker=worker_id, reason=reason,
-                chunks=beat.chunks_done, **detail,
-            )
-
-    def mark_done(self, worker_id: int, chunks_done: int | None = None) -> None:
-        """Record that *worker_id*'s final report arrived (join-safe).
-
-        *chunks_done* is the report's chunk count: the report, not the
-        beats, is authoritative, and a beat observed after it never rolls
-        the count back (:meth:`observe`).
-        """
-        beat = replace(self._latest[worker_id], done=True)
-        if chunks_done is not None:
-            beat = replace(beat, chunks_done=chunks_done)
-        self._latest[worker_id] = beat
-        self._seen[worker_id] = True
-
-    # -- exposition -----------------------------------------------------------
-
-    @property
-    def flagged(self) -> frozenset[int]:
-        return frozenset(self._flagged)
-
-    def chunks_done(self) -> int:
-        return sum(beat.chunks_done for beat in self._latest.values())
-
-    def all_done(self) -> bool:
-        return all(beat.done for beat in self._latest.values())
+    def mark_done(self, worker_id: int) -> None:
+        """Record that *worker_id*'s final report arrived (join-safe): a
+        beat observed after it never makes the worker live again."""
+        self._done.add(worker_id)

@@ -2,7 +2,6 @@
 
 from repro.util.intersect import (
     gallop_intersect,
-    intersect_count_ops,
     intersect_sorted,
     merge_intersect,
 )
@@ -11,7 +10,6 @@ from repro.util.tables import format_table
 __all__ = [
     "format_table",
     "gallop_intersect",
-    "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",
 ]

@@ -3,10 +3,9 @@
 Triangulation cost in the paper is measured in adjacency-list intersection
 operations: intersecting ``n_succ(u)`` with ``n_succ(v)`` using an O(1) hash
 costs ``min(|n_succ(u)|, |n_succ(v)|)`` probes (Eq. 3 of the paper).  The
-fast path used by the engines is :func:`intersect_sorted`, which delegates
-to ``numpy.intersect1d`` and *charges* the analytic probe count via
-:func:`intersect_count_ops` — this keeps the Python implementation fast
-while the cost model matches the paper exactly.
+engines charge that bill in closed form over whole arrays
+(:mod:`repro.exec.block`); :func:`intersect_sorted`, which delegates to
+``numpy.intersect1d``, is the uncharged one-pair form.
 
 Two reference kernels (merge, gallop) back the ``merge`` and ``gallop``
 kernels of :mod:`repro.exec.kernels`; they return their own measured
@@ -25,7 +24,6 @@ __all__ = [
     "ADAPTIVE_GALLOP_SKEW",
     "adaptive_intersect_detail",
     "gallop_intersect",
-    "intersect_count_ops",
     "intersect_sorted",
     "merge_intersect",
 ]
@@ -37,15 +35,6 @@ __all__ = [
 #: observation that VertexIterator≻ runs ~20% slower than EdgeIterator≻
 #: despite equal asymptotic complexity (Section 5.3).
 HASH_PROBE_COST = 2
-
-
-def intersect_count_ops(len_a: int, len_b: int) -> int:
-    """Analytic probe count for intersecting two sorted lists via hashing.
-
-    This is the paper's cost measure ``min(|a|, |b|)`` (Eq. 3); both the
-    cost analysis (Section 3.3) and the simulated engines charge this.
-    """
-    return min(len_a, len_b)
 
 
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,14 +1,14 @@
-"""Worker heartbeats: the straggler and hang checks of the process pool.
+"""Worker heartbeats: the hang check of the process pool.
 
 * :class:`TestHeartbeats` — a ``straggler=`` policy opens the heartbeat
   channel and beats are counted; a plain run opens none; a beat that
-  arrives after its worker's report never rolls progress back; and the
-  resource-hygiene gates: no fd and no /dev/shm growth with the channel
-  open.
-* :class:`TestFaultMatrix` — an injected slow worker is flagged as a
-  straggler but the run completes; an injected *stalled* worker raises
-  :class:`~repro.errors.ParallelError` well before the run would have
-  hung at join; stalling the caller is refused.
+  arrives after its worker's report never makes the worker live again;
+  and the resource-hygiene gates: no fd and no /dev/shm growth with the
+  channel open.
+* :class:`TestFaultMatrix` — an injected slow worker finishes the run
+  with the right answer; an injected *stalled* worker raises
+  :class:`~repro.errors.ParallelError` naming it well before the run
+  would have hung at join; stalling the caller is refused.
 * :func:`test_policy_refuses_a_value_that_breaks_a_run` — a
   :class:`StragglerPolicy` that would fail or spin a healthy run is
   refused when it is built, before anything is forked.
@@ -23,7 +23,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ParallelError
 from repro.graph import generators
-from repro.obs import MetricsRegistry, RunContext, RunReport
+from repro.obs import RunContext, RunReport
 from repro.parallel import StragglerPolicy, triangulate_parallel
 from repro.parallel.heartbeat import Heartbeat, HeartbeatMonitor
 
@@ -40,17 +40,18 @@ class TestHeartbeats:
         reference = triangulate_parallel(clustered_graph, workers=2, chunks=8)
         assert result.triangles == reference.triangles
 
-    def test_report_count_beats_a_late_heartbeat(self):
-        """A worker's last beat can arrive after its report: the report's
-        chunk count stands, and a beat arriving later never lowers it."""
-        monitor = HeartbeatMonitor(StragglerPolicy(), workers=2)
+    def test_a_beat_after_the_report_never_reopens_the_worker(self):
+        """A worker's last beat can be read after its report: the worker
+        stays done, so its silence from then on never fails the run,
+        while a live peer's still does."""
+        monitor = HeartbeatMonitor(StragglerPolicy(deadline=1.0), workers=3)
         monitor.observe(Heartbeat(0, chunks_done=1, ts=0.01, done=True))
-        monitor.observe(Heartbeat(1, chunks_done=6, ts=0.02))  # stale
-        monitor.mark_done(0, chunks_done=1)
-        monitor.mark_done(1, chunks_done=7)  # the report arrives first
-        assert monitor.chunks_done() == 8 and monitor.all_done()
-        monitor.observe(Heartbeat(1, chunks_done=6, ts=0.03))  # late
-        assert monitor.chunks_done() == 8 and monitor.all_done()
+        monitor.mark_done(1)  # the report arrives first
+        monitor.observe(Heartbeat(1, chunks_done=6, ts=0.02))  # late
+        monitor.observe(Heartbeat(2, chunks_done=2, ts=0.03))
+        monitor.check(1.0)
+        with pytest.raises(ParallelError, match=r"worker w2 "):
+            monitor.check(5.0)
 
     def test_plain_run_has_no_heartbeat_counters(self, clustered_graph):
         """Without a straggler policy the heartbeat channel stays out of
@@ -85,10 +86,10 @@ class TestHeartbeats:
 
 class TestFaultMatrix:
     def test_slow_worker_flagged_but_run_completes(self, clustered_graph):
-        """A worker made modestly slow is flagged as a straggler while
-        the run still finishes with the right answer."""
-        policy = StragglerPolicy(poll_interval=0.02, fraction=0.6,
-                                 min_chunks=1, grace=0.0,
+        """A worker made modestly slow, well inside the deadline, slows
+        the run but does not fail it: the run finishes with the right
+        answer, and no straggler signal is recorded."""
+        policy = StragglerPolicy(poll_interval=0.02, deadline=5.0,
                                  inject_worker=1, inject_chunk_delay=0.05)
         report = RunReport("fault-slow")
         result = triangulate_parallel(clustered_graph, workers=3, chunks=12,
@@ -96,24 +97,9 @@ class TestFaultMatrix:
                                       ctx=RunContext(report=report))
         reference = triangulate_parallel(clustered_graph, workers=3, chunks=12)
         assert result.triangles == reference.triangles
-        assert report.registry.value("parallel.straggler") >= 1
-
-    def test_idle_finished_worker_does_not_mask_a_straggler(self):
-        """One worker drained every chunk, one found the queue empty and
-        left, one is stalled: the idle finisher's 0 must not pull the
-        median to 0 and hide the stalled worker."""
-        policy = StragglerPolicy(fraction=0.6, min_chunks=1, grace=0.0)
-        registry = MetricsRegistry()
-        monitor = HeartbeatMonitor(policy, workers=3, registry=registry)
-        monitor.observe(Heartbeat(0, chunks_done=12, ts=0.01, done=True))
-        monitor.observe(Heartbeat(1, ts=0.001))
-        monitor.observe(Heartbeat(2, ts=0.002))
-        # Worker 2 may still be about to fetch: two of three at 0, no flag.
-        assert monitor.check(0.02) == []
-        monitor.mark_done(2)
-        assert monitor.check(0.03) == [1]
-        assert monitor.flagged == frozenset({1})
-        assert registry.value("parallel.straggler") == 1
+        assert report.registry.value("parallel.heartbeats") > 0
+        assert not any(key.startswith("parallel.straggler")
+                       for key in report.registry.snapshot()["counters"])
 
     def test_stalled_worker_raises_before_join(self, clustered_graph):
         """A worker stalled far past the deadline surfaces a timely
@@ -124,13 +110,13 @@ class TestFaultMatrix:
                                  inject_worker=1, inject_chunk_delay=30.0)
         report = RunReport("fault-stall")
         start = time.perf_counter()
-        with pytest.raises(ParallelError, match="no heartbeat"):
+        with pytest.raises(ParallelError,
+                           match=r"worker w1 has sent no heartbeat"):
             triangulate_parallel(clustered_graph, workers=3, chunks=12,
                                  straggler=policy,
                                  ctx=RunContext(report=report))
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"detection took {elapsed:.1f}s"
-        assert report.registry.value("parallel.straggler") >= 1
 
     def test_stalled_worker_leaves_no_shm(self, clustered_graph):
         before = set(os.listdir("/dev/shm"))
@@ -142,7 +128,7 @@ class TestFaultMatrix:
         assert set(os.listdir("/dev/shm")) <= before
 
     def test_stalling_the_caller_is_refused(self, clustered_graph):
-        """Worker 0 is the caller, which also runs the detections: a
+        """Worker 0 is the caller, which also runs the check: a
         stall there could never be noticed, so the engine refuses it
         before it forks, and releases the segment."""
         before = set(os.listdir("/dev/shm"))
@@ -162,11 +148,6 @@ class TestFaultMatrix:
     ("deadline", -1.0),
     ("poll_interval", 0.0),
     ("poll_interval", -0.5),
-    ("grace", -0.1),
-    ("fraction", -0.1),
-    ("fraction", 1.5),
-    ("fraction", float("nan")),
-    ("min_chunks", -1),
     ("inject_chunk_delay", -0.01),
 ])
 def test_policy_refuses_a_value_that_breaks_a_run(field, value):

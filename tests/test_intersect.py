@@ -12,7 +12,6 @@ from repro.util.intersect import (
     ADAPTIVE_GALLOP_SKEW,
     adaptive_intersect_detail,
     gallop_intersect,
-    intersect_count_ops,
     intersect_sorted,
     merge_intersect,
 )
@@ -43,11 +42,6 @@ class TestIntersectSorted:
 
 
 class TestOpsAccounting:
-    def test_count_is_min(self):
-        assert intersect_count_ops(3, 10) == 3
-        assert intersect_count_ops(10, 3) == 3
-        assert intersect_count_ops(0, 5) == 0
-
     def test_hash_ops_match_paper_measure(self):
         from repro.exec import compose
         from repro.graph.builder import from_edges
@@ -90,7 +84,6 @@ class TestReferenceKernels:
     def test_numpy_kernel_agrees(self, a, b):
         a, b = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
         assert intersect_sorted(a, b).tolist() == sorted(set(a) & set(b))
-        assert intersect_count_ops(len(a), len(b)) == min(len(a), len(b))
 
 
 class TestAdaptiveEdgeCases:
@@ -153,7 +146,7 @@ class TestAdaptiveEdgeCases:
     def test_charge_never_exceeds_the_hash_min(self, a, b):
         _common, ops, _branch = adaptive_intersect_detail(
             np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64))
-        assert ops <= intersect_count_ops(len(a), len(b))
+        assert ops <= min(len(a), len(b))
 
 
 class TestAdaptiveScratchMask:

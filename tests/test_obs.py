@@ -119,82 +119,6 @@ class TestHistograms:
         assert histogram.percentile(0) == 0.0
 
 
-class TestSnapshotMerge:
-    """Cross-process histogram merging — the percentile-fidelity audit.
-
-    The process-parallel engine ships worker metrics as snapshot dicts
-    and folds them into the parent registry with ``merge_snapshot``.
-    Counters and gauges merge trivially; histogram percentiles only
-    survive the trip when the snapshot ships each histogram's sample
-    reservoir (``histogram_samples=True``).  These tests pin both the
-    exact-fidelity path and the documented lossiness of the compact
-    (sample-free) path.
-    """
-
-    @staticmethod
-    def _worker_snapshot(base: float, n: int = 100, *, samples: bool):
-        registry = MetricsRegistry()
-        histogram = registry.histogram("parallel.chunk.elapsed")
-        for value in range(n):
-            histogram.observe(base + value)
-        return registry.snapshot(histogram_samples=samples)
-
-    def test_merge_with_samples_matches_pooled_percentiles(self):
-        parent = MetricsRegistry()
-        pooled: list[float] = []
-        for base in (0.0, 100.0, 200.0):
-            parent.merge_snapshot(self._worker_snapshot(base, samples=True))
-            pooled.extend(base + v for v in range(100))
-        merged = parent.histogram("parallel.chunk.elapsed")
-        reference = MetricsRegistry().histogram("reference")
-        for value in pooled:
-            reference.observe(value)
-        assert merged.count == reference.count == 300
-        assert merged.sum == reference.sum
-        assert merged.min == 0.0 and merged.max == 299.0
-        # 300 pooled samples fit the 4096-slot reservoir, so the merged
-        # percentiles are *exactly* the pooled-sample percentiles — in
-        # particular p99 lands in the last worker's range instead of
-        # collapsing to the first worker's.
-        for q in (50, 90, 95, 99):
-            assert merged.percentile(q) == reference.percentile(q)
-        assert merged.percentile(99) >= 200.0
-
-    def test_merge_without_samples_keeps_exact_aggregates_only(self):
-        parent = MetricsRegistry()
-        parent.merge_snapshot(self._worker_snapshot(0.0, samples=False))
-        merged = parent.histogram("parallel.chunk.elapsed")
-        # Exact streaming aggregates always survive...
-        assert merged.count == 100
-        assert merged.sum == sum(range(100))
-        assert merged.min == 0.0 and merged.max == 99.0
-        # ...but a sample-free summary contributes nothing to the
-        # percentile reservoir (the documented lossy mode): percentiles
-        # describe only sources that shipped samples — here, none.
-        assert merged.percentile(99) == 0.0
-        assert merged.summary()["p99"] == 0.0
-
-    def test_merge_pooling_respects_reservoir_cap(self):
-        parent = MetricsRegistry()
-        capped = parent.histogram("parallel.chunk.elapsed")
-        capped.max_samples = 50
-        for base in (0.0, 1000.0):
-            parent.merge_snapshot(self._worker_snapshot(base, samples=True))
-        assert capped.count == 200  # exact even past the cap
-        assert len(capped._samples) == 50
-        assert capped.max == 1099.0
-
-    def test_counters_add_and_gauges_overwrite(self):
-        parent = MetricsRegistry()
-        parent.counter("parallel.ops").inc(5)
-        worker = MetricsRegistry()
-        worker.counter("parallel.ops").inc(7)
-        worker.gauge("parallel.workers").set(3.0)
-        parent.merge_snapshot(worker.snapshot())
-        assert parent.value("parallel.ops") == 12
-        assert parent.value("parallel.workers") == 3.0
-
-
 class TestThreadSafety:
     def test_concurrent_counter_updates_are_exact(self):
         """The SSD callback thread and main thread update one counter."""

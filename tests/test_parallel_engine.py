@@ -309,6 +309,43 @@ class TestObsMerge:
         assert validate_chrome_trace(payload, known_names_only=True) == []
 
 
+class TestSignalsFromRows:
+    """Workers ship chunk rows only; the fold derives every pool signal
+    from them, one observation, one slice and at most one steal per
+    row."""
+
+    @pytest.mark.parametrize("workers", WORKER_COUNTS)
+    def test_one_signal_set_per_row(self, zoo, workers):
+        from repro.obs import RunReport
+        from repro.obs.trace import EventTracer
+
+        report, tracer = RunReport("rows"), EventTracer.wall()
+        result = triangulate_parallel(
+            zoo["clustered"], workers=workers, chunks=8,
+            ctx=RunContext(report=report, trace=tracer))
+        parallel = result.extra["parallel"]
+        rows = sorted((row for worker in parallel.worker_reports
+                       for row in worker.results), key=lambda row: row[0])
+        snapshot = report.registry.snapshot()
+        assert snapshot["histograms"]["parallel.chunk.elapsed"]["count"] == 8
+        slices = sorted((e for e in tracer.events()
+                         if e.name == "parallel.chunk"),
+                        key=lambda e: e.args["chunk"])
+        assert len(slices) == len(rows) == 8
+        for event, (index, lo, hi, triangles, ops, *_) in zip(slices, rows):
+            assert event.track == f"parallel/w{parallel.executed_by[index]}"
+            assert event.args == {"chunk": index, "lo": lo, "hi": hi,
+                                  "triangles": triangles, "ops": ops}
+        stolen = sorted(index for index, wid in enumerate(parallel.executed_by)
+                        if wid != index % parallel.workers)
+        steals = [e for e in tracer.events() if e.name == "parallel.steal"]
+        assert sorted(e.args["chunk"] for e in steals) == stolen
+        # Every counter key is written, 0 included (one worker steals
+        # nothing).
+        assert parallel.steals == len(stolen) == snapshot["counters"][
+            "parallel.steals"]
+
+
 class TestFailurePropagation:
     def test_worker_failure_raises_and_leaks_nothing(self, zoo, monkeypatch):
         """A crashing worker surfaces as ParallelError, segments unlinked."""
